@@ -4,18 +4,17 @@ Measures the max-min fair flow allocator *in isolation* — no RDDs, no ML,
 no serde — by churning a steady population of concurrent flows through a
 :class:`~repro.cluster.flows.FlowNetwork` and counting kernel events per
 wall second. Every event in the run is allocator-driven (flow arrivals,
-completion timers, reallocation rounds), so the metric moves only when
+completion timers, end-of-instant flushes), so the metric moves only when
 the allocator or the event calendar does.
 
 Each concurrency level keeps exactly ``flows`` flows in the air: every
 flow crosses its own uplink plus one of ``max(1, flows // 512)`` shared
 bottleneck sinks, so each level is one contention component of ``flows``
-members — the 10- and 100-flow levels stay on
-the scalar progressive-filling path, the 1000-flow level crosses the
-``_VEC_MIN`` threshold and exercises the vectorized bulk-freeze solve.
-Flow sizes
-are seeded per driver, so every run schedules an identical event
-sequence and the numbers are comparable run to run.
+members. The solver applies each completion and re-join as a delta on the
+sink's level, so events/sec should be flat in ``flows``;
+``tools/bench_regress.py`` holds the 10-flow level to at most 2x the
+1000-flow one. Flow sizes are seeded per driver, so every run schedules an
+identical event sequence and the numbers are comparable run to run.
 
 Usage::
 
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -144,6 +144,7 @@ def main(argv=None) -> int:
     smoke_reference = run_levels(SMOKE_ROUNDS)
     payload = {
         "benchmark": "flow_alloc",
+        "host_cpus": os.cpu_count(),
         "configuration": {
             "levels": list(LEVELS),
             "link_capacity": LINK_CAPACITY,

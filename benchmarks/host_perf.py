@@ -60,7 +60,7 @@ SMOKE_SWEEP = [
 
 FULL_POOLS = (1, 2, 8)
 #: the smoke gate checks the full pool matrix too — the parity checksums
-#: must stay byte-identical across every pool size on the vectorized paths
+#: must stay byte-identical across every pool size
 SMOKE_POOLS = (1, 2, 8)
 
 #: tolerated events/sec regression against the committed baseline

@@ -4,50 +4,59 @@ Packet-level simulation would be hopeless at the message counts of a
 120-executor ring, and naive FIFO bandwidth queueing produces artifacts
 (adding a parallel channel can *lengthen* a transfer). This module uses the
 standard *fluid* abstraction instead: every in-flight transfer is a **flow**
-with a remaining byte count, a set of capacity constraints (**links**: NIC
+with a byte count, a set of capacity constraints (**links**: NIC
 egress/ingress, loopback bus) and an optional per-flow rate cap (a single
-TCP stream). Whenever the flow set changes, rates are recomputed by
-**progressive filling** — the classic water-filling algorithm that yields
-the unique max-min fair allocation — and projected completions are kept in
-a heap. This is how concurrent TCP streams behave to first order, and it
-is what the paper's Figures 13/14 (parallelism) and the driver-fetch
+TCP stream), and at every instant the flows run at the unique **max-min
+fair** rates. This is how concurrent TCP streams behave to first order, and
+it is what the paper's Figures 13/14 (parallelism) and the driver-fetch
 bottleneck depend on.
 
-Scalability: max-min allocations decompose over *connected components* of
-the flow-link sharing graph, so arrivals and departures only re-solve the
-component they touch (a 120-executor ring has per-node components of a few
-dozen flows, not one 500-flow system). Flow progress is settled lazily —
-each flow carries the timestamp its ``remaining`` was last valid at — so
-events cost O(component), not O(all flows).
+One incremental solver. The max-min allocation is kept as persistent state
+instead of being re-derived: every flow is **pinned** either at its own cap
+or at one saturated link (its bottleneck), and each link records which flows
+it pins, at what fair **level**, and which *foreign* flows cross it while
+pinned elsewhere (grouped by where: flows of one group share one rate). An
+allocation is max-min fair exactly when
 
-Storage layout (structure-of-arrays): per-flow numeric state — remaining
-bytes, rate, cap, settle timestamp, version — lives in slot-indexed
-parallel columns instead of object attributes, and each flow carries a
-fixed-width row of link slot ids (CSR incidence with uniform row width:
-every topology we model crosses 1-2 links per flow). Small components are
-solved by the scalar filling loop indexing the columns directly (plain
-Python floats, no ufunc launch overhead); components of at least
-:data:`_VEC_MIN` flows gather their column slices into contiguous float64
-arrays and take the vectorized solver: one bulk settle, per-link member
-counts from a single ``bincount`` over the incidence rows, and each
-progressive-filling round as whole-array operations that freeze every
-saturated flow in bulk. Both paths produce bit-identical allocations (see
-``_reallocate_vec`` for the argument), so the threshold is purely a
-host-speed knob.
+* a link that pins ``n`` flows has ``level = (capacity - foreign load) / n``,
+  no foreign flow on it runs faster than that level, and no pinned flow has
+  a cap below it;
+* a link that pins nothing carries no more than its capacity.
 
-Determinism: flows and links are visited in insertion order, ties in the
-filling loop break toward the lowest-indexed link, and completion-heap
-entries carry a per-flow version so stale projections are skipped.
+A join, a leave or :meth:`FlowNetwork.set_link_capacity` touches only the
+links the changed flow crosses; :meth:`FlowNetwork._relax` restores the
+conditions on one link — re-derive the level, *pull* foreign flows that run
+faster than it, *release* pinned flows whose cap is below it — and a level
+that moved wakes just the links that depend on it: saturated links its
+members cross (``watchers``) and unsaturated ones whose spare room the rise
+used up (a guard threshold in the ``ceil`` heap, next to the members' caps).
+The walk follows the bottleneck chain and stops where levels stop moving; it
+never discovers or re-solves the contention component.
+
+Flows pinned at one link run at one rate, so the link keeps a cumulative
+**service clock** (bytes served per pinned flow) and a heap of finish tags
+(clock at pin + bytes left). A level change is then ``clock += level * dt``
+— no per-member settle — and the link's next completion is its heap's
+head. Per event the cost is O(log n) plus the flows whose *pin* changes.
+
+All changes of one instant — completions included — are applied by a
+single end-of-instant flush (``LAZY`` priority), so a completion followed
+by a re-join is one delta.
+
+Determinism: every container iterated here is insertion-ordered, ties break
+on flow id or push sequence, and clocks only advance at flow events. The
+hooks :meth:`FlowNetwork.rate_of` and :meth:`FlowNetwork.link_rate` read the
+stored levels: they settle no flow and move no clock (``clock += level *
+dt`` split in two would round differently), so sampling a run cannot
+perturb it. Read in the middle of an instant that has changes pending,
+they run that instant's one flush early instead of returning stale rates.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Set
-
-import numpy as np
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..sim import Environment, Event
 from ..sim.core import LAZY
@@ -60,70 +69,88 @@ _COMPLETE_EPS = 1e-6
 #: residual *time* below which a flow counts as complete (guards against
 #: sub-epsilon byte residues at multi-GB/s rates spinning the timer)
 _COMPLETE_TIME_EPS = 1e-9
-#: relative tolerance in the filling loop
-_RATE_EPS = 1e-9
+#: relative slack when comparing rates: far above rounding noise, far below
+#: the 1e-9 the virtual times are held to
+_RATE_EPS = 1e-12
 #: slack when comparing heap times
 _TIME_EPS = 1e-12
 
-#: component size at which the vectorized solver takes over. The vector
-#: path pays an O(n) gather out of the Python list columns plus ~50us of
-#: ufunc launches per filling round, so it only beats the scalar loop
-#: once whole-array rounds amortize that: measured on a 1-CPU dev host,
-#: scalar wins at every size up to ~500 flows (4-9x at the 24-69-flow
-#: components real topologies produce), and the vector path wins on
-#: contended multi-round components from ~512 up (0.93x at 512, 0.78x
-#: at 4096). Both paths are bit-identical, so this is purely a
-#: host-speed knob.
-_VEC_MIN = 512
-
-#: initial slot-column capacity (doubles on demand)
-_INITIAL_SLOTS = 64
+_INF = math.inf
 
 
 class Link:
-    """A capacity constraint shared by flows (NIC direction, memory bus).
+    """A capacity constraint shared by flows (NIC direction, memory bus)."""
 
-    The ``_scratch_*`` slots are per-reallocation working storage (head
-    room, member count) stamped with the owning reallocation's epoch —
-    replacing two dict builds per reallocation with plain attribute writes
-    on the handful of links a component touches.
-    """
-
-    __slots__ = ("name", "capacity", "_index",
-                 "_scratch_epoch", "_scratch_room", "_scratch_count")
-    _counter = itertools.count()
+    __slots__ = ("name", "capacity")
 
     def __init__(self, capacity: float, name: str = ""):
         if capacity <= 0:
             raise ValueError(f"link capacity must be positive, got {capacity}")
         self.capacity = float(capacity)
         self.name = name
-        self._index = next(Link._counter)
-        self._scratch_epoch = 0
-        self._scratch_room = 0.0
-        self._scratch_count = 0
 
     def __repr__(self) -> str:
         return f"<Link {self.name!r} {self.capacity:.4g}B/s>"
 
 
+class _LinkState:
+    """The solver's persistent view of one link."""
+
+    __slots__ = ("link", "crossing", "pinned", "level", "clock", "since",
+                 "tags", "head", "ceil", "foreign", "watchers", "guard",
+                 "stamp", "dirty")
+
+    def __init__(self, link: Link):
+        self.link = link
+        self.crossing = 0  # flows on this link, pinned here or not
+        #: flows bottlenecked here, all running at ``level``
+        self.pinned: Dict[int, _Flow] = {}
+        self.level = _INF
+        #: bytes served to each pinned flow, valid at time ``since``
+        self.clock = 0.0
+        self.since = 0.0
+        #: finish-tag heap of the pinned flows:
+        #: (tag, flow_id, flow, flow.stamp)
+        self.tags: List = []
+        #: tag of the completion last projected into the network's heap
+        self.head: Optional[float] = None
+        #: levels at which something must happen, lowest first:
+        #: (cap, seq, flow, flow.stamp) releases a pinned flow to its cap,
+        #: (guard, seq, link_state, its.guard) wakes an unsaturated link
+        self.ceil: List = []
+        #: flows crossing this link but pinned elsewhere, grouped by what
+        #: sets their rate: the pinning ``_LinkState`` or their own cap
+        self.foreign: Dict[Union[_LinkState, float], Dict[int, _Flow]] = {}
+        #: saturated links crossed by flows pinned here -> their ``guard``
+        self.watchers: Dict[_LinkState, int] = {}
+        self.guard = 0  # version of the guards/watches this link has out
+        self.stamp = 0  # version of this link's projected completion
+        self.dirty = False
+
+
+#: ``_Flow.pin`` of a flow that is not (or no longer) in the network
+_ABSENT = object()
+
+
 class _Flow:
-    """Identity + topology of one transfer; numeric state lives in the
-    network's slot columns (``FlowNetwork._col_*``) at index ``slot``."""
+    """One transfer. ``pin`` is the ``_LinkState`` it is bottlenecked at,
+    ``None`` when it runs at its own cap, ``_ABSENT`` outside the network.
+    ``tag`` is its finish tag on the pinning link's clock, or, at its own
+    cap, the bytes left at time ``since``."""
 
-    __slots__ = ("flow_id", "slot", "cap", "links", "lslots", "event",
-                 "_seen_epoch", "_dirty")
+    __slots__ = ("flow_id", "event", "links", "cap", "pin", "tag", "since",
+                 "stamp")
 
-    def __init__(self, flow_id: int, slot: int, cap: float,
-                 links: Sequence[Link], event: Event):
+    def __init__(self, flow_id: int, event: Event,
+                 links: Tuple[_LinkState, ...], cap: float, nbytes: float):
         self.flow_id = flow_id
-        self.slot = slot
-        self.cap = cap  # mirrored in _col_cap[slot] for the vector path
-        self.links = tuple(links)
-        self.lslots = ()  # link slot ids, -1 padded to the network's width
         self.event = event
-        self._seen_epoch = 0  # component-traversal stamp
-        self._dirty = False  # joined but not yet allocated (flush pending)
+        self.links = links
+        self.cap = cap
+        self.pin = _ABSENT
+        self.tag = nbytes
+        self.since = 0.0
+        self.stamp = 0  # bumped by every move: versions this flow's entries
 
 
 class FlowNetwork:
@@ -131,69 +158,22 @@ class FlowNetwork:
 
     def __init__(self, env: Environment):
         self.env = env
-        self._flows: Dict[int, _Flow] = {}
-        #: flows currently crossing each link (insertion-ordered)
-        self._link_flows: Dict[Link, Dict[int, _Flow]] = {}
+        self._flows: Dict[Event, _Flow] = {}
+        self._links: Dict[Link, _LinkState] = {}
         self._next_id = 0
-        #: completion heap: (finish_time, seq, flow_id, flow_version)
+        #: projected completions: (time, seq, owner, owner.stamp) where the
+        #: owner is a flow at its own cap or a link's pinned class
         self._heap: List = []
-        self._heap_seq = 0
-        self._epoch = 0  # component-traversal / realloc-scratch stamp
+        self._seq = 0
         self._timer_version = 0
         self._armed_until: Optional[float] = None
-        #: flows joined this instant whose components still need allocating
-        self._dirty: List[_Flow] = []
+        #: links whose conditions must be re-checked at the end of the instant
+        self._work: List[_LinkState] = []
         self._flush_pending = False
         #: completed-flow count, for instrumentation
         self.completed = 0
-
-        # -- flow slot columns (structure-of-arrays) ------------------------
-        # Plain Python lists: element reads are as cheap as attribute
-        # lookups for the scalar solver, while the vectorized solver
-        # gathers its component's slices into contiguous float64 arrays.
-        self._free_slots: List[int] = list(range(_INITIAL_SLOTS - 1, -1, -1))
-        self._col_rem: List[float] = [0.0] * _INITIAL_SLOTS
-        self._col_rate: List[float] = [0.0] * _INITIAL_SLOTS
-        self._col_cap: List[float] = [0.0] * _INITIAL_SLOTS
-        self._col_last: List[float] = [0.0] * _INITIAL_SLOTS
-        self._col_prev: List[float] = [0.0] * _INITIAL_SLOTS
-        self._col_ver: List[int] = [0] * _INITIAL_SLOTS
-        #: uniform link-incidence row width (grown if a wider flow appears)
-        self._lid_width = 2
-
-        # -- link slot columns ---------------------------------------------
-        self._link_slot: Dict[Link, int] = {}
-        self._link_cap: List[float] = []
-        self._link_order: List[int] = []  # Link._index per slot
-        self._n_links = 0
-
-    # ------------------------------------------------------------- slot mgmt
-    def _grow_slots(self) -> None:
-        old = len(self._col_rem)
-        self._col_rem.extend([0.0] * old)
-        self._col_rate.extend([0.0] * old)
-        self._col_cap.extend([0.0] * old)
-        self._col_last.extend([0.0] * old)
-        self._col_prev.extend([0.0] * old)
-        self._col_ver.extend([0] * old)
-        self._free_slots.extend(range(2 * old - 1, old - 1, -1))
-
-    def _grow_lid_width(self, width: int) -> None:
-        self._lid_width = width
-        for flow in self._flows.values():
-            pad = width - len(flow.lslots)
-            if pad > 0:
-                flow.lslots = flow.lslots + (-1,) * pad
-
-    def _register_link(self, link: Link) -> int:
-        slot = self._link_slot.get(link)
-        if slot is None:
-            slot = self._n_links
-            self._link_slot[link] = slot
-            self._link_cap.append(link.capacity)
-            self._link_order.append(link._index)
-            self._n_links += 1
-        return slot
+        #: solver work, for instrumentation: flows re-pinned + links relaxed
+        self.solver_ops = 0
 
     # ----------------------------------------------------------------- public
     @property
@@ -210,640 +190,309 @@ class FlowNetwork:
         """
         if nbytes < 0:
             raise ValueError(f"negative flow size: {nbytes}")
-        cap = math.inf if rate_cap is None else float(rate_cap)
+        cap = _INF if rate_cap is None else float(rate_cap)
         if cap <= 0:
             raise ValueError(f"rate cap must be positive, got {rate_cap}")
+        if not links and cap == _INF:
+            raise ValueError("a flow crossing no link needs a rate cap")
         event = self.env.event(name="flow")
         flow_id = self._next_id
         self._next_id += 1
         if nbytes == 0:
             event.succeed(flow_id)
             return event
-        free = self._free_slots
-        if not free:
-            self._grow_slots()
-            free = self._free_slots
-        slot = free.pop()
-        flow = _Flow(flow_id, slot, cap, links, event)
-        self._col_rem[slot] = float(nbytes)
-        self._col_rate[slot] = 0.0
-        self._col_cap[slot] = cap
-        self._col_last[slot] = self.env._now
-        self._col_prev[slot] = 0.0
-        self._col_ver[slot] = 0
-        if len(flow.links) > self._lid_width:
-            self._grow_lid_width(len(flow.links))
-        lslots = tuple(self._register_link(link) for link in flow.links)
-        if len(lslots) < self._lid_width:
-            lslots = lslots + (-1,) * (self._lid_width - len(lslots))
-        flow.lslots = lslots
-        self._flows[flow_id] = flow
-        for link in flow.links:
-            self._link_flows.setdefault(link, {})[flow_id] = flow
-        # Allocation is deferred to one end-of-instant flush: when N flows
-        # join the same component at one instant (a ring iteration, a
-        # broadcast wave, a driver fan-in), reallocating on every join
-        # settles the same members N times for the same answer. Every
-        # intermediate settle has dt == 0 — skipping it cannot move a
-        # single float — and the flush recomputes the final allocation with
-        # the same traversal order (seeded from the last join) the eager
-        # scheme used, so rates, completion projections and virtual times
-        # are bit-identical.
-        flow._dirty = True
-        self._dirty.append(flow)
-        if not self._flush_pending:
-            self._flush_pending = True
-            flush = Event(self.env, name="flow-flush")
-            flush._state = TRIGGERED
-            flush.add_callback(self._flush)
-            self.env.schedule(flush, 0.0, priority=LAZY)
+        states = self._links
+        flow = _Flow(flow_id, event,
+                     tuple([states.get(link) or self._state(link)
+                            for link in links]),
+                     cap, float(nbytes))
+        self._flows[event] = flow
+        # First guess at the bottleneck: the lowest rate the flow meets —
+        # its cap, a settled saturated link's level, an equal split of any
+        # other link. The flush corrects a wrong guess.
+        dest, bound = None, cap
+        for state in flow.links:
+            share = (state.level if state.pinned and not state.dirty
+                     else state.link.capacity / (state.crossing + 1))
+            if share < bound:
+                dest, bound = state, share
+        self._move(flow, dest)
+        self._schedule_flush()
         return event
 
     def set_link_capacity(self, link: Link, capacity: float) -> None:
         """Change ``link``'s capacity and re-share flows crossing it.
 
         Models in-place NIC degradation/restoration (a congested or rate-
-        limited driver NIC): flows in the link's component are settled at
-        the current instant and reallocated under the new capacity; flows
-        elsewhere are untouched. No-op on the rates when the link is idle.
+        limited driver NIC): the link's level is re-derived under the new
+        capacity at the current instant and the change propagates along the
+        bottleneck chain; flows elsewhere are untouched. No-op on the rates
+        when the link is idle.
         """
         if capacity <= 0:
             raise ValueError(
                 f"link capacity must be positive, got {capacity}")
         link.capacity = float(capacity)
-        slot = self._link_slot.get(link)
-        if slot is not None:
-            self._link_cap[slot] = link.capacity
-        if self._dirty:
+        state = self._links.get(link)
+        if state is not None:
+            self._mark(state)
             self._flush(None)
-        members = self._link_flows.get(link)
-        if members:
-            component = self._component(list(members.values()))
-            self._reallocate(component)
-            self._arm_timer()
 
     def rate_of(self, event: Event) -> float:
         """Current rate of the flow behind ``event`` (testing hook)."""
-        if self._dirty:
+        if self._work:
             self._flush(None)
-        for flow in self._flows.values():
-            if flow.event is event:
-                return self._col_rate[flow.slot]
-        raise KeyError("no active flow for that event")
+        flow = self._flows.get(event)
+        if flow is None:
+            raise KeyError("no active flow for that event")
+        return flow.cap if flow.pin is None else flow.pin.level
 
     def link_rate(self, link: Link) -> float:
         """Aggregate allocated rate (bytes/s) crossing ``link`` right now.
 
         Read-only: used by NIC-utilization monitors; 0.0 for an idle link.
         """
-        if self._dirty:
+        if self._work:
             self._flush(None)
-        members = self._link_flows.get(link)
-        if not members:
+        state = self._links.get(link)
+        if state is None:
             return 0.0
-        rate = self._col_rate
-        return sum(rate[flow.slot] for flow in members.values())
+        rate = len(state.pinned) * state.level if state.pinned else 0.0
+        for key, group in state.foreign.items():
+            rate += (key if key.__class__ is float else key.level) * len(group)
+        return rate
 
-    # --------------------------------------------------------------- internals
+    # ------------------------------------------------------------ bookkeeping
+    def _state(self, link: Link) -> _LinkState:
+        state = self._links[link] = _LinkState(link)
+        return state
+
+    def _mark(self, state: _LinkState) -> None:
+        if not state.dirty:
+            state.dirty = True
+            self._work.append(state)
+
+    def _schedule_flush(self) -> None:
+        if not self._flush_pending:
+            self._flush_pending = True
+            flush = Event(self.env, name="flow-flush")
+            flush._state = TRIGGERED
+            flush.add_callback(self._flush)
+            self.env.schedule(flush, 0.0, priority=LAZY)
+
+    def _advance(self, state: _LinkState, now: float) -> None:
+        """Bring ``state``'s service clock to ``now`` at its current level."""
+        if state.pinned:
+            dt = now - state.since
+            if dt > 0:
+                state.clock += state.level * dt
+        state.since = now
+
+    def _move(self, flow: _Flow,
+              dest: Union[_LinkState, None, object]) -> None:
+        """Re-pin ``flow`` at ``dest`` (a link state, ``None`` for its own
+        cap, ``_ABSENT`` to leave) carrying its remaining bytes across, and
+        mark every link it crosses for the flush."""
+        self.solver_ops += 1
+        now = self.env._now
+        src = flow.pin
+        if src is _ABSENT:
+            remaining = flow.tag
+        elif src is None:
+            remaining = flow.tag - flow.cap * (now - flow.since)
+        else:
+            self._advance(src, now)
+            remaining = flow.tag - src.clock
+        if remaining < 0:
+            remaining = 0.0
+        flow_id = flow.flow_id
+        old_key = flow.cap if src is None else src
+        new_key = flow.cap if dest is None else dest
+        work = self._work
+        for state in flow.links:
+            if src is _ABSENT:
+                state.crossing += 1
+            elif dest is _ABSENT:
+                state.crossing -= 1
+            if state is src:
+                del state.pinned[flow_id]
+                if not state.pinned:  # the class dissolves: rebase its clock
+                    state.level = _INF
+                    state.clock = 0.0
+                    state.head = None
+                    state.tags.clear()
+                    state.ceil.clear()
+                    state.watchers.clear()
+            elif src is not _ABSENT:
+                group = state.foreign[old_key]
+                del group[flow_id]
+                if not group:
+                    del state.foreign[old_key]
+            if state is dest:
+                self._advance(state, now)
+                if not state.pinned:
+                    # provisional, so that links relaxed before this one
+                    # see a finite rate; its own relax sets the real level
+                    state.level = state.link.capacity
+                state.pinned[flow_id] = flow
+            elif dest is not _ABSENT:
+                group = state.foreign.get(new_key)
+                if group is None:
+                    group = state.foreign[new_key] = {}
+                group[flow_id] = flow
+            if not state.dirty:
+                state.dirty = True
+                work.append(state)
+        flow.pin = dest
+        flow.stamp += 1
+        if dest is None:
+            flow.tag = remaining
+            flow.since = now
+            self._seq += 1
+            heappush(self._heap, (now + remaining / flow.cap, self._seq,
+                                  flow, flow.stamp))
+        elif dest is not _ABSENT:
+            flow.tag = dest.clock + remaining
+            heappush(dest.tags, (flow.tag, flow_id, flow, flow.stamp))
+            if flow.cap != _INF:
+                self._seq += 1
+                heappush(dest.ceil, (flow.cap, self._seq, flow, flow.stamp))
+
+    # ------------------------------------------------------------- the solver
     def _flush(self, _event: Optional[Event]) -> None:
-        """Allocate every component with joins pending from this instant.
-
-        Components are discovered by scanning the dirty list in reverse so
-        each traversal is seeded from its *last* joined flow — the seed the
-        eager per-join scheme used for its final (and only rate-defining)
-        reallocation — then reallocated in ascending last-join order, the
-        order the eager scheme pushed its final completion projections in.
-        A dirty flow whose component was already reallocated this instant
-        (by a completion's neighbour pass, or an earlier seed here) has had
-        its flag cleared and is skipped.
-        """
+        """Restore the max-min conditions on every marked link, following
+        level changes outward until nothing moves, then re-arm the timer."""
         self._flush_pending = False
-        if not self._dirty:
-            return
-        dirty, self._dirty = self._dirty, []
-        flows = self._flows
-        components: List[List[_Flow]] = []
-        for i in range(len(dirty) - 1, -1, -1):
-            flow = dirty[i]
-            if not flow._dirty:
-                continue
-            if flow.flow_id not in flows:  # pragma: no cover - defensive
-                flow._dirty = False
-                continue
-            component = self._component([flow])
-            for member in component:
-                member._dirty = False
-            components.append(component)
-        for component in reversed(components):
-            self._reallocate(component)
+        work = self._work
+        budget = 64 + 16 * (len(work) + len(self._flows))
+        done = 0
+        while done < len(work):
+            if done > budget:  # pragma: no cover - safety net
+                raise RuntimeError("max-min update failed to converge")
+            self._relax(work[done])
+            done += 1
+        work.clear()
         self._arm_timer()
 
-    def _settle(self, flow: _Flow) -> None:
-        now = self.env._now
-        slot = flow.slot
-        dt = now - self._col_last[slot]
-        if dt > 0:
-            remaining = self._col_rem[slot] - self._col_rate[slot] * dt
-            self._col_rem[slot] = 0.0 if remaining < 0 else remaining
-        self._col_last[slot] = now
-
-    def _component(self, seeds: Sequence[_Flow]) -> List[_Flow]:
-        """All flows transitively sharing a link with any of ``seeds``.
-
-        Visited flows and links are marked by stamping them with a fresh
-        traversal epoch — no per-call set/dict hashing (this runs on every
-        flow arrival and departure).
-        """
-        epoch = self._epoch = self._epoch + 1
-        found: List[_Flow] = []
-        stack: List[_Flow] = list(seeds)
-        flows = self._flows
-        link_flows = self._link_flows
-        while stack:
-            flow = stack.pop()
-            if flow._seen_epoch == epoch or flow.flow_id not in flows:
-                continue
-            flow._seen_epoch = epoch
-            found.append(flow)
-            for link in flow.links:
-                if link._scratch_epoch == epoch:
-                    continue
-                link._scratch_epoch = epoch
-                members = link_flows.get(link)
-                if members:
-                    stack.extend(members.values())
-        return found
-
-    def _reallocate(self, flows: List[_Flow]) -> None:
-        """Progressive filling over one connected component.
-
-        Settles every member first (their rates are about to change), then
-        computes the max-min fair allocation and refreshes heap entries for
-        flows whose rate changed. Components of :data:`_VEC_MIN`+ members
-        take the vectorized solver; both paths are bit-identical, so the
-        dispatch is invisible to the simulation.
-        """
-        if not flows:
-            return
-        if len(flows) >= _VEC_MIN and self._reallocate_vec(flows):
-            return
-        self._reallocate_scalar(flows)
-
-    def _reallocate_scalar(self, flows: List[_Flow]) -> None:
-        # Settle inline (same arithmetic as _settle, without 600k+ method
-        # calls per run: reallocation settles every component member), and
-        # build the per-link head room / member counts in the same pass.
-        # Scratch lives in epoch-stamped link slots (``links`` keeps
-        # first-touch order — the same order the old insertion-ordered
-        # dicts iterated in).
-        now = self.env._now
-        col_rem = self._col_rem
-        col_rate = self._col_rate
-        col_last = self._col_last
-        col_prev = self._col_prev
-        epoch = self._epoch = self._epoch + 1
-        links: List[Link] = []
-        for flow in flows:
-            slot = flow.slot
-            dt = now - col_last[slot]
-            rate = col_rate[slot]
-            if dt > 0:
-                remaining = col_rem[slot] - rate * dt
-                col_rem[slot] = 0.0 if remaining < 0 else remaining
-            col_last[slot] = now
-            col_prev[slot] = rate
-            flow._dirty = False  # this allocation covers any pending join
-            for link in flow.links:
-                if link._scratch_epoch != epoch:
-                    link._scratch_epoch = epoch
-                    link._scratch_room = link.capacity
-                    link._scratch_count = 1
-                    links.append(link)
+    def _relax(self, state: _LinkState) -> None:
+        """Restore the max-min conditions on one marked link and wake the
+        links that depend on its level if it moved. ``state.dirty`` stays
+        set throughout, so the moves made here do not re-queue it."""
+        self.solver_ops += 1
+        capacity = state.link.capacity
+        pinned = state.pinned
+        foreign = state.foreign
+        ceil = state.ceil
+        while True:
+            load = 0.0
+            fastest = 0.0
+            fastest_key = None
+            risers = 0  # foreign flows whose rate is another link's level
+            for key, group in foreign.items():
+                if key.__class__ is float:
+                    rate = key
                 else:
-                    link._scratch_count += 1
-
-        # Fast path (the common ring case): every flow crosses the same
-        # single link and no per-flow cap binds below the fair share.
-        if len(links) == 1:
-            link = links[0]
-            share = link.capacity / link._scratch_count
-            if all(f.links == (link,) and f.cap >= share for f in flows):
-                col_ver = self._col_ver
-                for flow in flows:
-                    slot = flow.slot
-                    if share != col_prev[slot]:
-                        col_rate[slot] = share
-                        col_ver[slot] += 1
-                self._push_component_min(flows)
-                return
-
-        # First filling iteration without the ``unfrozen`` dict: the two
-        # common whole-component exits (every stream TCP-capped below the
-        # fair share — the ring case; one bottleneck covering the entire
-        # component — the fan-in case) resolve here with two plain scans.
-        # Arithmetic and tie-breaks are exactly the general loop's first
-        # iteration, so the allocation is unchanged; the general loop below
-        # re-derives the same first step when the component is mixed.
-        min_share = math.inf
-        bottleneck = None
-        for link in links:
-            share = link._scratch_room / link._scratch_count
-            if (share < min_share - _RATE_EPS or
-                    (abs(share - min_share) <= _RATE_EPS and
-                     bottleneck is not None and
-                     link._index < bottleneck._index)):
-                min_share = share
-                bottleneck = link
-        threshold = min_share * (1 + _RATE_EPS)
-        n_capped = 0
-        for flow in flows:
-            if flow.cap <= threshold:
-                n_capped += 1
-        if n_capped == len(flows):
-            for flow in flows:
-                if not math.isfinite(flow.cap) or flow.cap <= 0:
-                    raise RuntimeError(
-                        f"flow {flow.flow_id} allocated a "
-                        f"non-positive rate {flow.cap!r}")
-                col_rate[flow.slot] = flow.cap
-            self._bump_changed(flows)
-            self._push_component_min(flows)
-            return
-        if n_capped == 0 and bottleneck is not None:
-            n_at = 0
-            for flow in flows:
-                if bottleneck in flow.links:
-                    n_at += 1
-            if n_at == len(flows):
-                if not math.isfinite(min_share) or min_share <= 0:
-                    raise RuntimeError(
-                        f"non-positive fair share {min_share!r} "
-                        f"on {bottleneck!r}")
-                for flow in flows:
-                    col_rate[flow.slot] = min_share
-                self._bump_changed(flows)
-                self._push_component_min(flows)
-                return
-
-        unfrozen = {flow.flow_id: flow for flow in flows}
-        guard = 0
-        while unfrozen:
-            guard += 1
-            if guard > 4 * len(flows) + 8:  # pragma: no cover - safety net
-                raise RuntimeError("progressive filling failed to converge")
-            min_share = math.inf
-            bottleneck: Optional[Link] = None
-            for link in links:
-                count = link._scratch_count
-                if count <= 0:
-                    continue
-                share = link._scratch_room / count
-                if (share < min_share - _RATE_EPS or
-                        (abs(share - min_share) <= _RATE_EPS and
-                         bottleneck is not None and
-                         link._index < bottleneck._index)):
-                    min_share = share
-                    bottleneck = link
-            capped = [f for f in unfrozen.values()
-                      if f.cap <= min_share * (1 + _RATE_EPS)]
-            if capped:
-                if len(capped) == len(unfrozen):
-                    # Every remaining flow freezes at its own cap (the ring
-                    # case: all streams TCP-capped below the fair share) —
-                    # head-room bookkeeping can no longer affect anything.
-                    for flow in capped:
-                        if not math.isfinite(flow.cap) or flow.cap <= 0:
-                            raise RuntimeError(
-                                f"flow {flow.flow_id} allocated a "
-                                f"non-positive rate {flow.cap!r}")
-                        col_rate[flow.slot] = flow.cap
-                    unfrozen.clear()
-                    break
-                for flow in capped:
-                    self._freeze(flow, flow.cap, unfrozen)
+                    rate = key.level
+                    risers += len(group)
+                load += rate * len(group)
+                if rate > fastest:
+                    fastest = rate
+                    fastest_key = key
+            n = len(pinned)
+            if n:
+                level = (capacity - load) / n
+            elif load > capacity * (1 + _RATE_EPS):
+                level = 0.0  # over capacity and nobody to slow down yet
+            else:
+                level = _INF
+                break
+            if fastest > level * (1 + _RATE_EPS):
+                group = foreign[fastest_key]
+                self._move(group[next(iter(group))], state)
                 continue
-            if bottleneck is None:
-                for flow in list(unfrozen.values()):
-                    self._freeze(flow, flow.cap, unfrozen)
-                break
-            at_bottleneck = [f for f in unfrozen.values()
-                             if bottleneck in f.links]
-            if len(at_bottleneck) == len(unfrozen):
-                # The bottleneck covers every remaining flow: all freeze at
-                # the same fair share and the loop is over.
-                if not math.isfinite(min_share) or min_share <= 0:
-                    raise RuntimeError(
-                        f"non-positive fair share {min_share!r} "
-                        f"on {bottleneck!r}")
-                for flow in at_bottleneck:
-                    col_rate[flow.slot] = min_share
-                unfrozen.clear()
-                break
-            for flow in at_bottleneck:
-                self._freeze(flow, min_share, unfrozen)
+            if ceil and ceil[0][0] < level * (1 - _RATE_EPS):
+                _value, _seq, owner, version = heappop(ceil)
+                if owner.__class__ is _Flow:
+                    if owner.stamp == version:
+                        self._move(owner, None)
+                elif owner.guard == version:
+                    self._mark(owner)
+                continue
+            break
 
-        self._bump_changed(flows)
-        self._push_component_min(flows)
-
-    def _bump_changed(self, flows: List[_Flow]) -> None:
-        """Version-bump every flow whose rate moved this reallocation."""
-        col_rate = self._col_rate
-        col_prev = self._col_prev
-        col_ver = self._col_ver
-        for flow in flows:
-            slot = flow.slot
-            if col_rate[slot] != col_prev[slot]:
-                col_ver[slot] += 1
-
-    def _freeze(self, flow: _Flow, rate: float,
-                unfrozen: Dict[int, _Flow]) -> None:
-        if not math.isfinite(rate) or rate <= 0:
-            raise RuntimeError(
-                f"flow {flow.flow_id} allocated a non-positive rate {rate!r}")
-        self._col_rate[flow.slot] = rate
-        for link in flow.links:
-            room = link._scratch_room - rate
-            link._scratch_room = 0.0 if room < 0 else room
-            link._scratch_count -= 1
-        del unfrozen[flow.flow_id]
-
-    # -------------------------------------------------- vectorized allocation
-    def _reallocate_vec(self, flows: List[_Flow]) -> bool:
-        """Whole-component progressive filling as array operations.
-
-        Bit-identity with the scalar path, case by case:
-
-        * **Settle**: ``remaining - rate*dt`` with ``dt = max(now-last, 0)``
-          equals the scalar per-flow update — ``rate*0.0 == 0.0`` and
-          ``x - 0.0 == x`` exactly for the non-negative values stored here,
-          and ``last <= now`` is a kernel invariant, so masking ``dt <= 0``
-          away is unnecessary.
-        * **Link shares**: per-link member counts come from one ``bincount``
-          over the incidence rows; room starts at capacity. Identical
-          dividends/divisors → identical IEEE quotients.
-        * **Bottleneck choice**: the scalar scan keeps the lowest
-          ``Link._index`` among shares within ``_RATE_EPS`` of the running
-          minimum. When every eps-candidate share is *exactly* the minimum
-          (the only case that arises from equal-capacity links — at the
-          magnitudes simulated, one ULP is ~100x the absolute epsilon) that
-          is argmin-by-``_index`` over the candidates, which vectorizes.
-          If candidates with unequal shares inside the eps window ever
-          appear, the result could depend on scan order — the solver
-          returns ``False`` and the caller re-runs the scalar path (the
-          settle already applied is idempotent: re-settling at dt == 0
-          changes nothing).
-        * **Freeze rounds**: frozen flows' rates are subtracted from their
-          links' head room with ``np.subtract.at`` over rows in flow order
-          — ``subtract.at`` applies sequentially per index, matching the
-          scalar subtraction order, and clamping the batch result to zero
-          equals the scalar's per-step clamp because rates are positive
-          (the partial sums decrease monotonically, so the batch result is
-          negative iff any scalar step clamped).
-        * **Completion push**: ``argmin`` returns the first minimum, which
-          is the scalar strict-``<`` scan's winner.
-        """
         now = self.env._now
-        n = len(flows)
-        col_rem = self._col_rem
-        col_rate = self._col_rate
-        col_cap = self._col_cap
-        col_last = self._col_last
-        slots = [0] * n
-        prev_l = [0.0] * n
-        for i, flow in enumerate(flows):
-            slots[i] = flow.slot
-            prev_l[i] = col_rate[flow.slot]
-            flow._dirty = False
-        prev = np.array(prev_l)
-        rem = np.array([col_rem[s] for s in slots])
-        cap = np.array([col_cap[s] for s in slots])
-        dt = now - np.array([col_last[s] for s in slots])
-        np.maximum(dt, 0.0, out=dt)
-        rem -= prev * dt
-        np.maximum(rem, 0.0, out=rem)
-        for i, s in enumerate(slots):
-            col_last[s] = now
-        rem_l = rem.tolist()
-        for i, s in enumerate(slots):
-            col_rem[s] = rem_l[i]
-
-        nl = self._n_links
-        lids = np.array([f.lslots for f in flows], dtype=np.intp)
-        valid = lids >= 0
-        flat = lids[valid]
-        counts = np.bincount(flat, minlength=nl).astype(np.float64)
-        link_cap = np.array(self._link_cap)
-        active = counts > 0.0
-
-        # Single-link fast path, mirrored from the scalar solver with the
-        # same precedence (it wins over the eps-capped classification for
-        # caps inside the [share, share*(1+eps)] window).
-        if int(np.count_nonzero(active)) == 1 and flat.size == n:
-            lslot = int(np.argmax(active))
-            share = link_cap[lslot] / counts[lslot]
-            if bool((cap >= share).all()):
-                rates = np.full(n, share)
-                self._finish_vec(flows, slots, rates, prev_l, rem, now)
-                return True
-
-        inf = math.inf
-        room = link_cap.copy()
-        shares = np.full(nl, inf)
-        np.divide(room, counts, out=shares, where=active)
-        bslot, min_share = self._pick_bottleneck(shares, active)
-        if bslot is None and min_share is False:
-            return False  # eps-ambiguous tie: scalar fallback
-
-        rates = np.empty(n)
-        capped = cap <= min_share * (1 + _RATE_EPS)
-        n_capped = int(np.count_nonzero(capped))
-        if n_capped == n:
-            self._check_rates(flows, cap, np.ones(n, dtype=bool))
-            rates[:] = cap
-            self._finish_vec(flows, slots, rates, prev_l, rem, now)
-            return True
-        if n_capped == 0 and bslot is not None:
-            at = (lids == bslot).any(axis=1)
-            if int(np.count_nonzero(at)) == n:
-                if not math.isfinite(min_share) or min_share <= 0:
-                    raise RuntimeError(
-                        f"non-positive fair share {min_share!r} "
-                        f"on slot {bslot}")
-                rates[:] = min_share
-                self._finish_vec(flows, slots, rates, prev_l, rem, now)
-                return True
-
-        unfrozen = np.ones(n, dtype=bool)
-        n_unfrozen = n
-        guard = 0
-        while n_unfrozen:
-            guard += 1
-            if guard > 4 * n + 8:  # pragma: no cover - safety net
-                raise RuntimeError("progressive filling failed to converge")
-            active = counts > 0.0
-            shares = np.full(nl, inf)
-            np.divide(room, counts, out=shares, where=active)
-            bslot, min_share = self._pick_bottleneck(shares, active)
-            if bslot is None and min_share is False:
-                return False  # ambiguity surfaced mid-solve: columns are
-                # untouched beyond the idempotent settle, so the scalar
-                # path re-derives the whole allocation from scratch.
-            capped = unfrozen & (cap <= min_share * (1 + _RATE_EPS))
-            n_capped = int(np.count_nonzero(capped))
-            if n_capped:
-                if n_capped == n_unfrozen:
-                    self._check_rates(flows, cap, unfrozen)
-                    rates[unfrozen] = cap[unfrozen]
-                    break
-                self._freeze_vec(flows, capped, cap[capped], rates,
-                                 lids, room, counts)
-                unfrozen &= ~capped
-                n_unfrozen -= n_capped
-                continue
-            if bslot is None:
-                # No link has members left (defensive, mirrors the scalar
-                # branch): freeze the remainder at their caps.
-                self._check_rates(flows, cap, unfrozen)
-                rates[unfrozen] = cap[unfrozen]
-                break
-            at = unfrozen & (lids == bslot).any(axis=1)
-            n_at = int(np.count_nonzero(at))
-            if n_at == n_unfrozen:
-                if not math.isfinite(min_share) or min_share <= 0:
-                    raise RuntimeError(
-                        f"non-positive fair share {min_share!r} "
-                        f"on slot {bslot}")
-                rates[unfrozen] = min_share
-                break
-            if not math.isfinite(min_share) or min_share <= 0:
-                first = int(np.argmax(at))
+        old = state.level
+        if n:
+            if not level > 0:  # pragma: no cover - safety net
                 raise RuntimeError(
-                    f"flow {flows[first].flow_id} allocated a "
-                    f"non-positive rate {min_share!r}")
-            freeze_rates = np.full(n_at, min_share)
-            self._freeze_vec(flows, at, freeze_rates, rates,
-                             lids, room, counts)
-            unfrozen &= ~at
-            n_unfrozen -= n_at
+                    f"non-positive fair share {level!r} on {state.link!r}")
+            if abs(level - old) <= _RATE_EPS * old:
+                level = old  # rounding noise: keep the rate, wake nobody
+        if level != old:
+            self._advance(state, now)
+            state.level = level
+            for watcher, version in state.watchers.items():
+                if watcher.guard == version:
+                    self._mark(watcher)
+            state.watchers.clear()
+        if n:
+            self._project(state, level != old)
 
-        self._finish_vec(flows, slots, rates, prev_l, rem, now)
-        return True
+        # Tell the links this one depends on when to wake it again: on any
+        # level change while it is saturated, else when the risers have
+        # used up their equal share of its spare room.
+        state.guard += 1
+        if risers:
+            version = state.guard
+            for key in foreign:
+                if key.__class__ is float:
+                    continue
+                if n:
+                    key.watchers[state] = version
+                else:
+                    self._seq += 1
+                    heappush(key.ceil,
+                             (key.level + (capacity - load) / risers,
+                              self._seq, state, version))
+                    if len(key.ceil) > 64 + 8 * len(key.pinned):
+                        self._compact(key)
+        state.dirty = False
 
-    def _pick_bottleneck(self, shares: np.ndarray, active: np.ndarray):
-        """Lowest-``Link._index`` holder of the minimum fair share.
-
-        Returns ``(link_slot, min_share)``; ``(None, inf)`` when no link
-        has members; ``(None, False)`` when candidates within the epsilon
-        window have unequal shares (scan-order-dependent: scalar fallback).
-        """
-        if not active.any():
-            return None, math.inf
-        m = shares.min()
-        cand = active & (shares <= m + _RATE_EPS)
-        if not (shares[cand] == m).all():
-            return None, False
-        cand_slots = np.nonzero(cand)[0]
-        order = np.array([self._link_order[i] for i in cand_slots])
-        winner = cand_slots[np.argmin(order)]
-        return int(winner), float(m)
-
-    def _check_rates(self, flows: List[_Flow], rates: np.ndarray,
-                     mask: np.ndarray) -> None:
-        """Raise exactly like the scalar path on a non-positive rate."""
-        bad = mask & ~(np.isfinite(rates) & (rates > 0))
-        if bad.any():
-            first = int(np.argmax(bad))
-            raise RuntimeError(
-                f"flow {flows[first].flow_id} allocated a "
-                f"non-positive rate {float(rates[first])!r}")
-
-    def _freeze_vec(self, flows: List[_Flow], mask: np.ndarray,
-                    freeze_rates: np.ndarray, rates: np.ndarray,
-                    lids: np.ndarray, room: np.ndarray,
-                    counts: np.ndarray) -> None:
-        """Freeze ``mask`` flows at ``freeze_rates``, updating head room
-        and member counts in flow order (matches scalar subtraction)."""
-        bad = ~(np.isfinite(freeze_rates) & (freeze_rates > 0))
-        if bad.any():
-            order = np.nonzero(mask)[0]
-            first = int(order[np.argmax(bad)])
-            raise RuntimeError(
-                f"flow {flows[first].flow_id} allocated a "
-                f"non-positive rate {float(freeze_rates[np.argmax(bad)])!r}")
-        rates[mask] = freeze_rates
-        rows = lids[mask]
-        rvalid = rows >= 0
-        rflat = rows[rvalid]
-        per_entry = np.repeat(freeze_rates, rows.shape[1])[rvalid.ravel()]
-        np.subtract.at(room, rflat, per_entry)
-        np.maximum(room, 0.0, out=room)
-        counts -= np.bincount(rflat, minlength=len(counts))
-
-    def _finish_vec(self, flows: List[_Flow], slots: List[int],
-                    rates: np.ndarray, prev_l: List[float],
-                    rem: np.ndarray, now: float) -> None:
-        """Scatter rates, bump versions of changed flows, push the
-        component's earliest projected completion."""
-        col_rate = self._col_rate
-        col_ver = self._col_ver
-        rates_l = rates.tolist()
-        for i, s in enumerate(slots):
-            r = rates_l[i]
-            if r != prev_l[i]:
-                col_rate[s] = r
-                col_ver[s] += 1
-        finish = now + rem / rates
-        best = int(np.argmin(finish))
-        slot = slots[best]
-        self._heap_seq += 1
-        heapq.heappush(self._heap,
-                       (float(finish[best]), self._heap_seq,
-                        flows[best].flow_id, col_ver[slot]))
+    def _compact(self, state: _LinkState) -> None:
+        """Drop superseded entries from a ``ceil`` heap (guards are
+        re-issued on every relax of the guarded link)."""
+        state.ceil = [
+            entry for entry in state.ceil
+            if (entry[2].stamp if entry[2].__class__ is _Flow
+                else entry[2].guard) == entry[3]]
+        heapify(state.ceil)
 
     # -------------------------------------------------------------- completion
-    def _push(self, flow: _Flow) -> None:
-        slot = flow.slot
-        finish = (self._col_last[slot]
-                  + self._col_rem[slot] / self._col_rate[slot])
-        self._heap_seq += 1
-        heapq.heappush(self._heap,
-                       (finish, self._heap_seq, flow.flow_id,
-                        self._col_ver[slot]))
-
-    def _push_component_min(self, flows: List[_Flow]) -> None:
-        """Track only the component's earliest projected completion.
-
-        Every completion triggers a reallocation of its component, which
-        pushes the next minimum — so one live heap entry per component is
-        enough to drive all of its completions in order, instead of one
-        entry per flow per rate change.
-        """
-        col_rem = self._col_rem
-        col_rate = self._col_rate
-        col_last = self._col_last
-        best = None
-        best_finish = math.inf
-        for flow in flows:
-            slot = flow.slot
-            finish = col_last[slot] + col_rem[slot] / col_rate[slot]
-            if finish < best_finish:
-                best_finish = finish
-                best = flow
-        if best is not None:
-            self._heap_seq += 1
-            heapq.heappush(self._heap, (best_finish, self._heap_seq,
-                                        best.flow_id,
-                                        self._col_ver[best.slot]))
+    def _project(self, state: _LinkState, force: bool) -> None:
+        """Push ``state``'s next completion if its head or level changed."""
+        tags = state.tags
+        while tags:
+            tag, _flow_id, flow, version = tags[0]
+            if flow.stamp == version:
+                break
+            heappop(tags)
+        else:  # pragma: no cover - a pinned flow always has a live tag
+            return
+        if force or tag != state.head:
+            state.head = tag
+            state.stamp += 1
+            self._seq += 1
+            finish = state.since + (tag - state.clock) / state.level
+            heappush(self._heap, (finish, self._seq, state, state.stamp))
 
     def _next_due(self) -> Optional[float]:
         """Earliest valid projected completion (pops stale entries)."""
-        while self._heap:
-            finish, _seq, flow_id, version = self._heap[0]
-            flow = self._flows.get(flow_id)
-            if flow is None or self._col_ver[flow.slot] != version:
-                heapq.heappop(self._heap)
-                continue
-            return finish
+        heap = self._heap
+        while heap:
+            finish, _seq, owner, version = heap[0]
+            if owner.stamp == version:
+                return finish
+            heappop(heap)
         return None
 
     def _arm_timer(self) -> None:
@@ -866,59 +515,43 @@ class FlowNetwork:
         if version != self._timer_version:
             return
         self._armed_until = None
-        now = self.env.now
-        col_rem = self._col_rem
-        col_rate = self._col_rate
-        col_ver = self._col_ver
+        now = self.env._now
+        heap = self._heap
         finished: List[_Flow] = []
-        done_ids: Set[int] = set()
-        while self._heap:
-            finish, _seq, flow_id, entry_version = self._heap[0]
+        while heap:
+            finish, _seq, owner, entry_version = heap[0]
             if finish > now + _TIME_EPS:
                 break
-            heapq.heappop(self._heap)
-            if flow_id in done_ids:  # duplicate valid entry for this flow
+            heappop(heap)
+            if owner.stamp != entry_version:
                 continue
-            flow = self._flows.get(flow_id)
-            if flow is None or col_ver[flow.slot] != entry_version:
+            if owner.__class__ is _Flow:
+                finished.append(owner)
                 continue
-            self._settle(flow)
-            slot = flow.slot
-            if (col_rem[slot] <= _COMPLETE_EPS
-                    or col_rem[slot] / col_rate[slot] <= _COMPLETE_TIME_EPS):
-                finished.append(flow)
-                done_ids.add(flow_id)
-            else:  # numeric drift: re-project the residue
-                col_ver[slot] += 1
-                self._push(flow)
-        if finished:
-            neighbours: Dict[int, _Flow] = {}
-            for flow in finished:
-                del self._flows[flow.flow_id]
-                self.completed += 1
-                for link in flow.links:
-                    members = self._link_flows.get(link)
-                    if members is not None:
-                        members.pop(flow.flow_id, None)
-                        if not members:
-                            del self._link_flows[link]
-                        else:
-                            neighbours.update(members)
-            for flow in finished:
-                self._free_slots.append(flow.slot)
-                flow.event.succeed(flow.flow_id)
-            if neighbours:
-                # One realloc per affected component.
-                remaining = dict(neighbours)
-                while remaining:
-                    fid, seed = remaining.popitem()
-                    if fid not in self._flows:
-                        continue  # the neighbour itself finished this round
-                    component = self._component([seed])
-                    self._reallocate(component)
-                    for member in component:
-                        remaining.pop(member.flow_id, None)
-        self._arm_timer()
+            # A link's pinned class: its head is due, and so is every
+            # flow whose tag the clock has reached to within the epsilons.
+            self._advance(owner, now)
+            slack = max(_COMPLETE_EPS, owner.level * _COMPLETE_TIME_EPS)
+            tags = owner.tags
+            before = len(finished)
+            while tags:
+                tag, _flow_id, flow, flow_version = tags[0]
+                if flow.stamp == flow_version:
+                    if tag - owner.clock > slack:
+                        break
+                    finished.append(flow)
+                heappop(tags)
+            if len(finished) == before:  # numeric drift: re-project
+                self._project(owner, True)
+        if not finished:
+            self._arm_timer()
+            return
+        for flow in finished:
+            self._move(flow, _ABSENT)
+            del self._flows[flow.event]
+            self.completed += 1
+            flow.event.succeed(flow.flow_id)
+        self._schedule_flush()
 
     def __repr__(self) -> str:
         return (f"<FlowNetwork active={len(self._flows)} "

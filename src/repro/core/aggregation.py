@@ -175,13 +175,16 @@ def tree_aggregate(rdd: RDD, zero: Any, seq_op: Callable[[Any, Any], Any],
         return result
 
     partial = _partial_aggregate_rdd(rdd, zero, seq_op)
+    first_job = sc.next_job_id
     result = _tree_reduce_phase(sc, partial, comb_op, depth)
-    # Decompose: the first new stage materialized the partials (compute);
-    # everything after it is reduction (paper §2.3 methodology). The first
-    # new stage always closed inside _tree_reduce_phase, so its duration
-    # is a real number here.
-    new_stages = sc.dag.stage_log[log_mark:]
-    compute = new_stages[0].duration if new_stages else 0.0
+    # Decompose: this aggregation's first stage materialized the partials
+    # (compute); everything after it is reduction (paper §2.3 methodology).
+    # The whole tree is one engine job, submitted before this driver could
+    # yield to another tenant of a shared context — whose stages interleave
+    # in the log and may still be open. Our own first stage closed inside
+    # _tree_reduce_phase, so its duration is a real number here.
+    compute = next((stage.duration for stage in sc.dag.stage_log[log_mark:]
+                    if stage.job_id == first_job), 0.0)
     total = sc.now - began
     sc.stopwatch.add("agg.compute", min(compute, total))
     sc.stopwatch.add("agg.reduce", max(total - compute, 0.0))

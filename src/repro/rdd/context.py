@@ -167,6 +167,12 @@ class SparkerContext:
         self._next_shuffle_id += 1
         return shuffle_id
 
+    @property
+    def next_job_id(self) -> int:
+        """The id :meth:`new_job_id` hands out next: a driver reads it just
+        before submitting to find its own job's stages in the stage log."""
+        return self._next_job_id
+
     def new_job_id(self) -> int:
         job_id = self._next_job_id
         self._next_job_id += 1

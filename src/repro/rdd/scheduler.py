@@ -79,6 +79,9 @@ class StageInfo:
     attempt: int
     submitted_at: float
     finished_at: Optional[float] = field(default=None)
+    #: engine job the stage ran for (contexts shared by several tenants
+    #: interleave their stages in ``stage_log``)
+    job_id: int = -1
 
     @property
     def finished(self) -> bool:
@@ -650,7 +653,7 @@ class DAGScheduler:
                     num_tasks: int, attempt: int, job_id: int) -> StageInfo:
         info = StageInfo(stage_id=stage_id, kind=kind, rdd_name=rdd.name,
                          num_tasks=num_tasks, attempt=attempt,
-                         submitted_at=self.sc.env.now)
+                         submitted_at=self.sc.env.now, job_id=job_id)
         self.stage_log.append(info)
         bus = self.sc.event_bus
         if bus.active:

@@ -112,6 +112,18 @@ def test_missing_invariant_path_fails():
 
 
 # ----------------------------------------------------------------- CLI modes
+def test_flow_alloc_throughput_may_not_collapse_with_flow_count():
+    def report(few, many):
+        return {"levels": {"10": {"events_per_sec": few},
+                           "1000": {"events_per_sec": many}}}
+    spec = REGISTRY["flow_alloc"]
+    assert outcome_of(check_invariants, report(150e3, 90e3),
+                      spec).failures == 0
+    assert outcome_of(check_invariants, report(70e3, 1.7e3),
+                      spec).failures == 1
+    assert outcome_of(check_invariants, {"levels": {}}, spec).failures == 1
+
+
 def test_check_mode_passes_on_committed_artifacts(capsys):
     artifacts = sorted(REPO.glob("BENCH_*.json"))
     assert artifacts, "repo must ship benchmark artifacts"

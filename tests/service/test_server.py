@@ -205,3 +205,38 @@ def test_cancelled_via_handle_exception_type():
         assert record.status == JobStatus.CANCELLED
         assert record.exception is None or isinstance(
             record.exception, BaseException)
+
+
+def test_tree_aggregate_attributes_its_own_stage_on_a_shared_context():
+    # Two tenants start a plain tree aggregation at the same instant: the
+    # fast one's first stage opens after the slow one's, and the slow one
+    # is still running when the fast one finishes. The fast job must read
+    # its compute time off its *own* first stage, not off the first stage
+    # opened after it began (the other tenant's, still open: duration None
+    # used to kill the job with a TypeError).
+    from repro.rdd import Costed
+
+    with make_server() as server:
+        sc = server.sc
+
+        def aggregate(parts, cost):
+            def body():
+                rdd = sc.parallelize(range(8), parts)
+                return rdd.tree_aggregate(
+                    0, Costed(lambda a, x: a + x, cost), lambda a, b: a + b)
+            return body
+
+        slow = server.submit(aggregate(1, 0.5), workload="slow", tenant="a")
+        fast = server.submit(aggregate(2, 0.001), workload="fast",
+                             tenant="b")
+        server.drain()
+        assert fast.status == JobStatus.SUCCEEDED, fast.exception
+        assert slow.status == JobStatus.SUCCEEDED
+        assert fast.result == slow.result == 28
+        assert fast.finished < slow.finished
+        fast_phases = fast.scope.stopwatch.as_dict()
+        slow_phases = slow.scope.stopwatch.as_dict()
+        # 4 elements x 1 ms on each of the fast job's two partitions,
+        # 8 elements x 0.5 s on the slow job's one
+        assert 0.004 <= fast_phases["agg.compute"] < 0.1
+        assert 4.0 <= slow_phases["agg.compute"] < 4.1

@@ -87,6 +87,20 @@ def _buffering_beats_sync(report: dict) -> Tuple[str, bool, str]:
             f"buffered {log:.3f} vs per-event {sync:.3f}")
 
 
+def _flow_alloc_scales(report: dict) -> Tuple[str, bool, str]:
+    """ROADMAP item 2: allocator events/s may not fall by more than 2x
+    from 10 to 1000 concurrent flows (per-event cost independent of n)."""
+    levels = report.get("levels", {})
+    name = "events_per_sec(10) / events_per_sec(1000) <= 2"
+    try:
+        few = levels["10"]["events_per_sec"]
+        many = levels["1000"]["events_per_sec"]
+    except KeyError:
+        return (name, False, "levels 10 and 1000 missing from artifact")
+    return (name, few <= 2 * many,
+            f"{few:,.0f} / {many:,.0f} = {few / many:.2f}")
+
+
 REGISTRY: Dict[str, BenchSpec] = {
     "obs_overhead": BenchSpec(
         invariants=(("virtual_time_identical", True),),
@@ -161,6 +175,7 @@ REGISTRY: Dict[str, BenchSpec] = {
             Metric("levels.*.events_per_sec", "higher",
                    abs_slack=0.0, same_config=False, rel_tol=0.25),
         ),
+        derived=(_flow_alloc_scales,),
     ),
     "service": BenchSpec(
         invariants=(
