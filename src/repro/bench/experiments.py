@@ -413,7 +413,6 @@ def sparse_agg_comparison(points: list, num_features: int,
                           iterations: int = 2, parallelism: int = 4,
                           partitions: Optional[int] = None,
                           size_scale: float = 1.0,
-                          batched: bool = False,
                           sparse_policy=None) -> Dict[str, Dict]:
     """Dense vs density-adaptive aggregation on one LR training set.
 
@@ -442,8 +441,7 @@ def sparse_agg_comparison(points: list, num_features: int,
         spec = AggregationSpec(
             parallelism=parallelism,
             sparse_aggregation=(mode == "adaptive"),
-            sparse_policy=sparse_policy if mode == "adaptive" else None,
-            batched=batched)
+            sparse_policy=sparse_policy if mode == "adaptive" else None)
         model = LogisticRegressionWithSGD.train(
             rdd, num_features, num_iterations=iterations,
             aggregation=aggregation, spec=spec,

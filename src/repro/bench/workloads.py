@@ -91,18 +91,17 @@ def run_workload(name: str, config: ClusterConfig,
                  listener=None, *,
                  parallelism: Optional[int] = None,
                  sparse_aggregation: Optional[bool] = None,
-                 sparse_policy=None, batched: Optional[bool] = None,
-                 host_pool=None) -> WorkloadResult:
+                 sparse_policy=None, host_pool=None) -> WorkloadResult:
     """Train one workload end-to-end on a fresh simulated cluster.
 
     Data generation and cache materialization happen before the measured
     window (the paper measures model training, with datasets preloaded
     MEMORY_ONLY). ``spec`` carries every reduction knob — collective
     algorithm (or ``"auto"`` for the cost-model tuner), parallelism, the
-    density-adaptive sparse payload, the per-partition CSR ``batched``
-    kernel and the host-side compute pool; the trailing keywords are
-    deprecated shims mapping onto it. ``listener``, when given, is
-    subscribed to the context's event bus for the training window.
+    density-adaptive sparse payload and the host-side compute pool; the
+    trailing keywords are deprecated shims mapping onto it. ``listener``,
+    when given, is subscribed to the context's event bus for the training
+    window.
 
     This is now a thin wrapper over
     :meth:`repro.service.SparkerSession.run` (the session is the
@@ -118,7 +117,7 @@ def run_workload(name: str, config: ClusterConfig,
     spec = spec_with_legacy(
         spec, "run_workload",
         parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-        sparse_policy=sparse_policy, batched=batched, host_pool=host_pool)
+        sparse_policy=sparse_policy, host_pool=host_pool)
     return SparkerSession(config).run(
         name, aggregation=aggregation, iterations=iterations, spec=spec,
         partitions=partitions, listener=listener)

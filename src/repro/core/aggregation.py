@@ -39,7 +39,7 @@ from ..rdd.rdd import RDD, MapPartitionsRDD, ShuffledRDD
 from ..rdd.task_context import TaskContext
 from .spawn_rdd import SpawnRDD
 
-__all__ = ["tree_aggregate", "tree_reduce", "fresh_zero"]
+__all__ = ["tree_aggregate", "tree_reduce", "fresh_zero", "fold_partition"]
 
 
 def fresh_zero(zero: Any) -> Any:
@@ -96,16 +96,26 @@ def _fold_elements(acc: Any, data: list, seq_op: Callable[[Any, Any], Any],
     return acc
 
 
+def fold_partition(acc: Any, data: list, seq_op: Callable[[Any, Any], Any],
+                   ctx: TaskContext) -> Any:
+    """Fold one partition into ``acc``: every aggregation's stage 1.
+
+    A seqOp that declares ``fold_partition(acc, data, ctx)`` (the columnar
+    gradient fold) folds the partition whole and charges what the
+    per-element loop would; any other seqOp runs that loop.
+    """
+    folder = getattr(seq_op, "fold_partition", None)
+    if folder is not None:
+        return folder(acc, data, ctx)
+    return _fold_elements(acc, data, seq_op, ctx)
+
+
 def _partial_aggregate_rdd(rdd: RDD, zero: Any,
                            seq_op: Callable[[Any, Any], Any]) -> RDD:
     """Stage-1 RDD: one partial aggregator per partition."""
 
     def run(_idx: int, data: list, ctx: TaskContext) -> list:
-        acc = fresh_zero(zero)
-        folder = getattr(seq_op, "fold_partition", None)
-        if folder is not None:
-            return [folder(acc, data, ctx)]
-        return [_fold_elements(acc, data, seq_op, ctx)]
+        return [fold_partition(fresh_zero(zero), data, seq_op, ctx)]
 
     return MapPartitionsRDD(rdd, run, label="partialAggregate")
 
@@ -160,11 +170,7 @@ def tree_aggregate(rdd: RDD, zero: Any, seq_op: Callable[[Any, Any], Any],
 
     if imm:
         def partial_func(_idx: int, data: list, ctx: TaskContext) -> Any:
-            acc = fresh_zero(zero)
-            folder = getattr(seq_op, "fold_partition", None)
-            if folder is not None:
-                return folder(acc, data, ctx)
-            return _fold_elements(acc, data, seq_op, ctx)
+            return fold_partition(fresh_zero(zero), data, seq_op, ctx)
 
         with sc.stopwatch.span("agg.compute"):
             holders = sc.run_reduced_job(rdd, partial_func, comb_op)

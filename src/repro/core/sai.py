@@ -56,13 +56,12 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..comm.ring import ChunkLedger, ScalableCommunicator
 from ..obs import CollectiveChosen, CollectiveCompleted, CollectiveCostEstimate, CollectiveDowngraded, RecoveryAction, ResidualNorm
-from ..rdd.costing import ELEMENT_OVERHEAD, cost_of
 from ..rdd.rdd import RDD
 from ..rdd.scheduler import JobFailed
 from ..rdd.task_context import TaskContext
 from ..serde import sim_sizeof
 from ..sim import SimulationError
-from .aggregation import fresh_zero, tree_aggregate
+from .aggregation import fold_partition, fresh_zero, tree_aggregate
 from .spawn_rdd import SpawnRDD
 from .spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
 
@@ -137,17 +136,7 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
 
     # ---- stage 1: reduced-result stage with in-memory merge ---------------
     def partial_func(_idx: int, data: list, ctx: TaskContext) -> Any:
-        acc = fresh_zero(zero)
-        # Opt-in whole-partition fold (e.g. the batched CSR gradient
-        # kernel): the seqOp object declares it and stays responsible for
-        # charging the same virtual time the per-element loop would.
-        folder = getattr(seq_op, "fold_partition", None)
-        if folder is not None:
-            return folder(acc, data, ctx)
-        for x in data:
-            ctx.charge(cost_of(seq_op, acc, x) + ELEMENT_OVERHEAD)
-            acc = seq_op(acc, x)
-        return acc
+        return fold_partition(fresh_zero(zero), data, seq_op, ctx)
 
     if spec.collective == "pipelined_ring":
         # The overlapped path: stream each executor's finished aggregator

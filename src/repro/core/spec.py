@@ -2,7 +2,7 @@
 
 The engine's reduction machinery historically grew one keyword argument
 at a time — ``parallelism``, ``topology_aware``, ``sparse_aggregation``,
-``sparse_policy``, ``batched``, ``host_pool``, ``recovery`` — spread over
+``sparse_policy``, ``host_pool``, ``recovery`` — spread over
 ``splitAggregate``, the trainers and the workload harness, each reading
 its own defaults (and two of them reading the sparse-policy default
 *independently*, so a single override could produce mixed policies
@@ -69,7 +69,6 @@ ENV_COLLECTIVE = "SPARKER_COLLECTIVE"
 ENV_PARALLELISM = "SPARKER_PARALLELISM"
 ENV_TOPOLOGY_AWARE = "SPARKER_TOPOLOGY_AWARE"
 ENV_SPARSE_AGG = "SPARKER_SPARSE_AGG"
-ENV_BATCHED = "SPARKER_BATCHED"
 ENV_HOST_POOL = "SPARKER_HOST_POOL"
 ENV_HOST_POOL_MODE = "SPARKER_HOST_POOL_MODE"
 ENV_CHUNK_BYTES = "SPARKER_CHUNK_BYTES"
@@ -153,8 +152,6 @@ class AggregationSpec:
         The density-adaptive wire format (PR 2); a non-None policy
         implies enabling the mode. :meth:`resolved_sparse_policy` is the
         job-wide policy object.
-    batched:
-        Whole-partition CSR seqOp kernel (host wall-clock only).
     recovery:
         Optional :class:`~repro.faults.RecoveryPolicy` arming the
         fault-tolerant reduce path.
@@ -180,7 +177,6 @@ class AggregationSpec:
     topology_aware: bool = True
     sparse_aggregation: bool = False
     sparse_policy: Optional[SparsePolicy] = None
-    batched: bool = False
     recovery: Optional[Any] = None
     host_pool: Optional[Any] = None
     chunk_bytes: float = DEFAULT_CHUNK_BYTES
@@ -256,9 +252,6 @@ class AggregationSpec:
         raw = env.get(ENV_SPARSE_AGG)
         if raw is not None:
             changes["sparse_aggregation"] = _env_bool(raw)
-        raw = env.get(ENV_BATCHED)
-        if raw is not None:
-            changes["batched"] = _env_bool(raw)
         raw = env.get(ENV_HOST_POOL)
         if raw:
             changes["host_pool"] = int(raw)
@@ -290,7 +283,6 @@ class AggregationSpec:
             "sparse_aggregation": self.sparse_aggregation,
             "sparse_policy": (dict(self.sparse_policy.__dict__)
                               if self.sparse_policy is not None else None),
-            "batched": self.batched,
             "recovery": (dict(self.recovery.__dict__)
                          if self.recovery is not None else None),
             "host_pool": None,

@@ -13,15 +13,6 @@ from .aggregators import (
     reduce_op,
     split_op,
 )
-from .batched import (
-    BatchedSeqOp,
-    CSRMatrix,
-    batched_seq_op,
-    clear_csr_cache,
-    csr_cache_stats,
-    partition_csr,
-    supports_batching,
-)
 from .classification import (
     LinearModel,
     LogisticRegressionModel,
@@ -29,6 +20,7 @@ from .classification import (
     SVMModel,
     SVMWithSGD,
 )
+from .columnar import ColumnarSeqOp, PartitionColumns, columns_of
 from .evaluation import BinaryClassificationMetrics, log_perplexity
 from .feature import StandardScaler, StandardScalerModel
 from .gradient import (
@@ -46,7 +38,7 @@ from .optimization import (
     GradientDescent,
     JVM_FLOP_TIME,
     ScaledPayloadValue,
-    nnz_sample_cost,
+    gradient_seq_op,
 )
 from .regression import LinearRegressionModel, LinearRegressionWithSGD
 from .updater import SimpleUpdater, SquaredL2Updater, Updater
@@ -57,13 +49,9 @@ __all__ = [
     "FlatAggregator",
     "AggregatorSegment",
     "SparseAccumulator",
-    "BatchedSeqOp",
-    "CSRMatrix",
-    "batched_seq_op",
-    "partition_csr",
-    "csr_cache_stats",
-    "clear_csr_cache",
-    "supports_batching",
+    "ColumnarSeqOp",
+    "PartitionColumns",
+    "columns_of",
     "split_op",
     "reduce_op",
     "concat_op",
@@ -77,7 +65,7 @@ __all__ = [
     "GradientDescent",
     "AGGREGATION_MODES",
     "JVM_FLOP_TIME",
-    "nnz_sample_cost",
+    "gradient_seq_op",
     "ScaledPayloadValue",
     "LinearModel",
     "LogisticRegressionModel",

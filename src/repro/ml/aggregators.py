@@ -117,6 +117,27 @@ class SparseAccumulator:
         if self._pending >= self._limit:
             self.coalesce()
 
+    def scatter_add_rows(self, indices: np.ndarray, values: np.ndarray,
+                         row_ends: np.ndarray) -> None:
+        """One :meth:`scatter_add` per row, without the per-row calls.
+
+        Row ``r`` is ``indices[row_ends[r-1]:row_ends[r]]``. The state
+        afterwards — totals, pending count, where it coalesced and where
+        it densified — is that of scattering the rows one at a time: a
+        coalesce can only fire at the row whose entries take the pending
+        count to the limit, so whole stretches of rows between those
+        points are appended as one chunk.
+        """
+        row, num_rows, lo = 0, len(row_ends), 0
+        while row < num_rows and self.buf is None:
+            reach = lo + self._limit - self._pending
+            row = max(row, int(np.searchsorted(row_ends, reach))) + 1
+            hi = int(row_ends[min(row, num_rows) - 1])
+            self.scatter_add(indices[lo:hi], values[lo:hi])
+            lo = hi
+        if lo < len(indices):
+            self.scatter_add(indices[lo:], values[lo:])
+
     def coalesce(self) -> None:
         """Deduplicate pending chunks; densify if over the threshold."""
         if self.buf is not None:
@@ -548,6 +569,12 @@ class FlatAggregator:
         else:
             self.buf[-2] += loss
             self.buf[-1] += weight
+
+    def set_stats(self, loss_sum: float, weight_sum: float) -> None:
+        """Overwrite both statistics (a fold that summed them itself)."""
+        stats = self._stats if self._stats is not None else self.buf[-2:]
+        stats[0] = loss_sum
+        stats[1] = weight_sum
 
     def __sim_size__(self) -> float:
         """Simulated serialized size — the cheaper wire format when the

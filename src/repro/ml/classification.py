@@ -81,18 +81,16 @@ class _SGDTrainer:
               convergence_tol: float = 0.0, *,
               parallelism: Optional[int] = None,
               sparse_aggregation: Optional[bool] = None,
-              sparse_policy=None,
-              batched: Optional[bool] = None) -> LinearModel:
+              sparse_policy=None) -> LinearModel:
         """Train on an RDD of :class:`LabeledPoint`.
 
         ``aggregation`` selects the backend: ``"tree"`` (vanilla Spark),
         ``"tree_imm"`` or ``"split"`` (Sparker) — the paper's §3.1
         configuration switch. ``spec`` carries every reduction knob
         (collective algorithm or ``"auto"``, parallelism, the
-        density-adaptive sparse payload, the per-partition CSR ``batched``
-        kernel); the ``parallelism`` / ``sparse_aggregation`` /
-        ``sparse_policy`` / ``batched`` keywords are deprecated shims
-        mapping onto it.
+        density-adaptive sparse payload); the ``parallelism`` /
+        ``sparse_aggregation`` / ``sparse_policy`` keywords are deprecated
+        shims mapping onto it.
         """
         if num_features < 1:
             raise ValueError(f"num_features must be >= 1: {num_features}")
@@ -104,7 +102,7 @@ class _SGDTrainer:
         spec = spec_with_legacy(
             spec, f"{cls.__name__}.train",
             parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy, batched=batched)
+            sparse_policy=sparse_policy)
         updater = (SquaredL2Updater() if reg_param > 0
                    else cls.default_updater())
         optimizer = GradientDescent(

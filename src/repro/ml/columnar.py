@@ -1,0 +1,174 @@
+"""The exact columnar partition fold for gradient ``seqOp``s.
+
+Folding a partition one sample at a time pays closure dispatch, property
+chains, a fancy-index gather and shape checks per *sample* for a handful
+of flops — the per-record framework overhead Dünner et al. measure in
+Spark's local solver. This module keeps a partition's samples as flat
+``indices / values / offsets / labels / nnz`` columns and folds them with
+one gather, one BLAS dot per row, the gradient's scalar function per row
+and one ordered scatter.
+
+It is the only gradient fold, not a faster approximation of one: every
+float operation and its association order is the per-sample loop's
+(:meth:`Gradient.add_to` under ``core.aggregation._fold_elements``), so
+weights, losses, ``ctx.charged`` and every virtual time are bit-identical
+by construction. That rules out every reassociating reduction —
+``bincount``, ``einsum``, ``reduceat``, pairwise ``sum``, vectorized
+``exp`` — however much faster: a ``bincount`` row dot differs from BLAS
+``ddot`` in the last bit on all four surrogate datasets.
+
+Columns belong to the partition they were built from: a
+:class:`~repro.rdd.storage.CachedPartition` keeps them for as long as its
+block lives, any other list (an un-cached RDD, a mini-batch sample) gets
+columns for the one fold. Nothing is cached at module scope.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, List, Tuple
+
+import numpy as np
+
+from ..obs.events import ColumnarFold
+from ..rdd.costing import ELEMENT_OVERHEAD, Costed
+from ..rdd.storage import CachedPartition
+from ..rdd.task_context import TaskContext
+from .gradient import Gradient
+from .linalg import LabeledPoint
+
+__all__ = ["PartitionColumns", "columns_of", "ColumnarSeqOp"]
+
+
+class PartitionColumns:
+    """A partition's samples laid out as flat columns.
+
+    Row ``r`` owns entries ``offsets[r]:offsets[r + 1]`` of ``indices`` and
+    ``values``, in partition order.
+    """
+
+    __slots__ = ("num_rows", "num_cols", "indices", "values", "offsets",
+                 "labels", "nnz", "__weakref__")
+
+    def __init__(self, points: List[LabeledPoint], num_cols: int):
+        rows = [p.features for p in points]
+        if {row.size for row in rows} - {num_cols}:
+            i = next(i for i, row in enumerate(rows) if row.size != num_cols)
+            raise ValueError(
+                f"sample {i} has {rows[i].size} features, "
+                f"expected {num_cols}")
+        n = len(rows)
+        self.num_rows = n
+        self.num_cols = int(num_cols)
+        if n:
+            self.indices = np.concatenate([row.indices for row in rows])
+            self.values = np.concatenate([row.values for row in rows])
+        else:
+            self.indices = np.empty(0, dtype=np.int64)
+            self.values = np.empty(0, dtype=np.float64)
+        self.nnz = np.fromiter((row.indices.size for row in rows),
+                               dtype=np.int64, count=n)
+        self.offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.nnz, out=self.offsets[1:])
+        self.labels = np.fromiter((p.label for p in points),
+                                  dtype=np.float64, count=n)
+
+
+def columns_of(data: list, num_cols: int) -> Tuple[PartitionColumns, bool]:
+    """``(columns of data, whether they had to be built)``."""
+    cached = isinstance(data, CachedPartition)
+    columns = data.derived if cached else None
+    if (isinstance(columns, PartitionColumns)
+            and columns.num_cols == num_cols
+            and columns.num_rows == len(data)):
+        return columns, False
+    columns = PartitionColumns(data, num_cols)
+    if cached:
+        data.derived = columns
+    return columns, True
+
+
+class ColumnarSeqOp(Costed):
+    """A gradient ``seqOp``: per-sample reference plus the partition fold.
+
+    Called on one sample it is the plain :class:`Costed` fold —
+    ``gradient.add_to`` charged ``nnz * per_nnz`` — which is what IMM
+    merges and segment splits see and what the oracle tests compare
+    against. The engine's partition folds call :meth:`fold_partition`.
+    """
+
+    __slots__ = ("gradient", "weights_of", "per_nnz")
+
+    def __init__(self, gradient: Gradient,
+                 weights_of: Callable[[], np.ndarray], per_nnz: float):
+        def fold(agg: Any, point: LabeledPoint) -> Any:
+            agg.add_stats(
+                gradient.add_to(point, weights_of(), agg.payload), 1.0)
+            return agg
+
+        def cost(_agg: Any, point: LabeledPoint) -> float:
+            return point.features.nnz * per_nnz
+
+        super().__init__(fold, cost)
+        self.gradient = gradient
+        self.weights_of = weights_of
+        self.per_nnz = per_nnz
+
+    def fold_partition(self, acc: Any, data: list, ctx: TaskContext) -> Any:
+        n = len(data)
+        if n == 0:
+            return acc
+        weights = self.weights_of()
+        columns, built = columns_of(data, weights.shape[0])
+        target = acc.payload
+        dense = isinstance(target, np.ndarray)
+        slots = target.shape[0] if dense else target.size
+        if slots != columns.num_cols:
+            raise ValueError(
+                f"dimension mismatch: {columns.num_cols} weights vs "
+                f"{slots} payload slots")
+        executor = ctx.executor
+        bus = executor.sc.event_bus
+        if bus.active:
+            bus.emit(ColumnarFold.fast(
+                time=executor.env.now, executor_id=executor.executor_id,
+                partition=ctx.partition_id, rows=n,
+                nnz=int(columns.offsets[-1]), built=built,
+                span_id=bus.tracer.new_span(),
+                parent_span_id=executor._current_task_span))
+
+        # virtual time: charged + c0 + c1 + ..., the per-sample order
+        steps = np.empty(n + 1)
+        steps[0] = ctx.charged
+        np.add(columns.nnz * self.per_nnz, ELEMENT_OVERHEAD, out=steps[1:])
+        ctx.charged = float(np.add.accumulate(steps)[-1])
+
+        values = columns.values
+        gathered = weights[columns.indices]
+        multiplier_and_loss = self.gradient.multiplier_and_loss
+        bounds = columns.offsets.tolist()
+        # per row: the same ddot over the same operands as
+        # SparseVector.dot, then the gradient's own scalar function
+        multipliers, losses = zip(*[
+            multiplier_and_loss(
+                float(gathered[lo:hi].dot(values[lo:hi])), label)
+            for lo, hi, label in zip(bounds, bounds[1:],
+                                     columns.labels.tolist())])
+        loss_sum, weight_sum = acc.loss_sum, acc.weight_sum
+        for loss in losses:
+            loss_sum += loss
+            weight_sum += 1.0
+
+        indices, nnz = columns.indices, columns.nnz
+        if None in multipliers:  # rows that add nothing, not even 0.0
+            live = np.fromiter((m is not None for m in multipliers),
+                               dtype=bool, count=n)
+            entries = np.repeat(live, nnz)
+            indices, values, nnz = indices[entries], values[entries], nnz[live]
+            multipliers = [m for m in multipliers if m is not None]
+        contributions = values * np.repeat(np.array(multipliers), nnz)
+        if dense:
+            np.add.at(target, indices, contributions)
+        else:
+            target.scatter_add_rows(indices, contributions, np.cumsum(nnz))
+        acc.set_stats(loss_sum, weight_sum)
+        return acc

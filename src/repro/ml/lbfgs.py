@@ -32,12 +32,11 @@ from ..rdd.costing import Costed
 from ..rdd.rdd import RDD
 from .aggregators import FlatAggregator, concat_op, reduce_op, split_op
 from .gradient import Gradient
-from .linalg import LabeledPoint
 from .optimization import (
     AGGREGATION_MODES,
     JVM_FLOP_TIME,
     ScaledPayloadValue,
-    nnz_sample_cost,
+    gradient_seq_op,
 )
 
 __all__ = ["LBFGS"]
@@ -97,16 +96,8 @@ class LBFGS:
         dim = weights.size
         bc = sc.broadcast(ScaledPayloadValue(
             weights, dim * 8.0 * self.size_scale))
-        gradient = self.gradient
-        sample_cost = nnz_sample_cost(gradient, self.sample_scale,
-                                      self.flop_time)
-
-        def fold(agg: FlatAggregator, point: LabeledPoint) -> FlatAggregator:
-            loss = gradient.add_to(point, bc.value.value, agg.payload)
-            agg.add_stats(loss, 1.0)
-            return agg
-
-        seq_op = Costed(fold, sample_cost)
+        seq_op = gradient_seq_op(self.gradient, lambda: bc.value.value,
+                                 self.sample_scale, self.flop_time)
         merge = Costed(lambda a, b: a.merge(b), 0.0)
         size_scale = self.size_scale
         zero = lambda: FlatAggregator(dim, size_scale)  # noqa: E731

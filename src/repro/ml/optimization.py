@@ -30,13 +30,12 @@ from ..rdd.costing import Costed
 from ..rdd.rdd import RDD
 from ..serde import SparsePolicy
 from .aggregators import FlatAggregator, concat_op, reduce_op, split_op
-from .batched import batched_seq_op
+from .columnar import ColumnarSeqOp
 from .gradient import Gradient
-from .linalg import LabeledPoint
 from .updater import Updater
 
 __all__ = ["GradientDescent", "AGGREGATION_MODES", "ScaledPayloadValue",
-           "JVM_FLOP_TIME", "nnz_sample_cost"]
+           "JVM_FLOP_TIME", "gradient_seq_op"]
 
 #: effective seconds per floating-point op in JVM sparse-vector code.
 #: Deliberately far above silicon peak: MLlib's per-sample path goes
@@ -61,21 +60,21 @@ class ScaledPayloadValue:
         return self.sim_bytes
 
 
-def nnz_sample_cost(gradient: Gradient, sample_scale: float = 1.0,
-                    flop_time: float = JVM_FLOP_TIME
-                    ) -> Callable[[FlatAggregator, LabeledPoint], float]:
-    """Per-sample virtual cost: ``flops_per_nnz * nnz * flop_time``.
+def gradient_seq_op(gradient: Gradient,
+                    weights_of: Callable[[], np.ndarray],
+                    sample_scale: float = 1.0,
+                    flop_time: float = JVM_FLOP_TIME) -> ColumnarSeqOp:
+    """The gradient ``seqOp`` of one pass over the data at ``weights_of()``.
 
-    ``sample_scale`` maps a surrogate sample to the number of paper-scale
-    samples it stands for (DESIGN.md §2), so one surrogate sample charges
-    the time its whole cohort would take on one core.
+    Folds a sample's gradient and loss into a :class:`FlatAggregator` for
+    ``flops_per_nnz * nnz * flop_time`` virtual seconds. ``sample_scale``
+    maps a surrogate sample to the number of paper-scale samples it stands
+    for (DESIGN.md §2), so one surrogate sample charges the time its whole
+    cohort would take on one core.
     """
-    per_nnz = gradient.flops_per_nnz * flop_time * sample_scale
-
-    def cost(_agg: FlatAggregator, point: LabeledPoint) -> float:
-        return point.features.nnz * per_nnz
-
-    return cost
+    return ColumnarSeqOp(
+        gradient, weights_of,
+        gradient.flops_per_nnz * flop_time * sample_scale)
 
 
 class GradientDescent:
@@ -91,8 +90,7 @@ class GradientDescent:
                  flop_time: float = JVM_FLOP_TIME, *,
                  parallelism: Optional[int] = None,
                  sparse_aggregation: Optional[bool] = None,
-                 sparse_policy: Optional[SparsePolicy] = None,
-                 batched: Optional[bool] = None):
+                 sparse_policy: Optional[SparsePolicy] = None):
         if aggregation not in AGGREGATION_MODES:
             raise ValueError(
                 f"aggregation must be one of {AGGREGATION_MODES}, "
@@ -119,7 +117,7 @@ class GradientDescent:
         self.spec = spec_with_legacy(
             spec, "GradientDescent",
             parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy, batched=batched)
+            sparse_policy=sparse_policy)
         self.convergence_tol = convergence_tol
         self.size_scale = size_scale
         self.sample_scale = sample_scale
@@ -142,10 +140,6 @@ class GradientDescent:
     def sparse_policy(self) -> Optional[SparsePolicy]:
         return self._resolved_policy
 
-    @property
-    def batched(self) -> bool:
-        return self.spec.batched
-
     # ------------------------------------------------------------------ run
     def optimize(self, data: RDD,
                  initial_weights: np.ndarray
@@ -155,15 +149,13 @@ class GradientDescent:
         weights = np.asarray(initial_weights, dtype=np.float64).copy()
         dim = weights.size
         losses: List[float] = []
-        sample_cost = nnz_sample_cost(self.gradient, self.sample_scale,
-                                      self.flop_time)
 
         for iteration in range(1, self.num_iterations + 1):
             with sc.stopwatch.span("ml.broadcast"):
                 bc = sc.broadcast(ScaledPayloadValue(
                     weights, dim * 8.0 * self.size_scale))
 
-            agg = self._aggregate(data, bc, dim, sample_cost, iteration)
+            agg = self._aggregate(data, bc, dim, iteration)
             bc.destroy()
 
             count = agg.weight_sum
@@ -199,23 +191,13 @@ class GradientDescent:
 
     # ------------------------------------------------------------ internals
     def _aggregate(self, data: RDD, bc, dim: int,
-                   sample_cost: Callable, iteration: int) -> FlatAggregator:
+                   iteration: int) -> FlatAggregator:
         batch = data
         if self.mini_batch_fraction < 1.0:
             batch = data.sample(self.mini_batch_fraction, seed=iteration)
 
-        gradient = self.gradient
-
-        def fold(agg: FlatAggregator, point: LabeledPoint) -> FlatAggregator:
-            loss = gradient.add_to(point, bc.value.value, agg.payload)
-            agg.add_stats(loss, 1.0)
-            return agg
-
-        if self.batched:
-            seq_op = batched_seq_op(gradient, lambda: bc.value.value, dim,
-                                    fold, sample_cost)
-        else:
-            seq_op = Costed(fold, sample_cost)
+        seq_op = gradient_seq_op(self.gradient, lambda: bc.value.value,
+                                 self.sample_scale, self.flop_time)
         merge = Costed(lambda a, b: a.merge(b), 0.0)
         size_scale = self.size_scale
         policy = self._resolved_policy

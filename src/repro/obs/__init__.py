@@ -71,6 +71,7 @@ from .events import (
     CollectiveCompleted,
     CollectiveCostEstimate,
     CollectiveDowngraded,
+    ColumnarFold,
     EVENT_TYPES,
     ExecutorHealth,
     FaultInjected,
@@ -132,6 +133,7 @@ __all__ = [
     "TaskEnd",
     "TaskMetrics",
     "BlockEvent",
+    "ColumnarFold",
     "MessageSent",
     "MessageDelivered",
     "RingHop",

@@ -28,6 +28,7 @@ __all__ = [
     "TaskEnd",
     "TaskMetrics",
     "BlockEvent",
+    "ColumnarFold",
     "MessageSent",
     "MessageDelivered",
     "RingHop",
@@ -279,6 +280,24 @@ class BlockEvent(TraceEvent):
     rdd_id: int
     partition: int
     nbytes: float
+
+
+@dataclass(frozen=True)
+class ColumnarFold(TraceEvent):
+    """A gradient seqOp folded one partition through its flat columns.
+
+    ``built`` says the columns had to be laid out for this fold; a dataset
+    whose every fold builds (an un-cached RDD, a mini-batch sample) is
+    paying the layout once per iteration instead of once.
+    """
+
+    kind: ClassVar[str] = "columnar_fold"
+
+    executor_id: int
+    partition: int
+    rows: int
+    nnz: int
+    built: bool
 
 
 # --------------------------------------------------------------- messaging
@@ -728,7 +747,8 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
     cls.kind: cls
     for cls in (
         JobStart, JobEnd, StageSubmitted, StageCompleted, TaskStart,
-        TaskEnd, BlockEvent, MessageSent, MessageDelivered, RingHop,
+        TaskEnd, BlockEvent, ColumnarFold, MessageSent, MessageDelivered,
+        RingHop,
         ChunkStream, ResidualNorm, ImmMerge, SegmentRepresentation,
         PhaseSpan, NicSample, FaultInjected, RecoveryAction,
         CollectiveDowngraded, ResidualLost, SpeculativeAttempt,

@@ -216,6 +216,10 @@ class MetricsListener:
         elif kind == "block":
             reg.counter(f"blocks.{event.op}").inc()
             reg.counter(f"blocks.{event.op}_bytes").inc(event.nbytes)
+        elif kind == "columnar_fold":
+            reg.counter("ml.columnar.folds").inc()
+            if event.built:
+                reg.counter("ml.columnar.builds").inc()
         elif kind == "nic_sample":
             prefix = "driver" if event.is_driver else event.hostname
             reg.gauge(f"nic.{prefix}.in_utilization").set(

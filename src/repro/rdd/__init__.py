@@ -23,7 +23,7 @@ from .rdd import (
 from .scheduler import DAGScheduler, JobFailed, StageInfo
 from .shuffle import FetchFailed, MapOutputTracker
 from .speculation import SpeculationLost, SpeculationPolicy
-from .storage import BlockTracker, MemoryStore, StorageLevel
+from .storage import BlockTracker, CachedPartition, MemoryStore, StorageLevel
 from .task_context import TaskContext
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "FetchFailed",
     "MapOutputTracker",
     "BlockTracker",
+    "CachedPartition",
     "MemoryStore",
     "StorageLevel",
     "TaskContext",

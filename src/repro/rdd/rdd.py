@@ -33,7 +33,7 @@ import numpy as np
 from ..serde import sim_sizeof
 from .costing import ELEMENT_OVERHEAD, Costed, cost_of
 from .partitioner import HashPartitioner, Partitioner
-from .storage import StorageLevel
+from .storage import CachedPartition, StorageLevel
 from .task_context import TaskContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -157,7 +157,7 @@ class RDD:
         cached = store.get(block_id)
         if cached is not None:
             return cached
-        data = self.compute(index, ctx)
+        data = CachedPartition(self.compute(index, ctx))
         size = store.put(block_id, data)
         self.sc.block_tracker.register(block_id, ctx.executor.executor_id)
         # Materializing into the cache costs one pass over the data.

@@ -14,7 +14,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..serde import sim_sizeof
 
-__all__ = ["StorageLevel", "MemoryStore", "BlockTracker", "BlockId"]
+__all__ = ["StorageLevel", "CachedPartition", "MemoryStore", "BlockTracker",
+           "BlockId"]
 
 #: a cached-partition block: (rdd_id, partition_index)
 BlockId = Tuple[int, int]
@@ -25,6 +26,27 @@ class StorageLevel:
 
     MEMORY_ONLY = "MEMORY_ONLY"
     NONE = None
+
+
+class CachedPartition(list):
+    """A cached partition's rows, owning what consumers derive from them.
+
+    ``derived`` holds a flat re-layout of the rows (the ML layer's
+    :class:`~repro.ml.columnar.PartitionColumns`) that is worth building
+    once per cached partition rather than once per job. It is reachable
+    only through this list, so it is freed with the block: eviction,
+    executor loss and context teardown need no extra bookkeeping. It never
+    travels: pickling yields the plain rows.
+    """
+
+    __slots__ = ("derived",)
+
+    def __init__(self, rows: Any = ()):
+        super().__init__(rows)
+        self.derived: Any = None
+
+    def __reduce__(self):
+        return (list, (list(self),))
 
 
 @dataclass

@@ -53,9 +53,9 @@ def _resolve_workload(name: str):
 
 
 def _check_lda_spec(workload, spec: AggregationSpec) -> None:
-    if workload.model == "lda" and (spec.sparse_aggregation or spec.batched):
+    if workload.model == "lda" and spec.sparse_aggregation:
         raise ValueError(
-            "sparse_aggregation/batched apply to the LR/SVM workloads only")
+            "sparse_aggregation applies to the LR/SVM workloads only")
 
 
 def _train(sc: SparkerContext, workload, rdd, ds, spec: AggregationSpec,
@@ -247,8 +247,7 @@ class SparkerSession:
             partitions: Optional[int] = None, listener=None, *,
             parallelism: Optional[int] = None,
             sparse_aggregation: Optional[bool] = None,
-            sparse_policy=None, batched: Optional[bool] = None,
-            host_pool=None):
+            sparse_policy=None, host_pool=None):
         """Train one workload synchronously on a fresh context.
 
         Exact historical ``run_workload`` semantics — data generation
@@ -261,8 +260,7 @@ class SparkerSession:
         spec = spec_with_legacy(
             spec, "SparkerSession.run",
             parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy, batched=batched,
-            host_pool=host_pool)
+            sparse_policy=sparse_policy, host_pool=host_pool)
         _check_lda_spec(wl, spec)
         sc = SparkerContext(self.config, host_pool=spec.host_pool)
         n_parts = partitions or sc.default_parallelism
@@ -288,7 +286,7 @@ class SparkerSession:
                partitions: Optional[int] = None, listener=None,
                parallelism: Optional[int] = None,
                sparse_aggregation: Optional[bool] = None,
-               sparse_policy=None, batched: Optional[bool] = None) -> JobHandle:
+               sparse_policy=None) -> JobHandle:
         """Submit one workload to the shared multi-tenant service.
 
         Returns immediately with a :class:`JobHandle`; the job runs when
@@ -302,7 +300,7 @@ class SparkerSession:
         spec = spec_with_legacy(
             spec, "SparkerSession.submit",
             parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy, batched=batched)
+            sparse_policy=sparse_policy)
         _check_lda_spec(wl, spec)
         spec = service_spec(spec)
         server = self.server

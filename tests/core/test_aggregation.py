@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig
-from repro.core.aggregation import fresh_zero, tree_aggregate
-from repro.rdd import SparkerContext
+from repro.core.aggregation import fold_partition, fresh_zero, tree_aggregate
+from repro.rdd import (
+    ELEMENT_OVERHEAD,
+    Costed,
+    SparkerContext,
+    TaskContext,
+    cost_of,
+)
 
 
 @pytest.fixture
@@ -195,3 +201,59 @@ def test_tree_aggregate_equals_builtin_sum(data, slices, depth):
     result = rdd.tree_aggregate(0, lambda a, x: a + x, lambda a, b: a + b,
                                 depth=depth)
     assert result == sum(data)
+
+
+# ---------------------------------------------------------- fold_partition
+@pytest.mark.parametrize("seq_op", [
+    Costed(lambda a, x: a + x, lambda a, x: 1e-7 * x + 1e-9 * a),
+    Costed(lambda a, x: a + x, 3.3e-7),
+    lambda a, x: a + x,
+], ids=["costed-fn", "costed-constant", "plain"])
+def test_fold_partition_charges_in_per_element_order(seq_op):
+    """The one element fold every stage-1 runs (tree, tree+IMM, split):
+    ``charged + c0 + c1 + ...``, from whatever was already charged."""
+    data = [3, 1, 4, 1, 5, 9, 2, 6]
+    reference = TaskContext(0, 0, 0, None)
+    reference.charged = 0.1
+    acc = 10
+    for x in data:
+        reference.charge(cost_of(seq_op, acc, x) + ELEMENT_OVERHEAD)
+        acc = seq_op(acc, x)
+
+    ctx = TaskContext(0, 0, 0, None)
+    ctx.charged = 0.1
+    assert fold_partition(10, data, seq_op, ctx) == acc
+    assert ctx.charged == reference.charged
+
+
+def test_fold_partition_prefers_a_declared_whole_partition_fold():
+    class Whole(Costed):
+        def fold_partition(self, acc, data, ctx):
+            ctx.charge(1.0)
+            return acc + sum(data)
+
+    ctx = TaskContext(0, 0, 0, None)
+    seq_op = Whole(lambda a, x: pytest.fail("per-element path taken"), 0.0)
+    assert fold_partition(1, [2, 3], seq_op, ctx) == 6
+    assert ctx.charged == 1.0
+
+
+@pytest.mark.parametrize("mode", ["tree", "tree_imm", "split"])
+def test_every_aggregation_folds_through_fold_partition(sc, mode):
+    class Whole(Costed):
+        folded = 0
+
+        def fold_partition(self, acc, data, ctx):
+            type(self).folded += 1
+            return acc + sum(data)
+
+    seq_op = Whole(lambda a, x: a + x, 0.0)
+    rdd = sc.parallelize(range(40), 4)
+    if mode == "split":
+        result = rdd.split_aggregate(
+            0, seq_op, lambda u, i, n: u if i == 0 else 0,
+            lambda a, b: a + b, sum)
+    else:
+        result = tree_aggregate(rdd, 0, seq_op, lambda a, b: a + b,
+                                imm=(mode == "tree_imm"))
+    assert result == sum(range(40)) and Whole.folded == 4

@@ -33,7 +33,7 @@ def test_lint_catches_a_violation(tmp_path):
 def test_lint_allows_the_spec_layer(tmp_path):
     ok = tmp_path / "ok.py"
     ok.write_text(
-        "spec = AggregationSpec(sparse_aggregation=True, batched=False)\n"
+        "spec = AggregationSpec(sparse_aggregation=True, host_pool=None)\n"
         "spec2 = spec.replace(host_pool=2)\n"
         "spec3 = spec_with_legacy(spec, 'site', sparse_policy=policy)\n",
         encoding="utf-8")

@@ -34,7 +34,7 @@ def test_defaults_are_seed_identical():
     assert spec.topology_aware is True
     assert spec.sparse_aggregation is False
     assert spec.sparse_policy is None
-    assert spec.batched is False
+    assert not hasattr(spec, "batched")  # the columnar fold has no knob
     assert spec.recovery is None
     assert spec.host_pool is None
 
@@ -105,14 +105,12 @@ def test_from_env_overrides_every_knob():
         "SPARKER_PARALLELISM": "8",
         "SPARKER_TOPOLOGY_AWARE": "off",
         "SPARKER_SPARSE_AGG": "1",
-        "SPARKER_BATCHED": "yes",
         "SPARKER_HOST_POOL": "3",
     })
     assert spec.collective == "auto"
     assert spec.parallelism == 8
     assert spec.topology_aware is False
     assert spec.sparse_aggregation is True
-    assert spec.batched is True
     assert spec.host_pool == 3
 
 
@@ -186,22 +184,22 @@ def test_spec_with_legacy_passthrough_emits_nothing():
 def test_spec_with_legacy_warns_once_per_kwarg():
     with pytest.warns(DeprecationWarning) as caught:
         spec = spec_with_legacy(None, "Trainer.train",
-                                parallelism=8, batched=True,
+                                parallelism=8, topology_aware=False,
                                 sparse_aggregation=None)
     messages = [str(w.message) for w in caught]
     assert len(messages) == 2  # None kwargs are silent
     assert any("'parallelism'" in m and "Trainer.train" in m
                for m in messages)
-    assert any("'batched'" in m for m in messages)
-    assert spec.parallelism == 8 and spec.batched is True
+    assert any("'topology_aware'" in m for m in messages)
+    assert spec.parallelism == 8 and spec.topology_aware is False
 
 
 def test_legacy_values_override_the_spec():
-    base = AggregationSpec(parallelism=2, batched=False)
+    base = AggregationSpec(parallelism=2, topology_aware=False)
     with pytest.warns(DeprecationWarning):
         spec = spec_with_legacy(base, "site", parallelism=16)
     assert spec.parallelism == 16
-    assert spec.batched is False  # untouched fields survive
+    assert spec.topology_aware is False  # untouched fields survive
 
 
 def test_warn_deprecated_kwarg_names_the_replacement():

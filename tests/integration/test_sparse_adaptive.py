@@ -20,7 +20,7 @@ NODES = 2
 
 
 def _train(points, dim, *, adaptive, aggregation="split", parallelism=4,
-           nodes=NODES, iterations=3, listener=None, batched=False):
+           nodes=NODES, iterations=3, listener=None):
     sc = SparkerContext(ClusterConfig.bic(num_nodes=nodes))
     if listener is not None:
         sc.event_bus.subscribe(listener)
@@ -29,8 +29,7 @@ def _train(points, dim, *, adaptive, aggregation="split", parallelism=4,
     began = sc.now
     model = LogisticRegressionWithSGD.train(
         rdd, dim, num_iterations=iterations, aggregation=aggregation,
-        parallelism=parallelism, sparse_aggregation=adaptive,
-        batched=batched)
+        parallelism=parallelism, sparse_aggregation=adaptive)
     return model, sc.now - began
 
 
@@ -129,15 +128,6 @@ def test_tracing_does_not_perturb_adaptive_run(sparse_points):
     _, traced = _train(sparse_points, 2_000, adaptive=True, listener=rec)
     assert traced == untraced
     assert rec.events  # the trace actually recorded something
-
-
-def test_adaptive_batched_end_to_end_close(sparse_points):
-    base, base_time = _train(sparse_points, 2_000, adaptive=True)
-    batched, batched_time = _train(sparse_points, 2_000, adaptive=True,
-                                   batched=True)
-    np.testing.assert_allclose(batched.weights, base.weights,
-                               rtol=1e-10, atol=1e-12)
-    assert batched_time == base_time  # virtual time is exactly preserved
 
 
 def test_svm_adaptive_bit_identical(sparse_points):

@@ -1,0 +1,422 @@
+"""The columnar partition fold against its per-sample oracle.
+
+``ColumnarSeqOp.fold_partition`` is the only gradient fold the trainers
+use; ``Gradient.add_to`` one sample at a time is the reference it must
+reproduce *exactly* — every comparison here is ``==`` on floats or bytes,
+never ``allclose``: aggregator buffer, loss and weight sums, the sparse
+accumulator's pending count and wire size, and the virtual charge.
+"""
+
+import gc
+import hashlib
+import pickle
+import sys
+import weakref
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import AggregationSpec, ClusterConfig, SparkerContext
+from repro.bench.workloads import WORKLOADS
+from repro.ml import (
+    FlatAggregator,
+    HingeGradient,
+    LabeledPoint,
+    LeastSquaresGradient,
+    LogisticGradient,
+    LogisticRegressionWithSGD,
+    PartitionColumns,
+    SparseVector,
+    SVMWithSGD,
+    aggregators,
+    optimization,
+)
+from repro.ml.columnar import ColumnarSeqOp
+from repro.obs import EventBus, MetricsListener
+from repro.rdd import ELEMENT_OVERHEAD, CachedPartition, Costed, TaskContext
+from repro.serde import SparsePolicy
+
+GRADIENTS = (LogisticGradient, HingeGradient, LeastSquaresGradient)
+PER_NNZ = 1e-7
+
+
+def _ctx(charged=0.0, bus=None):
+    """A real TaskContext on just enough of an executor for the fold."""
+    executor = SimpleNamespace(
+        sc=SimpleNamespace(event_bus=bus if bus is not None else EventBus()),
+        env=SimpleNamespace(now=0.0), executor_id=0, _current_task_span=-1)
+    ctx = TaskContext(0, 0, 0, executor)
+    ctx.charged = charged
+    return ctx
+
+
+def _reference(gradient, parts, weights, agg, ctx):
+    """The per-sample loop, written out: what the fold must equal."""
+    for part in parts:
+        for point in part:
+            ctx.charge(point.features.nnz * PER_NNZ + ELEMENT_OVERHEAD)
+            agg.add_stats(gradient.add_to(point, weights, agg.payload), 1.0)
+    return agg
+
+
+def _columnar(gradient, parts, weights, agg, ctx):
+    op = ColumnarSeqOp(gradient, lambda: weights, PER_NNZ)
+    for part in parts:
+        assert op.fold_partition(agg, part, ctx) is agg
+    return agg
+
+
+def _observed(agg, ctx):
+    """Everything a fold leaves behind, the un-compacted state first."""
+    pending = agg.payload_nnz
+    wire = agg.__sim_size__()  # compacts, may densify
+    return (pending, wire, agg.payload_nnz, agg.representation,
+            agg.loss_sum, agg.weight_sum, ctx.charged,
+            agg.copy().to_dense().buf.tobytes())
+
+
+def _point(dim, label, indices, values):
+    return LabeledPoint(label, SparseVector(dim, indices, values))
+
+
+@st.composite
+def partitions(draw):
+    """``(dim, weights, rows)``: random rows plus the awkward ones."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    dim = draw(st.integers(1, 600))
+    weights = rng.standard_normal(dim) * draw(
+        st.sampled_from([0.0, 1e-3, 1.0, 40.0, 600.0]))
+    # coordinate 0 is exactly 1: unit rows on it get w.x == value exactly
+    weights[0] = 1.0
+    rows = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(
+            ["random", "random", "empty", "unit", "unit", "clamp"]))
+        label = float(rng.integers(0, 2))
+        if kind == "empty":  # nnz == 0
+            rows.append(_point(dim, label, [], []))
+        elif kind == "unit":
+            # hinge slack exactly 0.0 (label 1), least-squares diff 0.0,
+            # and for value 40 a logistic multiplier of exactly 0.0
+            value = draw(st.sampled_from([1.0, -1.0, 0.0, 40.0]))
+            rows.append(_point(dim, label, [0], [value]))
+        elif kind == "clamp":  # margins beyond min(margin, 500)
+            value = draw(st.sampled_from([-900.0, -501.0, 501.0, 900.0]))
+            rows.append(_point(dim, label, [0], [value]))
+        else:
+            nnz = int(rng.integers(1, min(dim, 400) + 1))
+            indices = np.sort(rng.choice(dim, size=nnz, replace=False))
+            rows.append(_point(dim, label, indices,
+                               rng.standard_normal(nnz)))
+    return dim, weights, rows
+
+
+@pytest.mark.parametrize("gradient_cls", GRADIENTS)
+@settings(max_examples=150, deadline=None)
+@given(case=partitions(), split=st.integers(0, 24),
+       charged=st.floats(0.0, 1.0),
+       threshold=st.sampled_from([None, 0.001, 0.02, 0.3, 1.0]),
+       coalesce_min=st.sampled_from([1, 2, 3, 16, 4096]))
+def test_fold_equals_per_sample_loop_exactly(gradient_cls, case, split,
+                                             charged, threshold,
+                                             coalesce_min):
+    dim, weights, rows = case
+    # two folds into one accumulator: the second starts from non-zero
+    # statistics, a non-empty accumulator and a non-zero charge
+    parts = [rows[:split], rows[split:]]
+    policy = None if threshold is None else SparsePolicy(threshold)
+    saved = aggregators._COALESCE_MIN
+    aggregators._COALESCE_MIN = coalesce_min  # densify mid-partition
+    try:
+        outcomes = []
+        for fold in (_reference, _columnar):
+            ctx = _ctx(charged)
+            agg = fold(gradient_cls(), parts, weights,
+                       FlatAggregator(dim, policy=policy), ctx)
+            outcomes.append(_observed(agg, ctx))
+    finally:
+        aggregators._COALESCE_MIN = saved
+    assert outcomes[1] == outcomes[0]
+
+
+def test_empty_partition_is_untouched():
+    agg, ctx = FlatAggregator(5), _ctx(0.25)
+    _columnar(LogisticGradient(), [[]], np.ones(5), agg, ctx)
+    assert ctx.charged == 0.25 and agg.weight_sum == 0.0
+    assert not agg.buf.any()
+
+
+def test_rows_of_another_dimension_are_rejected():
+    rows = [_point(4, 1.0, [1], [2.0]), _point(5, 0.0, [1], [2.0])]
+    with pytest.raises(ValueError, match="sample 1 has 5 features"):
+        _columnar(LogisticGradient(), [rows], np.ones(4),
+                  FlatAggregator(4), _ctx())
+
+
+# ------------------------------------------------- bug: zero multipliers
+@pytest.mark.parametrize("policy", [None, SparsePolicy(0.9)])
+@pytest.mark.parametrize("gradient_cls, label, value", [
+    (LogisticGradient, 1.0, 40.0),      # 1/(1 + exp(-40)) - 1 == 0.0
+    (LeastSquaresGradient, 1.0, 1.0),   # w.x - y == 0.0
+])
+def test_zero_multiplier_rows_are_scattered(gradient_cls, label, value,
+                                            policy):
+    """A multiplier of exactly 0.0 still calls ``features.add_to``: it
+    appends entries to a sparse accumulator and turns ``-0.0`` into
+    ``0.0`` in a dense one. Only hinge's inactive rows add nothing."""
+    dim = 8
+    weights = np.zeros(dim)
+    weights[0] = 1.0
+    rows = [_point(dim, label, [0], [value]),
+            _point(dim, label, [0, 3, 5], [value, 1.0, 2.0])]
+    multiplier, _ = gradient_cls().multiplier_and_loss(value, label)
+    assert multiplier == 0.0
+
+    outcomes = []
+    for fold in (_reference, _columnar):
+        agg = FlatAggregator(dim, policy=policy)
+        if policy is None:
+            agg.buf[3] = -0.0  # -0.0 + 0.0 flips the sign bit
+        ctx = _ctx()
+        fold(gradient_cls(), [rows], weights, agg, ctx)
+        outcomes.append(_observed(agg, ctx))
+    assert outcomes[1] == outcomes[0]
+    if policy is not None:
+        assert outcomes[1][0] == 4  # entries were appended, not dropped
+    else:
+        assert not np.signbit(
+            np.frombuffer(outcomes[1][-1], dtype=np.float64)[3])
+
+
+def test_hinge_inactive_rows_add_nothing():
+    dim = 6
+    rows = [_point(dim, 1.0, [0], [1.0]),   # slack exactly 0.0: inactive
+            _point(dim, 1.0, [0, 2], [5.0, 1.0]),
+            _point(dim, 0.0, [1], [1.0])]   # active
+    agg = _columnar(HingeGradient(), [rows], np.ones(dim),
+                    FlatAggregator(dim, policy=SparsePolicy(0.9)), _ctx())
+    assert agg.payload_nnz == 1 and agg.weight_sum == 3.0
+
+
+# ----------------------------------------------------------- count guard
+class _CountedWeights(np.ndarray):
+    """Counts fancy-index gathers; hands back plain arrays."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        type(self).gathers += 1
+        return np.asarray(super().__getitem__(key))
+
+
+def _fold_calls(n):
+    """Profile one fold of ``n`` rows: (calls outside the scalar gradient
+    function, gathers, ``np.add.at`` calls, ``np.add.accumulate`` calls)."""
+    dim = 500
+    rng = np.random.default_rng(n)
+    rows = [_point(dim, float(rng.integers(0, 2)),
+                   np.sort(rng.choice(dim, size=12, replace=False)),
+                   rng.standard_normal(12)) for _ in range(n)]
+    weights = (rng.standard_normal(dim) * 0.1).view(_CountedWeights)
+    gradient = LogisticGradient()
+    scalar = LogisticGradient.multiplier_and_loss.__code__
+    op = ColumnarSeqOp(gradient, lambda: weights, PER_NNZ)
+    data = CachedPartition(rows)
+    agg, ctx = FlatAggregator(dim), _ctx()
+    op.fold_partition(agg, data, ctx)  # columns are built here, once
+    counts = {"calls": 0, "at": 0, "accumulate": 0}
+    state = {"inside": 0}
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            if state["inside"]:
+                state["inside"] += 1
+            else:
+                counts["calls"] += 1
+                if frame.f_code is scalar:
+                    state["inside"] = 1
+        elif event == "return":
+            if state["inside"]:
+                state["inside"] -= 1
+        elif event == "c_call" and not state["inside"]:
+            counts["calls"] += 1
+            if getattr(arg, "__self__", None) is np.add:
+                counts[arg.__name__] += 1
+
+    _CountedWeights.gathers = 0
+    sys.setprofile(profiler)
+    try:
+        op.fold_partition(agg, data, ctx)
+    finally:
+        sys.setprofile(None)
+    return (counts["calls"], _CountedWeights.gathers, counts["at"],
+            counts["accumulate"])
+
+
+def test_fold_work_per_sample_is_constant_and_small():
+    small, large = _fold_calls(300), _fold_calls(3000)
+    # one gather, one scatter, one accumulate, however many rows
+    assert small[1:] == large[1:] == (1, 1, 1)
+    per_small, per_large = small[0] / 300, large[0] / 3000
+    assert per_large <= 3.0
+    assert abs(per_small - per_large) <= 0.1 * per_large
+
+
+# ------------------------------------------------------------- lifetime
+def _dataset(n=240, dim=80, nnz=6, seed=5):
+    rng = np.random.default_rng(seed)
+    return dim, [
+        _point(dim, float(rng.integers(0, 2)),
+               np.sort(rng.choice(dim, size=nnz, replace=False)),
+               rng.standard_normal(nnz)) for _ in range(n)]
+
+
+def _live_columns():
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, PartitionColumns)]
+
+
+def test_columns_die_with_the_cached_dataset():
+    dim, points = _dataset()
+    sc = SparkerContext(ClusterConfig.laptop(2))
+    rdd = sc.parallelize(points, 4).cache()
+    rdd.count()
+    LogisticRegressionWithSGD.train(rdd, dim, num_iterations=2)
+    refs = [weakref.ref(block.data.derived) for executor in sc.executors
+            for block in executor.memory_store._blocks.values()]
+    # one per cached partition, built in iteration 1 and found in 2
+    assert len(refs) == 4
+    assert all(isinstance(ref(), PartitionColumns) for ref in refs)
+    sc.stop()
+    del sc, rdd
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(points) == 240  # the rows are the caller's, untouched
+
+
+def test_a_cached_partition_travels_as_its_plain_rows():
+    part = CachedPartition([1, 2, 3])
+    part.derived = object()  # would not even pickle
+    shipped = pickle.loads(pickle.dumps(part, protocol=5))
+    assert type(shipped) is list and shipped == [1, 2, 3]
+
+
+def test_mini_batch_columns_are_released_every_iteration():
+    dim, points = _dataset()
+    before = len(_live_columns())
+    sc = SparkerContext(ClusterConfig.laptop(2))
+    rdd = sc.parallelize(points, 4).cache()
+    rdd.count()
+    registry = MetricsListener()
+    sc.event_bus.subscribe(registry)
+    LogisticRegressionWithSGD.train(rdd, dim, num_iterations=20,
+                                    mini_batch_fraction=0.5)
+    counters = registry.registry.counters
+    # RDD.sample builds a new list per iteration: every fold builds ...
+    assert counters["ml.columnar.folds"].value == 20 * 4
+    assert counters["ml.columnar.builds"].value == 20 * 4
+    # ... and nothing is kept: not on the sampled lists, not anywhere
+    assert len(_live_columns()) == before
+
+
+# --------------------------------------------------------- observability
+def test_builds_and_folds_are_counted_only_while_tracing():
+    dim, points = _dataset()
+    times = {}
+    for traced in (False, True):
+        sc = SparkerContext(ClusterConfig.laptop(2))
+        rdd = sc.parallelize(points, 4).cache()
+        rdd.count()
+        registry = MetricsListener()
+        if traced:
+            sc.event_bus.subscribe(registry)
+        LogisticRegressionWithSGD.train(rdd, dim, num_iterations=3,
+                                        aggregation="split")
+        times[traced] = sc.now
+        counters = registry.registry.counters
+        if traced:
+            assert counters["ml.columnar.folds"].value == 3 * 4
+            assert counters["ml.columnar.builds"].value == 4
+        else:
+            assert sc.event_bus.emitted == 0 and not counters
+    assert times[True] == times[False]
+
+
+def test_uncached_rdd_shows_as_builds_equal_folds():
+    dim, points = _dataset()
+    sc = SparkerContext(ClusterConfig.laptop(2))
+    registry = MetricsListener()
+    sc.event_bus.subscribe(registry)
+    LogisticRegressionWithSGD.train(sc.parallelize(points, 4), dim,
+                                    num_iterations=3)
+    counters = registry.registry.counters
+    assert (counters["ml.columnar.builds"].value
+            == counters["ml.columnar.folds"].value == 3 * 4)
+    assert "ml.columnar.builds = 12" in registry.registry.summary()
+
+
+# ------------------------------------------------------------ end to end
+def _train_workload(name, aggregation, *, host_pool=None,
+                    mini_batch_fraction=None):
+    """``session.run``'s training call, returning what must not move."""
+    workload = WORKLOADS[name]
+    ds = workload.spec
+    sc = SparkerContext(ClusterConfig.bic(4), host_pool=host_pool)
+    samples, _truth = ds.generate()
+    rdd = sc.parallelize(samples, sc.default_parallelism).cache()
+    rdd.count()
+    trainer = LogisticRegressionWithSGD if workload.model == "lr" \
+        else SVMWithSGD
+    model = trainer.train(
+        rdd, ds.surrogate_features, num_iterations=3,
+        step_size=workload.step_size, reg_param=workload.reg_param,
+        mini_batch_fraction=(mini_batch_fraction
+                             or workload.mini_batch_fraction),
+        aggregation=aggregation, spec=AggregationSpec(),
+        size_scale=ds.size_scale, sample_scale=ds.compute_scale)
+    now = sc.now
+    sc.stop()
+    return (hashlib.sha256(model.weights.tobytes()).hexdigest(),
+            model.losses, now)
+
+
+_PER_ELEMENT_RUNS = {}
+
+
+def _per_element_run(name, aggregation, **kwargs):
+    """The same training with the plain per-element ``Costed`` seqOp."""
+    key = (name, aggregation, tuple(sorted(kwargs.items())))
+    if key not in _PER_ELEMENT_RUNS:
+        real = optimization.gradient_seq_op
+
+        def plain(*args, **kw):
+            op = real(*args, **kw)
+            return Costed(op.fn, op.cost_fn)
+
+        with mock.patch.object(optimization, "gradient_seq_op", plain):
+            _PER_ELEMENT_RUNS[key] = _train_workload(name, aggregation,
+                                                     **kwargs)
+    return _PER_ELEMENT_RUNS[key]
+
+
+@pytest.mark.parametrize("aggregation", ["tree", "tree_imm", "split"])
+@pytest.mark.parametrize("name", ["LR-A", "SVM-K12"])
+def test_training_equals_the_per_element_run(name, aggregation):
+    assert (_train_workload(name, aggregation)
+            == _per_element_run(name, aggregation))
+
+
+def test_mini_batch_training_equals_the_per_element_run():
+    assert (_train_workload("LR-A", "split", mini_batch_fraction=0.5)
+            == _per_element_run("LR-A", "split", mini_batch_fraction=0.5))
+
+
+@pytest.mark.parametrize("host_pool", [1, 2])
+def test_pooled_training_equals_the_serial_per_element_run(host_pool):
+    assert (_train_workload("LR-A", "split", host_pool=host_pool)
+            == _per_element_run("LR-A", "split"))

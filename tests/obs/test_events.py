@@ -10,6 +10,7 @@ from repro.obs import (
     CollectiveCompleted,
     CollectiveCostEstimate,
     CollectiveDowngraded,
+    ColumnarFold,
     ExecutorHealth,
     FaultInjected,
     ImmMerge,
@@ -54,6 +55,8 @@ SAMPLES = [
                                 locality="NODE_LOCAL")),
     BlockEvent(time=0.2, executor_id=5, op="put", rdd_id=7, partition=2,
                nbytes=1024.0),
+    ColumnarFold(time=0.2, executor_id=5, partition=2, rows=125, nnz=1900,
+                 built=True),
     MessageSent(time=0.3, transport="SC", src=0, dst=1, channel="ring/0",
                 hop=2, nbytes=4096.0),
     MessageDelivered(time=0.31, transport="SC", src=0, dst=1,

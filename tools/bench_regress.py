@@ -117,6 +117,8 @@ REGISTRY: Dict[str, BenchSpec] = {
             ("configs.*.bit_identical_weights", True),
             ("acceptance.sparse_saves_bytes", True),
             ("acceptance.all_bit_identical", True),
+            ("columnar_fold.bit_identical", True),
+            ("acceptance.columnar_fold_speedup_ge_2", True),
         ),
         metrics=(
             Metric("configs.*.wire_reduction", "higher"),

@@ -34,7 +34,7 @@ from typing import Iterable, List, Tuple
 
 #: legacy split_aggregate/trainer keywords that internal code must not pass
 DEPRECATED_KWARGS = frozenset({
-    "sparse_aggregation", "sparse_policy", "batched", "host_pool",
+    "sparse_aggregation", "sparse_policy", "host_pool",
 })
 
 #: callees on which these names are fields/parameters, not legacy shims
