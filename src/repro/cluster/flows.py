@@ -181,12 +181,16 @@ class FlowNetwork:
         return len(self._flows)
 
     def flow(self, nbytes: float, links: Sequence[Link],
-             rate_cap: Optional[float] = None) -> Event:
+             rate_cap: Optional[float] = None,
+             event: Optional[Event] = None) -> Event:
         """Start a transfer of ``nbytes`` through ``links``.
 
         Returns an event that fires (with the flow's id) when the last byte
         has been delivered. ``rate_cap`` bounds this flow's rate regardless
         of link headroom (a single TCP stream); ``None`` means uncapped.
+        ``event`` is a pending event of the caller's to use as that
+        completion, callbacks and all, instead of a new one — a caller that
+        would only forward the completion to its own event saves the hop.
         """
         if nbytes < 0:
             raise ValueError(f"negative flow size: {nbytes}")
@@ -195,7 +199,8 @@ class FlowNetwork:
             raise ValueError(f"rate cap must be positive, got {rate_cap}")
         if not links and cap == _INF:
             raise ValueError("a flow crossing no link needs a rate cap")
-        event = self.env.event(name="flow")
+        if event is None:
+            event = Event(self.env, name="flow")
         flow_id = self._next_id
         self._next_id += 1
         if nbytes == 0:

@@ -439,7 +439,8 @@ def hd_reduce_scatter_channel(
         merge_time = merged_bytes / merge_bandwidth
         if merge_time > 0:
             yield env.timeout(merge_time)
-        yield in_flight
+        if not in_flight.processed:
+            yield in_flight
         _emit_hop(t, began, nbytes, recv_bytes, merge_time)
 
     # ---- final fold: every contribution of the owned block is local -------

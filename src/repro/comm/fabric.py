@@ -16,19 +16,24 @@ respects the ``__sim_size__`` protocol used by scaled payloads.
 
 Matching is by ``(dst, tag)`` with FIFO order per tag — exactly enough for
 the deterministic collectives here (each (sender, tag) pair is unique in
-every algorithm, so no reordering ambiguity exists).
+every algorithm, so no reordering ambiguity exists). A message is one
+rendezvous: whichever side comes first leaves an entry under its key — the
+message, or the bare event its receiver waits on — and the other side
+consumes and deletes it, so a fabric holds state only for messages and
+receivers that have not met yet.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Hashable, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Dict, Generator, Hashable, List, Optional, Tuple
 
 from ..cluster.network import Network
 from ..cluster.node import Node
 from ..obs import EventBus, MessageDelivered, MessageSent, channel_str
 from ..serde import sim_sizeof
-from ..sim import Store, any_of
-from ..sim.events import Event
+from ..sim.core import LAZY
+from ..sim.events import TRIGGERED, Event
 from .transport import TransportSpec
 
 __all__ = ["CommFabric", "RecvTimeout"]
@@ -94,7 +99,20 @@ class CommFabric:
         self.faults = faults
         self.env = network.env
         self._nodes: Dict[int, Node] = {}
-        self._mailboxes: Dict[Tuple[int, Hashable], Store] = {}
+        #: (dst, tag) -> messages that arrived before their recv, oldest
+        #: first; a key is present only while it has unconsumed messages
+        self._arrived: Dict[Tuple[int, Hashable], List[tuple]] = {}
+        #: (dst, tag) -> events of the receivers blocked on it, oldest first;
+        #: never present together with the same key in ``_arrived``
+        self._waiting: Dict[Tuple[int, Hashable], List[Event]] = {}
+        #: recv deadlines, soonest first: (when, arm order, waiter, key,
+        #: timeout). Entries whose waiter was served stay until they surface
+        self._deadlines: List[tuple] = []
+        self._deadline_seq = 0
+        #: the one armed watchdog timer (None while no deadline is live) and
+        #: the instant it fires at
+        self._watchdog: Optional[Event] = None
+        self._watchdog_at = 0.0
         #: messages delivered, for instrumentation
         self.delivered = 0
         #: messages dropped by the fault policy, for instrumentation
@@ -121,13 +139,73 @@ class CommFabric:
         """Number of registered ranks."""
         return len(self._nodes)
 
-    def _mailbox(self, rank: int, tag: Hashable) -> Store:
-        key = (rank, tag)
-        box = self._mailboxes.get(key)
-        if box is None:
-            box = Store(self.env, name=f"mbox:{rank}:{tag}")
-            self._mailboxes[key] = box
-        return box
+    # ------------------------------------------------------------- rendezvous
+    def _put(self, key: Tuple[int, Hashable], message: tuple) -> None:
+        """``message`` has reached ``key``: wake its oldest blocked receiver,
+        or leave it for the next ``recv``."""
+        waiting = self._waiting.get(key)
+        if waiting is None:
+            self._arrived.setdefault(key, []).append(message)
+        else:
+            waiter = waiting.pop(0)
+            if not waiting:
+                del self._waiting[key]
+            waiter.succeed(message)
+        self.delivered += 1
+
+    def _watch(self, key: Tuple[int, Hashable], waiter: Event,
+               timeout: float) -> None:
+        """Fail ``waiter`` with :class:`RecvTimeout` unless a message reaches
+        it by ``now + timeout``.
+
+        All deadlines of a fabric share one kernel timer, armed for the
+        soonest. A served waiter's entry costs a heap pop when it surfaces,
+        never a kernel event, so a healthy collective pays for its armor
+        once per ``timeout`` of virtual time instead of once per recv.
+        """
+        if timeout < 0:
+            raise ValueError(f"negative recv timeout: {timeout}")
+        when = self.env.now + timeout
+        self._deadline_seq += 1
+        heappush(self._deadlines,
+                 (when, self._deadline_seq, waiter, key, timeout))
+        if self._watchdog is None or when < self._watchdog_at:
+            self._arm_watchdog(when)
+
+    def _arm_watchdog(self, when: float) -> None:
+        # LAZY: the timer runs after every delivery of its instant, so a
+        # message that lands exactly on a deadline is still received. At
+        # the absolute instant: ``now + (when - now)`` may differ from
+        # ``when`` in the last bit, and a deadline one ulp early or late
+        # would order differently against a delivery of that instant.
+        timer = Event(self.env, name="recv-watchdog")
+        timer._state = TRIGGERED
+        timer.callbacks.append(self._on_watchdog)
+        self._watchdog = timer
+        self._watchdog_at = when
+        self.env.schedule_at(timer, when, priority=LAZY)
+
+    def _on_watchdog(self, timer: Event) -> None:
+        if timer is not self._watchdog:
+            return  # superseded by a timer armed for a sooner deadline
+        self._watchdog = None
+        now = self.env.now
+        deadlines = self._deadlines
+        while deadlines:
+            when, _seq, waiter, key, timeout = deadlines[0]
+            if not waiter.triggered:
+                if when > now:
+                    self._arm_watchdog(when)
+                    return
+                # Withdraw the receiver (a late message must go to the next
+                # recv, not vanish into a process that stopped listening)
+                # and fail it through the queue, in deadline order.
+                waiting = self._waiting[key]
+                waiting.remove(waiter)
+                if not waiting:
+                    del self._waiting[key]
+                waiter.fail(RecvTimeout(*key, timeout))
+            heappop(deadlines)
 
     # ------------------------------------------------------------- primitives
     def send(self, src: int, dst: int, payload: Any, tag: Hashable = 0,
@@ -169,9 +247,8 @@ class CommFabric:
                 return
             if extra > 0:
                 yield self.env.timeout(extra)
-        self._mailbox(dst, tag).put((payload, src, size, sent_at,
-                                     self.env.now, span))
-        self.delivered += 1
+        self._put((dst, tag),
+                  (payload, src, size, sent_at, self.env.now, span))
 
     def isend(self, src: int, dst: int, payload: Any, tag: Hashable = 0,
               nbytes: float | None = None) -> Event:
@@ -179,10 +256,17 @@ class CommFabric:
 
         Cost model is identical to :meth:`send` (overhead + latency timeout,
         fair-shared flow, GC drag), but the pipeline is driven by event
-        callbacks instead of a kernel process — ``yield``-able like the old
-        process handle, at a fraction of the host cost. The per-stage float
+        callbacks instead of a kernel process, and the per-stage float
         arithmetic is exactly the generator path's, so delivery instants are
         bit-identical.
+
+        A message with no GC drag and no fault verdict costs two kernel
+        events: the latency timeout, and the returned event, which the flow
+        fires itself as its completion — the mailbox put is its first
+        callback, so the message has landed by the time anything waiting on
+        the send runs (its value is then the flow's id; nothing reads it).
+        Drag, drop and delay each add their stage behind a flow event of
+        their own.
         """
         env = self.env
         network = self.network
@@ -190,6 +274,8 @@ class CommFabric:
         src_node = self.node_of(src)
         dst_node = self.node_of(dst)
         size = sim_sizeof(payload) if nbytes is None else float(nbytes)
+        if size < 0:
+            raise ValueError(f"negative message size: {size}")
         sent_at = env.now
         verdict = None
         if self.faults is not None:
@@ -205,51 +291,57 @@ class CommFabric:
                 span_id=span, parent_span_id=self.parent_span))
         network.messages += 1
         network.bytes_transferred += size
-        done = Event(env, name=f"isend:{src}->{dst}")
+        done = Event(env, name="isend")
+        key = (dst, tag)
+        drag = network.gc_drag(size) if transport.gc_prone else 0.0
 
-        def _finish(_event: Any) -> None:
-            self._mailbox(dst, tag).put((payload, src, size, sent_at,
-                                         env.now, span))
-            self.delivered += 1
-            done.succeed(None)
+        def _land(_event: Any) -> None:
+            self._put(key, (payload, src, size, sent_at, env.now, span))
 
-        if verdict is None:
-            _deliver = _finish
+        if verdict is None and drag <= 0:
+            # The flow's completion is the delivery.
+            done.callbacks.append(_land)
+            wire = done
         else:
-            fault_kind, fault_extra = verdict
+            wire = Event(env, name="flow")
 
-            def _deliver(_event: Any) -> None:
-                if fault_kind == "drop":
-                    self.dropped += 1
-                    done.succeed(None)
-                elif fault_extra > 0:
-                    env.timeout(fault_extra).add_callback(_finish)
-                else:
-                    _finish(_event)
+            def _finish(_event: Any) -> None:
+                _land(_event)
+                done.succeed(None)
+
+            if verdict is None:
+                _deliver = _finish
+            else:
+                fault_kind, fault_extra = verdict
+
+                def _deliver(_event: Any) -> None:
+                    if fault_kind == "drop":
+                        self.dropped += 1
+                        done.succeed(None)
+                    elif fault_extra > 0:
+                        env.timeout(fault_extra).add_callback(_finish)
+                    else:
+                        _finish(_event)
+
+            if drag > 0:
+                wire.callbacks.append(
+                    lambda _flow: env.timeout(drag).add_callback(_deliver))
+            else:
+                wire.callbacks.append(_deliver)
+
+        same_node = src_node.node_id == dst_node.node_id
+        if same_node:
+            links = [src_node.loopback]
+            rate_cap = transport.loopback_stream_bandwidth
+        else:
+            links = [src_node.nic_out, dst_node.nic_in]
+            rate_cap = (transport.stream_bandwidth
+                        or network.config.tcp_stream_bandwidth)
 
         def _start(_timeout: Any) -> None:
-            if size == 0:
-                _deliver(_timeout)
-                return
-            if src_node.node_id == dst_node.node_id:
-                flow = network.flows.flow(
-                    size, links=[src_node.loopback],
-                    rate_cap=transport.loopback_stream_bandwidth)
-            else:
+            if not same_node:
                 network.inter_node_bytes += size
-                rate_cap = (transport.stream_bandwidth
-                            or network.config.tcp_stream_bandwidth)
-                flow = network.flows.flow(
-                    size, links=[src_node.nic_out, dst_node.nic_in],
-                    rate_cap=rate_cap)
-            drag = network.gc_drag(size) if transport.gc_prone else 0.0
-            if drag > 0:
-                def _after(_flow: Any) -> None:
-                    env.timeout(drag).add_callback(_deliver)
-
-                flow.add_callback(_after)
-            else:
-                flow.add_callback(_deliver)
+            network.flows.flow(size, links, rate_cap, event=wire)
 
         env.timeout(
             transport.overhead + network.latency(src_node, dst_node)
@@ -261,22 +353,24 @@ class CommFabric:
         """Generator: receive the next message for ``(rank, tag)``.
 
         With ``timeout`` set, raises :class:`RecvTimeout` when no message
-        arrives within that many seconds — the failure-detection primitive
-        recovery is built on. ``timeout=None`` (the default) waits forever
-        and schedules nothing extra, so an untimed recv is bit-identical
-        to the pre-fault-tolerance fabric.
+        has arrived by the instant ``now + timeout`` — the failure-detection
+        primitive recovery is built on. The deadline is that exact float,
+        a message landing in the deadline's own instant is still received,
+        and deadlines expiring together fail in the order they were set.
+        ``timeout=None`` (the default) waits forever.
         """
-        box = self._mailbox(rank, tag)
-        get = box.get()
-        if timeout is not None and not get.triggered:
-            deadline = self.env.timeout(timeout)
-            yield any_of(self.env, (get, deadline))
-            if not get.triggered:
-                box.cancel(get)
-                raise RecvTimeout(rank, tag, timeout)
-            payload, src, size, sent_at, arrived_at, span = get.value
+        key = (rank, tag)
+        arrived = self._arrived.get(key)
+        if arrived is None:
+            waiter = Event(self.env, name="recv")
+            if timeout is not None:
+                self._watch(key, waiter, timeout)
+            self._waiting.setdefault(key, []).append(waiter)
+            payload, src, size, sent_at, arrived_at, span = yield waiter
         else:
-            payload, src, size, sent_at, arrived_at, span = yield get
+            payload, src, size, sent_at, arrived_at, span = arrived.pop(0)
+            if not arrived:
+                del self._arrived[key]
         if self.bus is not None and self.bus.active:
             channel, hop = _tag_channel_hop(tag)
             # Same span as the matching MessageSent: the send/deliver pair

@@ -145,7 +145,8 @@ class MpiCommunicator:
                 incoming = yield from self.fabric.recv(rank, tag=tag)
                 accum = reduce_op(accum, incoming)
                 yield env.timeout(self._merge_cost(accum))
-                yield in_flight
+                if not in_flight.processed:
+                    yield in_flight
             return rank, {rank: accum}
 
         procs = [env.process(rank_proc(r)) for r in range(n)]
@@ -206,7 +207,8 @@ class MpiCommunicator:
                     segments[j] = reduce_op(segments[j], seg)
                     merge_cost += self._merge_cost(segments[j])
                 yield env.timeout(merge_cost)
-                yield in_flight
+                if not in_flight.processed:
+                    yield in_flight
                 if (group_rank - lo) < half:
                     hi = mid
                 else:
@@ -321,7 +323,8 @@ class MpiCommunicator:
                     incoming = yield from self.fabric.recv(rank, tag=tag)
                     value = reduce_op(value, incoming)
                     yield env.timeout(self._merge_cost(value))
-                    yield in_flight
+                    if not in_flight.processed:
+                        yield in_flight
                     mask <<= 1
             # Post-phase: evens send the final value back to their odds.
             if rank < 2 * rem:

@@ -136,7 +136,8 @@ def ring_reduce_scatter_rank(
         current[recv_idx] = merged
         # The channel is a single connection: do not start iteration k+1's
         # send until iteration k's has fully left.
-        yield in_flight
+        if not in_flight.processed:
+            yield in_flight
         if tracing and bus.active:
             recv_repr = representation_of(incoming)
             merged_repr = representation_of(merged)
@@ -206,7 +207,8 @@ def ring_allgather_rank(
                 f"{(rank - 1) % n} on hop {k} for {recv_timeout:g}s"
             ) from exc
         have[carry_idx] = carry_val
-        yield in_flight
+        if not in_flight.processed:
+            yield in_flight
         if tracing and bus.active:
             bus.emit(RingHop.fast(time=env.now, rank=rank,
                              executor_id=executor_id,

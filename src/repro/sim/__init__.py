@@ -7,7 +7,7 @@ written from scratch so the repository has no dependency beyond NumPy/SciPy.
 
 Public surface::
 
-    from repro.sim import Environment, Resource, CapacityPool, Store
+    from repro.sim import Environment, Resource, CapacityPool
     from repro.sim import all_of, any_of, Interrupt
 """
 
@@ -23,7 +23,7 @@ from .events import (
     any_of,
 )
 from .monitor import Counter, Stopwatch
-from .resources import CapacityPool, Resource, Store
+from .resources import CapacityPool, Resource
 
 __all__ = [
     "Environment",
@@ -38,7 +38,6 @@ __all__ = [
     "any_of",
     "Resource",
     "CapacityPool",
-    "Store",
     "Stopwatch",
     "Counter",
 ]

@@ -115,6 +115,23 @@ class Environment:
         self._seq += 1
         self._queue.push(self._now + delay, priority, event)
 
+    def schedule_at(self, event: Event, when: float,
+                    priority: int = NORMAL) -> None:
+        """Insert a triggered event into the queue at the absolute time
+        ``when``.
+
+        For a caller that already holds the instant an event must fire at:
+        going back through a delay would schedule it at
+        ``now + (when - now)``, which is not always ``when`` in floating
+        point.
+        """
+        if not when >= self._now:  # also rejects NaN
+            raise ValueError(
+                f"cannot schedule at {when!r}: clock is already at "
+                f"{self._now!r}")
+        self._seq += 1
+        self._queue.push(when, priority, event)
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
         if not self._queue:

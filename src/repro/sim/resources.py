@@ -1,14 +1,12 @@
-"""Shared-resource primitives: slot resources, token pools, FIFO stores.
+"""Shared-resource primitives: slot resources and token pools.
 
-Three congestion primitives cover everything the simulated cluster needs:
+Two congestion primitives cover everything the simulated cluster needs:
 
 * :class:`Resource` — ``capacity`` identical slots; models executor task
   slots (CPU cores) and any mutual exclusion.
 * :class:`CapacityPool` — a divisible pool of floating-point tokens; models
   NIC bandwidth: a transfer acquires ``rate`` tokens for its duration, so
   concurrent transfers share the NIC up to its line rate and queue beyond it.
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``; models
-  executor mailboxes and message channels.
 
 All wait queues are strict FIFO, which keeps simulations deterministic.
 """
@@ -16,14 +14,14 @@ All wait queues are strict FIFO, which keeps simulations deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Any, Deque, Generator
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-__all__ = ["Resource", "CapacityPool", "Store"]
+__all__ = ["Resource", "CapacityPool"]
 
 
 class Resource:
@@ -183,67 +181,3 @@ class CapacityPool:
     def __repr__(self) -> str:
         return (f"<CapacityPool {self.name!r} {self._level:g}/{self.capacity:g}"
                 f" queued={len(self._waiters)}>")
-
-
-class Store:
-    """An unbounded FIFO item store with blocking ``get``.
-
-    ``put`` never blocks (channels in this codebase model backpressure at the
-    bandwidth layer, not by bounding mailboxes). ``get`` returns an event
-    that fires with the oldest item once one is available.
-    """
-
-    def __init__(self, env: "Environment", name: str = ""):
-        self.env = env
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of queued items (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> None:
-        """Enqueue ``item``, waking the oldest blocked getter if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        event = self.env.event(name=f"get:{self.name}")
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: the next item, or None if empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
-    def cancel(self, event: Event) -> bool:
-        """Withdraw an abandoned ``get`` event from the waiter queue.
-
-        A getter that timed out must be cancelled, or the next ``put``
-        would wake it and the item would vanish into a process that
-        stopped listening. Returns False when the event is not queued
-        (it already received an item, or was never a getter here).
-        """
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            return False
-        return True
-
-    def __repr__(self) -> str:
-        return (f"<Store {self.name!r} items={len(self._items)}"
-                f" getters={len(self._getters)}>")

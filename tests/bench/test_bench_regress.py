@@ -124,6 +124,25 @@ def test_flow_alloc_throughput_may_not_collapse_with_flow_count():
     assert outcome_of(check_invariants, {"levels": {}}, spec).failures == 1
 
 
+def test_host_perf_gates_wall_clock_and_parity_not_event_rate():
+    def report(wall, events, parity=True):
+        return {"parity_ok": parity, "pools": {"1": {
+            "wall_seconds": wall, "sim_events": events,
+            "events_per_sec": events / wall, "parity_ok": parity}}}
+    spec = REGISTRY["host_perf"]
+    base = report(3.0, 500_000)
+    # Same result from 40% fewer events, a little faster: events/sec falls
+    # by a third, and nothing is wrong.
+    leaner = outcome_of(compare_reports, base, report(2.8, 300_000), spec)
+    assert leaner.failures == 0 and leaner.checks == 1
+    # The same events at a higher rate cannot excuse a slower sweep.
+    assert outcome_of(compare_reports, base, report(4.0, 800_000),
+                      spec).failures == 1
+    assert outcome_of(check_invariants, base, spec).failures == 0
+    assert outcome_of(check_invariants, report(3.0, 500_000, parity=False),
+                      spec).failures == 2
+
+
 def test_check_mode_passes_on_committed_artifacts(capsys):
     artifacts = sorted(REPO.glob("BENCH_*.json"))
     assert artifacts, "repo must ship benchmark artifacts"

@@ -1,22 +1,34 @@
 """Tests for transports and the point-to-point fabric."""
 
+import numpy as np
 import pytest
 
-from repro.cluster import US, Cluster, ClusterConfig
+from repro.cluster import MB, US, Cluster, ClusterConfig
 from repro.comm import (
     CommFabric,
+    ScalableCommunicator,
     TransportSpec,
     bm_transport,
     measure_latency,
     mpi_transport,
     sc_transport,
 )
+from repro.comm.fabric import RecvTimeout
 from repro.sim import Environment
+
+from .conftest import concat_op, make_values, reduce_op, split_op
 
 
 def make(num_nodes=2):
     env = Environment()
     return env, Cluster(env, ClusterConfig.bic(num_nodes=num_nodes))
+
+
+def two_ranks(cluster):
+    fabric = CommFabric(cluster.network, sc_transport(cluster.config))
+    fabric.register(0, cluster.nodes[0])
+    fabric.register(1, cluster.nodes[1])
+    return fabric
 
 
 def test_transport_specs_ordering():
@@ -117,3 +129,140 @@ def test_ping_pong_round_validation():
     proc = env.process(fabric.ping_pong(0, 1, rounds=0))
     with pytest.raises(ValueError):
         env.run(until=proc)
+
+
+def test_isend_rejects_negative_size_at_the_call_site():
+    env, cluster = make()
+    fabric = two_ranks(cluster)
+    with pytest.raises(ValueError, match="negative message size"):
+        fabric.isend(0, 1, "x", nbytes=-1.0)
+    # Nothing was started: no message counted, no event left to blow up
+    # inside env.run().
+    assert cluster.network.messages == 0
+    assert env.peek() == float("inf")
+
+
+@pytest.mark.parametrize("nbytes", [0.0, 2e3, 24 * MB])  # 24 MB: GC drag
+def test_message_has_landed_when_the_sender_resumes(nbytes):
+    env, cluster = make()
+    fabric = two_ranks(cluster)
+
+    def sender():
+        yield fabric.isend(0, 1, "x", tag="t", nbytes=nbytes)
+        return fabric.delivered
+
+    def receiver():
+        return (yield from fabric.recv(1, tag="t"))
+
+    delivered = env.process(sender())
+    env.process(receiver())
+    assert env.run(until=delivered) == 1
+
+
+# ------------------------------------------------------------- timed recv
+def timed_recv(env, fabric, log, name, start, tag, timeout):
+    """Process: at ``start`` recv ``tag`` on rank 1; log how it ended."""
+    def body():
+        if start > 0:
+            yield env.timeout(start)
+        try:
+            got = yield from fabric.recv(1, tag=tag, timeout=timeout)
+        except RecvTimeout as exc:
+            assert (exc.rank, exc.tag, exc.timeout) == (1, tag, timeout)
+            got = "timeout"
+        log.append((name, env.now, got))
+    return env.process(body(), name=name)
+
+
+def test_timed_recv_fires_at_exactly_start_plus_timeout():
+    env, cluster = make()
+    fabric = two_ranks(cluster)
+    log = []
+    timed_recv(env, fabric, log, "a", 0.0, "a", 0.2)
+    timed_recv(env, fabric, log, "b", 0.1, "b", 0.8)
+    env.run()
+    # The watchdog is re-armed for b from a's deadline; through a relative
+    # delay that would be 0.2 + (0.9 - 0.2) = 0.8999999999999999.
+    assert 0.2 + ((0.1 + 0.8) - 0.2) != 0.1 + 0.8
+    assert log == [("a", 0.2, "timeout"), ("b", 0.1 + 0.8, "timeout")]
+
+
+@pytest.mark.parametrize("send_first", [True, False])
+def test_message_landing_on_the_deadline_is_received(send_first):
+    env, cluster = make()
+    fabric = two_ranks(cluster)
+    start = 0.3
+    flight = (fabric.transport.overhead
+              + cluster.network.latency(cluster.nodes[0], cluster.nodes[1]))
+    log = []
+
+    def sender():
+        yield env.timeout(start)
+        fabric.isend(0, 1, "on the dot", tag="t", nbytes=0.0)
+
+    procs = [lambda: env.process(sender()),
+             lambda: timed_recv(env, fabric, log, "r", start, "t", flight)]
+    for spawn in (procs if send_first else reversed(procs)):
+        spawn()
+    env.run()
+    assert log == [("r", start + flight, "on the dot")]
+
+
+def test_mixed_timeouts_fire_in_deadline_then_arm_order():
+    env, cluster = make()
+    fabric = two_ranks(cluster)
+    log = []
+    # (name, start, timeout): "late" is armed first and expires last;
+    # "soon" is armed after it for a sooner instant (the watchdog must be
+    # re-armed); "tie1"/"tie2" share an instant and keep their arm order.
+    for name, start, timeout in [("late", 0.0, 0.5), ("tie1", 0.0, 0.25),
+                                 ("soon", 0.05, 0.05), ("tie2", 0.125, 0.125),
+                                 ("never", 0.0, None)]:
+        timed_recv(env, fabric, log, name, start, name, timeout)
+    env.run()
+    assert log == [("soon", 0.05 + 0.05, "timeout"),
+                   ("tie1", 0.25, "timeout"), ("tie2", 0.25, "timeout"),
+                   ("late", 0.5, "timeout")]
+
+
+def test_timed_out_recv_leaves_no_waiter_behind():
+    env, cluster = make()
+    fabric = two_ranks(cluster)
+    log = []
+    timed_recv(env, fabric, log, "first", 0.0, "t", 0.1)
+    env.run(until=0.15)
+    assert log == [("first", 0.1, "timeout")]
+    assert not fabric._waiting and not fabric._deadlines
+
+    def late_sender():
+        yield from fabric.send(0, 1, "late", tag="t")
+
+    env.process(late_sender())
+    env.run()
+    # Nobody was listening: the message waits for the next recv on the tag
+    # instead of vanishing into the receiver that gave up.
+    assert fabric.delivered == 1
+    timed_recv(env, fabric, log, "second", 0.0, "t", 0.1)
+    env.run()
+    assert log[1][0] == "second" and log[1][2] == "late"
+    assert not fabric._arrived and not fabric._waiting
+
+
+@pytest.mark.parametrize("recv_timeout", [None, 5.0])
+def test_fabric_holds_no_per_message_state_after_a_collective(
+        bic2, recv_timeout):
+    env, cluster = bic2
+    comm = ScalableCommunicator(cluster, parallelism=2,
+                                recv_timeout=recv_timeout)
+    values, expected = make_values(comm.size, elems=comm.num_segments * 4)
+    proc = env.process(comm.reduce_scatter_gather(
+        values, split_op, reduce_op, concat_op))
+    result = env.run(until=proc)
+    assert np.array_equal(result.data, expected)
+    fabric = comm.fabric
+    assert fabric.delivered == comm.size * 2 * (comm.size - 1)
+    assert not fabric._arrived and not fabric._waiting
+    # Deadlines of served receivers are dropped when they surface, at the
+    # latest when the one armed timer fires.
+    env.run()
+    assert not fabric._deadlines and fabric._watchdog is None

@@ -173,3 +173,43 @@ def test_reduce_scatter_correct_for_any_shape(n_ranks, parallelism, elems,
     proc = env.process(comm.reduce_scatter(values, split_op, reduce_op))
     owned = env.run(until=proc)
     np.testing.assert_allclose(reassemble(comm, owned), expected)
+
+
+# ------------------------------------------------------------- count guards
+def count_reduce_scatter(n, parallelism, recv_timeout):
+    """Kernel events a reduce-scatter schedules on ``n`` ranks, one per node
+    (every hop crosses a NIC and all ranks move in lock-step, so the flow
+    solver's own timers and flushes are shared by a whole ring step)."""
+    env = Environment()
+    cluster = Cluster(env, ClusterConfig.bic(num_nodes=n))
+    one_per_node = {}
+    for slot in cluster.executors:
+        one_per_node.setdefault(slot.node.node_id, slot)
+    comm = ScalableCommunicator(cluster, parallelism=parallelism,
+                                slots=list(one_per_node.values()),
+                                recv_timeout=recv_timeout)
+    assert comm.size == n
+    values, expected = make_values(n, elems=comm.num_segments * 8,
+                                   sim_bytes=4e6)
+    before = env.events_scheduled
+    owned = env.run(until=env.process(
+        comm.reduce_scatter(values, split_op, reduce_op)))
+    np.testing.assert_array_equal(reassemble(comm, owned), expected)
+    return env.events_scheduled - before
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_ring_hop_costs_four_kernel_events(n, parallelism):
+    # Work is counted, not timed. A hop is the latency timeout, the flow's
+    # completion (which is the delivery and the sender's handle), the
+    # receiver's wake-up and the merge timeout; what is left over — process
+    # boots and joins, one solver timer and two flushes per ring step — is
+    # set-up that does not grow with the hop count.
+    hops = n * parallelism * (n - 1)
+    events = count_reduce_scatter(n, parallelism, recv_timeout=None)
+    assert events <= 4 * hops + 7 * n * parallelism, (events, hops)
+    # Armor costs nothing per healthy hop: every deadline of the run sits
+    # behind the one watchdog timer armed by the first recv.
+    armored = count_reduce_scatter(n, parallelism, recv_timeout=5.0)
+    assert armored <= events + 1

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.sim import EmptySchedule, Environment, SimulationError
+from repro.sim.core import LAZY, NORMAL
+from repro.sim.events import TRIGGERED
 
 
 def test_clock_starts_at_zero():
@@ -272,3 +274,36 @@ def test_events_scheduled_counts_monotonically():
     assert env.events_scheduled == base + 2
     env.run()
     assert env.events_scheduled == base + 2
+
+
+def test_schedule_at_fires_at_the_exact_instant():
+    env = Environment()
+    fired = []
+
+    def arm_from(now):
+        # Armed from 0.2 for 0.9: through a delay, the clock would read
+        # 0.2 + (0.9 - 0.2) = 0.8999999999999999 when it fires.
+        assert env.now == now and now + (0.9 - now) != 0.9
+        late = env.event()
+        late._state = TRIGGERED
+        late.add_callback(lambda _e: fired.append(env.now))
+        env.schedule_at(late, 0.9)
+
+    env.timeout(0.2).add_callback(lambda _e: arm_from(0.2))
+    env.run()
+    assert fired == [0.9]
+
+
+def test_schedule_at_keeps_priority_bands_and_rejects_the_past():
+    env = Environment()
+    order = []
+    for name, priority in [("lazy", LAZY), ("normal", NORMAL)]:
+        event = env.event()
+        event._state = TRIGGERED
+        event.add_callback(lambda _e, name=name: order.append(name))
+        env.schedule_at(event, 1.0, priority=priority)
+    env.run()
+    assert order == ["normal", "lazy"]
+    for when in (0.5, float("nan")):
+        with pytest.raises(ValueError):
+            env.schedule_at(env.event(), when)

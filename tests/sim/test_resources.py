@@ -1,8 +1,8 @@
-"""Tests for Resource, CapacityPool and Store."""
+"""Tests for Resource and CapacityPool."""
 
 import pytest
 
-from repro.sim import CapacityPool, Environment, Resource, Store
+from repro.sim import CapacityPool, Environment, Resource
 
 
 # ---------------------------------------------------------------- Resource
@@ -177,78 +177,3 @@ def test_pool_float_rounding_tolerated():
 
     proc = env.process(flow())
     assert env.run(until=proc) is True
-
-
-# ------------------------------------------------------------------- Store
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    got = []
-
-    def getter():
-        got.append((yield store.get()))
-        got.append((yield store.get()))
-
-    env.process(getter())
-    env.run()
-    assert got == [1, 2]
-
-
-def test_store_blocking_get():
-    env = Environment()
-    store = Store(env)
-
-    def getter():
-        item = yield store.get()
-        return (env.now, item)
-
-    proc = env.process(getter())
-
-    def putter():
-        yield env.timeout(2.0)
-        store.put("late")
-
-    env.process(putter())
-    assert env.run(until=proc) == (2.0, "late")
-
-
-def test_store_multiple_blocked_getters_fifo():
-    env = Environment()
-    store = Store(env)
-    results = []
-
-    def getter(tag):
-        item = yield store.get()
-        results.append((tag, item))
-
-    env.process(getter("g1"))
-    env.process(getter("g2"))
-
-    def putter():
-        yield env.timeout(1.0)
-        store.put("x")
-        store.put("y")
-
-    env.process(putter())
-    env.run()
-    assert results == [("g1", "x"), ("g2", "y")]
-
-
-def test_store_try_get():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-    store.put(7)
-    assert store.try_get() == 7
-    assert len(store) == 0
-
-
-def test_store_len_and_items():
-    env = Environment()
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    assert len(store) == 2
-    assert store.items == ("a", "b")
