@@ -43,6 +43,16 @@ All changes of one instant — completions included — are applied by a
 single end-of-instant flush (``LAZY`` priority), so a completion followed
 by a re-join is one delta.
 
+The network owns a transfer's whole timeline. ``flow(..., delay=d)``
+announces a flow that joins at the float ``now + d`` itself; announced joins
+and projected completions share the network's wake-ups, each scheduled at
+its absolute instant (a join is compared with the clock exactly, never
+through an epsilon). A wake-up applies every leave and join of its instant,
+schedules the flush, and only then fires the finished flows' events *in
+place* (:meth:`~repro.sim.events.Event.fire`): callbacks run inside the
+wake-up, on a consistent network, and may start flows or read rates. So a
+message costs the kernel no latency timeout and no completion hand-off.
+
 Determinism: every container iterated here is insertion-ordered, ties break
 on flow id or push sequence, and clocks only advance at flow events. The
 hooks :meth:`FlowNetwork.rate_of` and :meth:`FlowNetwork.link_rate` read the
@@ -60,7 +70,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..sim import Environment, Event
 from ..sim.core import LAZY
-from ..sim.events import TRIGGERED
 
 __all__ = ["Link", "FlowNetwork"]
 
@@ -132,6 +141,16 @@ class _LinkState:
 _ABSENT = object()
 
 
+class _Entry:
+    """A calendar entry, which the kernel asks for ``_run_callbacks`` only:
+    wake-ups and flushes have no value or waiter, so one object serves all."""
+
+    __slots__ = ("_run_callbacks",)
+
+    def __init__(self, run):
+        self._run_callbacks = run
+
+
 class _Flow:
     """One transfer. ``pin`` is the ``_LinkState`` it is bottlenecked at,
     ``None`` when it runs at its own cap, ``_ABSENT`` outside the network.
@@ -141,9 +160,9 @@ class _Flow:
     __slots__ = ("flow_id", "event", "links", "cap", "pin", "tag", "since",
                  "stamp")
 
-    def __init__(self, flow_id: int, event: Event,
-                 links: Tuple[_LinkState, ...], cap: float, nbytes: float):
-        self.flow_id = flow_id
+    def __init__(self, event: Event, links: Tuple[_LinkState, ...],
+                 cap: float, nbytes: float):
+        self.flow_id = -1  # given when it joins
         self.event = event
         self.links = links
         self.cap = cap
@@ -164,9 +183,13 @@ class FlowNetwork:
         #: projected completions: (time, seq, owner, owner.stamp) where the
         #: owner is a flow at its own cap or a link's pinned class
         self._heap: List = []
+        #: announced joins: (time, seq, flow)
+        self._joins: List = []
         self._seq = 0
-        self._timer_version = 0
-        self._armed_until: Optional[float] = None
+        #: instants of the wake-ups still to fire, soonest first
+        self._armed: List[float] = []
+        self._wake_up = _Entry(self._on_timer)
+        self._flush_entry = _Entry(self._flush)
         #: links whose conditions must be re-checked at the end of the instant
         self._work: List[_LinkState] = []
         self._flush_pending = False
@@ -182,7 +205,7 @@ class FlowNetwork:
 
     def flow(self, nbytes: float, links: Sequence[Link],
              rate_cap: Optional[float] = None,
-             event: Optional[Event] = None) -> Event:
+             event: Optional[Event] = None, delay: float = 0.0) -> Event:
         """Start a transfer of ``nbytes`` through ``links``.
 
         Returns an event that fires (with the flow's id) when the last byte
@@ -191,9 +214,17 @@ class FlowNetwork:
         ``event`` is a pending event of the caller's to use as that
         completion, callbacks and all, instead of a new one — a caller that
         would only forward the completion to its own event saves the hop.
+        ``delay`` announces the transfer now and starts it at the instant
+        ``now + delay`` (software overhead, path latency), exactly where a
+        ``Timeout(delay)`` would have fired; until then the flow is not in
+        the network (:attr:`active_flows`, :meth:`rate_of`). Completion
+        callbacks run in place, after every leave and join of their instant
+        has been applied: they may start flows or read rates.
         """
         if nbytes < 0:
             raise ValueError(f"negative flow size: {nbytes}")
+        if delay < 0:
+            raise ValueError(f"negative flow delay: {delay}")
         cap = _INF if rate_cap is None else float(rate_cap)
         if cap <= 0:
             raise ValueError(f"rate cap must be positive, got {rate_cap}")
@@ -201,29 +232,41 @@ class FlowNetwork:
             raise ValueError("a flow crossing no link needs a rate cap")
         if event is None:
             event = Event(self.env, name="flow")
-        flow_id = self._next_id
-        self._next_id += 1
-        if nbytes == 0:
-            event.succeed(flow_id)
-            return event
         states = self._links
-        flow = _Flow(flow_id, event,
+        flow = _Flow(event,
                      tuple([states.get(link) or self._state(link)
                             for link in links]),
                      cap, float(nbytes))
-        self._flows[event] = flow
+        if delay > 0:
+            self._seq += 1
+            when = self.env._now + delay
+            heappush(self._joins, (when, self._seq, flow))
+            self._wake_by(when, 0.0)
+        elif self._join(flow):
+            self._schedule_flush()
+        else:
+            event.succeed(flow.flow_id)
+        return event
+
+    def _join(self, flow: _Flow) -> bool:
+        """Put ``flow`` in the network now; False for an empty one, which
+        is complete at once."""
+        flow.flow_id = self._next_id
+        self._next_id += 1
+        if flow.tag == 0:
+            return False
+        self._flows[flow.event] = flow
         # First guess at the bottleneck: the lowest rate the flow meets —
         # its cap, a settled saturated link's level, an equal split of any
         # other link. The flush corrects a wrong guess.
-        dest, bound = None, cap
+        dest, bound = None, flow.cap
         for state in flow.links:
             share = (state.level if state.pinned and not state.dirty
                      else state.link.capacity / (state.crossing + 1))
             if share < bound:
                 dest, bound = state, share
         self._move(flow, dest)
-        self._schedule_flush()
-        return event
+        return True
 
     def set_link_capacity(self, link: Link, capacity: float) -> None:
         """Change ``link``'s capacity and re-share flows crossing it.
@@ -241,12 +284,12 @@ class FlowNetwork:
         state = self._links.get(link)
         if state is not None:
             self._mark(state)
-            self._flush(None)
+            self._flush()
 
     def rate_of(self, event: Event) -> float:
         """Current rate of the flow behind ``event`` (testing hook)."""
         if self._work:
-            self._flush(None)
+            self._flush()
         flow = self._flows.get(event)
         if flow is None:
             raise KeyError("no active flow for that event")
@@ -258,7 +301,7 @@ class FlowNetwork:
         Read-only: used by NIC-utilization monitors; 0.0 for an idle link.
         """
         if self._work:
-            self._flush(None)
+            self._flush()
         state = self._links.get(link)
         if state is None:
             return 0.0
@@ -280,10 +323,7 @@ class FlowNetwork:
     def _schedule_flush(self) -> None:
         if not self._flush_pending:
             self._flush_pending = True
-            flush = Event(self.env, name="flow-flush")
-            flush._state = TRIGGERED
-            flush.add_callback(self._flush)
-            self.env.schedule(flush, 0.0, priority=LAZY)
+            self.env.schedule(self._flush_entry, 0.0, priority=LAZY)
 
     def _advance(self, state: _LinkState, now: float) -> None:
         """Bring ``state``'s service clock to ``now`` at its current level."""
@@ -364,7 +404,7 @@ class FlowNetwork:
                 heappush(dest.ceil, (flow.cap, self._seq, flow, flow.stamp))
 
     # ------------------------------------------------------------- the solver
-    def _flush(self, _event: Optional[Event]) -> None:
+    def _flush(self) -> None:
         """Restore the max-min conditions on every marked link, following
         level changes outward until nothing moves, then re-arm the timer."""
         self._flush_pending = False
@@ -490,36 +530,39 @@ class FlowNetwork:
             finish = state.since + (tag - state.clock) / state.level
             heappush(self._heap, (finish, self._seq, state, state.stamp))
 
-    def _next_due(self) -> Optional[float]:
-        """Earliest valid projected completion (pops stale entries)."""
-        heap = self._heap
-        while heap:
-            finish, _seq, owner, version = heap[0]
-            if owner.stamp == version:
-                return finish
-            heappop(heap)
-        return None
-
     def _arm_timer(self) -> None:
-        due = self._next_due()
-        if due is None:
-            return
-        if (self._armed_until is not None
-                and self._armed_until <= due + _TIME_EPS):
-            return  # an earlier-or-equal wake-up is already scheduled
-        self._timer_version += 1
-        self._armed_until = due
-        version = self._timer_version
-        timer = self.env.timeout(max(due - self.env.now, 0.0))
-        timer.add_callback(
-            lambda _t, _v=version: self._on_timer(_v))
+        """Have a wake-up cover the earliest announced join and, unless
+        that join comes first (it may move the projection, and its wake-up
+        arms again), the earliest projected completion."""
+        heap = self._heap
+        joins = self._joins
+        while heap and heap[0][2].stamp != heap[0][3]:
+            heappop(heap)  # superseded projection
+        if joins:
+            self._wake_by(joins[0][0], 0.0)
+        if heap and not (joins and joins[0][0] <= heap[0][0]):
+            self._wake_by(max(heap[0][0], self.env._now), _TIME_EPS)
 
-    def _on_timer(self, version: int) -> None:
-        """Wake-up at a projected completion (runs as a timeout callback —
-        a full kernel process per arm would triple the event count)."""
-        if version != self._timer_version:
+    def _wake_by(self, when: float, slack: float) -> None:
+        """Unless a wake-up is due by ``when + slack`` already, schedule one
+        at ``when``: a join happens at its own instant exactly, a completion
+        may ride a wake-up up to ``_TIME_EPS`` late."""
+        armed = self._armed
+        if armed and armed[0] <= when + slack:
             return
-        self._armed_until = None
+        heappush(armed, when)
+        # At the absolute instant: ``now + (when - now)`` may differ from
+        # ``when`` in the last bit, which would start a join an ulp off the
+        # instant announced and make a completion's instant depend on when
+        # its wake-up was armed.
+        self.env.schedule_at(self._wake_up, when)
+
+    def _on_timer(self) -> None:
+        """Wake-up: apply every leave and join of the instant, then run the
+        finished flows' callbacks in place — they see a consistent network
+        and may re-enter :meth:`flow`. (One whose projection has moved on
+        finds nothing due and only re-arms.)"""
+        heappop(self._armed)  # wake-ups fire soonest first
         now = self.env._now
         heap = self._heap
         finished: List[_Flow] = []
@@ -548,15 +591,21 @@ class FlowNetwork:
                 heappop(tags)
             if len(finished) == before:  # numeric drift: re-project
                 self._project(owner, True)
-        if not finished:
-            self._arm_timer()
-            return
         for flow in finished:
             self._move(flow, _ABSENT)
             del self._flows[flow.event]
             self.completed += 1
-            flow.event.succeed(flow.flow_id)
-        self._schedule_flush()
+        joins = self._joins
+        while joins and joins[0][0] <= now:  # exactly: no epsilon
+            flow = heappop(joins)[2]
+            if not self._join(flow):
+                finished.append(flow)
+        if self._work:
+            self._schedule_flush()
+        else:
+            self._arm_timer()
+        for flow in finished:
+            flow.event.fire(flow.flow_id)
 
     def __repr__(self) -> str:
         return (f"<FlowNetwork active={len(self._flows)} "

@@ -78,32 +78,34 @@ class Network:
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
-        env = self.env
-        cfg = self.config
         self.messages += 1
         self.bytes_transferred += nbytes
-
-        # Software overhead and physical latency as one kernel event.
-        yield env.timeout(overhead + self.latency(src, dst))
-        if nbytes == 0:
-            return
-
-        if src.node_id == dst.node_id:
-            # Same-node transfer through the shared loopback path; JVM
-            # messaging stacks additionally cap each channel's rate.
-            yield self.flows.flow(nbytes, links=[src.loopback],
-                                  rate_cap=loopback_stream_bandwidth)
-        else:
-            self.inter_node_bytes += nbytes
-            rate_cap = stream_bandwidth or cfg.tcp_stream_bandwidth
-            yield self.flows.flow(nbytes,
-                                  links=[src.nic_out, dst.nic_in],
-                                  rate_cap=rate_cap)
-
+        yield self.start_flow(src, dst, nbytes, stream_bandwidth,
+                              loopback_stream_bandwidth, overhead)
         if gc_prone:
             drag = self.gc_drag(nbytes)
             if drag > 0:
-                yield env.timeout(drag)
+                yield self.env.timeout(drag)
+
+    def start_flow(self, src: Node, dst: Node, nbytes: float,
+                   stream_bandwidth: Optional[float],
+                   loopback_stream_bandwidth: Optional[float],
+                   overhead: float, event: Optional[Event] = None) -> Event:
+        """Announce one stream's bytes to the flow network: they join after
+        the software overhead and the path latency, which the network waits
+        out itself, and the returned event (``event`` if given) fires on
+        the last byte."""
+        delay = overhead + self.latency(src, dst)
+        if src.node_id == dst.node_id:
+            # Same-node transfer through the shared loopback path; JVM
+            # messaging stacks additionally cap each channel's rate.
+            return self.flows.flow(nbytes, [src.loopback],
+                                   loopback_stream_bandwidth, event, delay)
+        self.inter_node_bytes += nbytes
+        return self.flows.flow(
+            nbytes, [src.nic_out, dst.nic_in],
+            stream_bandwidth or self.config.tcp_stream_bandwidth,
+            event, delay)
 
     def transfer_many(self, legs: Sequence, *,
                       stream_bandwidth: Optional[float] = None,
@@ -116,57 +118,25 @@ class Network:
         ``legs`` is a sequence of ``(src, dst, nbytes)`` tuples, each priced
         exactly like an independent :meth:`transfer` (per-message overhead,
         path latency, fair-shared flow, GC drag), but the whole batch is one
-        kernel process instead of N: per-leg completion is tracked with
-        plain events and flow callbacks. Completes when the last leg's last
-        byte (plus its GC drag) has arrived — the same instant the slowest
-        of N independent ``transfer`` processes would have finished, since
-        max-min fair allocations at an instant are independent of the order
-        in which same-instant flows join the network.
+        kernel process instead of N: every leg is announced to the flow
+        network at the batch's start instant with its own start delay, so
+        each begins at exactly ``now + (overhead + latency)``, and per-leg
+        completion is tracked with plain events and flow callbacks.
+        Completes when the last leg's last byte (plus its GC drag) has
+        arrived — the same instant the slowest of N independent
+        ``transfer`` processes would have finished, since max-min fair
+        allocations at an instant are independent of the order in which
+        same-instant flows join the network.
         """
         env = self.env
-        cfg = self.config
-        starts = []  # (start_delay, src, dst, nbytes)
+        done: list = []
         for src, dst, nbytes in legs:
             if nbytes < 0:
                 raise ValueError(f"negative transfer size: {nbytes}")
             self.messages += 1
             self.bytes_transferred += nbytes
-            starts.append((overhead + self.latency(src, dst),
-                           src, dst, nbytes))
-        if not starts:
-            return
-        # Release flows in start-time order, advancing the clock once per
-        # distinct overhead+latency value (at most a few groups: same-node
-        # vs inter-node paths). All group timers are created up front at the
-        # batch's start instant so each group begins at exactly
-        # ``now + (overhead + latency)`` — the same single float addition an
-        # independent ``transfer`` process would have performed (chaining
-        # relative timeouts instead would drift the start times by 1 ulp).
-        starts.sort(key=lambda leg: leg[0])
-        timers = {}
-        for delay, _src, _dst, _nbytes in starts:
-            if delay > 0 and delay not in timers:
-                timers[delay] = env.timeout(delay)
-        done: list = []
-        elapsed = 0.0
-        for delay, src, dst, nbytes in starts:
-            if delay > elapsed:
-                yield timers[delay]
-                elapsed = delay
-            if nbytes == 0:
-                marker = Event(env)
-                marker.succeed(None)
-                done.append(marker)
-                continue
-            if src.node_id == dst.node_id:
-                flow = self.flows.flow(nbytes, links=[src.loopback],
-                                       rate_cap=loopback_stream_bandwidth)
-            else:
-                self.inter_node_bytes += nbytes
-                rate_cap = stream_bandwidth or cfg.tcp_stream_bandwidth
-                flow = self.flows.flow(nbytes,
-                                       links=[src.nic_out, dst.nic_in],
-                                       rate_cap=rate_cap)
+            flow = self.start_flow(src, dst, nbytes, stream_bandwidth,
+                                   loopback_stream_bandwidth, overhead)
             drag = self.gc_drag(nbytes) if gc_prone else 0.0
             if drag > 0:
                 # Chain the GC pause after the flow without a process: when
@@ -182,7 +152,8 @@ class Network:
                 done.append(marker)
             else:
                 done.append(flow)
-        yield all_of(env, done)
+        if done:
+            yield all_of(env, done)
 
     def broadcast_tree(self, root: Node, targets: Sequence[Node],
                        nbytes: float, *,

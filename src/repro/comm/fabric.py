@@ -20,7 +20,9 @@ every algorithm, so no reordering ambiguity exists). A message is one
 rendezvous: whichever side comes first leaves an entry under its key — the
 message, or the bare event its receiver waits on — and the other side
 consumes and deletes it, so a fabric holds state only for messages and
-receivers that have not met yet.
+receivers that have not met yet. A message that finds its receiver waiting
+resumes it in place, inside the delivery; a receiver interrupted or closed
+mid-wait takes its entry with it.
 """
 
 from __future__ import annotations
@@ -143,6 +145,7 @@ class CommFabric:
     def _put(self, key: Tuple[int, Hashable], message: tuple) -> None:
         """``message`` has reached ``key``: wake its oldest blocked receiver,
         or leave it for the next ``recv``."""
+        self.delivered += 1
         waiting = self._waiting.get(key)
         if waiting is None:
             self._arrived.setdefault(key, []).append(message)
@@ -150,8 +153,15 @@ class CommFabric:
             waiter = waiting.pop(0)
             if not waiting:
                 del self._waiting[key]
-            waiter.succeed(message)
-        self.delivered += 1
+            waiter.fire(message)  # in place: no hand-off through the queue
+
+    def _withdraw(self, key: Tuple[int, Hashable], waiter: Event) -> None:
+        """``waiter`` stops listening on ``key`` (timed out, or its process
+        was interrupted or closed mid-wait)."""
+        waiting = self._waiting[key]
+        waiting.remove(waiter)
+        if not waiting:
+            del self._waiting[key]
 
     def _watch(self, key: Tuple[int, Hashable], waiter: Event,
                timeout: float) -> None:
@@ -193,17 +203,14 @@ class CommFabric:
         deadlines = self._deadlines
         while deadlines:
             when, _seq, waiter, key, timeout = deadlines[0]
-            if not waiter.triggered:
+            if waiter in self._waiting.get(key, ()):  # still listening
                 if when > now:
                     self._arm_watchdog(when)
                     return
                 # Withdraw the receiver (a late message must go to the next
                 # recv, not vanish into a process that stopped listening)
                 # and fail it through the queue, in deadline order.
-                waiting = self._waiting[key]
-                waiting.remove(waiter)
-                if not waiting:
-                    del self._waiting[key]
+                self._withdraw(key, waiter)
                 waiter.fail(RecvTimeout(*key, timeout))
             heappop(deadlines)
 
@@ -254,17 +261,18 @@ class CommFabric:
               nbytes: float | None = None) -> Event:
         """Non-blocking send: returns an event firing on delivery.
 
-        Cost model is identical to :meth:`send` (overhead + latency timeout,
-        fair-shared flow, GC drag), but the pipeline is driven by event
-        callbacks instead of a kernel process, and the per-stage float
-        arithmetic is exactly the generator path's, so delivery instants are
-        bit-identical.
+        Cost model is identical to :meth:`send` (overhead + latency, fair-
+        shared flow, GC drag), but the pipeline is driven by event callbacks
+        instead of a kernel process, and the per-stage float arithmetic is
+        exactly the generator path's, so delivery instants are bit-identical.
 
-        A message with no GC drag and no fault verdict costs two kernel
-        events: the latency timeout, and the returned event, which the flow
-        fires itself as its completion — the mailbox put is its first
-        callback, so the message has landed by the time anything waiting on
-        the send runs (its value is then the flow's id; nothing reads it).
+        A message with no GC drag and no fault verdict costs the kernel no
+        event of its own: the flow network waits out overhead + latency
+        (``delay``) and fires the returned event in place as the flow's
+        completion — the mailbox put is its first callback, and a receiver
+        already blocked on the message resumes inside it, so the message
+        has landed and been consumed by the time anything waiting on the
+        send runs (its value is then the flow's id; nothing reads it).
         Drag, drop and delay each add their stage behind a flow event of
         their own.
         """
@@ -329,23 +337,10 @@ class CommFabric:
             else:
                 wire.callbacks.append(_deliver)
 
-        same_node = src_node.node_id == dst_node.node_id
-        if same_node:
-            links = [src_node.loopback]
-            rate_cap = transport.loopback_stream_bandwidth
-        else:
-            links = [src_node.nic_out, dst_node.nic_in]
-            rate_cap = (transport.stream_bandwidth
-                        or network.config.tcp_stream_bandwidth)
-
-        def _start(_timeout: Any) -> None:
-            if not same_node:
-                network.inter_node_bytes += size
-            network.flows.flow(size, links, rate_cap, event=wire)
-
-        env.timeout(
-            transport.overhead + network.latency(src_node, dst_node)
-        ).add_callback(_start)
+        network.start_flow(src_node, dst_node, size,
+                           transport.stream_bandwidth,
+                           transport.loopback_stream_bandwidth,
+                           transport.overhead, event=wire)
         return done
 
     def recv(self, rank: int, tag: Hashable = 0,
@@ -366,7 +361,11 @@ class CommFabric:
             if timeout is not None:
                 self._watch(key, waiter, timeout)
             self._waiting.setdefault(key, []).append(waiter)
-            payload, src, size, sent_at, arrived_at, span = yield waiter
+            try:
+                payload, src, size, sent_at, arrived_at, span = yield waiter
+            finally:
+                if not waiter.triggered:  # interrupted or closed mid-wait
+                    self._withdraw(key, waiter)
         else:
             payload, src, size, sent_at, arrived_at, span = arrived.pop(0)
             if not arrived:

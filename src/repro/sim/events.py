@@ -130,6 +130,22 @@ class Event:
         self.env.schedule(self)
         return self
 
+    def fire(self, value: Any = None) -> None:
+        """Decide the event as successful with ``value`` and run its
+        callbacks now, in the caller's frame, instead of through the queue.
+
+        For a hand-off that moves no clock: the queue entry :meth:`succeed`
+        costs only postpones the waiters within the instant. Legal only
+        from inside the dispatch of the instant the event belongs to (a
+        timer callback, a process step), and only once the caller's own
+        state is consistent — the waiters run, and may call back into the
+        caller, before ``fire`` returns.
+        """
+        if self._state != PENDING:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._value = value
+        self._run_callbacks()
+
     def trigger(self, event: "Event") -> None:
         """Copy the outcome of another (triggered) event onto this one.
 
@@ -142,7 +158,8 @@ class Event:
 
     # -- kernel hooks --------------------------------------------------------
     def _run_callbacks(self) -> None:
-        """Invoke callbacks; called exactly once by the environment."""
+        """Invoke callbacks; called exactly once, by the environment or by
+        :meth:`fire`."""
         callbacks, self.callbacks = self.callbacks, None
         self._state = PROCESSED
         assert callbacks is not None
@@ -302,6 +319,8 @@ class Process(Event):
         per-step closure.
         """
         env = self.env
+        # not None when this step runs inside another's (Event.fire)
+        outer = env._active_process
         env._active_process = self
         try:
             if exc is None:
@@ -309,16 +328,16 @@ class Process(Event):
             else:
                 target = self.generator.throw(exc)
         except StopIteration as stop:
-            env._active_process = None
+            env._active_process = outer
             self.succeed(stop.value)
             return
         except BaseException as error:  # noqa: BLE001 - propagate as failure
-            env._active_process = None
+            env._active_process = outer
             if self.critical:
                 raise  # crash the simulation loudly (infrastructure bug)
             self.fail(error)
             return
-        env._active_process = None
+        env._active_process = outer
         if not isinstance(target, Event):
             # Crash the process with a clear error: generators may only
             # yield kernel events.

@@ -112,16 +112,28 @@ def test_missing_invariant_path_fails():
 
 
 # ----------------------------------------------------------------- CLI modes
-def test_flow_alloc_throughput_may_not_collapse_with_flow_count():
-    def report(few, many):
-        return {"levels": {"10": {"events_per_sec": few},
-                           "1000": {"events_per_sec": many}}}
+def test_flow_alloc_gates_completions_not_event_rate():
+    def report(few, many, events_per_completion=3.0):
+        return {"levels": {
+            key: {"completions_per_sec": rate,
+                  "events_per_sec": rate * events_per_completion}
+            for key, rate in (("10", few), ("1000", many))}}
     spec = REGISTRY["flow_alloc"]
-    assert outcome_of(check_invariants, report(150e3, 90e3),
+    assert outcome_of(check_invariants, report(50e3, 30e3),
                       spec).failures == 0
-    assert outcome_of(check_invariants, report(70e3, 1.7e3),
+    assert outcome_of(check_invariants, report(23e3, 0.6e3),
                       spec).failures == 1
     assert outcome_of(check_invariants, {"levels": {}}, spec).failures == 1
+    base = report(50e3, 45e3)
+    # The same completions a little faster from a third fewer kernel
+    # events: events/sec falls by 30%, and nothing is wrong.
+    leaner = outcome_of(compare_reports, base,
+                        report(52e3, 47e3, events_per_completion=2.0), spec)
+    assert leaner.failures == 0 and leaner.checks == 2
+    # More events per completion cannot excuse fewer completions.
+    assert outcome_of(compare_reports, base,
+                      report(30e3, 28e3, events_per_completion=6.0),
+                      spec).failures == 2
 
 
 def test_host_perf_gates_wall_clock_and_parity_not_event_rate():

@@ -266,3 +266,45 @@ def test_fabric_holds_no_per_message_state_after_a_collective(
     # latest when the one armed timer fires.
     env.run()
     assert not fabric._deadlines and fabric._watchdog is None
+
+
+@pytest.mark.parametrize("recv_timeout", [None, 5.0])
+def test_abort_mid_hop_withdraws_every_blocked_receiver(bic2, recv_timeout):
+    env, cluster = bic2
+    comm = ScalableCommunicator(cluster, parallelism=2,
+                                recv_timeout=recv_timeout)
+    values, _expected = make_values(comm.size, elems=comm.num_segments * 4,
+                                    sim_bytes=4e6)
+    proc = env.process(comm.reduce_scatter(values, split_op, reduce_op))
+    fabric = comm.fabric
+    blocked = 0
+    while blocked < comm.size * 2:  # the first hop: every rank-channel waits
+        env.step()
+        blocked = sum(map(len, fabric._waiting.values()))
+    assert fabric.delivered == 0
+    comm.abort()
+    env.run()
+    assert not proc.ok
+    # The interrupted receivers took their entries with them: the hop's
+    # messages, still on the wire at the abort, were kept for the next recv
+    # on their tag instead of vanishing into processes that had stopped
+    # listening; the dead deadlines went when the watchdog fired.
+    assert fabric._waiting == {} and not fabric._deadlines
+    assert fabric.delivered == blocked
+    assert sum(map(len, fabric._arrived.values())) == blocked
+
+
+def test_recv_closed_mid_wait_stops_listening():
+    env, cluster = make()
+    fabric = two_ranks(cluster)
+    abandoned = fabric.recv(1, tag="t")
+    next(abandoned)
+    assert len(fabric._waiting[(1, "t")]) == 1
+    abandoned.close()
+    assert fabric._waiting == {}
+    log = []
+    fabric.isend(0, 1, "kept", tag="t", nbytes=2e3)
+    env.run()
+    timed_recv(env, fabric, log, "next", 0.0, "t", None)
+    env.run()
+    assert log == [("next", env.now, "kept")]

@@ -179,7 +179,7 @@ def test_reduce_scatter_correct_for_any_shape(n_ranks, parallelism, elems,
 def count_reduce_scatter(n, parallelism, recv_timeout):
     """Kernel events a reduce-scatter schedules on ``n`` ranks, one per node
     (every hop crosses a NIC and all ranks move in lock-step, so the flow
-    solver's own timers and flushes are shared by a whole ring step)."""
+    solver's own wake-ups and flushes are shared by a whole ring step)."""
     env = Environment()
     cluster = Cluster(env, ClusterConfig.bic(num_nodes=n))
     one_per_node = {}
@@ -200,15 +200,18 @@ def count_reduce_scatter(n, parallelism, recv_timeout):
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 @pytest.mark.parametrize("parallelism", [1, 4])
-def test_ring_hop_costs_four_kernel_events(n, parallelism):
-    # Work is counted, not timed. A hop is the latency timeout, the flow's
-    # completion (which is the delivery and the sender's handle), the
-    # receiver's wake-up and the merge timeout; what is left over — process
-    # boots and joins, one solver timer and two flushes per ring step — is
-    # set-up that does not grow with the hop count.
+def test_ring_hop_costs_one_kernel_event(n, parallelism):
+    # Work is counted, not timed. A hop's own entry is the merge timeout:
+    # the flow network waits out the latency, fires the flow's completion
+    # (the delivery and the sender's handle) in place, and the delivery
+    # resumes its receiver in place. The rest of the 1.5 is the hop's share
+    # of the solver's wake-ups and flushes (a join and a completion instant
+    # per ring step, shared by every rank moving in lock-step); what is
+    # left over — process boots and joins — is set-up that does not grow
+    # with the hop count.
     hops = n * parallelism * (n - 1)
     events = count_reduce_scatter(n, parallelism, recv_timeout=None)
-    assert events <= 4 * hops + 7 * n * parallelism, (events, hops)
+    assert events <= 1.5 * hops + 7 * n * parallelism, (events, hops)
     # Armor costs nothing per healthy hop: every deadline of the run sits
     # behind the one watchdog timer armed by the first recv.
     armored = count_reduce_scatter(n, parallelism, recv_timeout=5.0)

@@ -307,3 +307,94 @@ def test_schedule_at_keeps_priority_bands_and_rejects_the_past():
     for when in (0.5, float("nan")):
         with pytest.raises(ValueError):
             env.schedule_at(env.event(), when)
+
+
+# --------------------------------------------------- Event.fire (in place)
+def test_fire_runs_waiters_in_the_callers_frame_at_no_kernel_event():
+    env = Environment()
+    order = []
+    handoff = env.event()
+
+    def waiter():
+        value = yield handoff
+        order.append(("waiter", value, env.now, env.active_process is proc))
+        yield env.timeout(1.0)
+        order.append(("waiter done", env.now))
+
+    def on_timer(_timer):
+        scheduled = env.events_scheduled
+        order.append("before")
+        handoff.fire("msg")
+        order.append("after")
+        assert env.events_scheduled == scheduled + 1  # the waiter's timeout
+        assert handoff.processed and handoff.value == "msg"
+
+    proc = env.process(waiter())
+    env.timeout(2.0).add_callback(on_timer)
+    env.run()
+    assert order == ["before", ("waiter", "msg", 2.0, True), "after",
+                     ("waiter done", 3.0)]
+
+
+def test_fire_inside_a_process_step_restores_the_active_process():
+    env = Environment()
+    handoff = env.event()
+    seen = []
+
+    def inner():
+        yield handoff
+        seen.append(env.active_process)
+
+    def outer():
+        yield env.timeout(1.0)
+        handoff.fire()
+        seen.append(env.active_process)
+
+    inner_proc, outer_proc = env.process(inner()), env.process(outer())
+    env.run()
+    assert seen == [inner_proc, outer_proc] and env.active_process is None
+
+
+def test_fire_decides_the_event_once():
+    env = Environment()
+    for first, second in [("fire", "fire"), ("fire", "succeed"),
+                          ("succeed", "fire")]:
+        event = env.event()
+        getattr(event, first)(1)
+        with pytest.raises(SimulationError):
+            getattr(event, second)(2)
+        with pytest.raises(SimulationError):
+            event.fail(RuntimeError("late"))
+        assert event.value == 1
+
+
+def test_callback_added_after_fire_takes_the_shadow_path():
+    env = Environment()
+    event = env.event()
+    seen = []
+    env.timeout(1.0).add_callback(lambda _t: event.fire(7))
+    env.run()
+    scheduled = env.events_scheduled
+    event.add_callback(lambda e: seen.append((e.value, env.now)))
+    assert seen == [] and env.events_scheduled == scheduled + 1
+    env.run()
+    assert seen == [(7, 1.0)]
+
+    # ... and so does a process that yields it
+    def late():
+        return (yield event)
+
+    assert env.run(until=env.process(late())) == 7
+
+
+def test_run_until_an_event_fired_in_place_returns_its_value():
+    env = Environment()
+    event = env.event()
+    order = []
+    env.timeout(1.0).add_callback(
+        lambda _t: (event.fire("done"), order.append("rest of the entry")))
+    env.timeout(1.0).add_callback(lambda _t: order.append("next entry"))
+    assert env.run(until=event) == "done"
+    # the entry that fired it ran to its end; nothing after it did
+    assert order == ["rest of the entry"] and env.now == 1.0
+    assert env.run(until=event) == "done"  # processed: returns at once
