@@ -38,9 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import AggregationSpec
+from repro import AggregationSpec, SparkerSession
 from repro.bench.profile import profile_host
-from repro.bench.workloads import run_workload
 from repro.cluster import ClusterConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -82,9 +81,9 @@ def run_sweep(sweep, pool=None) -> dict:
     rows = []
     began = time.perf_counter()
     for name, nodes, agg, iters in sweep:
-        result = run_workload(name, ClusterConfig.bic(nodes),
-                              aggregation=agg, iterations=iters,
-                              spec=AggregationSpec(host_pool=pool))
+        result = SparkerSession(ClusterConfig.bic(nodes)).run(
+            name, aggregation=agg, iterations=iters,
+            spec=AggregationSpec(host_pool=pool))
         rows.append({
             "workload": name,
             "nodes": nodes,
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
 
     # One representative config under the attribution profiler.
     _result, breakdown = profile_host(
-        run_workload, "LR-A", ClusterConfig.bic(8),
+        SparkerSession(ClusterConfig.bic(8)).run, "LR-A",
         aggregation="tree", iterations=3)
     print(breakdown)
 

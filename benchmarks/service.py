@@ -35,7 +35,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -155,18 +155,16 @@ def serialized_phase(tenants) -> dict:
 
 def identity_phase(tenants, concurrent_weights: Dict[Tuple, np.ndarray]) -> dict:
     """Re-run each distinct signature alone; weights must match exactly."""
-    from repro.bench.workloads import run_workload
-
     schedule = arrival_schedule(tenants, seed=SEED)
     signatures: Dict[Tuple, object] = {}
     for arrival in schedule:
         signatures.setdefault(arrival.signature, arrival)
     mismatches = []
     for key, arrival in signatures.items():
-        isolated = run_workload(
-            arrival.workload, ClusterConfig.laptop(num_nodes=NODES),
-            aggregation=arrival.aggregation, iterations=arrival.iterations,
-            spec=arrival.spec, partitions=arrival.partitions)
+        isolated = SparkerSession(ClusterConfig.laptop(num_nodes=NODES)).run(
+            arrival.workload, aggregation=arrival.aggregation,
+            iterations=arrival.iterations, spec=arrival.spec,
+            partitions=arrival.partitions)
         if key in concurrent_weights and not np.array_equal(
                 concurrent_weights[key], isolated.final_weights):
             mismatches.append(list(key))
@@ -289,7 +287,7 @@ def main(argv=None) -> int:
             "schedule run concurrently vs strictly-FIFO through one "
             "long-lived driver. Identity compares every concurrent job's "
             "final weights byte-for-byte against the same job run alone on "
-            "a fresh context (classic run_workload path). Fairness bursts "
+            "a fresh context (SparkerSession.run). Fairness bursts "
             "all pools at once and compares task-seconds/weight over the "
             "window where every pool has demand."
         ),

@@ -31,7 +31,7 @@ from ..data.registry import DATASETS
 from ..serde import SizedPayload
 from ..sim import Environment
 from .harness import TimeBreakdown, format_table
-from .workloads import WORKLOADS, WorkloadResult, run_workload
+from .workloads import WORKLOADS, WorkloadResult
 
 __all__ = [
     "table1_clusters",
@@ -102,6 +102,12 @@ def table3_models() -> str:
                         title="Table 3: models")
 
 
+def _session(config: ClusterConfig):
+    # imported late: repro.service.session imports repro.bench.harness
+    from ..service.session import SparkerSession
+    return SparkerSession(config)
+
+
 # ----------------------------------------------------------- Figures 1/2
 def fig1_mllib_speedup(workloads: Optional[Sequence[str]] = None,
                        iterations: int = 2,
@@ -113,10 +119,9 @@ def fig1_mllib_speedup(workloads: Optional[Sequence[str]] = None,
     names = list(workloads or WORKLOADS)
     rows = []
     for name in names:
-        t1 = run_workload(name, ClusterConfig.bic(num_nodes=1),
-                          aggregation="tree", iterations=iterations)
-        t8 = run_workload(name, ClusterConfig.bic(num_nodes=8),
-                          aggregation="tree", iterations=iterations)
+        t1, t8 = (_session(ClusterConfig.bic(num_nodes=nodes)).run(
+            name, aggregation="tree", iterations=iterations)
+            for nodes in (1, 8))
         rows.append((name, t1.end_to_end, t8.end_to_end,
                      t1.end_to_end / t8.end_to_end))
     return rows
@@ -129,8 +134,8 @@ def fig2_time_breakdown(workloads: Optional[Sequence[str]] = None,
     names = list(workloads or WORKLOADS)
     rows = []
     for name in names:
-        result = run_workload(name, ClusterConfig.bic(num_nodes=8),
-                              aggregation="tree", iterations=iterations)
+        result = _session(ClusterConfig.bic(num_nodes=8)).run(
+            name, aggregation="tree", iterations=iterations)
         rows.append((name, result.breakdown))
     return rows
 
@@ -170,8 +175,8 @@ def _lda_scaling(configs: Sequence[ClusterConfig], aggregation: str,
                  iterations: int) -> List[Tuple[int, WorkloadResult]]:
     rows = []
     for config in configs:
-        result = run_workload("LDA-N", config, aggregation=aggregation,
-                              iterations=iterations)
+        result = _session(config).run(
+            "LDA-N", aggregation=aggregation, iterations=iterations)
         rows.append((config.num_executors * config.executor_cores, result))
     return rows
 
@@ -202,10 +207,9 @@ def fig18_sparker_scaling(core_counts: Sequence[int] = (8, 96, 192, 480, 960),
     rows = []
     for cores in core_counts:
         config = aws_config_for_cores(cores)
-        spark = run_workload("LDA-N", config, aggregation="tree",
-                             iterations=iterations)
-        sparker = run_workload("LDA-N", config, aggregation="split",
-                               iterations=iterations)
+        spark, sparker = (_session(config).run(
+            "LDA-N", aggregation=aggregation, iterations=iterations)
+            for aggregation in ("tree", "split"))
         rows.append((cores, spark, sparker))
     return rows
 
@@ -227,8 +231,6 @@ def fig13_p2p_throughput(sizes: Optional[Sequence[int]] = None,
     """Figure 13: p2p throughput vs message size; SC parallelism 1/2/4, MPI."""
     sizes = list(sizes or [1 * KB, 8 * KB, 64 * KB, 512 * KB, 1 * MB,
                            8 * MB, 32 * MB, 64 * MB, 128 * MB, 256 * MB])
-    from ..service.session import SparkerSession
-
     rows = []
     for nbytes in sizes:
         cell: Dict[str, float] = {}
@@ -315,8 +317,6 @@ def fig15_reduce_scatter_scaling(
     Executors scale with BIC nodes (6 per node). Returns
     ``[(nbytes, n_executors, sc_seconds, mpi_seconds), ...]``.
     """
-    from ..service.session import SparkerSession
-
     rows = []
     for nbytes in sizes:
         for n_exec in executor_counts:
@@ -343,13 +343,11 @@ def fig16_aggregation_scaling(
     pre-loaded with ``count``) with tree / tree+IMM / split aggregation.
     Returns ``[(nbytes, nodes, method, seconds), ...]``.
     """
-    from ..service.session import SparkerSession
-
     rows = []
     for nbytes in sizes:
         for nodes in node_counts:
             for method in methods:
-                sc = SparkerSession(ClusterConfig.bic(num_nodes=nodes)).context()
+                sc = _session(ClusterConfig.bic(num_nodes=nodes)).context()
                 n_parts = sc.cluster.total_cores
                 data = [SizedPayload(np.ones(physical_elems),
                                      sim_bytes=nbytes)
@@ -396,10 +394,9 @@ def fig17_e2e_speedup(clusters: Sequence[str] = ("BIC", "AWS"),
     for cluster_name in clusters:
         config = configs[cluster_name]
         for name in names:
-            spark = run_workload(name, config, aggregation="tree",
-                                 iterations=iterations)
-            sparker = run_workload(name, config, aggregation="split",
-                                   iterations=iterations)
+            spark, sparker = (_session(config).run(
+                name, aggregation=aggregation, iterations=iterations)
+                for aggregation in ("tree", "split"))
             rows.append((cluster_name, name, spark.end_to_end,
                          sparker.end_to_end,
                          spark.end_to_end / sparker.end_to_end))
@@ -424,13 +421,12 @@ def sparse_agg_comparison(points: list, num_features: int,
     """
     from ..ml.classification import LogisticRegressionWithSGD
     from ..obs import RecordingListener, analyze_events
-    from ..service.session import SparkerSession
     from .harness import BreakdownRecorder
 
     config = config or ClusterConfig.bic()
     out: Dict[str, Dict] = {}
     for mode in ("dense", "adaptive"):
-        sc = SparkerSession(config).context()
+        sc = _session(config).context()
         n_parts = partitions or sc.default_parallelism
         rdd = sc.parallelize(points, n_parts).cache()
         rdd.count()

@@ -177,7 +177,8 @@ def _main(argv: List[str] | None = None) -> int:
     import argparse
 
     from ..cluster import ClusterConfig
-    from .workloads import run_workload
+    from ..core.spec import AggregationSpec
+    from ..service.session import SparkerSession
 
     parser = argparse.ArgumentParser(
         description="Attribute one workload's host time to its owners")
@@ -191,10 +192,8 @@ def _main(argv: List[str] | None = None) -> int:
     parser.add_argument("--top", type=int, default=15)
     args = parser.parse_args(argv)
 
-    from ..core.spec import AggregationSpec
-
     result, breakdown = profile_host(
-        run_workload, args.workload, ClusterConfig.bic(args.nodes),
+        SparkerSession(ClusterConfig.bic(args.nodes)).run, args.workload,
         aggregation=args.agg, iterations=args.iters,
         spec=AggregationSpec(host_pool=args.pool or None), top_n=args.top)
     print(result)

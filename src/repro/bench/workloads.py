@@ -4,8 +4,9 @@
 combinations the paper evaluates in Figures 1/2/17 (LR-K12 is excluded:
 it ran out of memory on both of the paper's configurations).
 
-:func:`run_workload` trains one workload on one cluster configuration with
-one aggregation backend and returns the end-to-end time plus the 4-way
+:meth:`repro.service.SparkerSession.run` trains one workload on one
+cluster configuration with one aggregation backend and returns a
+:class:`WorkloadResult`: the end-to-end time plus the 4-way
 decomposition. Iteration counts are configurable: the paper runs up to 40
 (BIC) / 15 (AWS) iterations; simulated runs default to fewer since
 per-iteration behaviour is what every figure reduces to (speedups are
@@ -17,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..cluster import ClusterConfig
-from ..core.spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
 from ..data.registry import DatasetSpec, dataset
 from .harness import TimeBreakdown
 
-__all__ = ["WorkloadSpec", "WORKLOADS", "WorkloadResult", "run_workload"]
+__all__ = ["WorkloadSpec", "WORKLOADS", "WorkloadResult"]
 
 
 @dataclass(frozen=True)
@@ -82,43 +81,3 @@ class WorkloadResult:
         return (f"{self.workload} on {self.num_nodes}x{self.config_name} "
                 f"[{self.aggregation}] {self.iterations} iters: "
                 f"{self.end_to_end:.2f}s ({self.breakdown})")
-
-
-def run_workload(name: str, config: ClusterConfig,
-                 aggregation: str = "tree", iterations: int = 3,
-                 spec: Optional[AggregationSpec] = None,
-                 partitions: Optional[int] = None,
-                 listener=None, *,
-                 parallelism: Optional[int] = None,
-                 sparse_aggregation: Optional[bool] = None,
-                 sparse_policy=None, host_pool=None) -> WorkloadResult:
-    """Train one workload end-to-end on a fresh simulated cluster.
-
-    Data generation and cache materialization happen before the measured
-    window (the paper measures model training, with datasets preloaded
-    MEMORY_ONLY). ``spec`` carries every reduction knob — collective
-    algorithm (or ``"auto"`` for the cost-model tuner), parallelism, the
-    density-adaptive sparse payload and the host-side compute pool; the
-    trailing keywords are deprecated shims mapping onto it. ``listener``,
-    when given, is subscribed to the context's event bus for the training
-    window.
-
-    This is now a thin wrapper over
-    :meth:`repro.service.SparkerSession.run` (the session is the
-    canonical entry point, sync and async); the deprecated-keyword shims
-    stay here so warnings keep naming ``run_workload``.
-    """
-    from ..service.session import SparkerSession
-
-    if isinstance(spec, int):
-        # the pre-spec signature's positional parallelism
-        warn_deprecated_kwarg("parallelism", "run_workload", stacklevel=3)
-        spec = AggregationSpec(parallelism=spec)
-    spec = spec_with_legacy(
-        spec, "run_workload",
-        parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-        sparse_policy=sparse_policy, host_pool=host_pool)
-    return SparkerSession(config).run(
-        name, aggregation=aggregation, iterations=iterations, spec=spec,
-        partitions=partitions, listener=listener)
-

@@ -23,8 +23,6 @@ from .spec import (
     AggregationSpec,
     resolve_host_pool,
     resolve_sparse_policy,
-    spec_with_legacy,
-    warn_deprecated_kwarg,
 )
 
 __all__ = [
@@ -35,8 +33,6 @@ __all__ = [
     "COLLECTIVES",
     "resolve_sparse_policy",
     "resolve_host_pool",
-    "spec_with_legacy",
-    "warn_deprecated_kwarg",
     "derive_split_ops",
     "DerivedOps",
     "AutoSegment",

@@ -11,12 +11,6 @@ callbacks so the reduction can run a *scalable* algorithm:
 * ``reduceOp(V, V) -> V`` — merge two segments,
 * ``concatOp(Seq[V]) -> V`` — reassemble segments into the final value.
 
-Execution (§4.3): a **reduced-result stage** folds every partition and
-merges task results per executor in memory (IMM), leaving exactly one
-aggregator per executor; a **SpawnRDD** pins one task per holding executor;
-those tasks run the PDR ring **reduce-scatter** over ``N * parallelism``
-segments; the owned segments are collected to the driver and concatenated.
-
 The executor-local IMM merge operates on whole aggregators, which is the
 one operation the four SAI callbacks cannot express when ``U != V``; pass
 ``merge_op`` (MLlib's existing ``combOp``) for such types. When ``U`` and
@@ -24,9 +18,31 @@ one operation the four SAI callbacks cannot express when ``U != V``; pass
 derives the merge from ``splitOp``/``reduceOp`` on the whole-object
 segment.
 
-Fault tolerance: with a :class:`~repro.faults.RecoveryPolicy` in effect
-(via an armed :class:`~repro.faults.FaultController` or the ``recovery``
-argument), the reduce step becomes a detect/recompute/rebuild loop:
+Execution (§4.3) is one staged driver, :func:`_drive`, that every
+collective and every policy goes through:
+
+1. **plan** (``collective="pipelined_ring"`` only) — start the ring over
+   the stage's *predicted* holders before the stage runs, each rank
+   blocked on its executor's readiness (:func:`_open_stream`);
+2. **fold** — the **reduced-result stage** folds every partition and
+   merges task results per executor in memory (IMM), leaving exactly one
+   aggregator per executor;
+3. **stream or reduce** — a healthy stream just runs to completion.
+   Otherwise (a phased collective, or a lost stream) :func:`_reduce`
+   repeats :func:`_reduce_once` — a **SpawnRDD** pins one task per
+   holding executor and those tasks run the **reduce-scatter** over
+   ``N * parallelism`` segments — until one attempt succeeds;
+4. **collect** — the owned segments are gathered to the driver and
+   concatenated, and the call's IMM aggregators, communicator and
+   listeners are released whether it returned or raised.
+
+Fault tolerance is the per-call :class:`_Armor`: the
+:class:`~repro.faults.RecoveryPolicy` in effect (the spec's, else the
+armed :class:`~repro.faults.FaultController`'s), the controller, the
+:class:`~repro.comm.ring.ChunkLedger`, the death listeners, the abort
+flag, and every communicator's ``faults=`` / ``recv_timeout=``. With no
+policy it is inert — no listeners, no recv deadline, one attempt, every
+exception propagates. With a policy the reduce step is a loop:
 
 1. **detect** — ring recvs carry a failure-detection timeout and every
    holding executor gets a death listener that aborts the collective the
@@ -39,23 +55,24 @@ argument), the reduce step becomes a detect/recompute/rebuild loop:
    to ``max_ring_attempts`` times, after which the aggregation falls back
    to ``treeAggregate`` over the same lineage.
 
-The overlapped ``pipelined_ring`` collective runs the same loop through
-:func:`_ft_pipelined_aggregate`: the stream itself is armored (recv
-deadlines, death listeners, a per-chunk delivery ledger) and a mid-stream
-fault downgrades to the phased loop above, where rebuilds replay only the
-chunk columns the ledger has not acknowledged.
-
-With no policy in effect the code path is the pre-fault-tolerance one,
-statement for statement — an unfaulted run is bit-identical.
+A stream lost mid-flight (crash, recv timeout, placement off the plan) is
+torn down and downgrades to the same loop, keeping
+``algorithm="pipelined_ring"`` and the ledger, so a rebuild replays only
+the chunk columns nobody acknowledged. An armed call that meets no fault
+equals the inert one in result bytes and virtual time
+(``tests/core/test_sai_armor.py``).
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..comm.ring import ChunkLedger, ScalableCommunicator
-from ..obs import CollectiveChosen, CollectiveCompleted, CollectiveCostEstimate, CollectiveDowngraded, RecoveryAction, ResidualNorm
+from ..obs import (CollectiveChosen, CollectiveCompleted,
+                   CollectiveCostEstimate, CollectiveDowngraded,
+                   RecoveryAction, ResidualNorm)
 from ..rdd.rdd import RDD
 from ..rdd.scheduler import JobFailed
 from ..rdd.task_context import TaskContext
@@ -63,7 +80,7 @@ from ..serde import sim_sizeof
 from ..sim import SimulationError
 from .aggregation import fold_partition, fresh_zero, tree_aggregate
 from .spawn_rdd import SpawnRDD
-from .spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from .spec import AggregationSpec
 
 __all__ = ["split_aggregate"]
 
@@ -77,13 +94,23 @@ MergeOp = Callable[[Any, Any], Any]
 Holders = List[Tuple[int, Tuple[int, int]]]
 
 
+class _Ops(NamedTuple):
+    """One call's RDD and callbacks, as the stages pass them along."""
+
+    rdd: RDD
+    partial_func: Callable
+    zero: Any
+    seq_op: SeqOp
+    merge_op: MergeOp
+    split_op: SplitOp
+    reduce_op: ReduceOp
+    concat_op: ConcatOp
+
+
 def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
                     reduce_op: ReduceOp, concat_op: ConcatOp,
                     spec: Optional[AggregationSpec] = None, *,
-                    merge_op: Optional[MergeOp] = None,
-                    parallelism: Optional[int] = None,
-                    topology_aware: Optional[bool] = None,
-                    recovery: Any = None) -> Any:
+                    merge_op: Optional[MergeOp] = None) -> Any:
     """Sparker's ``splitAggregate`` (blocking driver call).
 
     Returns the fully reduced value of type ``V`` (Figure 6: the action's
@@ -91,26 +118,14 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
 
     ``spec`` carries every reduction knob (see
     :class:`~repro.core.spec.AggregationSpec`): the collective algorithm
-    (``"ring"`` | ``"hd"`` | ``"hierarchical"``, or ``"auto"`` to let the
-    cost-model tuner pick algorithm and parallelism from the holders'
-    actual wire sizes), the channel parallelism, topology awareness and
-    the recovery policy. The ``parallelism`` / ``topology_aware`` /
-    ``recovery`` keywords (and an integer passed for ``spec``, the old
-    positional parallelism) are deprecated shims mapping onto the spec.
-
-    With no recovery policy in the spec one is taken from the context's
-    armed fault controller (``sc.faults``); when neither exists the
-    aggregation runs the original, recovery-free path.
+    (``"ring"`` | ``"hd"`` | ``"hierarchical"`` | ``"pipelined_ring"``, or
+    ``"auto"`` to let the cost-model tuner pick algorithm and parallelism
+    from the holders' actual wire sizes), the channel parallelism,
+    topology awareness and the recovery policy. With none in the spec the
+    policy is the context's armed fault controller's (``sc.faults``);
+    when neither exists the aggregation runs unarmored.
     """
-    if isinstance(spec, int):
-        # the pre-spec signature's 7th positional argument
-        warn_deprecated_kwarg("parallelism", "split_aggregate", stacklevel=3)
-        spec = AggregationSpec(parallelism=spec)
-    spec = spec_with_legacy(spec, "split_aggregate", stacklevel=4,
-                            parallelism=parallelism,
-                            topology_aware=topology_aware,
-                            recovery=recovery)
-    spec = AggregationSpec.from_env(spec)
+    spec = AggregationSpec.from_env(AggregationSpec.of(spec))
     sc = rdd.sc
 
     if merge_op is None:
@@ -122,80 +137,231 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
         return concat_op([split_op(z, i, spec.parallelism)
                           for i in range(spec.parallelism)])
 
-    controller = getattr(sc, "faults", None)
-    recovery = spec.recovery
-    if recovery is None and controller is not None:
-        recovery = controller.recovery
-
-    if spec.compression != "none" and recovery is not None:
+    armor = _Armor(sc, spec.recovery)
+    if spec.compression != "none" and armor.recovery is not None:
         raise ValueError(
             'compression="topk" is incompatible with a recovery policy: '
             "error-feedback residuals live on the executors and die with "
             "them, so a recovered ring would silently lose compensation "
             "state. Disable compression or the recovery policy.")
 
-    # ---- stage 1: reduced-result stage with in-memory merge ---------------
     def partial_func(_idx: int, data: list, ctx: TaskContext) -> Any:
         return fold_partition(fresh_zero(zero), data, seq_op, ctx)
 
-    if spec.collective == "pipelined_ring":
-        # The overlapped path: stream each executor's finished aggregator
-        # into the ring while other partitions are still folding.
-        if recovery is None and controller is None:
-            return _pipelined_aggregate(sc, rdd, partial_func, merge_op,
-                                        spec, split_op, reduce_op, concat_op)
-        if recovery is not None:
-            # With a recovery policy the stream runs under full fault
-            # tolerance: per-chunk delivery fencing lets a rebuilt ring
-            # replay only the unacknowledged columns, and an unsalvageable
-            # topology downgrades to the phased loop below.
-            return _ft_pipelined_aggregate(sc, rdd, partial_func, merge_op,
-                                           spec, zero, seq_op, split_op,
-                                           reduce_op, concat_op, recovery,
-                                           controller)
-        # A controller without a recovery policy injects faults the
-        # stream could not survive; run the phased path below instead.
+    ops = _Ops(rdd, partial_func, zero, seq_op, merge_op, split_op,
+               reduce_op, concat_op)
+    try:
+        return _drive(sc, ops, spec, armor)
+    finally:
+        armor.release()
 
-    if recovery is None:
-        with sc.stopwatch.span("agg.compute"):
-            holders = sc.run_reduced_job(rdd, partial_func, merge_op)
-        with sc.stopwatch.span("agg.reduce"):
+
+class _Armor:
+    """The fault-tolerance state of one ``split_aggregate`` call, and what
+    the call must give back — communicator, cook processes, death
+    listeners, IMM aggregators — so :meth:`release` ends it the same way
+    whether it returned or raised. Nothing here outlives the call.
+    """
+
+    def __init__(self, sc: Any, recovery: Any):
+        self.sc = sc
+        self.controller = sc.faults
+        if recovery is None and self.controller is not None:
+            recovery = self.controller.recovery
+        #: the policy in effect; None = inert
+        self.recovery = recovery
+        #: per-chunk delivery fence of a streamed call, kept across rebuilds
+        self.ledger: Optional[ChunkLedger] = None
+        #: why the current collective was aborted (first cause wins)
+        self.aborted: Optional[str] = None
+        self.comm: Optional[ScalableCommunicator] = None
+        self.cooks: list = []
+        #: stage 1's job id and the collective's span, for recovery events
+        self.job_id = self.span_id = -1
+        #: span of the recovery epoch (first detection -> recovered); every
+        #: recovery action and recompute job parents to it. Opened lazily
+        #: so a fault-free run allocates nothing.
+        self.epoch_span = -1
+        self._watched: list = []
+        #: every IMM aggregator the call created, for :meth:`release`
+        self.held: Holders = []
+
+    def survives(self, exc: Exception) -> bool:
+        """Whether a rebuild can answer ``exc``: never when inert; under a
+        policy everything — ExecutorLost (recv deadline or pinned-task
+        failure), Interrupt (a death listener aborted the collective),
+        StaleMergeError — except a retry budget already exhausted below,
+        or a broken kernel."""
+        return (self.recovery is not None
+                and not isinstance(exc, (JobFailed, SimulationError)))
+
+    def communicator(self, executor_ids: Sequence[int], spec: AggregationSpec,
+                     parallelism: int) -> ScalableCommunicator:
+        """The communicator of the next collective attempt."""
+        sc = self.sc
+        recovery = self.recovery
+        comm = ScalableCommunicator(
+            sc.cluster, parallelism=parallelism,
+            topology_aware=spec.topology_aware,
+            slots=_slots_for(sc, executor_ids), bus=sc.event_bus,
+            faults=self.controller,
+            recv_timeout=None if recovery is None else recovery.recv_timeout)
+        comm.set_span(self.span_id)
+        comm.chunk_bytes = spec.chunk_bytes
+        comm.ledger = self.ledger
+        self.comm, self.aborted = comm, None
+        return comm
+
+    def watch(self, executor_ids: Sequence[int]) -> None:
+        """Abort the collective the instant one of its executors dies."""
+        if self.recovery is None:
+            return
+        for executor_id in executor_ids:
+            executor = self.sc.executor_by_id(executor_id)
+            executor.add_death_listener(self._on_death)
+            self._watched.append(executor)
+
+    def _on_death(self, executor: Any) -> None:
+        self.abort(f"executor {executor.executor_id} died mid-collective")
+
+    def abort(self, reason: str) -> None:
+        if self.aborted is None:
+            self.aborted = reason
+            self.comm.abort(reason)
+
+    def dismiss(self) -> None:
+        """Stop watching; interrupt whatever cook still waits on the fold."""
+        for proc in self.cooks:
+            if proc.is_alive:
+                proc.interrupt(self.aborted or "split aggregation ended")
+        self.cooks = []
+        for executor in self._watched:
+            executor.remove_death_listener(self._on_death)
+        self._watched = []
+
+    def stand_down(self) -> None:
+        """End a collective attempt. Surviving ranks of a failed one would
+        keep exchanging segments and burn NIC bandwidth under the rebuilt
+        ring; a finished one has none left to interrupt."""
+        if self.comm is not None:
+            self.comm.abort(self.aborted or "collective ended")
+        self.dismiss()
+
+    def release(self) -> None:
+        """Give everything back: ring, cooks, listeners, IMM aggregators."""
+        self.stand_down()
+        SpawnRDD.cleanup_holders(self.sc, self.held)
+        self.held = []
+
+    def emit(self, action: str, **kw: Any) -> None:
+        """Record one recovery action on the controller and the bus."""
+        bus = self.sc.event_bus
+        if bus.active:
+            tracer = bus.tracer
+            if self.epoch_span < 0:
+                self.epoch_span = tracer.new_span()
+            if action == "recovered":
+                # The epoch span closes on its own id, like JobEnd does.
+                kw.update(span_id=self.epoch_span,
+                          parent_span_id=self.span_id)
+            else:
+                kw.update(span_id=tracer.new_span(),
+                          parent_span_id=self.epoch_span)
+        event = RecoveryAction(time=self.sc.now, action=action,
+                               job_id=self.job_id, **kw)
+        if self.controller is not None:
+            self.controller.actions.append(event)
+        if bus.active:
+            bus.emit(event)
+
+
+def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
+    """The staged driver: plan -> fold -> stream or reduce -> collect."""
+    env = sc.env
+    tracer = sc.event_bus.tracer
+    cid = sc.new_collective_id()
+    algorithm, parallelism = spec.collective, spec.parallelism
+    predicted, model = 0.0, None  # what only the tuner sets
+    # A stream's window opens with the fold: the completed-span covers the
+    # whole overlap, the number the overlap benchmark compares against
+    # compute + reduce of the phased collectives.
+    began = sc.now
+
+    # ---- plan: the overlapped collective starts before the stage ----------
+    streaming = algorithm == "pipelined_ring"
+    if streaming:
+        if sc.event_bus.active:
+            tracer.open_collective(cid)
+        armor.span_id = tracer.collective_span(cid)
+        job, collective, on_plan = _open_stream(sc, ops, spec, armor)
+
+    # ---- fold: reduced-result stage with in-memory merge ------------------
+    with sc.stopwatch.span("agg.compute"):
+        if streaming:
+            holders, contributions = env.run(until=job)
+        else:
+            holders, contributions = sc.run_reduced_job(
+                ops.rdd, ops.partial_func, ops.merge_op, detail=True)
+    armor.held += holders
+    armor.job_id = holders[0][1][0]
+
+    # ---- stream: let a healthy overlapped collective finish ---------------
+    if streaming:
+        off_plan = armor.aborted is None and not on_plan(holders)
+        if armor.aborted is None and not off_plan:
+            with sc.stopwatch.span("agg.reduce"):
+                _announce(sc, cid, "spec", holders, algorithm, parallelism)
+                try:
+                    result = env.run(until=collective)
+                except Exception as exc:
+                    # A recv timeout, a dropped link or a late crash; the
+                    # armor downgrades it or lets it through.
+                    if not armor.survives(exc):
+                        raise
+                    armor.abort(str(exc))
+                else:
+                    _finish_collective(sc, model, cid, algorithm,
+                                       parallelism, predicted, began)
+                    return result
+        # The stream is lost: tear it down and downgrade to the reduce loop.
+        detail = (armor.aborted
+                  or "reduced-result stage landed off the planned executors")
+        armor.abort(detail)
+        try:
+            env.run(until=collective)
+        except SimulationError:
+            raise
+        except Exception:
+            # What an abort leaves in the collective: its Interrupt, or the
+            # fault that broke the stream. Kernel errors and
+            # KeyboardInterrupt are neither.
+            pass
+        armor.dismiss()
+        _emit_downgrade(
+            sc, armor,
+            "placement_deviation" if off_plan else "streamed_abort", detail)
+
+    # ---- reduce: SpawnRDD + reduce-scatter + gather, until one succeeds ---
+    with sc.stopwatch.span("agg.reduce"):
+        if not streaming:
             if spec.compression != "none":
                 # Sparsify before pricing: the tuner and the ring both see
                 # the compressed wire sizes.
                 _compress_holders(sc, spec, holders)
-            decision = _choose_collective(sc, spec, holders)
-            cid, algorithm, chosen_p, predicted, model = decision
+            algorithm, parallelism, predicted, model = _choose_collective(
+                sc, spec, holders, cid)
+            armor.span_id = tracer.collective_span(cid)
             began = sc.now
-            result = _reduce_once(sc, holders, chosen_p,
-                                  spec.topology_aware, split_op, reduce_op,
-                                  concat_op, algorithm=algorithm,
-                                  chunk_bytes=spec.chunk_bytes,
-                                  span_id=sc.event_bus.tracer
-                                  .collective_span(cid))
-            _finish_collective(sc, model, cid, algorithm, chosen_p,
-                               predicted, began)
-        return result
-
-    # ---- fault-tolerant path ----------------------------------------------
-    with sc.stopwatch.span("agg.compute"):
-        holders, contributions = sc.run_reduced_job(
-            rdd, partial_func, merge_op, detail=True)
-    with sc.stopwatch.span("agg.reduce"):
-        decision = _choose_collective(sc, spec, holders)
-        cid, algorithm, chosen_p, predicted, model = decision
-        began = sc.now
-        result = _ft_reduce(sc, rdd, partial_func, holders, contributions,
-                            zero, seq_op, merge_op, chosen_p,
-                            spec.topology_aware, split_op, reduce_op,
-                            concat_op, recovery, controller,
-                            algorithm=algorithm,
-                            chunk_bytes=spec.chunk_bytes,
-                            span_id=sc.event_bus.tracer
-                            .collective_span(cid))
-        _finish_collective(sc, model, cid, algorithm, chosen_p,
+        result = _reduce(sc, ops, spec, armor, holders, contributions,
+                         algorithm, parallelism)
+        _finish_collective(sc, model, cid, algorithm, parallelism,
                            predicted, began)
     return result
+
+
+def _slots_for(sc: Any, executor_ids: Sequence[int]) -> list:
+    return [sc.executor_by_id(executor_id).slot
+            for executor_id in executor_ids]
 
 
 def _holder_value_bytes(sc: Any, holders: Holders) -> float:
@@ -212,74 +378,71 @@ def _holder_value_bytes(sc: Any, holders: Holders) -> float:
     return total / len(holders)
 
 
-def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders
-                       ) -> Tuple[int, str, int, float, Any]:
-    """Decide this aggregation's ``(algorithm, parallelism)``.
+def _announce(sc: Any, cid: int, source: str, holders: Holders,
+              algorithm: str, parallelism: int,
+              predicted: float = 0.0) -> None:
+    """Emit the collective's ``CollectiveChosen`` (traced runs only)."""
+    bus = sc.event_bus
+    if not bus.active:
+        return
+    slots = _slots_for(sc, [executor_id for executor_id, _ in holders])
+    value_bytes = _holder_value_bytes(sc, holders)
+    bus.emit(CollectiveChosen(
+        time=sc.now, collective_id=cid, algorithm=algorithm,
+        parallelism=parallelism, source=source, ranks=len(slots),
+        hosts=len({s.hostname for s in slots}), value_bytes=value_bytes,
+        segment_bytes=value_bytes / (len(slots) * parallelism),
+        predicted=predicted, span_id=bus.tracer.collective_span(cid),
+        parent_span_id=bus.tracer.current_parent))
+
+
+def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders,
+                       cid: int) -> Tuple[str, int, float, Any]:
+    """Decide a phased aggregation's ``(algorithm, parallelism)``.
 
     With ``spec.collective="auto"`` the cost model prices every
     ``algorithm x parallelism_candidates`` pair against the holders'
     measured wire sizes and placement; otherwise the spec's pinned choice
-    passes straight through. Returns ``(collective_id, algorithm,
-    parallelism, predicted_seconds, model)`` — ``model`` is None unless
-    the tuner ran (its prediction feeds the post-run calibration).
+    passes straight through. Returns ``(algorithm, parallelism,
+    predicted_seconds, model)`` — ``model`` is None unless the tuner ran
+    (its prediction feeds the post-run calibration).
 
     The decision itself is driver-side Python: it schedules no simulation
     events, so a pinned-ring run remains bit-identical to the seed.
     """
-    cid = getattr(sc, "_collective_seq", 0) + 1
-    sc._collective_seq = cid
     bus = sc.event_bus
     if spec.collective != "auto":
         if bus.active:
-            tracer = bus.tracer
-            cspan = tracer.open_collective(cid)
-            slots = _slots_for(sc, holders)
-            value_bytes = _holder_value_bytes(sc, holders)
-            num = len(slots) * spec.parallelism
-            bus.emit(CollectiveChosen(
-                time=sc.now, collective_id=cid, algorithm=spec.collective,
-                parallelism=spec.parallelism, source="spec",
-                ranks=len(slots), hosts=len({s.hostname for s in slots}),
-                value_bytes=value_bytes,
-                segment_bytes=value_bytes / num,
-                span_id=cspan, parent_span_id=tracer.current_parent))
-        return cid, spec.collective, spec.parallelism, 0.0, None
+            bus.tracer.open_collective(cid)
+        _announce(sc, cid, "spec", holders, spec.collective,
+                  spec.parallelism)
+        return spec.collective, spec.parallelism, 0.0, None
 
     from ..comm.cost import choose_collective, cost_model_for
     model = cost_model_for(sc)
-    slots = _slots_for(sc, holders)
-    value_bytes = _holder_value_bytes(sc, holders)
+    slots = _slots_for(sc, [executor_id for executor_id, _ in holders])
     algorithms = ["ring", "pipelined_ring", "hd"]
     if spec.topology_aware:
         algorithms.append("hierarchical")
     # Degraded holders slow every merge hop they participate in; the ring
     # runs at the pace of its slowest rank, so price the worst penalty.
-    health = getattr(sc, "health", None)
-    penalty = 1.0
-    if health is not None:
-        penalty = max((health.compute_penalty(eid) for eid, _ in holders),
-                      default=1.0)
+    penalty = max(sc.health.compute_penalty(eid) for eid, _ in holders)
     winner, estimates = choose_collective(
-        model, value_bytes, slots, algorithms, spec.parallelism_candidates,
-        chunk_bytes=spec.chunk_bytes, compute_penalty=penalty)
+        model, _holder_value_bytes(sc, holders), slots, algorithms,
+        spec.parallelism_candidates, chunk_bytes=spec.chunk_bytes,
+        compute_penalty=penalty)
     predicted = next(est for plan, est in estimates if plan is winner)
     if bus.active:
-        tracer = bus.tracer
-        cspan = tracer.open_collective(cid)
+        cspan = bus.tracer.open_collective(cid)
         for plan, est in estimates:
             bus.emit(CollectiveCostEstimate(
                 time=sc.now, collective_id=cid, algorithm=plan.algorithm,
                 parallelism=plan.parallelism, predicted=est,
                 chosen=plan is winner,
-                span_id=tracer.new_span(), parent_span_id=cspan))
-        bus.emit(CollectiveChosen(
-            time=sc.now, collective_id=cid, algorithm=winner.algorithm,
-            parallelism=winner.parallelism, source="auto",
-            ranks=winner.ranks, hosts=winner.num_hosts,
-            value_bytes=value_bytes, segment_bytes=winner.segment_bytes,
-            predicted=predicted,
-            span_id=cspan, parent_span_id=tracer.current_parent))
-    return cid, winner.algorithm, winner.parallelism, predicted, model
+                span_id=bus.tracer.new_span(), parent_span_id=cspan))
+        _announce(sc, cid, "auto", holders, winner.algorithm,
+                  winner.parallelism, predicted)
+    return winner.algorithm, winner.parallelism, predicted, model
 
 
 def _finish_collective(sc: Any, model: Any, cid: int, algorithm: str,
@@ -297,154 +460,75 @@ def _finish_collective(sc: Any, model: Any, cid: int, algorithm: str,
             span_id=sc.event_bus.tracer.close_collective(cid)))
 
 
-def _reduce_once(sc: Any, holders: Holders, parallelism: int,
-                 topology_aware: bool, split_op: SplitOp,
-                 reduce_op: ReduceOp, concat_op: ConcatOp, *,
-                 algorithm: str = "ring",
-                 faults: Any = None,
-                 recv_timeout: Optional[float] = None,
-                 watch_deaths: bool = False,
-                 chunk_bytes: Optional[float] = None,
-                 ledger: Optional[ChunkLedger] = None,
-                 span_id: int = -1) -> Any:
+def _reduce_once(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor,
+                 holders: Holders, algorithm: str, parallelism: int) -> Any:
     """One SpawnRDD + reduce-scatter + gather pass over ``holders``.
 
-    The default arguments make this exactly the original reduce step;
     ``algorithm`` dispatches the reduce-scatter strategy by registry name
-    (:mod:`repro.comm.collectives` — every strategy is bit-identical);
-    ``watch_deaths`` additionally aborts the collective (interrupting all
-    of its processes) the instant any holding executor dies, so a
-    mid-collective crash surfaces immediately instead of via timeout.
-
-    ``chunk_bytes`` sets the target chunk size on the communicator; only
-    ``algorithm="pipelined_ring"`` reads it (chunk-level wire/merge
-    overlap with every aggregator already in hand — the degraded mode the
-    tuner prices, and the rebuild mode under fault tolerance).
-
-    ``ledger`` threads a bound :class:`~repro.comm.ring.ChunkLedger`
-    onto the communicator so a pipelined rebuild replays acknowledged
-    chunk columns from their recorded reductions instead of the wire.
+    (:mod:`repro.comm.collectives` — every strategy is bit-identical).
+    A phased ``"pipelined_ring"`` is chunk-level wire/merge overlap with
+    every aggregator already in hand: the degraded mode the tuner prices,
+    and the rebuild mode of a lost stream, where the armor's ledger
+    replays acknowledged chunk columns instead of the wire.
     """
-    comm = ScalableCommunicator(sc.cluster, parallelism=parallelism,
-                                topology_aware=topology_aware,
-                                slots=_slots_for(sc, holders),
-                                bus=sc.event_bus, faults=faults,
-                                recv_timeout=recv_timeout)
-    comm.set_span(span_id)
-    if chunk_bytes is not None:
-        comm.chunk_bytes = chunk_bytes
-    if ledger is not None:
-        comm.ledger = ledger
+    executor_ids = [executor_id for executor_id, _ in holders]
+    comm = armor.communicator(executor_ids, spec, parallelism)
     spawned = SpawnRDD.from_holders(sc, holders)
     # The SpawnRDD launch validates static placement and reads each
     # executor's aggregator; its (cheap) results stay executor-side —
     # the ring operates on the very same in-memory objects.
     object_by_executor = dict(holders)
-    values = []
-    for slot in comm.ranked:
-        executor = sc.executor_by_id(slot.executor_id)
-        value = executor.object_manager.get(
+    values = [
+        sc.executor_by_id(slot.executor_id).object_manager.get(
             object_by_executor[slot.executor_id])
-        values.append(value)
+        for slot in comm.ranked]
     spawn_results = sc.run_job(
         spawned, lambda _i, data, _ctx: len(data))
     if len(spawn_results) != len(holders):  # pragma: no cover
         raise RuntimeError("SpawnRDD lost partitions")
 
-    watched = []
-    if watch_deaths:
-        def on_death(executor: Any) -> None:
-            comm.abort(f"executor {executor.executor_id} died "
-                       f"mid-collective")
-        for executor_id, _ in holders:
-            executor = sc.executor_by_id(executor_id)
-            executor.add_death_listener(on_death)
-            watched.append(executor)
+    armor.watch(executor_ids)
     try:
         proc = sc.env.process(comm.reduce_scatter_gather(
-            values, split_op, reduce_op, concat_op, algorithm=algorithm))
-        result = sc.env.run(until=proc)
-    except BaseException:
-        if watch_deaths:
-            # Kill any surviving ranks of the failed collective: zombies
-            # would keep exchanging segments and burn NIC bandwidth under
-            # the rebuilt ring.
-            comm.abort("collective failed")
-        raise
+            values, ops.split_op, ops.reduce_op, ops.concat_op,
+            algorithm=algorithm))
+        return sc.env.run(until=proc)
     finally:
-        for executor in watched:
-            executor.remove_death_listener(on_death)
-
-    SpawnRDD.cleanup_holders(sc, holders)
-    return result
+        armor.stand_down()
 
 
-def _slots_for(sc: Any, holders: Holders) -> list:
-    slot_by_id = {slot.executor_id: slot
-                  for slot in sc.cluster.executors}
-    return [slot_by_id[executor_id] for executor_id, _ in holders]
+def _reduce(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor,
+            holders: Holders, contributions: dict, algorithm: str,
+            parallelism: int) -> Any:
+    """Run :func:`_reduce_once` until an attempt succeeds.
 
+    Inert armor makes this exactly one attempt whose exceptions propagate.
+    Under a policy it is the module docstring's detect / recompute /
+    rebuild loop, whatever the algorithm: every registered collective
+    surfaces a lost peer as :class:`~repro.rdd.executor.ExecutorLost`
+    (recv deadline) or an abort interrupt (death listener). Rebuilds keep
+    the chosen ``algorithm`` — a shrunken ring is re-priced only on the
+    next aggregation, keeping recovery on the well-trodden path.
 
-def _ft_reduce(sc: Any, rdd: RDD, partial_func: Callable, holders: Holders,
-               contributions: dict, zero: Any, seq_op: SeqOp,
-               merge_op: MergeOp, parallelism: int, topology_aware: bool,
-               split_op: SplitOp, reduce_op: ReduceOp, concat_op: ConcatOp,
-               recovery: Any, controller: Any, *,
-               algorithm: str = "ring",
-               chunk_bytes: Optional[float] = None,
-               ledger: Optional[ChunkLedger] = None,
-               span_id: int = -1) -> Any:
-    """The detect / recompute / rebuild loop of the fault-tolerant path.
-
-    The loop is algorithm-agnostic: every registered collective surfaces
-    a lost peer as :class:`~repro.rdd.executor.ExecutorLost` (recv
-    deadline) or an abort interrupt (death listener), the rebuild
-    re-ranks the survivors, and the recomputed partials absorb under the
-    same epoch fence regardless of message topology. Rebuilds keep the
-    chosen ``algorithm`` — a shrunken ring is re-priced only on the next
-    aggregation, keeping recovery on the well-trodden path.
-
-    ``ledger`` (pipelined only) carries per-chunk completion records
-    across attempts. Before each ring pass it is re-bound to a key of
-    the exact holder set, parallelism and aggregation epoch: a retry
-    over unchanged holders (link faults) salvages every acknowledged
-    chunk column, while a crash — which changes the holder set or, via
-    recompute, the epoch — clears the records, because the recomputed
-    aggregators invalidate every prior partial reduction.
+    The armor's ledger (a lost stream's) is re-bound before each ring
+    pass to a key of the exact holder set, parallelism and aggregation
+    epoch: a retry over unchanged holders (link faults) salvages every
+    acknowledged chunk column, while a crash — which changes the holder
+    set or, via recompute, the epoch — clears the records, because the
+    recomputed aggregators invalidate every prior partial reduction.
     """
-    agg_job = holders[0][1][0]  # stage 1's job id, for recovery events
+    recovery = armor.recovery
+    rdd, merge_op = ops.rdd, ops.merge_op
+    budget = 1 if recovery is None else recovery.max_ring_attempts
     attempts = 0
     epoch = 0
     first_detect: Optional[float] = None
-    #: span of the recovery epoch (first detection -> recovered); every
-    #: recovery action and recompute job parents to it. Opened lazily so
-    #: a fault-free run allocates nothing.
-    epoch_span = -1
+    tracer = sc.event_bus.tracer
 
-    def emit(action: str, **kw: Any) -> None:
-        nonlocal epoch_span
-        if sc.event_bus.active:
-            tracer = sc.event_bus.tracer
-            if epoch_span < 0:
-                epoch_span = tracer.new_span()
-            if action == "recovered":
-                # The epoch span closes on its own id, like JobEnd does.
-                kw.setdefault("span_id", epoch_span)
-                kw.setdefault("parent_span_id", span_id)
-            else:
-                kw.setdefault("span_id", tracer.new_span())
-                kw.setdefault("parent_span_id", epoch_span)
-        event = RecoveryAction(time=sc.now, action=action, job_id=agg_job,
-                               **kw)
-        if controller is not None:
-            controller.actions.append(event)
-        if sc.event_bus.active:
-            sc.event_bus.emit(event)
-
-    while attempts < recovery.max_ring_attempts:
+    while attempts < budget:
         lost = [(eid, obj) for eid, obj in holders
                 if not sc.executor_by_id(eid).alive]
-        if lost:
+        if lost and recovery is not None:
             if first_detect is None:
                 first_detect = sc.now
             live = [(eid, obj) for eid, obj in holders
@@ -452,21 +536,21 @@ def _ft_reduce(sc: Any, rdd: RDD, partial_func: Callable, holders: Holders,
             lost_parts = sorted(
                 p for eid, _ in lost for p in contributions.get(eid, ()))
             for eid, _ in lost:
-                emit("partial_recompute", executor_id=eid, attempt=attempts,
-                     ranks=len(live),
-                     detail=f"partitions {lost_parts} via lineage")
+                armor.emit("partial_recompute", executor_id=eid,
+                           attempt=attempts, ranks=len(live),
+                           detail=f"partitions {lost_parts} via lineage")
                 contributions.pop(eid, None)
             # Lineage recompute: re-run the reduced-result stage over only
             # the dead holders' partitions. The scheduler places them on
             # surviving executors (and survives further losses itself).
-            tracer = sc.event_bus.tracer
-            tracer.push_parent(epoch_span)
+            tracer.push_parent(armor.epoch_span)
             try:
                 new_holders, new_contribs = sc.run_reduced_job(
-                    rdd, partial_func, merge_op, partitions=lost_parts,
+                    rdd, ops.partial_func, merge_op, partitions=lost_parts,
                     detail=True)
             finally:
                 tracer.pop_parent()
+            armor.held += new_holders
             # Fence the surviving aggregators at a fresh epoch so any
             # zombie merge from the original stage raises StaleMergeError,
             # then absorb the recomputed partials.
@@ -498,57 +582,49 @@ def _ft_reduce(sc: Any, rdd: RDD, partial_func: Callable, holders: Holders,
             # Re-check before ringing: a holder may have died during the
             # recompute job itself.
             continue
-        if ledger is not None:
-            ledger.bind((tuple(eid for eid, _ in holders), parallelism,
-                         epoch), size=len(holders))
+        if armor.ledger is not None:
+            armor.ledger.bind((tuple(eid for eid, _ in holders),
+                               parallelism, epoch), size=len(holders))
         try:
-            result = _reduce_once(
-                sc, holders, parallelism, topology_aware, split_op,
-                reduce_op, concat_op, algorithm=algorithm,
-                faults=controller, recv_timeout=recovery.recv_timeout,
-                watch_deaths=True, chunk_bytes=chunk_bytes,
-                ledger=ledger, span_id=span_id)
-        except (JobFailed, SimulationError):
-            # Retry budgets below this loop are already exhausted (or the
-            # kernel itself broke): rebuilding the ring cannot help.
-            raise
+            result = _reduce_once(sc, ops, spec, armor, holders, algorithm,
+                                  parallelism)
         except Exception as exc:
-            # ExecutorLost (recv timeout or pinned-task failure), Interrupt
-            # (a death listener aborted the collective), StaleMergeError —
-            # all mean this ring attempt is dead; rebuild over survivors.
+            # This ring attempt is dead; rebuild over the survivors if the
+            # armor can answer the failure.
+            if not armor.survives(exc):
+                raise
             attempts += 1
-            emit("ring_abort", attempt=attempts, ranks=len(holders),
-                 detail=str(exc))
+            armor.emit("ring_abort", attempt=attempts, ranks=len(holders),
+                       detail=str(exc))
             if first_detect is None:
                 first_detect = sc.now
-            if attempts < recovery.max_ring_attempts:
-                emit("ring_rebuild", attempt=attempts, ranks=len(holders))
+            if attempts < budget:
+                armor.emit("ring_rebuild", attempt=attempts,
+                           ranks=len(holders))
             continue
         if first_detect is not None:
-            emit("recovered", seconds=sc.now - first_detect,
-                 attempt=attempts, ranks=len(holders))
+            armor.emit("recovered", seconds=sc.now - first_detect,
+                       attempt=attempts, ranks=len(holders))
         return result
 
     # ---- ring budget exhausted: fall back to the tree -------------------
-    emit("tree_fallback", site="tree", attempt=attempts)
+    armor.emit("tree_fallback", site="tree", attempt=attempts)
+    armor.release()
     if not recovery.tree_fallback:
-        SpawnRDD.cleanup_holders(sc, holders)
         raise RuntimeError(
             f"split aggregation failed {attempts} ring attempts and tree "
             f"fallback is disabled")
-    SpawnRDD.cleanup_holders(sc, holders)
-    tracer = sc.event_bus.tracer
-    tracer.push_parent(epoch_span)
+    tracer.push_parent(armor.epoch_span)
     try:
-        agg = tree_aggregate(rdd, zero, seq_op, merge_op,
+        agg = tree_aggregate(rdd, ops.zero, ops.seq_op, merge_op,
                              depth=recovery.tree_depth, imm=True)
     finally:
         tracer.pop_parent()
-    result = concat_op([split_op(agg, i, parallelism)
-                        for i in range(parallelism)])
+    result = ops.concat_op([ops.split_op(agg, i, parallelism)
+                            for i in range(parallelism)])
     if first_detect is not None:
-        emit("recovered", site="tree", seconds=sc.now - first_detect,
-             attempt=attempts)
+        armor.emit("recovered", site="tree", seconds=sc.now - first_detect,
+                   attempt=attempts)
     return result
 
 
@@ -609,470 +685,164 @@ def _topk_compress(spec: AggregationSpec, executor: Any, value: Any
     return comp, cost, stats
 
 
-def _compress_holders(sc: Any, spec: AggregationSpec, holders: Holders,
-                      parent_span: int = -1) -> None:
+def _compress(sc: Any, spec: AggregationSpec, executor_id: int,
+              obj: Tuple[int, int], parent_span: int):
+    """Process body: sparsify one holder's aggregator in place."""
+    executor = sc.executor_by_id(executor_id)
+    value = executor.object_manager.get(obj)
+    comp, cost, stats = _topk_compress(spec, executor, value)
+    if cost > 0:
+        yield sc.env.timeout(cost)
+    executor.object_manager.replace(obj, comp)
+    bus = sc.event_bus
+    if bus.active:
+        bus.emit(ResidualNorm(
+            time=sc.now, executor_id=executor_id, job_id=obj[0],
+            error_feedback=spec.error_feedback,
+            span_id=bus.tracer.new_span(),
+            parent_span_id=parent_span, **stats))
+
+
+def _compress_holders(sc: Any, spec: AggregationSpec,
+                      holders: Holders) -> None:
     """Sparsify every holder in place (concurrently, blocking driver call).
 
-    Runs between the reduced-result stage and the collective on the
-    classic (non-pipelined) path; the pipelined path folds the same step
-    into each executor's cook process instead so it overlaps the stream.
+    Runs between the reduced-result stage and a phased collective; a
+    stream folds the same step into each executor's cook process instead
+    so it overlaps the other executors' compute.
     """
-    env = sc.env
-
-    def one(executor_id: int, obj: Tuple[int, int]):
-        executor = sc.executor_by_id(executor_id)
-        value = executor.object_manager.get(obj)
-        comp, cost, stats = _topk_compress(spec, executor, value)
-        if cost > 0:
-            yield env.timeout(cost)
-        executor.object_manager.replace(obj, comp)
-        bus = sc.event_bus
-        if bus.active:
-            bus.emit(ResidualNorm(
-                time=sc.now, executor_id=executor_id, job_id=obj[0],
-                error_feedback=spec.error_feedback,
-                span_id=bus.tracer.new_span(),
-                parent_span_id=parent_span, **stats))
-
-    procs = [env.process(one(eid, obj), name=f"topk:{eid}")
+    procs = [sc.env.process(_compress(sc, spec, eid, obj, -1),
+                            name=f"topk:{eid}")
              for eid, obj in holders]
     for proc in procs:
-        env.run(until=proc)
+        sc.env.run(until=proc)
 
 
 # ---------------------------------------------------------------------------
-# The pipelined (overlapped) aggregation path
+# The overlapped (pipelined_ring) plan stage
 # ---------------------------------------------------------------------------
 
-def _plan_placement(sc: Any, rdd: RDD, partitions: Sequence[int]) -> List[int]:
-    """Predict, driver-side, which executor each partition will land on.
+def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
+                 ) -> Tuple[Any, Any, Callable[[Holders], bool]]:
+    """Start the ring over the stage's *predicted* placement.
 
-    Mirrors :meth:`DAGScheduler._pick_executor` with an empty ``tried``
-    set (including its skip of health-quarantined executors) — exact as
-    long as no task fails. The plan lets the ring be built *before* the
-    reduced-result stage finishes. If a fault makes the stage land
-    anywhere else, the fault-tolerant wrapper detects the deviation
-    after the fact and downgrades to the phased recovery loop.
-    """
-    alive = [e for e in sc.executors if e.alive]
-    if not alive:
-        raise RuntimeError("no alive executors in the cluster")
-    health = getattr(sc, "health", None)
+    A phased collective starts after *every* partition folded. Here the
+    ring is constructed up front and each rank blocks on a per-executor
+    readiness event; the partition-completion hook
+    (:class:`ReducedResultTask`'s ``on_merged``) fires the event the
+    instant the executor's last partition merges, so early finishers
+    stream their chunk columns while stragglers are still folding. The
+    merge order inside every ring is fixed by topology, not by readiness
+    timing — the result is bit-identical to the classic ring.
 
-    def quarantined(executor_id: int) -> bool:
-        return health is not None and health.is_quarantined(executor_id)
+    With ``compression="topk"`` the per-executor *cook* step sparsifies
+    the aggregator between readiness and streaming, overlapping
+    compression with the other executors' compute as well. Under a policy
+    the stream is armored like any attempt, and the armor gets a
+    :class:`ChunkLedger` that records each chunk column the moment all
+    ranks finish reducing it.
 
-    pool = [e for e in alive if not quarantined(e.executor_id)] or alive
-    plan: List[int] = []
-    for position, partition in enumerate(partitions):
-        pinned = rdd.pinned_executor(partition)
-        if pinned is not None:
-            plan.append(pinned)
-            continue
-        chosen: Optional[int] = None
-        for executor_id in rdd.preferred_executors(partition):
-            if (sc.executor_by_id(executor_id).alive
-                    and not quarantined(executor_id)):
-                chosen = executor_id
-                break
-        if chosen is None:
-            chosen = pool[position % len(pool)].executor_id
-        plan.append(chosen)
-    return plan
-
-
-def _pipelined_aggregate(sc: Any, rdd: RDD, partial_func: Callable,
-                         merge_op: MergeOp, spec: AggregationSpec,
-                         split_op: SplitOp, reduce_op: ReduceOp,
-                         concat_op: ConcatOp) -> Any:
-    """Overlap the reduced-result stage with the ring reduce-scatter.
-
-    The classic path is strictly phased: *every* partition folds, then
-    the collective starts. Here the ring is constructed up front from the
-    predicted placement and each rank blocks on a per-executor readiness
-    event; the partition-completion hook (:class:`ReducedResultTask`'s
-    ``on_merged``) fires the event the instant the executor's last
-    partition merges, so early finishers stream their chunk columns while
-    stragglers are still folding. The merge order inside every ring is
-    fixed by topology, not by readiness timing — the result is
-    bit-identical to the classic ring.
-
-    With ``compression="topk"`` a per-executor *cook* step sparsifies the
-    aggregator between readiness and streaming, overlapping compression
-    with the other executors' compute as well.
-
-    If the stage lands partitions anywhere other than planned (impossible
-    without faults; defensive), the collective is aborted and — provided
-    nothing streamed yet — the reduction reruns on the classic path over
-    the actual holders.
+    The prediction is the scheduler's own picker with nothing tried yet —
+    exact as long as no task fails. Returns the spawned reduced-result
+    job, the spawned collective, and ``on_plan(holders)``: whether the
+    stage landed where the ring was built.
     """
     env = sc.env
-    bus = sc.event_bus
-    partitions = list(range(rdd.num_partitions()))
-    plan = _plan_placement(sc, rdd, partitions)
-    expected: dict = {}
-    planned_order: List[int] = []
-    for executor_id in plan:
-        if executor_id not in expected:
-            planned_order.append(executor_id)
-            expected[executor_id] = 0
-        expected[executor_id] += 1
+    rdd = ops.rdd
+    expected = Counter(
+        sc.dag.pick_executor(rdd, partition, position).executor_id
+        for position, partition in enumerate(range(rdd.num_partitions())))
+    planned = list(expected)
 
-    cid = getattr(sc, "_collective_seq", 0) + 1
-    sc._collective_seq = cid
-    if bus.active:
-        bus.tracer.open_collective(cid)
-    span_id = bus.tracer.collective_span(cid)
+    if armor.recovery is not None:
+        # Epoch 0 of the chunk ledger: completions recorded by the stream
+        # are salvageable by any rebuild over the same holders and epoch.
+        armor.ledger = ChunkLedger()
+        armor.ledger.bind((tuple(planned), spec.parallelism, 0),
+                          size=len(planned))
+    comm = armor.communicator(planned, spec, spec.parallelism)
+    armor.watch(planned)
 
-    slot_by_id = {slot.executor_id: slot for slot in sc.cluster.executors}
-    slots = [slot_by_id[executor_id] for executor_id in planned_order]
-    comm = ScalableCommunicator(sc.cluster, parallelism=spec.parallelism,
-                                topology_aware=spec.topology_aware,
-                                slots=slots, bus=bus)
-    comm.set_span(span_id)
-    comm.chunk_bytes = spec.chunk_bytes
-
-    counts: dict = {executor_id: 0 for executor_id in expected}
-    merged_objects: dict = {}
+    counts = dict.fromkeys(planned, 0)
+    merged: dict = {}
     complete = {executor_id: env.event(name=f"agg-complete:{executor_id}")
-                for executor_id in planned_order}
+                for executor_id in planned}
     streamable = {executor_id: env.event(name=f"agg-ready:{executor_id}")
-                  for executor_id in planned_order}
+                  for executor_id in planned}
 
     def on_merged(executor_id: int, _partition: int,
                   object_id: Tuple[int, int]) -> None:
-        merged_objects[executor_id] = object_id
+        if armor.aborted is not None:
+            # Merges of a resubmitted stage must not restart the stream.
+            return
+        merged[executor_id] = object_id
         counts[executor_id] = counts.get(executor_id, 0) + 1
         if counts[executor_id] == expected.get(executor_id):
-            event = complete.get(executor_id)
-            if event is not None and not event.triggered:
-                event.succeed()
+            complete[executor_id].succeed()
 
     def cook(executor_id: int):
         yield complete[executor_id]
         if spec.compression != "none":
-            executor = sc.executor_by_id(executor_id)
-            obj = merged_objects[executor_id]
-            value = executor.object_manager.get(obj)
-            comp, cost, stats = _topk_compress(spec, executor, value)
-            if cost > 0:
-                yield env.timeout(cost)
-            executor.object_manager.replace(obj, comp)
-            if bus.active:
-                bus.emit(ResidualNorm(
-                    time=sc.now, executor_id=executor_id, job_id=obj[0],
-                    error_feedback=spec.error_feedback,
-                    span_id=bus.tracer.new_span(),
-                    parent_span_id=span_id, **stats))
+            yield from _compress(sc, spec, executor_id, merged[executor_id],
+                                 armor.span_id)
         streamable[executor_id].succeed()
-
-    def fetch_value(executor_id: int) -> Any:
-        return sc.executor_by_id(executor_id).object_manager.get(
-            merged_objects[executor_id])
 
     comm.pipeline = [
         (streamable[slot.executor_id],
-         lambda eid=slot.executor_id: fetch_value(eid))
+         lambda eid=slot.executor_id:
+         sc.executor_by_id(eid).object_manager.get(merged[eid]))
         for slot in comm.ranked]
 
-    began = sc.now
-    job_id = sc.new_job_id()
-    job_proc = env.process(
-        sc.dag.run_reduced_job(rdd, partial_func, merge_op, job_id,
+    job = env.process(
+        sc.dag.run_reduced_job(rdd, ops.partial_func, ops.merge_op,
+                               sc.new_job_id(), detail=True,
                                on_merged=on_merged),
         name="reduced-job")
-    cooks = [env.process(cook(executor_id), name=f"cook:{executor_id}")
-             for executor_id in planned_order]
+    armor.cooks = [env.process(cook(executor_id), name=f"cook:{executor_id}")
+                   for executor_id in planned]
     collective = env.process(
-        comm.reduce_scatter_gather([None] * len(slots), split_op,
-                                   reduce_op, concat_op,
+        comm.reduce_scatter_gather([None] * len(planned), ops.split_op,
+                                   ops.reduce_op, ops.concat_op,
                                    algorithm="pipelined_ring"),
         name="pipelined-collective")
 
-    with sc.stopwatch.span("agg.compute"):
-        holders = env.run(until=job_proc)
+    def on_plan(holders: Holders) -> bool:
+        return ([executor_id for executor_id, _ in holders] == planned
+                and all(counts.get(executor_id) == n
+                        for executor_id, n in expected.items())
+                and all(merged.get(executor_id) == obj
+                        for executor_id, obj in holders))
 
-    deviated = (
-        [executor_id for executor_id, _ in holders] != planned_order
-        or any(counts.get(executor_id) != expected.get(executor_id)
-               for executor_id in expected)
-        or any(merged_objects.get(executor_id) != obj
-               for executor_id, obj in holders))
-    if deviated:  # pragma: no cover - impossible without faults
-        comm.abort("pipelined placement deviated from the plan")
-        try:
-            env.run(until=collective)
-        except BaseException:
-            pass
-        for proc in cooks:
-            if proc.is_alive:
-                proc.interrupt("pipelined placement deviated")
-        if any(event.triggered for event in streamable.values()):
-            raise RuntimeError(
-                "pipelined ring streamed an aggregator from a deviated "
-                "placement; cannot fall back safely")
-        with sc.stopwatch.span("agg.reduce"):
-            result = _reduce_once(sc, holders, spec.parallelism,
-                                  spec.topology_aware, split_op, reduce_op,
-                                  concat_op, algorithm="pipelined_ring",
-                                  chunk_bytes=spec.chunk_bytes,
-                                  span_id=span_id)
-            _finish_collective(sc, None, cid, "pipelined_ring",
-                               spec.parallelism, 0.0, began)
-        return result
+    return job, collective, on_plan
 
-    if bus.active:
-        value_bytes = _holder_value_bytes(sc, holders)
-        num = len(slots) * spec.parallelism
-        bus.emit(CollectiveChosen(
-            time=sc.now, collective_id=cid, algorithm="pipelined_ring",
-            parallelism=spec.parallelism, source="spec", ranks=len(slots),
-            hosts=len({s.hostname for s in slots}),
-            value_bytes=value_bytes, segment_bytes=value_bytes / num,
-            span_id=span_id, parent_span_id=bus.tracer.current_parent))
-
-    with sc.stopwatch.span("agg.reduce"):
-        result = env.run(until=collective)
-        # began is the *job* start: the completed-span covers the whole
-        # overlapped window, which is the number the overlap benchmark
-        # compares against compute + reduce of the phased paths.
-        _finish_collective(sc, None, cid, "pipelined_ring",
-                           spec.parallelism, 0.0, began)
-    SpawnRDD.cleanup_holders(sc, holders)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# The fault-tolerant pipelined path
-# ---------------------------------------------------------------------------
 
 #: downgrade reasons already warned about (warn once per process, per
 #: reason; the event stream records every occurrence)
 _downgrade_warned: set = set()
 
 
-def _emit_downgrade(sc: Any, controller: Any, reason: str, detail: str,
-                    job_id: int, span_id: int) -> None:
+def _emit_downgrade(sc: Any, armor: _Armor, reason: str,
+                    detail: str) -> None:
     """Record a pipelined→phased downgrade: obs event plus one warning."""
     bus = sc.event_bus
     if bus.active:
         bus.emit(CollectiveDowngraded(
             time=sc.now, requested="pipelined_ring", actual="ring",
-            reason=reason, job_id=job_id, detail=detail,
-            span_id=bus.tracer.new_span(), parent_span_id=span_id))
+            reason=reason, job_id=armor.job_id, detail=detail,
+            span_id=bus.tracer.new_span(), parent_span_id=armor.span_id))
     action = RecoveryAction(time=sc.now, action="streamed_abort",
-                            site="pipelined", job_id=job_id,
+                            site="pipelined", job_id=armor.job_id,
                             detail=f"{reason}: {detail}",
-                            parent_span_id=span_id)
-    if controller is not None:
-        controller.actions.append(action)
+                            parent_span_id=armor.span_id)
+    if armor.controller is not None:
+        armor.controller.actions.append(action)
     if bus.active:
         bus.emit(action)
     if reason not in _downgrade_warned:
         _downgrade_warned.add(reason)
         warnings.warn(
-            f"pipelined_ring downgraded to the phased fault-tolerant path "
-            f"({reason}): {detail}. The result is unaffected; only the "
+            f"pipelined_ring downgraded to the phased path ({reason}): "
+            f"{detail}. The result is unaffected; only the "
             f"compute/communication overlap is lost. Further downgrades "
             f"of this kind warn only on the event stream.",
             RuntimeWarning, stacklevel=2)
-
-
-def _ft_pipelined_aggregate(sc: Any, rdd: RDD, partial_func: Callable,
-                            merge_op: MergeOp, spec: AggregationSpec,
-                            zero: Any, seq_op: SeqOp, split_op: SplitOp,
-                            reduce_op: ReduceOp, concat_op: ConcatOp,
-                            recovery: Any, controller: Any) -> Any:
-    """The overlapped path under a recovery policy (the resilient stream).
-
-    One streamed attempt runs exactly like :func:`_pipelined_aggregate`,
-    but armored: ring recvs carry the policy's failure-detection timeout,
-    every planned executor gets a death listener that aborts the
-    collective the instant it dies, and a :class:`ChunkLedger` records
-    each chunk column the moment all ranks finish reducing it.
-
-    If the stream completes, the result (and, unfaulted, the timing) is
-    identical to the fault-free pipelined path. If anything breaks —
-    an executor crash (mid-stage or mid-ring), a link fault surfacing as
-    a recv timeout, or a placement deviation — the stream is torn down
-    and the aggregation downgrades to :func:`_ft_reduce`'s
-    detect/recompute/rebuild loop, keeping ``algorithm="pipelined_ring"``
-    and the ledger: a rebuild over the *same* holders and epoch (link
-    faults) replays acknowledged columns from their recorded reductions
-    and re-runs only the unacknowledged slices, while a crash re-keys
-    the ledger (new holder set or recompute epoch) and replays from the
-    epoch-fenced lineage recompute. Either way the result is
-    byte-identical to the phased ring over the same data.
-    """
-    env = sc.env
-    bus = sc.event_bus
-    partitions = list(range(rdd.num_partitions()))
-    plan = _plan_placement(sc, rdd, partitions)
-    expected: dict = {}
-    planned_order: List[int] = []
-    for executor_id in plan:
-        if executor_id not in expected:
-            planned_order.append(executor_id)
-            expected[executor_id] = 0
-        expected[executor_id] += 1
-
-    cid = getattr(sc, "_collective_seq", 0) + 1
-    sc._collective_seq = cid
-    if bus.active:
-        bus.tracer.open_collective(cid)
-    span_id = bus.tracer.collective_span(cid)
-
-    slot_by_id = {slot.executor_id: slot for slot in sc.cluster.executors}
-    slots = [slot_by_id[executor_id] for executor_id in planned_order]
-    comm = ScalableCommunicator(sc.cluster, parallelism=spec.parallelism,
-                                topology_aware=spec.topology_aware,
-                                slots=slots, bus=bus, faults=controller,
-                                recv_timeout=recovery.recv_timeout)
-    comm.set_span(span_id)
-    comm.chunk_bytes = spec.chunk_bytes
-    # Epoch 0 of the chunk ledger: completions recorded by the stream are
-    # salvageable by any rebuild over the same holders and epoch.
-    ledger = ChunkLedger()
-    ledger.bind((tuple(planned_order), spec.parallelism, 0),
-                size=len(planned_order))
-    comm.ledger = ledger
-
-    aborted = {"failed": False, "reason": ""}
-
-    def abort_stream(reason: str) -> None:
-        if not aborted["failed"]:
-            aborted["failed"] = True
-            aborted["reason"] = reason
-            comm.abort(reason)
-
-    def on_death(executor: Any) -> None:
-        abort_stream(f"executor {executor.executor_id} died mid-stream")
-
-    watched = []
-    for executor_id in planned_order:
-        executor = sc.executor_by_id(executor_id)
-        executor.add_death_listener(on_death)
-        watched.append(executor)
-
-    counts: dict = {executor_id: 0 for executor_id in expected}
-    merged_objects: dict = {}
-    complete = {executor_id: env.event(name=f"agg-complete:{executor_id}")
-                for executor_id in planned_order}
-    streamable = {executor_id: env.event(name=f"agg-ready:{executor_id}")
-                  for executor_id in planned_order}
-
-    def on_merged(executor_id: int, _partition: int,
-                  object_id: Tuple[int, int]) -> None:
-        if aborted["failed"]:
-            # Merges of a resubmitted stage must not restart the stream.
-            return
-        merged_objects[executor_id] = object_id
-        counts[executor_id] = counts.get(executor_id, 0) + 1
-        if counts[executor_id] == expected.get(executor_id):
-            event = complete.get(executor_id)
-            if event is not None and not event.triggered:
-                event.succeed()
-
-    def cook(executor_id: int):
-        # No compression leg here: compression="topk" is rejected with a
-        # recovery policy at the entry of split_aggregate.
-        yield complete[executor_id]
-        streamable[executor_id].succeed()
-
-    def fetch_value(executor_id: int) -> Any:
-        return sc.executor_by_id(executor_id).object_manager.get(
-            merged_objects[executor_id])
-
-    comm.pipeline = [
-        (streamable[slot.executor_id],
-         lambda eid=slot.executor_id: fetch_value(eid))
-        for slot in comm.ranked]
-
-    began = sc.now
-    job_id = sc.new_job_id()
-    job_proc = env.process(
-        sc.dag.run_reduced_job(rdd, partial_func, merge_op, job_id,
-                               detail=True, on_merged=on_merged),
-        name="reduced-job")
-    cooks = [env.process(cook(executor_id), name=f"cook:{executor_id}")
-             for executor_id in planned_order]
-    collective = env.process(
-        comm.reduce_scatter_gather([None] * len(slots), split_op,
-                                   reduce_op, concat_op,
-                                   algorithm="pipelined_ring"),
-        name="pipelined-collective")
-
-    def teardown(reason: str) -> None:
-        abort_stream(reason)
-        try:
-            env.run(until=collective)
-        except BaseException:  # noqa: BLE001 - the abort is the point
-            pass
-        for proc in cooks:
-            if proc.is_alive:
-                proc.interrupt(reason)
-        for executor in watched:
-            executor.remove_death_listener(on_death)
-
-    with sc.stopwatch.span("agg.compute"):
-        try:
-            holders, contributions = env.run(until=job_proc)
-        except BaseException:
-            # Stage budget exhausted or driver teardown: recovery below
-            # this level already failed; don't leave a zombie stream.
-            teardown("reduced-result stage failed")
-            raise
-
-    deviated = (
-        not aborted["failed"]
-        and ([executor_id for executor_id, _ in holders] != planned_order
-             or any(counts.get(executor_id) != expected.get(executor_id)
-                    for executor_id in expected)
-             or any(merged_objects.get(executor_id) != obj
-                    for executor_id, obj in holders)))
-
-    if not aborted["failed"] and not deviated:
-        if bus.active:
-            value_bytes = _holder_value_bytes(sc, holders)
-            num = len(slots) * spec.parallelism
-            bus.emit(CollectiveChosen(
-                time=sc.now, collective_id=cid, algorithm="pipelined_ring",
-                parallelism=spec.parallelism, source="spec",
-                ranks=len(slots), hosts=len({s.hostname for s in slots}),
-                value_bytes=value_bytes, segment_bytes=value_bytes / num,
-                span_id=span_id, parent_span_id=bus.tracer.current_parent))
-        with sc.stopwatch.span("agg.reduce"):
-            try:
-                result = env.run(until=collective)
-            except (JobFailed, SimulationError):
-                teardown("collective failed")
-                raise
-            except Exception as exc:
-                # Recv timeout, dropped link, or a late crash: downgrade.
-                aborted["reason"] = aborted["reason"] or str(exc)
-                aborted["failed"] = True
-            else:
-                _finish_collective(sc, None, cid, "pipelined_ring",
-                                   spec.parallelism, 0.0, began)
-                for executor in watched:
-                    executor.remove_death_listener(on_death)
-                SpawnRDD.cleanup_holders(sc, holders)
-                return result
-
-    # ---- stream lost: downgrade to the phased recovery loop ---------------
-    reason = "placement_deviation" if deviated else "streamed_abort"
-    detail = (aborted["reason"]
-              or "reduced-result stage landed off the planned executors")
-    teardown(detail)
-    _emit_downgrade(sc, controller, reason, detail, job_id, span_id)
-    with sc.stopwatch.span("agg.reduce"):
-        result = _ft_reduce(sc, rdd, partial_func, holders, contributions,
-                            zero, seq_op, merge_op, spec.parallelism,
-                            spec.topology_aware, split_op, reduce_op,
-                            concat_op, recovery, controller,
-                            algorithm="pipelined_ring",
-                            chunk_bytes=spec.chunk_bytes, ledger=ledger,
-                            span_id=span_id)
-        _finish_collective(sc, None, cid, "pipelined_ring",
-                           spec.parallelism, 0.0, began)
-    return result

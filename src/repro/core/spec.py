@@ -1,12 +1,7 @@
 """The unified aggregation configuration: :class:`AggregationSpec`.
 
-The engine's reduction machinery historically grew one keyword argument
-at a time — ``parallelism``, ``topology_aware``, ``sparse_aggregation``,
-``sparse_policy``, ``host_pool``, ``recovery`` — spread over
-``splitAggregate``, the trainers and the workload harness, each reading
-its own defaults (and two of them reading the sparse-policy default
-*independently*, so a single override could produce mixed policies
-mid-job). This module collapses all of that into one frozen value:
+Every reduction knob of ``splitAggregate``, the trainers and the
+workload harness is a field of one frozen value, passed as ``spec=``:
 
 * :class:`AggregationSpec` — every reduction knob in one immutable
   dataclass with a :meth:`~AggregationSpec.replace` builder and dict
@@ -23,9 +18,8 @@ mid-job). This module collapses all of that into one frozen value:
   :data:`~repro.serde.DEFAULT_SPARSE_POLICY`, so the policy used by the
   seqOp accumulator, ``derive_split_ops`` and the wire-format switch is
   one object per job,
-* :func:`spec_with_legacy` — the deprecation shim used by every old
-  kwarg entry point (emits one ``DeprecationWarning`` per legacy kwarg
-  and folds the value onto the spec).
+* :meth:`AggregationSpec.of` — the one check every entry point runs on
+  ``spec`` (``None`` is the default spec, a non-spec a ``TypeError``).
 
 The defaults are **seed-identical**: ``collective="ring"``,
 ``parallelism=4``, topology-aware, dense, no recovery — a spec-free call
@@ -37,7 +31,6 @@ changes the segment grid and therefore the floating-point association.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, fields, replace as _dataclass_replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -50,8 +43,6 @@ __all__ = [
     "AggregationSpec",
     "resolve_sparse_policy",
     "resolve_host_pool",
-    "spec_with_legacy",
-    "warn_deprecated_kwarg",
 ]
 
 #: valid values of :attr:`AggregationSpec.collective`
@@ -224,6 +215,17 @@ class AggregationSpec:
                 "residual accumulator only exists on the approximate tier")
 
     # -------------------------------------------------------------- builders
+    @classmethod
+    def of(cls, spec: Optional["AggregationSpec"]) -> "AggregationSpec":
+        """``spec`` itself, or the default spec for ``None``."""
+        if spec is None:
+            return cls()
+        if not isinstance(spec, cls):
+            raise TypeError(
+                f"spec must be an AggregationSpec, got {spec!r}; a bare "
+                f"parallelism is AggregationSpec(parallelism=...)")
+        return spec
+
     def replace(self, **changes: Any) -> "AggregationSpec":
         """A copy with ``changes`` applied (dataclasses.replace)."""
         return _dataclass_replace(self, **changes)
@@ -312,34 +314,3 @@ class AggregationSpec:
         if candidates is not None:
             kwargs["parallelism_candidates"] = tuple(candidates)
         return cls(**kwargs)
-
-
-# ------------------------------------------------------- deprecation shims
-def warn_deprecated_kwarg(name: str, site: str, stacklevel: int = 3) -> None:
-    """Emit the standard deprecation warning for one legacy kwarg."""
-    warnings.warn(
-        f"{site}: the {name!r} keyword is deprecated; pass "
-        f"spec=AggregationSpec({name}=...) instead",
-        DeprecationWarning, stacklevel=stacklevel)
-
-
-def spec_with_legacy(spec: Optional[AggregationSpec], site: str,
-                     stacklevel: int = 4,
-                     **legacy: Any) -> AggregationSpec:
-    """Fold non-None legacy kwargs onto ``spec``, warning for each.
-
-    Every old-kwarg entry point funnels through here: legacy values that
-    were actually passed (non-None) override the spec field of the same
-    name after one :class:`DeprecationWarning` per kwarg. With no legacy
-    kwargs this is a pass-through (and allocates nothing new when a spec
-    was given).
-    """
-    if spec is None:
-        spec = AggregationSpec()
-    changes: Dict[str, Any] = {}
-    for name, value in legacy.items():
-        if value is None:
-            continue
-        warn_deprecated_kwarg(name, site, stacklevel)
-        changes[name] = value
-    return spec.replace(**changes) if changes else spec

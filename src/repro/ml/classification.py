@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from ..core.spec import AggregationSpec
 from ..rdd.rdd import RDD
 from .gradient import HingeGradient, LogisticGradient
 from .linalg import LabeledPoint, SparseVector
@@ -78,31 +78,17 @@ class _SGDTrainer:
               size_scale: float = 1.0, sample_scale: float = 1.0,
               flop_time: float = JVM_FLOP_TIME,
               initial_weights: Optional[np.ndarray] = None,
-              convergence_tol: float = 0.0, *,
-              parallelism: Optional[int] = None,
-              sparse_aggregation: Optional[bool] = None,
-              sparse_policy=None) -> LinearModel:
+              convergence_tol: float = 0.0) -> LinearModel:
         """Train on an RDD of :class:`LabeledPoint`.
 
         ``aggregation`` selects the backend: ``"tree"`` (vanilla Spark),
         ``"tree_imm"`` or ``"split"`` (Sparker) — the paper's §3.1
         configuration switch. ``spec`` carries every reduction knob
         (collective algorithm or ``"auto"``, parallelism, the
-        density-adaptive sparse payload); the ``parallelism`` /
-        ``sparse_aggregation`` / ``sparse_policy`` keywords are deprecated
-        shims mapping onto it.
+        density-adaptive sparse payload).
         """
         if num_features < 1:
             raise ValueError(f"num_features must be >= 1: {num_features}")
-        if isinstance(spec, int):
-            # the pre-spec signature's positional parallelism
-            warn_deprecated_kwarg("parallelism", f"{cls.__name__}.train",
-                                  stacklevel=3)
-            spec = AggregationSpec(parallelism=spec)
-        spec = spec_with_legacy(
-            spec, f"{cls.__name__}.train",
-            parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy)
         updater = (SquaredL2Updater() if reg_param > 0
                    else cls.default_updater())
         optimizer = GradientDescent(

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.aggregation import tree_aggregate
 from ..core.sai import split_aggregate
-from ..core.spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from ..core.spec import AggregationSpec
 from ..rdd.costing import Costed
 from ..rdd.rdd import RDD
 from .aggregators import FlatAggregator, concat_op, reduce_op, split_op
@@ -57,8 +57,7 @@ class LBFGS:
                  aggregation: str = "tree",
                  spec: Optional[AggregationSpec] = None,
                  size_scale: float = 1.0, sample_scale: float = 1.0,
-                 flop_time: float = JVM_FLOP_TIME, *,
-                 parallelism: Optional[int] = None):
+                 flop_time: float = JVM_FLOP_TIME):
         if aggregation not in AGGREGATION_MODES:
             raise ValueError(
                 f"aggregation must be one of {AGGREGATION_MODES}, "
@@ -68,10 +67,6 @@ class LBFGS:
         if max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be >= 1, got {max_iterations}")
-        if isinstance(spec, int):
-            # the pre-spec signature's positional parallelism
-            warn_deprecated_kwarg("parallelism", "LBFGS", stacklevel=3)
-            spec = AggregationSpec(parallelism=spec)
         self.gradient = gradient
         self.history = history
         self.max_iterations = max_iterations
@@ -79,14 +74,10 @@ class LBFGS:
         self.convergence_tol = convergence_tol
         self.max_line_search_steps = max_line_search_steps
         self.aggregation = aggregation
-        self.spec = spec_with_legacy(spec, "LBFGS", parallelism=parallelism)
+        self.spec = AggregationSpec.of(spec)
         self.size_scale = size_scale
         self.sample_scale = sample_scale
         self.flop_time = flop_time
-
-    @property
-    def parallelism(self) -> int:
-        return self.spec.parallelism
 
     # -------------------------------------------------------------- internals
     def _loss_and_gradient(self, data: RDD, weights: np.ndarray

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.aggregation import tree_aggregate
 from ..core.sai import split_aggregate
-from ..core.spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from ..core.spec import AggregationSpec
 from ..rdd.costing import Costed
 from ..rdd.rdd import RDD
 from .aggregators import FlatAggregator, concat_op, reduce_op, split_op
@@ -81,8 +81,7 @@ class LDA:
                  aggregation: str = "tree",
                  spec: Optional[AggregationSpec] = None,
                  size_scale: float = 1.0, sample_scale: float = 1.0,
-                 token_time: float = LDA_TOKEN_TIME, seed: int = 7, *,
-                 parallelism: Optional[int] = None):
+                 token_time: float = LDA_TOKEN_TIME, seed: int = 7):
         if aggregation not in AGGREGATION_MODES:
             raise ValueError(
                 f"aggregation must be one of {AGGREGATION_MODES}, "
@@ -91,24 +90,16 @@ class LDA:
             raise ValueError(f"k must be >= 2, got {k}")
         if num_iterations < 1:
             raise ValueError(f"need at least one iteration: {num_iterations}")
-        if isinstance(spec, int):
-            # the pre-spec signature's positional parallelism
-            warn_deprecated_kwarg("parallelism", "LDA", stacklevel=3)
-            spec = AggregationSpec(parallelism=spec)
         self.k = k
         self.num_iterations = num_iterations
         self.doc_concentration = doc_concentration
         self.topic_concentration = topic_concentration
         self.aggregation = aggregation
-        self.spec = spec_with_legacy(spec, "LDA", parallelism=parallelism)
+        self.spec = AggregationSpec.of(spec)
         self.size_scale = size_scale
         self.sample_scale = sample_scale
         self.token_time = token_time
         self.seed = seed
-
-    @property
-    def parallelism(self) -> int:
-        return self.spec.parallelism
 
     # ------------------------------------------------------------------- fit
     def fit(self, corpus: RDD, vocab_size: int) -> LDAModel:

@@ -19,7 +19,7 @@ from scipy.special import digamma
 
 from ..core.aggregation import tree_aggregate
 from ..core.sai import split_aggregate
-from ..core.spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from ..core.spec import AggregationSpec
 from ..rdd.costing import Costed
 from ..rdd.rdd import RDD
 from .aggregators import FlatAggregator, concat_op, reduce_op, split_op
@@ -41,8 +41,7 @@ class OnlineLDA:
                  aggregation: str = "tree",
                  spec: Optional[AggregationSpec] = None,
                  size_scale: float = 1.0, sample_scale: float = 1.0,
-                 token_time: float = LDA_TOKEN_TIME, seed: int = 7, *,
-                 parallelism: Optional[int] = None):
+                 token_time: float = LDA_TOKEN_TIME, seed: int = 7):
         if aggregation not in AGGREGATION_MODES:
             raise ValueError(
                 f"aggregation must be one of {AGGREGATION_MODES}, "
@@ -55,10 +54,6 @@ class OnlineLDA:
         if kappa < 0.5 or kappa > 1.0:
             raise ValueError(
                 f"kappa in [0.5, 1] required for convergence: {kappa}")
-        if isinstance(spec, int):
-            # the pre-spec signature's positional parallelism
-            warn_deprecated_kwarg("parallelism", "OnlineLDA", stacklevel=3)
-            spec = AggregationSpec(parallelism=spec)
         self.k = k
         self.num_iterations = num_iterations
         self.mini_batch_fraction = mini_batch_fraction
@@ -67,16 +62,11 @@ class OnlineLDA:
         self.tau0 = tau0
         self.kappa = kappa
         self.aggregation = aggregation
-        self.spec = spec_with_legacy(spec, "OnlineLDA",
-                                     parallelism=parallelism)
+        self.spec = AggregationSpec.of(spec)
         self.size_scale = size_scale
         self.sample_scale = sample_scale
         self.token_time = token_time
         self.seed = seed
-
-    @property
-    def parallelism(self) -> int:
-        return self.spec.parallelism
 
     def fit(self, corpus: RDD, vocab_size: int) -> LDAModel:
         """Train on an RDD of word-count :class:`SparseVector` docs."""

@@ -25,10 +25,9 @@ import numpy as np
 
 from ..core.aggregation import tree_aggregate
 from ..core.sai import split_aggregate
-from ..core.spec import AggregationSpec, spec_with_legacy, warn_deprecated_kwarg
+from ..core.spec import AggregationSpec
 from ..rdd.costing import Costed
 from ..rdd.rdd import RDD
-from ..serde import SparsePolicy
 from .aggregators import FlatAggregator, concat_op, reduce_op, split_op
 from .columnar import ColumnarSeqOp
 from .gradient import Gradient
@@ -87,10 +86,7 @@ class GradientDescent:
                  spec: Optional[AggregationSpec] = None,
                  convergence_tol: float = 0.0,
                  size_scale: float = 1.0, sample_scale: float = 1.0,
-                 flop_time: float = JVM_FLOP_TIME, *,
-                 parallelism: Optional[int] = None,
-                 sparse_aggregation: Optional[bool] = None,
-                 sparse_policy: Optional[SparsePolicy] = None):
+                 flop_time: float = JVM_FLOP_TIME):
         if aggregation not in AGGREGATION_MODES:
             raise ValueError(
                 f"aggregation must be one of {AGGREGATION_MODES}, "
@@ -101,11 +97,6 @@ class GradientDescent:
             raise ValueError(
                 f"mini_batch_fraction in (0, 1] required: "
                 f"{mini_batch_fraction}")
-        if isinstance(spec, int):
-            # the pre-spec signature's 9th positional argument
-            warn_deprecated_kwarg("parallelism", "GradientDescent",
-                                  stacklevel=3)
-            spec = AggregationSpec(parallelism=spec)
         self.gradient = gradient
         self.updater = updater
         self.step_size = step_size
@@ -114,10 +105,7 @@ class GradientDescent:
         self.mini_batch_fraction = mini_batch_fraction
         self.aggregation = aggregation
         self.depth = depth
-        self.spec = spec_with_legacy(
-            spec, "GradientDescent",
-            parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy)
+        self.spec = AggregationSpec.of(spec)
         self.convergence_tol = convergence_tol
         self.size_scale = size_scale
         self.sample_scale = sample_scale
@@ -126,19 +114,6 @@ class GradientDescent:
         # seqOp accumulator, the wire-format switch and any derived split
         # ops all share this one policy object for the whole job.
         self._resolved_policy = self.spec.resolved_sparse_policy
-
-    # Pre-spec attribute views, for callers that introspect the trainer.
-    @property
-    def parallelism(self) -> int:
-        return self.spec.parallelism
-
-    @property
-    def sparse_aggregation(self) -> bool:
-        return self.spec.sparse_aggregation
-
-    @property
-    def sparse_policy(self) -> Optional[SparsePolicy]:
-        return self._resolved_policy
 
     # ------------------------------------------------------------------ run
     def optimize(self, data: RDD,

@@ -131,6 +131,7 @@ class SparkerContext:
         self._next_rdd_id = 0
         self._next_shuffle_id = 0
         self._next_job_id = 0
+        self._next_collective_id = 0
         self._next_broadcast_id = 0
         self._stopped = False
         #: armed fault controller (see :mod:`repro.faults`); None = no
@@ -180,6 +181,11 @@ class SparkerContext:
         if scope is not None:
             scope.job_ids.append(job_id)
         return job_id
+
+    def new_collective_id(self) -> int:
+        """Ids of split-aggregation collectives (1-based, per context)."""
+        self._next_collective_id += 1
+        return self._next_collective_id
 
     def new_broadcast_id(self) -> int:
         broadcast_id = self._next_broadcast_id

@@ -25,6 +25,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Collection,
     Dict,
     Generator,
     List,
@@ -402,7 +403,7 @@ class DAGScheduler:
             # memoized results instead of re-running the compute. Consumes
             # no virtual time and misses fall back to inline execution.
             host_pool.precompute(sc, rdd, partitions, factory,
-                                 self._pick_executor)
+                                 self.pick_executor)
 
         loops = [
             env.process(
@@ -453,8 +454,8 @@ class DAGScheduler:
         failures = 0
         try:
             while True:
-                executor = self._pick_executor(rdd, partition, position,
-                                               tried)
+                executor = self.pick_executor(rdd, partition, position,
+                                              tried)
                 task = task_factory(partition, failures)
                 current = executor.submit(task)
                 if wave is not None:
@@ -506,8 +507,12 @@ class DAGScheduler:
                 current.interrupt("stage aborted")
             raise
 
-    def _pick_executor(self, rdd: RDD, partition: int, position: int,
-                       tried: Set[int]) -> Executor:
+    def pick_executor(self, rdd: RDD, partition: int, position: int,
+                      tried: Collection[int] = ()) -> Executor:
+        """The placement policy: where ``partition``'s next attempt runs,
+        ``tried`` being the executors earlier attempts failed on. With none
+        tried it is also the prediction the pipelined split aggregation
+        builds its ring from before the stage runs."""
         sc = self.sc
         health = sc.health
         pinned = rdd.pinned_executor(partition)

@@ -4,9 +4,7 @@ The session wraps both ways of running a workload:
 
 * :meth:`SparkerSession.run` — the classic one-shot path: a fresh
   :class:`~repro.rdd.context.SparkerContext` per call, training executed
-  synchronously, bit-identical to the historical
-  :func:`repro.bench.workloads.run_workload` (which is now a thin
-  wrapper over this method).
+  synchronously.
 * :meth:`SparkerSession.submit` — the multi-tenant service path: the
   job is admitted to the session's shared :class:`JobServer` and runs
   concurrently with other tenants' jobs on one long-lived context;
@@ -29,7 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..bench.harness import BreakdownRecorder
 from ..cluster import ClusterConfig
-from ..core.spec import AggregationSpec, spec_with_legacy
+from ..core.spec import AggregationSpec
 from ..data.registry import SURROGATE_LDA_TOPICS
 from ..ml.classification import LogisticRegressionWithSGD, SVMWithSGD
 from ..ml.lda import LDA
@@ -60,11 +58,7 @@ def _check_lda_spec(workload, spec: AggregationSpec) -> None:
 
 def _train(sc: SparkerContext, workload, rdd, ds, spec: AggregationSpec,
            aggregation: str, iterations: int) -> Tuple[Any, float]:
-    """The training call shared by the sync and service paths.
-
-    Body and argument order mirror the historical ``run_workload``
-    exactly — the sync path's bit-identity to the seed rests on it.
-    """
+    """The training call shared by the sync and service paths."""
     if workload.model == "lda":
         model = LDA(
             k=SURROGATE_LDA_TOPICS, num_iterations=iterations,
@@ -110,8 +104,7 @@ def _workload_result(name: str, config: ClusterConfig, aggregation: str,
 
 def service_spec(spec: Optional[AggregationSpec]) -> AggregationSpec:
     """Validate/adapt an aggregation spec for multi-tenant submission."""
-    if spec is None:
-        spec = AggregationSpec()
+    spec = AggregationSpec.of(spec)
     if spec.compression == "topk":
         raise ValueError(
             "service jobs cannot use compression='topk': error-feedback "
@@ -244,23 +237,18 @@ class SparkerSession:
 
     def run(self, workload: str, aggregation: str = "tree",
             iterations: int = 3, spec: Optional[AggregationSpec] = None,
-            partitions: Optional[int] = None, listener=None, *,
-            parallelism: Optional[int] = None,
-            sparse_aggregation: Optional[bool] = None,
-            sparse_policy=None, host_pool=None):
+            partitions: Optional[int] = None, listener=None):
         """Train one workload synchronously on a fresh context.
 
-        Exact historical ``run_workload`` semantics — data generation
-        and cache materialization before the measured window, every
-        reduction knob on ``spec``, trailing keywords as deprecated
-        shims. Returns a :class:`~repro.bench.workloads.WorkloadResult`.
+        Data generation and cache materialization happen before the
+        measured window (the paper measures model training, with datasets
+        preloaded MEMORY_ONLY); ``listener`` is subscribed to the event
+        bus for that window only. ``spec`` carries every reduction knob.
+        Returns a :class:`~repro.bench.workloads.WorkloadResult`.
         """
         wl = _resolve_workload(workload)
         ds = wl.spec
-        spec = spec_with_legacy(
-            spec, "SparkerSession.run",
-            parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy, host_pool=host_pool)
+        spec = AggregationSpec.of(spec)
         _check_lda_spec(wl, spec)
         sc = SparkerContext(self.config, host_pool=spec.host_pool)
         n_parts = partitions or sc.default_parallelism
@@ -283,10 +271,8 @@ class SparkerSession:
     def submit(self, workload: str, spec: Optional[AggregationSpec] = None,
                *, pool: Optional[str] = None, tenant: str = "anonymous",
                aggregation: str = "tree", iterations: int = 3,
-               partitions: Optional[int] = None, listener=None,
-               parallelism: Optional[int] = None,
-               sparse_aggregation: Optional[bool] = None,
-               sparse_policy=None) -> JobHandle:
+               partitions: Optional[int] = None,
+               listener=None) -> JobHandle:
         """Submit one workload to the shared multi-tenant service.
 
         Returns immediately with a :class:`JobHandle`; the job runs when
@@ -297,10 +283,7 @@ class SparkerSession:
         """
         wl = _resolve_workload(workload)
         ds = wl.spec
-        spec = spec_with_legacy(
-            spec, "SparkerSession.submit",
-            parallelism=parallelism, sparse_aggregation=sparse_aggregation,
-            sparse_policy=sparse_policy)
+        spec = AggregationSpec.of(spec)
         _check_lda_spec(wl, spec)
         spec = service_spec(spec)
         server = self.server

@@ -8,7 +8,7 @@ from repro.bench.profile import (
     classify_sim_core,
     profile_host,
 )
-from repro.bench.workloads import run_workload
+from repro import SparkerSession
 from repro.cluster import ClusterConfig
 
 
@@ -30,7 +30,7 @@ def test_classify_sim_core_subrules():
 
 def test_sim_core_split_partitions_the_bucket():
     _result, breakdown = profile_host(
-        run_workload, "LR-A", ClusterConfig.bic(2),
+        SparkerSession(ClusterConfig.bic(2)).run, "LR-A",
         aggregation="tree", iterations=1)
     assert set(breakdown.sim_core_split) == set(SIM_CORE_SUBBUCKETS)
     # The sub-buckets partition sim_core exactly.
@@ -47,7 +47,7 @@ def test_sim_core_split_partitions_the_bucket():
 
 def test_profile_host_returns_result_and_buckets():
     result, breakdown = profile_host(
-        run_workload, "LR-A", ClusterConfig.bic(2),
+        SparkerSession(ClusterConfig.bic(2)).run, "LR-A",
         aggregation="tree", iterations=1)
     assert result.workload == "LR-A"
     assert isinstance(breakdown, HostTimeBreakdown)
@@ -62,7 +62,7 @@ def test_profile_host_returns_result_and_buckets():
 
 def test_fractions_sum_to_one():
     _result, breakdown = profile_host(
-        run_workload, "LR-A", ClusterConfig.bic(2),
+        SparkerSession(ClusterConfig.bic(2)).run, "LR-A",
         aggregation="tree", iterations=1)
     total = sum(breakdown.fraction(bucket) for bucket in BUCKETS)
     assert abs(total - 1.0) < 1e-9

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.bench import WORKLOADS, run_workload
+from repro import SparkerSession
+from repro.bench import WORKLOADS
 from repro.cluster import ClusterConfig
+
+LAPTOP2 = ClusterConfig.laptop(num_nodes=2)
 
 
 def test_nine_workloads_registered():
@@ -26,9 +29,8 @@ def test_svm_uses_table3_regparam():
         assert WORKLOADS[name].reg_param == 0.0
 
 
-def test_run_workload_returns_consistent_result():
-    result = run_workload("LR-A", ClusterConfig.laptop(num_nodes=2),
-                          iterations=2)
+def test_run_returns_consistent_result():
+    result = SparkerSession(LAPTOP2).run("LR-A", iterations=2)
     assert result.workload == "LR-A"
     assert result.iterations == 2
     assert result.end_to_end > 0
@@ -37,31 +39,27 @@ def test_run_workload_returns_consistent_result():
     assert result.final_loss > 0
 
 
-def test_run_workload_lda():
-    result = run_workload("LDA-E", ClusterConfig.laptop(num_nodes=2),
-                          iterations=1)
+def test_run_lda():
+    result = SparkerSession(LAPTOP2).run("LDA-E", iterations=1)
     assert result.breakdown.agg_compute > 0
     assert result.breakdown.driver > 0
 
 
-def test_run_workload_split_backend_changes_time_not_semantics():
-    tree = run_workload("LR-A", ClusterConfig.laptop(num_nodes=2),
-                        aggregation="tree", iterations=2)
-    split = run_workload("LR-A", ClusterConfig.laptop(num_nodes=2),
-                         aggregation="split", iterations=2)
+def test_run_split_backend_changes_time_not_semantics():
+    tree, split = (SparkerSession(LAPTOP2).run(
+        "LR-A", aggregation=aggregation, iterations=2)
+        for aggregation in ("tree", "split"))
     assert tree.final_loss == pytest.approx(split.final_loss)
     assert tree.end_to_end != split.end_to_end
 
 
 def test_unknown_workload_rejected():
     with pytest.raises(KeyError, match="unknown workload"):
-        run_workload("LR-K12", ClusterConfig.laptop())
+        SparkerSession(ClusterConfig.laptop()).run("LR-K12")
 
 
 def test_workload_deterministic():
-    a = run_workload("SVM-A", ClusterConfig.laptop(num_nodes=2),
-                     iterations=1)
-    b = run_workload("SVM-A", ClusterConfig.laptop(num_nodes=2),
-                     iterations=1)
+    a = SparkerSession(LAPTOP2).run("SVM-A", iterations=1)
+    b = SparkerSession(LAPTOP2).run("SVM-A", iterations=1)
     assert a.end_to_end == b.end_to_end
     assert a.final_loss == b.final_loss

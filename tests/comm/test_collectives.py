@@ -6,6 +6,8 @@ reduction chain, so float64 results are *byte-identical* across
 ``ring`` / ``hd`` / ``hierarchical`` at any ring size and parallelism.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.comm import (
     get_collective,
 )
 from repro.comm.collectives import _ChainState, _owner_block
+from repro.core import sai
 from repro.faults import (
     AtRingHop,
     ExecutorCrash,
@@ -193,5 +196,11 @@ def _faulted_split_aggregate(algorithm):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_faulted_runs_recover_with_exact_sum(algorithm):
     expected = np.full(32, sum(range(1, 9)), dtype=float)
-    np.testing.assert_array_equal(_faulted_split_aggregate(algorithm),
-                                  expected)
+    announced = contextlib.nullcontext()
+    if algorithm == "pipelined_ring":
+        # A lost stream announces its downgrade, once per process and reason.
+        sai._downgrade_warned.discard("streamed_abort")
+        announced = pytest.warns(RuntimeWarning, match="streamed_abort")
+    with announced:
+        result = _faulted_split_aggregate(algorithm)
+    np.testing.assert_array_equal(result, expected)

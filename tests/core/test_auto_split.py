@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig
-from repro.core import UnsplittableError, derive_split_ops
+from repro.core import AggregationSpec, UnsplittableError, derive_split_ops
 from repro.rdd import SparkerContext
 
 
@@ -152,7 +152,7 @@ def test_end_to_end_with_split_aggregate():
     result = rdd.split_aggregate(
         lambda: TwoArrayAgg(12), lambda agg, x: agg.add(x),
         ops.split_op, ops.reduce_op, ops.concat_op,
-        parallelism=2, merge_op=ops.merge_op)
+        AggregationSpec(parallelism=2), merge_op=ops.merge_op)
     np.testing.assert_allclose(result.sum1, np.sum(rows, axis=0))
     np.testing.assert_allclose(result.sum2,
                                np.sum([r * r for r in rows], axis=0))
@@ -170,7 +170,7 @@ def test_auto_ops_match_tree_aggregate():
     split = rdd.split_aggregate(
         lambda: TwoArrayAgg(8), lambda agg, x: agg.add(x),
         ops.split_op, ops.reduce_op, ops.concat_op,
-        parallelism=3, merge_op=ops.merge_op)
+        AggregationSpec(parallelism=3), merge_op=ops.merge_op)
     np.testing.assert_allclose(tree.sum1, split.sum1)
     np.testing.assert_allclose(tree.sum2, split.sum2)
     assert tree.count == split.count

@@ -1,13 +1,11 @@
-"""AggregationSpec: validation, env resolution, serialization, shims.
+"""AggregationSpec: validation, env resolution, serialization.
 
 The spec is the engine's single configuration value; these tests pin the
 contract the rest of the PR leans on — seed-identical defaults, the
 validation rules, exact dict round-trips (including nested policy /
 recovery objects), SPARKER_* env overrides resolved in one place, and
-the one-warning-per-legacy-kwarg shim discipline.
+``spec=`` as the only way in at every entry point.
 """
-
-import warnings
 
 import pytest
 
@@ -17,8 +15,6 @@ from repro.core.spec import (
     AggregationSpec,
     resolve_host_pool,
     resolve_sparse_policy,
-    spec_with_legacy,
-    warn_deprecated_kwarg,
 )
 from repro.faults import RecoveryPolicy
 from repro.rdd.hostpool import HostPool
@@ -172,41 +168,53 @@ def test_from_dict_ignores_unknown_keys():
     assert AggregationSpec.from_dict(record) == AggregationSpec()
 
 
-# --------------------------------------------------------------- shims
-def test_spec_with_legacy_passthrough_emits_nothing():
+# ------------------------------------------------------------------ of
+def test_of_passes_specs_through_and_defaults_none():
     spec = AggregationSpec(parallelism=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert spec_with_legacy(spec, "site") is spec
-        assert spec_with_legacy(None, "site") == AggregationSpec()
+    assert AggregationSpec.of(spec) is spec
+    assert AggregationSpec.of(None) == AggregationSpec()
 
 
-def test_spec_with_legacy_warns_once_per_kwarg():
-    with pytest.warns(DeprecationWarning) as caught:
-        spec = spec_with_legacy(None, "Trainer.train",
-                                parallelism=8, topology_aware=False,
-                                sparse_aggregation=None)
-    messages = [str(w.message) for w in caught]
-    assert len(messages) == 2  # None kwargs are silent
-    assert any("'parallelism'" in m and "Trainer.train" in m
-               for m in messages)
-    assert any("'topology_aware'" in m for m in messages)
-    assert spec.parallelism == 8 and spec.topology_aware is False
+def test_of_rejects_a_bare_parallelism():
+    with pytest.raises(TypeError,
+                       match=r"AggregationSpec\(parallelism=\.\.\.\)"):
+        AggregationSpec.of(8)
 
 
-def test_legacy_values_override_the_spec():
-    base = AggregationSpec(parallelism=2, topology_aware=False)
-    with pytest.warns(DeprecationWarning):
-        spec = spec_with_legacy(base, "site", parallelism=16)
-    assert spec.parallelism == 16
-    assert spec.topology_aware is False  # untouched fields survive
+def _entry_points():
+    from repro import SparkerSession
+    from repro.core import split_aggregate
+    from repro.ml import (
+        LBFGS,
+        LDA,
+        GradientDescent,
+        LogisticRegressionWithSGD,
+        OnlineLDA,
+        StandardScaler,
+        SVMWithSGD,
+    )
+    from repro.rdd import RDD
+    return [split_aggregate, RDD.split_aggregate, GradientDescent, LBFGS,
+            LDA, OnlineLDA, StandardScaler, LogisticRegressionWithSGD.train,
+            SVMWithSGD.train, SparkerSession.run, SparkerSession.submit]
 
 
-def test_warn_deprecated_kwarg_names_the_replacement():
-    with pytest.warns(DeprecationWarning,
-                      match=r"spec=AggregationSpec\(parallelism=\.\.\.\)"):
-        warn_deprecated_kwarg("parallelism", "split_aggregate",
-                              stacklevel=1)
+@pytest.mark.parametrize("entry", _entry_points(),
+                         ids=lambda f: f.__qualname__)
+def test_every_entry_point_takes_spec_and_no_legacy_keyword(entry):
+    import inspect
+    names = set(inspect.signature(entry).parameters)
+    assert "spec" in names
+    assert not names & {"parallelism", "topology_aware", "recovery",
+                        "sparse_aggregation", "sparse_policy", "host_pool"}
+
+
+def test_trainers_reject_a_bare_parallelism():
+    from repro.ml import LDA, GradientDescent, LogisticGradient, SimpleUpdater
+    with pytest.raises(TypeError, match="AggregationSpec"):
+        GradientDescent(LogisticGradient(), SimpleUpdater(), spec=4)
+    with pytest.raises(TypeError, match="AggregationSpec"):
+        LDA(spec=4)
 
 
 # ------------------------------------------- pipelined ring + approx tier

@@ -8,6 +8,7 @@ to a run with no fault machinery at all.
 
 import numpy as np
 
+from repro.core import AggregationSpec
 from repro.faults import (
     AtTime,
     ExecutorCrash,
@@ -30,7 +31,8 @@ def run_logged(path, plan=None):
     sc.event_bus.subscribe(writer)
     data = [SizedPayload(np.full(WIDTH, float(i))) for i in range(N_ITEMS)]
     result = sc.parallelize(data, N_PARTITIONS).split_aggregate(
-        lambda: SizedPayload(np.zeros(WIDTH)), parallelism=4,
+        lambda: SizedPayload(np.zeros(WIDTH)),
+        spec=AggregationSpec(parallelism=4),
         **PAYLOAD_ARGS)
     sc.event_bus.unsubscribe(writer)
     writer.close()

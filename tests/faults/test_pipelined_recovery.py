@@ -140,7 +140,7 @@ def test_downgrade_emits_event_and_action():
     assert event.requested == "pipelined_ring"
     assert event.actual == "ring"
     assert event.reason == "streamed_abort"
-    assert "died mid-stream" in event.detail
+    assert "died mid-collective" in event.detail
     aborts = [e for e in events if isinstance(e, RecoveryAction)
               and e.action == "streamed_abort"]
     assert len(aborts) == 1 and aborts[0].site == "pipelined"

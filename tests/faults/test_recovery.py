@@ -6,8 +6,13 @@ workload is integer-valued, so float addition is exact and any recovery
 regrouping that changes the value is a real bug, not roundoff).
 """
 
+import warnings
+
+import numpy as np
 import pytest
 
+from repro.comm.ring import ScalableCommunicator
+from repro.core import AggregationSpec, sai
 from repro.faults import (
     AtRingHop,
     AtStageBoundary,
@@ -19,8 +24,17 @@ from repro.faults import (
     RecoveryPolicy,
 )
 from repro.rdd import ExecutorLost, JobFailed
+from repro.serde import SizedPayload
+from repro.sim import SimulationError
 
-from .conftest import make_context, run_split_agg
+from .conftest import (
+    N_ITEMS,
+    N_PARTITIONS,
+    PAYLOAD_ARGS,
+    WIDTH,
+    make_context,
+    run_split_agg,
+)
 
 #: one probe context's executor count (laptop x4 = 8 executors)
 N_EXECUTORS = len(make_context().executors)
@@ -168,8 +182,6 @@ def test_poison_task_fails_fast_with_its_own_error():
 
 def test_keyboard_style_interrupts_not_swallowed():
     """SimulationError from the kernel is never treated as a task failure."""
-    from repro.sim import SimulationError
-
     sc = make_context()
     original = sc.dag._run_tasks
 
@@ -180,3 +192,60 @@ def test_keyboard_style_interrupts_not_swallowed():
     sc.dag._run_tasks = broken
     with pytest.raises(SimulationError):
         sc.parallelize(range(4), 2).count()
+
+
+def _flaky_once_stream(sc, recovery=None):
+    """A pipelined aggregation whose stage fails once and is resubmitted:
+    the stream sees merges of both attempts, so the placement is off the
+    plan and the driver tears the stream down itself (the one case where
+    the teardown, not a death listener, aborts a live collective)."""
+    failed = []
+
+    def seq_op(acc, x):
+        if x.data[0] == 5.0 and not failed:
+            failed.append(True)
+            raise ValueError("flaky task")
+        return acc.merge_inplace(x)
+
+    data = [SizedPayload(np.full(WIDTH, float(i))) for i in range(N_ITEMS)]
+    return sc.parallelize(data, N_PARTITIONS).split_aggregate(
+        lambda: SizedPayload(np.zeros(WIDTH)),
+        spec=AggregationSpec(collective="pipelined_ring", recovery=recovery),
+        **dict(PAYLOAD_ARGS, seq_op=seq_op))
+
+
+@pytest.mark.parametrize("recovery", [None, RecoveryPolicy()],
+                         ids=["inert", "armed"])
+def test_resubmitted_stage_downgrades_the_stream(baseline, recovery):
+    sai._downgrade_warned.discard("placement_deviation")
+    sc = make_context()
+    with pytest.warns(RuntimeWarning, match="placement_deviation"):
+        result = _flaky_once_stream(sc, recovery)
+    assert result.data.tobytes() == baseline.result.tobytes()
+    assert all(not e.object_manager._entries for e in sc.executors)
+
+
+@pytest.mark.parametrize("recovery", [None, RecoveryPolicy()],
+                         ids=["inert", "armed"])
+@pytest.mark.parametrize("error", [KeyboardInterrupt, SimulationError])
+def test_stream_teardown_does_not_swallow_kernel_errors(monkeypatch, error,
+                                                        recovery):
+    """Draining an aborted stream absorbs what the abort produced and
+    nothing else: a kernel error or a Ctrl-C raised meanwhile surfaces."""
+    real_abort = ScalableCommunicator.abort
+
+    def abort_then_break(self, cause="communicator aborted"):
+        real_abort(self, cause)
+
+        def explode(_event):
+            raise error("raised while the stream drains")
+
+        bomb = self.env.event()
+        bomb.add_callback(explode)
+        bomb.succeed()
+
+    monkeypatch.setattr(ScalableCommunicator, "abort", abort_then_break)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(error):
+            _flaky_once_stream(make_context(), recovery)

@@ -9,7 +9,7 @@ contract the host-perf benchmark gates on).
 
 import numpy as np
 
-from repro.bench.workloads import run_workload
+from repro import AggregationSpec, SparkerSession
 from repro.cluster import ClusterConfig
 from repro.obs import EventLogWriter
 
@@ -18,9 +18,9 @@ def _train(tmp_path, tag, **kwargs):
     log = tmp_path / f"{tag}.jsonl"
     writer = EventLogWriter(log)
     try:
-        result = run_workload("LR-A", ClusterConfig.bic(2),
-                              aggregation="tree", iterations=2,
-                              listener=writer, **kwargs)
+        result = SparkerSession(ClusterConfig.bic(2)).run(
+            "LR-A", aggregation="tree", iterations=2, listener=writer,
+            **kwargs)
     finally:
         writer.close()
     return result, log.read_bytes()
@@ -38,13 +38,12 @@ def test_two_runs_identical_stream_and_virtual_time(tmp_path):
 
 
 def test_pool_sizes_bit_identical():
-    serial = run_workload("LR-A", ClusterConfig.bic(2),
-                          aggregation="tree", iterations=2)
+    session = SparkerSession(ClusterConfig.bic(2))
+    serial = session.run("LR-A", aggregation="tree", iterations=2)
     reference = np.asarray(serial.final_weights).tobytes()
     for size in (1, 2, 8):
-        pooled = run_workload("LR-A", ClusterConfig.bic(2),
-                              aggregation="tree", iterations=2,
-                              host_pool=size)
+        pooled = session.run("LR-A", aggregation="tree", iterations=2,
+                             spec=AggregationSpec(host_pool=size))
         assert pooled.end_to_end == serial.end_to_end, f"pool={size}"
         assert pooled.final_loss == serial.final_loss, f"pool={size}"
         assert (np.asarray(pooled.final_weights).tobytes()
@@ -52,10 +51,10 @@ def test_pool_sizes_bit_identical():
 
 
 def test_split_aggregation_pool_parity():
-    serial = run_workload("LR-C", ClusterConfig.bic(4),
-                          aggregation="split", iterations=2)
-    pooled = run_workload("LR-C", ClusterConfig.bic(4),
-                          aggregation="split", iterations=2, host_pool=2)
+    session = SparkerSession(ClusterConfig.bic(4))
+    serial = session.run("LR-C", aggregation="split", iterations=2)
+    pooled = session.run("LR-C", aggregation="split", iterations=2,
+                         spec=AggregationSpec(host_pool=2))
     assert pooled.end_to_end == serial.end_to_end
     assert (np.asarray(pooled.final_weights).tobytes()
             == np.asarray(serial.final_weights).tobytes())

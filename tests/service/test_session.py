@@ -1,4 +1,4 @@
-"""SparkerSession tests: run/submit parity, spec policy, legacy shims."""
+"""SparkerSession tests: run/submit parity, spec policy."""
 
 import warnings
 
@@ -7,22 +7,12 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.core.spec import AggregationSpec
-from repro.bench.workloads import run_workload
 from repro.service import JobCancelled, PoolConfig, SparkerSession
 from repro.service import session as session_mod
 from repro.service.session import service_spec
 
 
 CFG = ClusterConfig.laptop(num_nodes=2)
-
-
-def test_run_matches_run_workload_exactly():
-    via_session = SparkerSession(CFG).run("LR-A", iterations=2, partitions=4)
-    via_legacy = run_workload("LR-A", CFG, iterations=2, partitions=4)
-    assert via_session.end_to_end == via_legacy.end_to_end
-    assert via_session.final_loss == via_legacy.final_loss
-    assert np.array_equal(via_session.final_weights,
-                          via_legacy.final_weights)
 
 
 def test_concurrent_submissions_match_isolated_runs():
@@ -75,15 +65,11 @@ def test_service_spec_downgrades_pipelined_ring_warning_once():
     assert again.collective == "ring"
 
 
-def test_run_workload_legacy_kwargs_still_warn():
-    with pytest.warns(DeprecationWarning, match="run_workload"):
-        run_workload("LR-A", CFG, iterations=1, partitions=4,
-                     parallelism=2)
-    # the historical int-positional spec still works, with a warning
-    with pytest.warns(DeprecationWarning, match="run_workload"):
-        result = run_workload("LR-A", CFG, iterations=1, partitions=4,
-                              spec=2)
-    assert result.final_weights is not None
+def test_a_bare_parallelism_is_not_a_spec():
+    with pytest.raises(TypeError, match=r"AggregationSpec\(parallelism="):
+        SparkerSession(CFG).run("LR-A", iterations=1, partitions=4, spec=2)
+    with SparkerSession(CFG) as session, pytest.raises(TypeError):
+        session.submit("LR-A", 2, iterations=1, partitions=4)
 
 
 def test_handle_lifecycle_and_cancelled_queued_raises():
