@@ -8,7 +8,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="0.1.0",
+    version="1.1.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",

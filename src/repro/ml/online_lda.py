@@ -15,7 +15,6 @@ from typing import List, Optional
 
 import numpy as np
 from numpy.random import default_rng
-from scipy.special import digamma
 
 from ..core.aggregation import tree_aggregate
 from ..core.sai import split_aggregate
@@ -28,6 +27,26 @@ from .linalg import SparseVector
 from .optimization import AGGREGATION_MODES, ScaledPayloadValue
 
 __all__ = ["OnlineLDA"]
+
+
+def _digamma(x) -> np.ndarray:
+    """Digamma for ``x > 0`` (lambda stays positive), elementwise.
+
+    Upward recurrence ``psi(x) = psi(x + 1) - 1/x`` until ``x >= 10``,
+    then the asymptotic series: 2e-14 relative against the closed forms
+    and on 1e-3..1e4 (``tests/ml/test_digamma.py``).
+    """
+    x = np.asarray(x, dtype=float)
+    shift = np.zeros_like(x)
+    for _ in range(10):  # x > 0 reaches 10 in at most ten steps
+        small = x < 10.0
+        shift += np.where(small, 1.0 / x, 0.0)
+        x = np.where(small, x + 1.0, x)
+    inv = 1.0 / x
+    r = inv * inv
+    tail = r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (
+        1 / 240 - r / 132))))
+    return np.log(x) - 0.5 * inv - tail - shift
 
 
 class OnlineLDA:
@@ -88,7 +107,7 @@ class OnlineLDA:
 
         for iteration in range(1, self.num_iterations + 1):
             # Expected log beta under the current variational posterior.
-            e_log_beta = digamma(lam) - digamma(
+            e_log_beta = _digamma(lam) - _digamma(
                 lam.sum(axis=1, keepdims=True))
             exp_e_log_beta = np.exp(e_log_beta)
 

@@ -3,7 +3,7 @@
 This package is the foundation of the reproduction: the simulated cluster,
 network, Spark-like engine, and every benchmark figure run on top of this
 kernel. It is a compact generator-coroutine design in the SimPy tradition,
-written from scratch so the repository has no dependency beyond NumPy/SciPy.
+written from scratch so the repository has no dependency beyond NumPy.
 
 Public surface::
 
