@@ -5,17 +5,20 @@ chains, a fancy-index gather and shape checks per *sample* for a handful
 of flops — the per-record framework overhead Dünner et al. measure in
 Spark's local solver. This module keeps a partition's samples as flat
 ``indices / values / offsets / labels / nnz`` columns and folds them with
-one gather, one BLAS dot per row, the gradient's scalar function per row
-and one ordered scatter.
+one gather, one ``matmul`` per row *length* (which issues the per-row BLAS
+dot from C), the gradient's array form and one ordered scatter.
 
 It is the only gradient fold, not a faster approximation of one: every
 float operation and its association order is the per-sample loop's
 (:meth:`Gradient.add_to` under ``core.aggregation._fold_elements``), so
 weights, losses, ``ctx.charged`` and every virtual time are bit-identical
-by construction. That rules out every reassociating reduction —
-``bincount``, ``einsum``, ``reduceat``, pairwise ``sum``, vectorized
-``exp`` — however much faster: a ``bincount`` row dot differs from BLAS
-``ddot`` in the last bit on all four surrogate datasets.
+by construction. A row's dot stays the one ``ddot`` over the same
+operands that ``SparseVector.dot`` issues: for a stack of ``1xk @ kx1``
+products ``np.matmul`` calls exactly that routine once per row, so rows of
+equal length share one call from Python. Every reassociating reduction
+stays ruled out — ``bincount``, ``einsum``, ``reduceat``, pairwise ``sum``,
+numpy's SIMD ``exp`` — however much faster: ``einsum('ij,ij->i')`` differs
+from ``ddot`` in the last bit on 77% of rows.
 
 Columns belong to the partition they were built from: a
 :class:`~repro.rdd.storage.CachedPartition` keeps them for as long as its
@@ -25,6 +28,7 @@ columns for the one fold. Nothing is cached at module scope.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, List, Tuple
 
 import numpy as np
@@ -43,11 +47,17 @@ class PartitionColumns:
     """A partition's samples laid out as flat columns.
 
     Row ``r`` owns entries ``offsets[r]:offsets[r + 1]`` of ``indices`` and
-    ``values``, in partition order.
+    ``values``, in partition order. ``by_length`` is a second copy with the
+    rows stably sorted by length, so that the ``m`` rows of length ``k`` are
+    one contiguous block: ``(indices, order, blocks)``, ``order[i]`` the
+    partition row at sorted position ``i``, one ``(entries, (m, 1, k),
+    values as (m, k, 1), sorted rows)`` per length. A partition with fewer
+    than two rows per distinct length has ``None``: nothing to batch there,
+    and building the copy costs more than the row walk it would save.
     """
 
     __slots__ = ("num_rows", "num_cols", "indices", "values", "offsets",
-                 "labels", "nnz", "__weakref__")
+                 "labels", "nnz", "by_length", "__weakref__")
 
     def __init__(self, points: List[LabeledPoint], num_cols: int):
         rows = [p.features for p in points]
@@ -65,12 +75,27 @@ class PartitionColumns:
         else:
             self.indices = np.empty(0, dtype=np.int64)
             self.values = np.empty(0, dtype=np.float64)
-        self.nnz = np.fromiter((row.indices.size for row in rows),
-                               dtype=np.int64, count=n)
+        lengths = [row.indices.size for row in rows]
+        self.nnz = np.array(lengths, dtype=np.int64)
         self.offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.nnz, out=self.offsets[1:])
         self.labels = np.fromiter((p.label for p in points),
                                   dtype=np.float64, count=n)
+        self.by_length = None
+        counts = Counter(lengths)
+        if n < 2 * len(counts):
+            return
+        order = sorted(range(n), key=lengths.__getitem__)
+        values = np.concatenate([rows[r].values for r in order])
+        blocks, row, entry = [], 0, 0
+        for k, m in sorted(counts.items()):
+            entries = slice(entry, entry + m * k)
+            blocks.append((entries, (m, 1, k),
+                           values[entries].reshape(m, k, 1),
+                           slice(row, row + m)))
+            row, entry = row + m, entries.stop
+        self.by_length = (np.concatenate([rows[r].indices for r in order]),
+                          np.array(order), blocks)
 
 
 def columns_of(data: list, num_cols: int) -> Tuple[PartitionColumns, bool]:
@@ -85,6 +110,30 @@ def columns_of(data: list, num_cols: int) -> Tuple[PartitionColumns, bool]:
     if cached:
         data.derived = columns
     return columns, True
+
+
+def _sum_in_order(start: float, terms: Any, n: int) -> float:
+    """``start + t0 + t1 + ...``, added left to right as a loop would."""
+    steps = np.empty(n + 1)
+    steps[0] = start
+    steps[1:] = terms
+    return float(np.add.accumulate(steps)[-1])
+
+
+def _block_dots(columns: PartitionColumns, weights: np.ndarray) -> np.ndarray:
+    """Every row's ``w.x`` in partition order: one gather, then one
+    ``matmul`` per row length. Its ``1xk @ kx1`` core is the type's ``dot``
+    function, so each row gets the ``ddot`` over the same operands that
+    ``SparseVector.dot`` issues, called from C (``k == 0`` gives ``+0.0``)."""
+    indices, order, blocks = columns.by_length
+    gathered = weights[indices]
+    n = columns.num_rows
+    grouped = np.empty((n, 1, 1))
+    for entries, shape, values, rows in blocks:
+        np.matmul(gathered[entries].reshape(shape), values, out=grouped[rows])
+    dots = np.empty(n)
+    dots[order] = grouped.reshape(n)
+    return dots
 
 
 class ColumnarSeqOp(Costed):
@@ -137,17 +186,36 @@ class ColumnarSeqOp(Costed):
                 parent_span_id=executor._current_task_span))
 
         # virtual time: charged + c0 + c1 + ..., the per-sample order
-        steps = np.empty(n + 1)
-        steps[0] = ctx.charged
-        np.add(columns.nnz * self.per_nnz, ELEMENT_OVERHEAD, out=steps[1:])
-        ctx.charged = float(np.add.accumulate(steps)[-1])
+        ctx.charged = _sum_in_order(
+            ctx.charged, columns.nnz * self.per_nnz + ELEMENT_OVERHEAD, n)
 
+        if columns.by_length is None:
+            multipliers, live, loss_sum, weight_sum = self._walk_rows(
+                acc, columns, weights)
+        else:
+            multipliers, live, losses = self.gradient.multipliers_and_losses(
+                _block_dots(columns, weights), columns.labels)
+            loss_sum = _sum_in_order(acc.loss_sum, losses, n)
+            weight_sum = _sum_in_order(acc.weight_sum, 1.0, n)
+
+        indices, values, nnz = columns.indices, columns.values, columns.nnz
+        if live is not None:  # rows that add nothing, not even 0.0
+            entries = np.repeat(live, nnz)
+            indices, values, nnz = indices[entries], values[entries], nnz[live]
+        contributions = values * np.repeat(multipliers, nnz)
+        if dense:
+            np.add.at(target, indices, contributions)
+        else:
+            target.scatter_add_rows(indices, contributions, np.cumsum(nnz))
+        acc.set_stats(loss_sum, weight_sum)
+        return acc
+
+    def _walk_rows(self, acc, columns, weights):
+        """One ``ddot`` and one scalar gradient call per row, from Python."""
         values = columns.values
         gathered = weights[columns.indices]
         multiplier_and_loss = self.gradient.multiplier_and_loss
         bounds = columns.offsets.tolist()
-        # per row: the same ddot over the same operands as
-        # SparseVector.dot, then the gradient's own scalar function
         multipliers, losses = zip(*[
             multiplier_and_loss(
                 float(gathered[lo:hi].dot(values[lo:hi])), label)
@@ -157,18 +225,9 @@ class ColumnarSeqOp(Costed):
         for loss in losses:
             loss_sum += loss
             weight_sum += 1.0
-
-        indices, nnz = columns.indices, columns.nnz
-        if None in multipliers:  # rows that add nothing, not even 0.0
+        live = None
+        if None in multipliers:
             live = np.fromiter((m is not None for m in multipliers),
-                               dtype=bool, count=n)
-            entries = np.repeat(live, nnz)
-            indices, values, nnz = indices[entries], values[entries], nnz[live]
+                               dtype=bool, count=columns.num_rows)
             multipliers = [m for m in multipliers if m is not None]
-        contributions = values * np.repeat(np.array(multipliers), nnz)
-        if dense:
-            np.add.at(target, indices, contributions)
-        else:
-            target.scatter_add_rows(indices, contributions, np.cumsum(nnz))
-        acc.set_stats(loss_sum, weight_sum)
-        return acc
+        return np.array(multipliers), live, loss_sum, weight_sum

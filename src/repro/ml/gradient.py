@@ -1,11 +1,16 @@
 """Loss gradients (MLlib's ``Gradient`` hierarchy).
 
-Each gradient is one *scalar* function: from a sample's ``w.x`` and label
-to the multiplier of its features in the gradient sum and its loss. The
-per-sample :meth:`Gradient.add_to` (dot, scalar function, ``axpy`` into the
-aggregator's payload buffer — the hot path MLlib also optimizes) and the
-columnar partition fold (:mod:`repro.ml.columnar`) both call that one
-definition, so they cannot drift apart.
+Each gradient is defined by one *scalar* function: from a sample's ``w.x``
+and label to the multiplier of its features in the gradient sum and its
+loss. The per-sample :meth:`Gradient.add_to` (dot, scalar function,
+``axpy`` into the aggregator's payload buffer — the hot path MLlib also
+optimizes) calls it; the columnar partition fold (:mod:`repro.ml.columnar`)
+calls its array form, :meth:`Gradient.multipliers_and_losses`: the same
+expression in the same association order over whole columns, held ``==``
+to the scalar definition by test. Element-wise ``+ - * /``, comparisons,
+``np.minimum`` and ``np.where`` are exactly rounded, so they are the Python
+float operations bit for bit; numpy's SIMD ``exp`` is not libm's, so the
+array forms map ``math.exp`` / ``math.log1p`` over the column instead.
 
 Labels follow MLlib conventions: binary classifiers take labels in
 ``{0, 1}`` and internally map to ``{-1, +1}`` where needed.
@@ -14,7 +19,7 @@ Labels follow MLlib conventions: binary classifiers take labels in
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +27,14 @@ from .linalg import LabeledPoint
 
 __all__ = ["Gradient", "LogisticGradient", "HingeGradient",
            "LeastSquaresGradient"]
+
+
+def _libm(column: np.ndarray, *fns: Callable[[float], float]) -> np.ndarray:
+    """``fns`` of every element in turn: libm's own, looped from C by ``map``."""
+    values = column.tolist()
+    for fn in fns:
+        values = map(fn, values)
+    return np.fromiter(values, dtype=np.float64, count=column.shape[0])
 
 
 class Gradient:
@@ -35,6 +48,17 @@ class Gradient:
         multiplier of ``None`` means the sample adds nothing at all (no
         ``axpy`` happens); ``0.0`` is an ordinary multiplier and *is*
         added, which a sparse accumulator can tell apart.
+        """
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def multipliers_and_losses(self, dots: np.ndarray, labels: np.ndarray
+                               ) -> Tuple[np.ndarray, Optional[np.ndarray],
+                                          np.ndarray]:
+        """:meth:`multiplier_and_loss` of whole columns, bit for bit.
+
+        ``live`` is ``None`` when every sample has a multiplier, else the
+        mask of those that do, and ``multipliers`` holds only theirs. Like
+        the scalar form it is silent on ``inf`` and ``nan``.
         """
         raise NotImplementedError  # pragma: no cover - abstract
 
@@ -69,6 +93,18 @@ class LogisticGradient(Gradient):
             log1p_exp = math.log1p(math.exp(margin))
         return multiplier, (log1p_exp if label > 0 else log1p_exp - margin)
 
+    @np.errstate(all="ignore")
+    def multipliers_and_losses(self, dots, labels):
+        margins = -dots
+        multipliers = 1.0 / (1.0 + _libm(
+            np.minimum(margins, 500.0), math.exp)) - labels
+        positive = margins > 0
+        log1p_exp = _libm(np.where(positive, -margins, margins),
+                          math.exp, math.log1p)
+        log1p_exp = np.where(positive, margins + log1p_exp, log1p_exp)
+        return multipliers, None, np.where(labels > 0, log1p_exp,
+                                           log1p_exp - margins)
+
 
 class HingeGradient(Gradient):
     """SVM hinge loss: ``max(0, 1 - y * w.x)`` with y in {-1,+1}."""
@@ -81,6 +117,15 @@ class HingeGradient(Gradient):
             return -y, slack
         return None, 0.0
 
+    @np.errstate(all="ignore")
+    def multipliers_and_losses(self, dots, labels):
+        y = 2.0 * labels - 1.0
+        slack = 1.0 - y * dots
+        live = slack > 0
+        if live.all():
+            return -y, None, slack
+        return -y[live], live, np.where(live, slack, 0.0)
+
 
 class LeastSquaresGradient(Gradient):
     """Squared loss for linear regression: ``(w.x - y)^2 / 2``."""
@@ -89,3 +134,8 @@ class LeastSquaresGradient(Gradient):
                             ) -> Tuple[Optional[float], float]:
         diff = dot - label
         return diff, 0.5 * diff * diff
+
+    @np.errstate(all="ignore")
+    def multipliers_and_losses(self, dots, labels):
+        diff = dots - labels
+        return diff, None, 0.5 * diff * diff

@@ -448,23 +448,25 @@ class SparkerContext:
         an earlier one raises, so a job that died mid-stage cannot leave
         event-bus listeners or host-pool workers behind — the two leaks
         that made long-lived multi-context processes (the job service,
-        test suites) accumulate state before this existed. The first
+        test suites) accumulate state before this existed — and every
+        executor's blocks, shuffle buckets and IMM objects are released
+        here, not when the cyclic collector next runs. The first
         exception, if any, propagates after all steps have run.
         """
         if self._stopped:
             return
         self._stopped = True
-        failure: Optional[BaseException] = None
         host_pool, self.host_pool = self.host_pool, None
-        if host_pool is not None:
+        steps = [] if host_pool is None else [host_pool.close]
+        steps.append(self.event_bus.close)
+        # blocks, buckets and IMM objects die here, not at a later collection
+        steps += [executor.release_state for executor in self.executors]
+        failure: Optional[BaseException] = None
+        for step in steps:
             try:
-                host_pool.close()
+                step()
             except BaseException as exc:  # noqa: BLE001 - collect and go on
-                failure = exc
-        try:
-            self.event_bus.close()
-        except BaseException as exc:  # noqa: BLE001
-            failure = failure or exc
+                failure = failure or exc
         if failure is not None:
             raise failure
 

@@ -354,14 +354,19 @@ class Executor:
         except ValueError:
             pass
 
+    def release_state(self) -> None:
+        """Drop cached blocks (and the columns derived from them), shuffle
+        buckets and IMM objects: executor loss and ``sc.stop()``."""
+        self.memory_store.clear()
+        self.shuffle_store.clear()
+        self.object_manager.clear_all()
+
     def kill(self, reason: str = "fault injection") -> None:
         """Simulate executor loss: drop state, interrupt running tasks."""
         if not self.alive:
             return
         self.alive = False
-        self.memory_store.clear()
-        self.shuffle_store.clear()
-        self.object_manager.clear_all()
+        self.release_state()
         if self.residuals:
             # The top-k tier's error-feedback residuals die with the
             # executor; record how much accumulated mass was lost.

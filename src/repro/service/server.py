@@ -63,7 +63,7 @@ class JobRecord:
         self.tenant = tenant
         self.pool = pool
         self.workload = workload
-        self.body = body
+        self.body: Optional[Callable[[], Any]] = body
         self.status = JobStatus.QUEUED
         self.result: Any = None
         self.exception: Optional[BaseException] = None
@@ -207,7 +207,6 @@ class JobServer:
             record.status = JobStatus.SUCCEEDED
         finally:
             sc.exit_job_scope()
-            record.finished = sc.now
             if record.status != JobStatus.SUCCEEDED:
                 # A job that unwound mid-stage may have left partial IMM
                 # aggregators on executors; sweep every engine job this
@@ -215,17 +214,26 @@ class JobServer:
                 for job_id in scope.job_ids:
                     for executor in sc.executors:
                         executor.object_manager.clear_job(job_id)
-            bus = sc.event_bus
-            if bus.active:
-                bus.emit(ServiceJobFinished(
-                    time=sc.now, service_job_id=record.service_job_id,
-                    tenant=record.tenant, pool=record.pool,
-                    workload=record.workload, status=record.status,
-                    submitted=record.submitted,
-                    latency=sc.now - record.submitted))
-            record.done_event.succeed(record.status)
+            self._finish(record)
             self._pool_running[record.pool] -= 1
             self._dequeue_pending(record.pool)
+
+    def _finish(self, record: JobRecord) -> None:
+        """Terminal bookkeeping of a job that ran or was withdrawn queued."""
+        sc = self.sc
+        # the closure holds the session and this server: kept, it would pin
+        # every job's result until the cyclic collector runs
+        record.body = None
+        record.finished = sc.now
+        bus = sc.event_bus
+        if bus.active:
+            bus.emit(ServiceJobFinished(
+                time=sc.now, service_job_id=record.service_job_id,
+                tenant=record.tenant, pool=record.pool,
+                workload=record.workload, status=record.status,
+                submitted=record.submitted,
+                latency=sc.now - record.submitted))
+        record.done_event.succeed(record.status)
 
     def _dequeue_pending(self, pool: str) -> None:
         pending = self._pool_pending.get(pool)
@@ -276,17 +284,7 @@ class JobServer:
             if pending is not None and record in pending:
                 pending.remove(record)
             record.status = JobStatus.CANCELLED
-            record.finished = self.sc.now
-            bus = self.sc.event_bus
-            if bus.active:
-                bus.emit(ServiceJobFinished(
-                    time=self.sc.now,
-                    service_job_id=record.service_job_id,
-                    tenant=record.tenant, pool=record.pool,
-                    workload=record.workload, status=record.status,
-                    submitted=record.submitted,
-                    latency=self.sc.now - record.submitted))
-            record.done_event.succeed(record.status)
+            self._finish(record)
             return True
         worker = record.worker
         parked = worker.parked_on if worker is not None else None

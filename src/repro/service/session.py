@@ -250,22 +250,23 @@ class SparkerSession:
         ds = wl.spec
         spec = AggregationSpec.of(spec)
         _check_lda_spec(wl, spec)
-        sc = SparkerContext(self.config, host_pool=spec.host_pool)
-        n_parts = partitions or sc.default_parallelism
+        # stop() on exit takes the listener off the bus and frees the blocks
+        with SparkerContext(self.config, host_pool=spec.host_pool) as sc:
+            n_parts = partitions or sc.default_parallelism
 
-        samples, _truth = ds.generate()
-        rdd = sc.parallelize(samples, n_parts).cache()
-        rdd.count()  # materialize MEMORY_ONLY before the measured window
+            samples, _truth = ds.generate()
+            rdd = sc.parallelize(samples, n_parts).cache()
+            rdd.count()  # materialize MEMORY_ONLY before the window
 
-        if listener is not None:
-            sc.event_bus.subscribe(listener)
-        recorder = BreakdownRecorder(sc)
-        began = sc.now
-        model, final_loss = _train(sc, wl, rdd, ds, spec, aggregation,
-                                   iterations)
-        return _workload_result(workload, self.config, aggregation,
-                                iterations, sc, began, recorder, model,
-                                final_loss)
+            if listener is not None:
+                sc.event_bus.subscribe(listener)
+            recorder = BreakdownRecorder(sc)
+            began = sc.now
+            model, final_loss = _train(sc, wl, rdd, ds, spec, aggregation,
+                                       iterations)
+            return _workload_result(workload, self.config, aggregation,
+                                    iterations, sc, began, recorder, model,
+                                    final_loss)
 
     # -------------------------------------------------------------- submit
     def submit(self, workload: str, spec: Optional[AggregationSpec] = None,

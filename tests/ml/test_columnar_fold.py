@@ -35,7 +35,7 @@ from repro.ml import (
     aggregators,
     optimization,
 )
-from repro.ml.columnar import ColumnarSeqOp
+from repro.ml.columnar import ColumnarSeqOp, _block_dots
 from repro.obs import EventBus, MetricsListener
 from repro.rdd import ELEMENT_OVERHEAD, CachedPartition, Costed, TaskContext
 from repro.serde import SparsePolicy
@@ -85,7 +85,13 @@ def _point(dim, label, indices, values):
 
 @st.composite
 def partitions(draw):
-    """``(dim, weights, rows)``: random rows plus the awkward ones."""
+    """``(dim, weights, rows)``: random rows plus the awkward ones.
+
+    Half the draws take 20 rows or more from at most five lengths, so the
+    larger part of any split has two rows per distinct length and is
+    folded block-wise; the others give nearly every row a length of its
+    own, which is the row walk.
+    """
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     dim = draw(st.integers(1, 600))
@@ -93,8 +99,11 @@ def partitions(draw):
         st.sampled_from([0.0, 1e-3, 1.0, 40.0, 600.0]))
     # coordinate 0 is exactly 1: unit rows on it get w.x == value exactly
     weights[0] = 1.0
+    grouped = draw(st.booleans())
+    lengths = rng.integers(1, min(dim, 400) + 1, size=3 if grouped else 400)
     rows = []
-    for _ in range(draw(st.integers(0, 24))):
+    for _ in range(draw(st.integers(20, 48) if grouped
+                        else st.integers(0, 24))):
         kind = draw(st.sampled_from(
             ["random", "random", "empty", "unit", "unit", "clamp"]))
         label = float(rng.integers(0, 2))
@@ -109,7 +118,7 @@ def partitions(draw):
             value = draw(st.sampled_from([-900.0, -501.0, 501.0, 900.0]))
             rows.append(_point(dim, label, [0], [value]))
         else:
-            nnz = int(rng.integers(1, min(dim, 400) + 1))
+            nnz = int(rng.choice(lengths))
             indices = np.sort(rng.choice(dim, size=nnz, replace=False))
             rows.append(_point(dim, label, indices,
                                rng.standard_normal(nnz)))
@@ -120,14 +129,17 @@ def partitions(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=partitions(), split=st.integers(0, 24),
        charged=st.floats(0.0, 1.0),
+       stats=st.sampled_from([(0.0, 0.0), (3.25, 0.1), (-1e-3, 2.5),
+                              (1e9, 2.0 ** 53)]),
        threshold=st.sampled_from([None, 0.001, 0.02, 0.3, 1.0]),
        coalesce_min=st.sampled_from([1, 2, 3, 16, 4096]))
 def test_fold_equals_per_sample_loop_exactly(gradient_cls, case, split,
-                                             charged, threshold,
+                                             charged, stats, threshold,
                                              coalesce_min):
     dim, weights, rows = case
-    # two folds into one accumulator: the second starts from non-zero
-    # statistics, a non-empty accumulator and a non-zero charge
+    # two folds into one accumulator: the second starts from a non-empty
+    # accumulator; both from a loss sum, a fractional weight sum and a
+    # charge that are not zero
     parts = [rows[:split], rows[split:]]
     policy = None if threshold is None else SparsePolicy(threshold)
     saved = aggregators._COALESCE_MIN
@@ -136,12 +148,64 @@ def test_fold_equals_per_sample_loop_exactly(gradient_cls, case, split,
         outcomes = []
         for fold in (_reference, _columnar):
             ctx = _ctx(charged)
-            agg = fold(gradient_cls(), parts, weights,
-                       FlatAggregator(dim, policy=policy), ctx)
+            agg = FlatAggregator(dim, policy=policy)
+            agg.set_stats(*stats)
+            fold(gradient_cls(), parts, weights, agg, ctx)
             outcomes.append(_observed(agg, ctx))
     finally:
         aggregators._COALESCE_MIN = saved
     assert outcomes[1] == outcomes[0]
+
+
+def test_the_layout_follows_the_rows_per_distinct_length():
+    """Two rows per distinct length or more: blocks; fewer: the row walk.
+    The rule reads the partition's own row lengths and nothing else."""
+    def columns(lengths):
+        return PartitionColumns(
+            [_point(9, 1.0, range(k), np.ones(k)) for k in lengths], 9)
+
+    assert columns([3, 5, 3, 5]).by_length is not None
+    assert columns([3, 5, 3, 5, 7]).by_length is None
+    assert columns([0, 0]).by_length is not None  # a k == 0 block
+    assert columns([4]).by_length is None
+    indices, order, blocks = columns([5, 3, 5, 0, 3, 3]).by_length
+    assert order.tolist() == [3, 1, 4, 5, 0, 2]  # stable within a length
+    assert [(shape, values.shape) for _, shape, values, _ in blocks] == [
+        ((1, 1, 0), (1, 0, 1)), ((3, 1, 3), (3, 3, 1)), ((2, 1, 5), (2, 5, 1))]
+    assert indices.tolist() == [0, 1, 2] * 3 + [0, 1, 2, 3, 4] * 2
+
+
+# ------------------------------------------- what the bits now rest on
+@st.composite
+def length_grouped_rows(draw):
+    """Rows of lengths 0..300 — k == 0, k < 32 and the SIMD part of the
+    ``ddot`` kernel (k >= 32) — some lengths once, some several times,
+    values and weights over twelve decades; always two rows per length."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = 320
+    lengths = []
+    for k in draw(st.lists(st.integers(0, 300), min_size=1, max_size=12,
+                           unique=True)):
+        lengths += [k] * draw(st.sampled_from([1, 1, 2, 3, 7]))
+    lengths += lengths[:1] * max(0, 2 * len(set(lengths)) - len(lengths))
+    rng.shuffle(lengths)
+
+    def wide(size):
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-6, 7, size)
+
+    rows = [_point(dim, 0.0, np.sort(rng.choice(dim, size=k, replace=False)),
+                   wide(k)) for k in lengths]
+    return wide(dim), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=length_grouped_rows())
+def test_block_dots_are_sparse_vector_dots_bit_for_bit(case):
+    weights, rows = case
+    columns = PartitionColumns(rows, weights.shape[0])
+    assert columns.by_length is not None
+    assert (_block_dots(columns, weights).tobytes()
+            == np.array([row.features.dot(weights) for row in rows]).tobytes())
 
 
 def test_empty_partition_is_untouched():
@@ -198,9 +262,17 @@ def test_hinge_inactive_rows_add_nothing():
     rows = [_point(dim, 1.0, [0], [1.0]),   # slack exactly 0.0: inactive
             _point(dim, 1.0, [0, 2], [5.0, 1.0]),
             _point(dim, 0.0, [1], [1.0])]   # active
-    agg = _columnar(HingeGradient(), [rows], np.ones(dim),
-                    FlatAggregator(dim, policy=SparsePolicy(0.9)), _ctx())
-    assert agg.payload_nnz == 1 and agg.weight_sum == 3.0
+    for copies in (1, 4):  # the row walk, then blocks
+        part = rows * copies
+        assert (PartitionColumns(part, dim).by_length is None) == (copies == 1)
+        agg = _columnar(HingeGradient(), [part], np.ones(dim),
+                        FlatAggregator(dim, policy=SparsePolicy(0.9)), _ctx())
+        assert agg.payload_nnz == copies and agg.weight_sum == 3.0 * copies
+        # no live row at all: nothing is scattered, the rows still count
+        agg = _columnar(HingeGradient(), [rows[:2] * copies], np.ones(dim),
+                        FlatAggregator(dim, policy=SparsePolicy(0.9)), _ctx())
+        assert (agg.payload_nnz, agg.weight_sum, agg.loss_sum) == (
+            0, 2.0 * copies, 0.0)
 
 
 # ----------------------------------------------------------- count guard
@@ -214,14 +286,15 @@ class _CountedWeights(np.ndarray):
         return np.asarray(super().__getitem__(key))
 
 
-def _fold_calls(n):
-    """Profile one fold of ``n`` rows: (calls outside the scalar gradient
-    function, gathers, ``np.add.at`` calls, ``np.add.accumulate`` calls)."""
+def _fold_calls(lengths):
+    """Profile one fold of rows of these lengths: (Python-level calls
+    outside the scalar gradient function, entries into it, gathers,
+    ``np.add.at`` calls, ``np.add.accumulate`` calls)."""
     dim = 500
-    rng = np.random.default_rng(n)
+    rng = np.random.default_rng(len(lengths))
     rows = [_point(dim, float(rng.integers(0, 2)),
-                   np.sort(rng.choice(dim, size=12, replace=False)),
-                   rng.standard_normal(12)) for _ in range(n)]
+                   np.sort(rng.choice(dim, size=k, replace=False)),
+                   rng.standard_normal(k)) for k in lengths]
     weights = (rng.standard_normal(dim) * 0.1).view(_CountedWeights)
     gradient = LogisticGradient()
     scalar = LogisticGradient.multiplier_and_loss.__code__
@@ -229,7 +302,7 @@ def _fold_calls(n):
     data = CachedPartition(rows)
     agg, ctx = FlatAggregator(dim), _ctx()
     op.fold_partition(agg, data, ctx)  # columns are built here, once
-    counts = {"calls": 0, "at": 0, "accumulate": 0}
+    counts = {"calls": 0, "scalar": 0, "at": 0, "accumulate": 0}
     state = {"inside": 0}
 
     def profiler(frame, event, arg):
@@ -239,6 +312,7 @@ def _fold_calls(n):
             else:
                 counts["calls"] += 1
                 if frame.f_code is scalar:
+                    counts["scalar"] += 1
                     state["inside"] = 1
         elif event == "return":
             if state["inside"]:
@@ -254,15 +328,35 @@ def _fold_calls(n):
         op.fold_partition(agg, data, ctx)
     finally:
         sys.setprofile(None)
-    return (counts["calls"], _CountedWeights.gathers, counts["at"],
-            counts["accumulate"])
+    return (counts["calls"], counts["scalar"], _CountedWeights.gathers,
+            counts["at"], counts["accumulate"])
+
+
+def test_fold_work_follows_the_distinct_lengths_not_the_rows():
+    """Two rows per length or more: the calls of one fold are ``a + b*L``
+    for L distinct lengths, whatever the row count, and the scalar gradient
+    function is never entered."""
+    def grouped(n, num_lengths):
+        return _fold_calls([10 + i % num_lengths for i in range(n)])
+
+    small, large = grouped(300, 6), grouped(3000, 6)
+    # one gather, one scatter, three running sums (charge, loss, weight)
+    assert small == large and small[1:] == (0, 1, 1, 3)
+    six_more = grouped(300, 12)[0] - small[0]
+    assert grouped(300, 18)[0] - small[0] == 2 * six_more
+    # b: a reshape per length (the profiler does not see ufunc calls); a: 50
+    assert 6 <= six_more <= 6 * 3 and small[0] - six_more <= 60
 
 
 def test_fold_work_per_sample_is_constant_and_small():
-    small, large = _fold_calls(300), _fold_calls(3000)
-    # one gather, one scatter, one accumulate, however many rows
-    assert small[1:] == large[1:] == (1, 1, 1)
-    per_small, per_large = small[0] / 300, large[0] / 3000
+    """Fewer than two rows per length: one dot and one scalar gradient
+    call per row from Python, as the fold has always done it."""
+    def walked(n):
+        return _fold_calls([1 + i % (2 * n // 3) for i in range(n)])
+
+    small, large = walked(150), walked(300)
+    assert small[1:] == (150, 1, 1, 1) and large[1:] == (300, 1, 1, 1)
+    per_small, per_large = small[0] / 150, large[0] / 300
     assert per_large <= 3.0
     assert abs(per_small - per_large) <= 0.1 * per_large
 
@@ -292,10 +386,12 @@ def test_columns_die_with_the_cached_dataset():
     # one per cached partition, built in iteration 1 and found in 2
     assert len(refs) == 4
     assert all(isinstance(ref(), PartitionColumns) for ref in refs)
-    sc.stop()
-    del sc, rdd
-    gc.collect()
-    assert all(ref() is None for ref in refs)
+    gc.disable()  # stop() itself frees them, context and RDD still held
+    try:
+        sc.stop()
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
     assert len(points) == 240  # the rows are the caller's, untouched
 
 

@@ -1,5 +1,7 @@
 """Tests for gradients (vs numerical differentiation) and updaters."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,3 +168,60 @@ def test_logistic_gradient_property(seed, label):
     LogisticGradient().add_to(point, weights, analytic)
     numeric = numerical_gradient(loss_fn, weights)
     np.testing.assert_allclose(analytic, numeric, atol=1e-4)
+
+
+# ------------------------------------------- array form == scalar form
+GRADIENTS = (LogisticGradient, HingeGradient, LeastSquaresGradient)
+#: every branch of the scalar functions and the edges of libm: zeros of
+#: both signs, denormal-range products, the ``min(margin, 500)`` clamp, the
+#: ``exp`` underflow at 745, and values no finite training run reaches
+EDGE_DOTS = [0.0, 1e-300, 0.5, 1.0, 40.0, 499.9, 500.0, 745.0, 1e6,
+             float("inf")]
+EDGE_DOTS = EDGE_DOTS + [-d for d in EDGE_DOTS] + [float("nan")]
+
+
+def _assert_array_form_is_the_scalar_form(gradient, dots, labels):
+    scalar = [gradient.multiplier_and_loss(dot, label)  # no OverflowError
+              for dot, label in zip(dots.tolist(), labels.tolist())]
+    multipliers, live, losses = gradient.multipliers_and_losses(dots, labels)
+    expected_live = [m is not None for m, _ in scalar]
+    if all(expected_live):
+        assert live is None
+    else:
+        assert live.dtype == bool and live.tolist() == expected_live
+    # bytes, not ==: nan and the sign of zero count
+    assert multipliers.tobytes() == np.array(
+        [m for m, _ in scalar if m is not None], dtype=np.float64).tobytes()
+    assert losses.tobytes() == np.array(
+        [loss for _, loss in scalar], dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("gradient_cls", GRADIENTS)
+def test_array_form_equals_scalar_form_on_the_edges(gradient_cls):
+    dots = np.array(EDGE_DOTS * 2)
+    labels = np.repeat([0.0, 1.0], len(EDGE_DOTS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf: silent, like a float
+        _assert_array_form_is_the_scalar_form(gradient_cls(), dots, labels)
+
+
+@pytest.mark.parametrize("gradient_cls", GRADIENTS)
+@settings(max_examples=200, deadline=None)
+@given(dots=st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                     | st.floats(-50.0, 50.0), min_size=1, max_size=40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_array_form_equals_scalar_form(gradient_cls, dots, seed):
+    labels = np.random.default_rng(seed).integers(0, 2, len(dots))
+    _assert_array_form_is_the_scalar_form(
+        gradient_cls(), np.array(dots), labels.astype(np.float64))
+
+
+def test_hinge_array_form_reports_dead_rows_only_when_there_are_some():
+    gradient, ones = HingeGradient(), np.ones(3)
+    multipliers, live, losses = gradient.multipliers_and_losses(
+        np.array([0.5, -2.0, 0.0]), ones)  # slack 0.5, 3, 1: all live
+    assert live is None and multipliers.tolist() == [-1.0, -1.0, -1.0]
+    multipliers, live, losses = gradient.multipliers_and_losses(
+        np.array([1.0, 2.0, 9.0]), ones)  # slack 0, -1, -8: all dead
+    assert multipliers.size == 0 and not live.any()
+    assert losses.tolist() == [0.0, 0.0, 0.0]

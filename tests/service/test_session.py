@@ -1,6 +1,9 @@
 """SparkerSession tests: run/submit parity, spec policy."""
 
+import gc
 import warnings
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,3 +100,57 @@ def test_session_repr_and_lazy_server():
         live.submit("LR-A", iterations=1, partitions=4)
         live.server.drain()
         assert "service not started" not in repr(live)
+
+
+# ------------------------------------------------------------- lifetime
+@pytest.fixture
+def no_collector():
+    """A closed context gives its memory back by reference count alone:
+    with the cyclic collector off, anything freed here was freed by
+    ``stop()`` / ``close()``, not by a collection that happened to run."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_run_stops_its_context_and_frees_the_cached_columns(no_collector):
+    contexts, columns = [], {}
+    real = session_mod.SparkerContext
+
+    def spy(*args, **kwargs):
+        contexts.append(real(*args, **kwargs))
+        return contexts[-1]
+
+    def listener(_event):  # mid-run: the blocks are cached and laid out
+        for executor in contexts[0].executors:
+            for block in executor.memory_store._blocks.values():
+                derived = block.data.derived
+                if derived is not None:
+                    columns[id(derived)] = weakref.ref(derived)
+
+    with mock.patch.object(session_mod, "SparkerContext", spy):
+        SparkerSession(CFG).run("LR-A", iterations=2, partitions=4,
+                                listener=listener)
+    sc, = contexts  # still held here: stop() freed the blocks, not its death
+    assert len(columns) == 4 and len(sc.event_bus) == 0
+    assert all(ref() is None for ref in columns.values())
+    with pytest.raises(RuntimeError, match="context is stopped"):
+        sc.parallelize([1], 1)
+    sc.stop()  # twice is still a no-op
+
+
+def test_a_closed_service_is_freed_and_its_results_survive(no_collector):
+    session = SparkerSession(CFG, pools={"narrow": PoolConfig(max_running=1)})
+    handle, queued = (session.submit("LR-A", pool="narrow", iterations=2,
+                                     partitions=4) for _ in range(2))
+    assert queued.cancel("withdrawn before it started")
+    weights = handle.result().final_weights.copy()
+    server = weakref.ref(session.server)
+    session.close()
+    session.close()
+    assert np.array_equal(handle.result().final_weights, weights)
+    del session, handle, queued
+    assert server() is None
