@@ -157,7 +157,7 @@ def main() -> None:
         "notes": (
             "split aggregation with parallelism=4 is the engine's most "
             "message-dense path (~90% of events are per-message/per-hop "
-            "records at a few microseconds each). event_log buffers "
+            "records). event_log buffers "
             "events as objects and serializes in 8192-event batches, so "
             "its emit-path overhead tracks the in-memory recorder's; "
             "event_log_sync is the serialize-per-event baseline, and "

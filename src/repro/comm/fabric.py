@@ -290,10 +290,11 @@ class CommFabric:
             channel, hop = _tag_channel_hop(tag)
             verdict = self.faults.message_fault(src, dst, channel, hop, size)
         span = -1
-        if self.bus is not None and self.bus.active:
+        bus = self.bus
+        if bus is not None and bus.active:
             channel, hop = _tag_channel_hop(tag)
-            span = self.bus.tracer.new_span()
-            self.bus.emit(MessageSent.fast(
+            span = bus.tracer.new_span()
+            bus.emit(MessageSent.fast(
                 time=sent_at, transport=transport.name, src=src,
                 dst=dst, channel=channel, hop=hop, nbytes=size,
                 span_id=span, parent_span_id=self.parent_span))
@@ -370,14 +371,16 @@ class CommFabric:
             payload, src, size, sent_at, arrived_at, span = arrived.pop(0)
             if not arrived:
                 del self._arrived[key]
-        if self.bus is not None and self.bus.active:
+        bus = self.bus
+        if bus is not None and bus.active:
             channel, hop = _tag_channel_hop(tag)
+            now = self.env.now
             # Same span as the matching MessageSent: the send/deliver pair
             # IS one message span, which is the happens-before edge.
-            self.bus.emit(MessageDelivered.fast(
-                time=self.env.now, transport=self.transport.name, src=src,
+            bus.emit(MessageDelivered.fast(
+                time=now, transport=self.transport.name, src=src,
                 dst=rank, channel=channel, hop=hop, nbytes=size,
-                queue_wait=self.env.now - arrived_at,
+                queue_wait=now - arrived_at,
                 flight_time=arrived_at - sent_at,
                 span_id=span, parent_span_id=self.parent_span))
         return payload

@@ -110,15 +110,15 @@ def ring_reduce_scatter_rank(
         tag = (channel, k)
         tracing = bus is not None and bus.active
         began = env.now
+        outgoing = current[send_idx]
+        # sized here, once, for the send and for the hop's record
+        send_bytes = sim_sizeof(outgoing)
         if tracing:
-            send_bytes = sim_sizeof(current[send_idx])
-            send_dense = sim_dense_sizeof(current[send_idx])
-            send_repr = representation_of(current[send_idx])
+            send_dense = sim_dense_sizeof(outgoing)
+            send_repr = representation_of(outgoing)
             local_repr = representation_of(current[recv_idx])
-        else:
-            send_bytes = send_dense = 0.0
-            send_repr = local_repr = "dense"
-        in_flight = fabric.isend(rank, nxt, current[send_idx], tag=tag)
+        in_flight = fabric.isend(rank, nxt, outgoing, tag=tag,
+                                 nbytes=send_bytes)
         try:
             incoming = yield from fabric.recv(rank, tag=tag,
                                               timeout=recv_timeout)
@@ -151,7 +151,7 @@ def ring_reduce_scatter_rank(
                              send_dense_bytes=send_dense,
                              span_id=hop_span, parent_span_id=parent_span))
             if merged_repr != local_repr:
-                bus.emit(SegmentRepresentation(
+                bus.emit(SegmentRepresentation.fast(
                     time=env.now, site="ring", executor_id=executor_id,
                     rank=rank, channel=channel_key, hop=k,
                     from_repr=local_repr, to_repr=merged_repr,
@@ -572,7 +572,7 @@ class ScalableCommunicator:
             msg_span = -1
             if bus is not None and bus.active:
                 msg_span = bus.tracer.new_span()
-                bus.emit(MessageSent(
+                bus.emit(MessageSent.fast(
                     time=sent_at, transport=self.transport.name, src=rank,
                     dst=-1, channel="gather", hop=rank, nbytes=total,
                     span_id=msg_span, parent_span_id=self.span_id))
@@ -580,7 +580,7 @@ class ScalableCommunicator:
             arrived_at = env.now
             yield env.timeout(self.serde.deser_time_bytes(total))
             if bus is not None and bus.active:
-                bus.emit(MessageDelivered(
+                bus.emit(MessageDelivered.fast(
                     time=env.now, transport=self.transport.name, src=rank,
                     dst=-1, channel="gather", hop=rank, nbytes=total,
                     queue_wait=env.now - arrived_at,

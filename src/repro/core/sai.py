@@ -267,8 +267,8 @@ class _Armor:
             else:
                 kw.update(span_id=tracer.new_span(),
                           parent_span_id=self.epoch_span)
-        event = RecoveryAction(time=self.sc.now, action=action,
-                               job_id=self.job_id, **kw)
+        event = RecoveryAction.fast(time=self.sc.now, action=action,
+                                    job_id=self.job_id, **kw)
         if self.controller is not None:
             self.controller.actions.append(event)
         if bus.active:
@@ -387,7 +387,7 @@ def _announce(sc: Any, cid: int, source: str, holders: Holders,
         return
     slots = _slots_for(sc, [executor_id for executor_id, _ in holders])
     value_bytes = _holder_value_bytes(sc, holders)
-    bus.emit(CollectiveChosen(
+    bus.emit(CollectiveChosen.fast(
         time=sc.now, collective_id=cid, algorithm=algorithm,
         parallelism=parallelism, source=source, ranks=len(slots),
         hosts=len({s.hostname for s in slots}), value_bytes=value_bytes,
@@ -435,7 +435,7 @@ def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders,
     if bus.active:
         cspan = bus.tracer.open_collective(cid)
         for plan, est in estimates:
-            bus.emit(CollectiveCostEstimate(
+            bus.emit(CollectiveCostEstimate.fast(
                 time=sc.now, collective_id=cid, algorithm=plan.algorithm,
                 parallelism=plan.parallelism, predicted=est,
                 chosen=plan is winner,
@@ -453,7 +453,7 @@ def _finish_collective(sc: Any, model: Any, cid: int, algorithm: str,
     if model is not None:
         model.observe(algorithm, predicted, measured)
     if sc.event_bus.active:
-        sc.event_bus.emit(CollectiveCompleted(
+        sc.event_bus.emit(CollectiveCompleted.fast(
             time=sc.now, collective_id=cid, algorithm=algorithm,
             parallelism=parallelism, began=began, seconds=measured,
             predicted=predicted,
@@ -696,7 +696,7 @@ def _compress(sc: Any, spec: AggregationSpec, executor_id: int,
     executor.object_manager.replace(obj, comp)
     bus = sc.event_bus
     if bus.active:
-        bus.emit(ResidualNorm(
+        bus.emit(ResidualNorm.fast(
             time=sc.now, executor_id=executor_id, job_id=obj[0],
             error_feedback=spec.error_feedback,
             span_id=bus.tracer.new_span(),
@@ -826,14 +826,14 @@ def _emit_downgrade(sc: Any, armor: _Armor, reason: str,
     """Record a pipelined→phased downgrade: obs event plus one warning."""
     bus = sc.event_bus
     if bus.active:
-        bus.emit(CollectiveDowngraded(
+        bus.emit(CollectiveDowngraded.fast(
             time=sc.now, requested="pipelined_ring", actual="ring",
             reason=reason, job_id=armor.job_id, detail=detail,
             span_id=bus.tracer.new_span(), parent_span_id=armor.span_id))
-    action = RecoveryAction(time=sc.now, action="streamed_abort",
-                            site="pipelined", job_id=armor.job_id,
-                            detail=f"{reason}: {detail}",
-                            parent_span_id=armor.span_id)
+    action = RecoveryAction.fast(time=sc.now, action="streamed_abort",
+                                 site="pipelined", job_id=armor.job_id,
+                                 detail=f"{reason}: {detail}",
+                                 parent_span_id=armor.span_id)
     if armor.controller is not None:
         armor.controller.actions.append(action)
     if bus.active:

@@ -153,7 +153,7 @@ class FaultController:
     # ----------------------------------------------------------- crash faults
     def _crash(self, fault: ExecutorCrash, trigger: str,
                detail: str = "") -> None:
-        self._record(FaultInjected(
+        self._record(FaultInjected.fast(
             time=self.sc.now, fault="executor_crash",
             target=f"executor {fault.executor_id}", trigger=trigger,
             executor_id=fault.executor_id, detail=detail))
@@ -239,13 +239,13 @@ class FaultController:
             state.remaining -= 1
             hop_note = "" if hop is None else f" hop {hop}"
             if isinstance(fault, MessageDrop):
-                self._record(FaultInjected(
+                self._record(FaultInjected.fast(
                     time=self.sc.now, fault="message_drop",
                     target=f"rank {src} -> rank {dst}", trigger="link",
                     src=src, dst=dst, channel=channel,
                     detail=f"{nbytes:g}B{hop_note}"))
                 return ("drop", 0.0)
-            self._record(FaultInjected(
+            self._record(FaultInjected.fast(
                 time=self.sc.now, fault="message_delay",
                 target=f"rank {src} -> rank {dst}", trigger="link",
                 src=src, dst=dst, channel=channel,
@@ -261,7 +261,7 @@ class FaultController:
         executor = self.sc.executor_by_id(fault.executor_id)
         saved = executor.compute_scale
         executor.compute_scale = fault.factor
-        self._record(FaultInjected(
+        self._record(FaultInjected.fast(
             time=env.now, fault="straggler",
             target=f"executor {fault.executor_id}", trigger="window",
             executor_id=fault.executor_id,
@@ -270,7 +270,7 @@ class FaultController:
             return
         yield env.timeout(fault.duration)
         executor.compute_scale = saved
-        self._record(FaultInjected(
+        self._record(FaultInjected.fast(
             time=env.now, fault="straggler_end",
             target=f"executor {fault.executor_id}", trigger="window",
             executor_id=fault.executor_id))
@@ -285,7 +285,7 @@ class FaultController:
         saved_out = driver.nic_out.capacity
         flows.set_link_capacity(driver.nic_in, saved_in * fault.factor)
         flows.set_link_capacity(driver.nic_out, saved_out * fault.factor)
-        self._record(FaultInjected(
+        self._record(FaultInjected.fast(
             time=env.now, fault="nic_degradation",
             target=f"driver {driver.hostname}", trigger="window",
             detail=f"capacity x{fault.factor:g}"))
@@ -294,7 +294,7 @@ class FaultController:
         yield env.timeout(fault.duration)
         flows.set_link_capacity(driver.nic_in, saved_in)
         flows.set_link_capacity(driver.nic_out, saved_out)
-        self._record(FaultInjected(
+        self._record(FaultInjected.fast(
             time=env.now, fault="nic_restored",
             target=f"driver {driver.hostname}", trigger="window"))
 

@@ -213,7 +213,7 @@ class ExecutorHealthRegistry:
     def _emit(self, executor_id: int, event: str, until: float = 0.0) -> None:
         bus = self.sc.event_bus
         if bus is not None and bus.active:
-            bus.emit(ExecutorHealth(
+            bus.emit(ExecutorHealth.fast(
                 time=self.sc.env.now, executor_id=executor_id, status=event,
                 score=self.score(executor_id),
                 strikes=self.strikes(executor_id), until=until))

@@ -110,9 +110,8 @@ class RecordingListener:
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-
-    def on_event(self, event: TraceEvent) -> None:
-        self.events.append(event)
+        #: what the bus calls: the list's own append, no frame per event
+        self.on_event = self.events.append
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
         """All recorded events with the given ``kind`` discriminator."""

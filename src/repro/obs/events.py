@@ -1,11 +1,14 @@
 """The typed event vocabulary of the observability layer.
 
-Every event is a frozen dataclass with a ``time`` field (virtual seconds)
-and a class-level ``kind`` discriminator, serializable to one flat JSON
-object via :meth:`TraceEvent.to_record` and back via
-:func:`event_from_record`. Span-like events (tasks, ring hops, phases)
-carry their *start* in a ``began`` field and stamp ``time`` at the end, so
-a JSON-lines log is naturally ordered by completion time.
+Every event is a frozen slots dataclass — a fixed-layout record with no
+per-instance dict — with a ``time`` field (virtual seconds) and a
+class-level ``kind`` discriminator. Emit sites build it with its
+keyword-only constructor ``fast``; ``to_record`` serializes it to one flat
+JSON object and :func:`event_from_record` reads that back
+(:func:`_generate` writes ``fast`` and ``to_record`` out per class).
+Span-like events (tasks, ring hops, phases) carry their *start* in a
+``began`` field and stamp ``time`` at the end, so a JSON-lines log is
+naturally ordered by completion time.
 
 The vocabulary mirrors Spark's listener events where an analogue exists
 (``SparkListenerJobStart``/``TaskEnd``/...) and extends below task
@@ -16,7 +19,7 @@ events, per-hop ring spans, and in-memory-merge events.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, ClassVar, Dict, Optional, Type
+from typing import Any, Callable, ClassVar, Dict, Optional, Type
 
 __all__ = [
     "TraceEvent",
@@ -65,7 +68,76 @@ def channel_str(channel: Any) -> str:
     return str(channel)
 
 
-@dataclass(frozen=True)
+def _generate(cls: type) -> None:
+    """Write ``cls.fast`` and ``cls.to_record`` out, as ``dataclasses``
+    writes ``__init__``: one function per class, every field by name.
+
+    A frozen slots instance cannot be filled cheaply through its own
+    ``__setattr__`` (``object.__setattr__`` per field: 2 us for a ring
+    hop's 14), so ``fast`` allocates a mutable *twin* — same bases, same
+    slots, hence the same layout — fills it with plain ``e.name = name``
+    stores and hands it over with one ``__class__`` store. The twin must
+    override ``__setattr__`` *and* ``__delattr__``: with only the first,
+    CPython keeps the generic attribute slot and a store costs six times
+    as much; its ``__init__`` is ``object``'s, so ``_twin()`` allocates and
+    nothing else. The signature is keyword-only and carries the defaults, so
+    an unknown or a missing required field is a ``TypeError`` at the
+    emit site, as with ``__init__``.
+
+    ``to_record`` is one dict display of the fields plus the ``event``
+    discriminator, keys in sorted order (the log's encoder sorts them,
+    and a sorted list is its cheapest case: 6.0 -> 5.4 us a ring hop);
+    unset span fields are dropped, and a field whose default factory is
+    itself a record class (``TaskEnd.metrics``) is written through that
+    class's ``to_record``.
+    """
+    twin = type(cls.__name__, cls.__bases__, {
+        "__slots__": cls.__slots__, "__init__": object.__init__,
+        "__setattr__": object.__setattr__,
+        "__delattr__": object.__delattr__})
+    scope: Dict[str, Any] = {"_cls": cls, "_twin": twin, "_MISSING": MISSING}
+    params, stores, items = [], [], []
+    for f in fields(cls):
+        name, value = f.name, f"self.{f.name}"
+        if f.default_factory is not MISSING:
+            scope[f"_make_{name}"] = f.default_factory
+            params.append(f"{name}=_MISSING")
+            stores.append(f"e.{name} = _make_{name}() "
+                          f"if {name} is _MISSING else {name}")
+            if hasattr(f.default_factory, "to_record"):
+                value += ".to_record()"
+        else:
+            stores.append(f"e.{name} = {name}")
+            if f.default is MISSING:
+                params.append(name)
+            else:
+                scope[f"_default_{name}"] = f.default
+                params.append(f"{name}=_default_{name}")
+        items.append(f"{name!r}: {value}")
+    if hasattr(cls, "kind"):
+        items.append(f"'event': {cls.kind!r}")
+    items.sort()
+    # named after the class: a profile keys a function by (file, line,
+    # name), and every class's source starts at line 1
+    fast, to_record = f"{cls.__name__}_fast", f"{cls.__name__}_to_record"
+    lines = [f"def {fast}(*, {', '.join(params)}):", " e = _twin()",
+             *(f" {store}" for store in stores),
+             " e.__class__ = _cls", " return e",
+             f"def {to_record}(self):",
+             f" record = {{{', '.join(items)}}}"]
+    if "span_id" in cls.__dataclass_fields__:
+        lines += [" if self.span_id < 0:", "  del record['span_id']",
+                  "  if self.parent_span_id < 0:",
+                  "   del record['parent_span_id']"]
+    lines.append(" return record")
+    # this file's name, so tracebacks and profilers book the generated
+    # code under obs rather than under "<string>"
+    exec(compile("\n".join(lines), __file__, "exec"), scope)
+    cls.fast = staticmethod(scope[fast])
+    cls.to_record = scope[to_record]
+
+
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """Base class: one observed occurrence at one virtual time.
 
@@ -82,65 +154,20 @@ class TraceEvent:
     span_id: int = field(default=-1, kw_only=True)
     parent_span_id: int = field(default=-1, kw_only=True)
 
-    def to_record(self) -> Dict[str, Any]:
-        """A flat JSON-ready dict with an ``event`` discriminator.
-
-        Copies ``__dict__`` directly rather than ``dataclasses.asdict``
-        (whose recursive deep-copy dominates event-log write cost);
-        subclasses with nested dataclass fields override this.
-        """
-        record = dict(self.__dict__)
-        record["event"] = self.kind
-        if record["span_id"] < 0:
-            del record["span_id"]
-            if record["parent_span_id"] < 0:
-                del record["parent_span_id"]
-        return record
+    #: keyword-only constructor for the emit sites, and the flat JSON-ready
+    #: dict with an ``event`` discriminator; _generate writes both out
+    #: for a class the first time either is used
+    fast: ClassVar[Callable[..., "TraceEvent"]]
+    to_record: ClassVar[Callable[["TraceEvent"], Dict[str, Any]]]
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "TraceEvent":
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in record.items() if k in known})
 
-    @classmethod
-    def fast(cls, **values: Any) -> "TraceEvent":
-        """Construct without the generated ``__init__``.
-
-        A frozen dataclass ``__init__`` routes every field through
-        ``object.__setattr__``, which is ~3x the cost of filling
-        ``__dict__`` directly — measurable on the per-message/per-hop
-        emit paths that dominate traced runs. This builds an identical
-        instance (defaults applied, ``==``/``to_record`` equal) by
-        writing the instance dict in one go. No field validation is
-        performed; hot emitters pass every non-default field.
-        """
-        event = object.__new__(cls)
-        defaults = cls.__dict__.get("_fast_defaults")
-        if defaults is None:
-            defaults = {}
-            factories = {}
-            for f in fields(cls):
-                if f.default is not MISSING:
-                    defaults[f.name] = f.default
-                elif f.default_factory is not MISSING:
-                    factories[f.name] = f.default_factory
-            cls._fast_defaults = defaults
-            cls._fast_factories = factories
-        factories = cls._fast_factories
-        if factories:
-            state = dict(defaults)
-            for name, factory in factories.items():
-                if name not in values:
-                    state[name] = factory()
-            state.update(values)
-        else:
-            state = {**defaults, **values}
-        object.__setattr__(event, "__dict__", state)
-        return event
-
 
 # ------------------------------------------------------------------- jobs
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobStart(TraceEvent):
     """A driver job entered the scheduler."""
 
@@ -152,7 +179,7 @@ class JobStart(TraceEvent):
     num_partitions: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobEnd(TraceEvent):
     """A driver job finished (successfully or not)."""
 
@@ -164,7 +191,7 @@ class JobEnd(TraceEvent):
 
 
 # ------------------------------------------------------------------ stages
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageSubmitted(TraceEvent):
     kind: ClassVar[str] = "stage_submitted"
 
@@ -176,7 +203,7 @@ class StageSubmitted(TraceEvent):
     job_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageCompleted(TraceEvent):
     kind: ClassVar[str] = "stage_completed"
 
@@ -190,7 +217,7 @@ class StageCompleted(TraceEvent):
 
 
 # ------------------------------------------------------------------- tasks
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskMetrics:
     """Per-attempt timings, Spark's ``TaskMetrics`` at this engine's grain.
 
@@ -214,7 +241,7 @@ class TaskMetrics:
     locality: str = "ANY"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskStart(TraceEvent):
     """A task attempt acquired a core and began running."""
 
@@ -228,7 +255,7 @@ class TaskStart(TraceEvent):
     host: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskEnd(TraceEvent):
     """A task attempt finished; carries its metrics and outcome."""
 
@@ -248,16 +275,6 @@ class TaskEnd(TraceEvent):
     def duration(self) -> float:
         return self.time - self.began
 
-    def to_record(self) -> Dict[str, Any]:
-        record = dict(self.__dict__)
-        record["event"] = self.kind
-        record["metrics"] = dict(self.metrics.__dict__)
-        if record["span_id"] < 0:
-            del record["span_id"]
-            if record["parent_span_id"] < 0:
-                del record["parent_span_id"]
-        return record
-
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "TaskEnd":
         record = dict(record)
@@ -269,7 +286,7 @@ class TaskEnd(TraceEvent):
 
 
 # ------------------------------------------------------------------ blocks
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockEvent(TraceEvent):
     """A block-store operation on one executor."""
 
@@ -282,7 +299,7 @@ class BlockEvent(TraceEvent):
     nbytes: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnarFold(TraceEvent):
     """A gradient seqOp folded one partition through its flat columns.
 
@@ -301,7 +318,7 @@ class ColumnarFold(TraceEvent):
 
 
 # --------------------------------------------------------------- messaging
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageSent(TraceEvent):
     """A fabric message left its sender (before transfer)."""
 
@@ -315,7 +332,7 @@ class MessageSent(TraceEvent):
     nbytes: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageDelivered(TraceEvent):
     """A fabric message was consumed by ``recv`` at its destination.
 
@@ -336,7 +353,7 @@ class MessageDelivered(TraceEvent):
     flight_time: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RingHop(TraceEvent):
     """One iteration of one rank's ring channel (paper Figure 11).
 
@@ -364,7 +381,7 @@ class RingHop(TraceEvent):
     send_dense_bytes: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChunkStream(TraceEvent):
     """One rank's chunked segment stream on one pipelined-ring channel.
 
@@ -386,7 +403,7 @@ class ChunkStream(TraceEvent):
     began: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualNorm(TraceEvent):
     """Top-k compression gauge for one executor's outgoing aggregator.
 
@@ -409,7 +426,7 @@ class ResidualNorm(TraceEvent):
 
 
 # --------------------------------------------------------------------- imm
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImmMerge(TraceEvent):
     """One in-memory merge into an executor's shared object (paper §3.2)."""
 
@@ -428,7 +445,7 @@ class ImmMerge(TraceEvent):
     density: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SegmentRepresentation(TraceEvent):
     """A reduction operand switched representation (sparse -> dense).
 
@@ -456,7 +473,7 @@ class SegmentRepresentation(TraceEvent):
 
 
 # ------------------------------------------------------------------ phases
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseSpan(TraceEvent):
     """A stopwatch span closed (``agg.compute``, ``ml.driver``, ...).
 
@@ -476,7 +493,7 @@ class PhaseSpan(TraceEvent):
 
 
 # ------------------------------------------------------------------ faults
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultInjected(TraceEvent):
     """The fault controller fired one planned fault.
 
@@ -500,7 +517,7 @@ class FaultInjected(TraceEvent):
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoveryAction(TraceEvent):
     """One step the engine took to survive an injected (or real) fault.
 
@@ -525,7 +542,7 @@ class RecoveryAction(TraceEvent):
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectiveDowngraded(TraceEvent):
     """A requested fast collective fell back to a slower path.
 
@@ -549,7 +566,7 @@ class CollectiveDowngraded(TraceEvent):
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualLost(TraceEvent):
     """An executor died holding top-k error-feedback residuals.
 
@@ -569,7 +586,7 @@ class ResidualLost(TraceEvent):
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpeculativeAttempt(TraceEvent):
     """One speculative-execution decision on a straggling task.
 
@@ -594,7 +611,7 @@ class SpeculativeAttempt(TraceEvent):
     elapsed: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutorHealth(TraceEvent):
     """An executor's health score changed state.
 
@@ -615,7 +632,7 @@ class ExecutorHealth(TraceEvent):
 
 
 # ------------------------------------------------------------- collectives
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectiveCostEstimate(TraceEvent):
     """The tuner's predicted cost for one candidate configuration.
 
@@ -636,7 +653,7 @@ class CollectiveCostEstimate(TraceEvent):
     chosen: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectiveChosen(TraceEvent):
     """One split-aggregation's collective configuration was decided.
 
@@ -660,7 +677,7 @@ class CollectiveChosen(TraceEvent):
     predicted: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectiveCompleted(TraceEvent):
     """The reduce+gather window of one dispatched collective closed.
 
@@ -681,7 +698,7 @@ class CollectiveCompleted(TraceEvent):
 
 
 # ---------------------------------------------------------------- service
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceJobSubmitted(TraceEvent):
     """A tenant job entered the job service (see :mod:`repro.service`)."""
 
@@ -694,7 +711,7 @@ class ServiceJobSubmitted(TraceEvent):
     queued: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceJobFinished(TraceEvent):
     """A tenant job left the job service (any terminal status).
 
@@ -713,7 +730,7 @@ class ServiceJobFinished(TraceEvent):
     latency: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoolSample(TraceEvent):
     """One FAIR-arbiter accounting sample for one pool."""
 
@@ -727,7 +744,7 @@ class PoolSample(TraceEvent):
 
 
 # --------------------------------------------------------------- sampling
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NicSample(TraceEvent):
     """One NIC utilization sample from a monitor process."""
 
@@ -757,6 +774,22 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         PoolSample,
     )
 }
+
+
+def _first_fast(cls: type, **values: Any) -> Any:
+    _generate(cls)
+    return cls.fast(**values)
+
+
+def _first_to_record(self: Any) -> Dict[str, Any]:
+    _generate(type(self))
+    return self.to_record()
+
+
+# Generated on first use: compiling every class's pair at import costs
+# each process 6 ms, and a run emits a handful of the kinds.
+for _cls in (TraceEvent, TaskMetrics, *EVENT_TYPES.values()):
+    _cls.fast, _cls.to_record = classmethod(_first_fast), _first_to_record
 
 
 def event_from_record(record: Dict[str, Any]) -> TraceEvent:

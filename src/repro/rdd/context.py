@@ -153,7 +153,7 @@ class SparkerContext:
         """Mirror every closed stopwatch span onto the event bus."""
         if self.event_bus.active:
             tracer = self.event_bus.tracer
-            self.event_bus.emit(PhaseSpan(
+            self.event_bus.emit(PhaseSpan.fast(
                 time=now, key=key, seconds=seconds,
                 span_id=tracer.new_span(),
                 parent_span_id=tracer.current_parent))

@@ -85,12 +85,12 @@ class Executor:
         bus = self.sc.event_bus
         if bus.active:
             rdd_id, partition = block_id
-            bus.emit(BlockEvent(time=self.env.now,
-                                executor_id=self.executor_id, op=op,
-                                rdd_id=rdd_id, partition=partition,
-                                nbytes=nbytes,
-                                span_id=bus.tracer.new_span(),
-                                parent_span_id=self._current_task_span))
+            bus.emit(BlockEvent.fast(time=self.env.now,
+                                     executor_id=self.executor_id, op=op,
+                                     rdd_id=rdd_id, partition=partition,
+                                     nbytes=nbytes,
+                                     span_id=bus.tracer.new_span(),
+                                     parent_span_id=self._current_task_span))
 
     # ------------------------------------------------------------------ submit
     def submit(self, task: Task) -> Process:
@@ -125,13 +125,14 @@ class Executor:
         if tracing:
             tracer = bus.tracer
             span = tracer.new_span()
-            bus.emit(TaskStart(time=began, stage_id=task.stage_id,
-                               stage_attempt=task.stage_attempt,
-                               partition=task.partition, attempt=task.attempt,
-                               executor_id=self.executor_id,
-                               host=self.node.hostname, span_id=span,
-                               parent_span_id=tracer.stage_span(
-                                   task.stage_id, task.stage_attempt)))
+            bus.emit(TaskStart.fast(
+                time=began, stage_id=task.stage_id,
+                stage_attempt=task.stage_attempt,
+                partition=task.partition, attempt=task.attempt,
+                executor_id=self.executor_id,
+                host=self.node.hostname, span_id=span,
+                parent_span_id=tracer.stage_span(
+                    task.stage_id, task.stage_attempt)))
         stats = {"slot_wait": began - queued, "fetch_wait": 0.0,
                  "deserialize_time": 0.0, "compute_time": 0.0,
                  "serialize_time": 0.0, "output_wait": 0.0,
@@ -220,14 +221,14 @@ class Executor:
             if arbiter is not None:
                 arbiter.released(self, task, env.now - began)
             if tracing and bus.active:
-                bus.emit(TaskEnd(
+                bus.emit(TaskEnd.fast(
                     time=env.now, stage_id=task.stage_id,
                     stage_attempt=task.stage_attempt,
                     partition=task.partition, attempt=task.attempt,
                     executor_id=self.executor_id, host=self.node.hostname,
                     began=began, status=status,
-                    metrics=TaskMetrics(locality=self._locality(task),
-                                        **stats),
+                    metrics=TaskMetrics.fast(locality=self._locality(task),
+                                             **stats),
                     span_id=span,
                     parent_span_id=bus.tracer.stage_span(
                         task.stage_id, task.stage_attempt)))
@@ -375,7 +376,7 @@ class Executor:
                 squared = 0.0
                 for vec in self.residuals.values():
                     squared += float((vec * vec).sum())
-                bus.emit(ResidualLost(
+                bus.emit(ResidualLost.fast(
                     time=self.env.now, executor_id=self.executor_id,
                     num_residuals=len(self.residuals),
                     residual_norm=math.sqrt(squared), reason=reason))

@@ -642,7 +642,7 @@ class DAGScheduler:
                           elapsed: float = 0.0) -> None:
         bus = self.sc.event_bus
         if bus.active:
-            bus.emit(SpeculativeAttempt(
+            bus.emit(SpeculativeAttempt.fast(
                 time=self.sc.env.now, action=action, stage_id=stage_id,
                 partition=partition, executor_id=executor_id,
                 backup_executor_id=backup_executor_id, attempt=attempt,
@@ -664,7 +664,7 @@ class DAGScheduler:
         if bus.active:
             tracer = bus.tracer
             span = tracer.open_stage(stage_id, attempt, job_id)
-            bus.emit(StageSubmitted(
+            bus.emit(StageSubmitted.fast(
                 time=info.submitted_at, stage_id=stage_id,
                 attempt=attempt, stage_kind=kind, rdd_name=info.rdd_name,
                 num_tasks=num_tasks, job_id=job_id,
@@ -676,7 +676,7 @@ class DAGScheduler:
         bus = self.sc.event_bus
         if bus.active:
             tracer = bus.tracer
-            bus.emit(StageCompleted(
+            bus.emit(StageCompleted.fast(
                 time=info.finished_at, stage_id=info.stage_id,
                 attempt=info.attempt, stage_kind=info.kind,
                 rdd_name=info.rdd_name, num_tasks=info.num_tasks,
@@ -696,15 +696,15 @@ class DAGScheduler:
             tracer = bus.tracer
             if parent_span < 0:
                 parent_span = tracer.current_parent
-            bus.emit(JobStart(time=self.sc.env.now, job_id=job_id,
-                              job_kind=job_kind, rdd_name=rdd.name,
-                              num_partitions=num_partitions,
-                              span_id=tracer.open_job(job_id),
-                              parent_span_id=parent_span))
+            bus.emit(JobStart.fast(time=self.sc.env.now, job_id=job_id,
+                                   job_kind=job_kind, rdd_name=rdd.name,
+                                   num_partitions=num_partitions,
+                                   span_id=tracer.open_job(job_id),
+                                   parent_span_id=parent_span))
 
     def _job_end(self, job_id: int, job_kind: str, succeeded: bool) -> None:
         bus = self.sc.event_bus
         if bus.active:
-            bus.emit(JobEnd(time=self.sc.env.now, job_id=job_id,
-                            job_kind=job_kind, succeeded=succeeded,
-                            span_id=bus.tracer.close_job(job_id)))
+            bus.emit(JobEnd.fast(time=self.sc.env.now, job_id=job_id,
+                                 job_kind=job_kind, succeeded=succeeded,
+                                 span_id=bus.tracer.close_job(job_id)))

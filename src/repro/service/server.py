@@ -174,7 +174,7 @@ class JobServer:
         self.jobs.append(record)
         bus = self.sc.event_bus
         if bus.active:
-            bus.emit(ServiceJobSubmitted(
+            bus.emit(ServiceJobSubmitted.fast(
                 time=self.sc.now, service_job_id=record.service_job_id,
                 tenant=tenant, pool=pool, workload=workload,
                 queued=queue_job))
@@ -227,7 +227,7 @@ class JobServer:
         record.finished = sc.now
         bus = sc.event_bus
         if bus.active:
-            bus.emit(ServiceJobFinished(
+            bus.emit(ServiceJobFinished.fast(
                 time=sc.now, service_job_id=record.service_job_id,
                 tenant=record.tenant, pool=record.pool,
                 workload=record.workload, status=record.status,
@@ -330,7 +330,7 @@ class JobServer:
         if bus.active:
             queued = self.arbiter.queued()
             for pool, stats in snapshot.items():
-                bus.emit(PoolSample(
+                bus.emit(PoolSample.fast(
                     time=self.sc.now, pool=pool, weight=stats["weight"],
                     running=int(stats["running"]),
                     task_seconds=stats["task_seconds"],

@@ -1,6 +1,14 @@
-"""Serialization round-trips for every event type."""
+"""Serialization round-trips for every event type, and what an event is:
+a frozen slots record, the same from either constructor."""
+
+import copy
+import pickle
+import sys
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     EVENT_TYPES,
@@ -152,11 +160,15 @@ def test_channel_str_normalizes():
     assert channel_str((("a", 1), 2)) == "a/1/2"
 
 
+def _values(event):
+    return {f.name: getattr(event, f.name) for f in fields(event)}
+
+
 @pytest.mark.parametrize("event", SAMPLES, ids=lambda e: e.kind)
 def test_fast_constructor_equivalent(event):
-    """TraceEvent.fast() must be indistinguishable from the dataclass
+    """``fast()`` must be indistinguishable from the dataclass
     constructor: same equality, hash, and serialized record."""
-    rebuilt = type(event).fast(**event.__dict__)
+    rebuilt = type(event).fast(**_values(event))
     assert rebuilt == event
     assert hash(rebuilt) == hash(event)
     assert rebuilt.to_record() == event.to_record()
@@ -177,5 +189,73 @@ def test_fast_applies_defaults_and_factories():
 
 def test_fast_events_stay_frozen():
     fast = PhaseSpan.fast(time=0.7, key="agg.compute", seconds=0.25)
-    with pytest.raises(Exception):
+    with pytest.raises(FrozenInstanceError):
         fast.time = 1.0
+
+
+def test_fast_rejects_an_unknown_field_at_the_call():
+    """It used to be written into the log as ``"bogus": 2``."""
+    hop = next(e for e in SAMPLES if isinstance(e, RingHop))
+    with pytest.raises(TypeError, match="bogus"):
+        RingHop.fast(**_values(hop), bogus=2)
+
+
+def test_fast_rejects_a_missing_field_at_the_call():
+    """It used to surface as an ``AttributeError`` in whichever analyzer
+    read the event first, far from the emit site."""
+    with pytest.raises(TypeError, match="rank"):
+        RingHop.fast(time=1.0)
+
+
+# ------------------------------------------- what the representation promises
+_INTS = st.integers(-2 ** 40, 2 ** 40)
+_FLOATS = st.floats(allow_nan=False)  # nan != nan would fail every ==
+_BY_ANNOTATION = {
+    "int": _INTS, "float": _FLOATS, "bool": st.booleans(),
+    "str": st.text(max_size=8), "Optional[int]": st.none() | _INTS,
+}
+_BY_ANNOTATION["TaskMetrics"] = st.builds(TaskMetrics, **{
+    f.name: _BY_ANNOTATION[f.type] for f in fields(TaskMetrics)})
+
+
+#: 3.10's ``dataclass(slots=True)`` declares a subclass's inherited fields
+#: as slots a second time (3.11 stopped): TraceEvent's three, 8 bytes each
+_RESLOTTED = 24 if sys.version_info < (3, 11) else 0
+
+#: -1 is "untraced" and is not written; a tracer allocates from 1 up
+_SPANS = st.integers(-1, 2 ** 40)
+
+
+def _field_values(cls):
+    """Every required field, and any subset of the defaulted ones."""
+    required, defaulted = {}, {}
+    for f in fields(cls):
+        plain = f.default is MISSING and f.default_factory is MISSING
+        (required if plain else defaulted)[f.name] = (
+            _SPANS if f.name.endswith("span_id") else _BY_ANNOTATION[f.type])
+    return st.fixed_dictionaries(required, optional=defaulted)
+
+
+@pytest.mark.parametrize("cls", list(EVENT_TYPES.values()),
+                         ids=list(EVENT_TYPES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_both_constructors_build_the_same_frozen_slots_record(cls, data):
+    kw = data.draw(_field_values(cls))
+    built, fast = cls(**kw), cls.fast(**kw)
+    assert fast == built and hash(fast) == hash(built)
+    assert repr(fast) == repr(built)
+    assert list(fast.to_record().items()) == list(built.to_record().items())
+    other = data.draw(_FLOATS)
+    for event in (built, fast):
+        assert type(event) is cls
+        assert event_from_record(event.to_record()) == event
+        assert copy.copy(event) == event
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert replace(event, time=other).time == other
+        with pytest.raises(FrozenInstanceError):
+            event.time = other
+        with pytest.raises(FrozenInstanceError):
+            del event.time
+        assert not hasattr(event, "__dict__")
+        assert sys.getsizeof(event) <= 48 + 8 * len(fields(cls)) + _RESLOTTED

@@ -1,5 +1,7 @@
 """Span allocation and causal parentage (DESIGN.md §12 span model)."""
 
+from dataclasses import fields
+
 import numpy as np
 
 from repro import AggregationSpec
@@ -45,8 +47,9 @@ def test_untraced_events_serialize_without_span_fields():
     traced = rec.events[0].to_record()
     assert "span_id" in traced
     untraced = type(rec.events[0])(**{
-        k: v for k, v in rec.events[0].__dict__.items()
-        if k not in ("span_id", "parent_span_id")})
+        f.name: getattr(rec.events[0], f.name)
+        for f in fields(rec.events[0])
+        if f.name not in ("span_id", "parent_span_id")})
     record = untraced.to_record()
     assert "span_id" not in record and "parent_span_id" not in record
 

@@ -11,13 +11,14 @@ Two modes::
     python tools/bench_regress.py --baseline BENCH_x.json --current new.json
         Compare a fresh run against the committed baseline and exit
         non-zero if any registered metric regressed by more than its
-        tolerance (default 20% relative, plus an absolute slack for
-        wall-clock-ratio metrics, which are noisy on shared CI runners).
+        tolerance (default 20% relative, plus the metric's own absolute
+        slack where it has one).
 
 The per-benchmark metric registry below chooses *what* is worth gating:
 virtual-time (simulated) metrics are deterministic, so they get the bare
-relative tolerance; wall-clock ratios additionally get an absolute slack
-because they measure the host, not the model. Metrics marked
+relative tolerance; what measures the host rather than the model is noisy
+on shared CI runners and is gated, where it still is, with an absolute
+slack on top. Metrics marked
 ``same_config`` are skipped when the two artifacts were produced with
 different benchmark configurations (e.g. a ``--smoke`` run against a
 full-size baseline) — ratio-shaped metrics survive that comparison,
@@ -41,12 +42,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: default relative tolerance: a metric may be this fraction worse than
 #: the baseline before it counts as a regression (the ">20%" CI rule)
 DEFAULT_REL_TOL = 0.20
-
-#: absolute slack for wall-clock overhead *ratios* — measured round-trip
-#: variance of benchmarks/obs_overhead.py on a loaded 1-CPU runner is
-#: ~±0.06 in the ratio itself, so the gate allows 0.15 on top of the
-#: relative rule rather than flaking on machine noise
-WALL_RATIO_SLACK = 0.15
 
 
 @dataclass(frozen=True)
@@ -103,14 +98,12 @@ def _flow_alloc_scales(report: dict) -> Tuple[str, bool, str]:
 
 
 REGISTRY: Dict[str, BenchSpec] = {
+    # overhead_vs_detached.* are ratios of two ~0.06 s wall-clock timings:
+    # information in the artifact, gated nowhere (baseline x 1.2 + 0.15
+    # failed 2 of 3 runs on one unchanged tree). What recording costs is
+    # gated as an exact call count, tests/obs/test_emit_cost.py.
     "obs_overhead": BenchSpec(
         invariants=(("virtual_time_identical", True),),
-        metrics=(
-            Metric("overhead_vs_detached.recorder", "lower",
-                   abs_slack=WALL_RATIO_SLACK, same_config=False),
-            Metric("overhead_vs_detached.event_log", "lower",
-                   abs_slack=WALL_RATIO_SLACK, same_config=False),
-        ),
         derived=(_buffering_beats_sync,),
     ),
     "sparse_agg": BenchSpec(
