@@ -51,7 +51,8 @@ from repro.service import (
 )
 
 NODES = 4          # laptop(4): 4 nodes x 2 executors x 2 cores = 16 slots
-PARTITIONS = 4     # each job uses 4 of 16 slots -> concurrency pays
+PARTITIONS = 4     # each job uses 4 of 16 slots -> concurrency pays (the
+                   # `utilisation` block shows all 8 executors working)
 ITERATIONS = 2
 SEED = 2026
 
@@ -98,8 +99,9 @@ def make_session() -> SparkerSession:
 
 
 # ----------------------------------------------------------------- phases
-def concurrent_phase(tenants) -> Tuple[dict, Dict[Tuple, np.ndarray]]:
-    """Run the schedule concurrently; report + weights by signature."""
+def concurrent_phase(tenants) -> Tuple[dict, Dict[Tuple, np.ndarray], dict]:
+    """Run the schedule concurrently; report, weights by signature and
+    the ``utilisation`` block."""
     with make_session() as session:
         result = run_open_loop(session, tenants, seed=SEED)
         weights: Dict[Tuple, np.ndarray] = {}
@@ -124,7 +126,22 @@ def concurrent_phase(tenants) -> Tuple[dict, Dict[Tuple, np.ndarray]]:
             "rejected": len(result.rejections),
             "duplicate_signatures_identical": not mismatched_dupes,
         }
-    return report, weights
+        utilisation = utilisation_block(session.server)
+    return report, weights, utilisation
+
+
+def utilisation_block(server) -> dict:
+    """Per-executor tasks and slot share over the phase; JSON keys are
+    strings, floats rounded so the artifact diffs stay readable."""
+    usage = server.slot_utilisation()
+    return {
+        "window": usage["window"],
+        "idle_executors": usage["idle_executors"],
+        "tasks": {str(eid): row["tasks"]
+                  for eid, row in usage["executors"].items()},
+        "slot_share": {str(eid): round(row["utilisation"], 4)
+                       for eid, row in usage["executors"].items()},
+    }
 
 
 def serialized_phase(tenants) -> dict:
@@ -230,10 +247,11 @@ def main(argv=None) -> int:
     tenants = tenant_mix(jobs_per_tenant)
     t0 = time.perf_counter()
 
-    concurrent, weights = concurrent_phase(tenants)
+    concurrent, weights, utilisation = concurrent_phase(tenants)
     print(f"concurrent: {concurrent['jobs']} jobs, "
           f"makespan {concurrent['makespan']:.1f}s virtual, "
-          f"p50 {concurrent['p50']:.1f}s p99 {concurrent['p99']:.1f}s")
+          f"p50 {concurrent['p50']:.1f}s p99 {concurrent['p99']:.1f}s, "
+          f"tasks per executor {list(utilisation['tasks'].values())}")
 
     serialized = serialized_phase(tenants)
     speedup = serialized["makespan"] / concurrent["makespan"]
@@ -254,6 +272,8 @@ def main(argv=None) -> int:
                      and concurrent["tenants"] >= 8),
         "throughput_ok": speedup >= 1.5,
         "fairness_ok": fairness["weighted_max_min_ratio"] <= 2.0,
+        # an exact count: every executor ran tasks (gang placement)
+        "placement_ok": utilisation["idle_executors"] == 0,
         "all_succeeded":
             concurrent["statuses"].get("succeeded", 0) == concurrent["jobs"],
     }
@@ -278,6 +298,7 @@ def main(argv=None) -> int:
                     "fifo_p50": serialized["p50"],
                     "fifo_p99": serialized["p99"]},
         "fairness": fairness,
+        "utilisation": utilisation,
         "identity": identity,
         "concurrent": concurrent,
         "acceptance": acceptance,

@@ -742,16 +742,17 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
     :class:`ChunkLedger` that records each chunk column the moment all
     ranks finish reducing it.
 
-    The prediction is the scheduler's own picker with nothing tried yet —
-    exact as long as no task fails. Returns the spawned reduced-result
-    job, the spawned collective, and ``on_plan(holders)``: whether the
-    stage landed where the ring was built.
+    The ring is built over the stage's own placement, decided here and
+    handed to the stage — exact as long as no task fails. Returns the
+    spawned reduced-result job, the spawned collective, and
+    ``on_plan(holders)``: whether the stage landed where the ring was
+    built.
     """
     env = sc.env
     rdd = ops.rdd
-    expected = Counter(
-        sc.dag.pick_executor(rdd, partition, position).executor_id
-        for position, partition in enumerate(range(rdd.num_partitions())))
+    placement = sc.dag.place_stage(rdd, range(rdd.num_partitions()))
+    expected = Counter(executor.executor_id
+                       for executor in placement.executors)
     planned = list(expected)
 
     if armor.recovery is not None:
@@ -796,8 +797,10 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
     job = env.process(
         sc.dag.run_reduced_job(rdd, ops.partial_func, ops.merge_op,
                                sc.new_job_id(), detail=True,
-                               on_merged=on_merged),
+                               on_merged=on_merged, placement=placement),
         name="reduced-job")
+    # taken here, so given back here if the job ends before its stage ran
+    job.add_callback(lambda _event: placement.release_all())
     armor.cooks = [env.process(cook(executor_id), name=f"cook:{executor_id}")
                    for executor_id in planned]
     collective = env.process(

@@ -46,12 +46,16 @@ class JobScope:
     :meth:`SparkerContext.enter_job_scope`).
     """
 
-    __slots__ = ("pool", "ordered", "stopwatch", "job_ids", "cancelled")
+    __slots__ = ("pool", "owner", "ordered", "stopwatch", "job_ids",
+                 "cancelled")
 
     def __init__(self, sc: "SparkerContext", pool: Optional[str] = None,
-                 ordered: bool = False):
+                 ordered: bool = False, owner: Optional[str] = None):
         #: FAIR pool every task of this scope's jobs is billed to
         self.pool = pool
+        #: whose gangs this scope's stages are placed against (the service
+        #: sets the tenant; see ``DAGScheduler.place_stage``)
+        self.owner = owner
         #: deterministic deferred-merge mode for IMM stages (DESIGN.md §16)
         self.ordered = ordered
         #: per-job stopwatch so concurrent breakdowns don't mix
@@ -312,6 +316,7 @@ class SparkerContext:
             self.dag.run_job(rdd, func, partitions,
                              job_id=self.new_job_id(),
                              pool=None if scope is None else scope.pool,
+                             owner=None if scope is None else scope.owner,
                              parent_span=self.tracer.current_parent),
             name="job")
         return self.env.run(until=proc)
@@ -342,6 +347,8 @@ class SparkerContext:
                                      on_merged=on_merged,
                                      pool=None if scope is None
                                      else scope.pool,
+                                     owner=None if scope is None
+                                     else scope.owner,
                                      ordered=scope is not None
                                      and scope.ordered,
                                      parent_span=self.tracer.current_parent),

@@ -122,9 +122,12 @@ class Executor:
         began = env.now
         tracing = bus.active
         span = -1
+        locality = "ANY"
         if tracing:
             tracer = bus.tracer
             span = tracer.new_span()
+            # at launch: by task end a miss has cached the block right here
+            locality = self._locality(task)
             bus.emit(TaskStart.fast(
                 time=began, stage_id=task.stage_id,
                 stage_attempt=task.stage_attempt,
@@ -227,8 +230,7 @@ class Executor:
                     partition=task.partition, attempt=task.attempt,
                     executor_id=self.executor_id, host=self.node.hostname,
                     began=began, status=status,
-                    metrics=TaskMetrics.fast(locality=self._locality(task),
-                                             **stats),
+                    metrics=TaskMetrics.fast(locality=locality, **stats),
                     span_id=span,
                     parent_span_id=bus.tracer.stage_span(
                         task.stage_id, task.stage_attempt)))
@@ -277,20 +279,15 @@ class Executor:
         raise TypeError(f"unknown task type {type(task).__name__}")
 
     def _locality(self, task: Task) -> str:
-        """Spark-style locality level of this attempt's placement."""
-        pinned = task.rdd.pinned_executor(task.partition)
-        if pinned == self.executor_id:
+        """Spark-style locality level of this attempt's placement, as of
+        its launch: ``PROCESS_LOCAL`` when pinned here or the cached block
+        it reads is here, else ``ANY`` — a miss rebuilds the block from
+        lineage wherever it runs (the attempt that builds a replica
+        included), so a same-node holder is no nearer than any other."""
+        if (task.rdd.pinned_executor(task.partition) == self.executor_id
+                or self.executor_id
+                in task.rdd.preferred_executors(task.partition)):
             return "PROCESS_LOCAL"
-        preferred = task.rdd.preferred_executors(task.partition)
-        if self.executor_id in preferred:
-            return "PROCESS_LOCAL"
-        for executor_id in preferred:
-            try:
-                other = self.sc.executor_by_id(executor_id)
-            except KeyError:
-                continue
-            if other.node is self.node:
-                return "NODE_LOCAL"
         return "ANY"
 
     # ------------------------------------------------------------------- fetch

@@ -67,7 +67,8 @@ import atexit
 import os
 import pickle
 import struct
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 try:  # pragma: no cover - absent on some minimal platforms
     from multiprocessing import resource_tracker as _resource_tracker
@@ -354,10 +355,12 @@ class HostPool:
         return self._lineage_pure(task.rdd, task.partition, executor)
 
     # --------------------------------------------------------- precompute
-    def precompute(self, sc: "SparkerContext", rdd: "RDD",
-                   partitions: Any, task_factory: Callable[[int, int], Task],
-                   pick_executor: Callable) -> None:
-        """Batch-execute the offloadable subset of a stage's first attempts.
+    def precompute(self, sc: "SparkerContext", partitions: Any,
+                   task_factory: Callable[[int, int], Task],
+                   placed: Sequence["Executor"]) -> None:
+        """Batch-execute the offloadable subset of a stage's first attempts,
+        each against the executor the stage's placement put it on (``placed``
+        by position; empty when placement will fail in-sim: stay inline).
 
         Called by the DAG scheduler immediately before it spawns the
         stage's attempt loops; consumes no virtual time. Stages run
@@ -371,12 +374,8 @@ class HostPool:
             return
         entries: List[Tuple[Tuple[int, int, int, int, int], Task,
                             "Executor"]] = []
-        for position, partition in enumerate(partitions):
-            try:
-                task = task_factory(partition, 0)
-                executor = pick_executor(rdd, partition, position, set())
-            except Exception:  # placement will fail in-sim too; stay inline
-                continue
+        for partition, executor in zip(partitions, placed):
+            task = task_factory(partition, 0)
             if not self._offloadable(sc, task, executor):
                 continue
             key = (task.stage_id, task.stage_attempt, task.partition,

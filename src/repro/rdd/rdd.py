@@ -158,10 +158,18 @@ class RDD:
         if cached is not None:
             return cached
         data = CachedPartition(self.compute(index, ctx))
+        sc = self.sc
+        for holder in sc.block_tracker.locations(block_id):
+            # a replica: the same rows, so the same derived layout (host
+            # memory and time only; the charge below is paid per replica)
+            peer = sc.executor_by_id(holder).memory_store.peek(block_id)
+            if peer is not None:
+                data.derived = peer.derived
+                break
         size = store.put(block_id, data)
-        self.sc.block_tracker.register(block_id, ctx.executor.executor_id)
+        sc.block_tracker.register(block_id, ctx.executor.executor_id)
         # Materializing into the cache costs one pass over the data.
-        ctx.charge(size / self.sc.cluster.config.merge_bandwidth)
+        ctx.charge(size / sc.cluster.config.merge_bandwidth)
         return data
 
     def shuffle_reads(self, index: int) -> List[Tuple[int, int]]:

@@ -57,7 +57,7 @@ from .tasks import ReducedResultTask, ResultTask, ShuffleMapTask, Task
 if TYPE_CHECKING:  # pragma: no cover
     from .context import SparkerContext
 
-__all__ = ["DAGScheduler", "StageInfo", "JobFailed"]
+__all__ = ["DAGScheduler", "StageInfo", "StagePlacement", "JobFailed"]
 
 #: task attempts before a job is failed
 MAX_TASK_FAILURES = 4
@@ -101,6 +101,44 @@ class StageInfo:
         return self.finished_at - self.submitted_at
 
 
+class StagePlacement:
+    """Where the first attempt of each task of one stage runs.
+
+    Made once per stage by :meth:`DAGScheduler.place_stage`. Every placed
+    task holds one *claim* in ``DAGScheduler.claims``, on its executor and
+    in its ``owner``'s name, from the decision until its attempt loop ends;
+    the claims are the load the same owner's next stage sees.
+    """
+
+    __slots__ = ("executors", "owner", "_claims", "_held")
+
+    def __init__(self, executors: Sequence[Executor],
+                 claims: Dict[Tuple[Optional[str], int], int],
+                 owner: Optional[str] = None):
+        #: by position in the stage's partition list; empty when nothing
+        #: could be placed (each attempt loop then asks the picker itself)
+        self.executors = tuple(executors)
+        #: the submitting scope's owner (a service tenant); None outside
+        #: the service
+        self.owner = owner
+        self._claims = claims
+        self._held = set(range(len(self.executors)))
+        for executor in self.executors:
+            key = (owner, executor.executor_id)
+            claims[key] = claims.get(key, 0) + 1
+
+    def release(self, position: int) -> None:
+        """Give back ``position``'s claim (idempotent)."""
+        if position in self._held:
+            self._held.remove(position)
+            key = (self.owner, self.executors[position].executor_id)
+            self._claims[key] -= 1
+
+    def release_all(self) -> None:
+        for position in tuple(self._held):
+            self.release(position)
+
+
 class DAGScheduler:
     """Builds and runs the stage graph for each job."""
 
@@ -109,19 +147,24 @@ class DAGScheduler:
         self._next_stage_id = 0
         #: every executed stage, in completion order
         self.stage_log: List[StageInfo] = []
+        #: (owner, executor id) -> the owner's tasks placed there whose
+        #: attempt loop has not ended: the load :meth:`place_stage`
+        #: balances that owner's next gang against
+        self.claims: Dict[Tuple[Optional[str], int], int] = {}
 
     # ------------------------------------------------------------------- jobs
     def run_job(self, rdd: RDD, func: Callable[[int, list, Any], Any],
                 partitions: Optional[Sequence[int]] = None,
                 job_id: Optional[int] = None, pool: Optional[str] = None,
-                parent_span: int = -1) -> Generator:
+                parent_span: int = -1,
+                owner: Optional[str] = None) -> Generator:
         """Process body: run a job, returning per-partition results.
 
-        ``job_id``/``pool``/``parent_span`` are captured by the submitting
-        driver thread (see :meth:`SparkerContext.run_job`): this generator
-        body executes on whichever thread pumps the event loop, so any
-        per-submitter state must arrive as explicit arguments rather than
-        be read from thread-local scope here.
+        ``job_id``/``pool``/``owner``/``parent_span`` are captured by the
+        submitting driver thread (see :meth:`SparkerContext.run_job`): this
+        generator body executes on whichever thread pumps the event loop,
+        so any per-submitter state must arrive as explicit arguments rather
+        than be read from thread-local scope here.
         """
         sc = self.sc
         parts = list(partitions if partitions is not None
@@ -142,7 +185,8 @@ class DAGScheduler:
 
             try:
                 raw = yield from self._run_tasks(rdd, parts, factory,
-                                                 retry_tasks=True, pool=pool)
+                                                 retry_tasks=True, pool=pool,
+                                                 owner=owner)
             except FetchFailed:
                 self._close_stage(info, job_id)
                 continue  # parent stage will be resubmitted
@@ -173,7 +217,9 @@ class DAGScheduler:
                             [int, int, Tuple[int, int]], None]] = None,
                         pool: Optional[str] = None,
                         ordered: bool = False,
-                        parent_span: int = -1) -> Generator:
+                        parent_span: int = -1,
+                        placement: Optional[StagePlacement] = None,
+                        owner: Optional[str] = None) -> Generator:
         """Process body: run an IMM reduced-result stage (paper §4.3).
 
         Returns ``[(executor_id, object_id), ...]`` — one entry per executor
@@ -197,6 +243,12 @@ class DAGScheduler:
         does not depend on cross-job completion-order jitter. Incompatible
         with ``on_merged`` — the pipelined path needs arrival-order
         streaming.
+
+        ``placement`` is a decision the caller already took with
+        :meth:`place_stage` (the pipelined path builds its ring over it
+        before the stage runs): the first stage attempt runs on it. A
+        caller that hands one in releases it when this process ends, in
+        case it ended before the stage ran.
         """
         sc = self.sc
         if ordered and on_merged is not None:
@@ -222,10 +274,13 @@ class DAGScheduler:
                                          object_id, on_merged=on_merged,
                                          ordered=ordered)
 
+            # a resubmitted stage decides afresh
+            placed, placement = placement, None
             try:
                 raw = yield from self._run_tasks(rdd, parts, factory,
                                                  retry_tasks=False,
-                                                 pool=pool)
+                                                 pool=pool, placement=placed,
+                                                 owner=owner)
                 if ordered:
                     # Deterministic deferred merge: every holding executor
                     # folds its deposited partials in sorted partition
@@ -347,8 +402,14 @@ class DAGScheduler:
     def _run_tasks(self, rdd: RDD, partitions: Sequence[int],
                    task_factory: Callable[[int, int], Task],
                    retry_tasks: bool,
-                   pool: Optional[str] = None) -> Generator:
+                   pool: Optional[str] = None,
+                   placement: Optional[StagePlacement] = None,
+                   owner: Optional[str] = None) -> Generator:
         """Run one task per partition; returns ``{partition: output}``.
+
+        First attempts run where ``placement`` says (:meth:`place_stage`,
+        decided here unless the caller already did); its claims are all
+        released by the time this returns or raises.
 
         With ``retry_tasks`` each task retries independently (Spark's normal
         path); without it the first failure aborts the whole wave after
@@ -396,43 +457,61 @@ class DAGScheduler:
                 _wave.stage_id = task.stage_id
                 return task
 
-        host_pool = sc.host_pool
-        if host_pool is not None and host_pool.enabled:
-            # Batch the stage's provably-pure task bodies onto the host
-            # pool before spawning attempt loops; executors claim the
-            # memoized results instead of re-running the compute. Consumes
-            # no virtual time and misses fall back to inline execution.
-            host_pool.precompute(sc, rdd, partitions, factory,
-                                 self.pick_executor)
+        if placement is not None and not all(
+                executor.alive for executor in placement.executors):
+            # decided before an executor died: decide again
+            placement.release_all()
+            placement = None
+        if placement is None:
+            try:
+                placement = self.place_stage(rdd, partitions, owner)
+            except ExecutorLost:
+                # a task pinned to a dead executor: nothing is claimed and
+                # its attempt loop raises the same where it always did
+                placement = StagePlacement((), self.claims)
+        try:
+            host_pool = sc.host_pool
+            if host_pool is not None and host_pool.enabled:
+                # Batch the stage's provably-pure task bodies onto the host
+                # pool before spawning attempt loops; executors claim the
+                # memoized results instead of re-running the compute.
+                # Consumes no virtual time and misses fall back to inline
+                # execution.
+                host_pool.precompute(sc, partitions, factory,
+                                     placement.executors)
 
-        loops = [
-            env.process(
-                self._attempt_loop(rdd, partition, position, factory,
-                                   retry_tasks, wave),
-                name=f"attempts:p{partition}")
-            for position, partition in enumerate(partitions)
-        ]
-        if wave is not None:
-            monitor = env.process(
-                self._speculation_monitor(rdd, wave, policy, factory),
-                name="speculation-monitor")
-        results: Dict[int, Any] = {}
-        failure: Optional[BaseException] = None
-        for loop in loops:
-            if failure is None:
-                try:
-                    partition, output = yield loop
-                    results[partition] = output
-                except BaseException as exc:  # noqa: BLE001
-                    failure = exc
-                    for other in loops:
-                        if other.is_alive:
-                            other.interrupt("stage aborted")
-            else:
-                try:
-                    yield loop
-                except BaseException:  # noqa: BLE001 - already aborting
-                    pass
+            loops = [
+                env.process(
+                    self._attempt_loop(rdd, partition, position, factory,
+                                       retry_tasks, wave, placement),
+                    name=f"attempts:p{partition}")
+                for position, partition in enumerate(partitions)
+            ]
+            if wave is not None:
+                monitor = env.process(
+                    self._speculation_monitor(rdd, wave, policy, factory),
+                    name="speculation-monitor")
+            results: Dict[int, Any] = {}
+            failure: Optional[BaseException] = None
+            for loop in loops:
+                if failure is None:
+                    try:
+                        partition, output = yield loop
+                        results[partition] = output
+                    except BaseException as exc:  # noqa: BLE001
+                        failure = exc
+                        for other in loops:
+                            if other.is_alive:
+                                other.interrupt("stage aborted")
+                else:
+                    try:
+                        yield loop
+                    except BaseException:  # noqa: BLE001 - already aborting
+                        pass
+        finally:
+            # each loop gave its claim back as it ended; this covers the
+            # ones that never started
+            placement.release_all()
         if monitor is not None and monitor.is_alive:
             monitor.interrupt("wave complete")
         if wave is not None:
@@ -445,17 +524,21 @@ class DAGScheduler:
 
     def _attempt_loop(self, rdd: RDD, partition: int, position: int,
                       task_factory: Callable[[int, int], Task],
-                      retry_tasks: bool,
-                      wave: Optional[SpeculationWave] = None) -> Generator:
+                      retry_tasks: bool, wave: Optional[SpeculationWave],
+                      placement: StagePlacement) -> Generator:
         sc = self.sc
         health = sc.health
         tried: Set[int] = set()
         current = None
         failures = 0
+        placed = placement.executors
         try:
             while True:
-                executor = self.pick_executor(rdd, partition, position,
-                                              tried)
+                # the stage's one decision for the first attempt; retries
+                # fall back to the per-attempt picker
+                executor = (placed[position] if placed and not failures
+                            else self.pick_executor(rdd, partition, position,
+                                                    tried))
                 task = task_factory(partition, failures)
                 current = executor.submit(task)
                 if wave is not None:
@@ -506,13 +589,82 @@ class DAGScheduler:
             if current is not None and current.is_alive:
                 current.interrupt("stage aborted")
             raise
+        finally:
+            placement.release(position)
+
+    def place_stage(self, rdd: RDD, partitions: Sequence[int],
+                    owner: Optional[str] = None) -> StagePlacement:
+        """Decide, once, where a stage's first attempts run.
+
+        The *canonical* placement is :meth:`pick_executor`'s answer per
+        partition — what the same job gets alone on a fresh context. The
+        stage runs on it or on a *translation* of it: every executor id
+        moved by the same offset, every target on its source's node, alive
+        and un-quarantined, none off the executor list. A translation keeps
+        each rank on the same node, the same partitions together and the
+        executors in the same order, so a job's merged values, ring and
+        virtual time do not depend on which one it got (DESIGN §16,
+        *Placement*). Among them the gang lands where its tasks wait for
+        the fewest slots, counting the tasks ``owner``'s other stages have
+        claimed (the submitting scope's owner: a service tenant's gangs
+        spread when they would queue on each other; load between tenants
+        is the FAIR arbiter's to share out); ties go to the executors that
+        already hold the blocks, then to the smallest offset — so a lone
+        job places canonically. Stages with pinned tasks are never moved.
+        A task landing where its block is not cached rebuilds it there
+        through ``RDD.iterator``.
+        """
+        sc = self.sc
+        canonical = [self.pick_executor(rdd, partition, position)
+                     for position, partition in enumerate(partitions)]
+        ids = [executor.executor_id for executor in canonical]
+        shifts = range(-min(ids), len(sc.executors) - max(ids)) if ids else ()
+        if len(shifts) < 2 or any(rdd.pinned_executor(partition) is not None
+                                  for partition in partitions):
+            return StagePlacement(canonical, self.claims, owner)
+        holders = [rdd.preferred_executors(partition)
+                   for partition in partitions]
+        best = min(filter(None, (
+            self._translation(canonical, shift, holders, owner)
+            for shift in shifts)))
+        return StagePlacement(best[-1], self.claims, owner)
+
+    def _translation(self, canonical: List[Executor], shift: int,
+                     holders: List[List[int]], owner: Optional[str]
+                     ) -> Optional[Tuple[int, int, int, int, List[Executor]]]:
+        """``(slot waits, blocks to build, |shift|, shift, executors)`` of
+        the canonical placement moved by ``shift`` executor ids, or None
+        when that is not a legal translation."""
+        sc = self.sc
+        targets = canonical
+        if shift:
+            targets = [sc.executor_by_id(executor.executor_id + shift)
+                       for executor in canonical]
+            available = sc.health.is_available
+            for source, target in zip(canonical, targets):
+                if (target.node is not source.node
+                        or not available(target.executor_id)):
+                    return None
+        claims = self.claims
+        depth: Dict[int, int] = {}
+        waits = 0
+        for target in targets:
+            # the task's place in its owner's line on the executor: the
+            # owner's claimed tasks of other stages, then this gang's
+            # earlier tasks
+            eid = target.executor_id
+            depth[eid] = depth.get(eid, claims.get((owner, eid), 0)) + 1
+            waits += max(0, depth[eid] - target.slot.cores)
+        to_build = sum(target.executor_id not in held
+                       for target, held in zip(targets, holders))
+        return waits, to_build, abs(shift), shift, targets
 
     def pick_executor(self, rdd: RDD, partition: int, position: int,
                       tried: Collection[int] = ()) -> Executor:
-        """The placement policy: where ``partition``'s next attempt runs,
-        ``tried`` being the executors earlier attempts failed on. With none
-        tried it is also the prediction the pipelined split aggregation
-        builds its ring from before the stage runs."""
+        """The per-attempt policy: where ``partition`` runs next, ``tried``
+        being the executors earlier attempts failed on. With none tried it
+        is the canonical placement :meth:`place_stage` starts from; retries
+        and speculation backups come here directly."""
         sc = self.sc
         health = sc.health
         pinned = rdd.pinned_executor(partition)

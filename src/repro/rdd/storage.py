@@ -36,7 +36,9 @@ class CachedPartition(list):
     once per cached partition rather than once per job. It is reachable
     only through this list, so it is freed with the block: eviction,
     executor loss and context teardown need no extra bookkeeping. It never
-    travels: pickling yields the plain rows.
+    travels: pickling yields the plain rows. Replicas of one block (the
+    same rows rebuilt on another executor) share one ``derived``: it is
+    immutable, and the last replica to go frees it.
     """
 
     __slots__ = ("derived",)
@@ -99,6 +101,11 @@ class MemoryStore:
         if self.on_event is not None:
             self.on_event("fetch", block_id, block.sim_bytes)
         return block.data
+
+    def peek(self, block_id: BlockId) -> Optional[Any]:
+        """The block's data without counting as a fetch (no event)."""
+        block = self._blocks.get(block_id)
+        return None if block is None else block.data
 
     def size_of(self, block_id: BlockId) -> Optional[float]:
         block = self._blocks.get(block_id)

@@ -90,6 +90,8 @@ class FairTaskArbiter:
         self._running: Dict[str, int] = {}
         #: accumulated slot-seconds per pool (the fairness *metric*)
         self._task_seconds: Dict[str, float] = {}
+        #: accumulated slot-seconds per executor (the placement metric)
+        self.slot_seconds: Dict[int, float] = {}
         self._next_seq = 0
 
     # ----------------------------------------------------------- plumbing
@@ -156,6 +158,8 @@ class FairTaskArbiter:
         self._running[pool] = self._running.get(pool, 0) - 1
         self._task_seconds[pool] = (self._task_seconds.get(pool, 0.0)
                                     + seconds)
+        eid = executor.executor_id
+        self.slot_seconds[eid] = self.slot_seconds.get(eid, 0.0) + seconds
         self._dispatch(executor)
 
     def _dispatch(self, executor: "Executor") -> None:

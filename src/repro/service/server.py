@@ -155,7 +155,7 @@ class JobServer:
             raise RuntimeError("job server is closed")
         pool = pool or self.default_pool
         pool_config = self.arbiter.pools.setdefault(pool, PoolConfig())
-        scope = JobScope(self.sc, pool=pool, ordered=ordered)
+        scope = JobScope(self.sc, pool=pool, ordered=ordered, owner=tenant)
         record = JobRecord(next(self._ids), tenant, pool, workload, body,
                            scope, submitted=self.sc.now,
                            done_event=self.sc.env.event(name="job-done"))
@@ -336,6 +336,31 @@ class JobServer:
                     task_seconds=stats["task_seconds"],
                     queued_tickets=queued))
         return snapshot
+
+    def slot_utilisation(self) -> Dict[str, Any]:
+        """Where the work ran since the server started: per executor the
+        task attempts completed, the slot-seconds held and their share of
+        ``cores x window``; ``idle_executors`` counts the alive executors
+        that ran nothing — with more concurrent gangs than one executor
+        group holds it must be 0 (DESIGN §16, *Placement*)."""
+        sc = self.sc
+        window = sc.now
+        executors = {}
+        for executor in sc.executors:
+            seconds = self.arbiter.slot_seconds.get(executor.executor_id, 0.0)
+            capacity = executor.slot.cores * window
+            executors[executor.executor_id] = {
+                "tasks": executor.tasks_run,
+                "slot_seconds": seconds,
+                "utilisation": seconds / capacity if capacity > 0 else 0.0,
+            }
+        return {
+            "window": window,
+            "executors": executors,
+            "idle_executors": sum(
+                1 for executor in sc.executors
+                if executor.alive and executor.tasks_run == 0),
+        }
 
     # ------------------------------------------------------------ teardown
     def close(self) -> None:

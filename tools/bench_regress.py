@@ -185,6 +185,7 @@ REGISTRY: Dict[str, BenchSpec] = {
             ("acceptance.throughput_ok", True),
             ("acceptance.fairness_ok", True),
             ("acceptance.scale_ok", True),
+            ("utilisation.idle_executors", 0),
         ),
         metrics=(
             Metric("throughput.speedup_vs_fifo", "higher"),
