@@ -8,8 +8,10 @@ This module makes the algorithm a *registry entry* so
 :class:`~repro.core.spec.AggregationSpec`'s ``collective`` field, or the
 cost-model tuner in :mod:`repro.comm.cost`) can pick per call:
 
-* ``"ring"`` — the existing PDR ring
-  (:meth:`~repro.comm.ring.ScalableCommunicator.reduce_scatter`),
+* ``"ring"`` — the paper's PDR ring
+  (:func:`~repro.comm.ring.ring_reduce_scatter_rank` on every channel),
+* ``"pipelined_ring"`` — that ring as concurrent chunk columns (one
+  column's merge overlaps another's wire time),
 * ``"hd"`` — recursive halving(-doubling): ``log2(N)`` exchange rounds
   over power-of-two rank blocks, with a pre-fold round absorbing the
   ranks beyond the largest power of two. Fewer, larger messages — wins
@@ -38,6 +40,13 @@ halving-doubling defers contributions (shipping ordered
 only the canonical prefix chain. All three therefore produce
 bit-identical final values; they differ only in message schedule, wire
 bytes and virtual time.
+
+**One fan-out.** ``ring``, ``pipelined_ring`` and ``hd`` are each a
+*per-channel step* — what one rank does on one channel with its ``N``
+segments — and :func:`fan_out` is everything around it. ``hierarchical``
+has no such step (its leaders gather across channels first) and keeps its
+own body. All four wait and record through
+:func:`~repro.comm.ring.recv_or_lost` / :func:`~repro.comm.ring.record_hop`.
 """
 
 from __future__ import annotations
@@ -45,11 +54,19 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..cluster.placement import host_blocks
-from ..obs import ChunkStream, EventBus, RingHop, channel_str
-from ..rdd.executor import ExecutorLost
+from ..obs import ChunkStream, EventBus, channel_str
 from ..serde import sim_sizeof
-from .fabric import CommFabric, RecvTimeout
-from .ring import chunk_columns_for, pipelined_ring_reduce_scatter_rank
+from .fabric import CommFabric
+from .ring import (
+    ReduceOp,
+    SplitOp,
+    Stream,
+    chunk_columns_for,
+    pipelined_ring_reduce_scatter_rank,
+    record_hop,
+    recv_or_lost,
+    ring_reduce_scatter_rank,
+)
 
 __all__ = [
     "CollectiveAlgorithm",
@@ -60,32 +77,90 @@ __all__ = [
     "register_collective",
     "get_collective",
     "available_collectives",
+    "fan_out",
     "hd_reduce_scatter_channel",
 ]
 
-ReduceOp = Callable[[Any, Any], Any]
-SplitOp = Callable[[Any, int, int], Any]
+
+def fan_out(comm: Any, values: Optional[Sequence[Any]], split_op: SplitOp,
+            reduce_op: ReduceOp, step: Callable[..., Generator],
+            stream: Optional[Stream] = None,
+            joined: Optional[Callable[[int, Any, float], None]] = None
+            ) -> Generator:
+    """Process body: run ``step`` on every rank x channel of ``comm``.
+
+    Rank ``r`` takes ``values[r]`` — or, streamed, waits for its readiness
+    event and fetches — and splits it into the ``N * P`` global segments.
+    ``step(comm, rank, p, segments, reduce_op)`` is the tracked process of
+    channel ``p``, over globals ``p*N .. p*N + N-1`` as locals ``0 .. N-1``
+    (a dict the step owns); it returns the ``{local index: reduced
+    segment}`` the rank ends up with, empty if it was folded away.
+    ``joined(rank, value, began)`` runs once the rank's channels have all
+    finished. Returns ``owned``: ``{rank: {global index: reduced
+    segment}}`` without the ranks that own nothing.
+    """
+    sources = values if stream is None else stream
+    if len(sources) != comm.size:
+        raise ValueError(
+            f"expected {comm.size} values (one per rank), got {len(sources)}")
+    env = comm.env
+    n, p_total, num = comm.size, comm.parallelism, comm.num_segments
+
+    def rank_proc(rank: int):
+        if stream is None:
+            value = values[rank]
+        else:
+            ready, fetch = stream[rank]
+            yield ready
+            value = fetch()
+        began = env.now
+        channels = [
+            comm._track(env.process(
+                step(comm, rank, p,
+                     {j: split_op(value, p * n + j, num) for j in range(n)},
+                     reduce_op),
+                name=f"rs:r{rank}c{p}"))
+            for p in range(p_total)]
+        results: Dict[int, Any] = {}
+        for p, proc in enumerate(channels):
+            block = yield proc
+            for j, segment in block.items():
+                results[p * n + j] = segment
+        if joined is not None:
+            joined(rank, value, began)
+        return results
+
+    procs = [comm._track(env.process(rank_proc(r), name=f"rs:rank{r}"))
+             for r in range(n)]
+    owned: Dict[int, Dict[int, Any]] = {}
+    for rank, proc in enumerate(procs):
+        results = yield proc
+        if results:
+            owned[rank] = results
+    return owned
 
 
 class CollectiveAlgorithm:
-    """One registered reduce-scatter strategy.
-
-    ``reduce_scatter`` is a process body taking the communicator, the
-    per-rank aggregators and the split/reduce callbacks, returning
-    ``{rank: {global_segment_index: reduced_segment}}`` — the same shape
-    :meth:`~repro.comm.ring.ScalableCommunicator.gather_concat`
-    consumes, so every algorithm composes with the driver gather.
-    """
+    """One registered reduce-scatter strategy: its per-channel step
+    (:meth:`channel`) under :func:`fan_out`, or — when its shape is not
+    rank x channel — a ``reduce_scatter`` process body of its own, taking
+    what ``fan_out`` takes and returning ``owned``."""
 
     name: str = "?"
 
     def validate(self, comm: Any) -> None:
         """Raise ``ValueError`` when ``comm`` cannot run this algorithm."""
 
-    def reduce_scatter(self, comm: Any, values: Sequence[Any],
-                       split_op: SplitOp,
-                       reduce_op: ReduceOp) -> Generator:
+    def channel(self, comm: Any, rank: int, p: int, segments: Dict[int, Any],
+                reduce_op: ReduceOp) -> Generator:
+        """The per-channel step (see :func:`fan_out`)."""
         raise NotImplementedError
+
+    def reduce_scatter(self, comm: Any, values: Optional[Sequence[Any]],
+                       split_op: SplitOp, reduce_op: ReduceOp,
+                       stream: Optional[Stream] = None) -> Generator:
+        return fan_out(comm, values, split_op, reduce_op, self.channel,
+                       stream)
 
 
 _REGISTRY: Dict[str, CollectiveAlgorithm] = {}
@@ -116,15 +191,17 @@ def available_collectives() -> Tuple[str, ...]:
 
 # --------------------------------------------------------------------- ring
 class RingCollective(CollectiveAlgorithm):
-    """The seed PDR ring, delegated to the communicator itself."""
+    """The seed PDR ring: the classic ring on every channel."""
 
     name = "ring"
 
-    def reduce_scatter(self, comm: Any, values: Sequence[Any],
-                       split_op: SplitOp,
-                       reduce_op: ReduceOp) -> Generator:
-        result = yield from comm.reduce_scatter(values, split_op, reduce_op)
-        return result
+    def channel(self, comm: Any, rank: int, p: int, segments: Dict[int, Any],
+                reduce_op: ReduceOp) -> Generator:
+        owned, segment = yield from ring_reduce_scatter_rank(
+            comm.fabric, rank, comm.size, segments, reduce_op,
+            comm.cluster.config.merge_bandwidth, channel=p,
+            **comm.hop_context(rank))
+        return {owned: segment}
 
 
 # ---------------------------------------------------------- pipelined ring
@@ -138,105 +215,54 @@ class PipelinedRingCollective(CollectiveAlgorithm):
     per hop the rank pays ``max(wire, merge)`` plus one column's
     pipeline-fill instead of ``wire + merge``. Because a chunk is an
     elementwise slice and every column folds in exact ring order, the
-    concatenated result is bit-identical to ``"ring"``.
+    concatenated result is bit-identical to ``"ring"``; with one column
+    this algorithm is hop-for-hop the classic ring.
 
-    Two optional communicator attributes extend the contract without
-    changing the registry signature (read via ``getattr``, absent on the
-    stock :class:`~repro.comm.ring.ScalableCommunicator`):
-
-    * ``comm.pipeline`` — per-rank ``(ready_event, fetch)`` pairs. When
-      set, rank ``r`` waits on its event and calls ``fetch()`` for its
-      value instead of reading ``values[r]``; this is how
-      ``split_aggregate`` streams each executor's aggregator into the
-      ring as soon as its last partition merges, overlapping *seqOp
-      compute* with other ranks' communication.
-    * ``comm.num_chunks`` / ``comm.chunk_bytes`` — explicit column count,
-      or the target chunk size used to derive one (defaulting to
-      :data:`repro.core.spec.DEFAULT_CHUNK_BYTES`). With one column this
-      algorithm is hop-for-hop the classic ring.
-    * ``comm.ledger`` — a :class:`~repro.comm.ring.ChunkLedger` delivery
-      fence. Completed chunk columns are recorded as they finish, and
-      columns the whole topology already acknowledged (on a previous,
-      aborted attempt of the same aggregation) are skipped instead of
-      replayed — the fault-tolerant path's partial-replay hook.
+    ``C`` comes from the communicator's ``chunk_bytes``
+    (:func:`~repro.comm.ring.chunk_columns_for`), and its ``ledger``, if
+    any, is the delivery fence: columns are recorded as they finish, and
+    those the whole topology acknowledged on an earlier, aborted attempt
+    of the same aggregation are skipped, not replayed. Each rank x channel
+    leaves one :class:`~repro.obs.ChunkStream` once the rank has joined.
     """
 
     name = "pipelined_ring"
 
-    def reduce_scatter(self, comm: Any, values: Sequence[Any],
-                       split_op: SplitOp,
-                       reduce_op: ReduceOp) -> Generator:
-        pipeline = getattr(comm, "pipeline", None)
-        if pipeline is None and len(values) != comm.size:
-            raise ValueError(
-                f"expected {comm.size} values (one per rank), "
-                f"got {len(values)}")
-        env = comm.env
-        n, p_total = comm.size, comm.parallelism
-        num = comm.num_segments
-        merge_bw = comm.cluster.config.merge_bandwidth
-        forced_chunks = getattr(comm, "num_chunks", None)
-        chunk_bytes = getattr(comm, "chunk_bytes", None)
-        ledger = getattr(comm, "ledger", None)
-        if not chunk_bytes or chunk_bytes <= 0:
-            from ..core.spec import DEFAULT_CHUNK_BYTES
-            chunk_bytes = DEFAULT_CHUNK_BYTES
+    def reduce_scatter(self, comm: Any, values: Optional[Sequence[Any]],
+                       split_op: SplitOp, reduce_op: ReduceOp,
+                       stream: Optional[Stream] = None) -> Generator:
+        chunk_bytes = comm.chunk_bytes
+        columns: Dict[Tuple[int, int], int] = {}
 
-        def rank_proc(rank: int):
-            if pipeline is not None:
-                ready, fetch = pipeline[rank]
-                yield ready
-                value = fetch()
-            else:
-                value = values[rank]
-            began = env.now
-            channel_procs = []
-            chunk_counts: List[int] = []
-            for p in range(p_total):
-                local_segments = {
-                    j: split_op(value, p * n + j, num) for j in range(n)
-                }
-                # Every rank holds an equally-shaped aggregator, so the
-                # probe segment (global index p*n) yields the same column
-                # count on all ranks — no agreement round needed.
-                chunks = (int(forced_chunks) if forced_chunks
-                          else chunk_columns_for(local_segments[0],
-                                                 chunk_bytes))
-                chunk_counts.append(chunks)
-                channel_procs.append(comm._track(env.process(
-                    pipelined_ring_reduce_scatter_rank(
-                        comm.fabric, rank, n, local_segments, reduce_op,
-                        merge_bw, chunks, channel=p, bus=comm.bus,
-                        executor_id=comm.ranked[rank].executor_id,
-                        recv_timeout=comm.recv_timeout,
-                        parent_span=comm.span_id, track=comm._track,
-                        ledger=ledger),
-                    name=f"pring:r{rank}c{p}")))
-            results: Dict[int, Any] = {}
-            for p, proc in enumerate(channel_procs):
-                local_idx, segment = yield proc
-                results[p * n + local_idx] = segment
+        def channel(comm: Any, rank: int, p: int, segments: Dict[int, Any],
+                    reduce_op: ReduceOp) -> Generator:
+            # Every rank holds an equally-shaped aggregator, so the probe
+            # segment (global index p*n) yields the same column count on
+            # all ranks — no agreement round needed.
+            columns[rank, p] = chunks = chunk_columns_for(segments[0],
+                                                          chunk_bytes)
+            owned, segment = yield from pipelined_ring_reduce_scatter_rank(
+                comm.fabric, rank, comm.size, segments, reduce_op,
+                comm.cluster.config.merge_bandwidth, chunks, channel=p,
+                track=comm._track, ledger=comm.ledger,
+                **comm.hop_context(rank))
+            return {owned: segment}
+
+        def joined(rank: int, value: Any, began: float) -> None:
             bus = comm.bus
             if bus is not None and bus.active:
-                for p, chunks in enumerate(chunk_counts):
+                for p in range(comm.parallelism):
                     bus.emit(ChunkStream.fast(
-                        time=env.now, rank=rank,
+                        time=comm.env.now, rank=rank,
                         executor_id=comm.ranked[rank].executor_id,
-                        channel=channel_str(p), num_chunks=chunks,
+                        channel=channel_str(p), num_chunks=columns[rank, p],
                         chunk_bytes=float(chunk_bytes),
                         value_bytes=sim_sizeof(value), began=began,
                         span_id=bus.tracer.new_span(),
                         parent_span_id=comm.span_id))
-            return rank, results
 
-        procs = [comm._track(env.process(rank_proc(r),
-                                         name=f"pring:rank{r}"))
-                 for r in range(n)]
-        owned: Dict[int, Dict[int, Any]] = {}
-        for proc in procs:
-            rank, results = yield proc
-            owned[rank] = results
-        return owned
+        return fan_out(comm, values, split_op, reduce_op, channel, stream,
+                       joined)
 
 
 # ------------------------------------------------------- chain-order state
@@ -356,25 +382,30 @@ def hd_reduce_scatter_channel(
         states[j] = state
 
     def _recv(hop: int) -> Generator:
-        try:
-            payload = yield from fabric.recv(rank, tag=(channel_key, hop),
-                                             timeout=recv_timeout)
-        except RecvTimeout as exc:
-            raise ExecutorLost(
-                f"hd rank {rank} heard nothing on channel {channel_key} "
-                f"round {hop} for {recv_timeout:g}s") from exc
-        return payload
+        return recv_or_lost(
+            fabric, rank, (channel_key, hop), recv_timeout,
+            lambda: f"hd rank {rank} heard nothing on channel {channel_key} "
+                    f"round {hop} for {recv_timeout:g}s")
+
+    def _absorb(incoming: List[Tuple[int, Any]]) -> Tuple[float, float]:
+        """Take in a partner's states; returns (bytes received, seconds
+        of merging the folds they unlocked cost)."""
+        merged_bytes = recv_bytes = 0.0
+        for j, exported in incoming:
+            state = states[j]
+            state.absorb(exported)
+            merged_bytes += state.fold(reduce_op)
+            recv_bytes += state.wire_size()
+        return recv_bytes, merged_bytes / merge_bandwidth
 
     def _emit_hop(hop: int, began: float, send_bytes: float,
                   recv_bytes: float, merge_time: float) -> None:
         if bus is not None and bus.active:
-            bus.emit(RingHop.fast(time=env.now, rank=rank,
-                             executor_id=executor_id, channel=channel_key,
-                             hop=hop, send_bytes=send_bytes,
-                             recv_bytes=recv_bytes, began=began,
-                             merge_time=merge_time,
-                             span_id=bus.tracer.new_span(),
-                             parent_span_id=parent_span))
+            record_hop(bus, time=env.now, rank=rank,
+                       executor_id=executor_id, channel=channel_key, hop=hop,
+                       began=began, send_bytes=send_bytes,
+                       recv_bytes=recv_bytes, merge_time=merge_time,
+                       parent_span_id=parent_span)
 
     # ---- round 0: fold the ranks beyond the largest power of two ----------
     if rank >= n2:
@@ -388,15 +419,7 @@ def hd_reduce_scatter_channel(
         return {}
     if rank + n2 < n:
         began = env.now
-        incoming = yield from _recv(0)
-        merged_bytes = 0.0
-        recv_bytes = 0.0
-        for j, exported in incoming:
-            state = states[j]
-            state.absorb(exported)
-            merged_bytes += state.fold(reduce_op)
-            recv_bytes += state.wire_size()
-        merge_time = merged_bytes / merge_bandwidth
+        recv_bytes, merge_time = _absorb((yield from _recv(0)))
         if merge_time > 0:
             yield env.timeout(merge_time)
         _emit_hop(0, began, 0.0, recv_bytes, merge_time)
@@ -428,15 +451,7 @@ def hd_reduce_scatter_channel(
         began = env.now
         in_flight = fabric.isend(rank, partner, payload,
                                  tag=(channel_key, t), nbytes=nbytes)
-        incoming = yield from _recv(t)
-        merged_bytes = 0.0
-        recv_bytes = 0.0
-        for j, exported in incoming:
-            state = states[j]
-            state.absorb(exported)
-            merged_bytes += state.fold(reduce_op)
-            recv_bytes += state.wire_size()
-        merge_time = merged_bytes / merge_bandwidth
+        recv_bytes, merge_time = _absorb((yield from _recv(t)))
         if merge_time > 0:
             yield env.timeout(merge_time)
         if not in_flight.processed:
@@ -466,49 +481,12 @@ class HalvingDoublingCollective(CollectiveAlgorithm):
 
     name = "hd"
 
-    def reduce_scatter(self, comm: Any, values: Sequence[Any],
-                       split_op: SplitOp,
-                       reduce_op: ReduceOp) -> Generator:
-        if len(values) != comm.size:
-            raise ValueError(
-                f"expected {comm.size} values (one per rank), "
-                f"got {len(values)}")
-        env = comm.env
-        n, p_total = comm.size, comm.parallelism
-        num = comm.num_segments
-        merge_bw = comm.cluster.config.merge_bandwidth
-
-        def rank_proc(rank: int):
-            value = values[rank]
-            channel_procs = []
-            for p in range(p_total):
-                local_segments = {
-                    j: split_op(value, p * n + j, num) for j in range(n)
-                }
-                channel_procs.append(comm._track(env.process(
-                    hd_reduce_scatter_channel(
-                        comm.fabric, rank, n, local_segments, reduce_op,
-                        merge_bw, channel=p, bus=comm.bus,
-                        executor_id=comm.ranked[rank].executor_id,
-                        recv_timeout=comm.recv_timeout,
-                        parent_span=comm.span_id),
-                    name=f"hd:r{rank}c{p}",
-                )))
-            results: Dict[int, Any] = {}
-            for p, proc in enumerate(channel_procs):
-                block = yield proc
-                for j, segment in block.items():
-                    results[p * n + j] = segment
-            return rank, results
-
-        procs = [comm._track(env.process(rank_proc(r), name=f"hd:rank{r}"))
-                 for r in range(n)]
-        owned: Dict[int, Dict[int, Any]] = {}
-        for proc in procs:
-            rank, results = yield proc
-            if results:
-                owned[rank] = results
-        return owned
+    def channel(self, comm: Any, rank: int, p: int, segments: Dict[int, Any],
+                reduce_op: ReduceOp) -> Generator:
+        return hd_reduce_scatter_channel(
+            comm.fabric, rank, comm.size, segments, reduce_op,
+            comm.cluster.config.merge_bandwidth, channel=p,
+            **comm.hop_context(rank))
 
 
 # ------------------------------------------------------------- hierarchical
@@ -534,17 +512,18 @@ class HierarchicalCollective(CollectiveAlgorithm):
         host_blocks(comm.ranked)  # raises on non-contiguous hosts
 
     def reduce_scatter(self, comm: Any, values: Sequence[Any],
-                       split_op: SplitOp,
-                       reduce_op: ReduceOp) -> Generator:
+                       split_op: SplitOp, reduce_op: ReduceOp,
+                       stream: Optional[Stream] = None) -> Generator:
+        if stream is not None:
+            raise ValueError(
+                "hierarchical cannot take a stream: every leader gathers "
+                "its members before any segment walks")
         if len(values) != comm.size:
             raise ValueError(
                 f"expected {comm.size} values (one per rank), "
                 f"got {len(values)}")
-        env = comm.env
-        fabric = comm.fabric
-        bus = comm.bus
-        n, p_total = comm.size, comm.parallelism
-        num = comm.num_segments
+        env, fabric, bus = comm.env, comm.fabric, comm.bus
+        n, p_total, num = comm.size, comm.parallelism, comm.num_segments
         merge_bw = comm.cluster.config.merge_bandwidth
         recv_timeout = comm.recv_timeout
         blocks = host_blocks(comm.ranked)
@@ -579,18 +558,13 @@ class HierarchicalCollective(CollectiveAlgorithm):
             _host, ranks = blocks[bi]
             leader = ranks[0]
             for p in range(p_total):
-                for r in ranks:
-                    if r == leader:
-                        continue
-                    try:
-                        origin, local = yield from fabric.recv(
-                            leader, tag=(channel_str(("hg", p)), r),
-                            timeout=recv_timeout)
-                    except RecvTimeout as exc:
-                        raise ExecutorLost(
-                            f"hierarchical leader {leader} heard nothing "
-                            f"from member rank {r} on channel {p} for "
-                            f"{recv_timeout:g}s") from exc
+                for r in ranks[1:]:
+                    origin, local = yield from recv_or_lost(
+                        fabric, leader, (channel_str(("hg", p)), r),
+                        recv_timeout,
+                        lambda: f"hierarchical leader {leader} heard nothing "
+                                f"from member rank {r} on channel {p} for "
+                                f"{recv_timeout:g}s")
                     contrib[p][origin] = local
 
         members = [comm._track(env.process(member_proc(r),
@@ -620,24 +594,19 @@ class HierarchicalCollective(CollectiveAlgorithm):
             cur_leader: Optional[int] = None
             for hop, (bi, run) in enumerate(runs):
                 leader = leader_of_block[bi]
+                began = env.now
+                tracing = bus is not None and bus.active
+                send_bytes = 0.0
                 if cur_leader is not None and leader != cur_leader:
                     tag = (channel_str(("hw", p, j)), hop)
-                    began = env.now
-                    tracing = bus is not None and bus.active
-                    send_bytes = sim_sizeof(acc) if tracing else 0.0
+                    if tracing:
+                        send_bytes = sim_sizeof(acc)
                     yield from fabric.send(cur_leader, leader, acc, tag=tag)
-                    try:
-                        acc = yield from fabric.recv(leader, tag=tag,
-                                                     timeout=recv_timeout)
-                    except RecvTimeout as exc:
-                        raise ExecutorLost(
-                            f"hierarchical segment {p * n + j} lost its "
-                            f"accumulator between leaders {cur_leader} and "
-                            f"{leader}") from exc
-                else:
-                    began = env.now
-                    tracing = bus is not None and bus.active
-                    send_bytes = 0.0
+                    acc = yield from recv_or_lost(
+                        fabric, leader, tag, recv_timeout,
+                        lambda: f"hierarchical segment {p * n + j} lost its "
+                                f"accumulator between leaders {cur_leader} "
+                                f"and {leader}")
                 cur_leader = leader
                 merged_bytes = 0.0
                 for r in run:
@@ -651,15 +620,13 @@ class HierarchicalCollective(CollectiveAlgorithm):
                 if merge_time > 0:
                     yield env.timeout(merge_time)
                 if tracing and bus.active:
-                    bus.emit(RingHop.fast(
-                        time=env.now, rank=leader,
+                    record_hop(
+                        bus, time=env.now, rank=leader,
                         executor_id=comm.ranked[leader].executor_id,
                         channel=channel_str(("hier", p)), hop=hop,
-                        send_bytes=send_bytes,
-                        recv_bytes=sim_sizeof(acc) if tracing else 0.0,
-                        began=began, merge_time=merge_time,
-                        span_id=bus.tracer.new_span(),
-                        parent_span_id=comm.span_id))
+                        began=began, send_bytes=send_bytes,
+                        recv_bytes=sim_sizeof(acc), merge_time=merge_time,
+                        parent_span_id=comm.span_id)
             return cur_leader, p * n + j, acc
 
         walks = [comm._track(env.process(walk(p, j), name=f"hier:c{p}s{j}"))

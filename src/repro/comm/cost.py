@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.config import ClusterConfig
-from ..core.spec import DEFAULT_CHUNK_BYTES
 from ..obs import MessageDelivered, NicSample
+from .ring import DEFAULT_CHUNK_BYTES
 from .transport import TransportSpec, sc_transport
 
 __all__ = [

@@ -21,7 +21,8 @@ merge CPU cost is charged at the platform's ``merge_bandwidth``.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from ..cluster.placement import Cluster, ExecutorSlot
 from ..obs import (
@@ -45,6 +46,7 @@ from .fabric import CommFabric, RecvTimeout
 from .transport import TransportSpec, sc_transport
 
 __all__ = [
+    "DEFAULT_CHUNK_BYTES",
     "ring_reduce_scatter_rank",
     "ring_allgather_rank",
     "pipelined_ring_reduce_scatter_rank",
@@ -56,6 +58,44 @@ __all__ = [
 ReduceOp = Callable[[Any, Any], Any]
 SplitOp = Callable[[Any, int, int], Any]
 ConcatOp = Callable[[Sequence[Any]], Any]
+#: a streamed collective's input: per rank, the event that says its
+#: aggregator is final and the call that fetches it
+Stream = Sequence[Tuple[Any, Callable[[], Any]]]
+
+#: chunk ceiling (simulated bytes) for ``pipelined_ring`` segment streaming
+DEFAULT_CHUNK_BYTES: float = 4.0 * 1024 * 1024
+
+
+def recv_or_lost(fabric: CommFabric, rank: int, tag: Any,
+                 timeout: Optional[float],
+                 silence: Callable[[], str]) -> Generator:
+    """Generator: every hop's ``fabric.recv``. Silence past ``timeout``
+    is a lost peer: it surfaces as :class:`~repro.rdd.executor.ExecutorLost`
+    saying ``silence()`` (worded by the hop, only when the deadline fires)
+    and the caller rebuilds over the survivors. ``None`` waits forever and
+    costs no simulation event."""
+    try:
+        return (yield from fabric.recv(rank, tag=tag, timeout=timeout))
+    except RecvTimeout as exc:
+        raise ExecutorLost(silence()) from exc
+
+
+def record_hop(bus: EventBus, *, time: float, rank: int, executor_id: int,
+               channel: str, hop: int, began: float, send_bytes: float,
+               recv_bytes: float, merge_time: float, parent_span_id: int,
+               send_repr: str = "dense", recv_repr: str = "dense",
+               send_dense_bytes: float = 0.0) -> int:
+    """Emit one hop's :class:`RingHop` (ring, allgather, halving round,
+    leader walk) under a fresh span, and return the span. Its byte counts
+    are the sizes the wire was charged, not a second estimate."""
+    span = bus.tracer.new_span()
+    bus.emit(RingHop.fast(
+        time=time, rank=rank, executor_id=executor_id, channel=channel,
+        hop=hop, send_bytes=send_bytes, recv_bytes=recv_bytes, began=began,
+        merge_time=merge_time, send_repr=send_repr, recv_repr=recv_repr,
+        send_dense_bytes=send_dense_bytes, span_id=span,
+        parent_span_id=parent_span_id))
+    return span
 
 
 def ring_reduce_scatter_rank(
@@ -68,17 +108,15 @@ def ring_reduce_scatter_rank(
     channel: Any = 0,
     bus: Optional[EventBus] = None,
     executor_id: int = -1,
-    private: bool = False,
     recv_timeout: Optional[float] = None,
     parent_span: int = -1,
 ) -> Generator:
     """Per-rank ring reduce-scatter over ``size`` ranks (one channel).
 
     ``segments`` maps local segment index ``0..size-1`` to this rank's
-    contribution. Returns ``(owned_index, fully_reduced_segment)`` where
-    ``owned_index == (rank + 1) % size``. With ``private=True`` the caller
-    guarantees nobody else reads ``segments`` and the defensive copy is
-    skipped (the dict is updated in place as segments merge).
+    contribution and is the call's own: it is updated in place as segments
+    merge. Returns ``(owned_index, fully_reduced_segment)`` where
+    ``owned_index == (rank + 1) % size``.
 
     At iteration ``k`` rank ``r`` sends its current value of segment
     ``(r - k) mod N`` to rank ``(r + 1) mod N`` and merges the incoming
@@ -91,65 +129,58 @@ def ring_reduce_scatter_rank(
     result changes representation (the adaptive sparse -> dense switch)
     additionally emits one :class:`SegmentRepresentation`.
 
-    ``recv_timeout`` bounds each hop's wait for the upstream neighbour;
-    silence past the deadline surfaces as
-    :class:`~repro.rdd.executor.ExecutorLost` — the caller tears the ring
-    down and rebuilds over the survivors. ``None`` (the default) waits
-    forever and costs no extra simulation events.
+    ``recv_timeout`` bounds each hop's wait for the upstream neighbour
+    (:func:`recv_or_lost`); ``None`` (the default) waits forever.
     """
     env = fabric.env
     n = size
     if n == 1:
         return 0, segments[0]
     nxt = (rank + 1) % n
-    current = segments if private else dict(segments)
+    prev = (rank - 1) % n
     channel_key = channel_str(channel)
+    # Hop k merges into the very segment hop k+1 sends, so each segment is
+    # sized (and its representation read) once: when it is made.
+    outgoing = segments[rank]
+    send_bytes = sim_sizeof(outgoing)
+    send_repr = None
     for k in range(n - 1):
-        send_idx = (rank - k) % n
         recv_idx = (rank - k - 1) % n
         tag = (channel, k)
         tracing = bus is not None and bus.active
         began = env.now
-        outgoing = current[send_idx]
-        # sized here, once, for the send and for the hop's record
-        send_bytes = sim_sizeof(outgoing)
         if tracing:
             send_dense = sim_dense_sizeof(outgoing)
-            send_repr = representation_of(outgoing)
-            local_repr = representation_of(current[recv_idx])
+            if send_repr is None:
+                send_repr = representation_of(outgoing)
+            local_repr = representation_of(segments[recv_idx])
         in_flight = fabric.isend(rank, nxt, outgoing, tag=tag,
                                  nbytes=send_bytes)
-        try:
-            incoming = yield from fabric.recv(rank, tag=tag,
-                                              timeout=recv_timeout)
-        except RecvTimeout as exc:
-            prev = (rank - 1) % n
-            raise ExecutorLost(
-                f"ring rank {rank} heard nothing from rank {prev} on "
-                f"channel {channel_key} hop {k} for {recv_timeout:g}s"
-            ) from exc
+        incoming = yield from recv_or_lost(
+            fabric, rank, tag, recv_timeout,
+            lambda: f"ring rank {rank} heard nothing from rank {prev} on "
+                    f"channel {channel_key} hop {k} for {recv_timeout:g}s")
         recv_bytes = sim_sizeof(incoming) if tracing else 0.0
-        merged = reduce_op(current[recv_idx], incoming)
-        merge_cost = sim_sizeof(merged) / merge_bandwidth
+        merged = reduce_op(segments[recv_idx], incoming)
+        merged_bytes = sim_sizeof(merged)
+        merge_cost = merged_bytes / merge_bandwidth
         if merge_cost > 0:
             yield env.timeout(merge_cost)
-        current[recv_idx] = merged
+        segments[recv_idx] = merged
         # The channel is a single connection: do not start iteration k+1's
         # send until iteration k's has fully left.
         if not in_flight.processed:
             yield in_flight
+        merged_repr = None
         if tracing and bus.active:
-            recv_repr = representation_of(incoming)
             merged_repr = representation_of(merged)
-            hop_span = bus.tracer.new_span()
-            bus.emit(RingHop.fast(time=env.now, rank=rank,
-                             executor_id=executor_id,
-                             channel=channel_key, hop=k,
-                             send_bytes=send_bytes, recv_bytes=recv_bytes,
-                             began=began, merge_time=merge_cost,
-                             send_repr=send_repr, recv_repr=recv_repr,
-                             send_dense_bytes=send_dense,
-                             span_id=hop_span, parent_span_id=parent_span))
+            hop_span = record_hop(
+                bus, time=env.now, rank=rank, executor_id=executor_id,
+                channel=channel_key, hop=k, began=began,
+                send_bytes=send_bytes, recv_bytes=recv_bytes,
+                merge_time=merge_cost, parent_span_id=parent_span,
+                send_repr=send_repr, recv_repr=representation_of(incoming),
+                send_dense_bytes=send_dense)
             if merged_repr != local_repr:
                 bus.emit(SegmentRepresentation.fast(
                     time=env.now, site="ring", executor_id=executor_id,
@@ -158,12 +189,13 @@ def ring_reduce_scatter_rank(
                     nnz=int(getattr(merged, "nnz", 0)),
                     length=len(merged) if hasattr(merged, "__len__") else 0,
                     density=density_of(merged),
-                    wire_bytes=sim_sizeof(merged),
+                    wire_bytes=merged_bytes,
                     dense_bytes=sim_dense_sizeof(merged),
                     span_id=bus.tracer.new_span(),
                     parent_span_id=hop_span))
+        outgoing, send_bytes, send_repr = merged, merged_bytes, merged_repr
     owned = (rank + 1) % n
-    return owned, current[owned]
+    return owned, segments[owned]
 
 
 def ring_allgather_rank(
@@ -190,34 +222,29 @@ def ring_allgather_rank(
         return {owned_index: owned_value}
     nxt = (rank + 1) % n
     have: Dict[int, Any] = {owned_index: owned_value}
-    carry_idx, carry_val = owned_index, owned_value
     channel_key = channel_str(channel)
+    # What travels is the (index, segment) pair, forwarded as received: it
+    # is sized once, and the wire and the hop's record get that number.
+    message = (owned_index, owned_value)
+    nbytes = sim_sizeof(message)
     for k in range(n - 1):
         tag = (channel, k)
         tracing = bus is not None and bus.active
         began = env.now
-        send_bytes = sim_sizeof(carry_val) if tracing else 0.0
-        in_flight = fabric.isend(rank, nxt, (carry_idx, carry_val), tag=tag)
-        try:
-            carry_idx, carry_val = yield from fabric.recv(
-                rank, tag=tag, timeout=recv_timeout)
-        except RecvTimeout as exc:
-            raise ExecutorLost(
-                f"allgather rank {rank} heard nothing from rank "
-                f"{(rank - 1) % n} on hop {k} for {recv_timeout:g}s"
-            ) from exc
-        have[carry_idx] = carry_val
+        in_flight = fabric.isend(rank, nxt, message, tag=tag, nbytes=nbytes)
+        message = yield from recv_or_lost(
+            fabric, rank, tag, recv_timeout,
+            lambda: f"allgather rank {rank} heard nothing from rank "
+                    f"{(rank - 1) % n} on hop {k} for {recv_timeout:g}s")
+        have[message[0]] = message[1]
+        sent_bytes, nbytes = nbytes, sim_sizeof(message)
         if not in_flight.processed:
             yield in_flight
         if tracing and bus.active:
-            bus.emit(RingHop.fast(time=env.now, rank=rank,
-                             executor_id=executor_id,
-                             channel=channel_key, hop=k,
-                             send_bytes=send_bytes,
-                             recv_bytes=sim_sizeof(carry_val),
-                             began=began, merge_time=0.0,
-                             span_id=bus.tracer.new_span(),
-                             parent_span_id=parent_span))
+            record_hop(bus, time=env.now, rank=rank,
+                       executor_id=executor_id, channel=channel_key, hop=k,
+                       began=began, send_bytes=sent_bytes, recv_bytes=nbytes,
+                       merge_time=0.0, parent_span_id=parent_span)
     return have
 
 
@@ -334,50 +361,40 @@ def pipelined_ring_reduce_scatter_rank(
     if size == 1:
         return 0, segments[0]
 
-    def column(c: int, col_segments: Dict[int, Any],
-               col_channel: Any) -> Generator:
+    def column(c: int, col_segments: Dict[int, Any]) -> Generator:
         result = yield from ring_reduce_scatter_rank(
             fabric, rank, size, col_segments, reduce_op, merge_bandwidth,
-            channel=col_channel, bus=bus, executor_id=executor_id,
-            private=True, recv_timeout=recv_timeout,
-            parent_span=parent_span)
+            channel=(channel, c), bus=bus, executor_id=executor_id,
+            recv_timeout=recv_timeout, parent_span=parent_span)
         if ledger is not None:
             # Record inside the column process: an abort that interrupts
             # the parent's join must not lose a completed column.
-            ledger.record(channel, c, rank, result[0], result[1])
+            ledger.record(channel, c, rank, *result)
         return result
 
     if num_chunks <= 1:
         if ledger is not None and ledger.acknowledged(channel, 0):
             return ledger.recall(channel, 0, rank)
-        result = yield from column(0, segments, (channel, 0))
-        return result
-    owned = (rank + 1) % size
-    parts_by_col: Dict[int, Any] = {}
-    pending: List[Any] = []
+        return (yield from column(0, segments))
+    #: column -> (owned index, reduced slice)
+    results: Dict[int, Tuple[int, Any]] = {}
+    pending: List[Tuple[int, Process]] = []
     for c in range(num_chunks):
         if ledger is not None and ledger.acknowledged(channel, c):
-            col_owned, part = ledger.recall(channel, c, rank)
-            if col_owned != owned:  # pragma: no cover - structural invariant
-                raise RuntimeError(
-                    f"ledger column owns segment {col_owned}, "
-                    f"expected {owned}")
-            parts_by_col[c] = part
+            results[c] = ledger.recall(channel, c, rank)
             continue
-        col_segments = {
-            j: seg.chunk_split(c, num_chunks)
-            for j, seg in segments.items()
-        }
-        proc = env.process(column(c, col_segments, (channel, c)),
-                           name=f"pc:r{rank}ch{channel_str(channel)}k{c}")
+        proc = env.process(
+            column(c, {j: seg.chunk_split(c, num_chunks)
+                       for j, seg in segments.items()}),
+            name=f"pc:r{rank}ch{channel_str(channel)}k{c}")
         pending.append((c, track(proc) if track is not None else proc))
     for c, proc in pending:
-        col_owned, part = yield proc
-        if col_owned != owned:  # pragma: no cover - structural invariant
-            raise RuntimeError(
-                f"chunk column owns segment {col_owned}, expected {owned}")
-        parts_by_col[c] = part
-    parts = [parts_by_col[c] for c in range(num_chunks)]
+        results[c] = yield proc
+    owned = (rank + 1) % size
+    if any(col_owned != owned for col_owned, _ in results.values()):
+        raise RuntimeError(  # pragma: no cover - structural invariant
+            f"a chunk column of rank {rank} owns another segment than {owned}")
+    parts = [results[c][1] for c in range(num_chunks)]
     return owned, parts[0].chunk_concat(parts)
 
 
@@ -407,6 +424,10 @@ class ScalableCommunicator:
     recv_timeout:
         Failure-detection deadline applied to every ring hop's recv;
         ``None`` (the default) disables detection and schedules nothing.
+    chunk_bytes / ledger:
+        ``"pipelined_ring"``'s alone: the size it cuts chunk columns to
+        (:func:`chunk_columns_for`), and the :class:`ChunkLedger` of the
+        aggregation this attempt belongs to, if it keeps one.
     """
 
     def __init__(self, cluster: Cluster, parallelism: int = 4,
@@ -415,7 +436,9 @@ class ScalableCommunicator:
                  slots: Optional[Sequence[ExecutorSlot]] = None,
                  bus: Optional[EventBus] = None,
                  faults: Any = None,
-                 recv_timeout: Optional[float] = None):
+                 recv_timeout: Optional[float] = None,
+                 chunk_bytes: float = DEFAULT_CHUNK_BYTES,
+                 ledger: Optional[ChunkLedger] = None):
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         self.cluster = cluster
@@ -426,6 +449,8 @@ class ScalableCommunicator:
         self.serde = SerdeModel.from_config(cluster.config)
         self.bus = bus
         self.recv_timeout = recv_timeout
+        self.chunk_bytes = chunk_bytes
+        self.ledger = ledger
 
         chosen = list(slots) if slots is not None else list(cluster.executors)
         if not chosen:
@@ -446,11 +471,6 @@ class ScalableCommunicator:
         self.span_id = -1
         #: every process this communicator spawned (for :meth:`abort`)
         self._procs: List[Process] = []
-        #: cause of the abort, or None while healthy
-        self.aborted: Optional[str] = None
-        #: optional per-chunk delivery fence shared across rebuild
-        #: attempts of one aggregation (see :class:`ChunkLedger`)
-        self.ledger: Optional[ChunkLedger] = None
 
     def set_span(self, span_id: int) -> None:
         """Adopt ``span_id`` as the causal parent of everything this
@@ -470,7 +490,6 @@ class ScalableCommunicator:
         consuming NIC bandwidth that would perturb the rebuilt ring.
         Idempotent; safe to call when nothing was spawned.
         """
-        self.aborted = cause
         procs, self._procs = self._procs, []
         for proc in procs:
             if proc.is_alive:
@@ -498,56 +517,32 @@ class ScalableCommunicator:
         return (local - 1) % self.size
 
     # ------------------------------------------------------------ collectives
-    def reduce_scatter(self, values: Sequence[Any], split_op: SplitOp,
-                       reduce_op: ReduceOp) -> Generator:
-        """Process body: reduce-scatter ``values`` across the ring.
+    def hop_context(self, rank: int) -> Dict[str, Any]:
+        """Keywords every per-rank body of this communicator runs under."""
+        return {"bus": self.bus,
+                "executor_id": self.ranked[rank].executor_id,
+                "recv_timeout": self.recv_timeout,
+                "parent_span": self.span_id}
 
-        ``values[rank]`` is the aggregator held by ring rank ``rank``.
-        Returns ``owned`` — a dict mapping ring rank to a dict of
-        ``{global_segment_index: reduced_segment}`` (each rank owns
-        ``parallelism`` global segments).
+    def reduce_scatter(self, values: Optional[Sequence[Any]],
+                       split_op: SplitOp, reduce_op: ReduceOp,
+                       algorithm: Optional[str] = None,
+                       stream: Optional[Stream] = None) -> Generator:
+        """Process body: reduce-scatter ``values`` across the ranks.
+
+        ``values[rank]`` is the aggregator held by ring rank ``rank``;
+        ``algorithm`` a registry name (:mod:`repro.comm.collectives`),
+        ``None`` being ``"ring"``, the paper's PDR. With ``stream``, rank
+        ``r`` waits for its event and takes ``fetch()`` instead of
+        ``values[r]``: early finishers enter the collective while
+        stragglers still compute. Returns ``owned`` — each rank that owns
+        anything mapped to ``{global_segment_index: reduced_segment}``.
         """
-        if len(values) != self.size:
-            raise ValueError(
-                f"expected {self.size} values (one per rank), got {len(values)}"
-            )
-        env = self.env
-        n, p_total = self.size, self.parallelism
-        merge_bw = self.cluster.config.merge_bandwidth
-
-        def rank_proc(rank: int):
-            value = values[rank]
-            num = self.num_segments
-            channel_procs = []
-            for p in range(p_total):
-                local_segments = {
-                    j: split_op(value, p * n + j, num) for j in range(n)
-                }
-                channel_procs.append(self._track(env.process(
-                    ring_reduce_scatter_rank(
-                        self.fabric, rank, n, local_segments, reduce_op,
-                        merge_bw, channel=p, bus=self.bus,
-                        executor_id=self.ranked[rank].executor_id,
-                        # local_segments was built here and never re-read:
-                        # skip the defensive copy.
-                        private=True,
-                        recv_timeout=self.recv_timeout,
-                        parent_span=self.span_id),
-                    name=f"rs:r{rank}c{p}",
-                )))
-            results: Dict[int, Any] = {}
-            for p, proc in enumerate(channel_procs):
-                local_idx, segment = yield proc
-                results[p * n + local_idx] = segment
-            return rank, results
-
-        procs = [self._track(env.process(rank_proc(r), name=f"rs:rank{r}"))
-                 for r in range(n)]
-        owned: Dict[int, Dict[int, Any]] = {}
-        for proc in procs:
-            rank, results = yield proc
-            owned[rank] = results
-        return owned
+        from .collectives import get_collective
+        algo = get_collective(algorithm or "ring")
+        algo.validate(self)
+        return (yield from algo.reduce_scatter(self, values, split_op,
+                                               reduce_op, stream))
 
     def gather_concat(self, owned: Dict[int, Dict[int, Any]],
                       concat_op: ConcatOp) -> Generator:
@@ -600,29 +595,23 @@ class ScalableCommunicator:
         yield env.timeout(total_bytes / self.cluster.config.merge_bandwidth)
         return concat_op(ordered)
 
-    def reduce_scatter_gather(self, values: Sequence[Any], split_op: SplitOp,
-                              reduce_op: ReduceOp, concat_op: ConcatOp,
-                              algorithm: Optional[str] = None) -> Generator:
+    def reduce_scatter_gather(self, values: Optional[Sequence[Any]],
+                              split_op: SplitOp, reduce_op: ReduceOp,
+                              concat_op: ConcatOp,
+                              algorithm: Optional[str] = None,
+                              stream: Optional[Stream] = None) -> Generator:
         """Process body: full scalable reduction (reduce-scatter + gather).
 
-        ``algorithm`` selects the reduce-scatter strategy by registry name
-        (see :mod:`repro.comm.collectives`); ``None`` or ``"ring"`` runs
-        the built-in PDR ring. Every algorithm is bit-identical — the
-        gather ships whatever ranks own and concatenates in global segment
-        order, so only message schedule and virtual time differ.
+        ``algorithm`` and ``stream`` are :meth:`reduce_scatter`'s. Every
+        algorithm is bit-identical — the gather ships whatever ranks own
+        and concatenates in global segment order, so only message schedule
+        and virtual time differ.
         """
-        if algorithm in (None, "ring"):
-            owned = yield self._track(self.env.process(
-                self.reduce_scatter(values, split_op, reduce_op)))
-        else:
-            from .collectives import get_collective
-            algo = get_collective(algorithm)
-            algo.validate(self)
-            owned = yield self._track(self.env.process(
-                algo.reduce_scatter(self, values, split_op, reduce_op)))
-        result = yield self._track(self.env.process(
-            self.gather_concat(owned, concat_op)))
-        return result
+        owned = yield self._track(self.env.process(
+            self.reduce_scatter(values, split_op, reduce_op, algorithm,
+                                stream)))
+        return (yield self._track(self.env.process(
+            self.gather_concat(owned, concat_op))))
 
     def allreduce(self, values: Sequence[Any], split_op: SplitOp,
                   reduce_op: ReduceOp, concat_op: ConcatOp) -> Generator:
@@ -637,30 +626,20 @@ class ScalableCommunicator:
         n, p_total = self.size, self.parallelism
 
         def rank_proc(rank: int):
-            mine = owned[rank]
-            chans = []
-            for p in range(p_total):
-                entries = [(idx, val) for idx, val in mine.items()
-                           if idx // n == p]
-                (global_idx, value), = entries
-                chans.append(self._track(env.process(ring_allgather_rank(
-                    self.fabric, rank, n, global_idx % n, value,
-                    channel=("ag", p), bus=self.bus,
-                    executor_id=self.ranked[rank].executor_id,
-                    recv_timeout=self.recv_timeout,
-                    parent_span=self.span_id),
-                    name=f"ag:r{rank}c{p}")))
+            mine = (rank + 1) % n  # the ring leaves it this one, per channel
+            chans = [self._track(env.process(ring_allgather_rank(
+                self.fabric, rank, n, mine, owned[rank][p * n + mine],
+                channel=("ag", p), **self.hop_context(rank)),
+                name=f"ag:r{rank}c{p}")) for p in range(p_total)]
             everything: Dict[int, Any] = {}
             for p, proc in enumerate(chans):
                 have = yield proc
                 for local_idx, value in have.items():
                     everything[p * n + local_idx] = value
-            ordered = [everything[i] for i in sorted(everything)]
-            return rank, concat_op(ordered)
+            return concat_op([everything[i] for i in sorted(everything)])
 
         procs = [self._track(env.process(rank_proc(r))) for r in range(n)]
-        out: List[Any] = [None] * n
+        out: List[Any] = []
         for proc in procs:
-            rank, value = yield proc
-            out[rank] = value
+            out.append((yield proc))
         return out

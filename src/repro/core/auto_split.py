@@ -33,14 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..serde import (
-    SparsePolicy,
-    densify_sparse,
-    merge_sparse,
-    scatter_into,
-    segment_range,
-    sim_sizeof,
-)
+from ..serde import SparsePolicy, segment_range, sim_sizeof
 from .spec import AggregationSpec
 
 __all__ = ["derive_split_ops", "AutoSegment", "UnsplittableError",
@@ -70,142 +63,64 @@ class _FieldPlan:
 class AutoSegment:
     """A derived segment: a flat slice of the aggregator's value space.
 
-    With a :class:`~repro.serde.SparsePolicy` attached the segment may
-    carry its block as coalesced (index, value) pairs instead of a dense
-    slice; ``sim_bytes`` stays the dense-equivalent simulated size while
-    :meth:`__sim_size__` reports the cheaper wire format, and merges pick
-    the sparse-sparse / sparse-dense / dense kernel and densify once the
-    union crosses the policy threshold — the same adaptive machinery the
-    hand-written :class:`~repro.ml.aggregators.AggregatorSegment` uses.
+    The slice itself is one hand-written
+    :class:`~repro.ml.aggregators.AggregatorSegment` (``seg``) — its dense
+    or sparse storage, its merge kernels, its wire-size switch and its
+    chunk columns are the segment's — plus what only a derived aggregator
+    has: the additive ``scalars`` (carried by segment 0, and by chunk
+    column 0 of it) and the segment's ``index`` for reassembly.
     """
 
-    __slots__ = ("values", "scalars", "index", "sim_bytes", "indices",
-                 "sparse_values", "length", "policy", "owned",
-                 "_wire_cache")
+    __slots__ = ("seg", "scalars", "index")
 
-    def __init__(self, values: np.ndarray, scalars: Dict[str, float],
-                 index: int, sim_bytes: float, *,
-                 policy: Optional[SparsePolicy] = None,
-                 owned: bool = False):
-        self.values = values
+    def __init__(self, seg: Any, scalars: Dict[str, float], index: int):
+        self.seg = seg
         self.scalars = scalars
         self.index = index
-        self.sim_bytes = sim_bytes
-        self.indices: Optional[np.ndarray] = None
-        self.sparse_values: Optional[np.ndarray] = None
-        self.length = int(values.size)
-        self.policy = policy
-        self.owned = bool(owned)
-        self._wire_cache: Optional[float] = None
 
-    @classmethod
-    def sparse(cls, length: int, indices: np.ndarray, values: np.ndarray,
-               scalars: Dict[str, float], index: int, sim_bytes: float, *,
-               policy: SparsePolicy,
-               owned: bool = True) -> "AutoSegment":
-        """A segment from coalesced entries (densifies if over threshold)."""
-        if policy.should_densify(indices.size, length):
-            return cls(densify_sparse(indices, values, int(length)),
-                       scalars, index, sim_bytes, policy=policy,
-                       owned=True)
-        seg = cls.__new__(cls)
-        seg.values = None
-        seg.scalars = scalars
-        seg.index = index
-        seg.sim_bytes = sim_bytes
-        seg.indices = indices
-        seg.sparse_values = values
-        seg.length = int(length)
-        seg.policy = policy
-        seg.owned = bool(owned)
-        seg._wire_cache = None
-        return seg
-
-    # ------------------------------------------------------------- properties
-    @property
-    def is_sparse(self) -> bool:
-        return self.values is None
-
-    @property
-    def representation(self) -> str:
-        return "sparse" if self.values is None else "dense"
-
-    @property
-    def nnz(self) -> int:
-        return (int(self.indices.size) if self.values is None
-                else self.length)
-
-    @property
-    def density(self) -> float:
-        return (self.nnz / self.length) if self.length else 1.0
+    is_sparse = property(lambda self: self.seg.is_sparse)
+    representation = property(lambda self: self.seg.representation)
+    nnz = property(lambda self: self.seg.nnz)
+    density = property(lambda self: self.seg.density)
+    length = property(lambda self: self.seg.length)
+    sim_bytes = property(lambda self: self.seg.sim_bytes)
 
     def __sim_size__(self) -> float:
-        # Memoized like AggregatorSegment: sparse segments are immutable
-        # after construction, so the wire size is computed at most once.
-        if self.values is not None or self.policy is None:
-            return self.sim_bytes
-        size = self._wire_cache
-        if size is None:
-            dense = self.policy.dense_wire_bytes(self.length)
-            scale = self.sim_bytes / dense if dense > 0 else 1.0
-            size = self.policy.wire_bytes(self.indices.size, self.length,
-                                          scale)
-            self._wire_cache = size
-        return size
+        return self.seg.__sim_size__()
 
     def __sim_dense_size__(self) -> float:
-        return self.sim_bytes
+        return self.seg.sim_bytes
 
     def to_array(self) -> np.ndarray:
         """The segment's dense block (the stored slice when dense)."""
-        if self.values is not None:
-            return self.values
-        return densify_sparse(self.indices, self.sparse_values,
-                              self.length)
+        return self.seg.to_array()
 
     def __len__(self) -> int:
-        return self.length
+        return self.seg.length
 
     # ------------------------------------------------------------- operations
     def merge(self, other: "AutoSegment") -> "AutoSegment":
-        if other.length != self.length:
-            raise ValueError(
-                f"segment shape mismatch: ({self.length},) vs "
-                f"({other.length},)")
-        scalars = {k: self.scalars[k] + other.scalars[k]
-                   for k in self.scalars}
-        sim = max(self.sim_bytes, other.sim_bytes)
-        policy = self.policy if self.policy is not None else other.policy
-        if self.values is not None and other.values is not None:
-            if self.owned:
-                np.add(self.values, other.values, out=self.values)
-                self.scalars = scalars
-                self.sim_bytes = sim
-                self._wire_cache = None
-                return self
-            return AutoSegment(self.values + other.values, scalars,
-                               self.index, sim, policy=policy, owned=True)
-        if self.values is None and other.values is None:
-            idx, vals = merge_sparse(self.indices, self.sparse_values,
-                                     other.indices, other.sparse_values)
-            return AutoSegment.sparse(self.length, idx, vals, scalars,
-                                      self.index, sim, policy=policy)
-        if self.values is None:  # sparse self into a copy of dense other
-            out = other.values.copy()
-            scatter_into(out, self.indices, self.sparse_values)
-            return AutoSegment(out, scalars, self.index, sim,
-                               policy=policy, owned=True)
-        # dense self + sparse other
-        if self.owned:
-            scatter_into(self.values, other.indices, other.sparse_values)
+        scalars = {k: v + other.scalars[k] for k, v in self.scalars.items()}
+        merged = self.seg.merge(other.seg)
+        if merged is self.seg:  # merged in place into an owned buffer
             self.scalars = scalars
-            self.sim_bytes = sim
-            self._wire_cache = None
             return self
-        out = self.values.copy()
-        scatter_into(out, other.indices, other.sparse_values)
-        return AutoSegment(out, scalars, self.index, sim, policy=policy,
-                           owned=True)
+        return AutoSegment(merged, scalars, self.index)
+
+    def chunk_split(self, index: int, num_chunks: int) -> "AutoSegment":
+        """Chunk column ``index`` of ``num_chunks`` (pipelined_ring)."""
+        zeros = dict.fromkeys(self.scalars, 0.0)
+        return AutoSegment(self.seg.chunk_split(index, num_chunks),
+                           self.scalars if index == 0 else zeros, self.index)
+
+    @staticmethod
+    def chunk_concat(parts: Sequence["AutoSegment"]) -> "AutoSegment":
+        """Reassemble chunk columns into one segment (pipelined_ring)."""
+        head = parts[0]
+        return AutoSegment(
+            head.seg.chunk_concat([part.seg for part in parts]),
+            {k: sum(part.scalars[k] for part in parts) for k in head.scalars},
+            head.index)
 
     def __repr__(self) -> str:
         return (f"<AutoSegment idx={self.index} n={self.length} "
@@ -282,6 +197,10 @@ def derive_split_ops(prototype: Any, verify: bool = True,
     job-wide resolution site — so derived ops and the seqOp accumulator
     can never disagree about defaults.
     """
+    # ml builds on core (its aggregators read core.spec), so core reaches
+    # the hand-written segment only from inside a call
+    from ..ml.aggregators import AggregatorSegment
+
     if policy is None and spec is not None:
         policy = spec.resolved_sparse_policy
     plans = _plan(prototype)
@@ -305,17 +224,14 @@ def derive_split_ops(prototype: Any, verify: bool = True,
         frac = (hi - lo) / total_len if total_len else 0.0
         dense_bytes = sim_sizeof(agg) * frac
         block = flat[lo:hi]
-        if policy is not None:
-            idx = np.flatnonzero(block)
-            if not policy.should_densify(idx.size, block.size):
-                return AutoSegment.sparse(block.size, idx, block[idx],
-                                          scalars, index, dense_bytes,
-                                          policy=policy)
-        return AutoSegment(block, scalars, index, dense_bytes,
-                           policy=policy)
-
-    def reduce_op(a: AutoSegment, b: AutoSegment) -> AutoSegment:
-        return a.merge(b)
+        idx = None if policy is None else np.flatnonzero(block)
+        if idx is not None and not policy.should_densify(idx.size,
+                                                         block.size):
+            seg = AggregatorSegment.sparse(block.size, idx, block[idx],
+                                           dense_bytes, policy=policy)
+        else:
+            seg = AggregatorSegment(block, dense_bytes, policy=policy)
+        return AutoSegment(seg, scalars, index)
 
     def concat_op(segments: Sequence[AutoSegment]) -> Any:
         if not segments:
@@ -348,7 +264,7 @@ def derive_split_ops(prototype: Any, verify: bool = True,
             setattr(a, p.name, state_a[p.name] + state_b[p.name])
         return a
 
-    ops = DerivedOps(split_op, reduce_op, concat_op, merge_op, plans)
+    ops = DerivedOps(split_op, AutoSegment.merge, concat_op, merge_op, plans)
     if verify:
         _verify(prototype, ops, total_len)
     return ops

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Tuple
 
 from ..obs import ImmMerge
+from ..rdd.costing import cost_of
 from ..serde import density_of, representation_of, sim_sizeof
 from ..sim import Resource
 
@@ -71,18 +72,46 @@ class MutableObjectManager:
             self._entries[object_id] = entry
         return entry
 
+    def _merge_in(self, entry: _Entry, object_id: ObjectId, value: Any,
+                  reduce_op: Callable[[Any, Any], Any], lock_wait: float,
+                  parent_span: int) -> Generator:
+        """Process body: the one in-memory merge, under the caller's guard.
+        The first value is adopted; a later one costs a pass over the
+        merged result at the platform's merge bandwidth plus ``reduce_op``'s
+        :class:`~repro.rdd.costing.Costed` annotation — and no
+        serialization, which is the optimization."""
+        env = self.env
+        merge_began = env.now
+        if entry.value is None:
+            entry.value = value
+        else:
+            merged = reduce_op(entry.value, value)
+            cost = (sim_sizeof(merged)
+                    / self.executor.sc.cluster.config.merge_bandwidth
+                    + cost_of(reduce_op, entry.value, value))
+            if cost > 0:
+                yield env.timeout(cost)
+            entry.value = merged
+        entry.merge_count += 1
+        bus = self.executor.sc.event_bus
+        if bus.active:
+            job_id, stage_id = object_id
+            bus.emit(ImmMerge.fast(
+                time=env.now, executor_id=self.executor.executor_id,
+                job_id=job_id, stage_id=stage_id,
+                merge_index=entry.merge_count - 1,
+                nbytes=sim_sizeof(value), lock_wait=lock_wait,
+                merge_time=env.now - merge_began,
+                representation=representation_of(entry.value),
+                density=density_of(entry.value),
+                span_id=bus.tracer.new_span(),
+                parent_span_id=parent_span))
+
     def merge(self, object_id: ObjectId, stage_attempt: int, value: Any,
               reduce_op: Callable[[Any, Any], Any],
               parent_span: int = -1) -> Generator:
-        """Process body: merge ``value`` into the shared object.
-
-        The merge runs under the object's lock; merging two values costs a
-        pass over the result at the platform's merge bandwidth (plus any
-        :class:`~repro.rdd.costing.Costed` annotation on ``reduce_op``).
-        No serialization happens — that is the optimization.
-        """
-        from ..rdd.costing import cost_of
-
+        """Process body: merge ``value`` into the shared object, under the
+        object's lock (see :meth:`_merge_in` for what a merge costs)."""
         entry = self._entry(object_id, stage_attempt)
         if entry.stage_attempt != stage_attempt:
             raise StaleMergeError(
@@ -92,11 +121,8 @@ class MutableObjectManager:
             raise StaleMergeError(
                 f"{object_id} is fenced at epoch {entry.epoch}; un-epoched "
                 f"task merges are stale")
-        bus = self.executor.sc.event_bus
         lock_asked = self.env.now
         yield entry.lock.acquire()
-        lock_wait = self.env.now - lock_asked
-        merge_began = self.env.now
         try:
             # Re-check under the lock: a cleanup may have raced in.
             live = self._entries.get(object_id)
@@ -106,29 +132,8 @@ class MutableObjectManager:
             if entry.epoch != 0:
                 raise StaleMergeError(
                     f"{object_id} was fenced at epoch {entry.epoch} mid-merge")
-            if entry.value is None:
-                entry.value = value
-            else:
-                merged = reduce_op(entry.value, value)
-                cost = (sim_sizeof(merged)
-                        / self.executor.sc.cluster.config.merge_bandwidth
-                        + cost_of(reduce_op, entry.value, value))
-                if cost > 0:
-                    yield self.env.timeout(cost)
-                entry.value = merged
-            entry.merge_count += 1
-            if bus.active:
-                job_id, stage_id = object_id
-                bus.emit(ImmMerge.fast(
-                    time=self.env.now,
-                    executor_id=self.executor.executor_id, job_id=job_id,
-                    stage_id=stage_id, merge_index=entry.merge_count - 1,
-                    nbytes=sim_sizeof(value), lock_wait=lock_wait,
-                    merge_time=self.env.now - merge_began,
-                    representation=representation_of(entry.value),
-                    density=density_of(entry.value),
-                    span_id=bus.tracer.new_span(),
-                    parent_span_id=parent_span))
+            yield from self._merge_in(entry, object_id, value, reduce_op,
+                                      self.env.now - lock_asked, parent_span)
         finally:
             entry.lock.release()
 
@@ -166,46 +171,19 @@ class MutableObjectManager:
         Deterministic regardless of task completion order: the fold
         sequence is fixed by partition index, so a job's merged aggregator
         is byte-identical whether its tasks ran alone or interleaved with
-        other tenants'. Each non-initial merge charges
-        ``sim_sizeof(merged) / merge_bandwidth + cost_of(reduce_op, ...)``
-        — the same formula as the arrival-order path.
+        other tenants'. Each merge is the arrival-order path's
+        (:meth:`_merge_in`), with no lock to wait for.
         """
-        from ..rdd.costing import cost_of
-
         entry = self._entries.get(object_id)
         if entry is None or entry.stage_attempt != stage_attempt:
             current = None if entry is None else entry.stage_attempt
             raise StaleMergeError(
                 f"fold of {object_id} attempt {stage_attempt} is stale "
                 f"(current: {current})")
-        bus = self.executor.sc.event_bus
         deposits, entry.deposits = entry.deposits, None
         for partition in sorted(deposits or ()):
-            value = deposits[partition]
-            merge_began = self.env.now
-            if entry.value is None:
-                entry.value = value
-            else:
-                merged = reduce_op(entry.value, value)
-                cost = (sim_sizeof(merged)
-                        / self.executor.sc.cluster.config.merge_bandwidth
-                        + cost_of(reduce_op, entry.value, value))
-                if cost > 0:
-                    yield self.env.timeout(cost)
-                entry.value = merged
-            entry.merge_count += 1
-            if bus.active:
-                job_id, stage_id = object_id
-                bus.emit(ImmMerge.fast(
-                    time=self.env.now,
-                    executor_id=self.executor.executor_id, job_id=job_id,
-                    stage_id=stage_id, merge_index=entry.merge_count - 1,
-                    nbytes=sim_sizeof(value), lock_wait=0.0,
-                    merge_time=self.env.now - merge_began,
-                    representation=representation_of(entry.value),
-                    density=density_of(entry.value),
-                    span_id=bus.tracer.new_span(),
-                    parent_span_id=parent_span))
+            yield from self._merge_in(entry, object_id, deposits[partition],
+                                      reduce_op, 0.0, parent_span)
         return entry.value
 
     # -------------------------------------------------------- epoch fencing
@@ -234,51 +212,25 @@ class MutableObjectManager:
         """Process body: merge a recovery-recomputed partial into a fenced
         object.
 
-        Same lock and merge-cost model as :meth:`merge`, but gated on the
+        Same lock and merge as :meth:`merge`, but gated on the
         aggregation ``epoch`` instead of the stage attempt: an absorb from
         a superseded recovery round raises :class:`StaleMergeError`.
         """
-        from ..rdd.costing import cost_of
-
         entry = self._entries.get(object_id)
         if entry is None or entry.epoch != epoch:
             current = 0 if entry is None else entry.epoch
             raise StaleMergeError(
                 f"absorb into {object_id} at epoch {epoch} is stale "
                 f"(current: {current})")
-        bus = self.executor.sc.event_bus
         lock_asked = self.env.now
         yield entry.lock.acquire()
-        lock_wait = self.env.now - lock_asked
-        merge_began = self.env.now
         try:
             live = self._entries.get(object_id)
             if live is not entry or entry.epoch != epoch:
                 raise StaleMergeError(
                     f"{object_id} epoch {epoch} superseded mid-absorb")
-            if entry.value is None:
-                entry.value = value
-            else:
-                merged = merge_op(entry.value, value)
-                cost = (sim_sizeof(merged)
-                        / self.executor.sc.cluster.config.merge_bandwidth
-                        + cost_of(merge_op, entry.value, value))
-                if cost > 0:
-                    yield self.env.timeout(cost)
-                entry.value = merged
-            entry.merge_count += 1
-            if bus.active:
-                job_id, stage_id = object_id
-                bus.emit(ImmMerge.fast(
-                    time=self.env.now,
-                    executor_id=self.executor.executor_id, job_id=job_id,
-                    stage_id=stage_id, merge_index=entry.merge_count - 1,
-                    nbytes=sim_sizeof(value), lock_wait=lock_wait,
-                    merge_time=self.env.now - merge_began,
-                    representation=representation_of(entry.value),
-                    density=density_of(entry.value),
-                    span_id=bus.tracer.new_span(),
-                    parent_span_id=parent_span))
+            yield from self._merge_in(entry, object_id, value, merge_op,
+                                      self.env.now - lock_asked, parent_span)
         finally:
             entry.lock.release()
 

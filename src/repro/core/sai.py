@@ -205,10 +205,9 @@ class _Armor:
             topology_aware=spec.topology_aware,
             slots=_slots_for(sc, executor_ids), bus=sc.event_bus,
             faults=self.controller,
-            recv_timeout=None if recovery is None else recovery.recv_timeout)
+            recv_timeout=None if recovery is None else recovery.recv_timeout,
+            chunk_bytes=spec.chunk_bytes, ledger=self.ledger)
         comm.set_span(self.span_id)
-        comm.chunk_bytes = spec.chunk_bytes
-        comm.ledger = self.ledger
         self.comm, self.aborted = comm, None
         return comm
 
@@ -788,7 +787,7 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
                                  armor.span_id)
         streamable[executor_id].succeed()
 
-    comm.pipeline = [
+    stream = [
         (streamable[slot.executor_id],
          lambda eid=slot.executor_id:
          sc.executor_by_id(eid).object_manager.get(merged[eid]))
@@ -804,9 +803,9 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
     armor.cooks = [env.process(cook(executor_id), name=f"cook:{executor_id}")
                    for executor_id in planned]
     collective = env.process(
-        comm.reduce_scatter_gather([None] * len(planned), ops.split_op,
-                                   ops.reduce_op, ops.concat_op,
-                                   algorithm="pipelined_ring"),
+        comm.reduce_scatter_gather(None, ops.split_op, ops.reduce_op,
+                                   ops.concat_op, algorithm="pipelined_ring",
+                                   stream=stream),
         name="pipelined-collective")
 
     def on_plan(holders: Holders) -> bool:

@@ -34,6 +34,7 @@ import os
 from dataclasses import dataclass, fields, replace as _dataclass_replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from ..comm.ring import DEFAULT_CHUNK_BYTES
 from ..serde.cost import DEFAULT_SPARSE_POLICY, SparsePolicy
 
 __all__ = [
@@ -51,9 +52,6 @@ COLLECTIVES: Tuple[str, ...] = ("auto", "ring", "hd", "hierarchical",
 
 #: valid values of :attr:`AggregationSpec.compression`
 COMPRESSIONS: Tuple[str, ...] = ("none", "topk")
-
-#: chunk ceiling (simulated bytes) for ``pipelined_ring`` segment streaming
-DEFAULT_CHUNK_BYTES: float = 4.0 * 1024 * 1024
 
 #: every environment variable the engine honours, resolved here only
 ENV_COLLECTIVE = "SPARKER_COLLECTIVE"

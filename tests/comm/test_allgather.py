@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster, ClusterConfig
-from repro.comm import CommFabric, ring_allgather_rank, sc_transport
+from repro.cluster import MB, Cluster, ClusterConfig
+from repro.comm import (
+    CommFabric,
+    ScalableCommunicator,
+    ring_allgather_rank,
+    sc_transport,
+)
+from repro.obs import EventBus, RecordingListener
+from repro.serde import SizedPayload
 from repro.sim import Environment
 
 
@@ -61,6 +68,38 @@ def test_allgather_property(n_ranks, seed):
             [results[rank][i] for i in sorted(results[rank])])
         expected = np.concatenate([owned[i] for i in range(n_ranks)])
         np.testing.assert_array_equal(reassembled, expected)
+
+
+def test_allgather_hop_records_the_bytes_the_wire_carried():
+    """What travels is the ``(index, segment)`` pair: the hop's record and
+    the message it describes must quote one size (laptop(2), P=2, 1 MB: the
+    record used to say 131072 B where the wire carried 131114 B), and
+    sizing it for the record must not move the clock."""
+    def allreduce(bus):
+        env = Environment()
+        comm = ScalableCommunicator(Cluster(env, ClusterConfig.laptop(2)),
+                                    parallelism=2, bus=bus)
+        rng = np.random.default_rng(3)
+        values = [SizedPayload(rng.random(64), sim_bytes=1 * MB)
+                  for _ in range(comm.size)]
+        env.run(until=env.process(comm.allreduce(
+            values, lambda u, i, k: u.split(i, k), lambda a, b: a.merge(b),
+            SizedPayload.concat)))
+        return env.now
+
+    bus, rec = EventBus(), RecordingListener()
+    bus.subscribe(rec)
+    # the clock of the commit before the fix: the wire already carried it
+    assert allreduce(bus) == allreduce(None) == 0.008005895574951172
+    sent = {(e.channel, e.hop, e.src): e.nbytes
+            for e in rec.of_kind("message_sent")}
+    hops = [e for e in rec.of_kind("ring_hop") if e.channel.startswith("ag")]
+    assert len(hops) == 2 * 4 * 3  # P channels x N ranks x N-1 hops
+    for hop in hops:
+        assert hop.send_bytes == sent[hop.channel, hop.hop, hop.rank]
+        upstream = (hop.rank - 1) % 4
+        assert hop.recv_bytes == sent[hop.channel, hop.hop, upstream]
+    assert {hop.send_bytes for hop in hops} == {131114.0}
 
 
 def test_isend_returns_in_flight_event():

@@ -10,6 +10,8 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from repro import AggregationSpec
 from repro.cluster import Cluster, ClusterConfig
@@ -27,8 +29,9 @@ from repro.faults import (
     FaultPlan,
     RecoveryPolicy,
 )
+from repro.ml.aggregators import AggregatorSegment
 from repro.rdd import SparkerContext
-from repro.serde import SizedPayload
+from repro.serde import DEFAULT_SPARSE_POLICY, SizedPayload
 from repro.sim import Environment
 
 from .conftest import concat_op, make_values, reduce_op, split_op
@@ -109,6 +112,153 @@ def test_hd_faster_than_ring_at_scale():
     _, _, ring_t = run_gather("ring", 8, 2, num_nodes=2)
     _, _, hd_t = run_gather("hd", 8, 2, num_nodes=2)
     assert hd_t < ring_t
+
+
+# ------------------------------------------- the chain, on generated cases
+def _arrays(n, length, seed, adaptive):
+    """One array per rank, magnitudes 1e-8..1e8 so any re-association
+    shows; the adaptive ones mostly zeros, so segments start sparse."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(length) * 10.0 ** rng.integers(
+        -8, 8, size=length) for _ in range(n)]
+    if adaptive:
+        for array in arrays:
+            array[rng.random(length) < 0.8] = 0.0
+    return arrays
+
+
+def _payloads(arrays, adaptive):
+    """Fresh per-rank values and the ops that go with them."""
+    if not adaptive:
+        return ([SizedPayload(a.copy()) for a in arrays], split_op,
+                reduce_op, lambda seg: seg.data)
+    values = [AggregatorSegment.sparse(
+        a.size, np.flatnonzero(a), a[np.flatnonzero(a)], 8.0 * a.size,
+        policy=DEFAULT_SPARSE_POLICY) for a in arrays]
+    return (values, lambda v, i, k: v.chunk_split(i, k),
+            lambda a, b: a.merge(b), lambda seg: seg.to_array())
+
+
+def _chain(arrays, adaptive, n, parallelism):
+    """The module docstring's reduction, with no ``repro.comm`` code: every
+    global segment ``g`` (local ``j = g mod N``) is one left-deep chain in
+    rank order from rank ``j``, contribution first, accumulator second."""
+    values, split, reduce_, raw = _payloads(arrays, adaptive)
+    num = n * parallelism
+    out = {}
+    for g in range(num):
+        j = g % n
+        acc = split(values[j], g, num)
+        for step in range(1, n):
+            acc = reduce_(split(values[(j + step) % n], g, num), acc)
+        out[g] = raw(acc).tobytes()
+    return out
+
+
+def _reduce_scatter(algorithm, n, parallelism, values, split, reduce_,
+                    stream=None, **tuning):
+    env = Environment()
+    cluster = Cluster(env, ClusterConfig.bic(num_nodes=2))
+    comm = ScalableCommunicator(cluster, parallelism=parallelism,
+                                slots=cluster.executors[:n], **tuning)
+    proc = env.process(comm.reduce_scatter(
+        values, split, reduce_, algorithm=algorithm,
+        stream=None if stream is None else stream(env)))
+    return env, env.run(until=proc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=strategies.integers(1, 9), parallelism=strategies.integers(1, 4),
+       length=strategies.integers(1, 60),
+       seed=strategies.integers(0, 2 ** 16), adaptive=strategies.booleans())
+def test_every_collective_realizes_the_chain_bit_for_bit(
+        n, parallelism, length, seed, adaptive):
+    """ROADMAP 5d, one property now that the fan-out is shared: any rank
+    count (non-powers of two included), any parallelism, payloads shorter
+    than ``N * P`` (empty segments) or not divisible by it, dense and
+    density-adaptive values — every registered algorithm owns every
+    global segment exactly once, and its bytes are the chain's."""
+    arrays = _arrays(n, length, seed, adaptive)
+    expected = _chain(arrays, adaptive, n, parallelism)
+    for algorithm in available_collectives():
+        values, split, reduce_, raw = _payloads(arrays, adaptive)
+        # 24 B chunks: pipelined_ring runs several columns where it can
+        _, owned = _reduce_scatter(algorithm, n, parallelism, values, split,
+                                   reduce_, chunk_bytes=24.0)
+        got = {g: raw(seg).tobytes() for results in owned.values()
+               for g, seg in results.items()}
+        assert sum(len(results) for results in owned.values()) == len(got)
+        assert got == expected, (algorithm, n, parallelism, length)
+
+
+# ------------------------------------------------- the fan-out's edges
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_wrong_number_of_values_is_rejected(algorithm):
+    values, _ = make_values(3)
+    with pytest.raises(ValueError, match="expected 4 values"):
+        _reduce_scatter(algorithm, 4, 2, values, split_op, reduce_op)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_single_rank_owns_its_own_split(algorithm):
+    values, _ = make_values(1, elems=10)
+    env, owned = _reduce_scatter(algorithm, 1, 3, values, split_op,
+                                 reduce_op)
+    assert set(owned) == {0} and sorted(owned[0]) == [0, 1, 2]
+    for g, seg in owned[0].items():
+        np.testing.assert_array_equal(seg.data, values[0].split(g, 3).data)
+    assert env.now == 0.0  # nothing to send, nothing to merge
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_ranks_that_own_nothing_are_absent(algorithm):
+    values, _ = make_values(3)
+    _, owned = _reduce_scatter(algorithm, 3, 2, values, split_op, reduce_op)
+    assert all(owned.values())
+    assert sorted(g for results in owned.values() for g in results) == list(
+        range(6))
+    if algorithm == "hd":
+        assert 2 not in owned  # the rank beyond 2^1 is folded away
+
+
+@pytest.mark.parametrize("algorithm", ["ring", "pipelined_ring", "hd"])
+def test_a_streamed_rank_waits_for_its_ready_event(algorithm):
+    """A stream replaces ``values``: each rank enters at its own event
+    with what its fetch returns then, and the bytes are the unstreamed
+    run's (merge order is topology's, not arrival's)."""
+    n = 4
+    values, _ = make_values(n, seed=5)
+    _, plain = _reduce_scatter(algorithm, n, 2, values, split_op, reduce_op)
+    fetched_at = {}
+
+    def stream(env):
+        pairs = []
+        for r in range(n):
+            ready = env.timeout(0.1 * (n - r))  # rank 0 is ready last
+
+            def fetch(r=r):
+                fetched_at[r] = env.now
+                return values[r]
+
+            pairs.append((ready, fetch))
+        return pairs
+
+    env, owned = _reduce_scatter(algorithm, n, 2, None, split_op, reduce_op,
+                                 stream=stream)
+    assert fetched_at == {r: pytest.approx(0.1 * (n - r)) for r in range(n)}
+    assert env.now > 0.4
+    assert {g: seg.data.tobytes() for res in owned.values()
+            for g, seg in res.items()} == {
+        g: seg.data.tobytes() for res in plain.values()
+        for g, seg in res.items()}
+
+
+def test_hierarchical_refuses_a_stream():
+    values, _ = make_values(2)
+    with pytest.raises(ValueError, match="cannot take a stream"):
+        _reduce_scatter("hierarchical", 2, 1, None, split_op, reduce_op,
+                        stream=lambda env: [(env.event(), lambda: v)
+                                            for v in values])
 
 
 # ------------------------------------------------------------ chain state

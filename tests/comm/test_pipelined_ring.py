@@ -13,6 +13,7 @@ import pytest
 from repro.cluster import MB, Cluster, ClusterConfig
 from repro.comm import ScalableCommunicator, available_collectives
 from repro.comm.ring import chunk_columns_for, pipelined_ring_reduce_scatter_rank
+from repro.core import derive_split_ops
 from repro.ml.aggregators import AggregatorSegment
 from repro.obs import ChunkStream, EventBus
 from repro.serde import SizedPayload
@@ -23,21 +24,29 @@ from .conftest import concat_op, make_values, reduce_op, split_op
 RING_SIZES = [2, 3, 5, 8]
 
 
+def chunk_bytes_for(num_chunks, n, parallelism, elems=64):
+    """The ``chunk_bytes`` at which the largest of the ``n * parallelism``
+    float64 segments of an ``elems``-long payload streams as ``num_chunks``
+    columns (a segment one element shorter gets as many, up to its own
+    length): half a column of slack keeps the ceiling off a float edge."""
+    largest = 8.0 * -(-elems // (n * parallelism))
+    return largest / (num_chunks - 0.5)
+
+
 def run_gather(algorithm, n, parallelism=2, elems=64, seed=0, num_nodes=3,
                chunk_bytes=None, num_chunks=None, bus=None, pipeline=None):
     env = Environment()
     cluster = Cluster(env, ClusterConfig.bic(num_nodes=num_nodes))
-    comm = ScalableCommunicator(cluster, parallelism=parallelism,
-                                slots=cluster.executors[:n], bus=bus)
-    if chunk_bytes is not None:
-        comm.chunk_bytes = chunk_bytes
     if num_chunks is not None:
-        comm.num_chunks = num_chunks
-    if pipeline is not None:
-        comm.pipeline = pipeline(env, comm)
+        chunk_bytes = chunk_bytes_for(num_chunks, n, parallelism, elems)
+    tuning = {} if chunk_bytes is None else {"chunk_bytes": chunk_bytes}
+    comm = ScalableCommunicator(cluster, parallelism=parallelism,
+                                slots=cluster.executors[:n], bus=bus,
+                                **tuning)
     values, expected = make_values(n, elems=elems, seed=seed)
     proc = env.process(comm.reduce_scatter_gather(
-        values, split_op, reduce_op, concat_op, algorithm=algorithm))
+        values, split_op, reduce_op, concat_op, algorithm=algorithm,
+        stream=None if pipeline is None else pipeline(env, comm)))
     result = env.run(until=proc)
     return result, expected, env.now
 
@@ -121,17 +130,70 @@ def test_bit_identical_under_adversarial_values():
         env = Environment()
         cluster = Cluster(env, ClusterConfig.bic(num_nodes=3))
         comm = ScalableCommunicator(cluster, parallelism=2,
-                                    slots=cluster.executors[:n])
-        for key, val in kw.items():
-            setattr(comm, key, val)
+                                    slots=cluster.executors[:n], **kw)
         vals = [SizedPayload(d.copy()) for d in data]
         proc = env.process(comm.reduce_scatter_gather(
             vals, split_op, reduce_op, concat_op, algorithm=algorithm))
         return env.run(until=proc)
 
     ring = once("ring")
-    pipe = once("pipelined_ring", num_chunks=4)
+    pipe = once("pipelined_ring",
+                chunk_bytes=chunk_bytes_for(4, n, 2, elems))
     assert pipe.data.tobytes() == ring.data.tobytes()
+
+
+class _Moments:
+    """Figure 7's ``Agg``: two arrays and a count, no split code of its own."""
+
+    def __init__(self, dim, seed=None):
+        self.sum1 = np.zeros(dim)
+        self.sum2 = np.zeros(dim)
+        self.count = 0.0
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            hot = rng.choice(dim, size=dim // 8, replace=False)
+            self.sum1[hot] = rng.standard_normal(hot.size) * 1e6
+            self.sum2[:] = rng.standard_normal(dim)
+            self.count = float(seed + 1)
+
+    def __sim_size__(self):
+        return 16.0 * MB
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_derived_ops_stream_in_columns_and_match_the_ring(adaptive):
+    """A derived segment is chunkable like the hand-written one it holds:
+    a 16 MB derived aggregator at chunk_bytes=1 MB streams in several
+    columns per channel (it silently got one), to the ring's exact bytes,
+    scalars included."""
+    from repro.serde import DEFAULT_SPARSE_POLICY
+
+    n, dim = 4, 96
+    ops = derive_split_ops(
+        _Moments(dim), policy=DEFAULT_SPARSE_POLICY if adaptive else None)
+    probe = ops.split_op(_Moments(dim, seed=0), 0, n * 2)
+    assert chunk_columns_for(probe, 1.0 * MB) == 2
+
+    def once(algorithm, bus=None):
+        env = Environment()
+        cluster = Cluster(env, ClusterConfig.bic(num_nodes=3))
+        comm = ScalableCommunicator(cluster, parallelism=2,
+                                    slots=cluster.executors[:n], bus=bus,
+                                    chunk_bytes=1.0 * MB)
+        proc = env.process(comm.reduce_scatter_gather(
+            [_Moments(dim, seed=r) for r in range(n)], ops.split_op,
+            ops.reduce_op, ops.concat_op, algorithm=algorithm))
+        return env.run(until=proc)
+
+    bus = EventBus()
+    seen = []
+    bus.subscribe(lambda e: seen.append(e.num_chunks)
+                  if isinstance(e, ChunkStream) else None)
+    ring, pipe = once("ring"), once("pipelined_ring", bus)
+    assert seen and set(seen) == {2}
+    assert pipe.sum1.tobytes() == ring.sum1.tobytes()
+    assert pipe.sum2.tobytes() == ring.sum2.tobytes()
+    assert pipe.count == ring.count == sum(range(1, n + 1))
 
 
 # -------------------------------------------------------------- overlap
@@ -157,7 +219,7 @@ def test_pipeline_ranks_wait_for_their_readiness_events():
     values, expected = make_values(n, elems=32, seed=4)
     ready = [env.event(name=f"ready:{r}") for r in range(n)]
     release_times = [0.0, 0.3, 0.6]
-    comm.pipeline = [(ready[r], lambda r=r: values[r]) for r in range(n)]
+    stream = [(ready[r], lambda r=r: values[r]) for r in range(n)]
 
     def releaser(r):
         yield env.timeout(release_times[r])
@@ -167,7 +229,7 @@ def test_pipeline_ranks_wait_for_their_readiness_events():
         env.process(releaser(r), name=f"release:{r}")
     proc = env.process(comm.reduce_scatter_gather(
         [None] * n, split_op, reduce_op, concat_op,
-        algorithm="pipelined_ring"))
+        algorithm="pipelined_ring", stream=stream))
     result = env.run(until=proc)
     np.testing.assert_allclose(result.data, expected)
     assert env.now >= max(release_times)
