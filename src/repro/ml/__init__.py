@@ -22,16 +22,13 @@ from .classification import (
 )
 from .columnar import ColumnarSeqOp, PartitionColumns, columns_of
 from .evaluation import BinaryClassificationMetrics, log_perplexity
-from .feature import StandardScaler, StandardScalerModel
 from .gradient import (
     Gradient,
     HingeGradient,
     LeastSquaresGradient,
     LogisticGradient,
 )
-from .lbfgs import LBFGS
 from .lda import LDA, LDA_TOKEN_TIME, LDAModel
-from .online_lda import OnlineLDA
 from .linalg import LabeledPoint, SparseVector
 from .optimization import (
     AGGREGATION_MODES,
@@ -40,7 +37,6 @@ from .optimization import (
     ScaledPayloadValue,
     gradient_seq_op,
 )
-from .regression import LinearRegressionModel, LinearRegressionWithSGD
 from .updater import SimpleUpdater, SquaredL2Updater, Updater
 
 __all__ = [
@@ -77,10 +73,4 @@ __all__ = [
     "LDA_TOKEN_TIME",
     "BinaryClassificationMetrics",
     "log_perplexity",
-    "LinearRegressionModel",
-    "LinearRegressionWithSGD",
-    "LBFGS",
-    "OnlineLDA",
-    "StandardScaler",
-    "StandardScalerModel",
 ]

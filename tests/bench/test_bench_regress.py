@@ -3,10 +3,12 @@
 Covers the metric registry mechanics — wildcard paths, direction-aware
 tolerances, configuration gating — and pins that every *committed*
 BENCH_*.json artifact passes its own invariants, which is exactly what
-the ``obs-smoke`` CI job runs.
+the ``obs-smoke`` CI job runs — and that scripts, artifacts, registry
+entries and CI steps stay in one-to-one correspondence.
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ sys.path.insert(0, str(REPO / "tools"))
 
 from bench_regress import (  # noqa: E402
     REGISTRY,
+    BenchSpec,
     Metric,
     Outcome,
     check_invariants,
@@ -64,8 +67,7 @@ def test_metric_direction_higher_with_slack():
 
 
 def test_compare_flags_regression_beyond_tolerance():
-    spec = type(REGISTRY["obs_overhead"])(metrics=(
-        Metric("x", "lower", rel_tol=0.20),))
+    spec = BenchSpec(metrics=(Metric("x", "lower", rel_tol=0.20),))
     base, curr = {"x": 1.0}, {"x": 1.5}
     out = outcome_of(lambda b, c, o: compare_reports(b, c, spec, o),
                      base, curr)
@@ -77,8 +79,7 @@ def test_compare_flags_regression_beyond_tolerance():
 
 
 def test_compare_skips_same_config_metrics_across_configs():
-    spec = type(REGISTRY["obs_overhead"])(metrics=(
-        Metric("x", "lower", same_config=True),))
+    spec = BenchSpec(metrics=(Metric("x", "lower"),))
     base = {"configuration": {"nodes": 4}, "x": 1.0}
     curr = {"configuration": {"nodes": 2}, "x": 99.0}
     out = outcome_of(lambda b, c, o: compare_reports(b, c, spec, o),
@@ -94,48 +95,14 @@ def test_same_configuration_ignores_smoke_and_repeats():
     assert not same_configuration(base, curr2)
 
 
-def test_invariant_failure_detected():
-    spec = REGISTRY["obs_overhead"]
-    report = {"benchmark": "obs_overhead", "virtual_time_identical": False,
-              "overhead_vs_detached": {"event_log": 0.5,
-                                       "event_log_sync": 0.4}}
-    out = outcome_of(lambda r, o: check_invariants(r, spec, o), report)
-    # both the zero-perturbation flag and buffering-beats-sync fail
-    assert out.failures == 2
-
-
 def test_missing_invariant_path_fails():
-    spec = REGISTRY["fault_recovery"]
+    spec = REGISTRY["overlap"]
     out = outcome_of(lambda r, o: check_invariants(r, spec, o),
-                     {"benchmark": "fault_recovery"})
+                     {"benchmark": "overlap"})
     assert out.failures >= 1
 
 
 # ----------------------------------------------------------------- CLI modes
-def test_flow_alloc_gates_completions_not_event_rate():
-    def report(few, many, events_per_completion=3.0):
-        return {"levels": {
-            key: {"completions_per_sec": rate,
-                  "events_per_sec": rate * events_per_completion}
-            for key, rate in (("10", few), ("1000", many))}}
-    spec = REGISTRY["flow_alloc"]
-    assert outcome_of(check_invariants, report(50e3, 30e3),
-                      spec).failures == 0
-    assert outcome_of(check_invariants, report(23e3, 0.6e3),
-                      spec).failures == 1
-    assert outcome_of(check_invariants, {"levels": {}}, spec).failures == 1
-    base = report(50e3, 45e3)
-    # The same completions a little faster from a third fewer kernel
-    # events: events/sec falls by 30%, and nothing is wrong.
-    leaner = outcome_of(compare_reports, base,
-                        report(52e3, 47e3, events_per_completion=2.0), spec)
-    assert leaner.failures == 0 and leaner.checks == 2
-    # More events per completion cannot excuse fewer completions.
-    assert outcome_of(compare_reports, base,
-                      report(30e3, 28e3, events_per_completion=6.0),
-                      spec).failures == 2
-
-
 def test_host_perf_gates_wall_clock_and_parity_not_event_rate():
     def report(wall, events, parity=True):
         return {"parity_ok": parity, "pools": {"1": {
@@ -162,54 +129,69 @@ def test_check_mode_passes_on_committed_artifacts(capsys):
     assert "[FAIL]" not in capsys.readouterr().out
 
 
+def test_script_artifact_spec_and_ci_step_go_together():
+    """Each measurement script outside the ledger owns exactly one root
+    artifact, one REGISTRY entry and at least one CI step, and nothing of
+    those four exists without the script: none can be orphaned from its
+    gate, and a deleted script takes its gate along."""
+    scripts = {p.stem for p in (REPO / "benchmarks").glob("*.py")
+               if not p.name.startswith("test_") and p.name != "conftest.py"}
+    artifacts = [json.loads(p.read_text())["benchmark"]
+                 for p in REPO.glob("BENCH_*.json")]
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    ci_steps = set(re.findall(
+        r"benchmarks/(\w+)\.py",
+        "\n".join(line for line in ci.splitlines()
+                  if not line.lstrip().startswith("#"))))
+    assert sorted(artifacts) == sorted(scripts)      # one each, no more
+    assert set(REGISTRY) == scripts
+    assert ci_steps == scripts
+
+
+def overlap_report(pipelined_seconds=1.0):
+    return {"benchmark": "overlap", "all_gates_passed": True,
+            "cells": {"bic4": {"bit_identical": True,
+                               "auto_picked_pipelined": True,
+                               "reduction": 0.3,
+                               "pipelined_seconds": pipelined_seconds}}}
+
+
+def written(tmp_path, name, report):
+    path = tmp_path / name
+    path.write_text(json.dumps(report))
+    return str(path)
+
+
 def test_compare_mode_detects_overhead_regression(tmp_path, capsys):
-    baseline_path = REPO / "BENCH_fault_recovery.json"
-    worse = json.loads(baseline_path.read_text())
-    for scenario in worse["scenarios"].values():
-        scenario["recovery_overhead_ratio"] = (
-            scenario["recovery_overhead_ratio"] * 2.0 + 1.0)
-    current = tmp_path / "current.json"
-    current.write_text(json.dumps(worse))
-    assert main(["--baseline", str(baseline_path),
-                 "--current", str(current)]) == 1
+    assert main(["--baseline", written(tmp_path, "a.json", overlap_report()),
+                 "--current", written(tmp_path, "b.json",
+                                      overlap_report(2.0))]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
 def test_compare_mode_passes_on_identical_artifact(tmp_path, capsys):
-    baseline_path = REPO / "BENCH_fault_recovery.json"
-    current = tmp_path / "same.json"
-    current.write_text(baseline_path.read_text())
-    assert main(["--baseline", str(baseline_path),
-                 "--current", str(current)]) == 0
+    assert main(["--baseline", written(tmp_path, "a.json", overlap_report()),
+                 "--current", written(tmp_path, "b.json",
+                                      overlap_report())]) == 0
     assert "PASS" in capsys.readouterr().out
 
 
-def test_obs_overhead_wall_ratios_are_not_gated(tmp_path):
-    """Ratios of two ~0.06 s timings: in the artifact as information. What
-    recording costs is gated as a count (tests/obs/test_emit_cost.py)."""
-    assert REGISTRY["obs_overhead"].metrics == ()
-    baseline_path = REPO / "BENCH_obs_overhead.json"
-    slower = json.loads(baseline_path.read_text())
-    for mode in slower["overhead_vs_detached"]:
-        slower["overhead_vs_detached"][mode] *= 1.5
-    current = tmp_path / "slower.json"
-    current.write_text(json.dumps(slower))
-    assert main(["--baseline", str(baseline_path),
-                 "--current", str(current)]) == 0
-
-
 def test_compare_mode_rejects_mismatched_benchmarks(tmp_path):
-    current = tmp_path / "other.json"
-    current.write_text(json.dumps({"benchmark": "sparse_agg"}))
     with pytest.raises(SystemExit):
-        main(["--baseline", str(REPO / "BENCH_obs_overhead.json"),
-              "--current", str(current)])
+        main(["--baseline", written(tmp_path, "a.json", overlap_report()),
+              "--current", written(tmp_path, "b.json",
+                                   {"benchmark": "sparse_agg"})])
+
+
+def test_check_mode_fails_on_an_artifact_nothing_gates(tmp_path, capsys):
+    """No REGISTRY entry means no check ever reads the artifact; a [skip]
+    here would let it sit at the root ungated."""
+    orphan = written(tmp_path, "BENCH_orphan.json", {"benchmark": "orphan"})
+    assert main(["--check", orphan]) == 1
+    assert "not in REGISTRY" in capsys.readouterr().out
 
 
 def test_unregistered_benchmark_is_not_gated(tmp_path):
-    report = {"benchmark": "brand_new", "x": 1.0}
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    a.write_text(json.dumps(report))
-    b.write_text(json.dumps({"benchmark": "brand_new", "x": 99.0}))
-    assert main(["--baseline", str(a), "--current", str(b)]) == 0
+    a = written(tmp_path, "a.json", {"benchmark": "brand_new", "x": 1.0})
+    b = written(tmp_path, "b.json", {"benchmark": "brand_new", "x": 99.0})
+    assert main(["--baseline", a, "--current", b]) == 0

@@ -288,7 +288,7 @@ def test_leave_is_coalesced_with_same_instant_join():
 
 @pytest.mark.parametrize("flows", [10, 100, 1000])
 def test_solver_work_per_completion_is_independent_of_n(flows):
-    # The 1000-flows-one-sink shape of benchmarks/flow_alloc.py: every
+    # The one-sink shape of the ledger's fabric_1000flows workload: every
     # flow crosses its own uplink and one shared sink, and re-joins the
     # instant it completes. Work is counted, not timed: flows re-pinned
     # plus links relaxed per completion must not grow with the component.

@@ -185,18 +185,15 @@ def _entry_points():
     from repro import SparkerSession
     from repro.core import split_aggregate
     from repro.ml import (
-        LBFGS,
         LDA,
         GradientDescent,
         LogisticRegressionWithSGD,
-        OnlineLDA,
-        StandardScaler,
         SVMWithSGD,
     )
     from repro.rdd import RDD
-    return [split_aggregate, RDD.split_aggregate, GradientDescent, LBFGS,
-            LDA, OnlineLDA, StandardScaler, LogisticRegressionWithSGD.train,
-            SVMWithSGD.train, SparkerSession.run, SparkerSession.submit]
+    return [split_aggregate, RDD.split_aggregate, GradientDescent, LDA,
+            LogisticRegressionWithSGD.train, SVMWithSGD.train,
+            SparkerSession.run, SparkerSession.submit]
 
 
 @pytest.mark.parametrize("entry", _entry_points(),

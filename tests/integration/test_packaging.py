@@ -32,11 +32,11 @@ sys.modules["scipy"] = None   # importing it now raises ImportError
 import numpy as np
 from repro import ClusterConfig, SparkerContext
 from repro.data import lda_corpus
-from repro.ml import OnlineLDA
+from repro.ml import LDA
 docs, _ = lda_corpus(n_docs=40, vocab_size=30, n_topics=3, doc_length=20,
                      seed=3)
 sc = SparkerContext(ClusterConfig.laptop(num_nodes=2))
-model = OnlineLDA(k=3, num_iterations=2, seed=5).fit(
+model = LDA(k=3, num_iterations=2, seed=5).fit(
     sc.parallelize(docs, 4), 30)
 assert model.topics.shape == (3, 30) and np.isfinite(model.topics).all()
 assert len(model.log_likelihoods) == 2
@@ -56,7 +56,7 @@ def test_import_loads_only_declared_third_party_packages():
     assert _fresh_interpreter(_SURFACE) == "['numpy']"
 
 
-def test_online_lda_fits_on_numpy_alone():
+def test_lda_fits_on_numpy_alone():
     assert _fresh_interpreter(_FIT_ON_NUMPY_ALONE) == "fitted"
 
 

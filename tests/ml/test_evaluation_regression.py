@@ -1,4 +1,4 @@
-"""Tests for evaluation metrics and linear regression."""
+"""Tests for evaluation metrics."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from repro.data import lda_corpus, sparse_classification
 from repro.ml import (
     LDA,
     BinaryClassificationMetrics,
-    LabeledPoint,
-    LinearRegressionWithSGD,
     LogisticRegressionWithSGD,
     SparseVector,
     log_perplexity,
@@ -110,50 +108,3 @@ def test_perplexity_empty_corpus_rejected():
     with pytest.raises(ValueError):
         log_perplexity(model, [SparseVector(30, [], [])])
 
-
-# --------------------------------------------------------------- regression
-def make_regression_data(n=300, dim=20, seed=11, noise=0.05):
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(dim)
-    points = []
-    for _ in range(n):
-        idx = np.sort(rng.choice(dim, size=6, replace=False))
-        vals = rng.standard_normal(6)
-        x = SparseVector(dim, idx, vals)
-        y = float(w[idx] @ vals) + noise * rng.standard_normal()
-        points.append(LabeledPoint(y, x))
-    return points, w
-
-
-def test_linear_regression_fits_linear_data():
-    points, true_w = make_regression_data()
-    sc = SparkerContext(ClusterConfig.laptop(num_nodes=2))
-    rdd = sc.parallelize(points, 8).cache()
-    rdd.count()
-    model = LinearRegressionWithSGD.train(rdd, 20, num_iterations=40,
-                                          step_size=0.5)
-    assert model.mean_squared_error(points) < 0.5
-    assert model.losses[-1] < model.losses[0]
-
-
-def test_linear_regression_backends_identical():
-    points, _ = make_regression_data(n=120)
-    weights = {}
-    for backend in ("tree", "split"):
-        sc = SparkerContext(ClusterConfig.laptop(num_nodes=2))
-        rdd = sc.parallelize(points, 6).cache()
-        rdd.count()
-        model = LinearRegressionWithSGD.train(
-            rdd, 20, num_iterations=5, step_size=0.5, aggregation=backend)
-        weights[backend] = model.weights
-    np.testing.assert_allclose(weights["tree"], weights["split"])
-
-
-def test_regression_mse_validation():
-    points, _ = make_regression_data(n=50)
-    sc = SparkerContext(ClusterConfig.laptop())
-    rdd = sc.parallelize(points, 4).cache()
-    rdd.count()
-    model = LinearRegressionWithSGD.train(rdd, 20, num_iterations=2)
-    with pytest.raises(ValueError):
-        model.mean_squared_error([])
