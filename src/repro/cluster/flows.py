@@ -18,7 +18,7 @@ it pins, at what fair **level**, and which *foreign* flows cross it while
 pinned elsewhere (grouped by where: flows of one group share one rate). An
 allocation is max-min fair exactly when
 
-* a link that pins ``n`` flows has ``level = (capacity - foreign load) / n``,
+* a link that pins ``n`` streams has ``level = (capacity - foreign load) / n``,
   no foreign flow on it runs faster than that level, and no pinned flow has
   a cap below it;
 * a link that pins nothing carries no more than its capacity.
@@ -38,6 +38,11 @@ Flows pinned at one link run at one rate, so the link keeps a cumulative
 (clock at pin + bytes left). A level change is then ``clock += level * dt``
 — no per-member settle — and the link's next completion is its heap's
 head. Per event the cost is O(log n) plus the flows whose *pin* changes.
+
+A flow of ``streams=m`` (one message over ``m`` sockets) is ``m`` identical
+flows joined at one instant with one completion: it weighs ``m`` wherever
+flows are counted, while cap, finish tag and service clock stay per stream
+(a fractional ``m`` is a weight: sockets carrying less than the widest).
 
 All changes of one instant — completions included — are applied by a
 single end-of-instant flush (``LAZY`` priority), so a completion followed
@@ -105,17 +110,18 @@ class Link:
 class _LinkState:
     """The solver's persistent view of one link."""
 
-    __slots__ = ("link", "crossing", "pinned", "level", "clock", "since",
-                 "tags", "head", "ceil", "foreign", "watchers", "guard",
-                 "stamp", "dirty")
+    __slots__ = ("link", "crossing", "pinned", "streams", "level", "clock",
+                 "since", "tags", "head", "ceil", "foreign", "watchers",
+                 "guard", "stamp", "dirty")
 
     def __init__(self, link: Link):
         self.link = link
-        self.crossing = 0  # flows on this link, pinned here or not
-        #: flows bottlenecked here, all running at ``level``
+        self.crossing = 0  # streams on this link, pinned here or not
+        #: flows bottlenecked here, every stream of them running at ``level``
         self.pinned: Dict[int, _Flow] = {}
+        self.streams = 0  # streams of the pinned flows
         self.level = _INF
-        #: bytes served to each pinned flow, valid at time ``since``
+        #: bytes served to each pinned stream, valid at time ``since``
         self.clock = 0.0
         self.since = 0.0
         #: finish-tag heap of the pinned flows:
@@ -129,12 +135,18 @@ class _LinkState:
         self.ceil: List = []
         #: flows crossing this link but pinned elsewhere, grouped by what
         #: sets their rate: the pinning ``_LinkState`` or their own cap
-        self.foreign: Dict[Union[_LinkState, float], Dict[int, _Flow]] = {}
+        self.foreign: Dict[Union[_LinkState, float], _Group] = {}
         #: saturated links crossed by flows pinned here -> their ``guard``
         self.watchers: Dict[_LinkState, int] = {}
         self.guard = 0  # version of the guards/watches this link has out
         self.stamp = 0  # version of this link's projected completion
         self.dirty = False
+
+
+class _Group(dict):
+    """Foreign flows of one rate on one link by flow id, and their streams."""
+
+    __slots__ = ("streams",)
 
 
 #: ``_Flow.pin`` of a flow that is not (or no longer) in the network
@@ -152,20 +164,21 @@ class _Entry:
 
 
 class _Flow:
-    """One transfer. ``pin`` is the ``_LinkState`` it is bottlenecked at,
-    ``None`` when it runs at its own cap, ``_ABSENT`` outside the network.
-    ``tag`` is its finish tag on the pinning link's clock, or, at its own
-    cap, the bytes left at time ``since``."""
+    """One transfer, ``cap`` and ``tag`` per stream. ``pin`` is the
+    ``_LinkState`` it is bottlenecked at, ``None`` when it runs at its own
+    cap, ``_ABSENT`` outside the network. ``tag`` is its finish tag on the
+    pinning link's clock, or, at its own cap, the bytes left at ``since``."""
 
-    __slots__ = ("flow_id", "event", "links", "cap", "pin", "tag", "since",
-                 "stamp")
+    __slots__ = ("flow_id", "event", "links", "cap", "streams", "pin", "tag",
+                 "since", "stamp")
 
     def __init__(self, event: Event, links: Tuple[_LinkState, ...],
-                 cap: float, nbytes: float):
+                 cap: float, nbytes: float, streams: float):
         self.flow_id = -1  # given when it joins
         self.event = event
         self.links = links
         self.cap = cap
+        self.streams = streams
         self.pin = _ABSENT
         self.tag = nbytes
         self.since = 0.0
@@ -205,12 +218,15 @@ class FlowNetwork:
 
     def flow(self, nbytes: float, links: Sequence[Link],
              rate_cap: Optional[float] = None,
-             event: Optional[Event] = None, delay: float = 0.0) -> Event:
+             event: Optional[Event] = None, delay: float = 0.0,
+             streams: float = 1) -> Event:
         """Start a transfer of ``nbytes`` through ``links``.
 
         Returns an event that fires (with the flow's id) when the last byte
         has been delivered. ``rate_cap`` bounds this flow's rate regardless
         of link headroom (a single TCP stream); ``None`` means uncapped.
+        ``streams`` sends ``nbytes`` on each of that many streams, each under
+        ``rate_cap``: that many flows' fair share (2.5 take two and a half).
         ``event`` is a pending event of the caller's to use as that
         completion, callbacks and all, instead of a new one — a caller that
         would only forward the completion to its own event saves the hop.
@@ -230,13 +246,15 @@ class FlowNetwork:
             raise ValueError(f"rate cap must be positive, got {rate_cap}")
         if not links and cap == _INF:
             raise ValueError("a flow crossing no link needs a rate cap")
+        if streams < 1:
+            raise ValueError(f"a flow needs at least one stream, got {streams}")
         if event is None:
             event = Event(self.env, name="flow")
         states = self._links
         flow = _Flow(event,
                      tuple([states.get(link) or self._state(link)
                             for link in links]),
-                     cap, float(nbytes))
+                     cap, float(nbytes), streams)
         if delay > 0:
             self._seq += 1
             when = self.env._now + delay
@@ -262,7 +280,8 @@ class FlowNetwork:
         dest, bound = None, flow.cap
         for state in flow.links:
             share = (state.level if state.pinned and not state.dirty
-                     else state.link.capacity / (state.crossing + 1))
+                     else state.link.capacity
+                     / (state.crossing + flow.streams))
             if share < bound:
                 dest, bound = state, share
         self._move(flow, dest)
@@ -287,13 +306,14 @@ class FlowNetwork:
             self._flush()
 
     def rate_of(self, event: Event) -> float:
-        """Current rate of the flow behind ``event`` (testing hook)."""
+        """Current rate of ``event``'s flow, all streams (testing hook)."""
         if self._work:
             self._flush()
         flow = self._flows.get(event)
         if flow is None:
             raise KeyError("no active flow for that event")
-        return flow.cap if flow.pin is None else flow.pin.level
+        return flow.streams * (flow.cap if flow.pin is None
+                               else flow.pin.level)
 
     def link_rate(self, link: Link) -> float:
         """Aggregate allocated rate (bytes/s) crossing ``link`` right now.
@@ -305,9 +325,10 @@ class FlowNetwork:
         state = self._links.get(link)
         if state is None:
             return 0.0
-        rate = len(state.pinned) * state.level if state.pinned else 0.0
+        rate = state.streams * state.level if state.pinned else 0.0
         for key, group in state.foreign.items():
-            rate += (key if key.__class__ is float else key.level) * len(group)
+            rate += ((key if key.__class__ is float else key.level)
+                     * group.streams)
         return rate
 
     # ------------------------------------------------------------ bookkeeping
@@ -351,17 +372,20 @@ class FlowNetwork:
         if remaining < 0:
             remaining = 0.0
         flow_id = flow.flow_id
+        streams = flow.streams
         old_key = flow.cap if src is None else src
         new_key = flow.cap if dest is None else dest
         work = self._work
         for state in flow.links:
             if src is _ABSENT:
-                state.crossing += 1
+                state.crossing += streams
             elif dest is _ABSENT:
-                state.crossing -= 1
+                state.crossing -= streams
             if state is src:
                 del state.pinned[flow_id]
+                state.streams -= streams
                 if not state.pinned:  # the class dissolves: rebase its clock
+                    state.streams = 0  # exactly, whatever fractions summed to
                     state.level = _INF
                     state.clock = 0.0
                     state.head = None
@@ -371,6 +395,7 @@ class FlowNetwork:
             elif src is not _ABSENT:
                 group = state.foreign[old_key]
                 del group[flow_id]
+                group.streams -= streams
                 if not group:
                     del state.foreign[old_key]
             if state is dest:
@@ -380,10 +405,14 @@ class FlowNetwork:
                     # see a finite rate; its own relax sets the real level
                     state.level = state.link.capacity
                 state.pinned[flow_id] = flow
+                state.streams += streams
             elif dest is not _ABSENT:
                 group = state.foreign.get(new_key)
                 if group is None:
-                    group = state.foreign[new_key] = {}
+                    group = state.foreign[new_key] = _Group()
+                    group.streams = streams
+                else:
+                    group.streams += streams
                 group[flow_id] = flow
             if not state.dirty:
                 state.dirty = True
@@ -425,25 +454,24 @@ class FlowNetwork:
         set throughout, so the moves made here do not re-queue it."""
         self.solver_ops += 1
         capacity = state.link.capacity
-        pinned = state.pinned
         foreign = state.foreign
         ceil = state.ceil
         while True:
             load = 0.0
             fastest = 0.0
             fastest_key = None
-            risers = 0  # foreign flows whose rate is another link's level
+            risers = 0  # foreign streams whose rate is another link's level
             for key, group in foreign.items():
                 if key.__class__ is float:
                     rate = key
                 else:
                     rate = key.level
-                    risers += len(group)
-                load += rate * len(group)
+                    risers += group.streams
+                load += rate * group.streams
                 if rate > fastest:
                     fastest = rate
                     fastest_key = key
-            n = len(pinned)
+            n = state.streams
             if n:
                 level = (capacity - load) / n
             elif load > capacity * (1 + _RATE_EPS):

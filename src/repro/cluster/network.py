@@ -65,6 +65,7 @@ class Network:
                  loopback_stream_bandwidth: Optional[float] = None,
                  overhead: float = 0.0,
                  gc_prone: bool = True,
+                 streams: float = 1,
                  ) -> Generator:
         """Simulated process: move ``nbytes`` from ``src`` to ``dst``.
 
@@ -72,16 +73,14 @@ class Network:
         ``None`` uses the platform's default stream cap. ``overhead`` is the
         transport's per-message software cost, paid up front. ``gc_prone``
         applies the JVM GC drag for large messages; native stacks (MPI)
-        pass False.
+        pass False. ``streams`` makes it one message of ``nbytes`` on each of
+        that many streams: one overhead and latency, one stream's GC drag.
 
         Yields kernel events; completes when the last byte has arrived.
         """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        self.messages += 1
-        self.bytes_transferred += nbytes
         yield self.start_flow(src, dst, nbytes, stream_bandwidth,
-                              loopback_stream_bandwidth, overhead)
+                              loopback_stream_bandwidth, overhead,
+                              streams=streams)
         if gc_prone:
             drag = self.gc_drag(nbytes)
             if drag > 0:
@@ -90,22 +89,28 @@ class Network:
     def start_flow(self, src: Node, dst: Node, nbytes: float,
                    stream_bandwidth: Optional[float],
                    loopback_stream_bandwidth: Optional[float],
-                   overhead: float, event: Optional[Event] = None) -> Event:
-        """Announce one stream's bytes to the flow network: they join after
-        the software overhead and the path latency, which the network waits
-        out itself, and the returned event (``event`` if given) fires on
-        the last byte."""
+                   overhead: float, event: Optional[Event] = None,
+                   streams: float = 1) -> Event:
+        """Announce one message, ``nbytes`` on each of ``streams`` streams, to
+        the flow network: it joins after the software overhead and the path
+        latency, which the network waits out itself, and the returned event
+        (``event`` if given) fires on the last byte. Counts the message."""
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size: {nbytes}")
+        self.messages += 1
+        self.bytes_transferred += nbytes * streams
         delay = overhead + self.latency(src, dst)
         if src.node_id == dst.node_id:
             # Same-node transfer through the shared loopback path; JVM
             # messaging stacks additionally cap each channel's rate.
             return self.flows.flow(nbytes, [src.loopback],
-                                   loopback_stream_bandwidth, event, delay)
-        self.inter_node_bytes += nbytes
+                                   loopback_stream_bandwidth, event, delay,
+                                   streams)
+        self.inter_node_bytes += nbytes * streams
         return self.flows.flow(
             nbytes, [src.nic_out, dst.nic_in],
             stream_bandwidth or self.config.tcp_stream_bandwidth,
-            event, delay)
+            event, delay, streams)
 
     def transfer_many(self, legs: Sequence, *,
                       stream_bandwidth: Optional[float] = None,
@@ -131,10 +136,6 @@ class Network:
         env = self.env
         done: list = []
         for src, dst, nbytes in legs:
-            if nbytes < 0:
-                raise ValueError(f"negative transfer size: {nbytes}")
-            self.messages += 1
-            self.bytes_transferred += nbytes
             flow = self.start_flow(src, dst, nbytes, stream_bandwidth,
                                    loopback_stream_bandwidth, overhead)
             drag = self.gc_drag(nbytes) if gc_prone else 0.0

@@ -9,7 +9,7 @@ This module makes the algorithm a *registry entry* so
 cost-model tuner in :mod:`repro.comm.cost`) can pick per call:
 
 * ``"ring"`` — the paper's PDR ring
-  (:func:`~repro.comm.ring.ring_reduce_scatter_rank` on every channel),
+  (:func:`~repro.comm.ring.ring_reduce_scatter_rank` on every rank),
 * ``"pipelined_ring"`` — that ring as concurrent chunk columns (one
   column's merge overlaps another's wire time),
 * ``"hd"`` — recursive halving(-doubling): ``log2(N)`` exchange rounds
@@ -42,22 +42,25 @@ bit-identical final values; they differ only in message schedule, wire
 bytes and virtual time.
 
 **One fan-out.** ``ring``, ``pipelined_ring`` and ``hd`` are each a
-*per-channel step* — what one rank does on one channel with its ``N``
-segments — and :func:`fan_out` is everything around it. ``hierarchical``
-has no such step (its leaders gather across channels first) and keeps its
-own body. All four wait and record through
+*per-rank step* — what one rank does with its ``N`` local segments, each
+the :data:`~repro.comm.ring.Lanes` of the ``P`` channels — and
+:func:`fan_out` is everything around it. ``hierarchical`` has no such step
+(its leaders gather their members first) and keeps its own body. All four
+move a hop as one message over ``P`` lanes and wait and record through
 :func:`~repro.comm.ring.recv_or_lost` / :func:`~repro.comm.ring.record_hop`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..cluster.placement import host_blocks
 from ..obs import ChunkStream, EventBus, channel_str
 from ..serde import sim_sizeof
 from .fabric import CommFabric
 from .ring import (
+    Lanes,
     ReduceOp,
     SplitOp,
     Stream,
@@ -78,33 +81,24 @@ __all__ = [
     "get_collective",
     "available_collectives",
     "fan_out",
-    "hd_reduce_scatter_channel",
+    "hd_reduce_scatter_rank",
 ]
 
 
 def fan_out(comm: Any, values: Optional[Sequence[Any]], split_op: SplitOp,
             reduce_op: ReduceOp, step: Callable[..., Generator],
-            stream: Optional[Stream] = None,
-            joined: Optional[Callable[[int, Any, float], None]] = None
-            ) -> Generator:
-    """Process body: run ``step`` on every rank x channel of ``comm``.
+            stream: Optional[Stream] = None) -> Generator:
+    """Process body: run ``step`` on every rank of ``comm``.
 
     Rank ``r`` takes ``values[r]`` — or, streamed, waits for its readiness
     event and fetches — and splits it into the ``N * P`` global segments.
-    ``step(comm, rank, p, segments, reduce_op)`` is the tracked process of
-    channel ``p``, over globals ``p*N .. p*N + N-1`` as locals ``0 .. N-1``
-    (a dict the step owns); it returns the ``{local index: reduced
-    segment}`` the rank ends up with, empty if it was folded away.
-    ``joined(rank, value, began)`` runs once the rank's channels have all
-    finished. Returns ``owned``: ``{rank: {global index: reduced
-    segment}}`` without the ranks that own nothing.
+    ``step(comm, rank, segments, reduce_op)`` runs inside the rank's one
+    tracked process over ``comm.split_lanes`` of it (a dict the step owns)
+    and returns the ``{local index: reduced lanes}`` the rank ends up
+    with, empty if it was folded away. Returns ``owned``: ``{rank: {global
+    index: reduced segment}}`` without the ranks that own nothing.
     """
-    sources = values if stream is None else stream
-    if len(sources) != comm.size:
-        raise ValueError(
-            f"expected {comm.size} values (one per rank), got {len(sources)}")
-    env = comm.env
-    n, p_total, num = comm.size, comm.parallelism, comm.num_segments
+    env, n, p_total = comm.env, comm.size, comm.parallelism
 
     def rank_proc(rank: int):
         if stream is None:
@@ -113,22 +107,10 @@ def fan_out(comm: Any, values: Optional[Sequence[Any]], split_op: SplitOp,
             ready, fetch = stream[rank]
             yield ready
             value = fetch()
-        began = env.now
-        channels = [
-            comm._track(env.process(
-                step(comm, rank, p,
-                     {j: split_op(value, p * n + j, num) for j in range(n)},
-                     reduce_op),
-                name=f"rs:r{rank}c{p}"))
-            for p in range(p_total)]
-        results: Dict[int, Any] = {}
-        for p, proc in enumerate(channels):
-            block = yield proc
-            for j, segment in block.items():
-                results[p * n + j] = segment
-        if joined is not None:
-            joined(rank, value, began)
-        return results
+        block = yield from step(comm, rank, comm.split_lanes(value, split_op),
+                                reduce_op)
+        return {p * n + j: lanes[p]
+                for p in range(p_total) for j, lanes in block.items()}
 
     procs = [comm._track(env.process(rank_proc(r), name=f"rs:rank{r}"))
              for r in range(n)]
@@ -141,9 +123,9 @@ def fan_out(comm: Any, values: Optional[Sequence[Any]], split_op: SplitOp,
 
 
 class CollectiveAlgorithm:
-    """One registered reduce-scatter strategy: its per-channel step
-    (:meth:`channel`) under :func:`fan_out`, or — when its shape is not
-    rank x channel — a ``reduce_scatter`` process body of its own, taking
+    """One registered reduce-scatter strategy: its per-rank step
+    (:meth:`step`) under :func:`fan_out`, or — when its shape is not one
+    body per rank — a ``reduce_scatter`` process body of its own, taking
     what ``fan_out`` takes and returning ``owned``."""
 
     name: str = "?"
@@ -151,16 +133,15 @@ class CollectiveAlgorithm:
     def validate(self, comm: Any) -> None:
         """Raise ``ValueError`` when ``comm`` cannot run this algorithm."""
 
-    def channel(self, comm: Any, rank: int, p: int, segments: Dict[int, Any],
-                reduce_op: ReduceOp) -> Generator:
-        """The per-channel step (see :func:`fan_out`)."""
+    def step(self, comm: Any, rank: int, segments: Dict[int, Lanes],
+             reduce_op: ReduceOp) -> Generator:
+        """The per-rank step (see :func:`fan_out`)."""
         raise NotImplementedError
 
     def reduce_scatter(self, comm: Any, values: Optional[Sequence[Any]],
                        split_op: SplitOp, reduce_op: ReduceOp,
                        stream: Optional[Stream] = None) -> Generator:
-        return fan_out(comm, values, split_op, reduce_op, self.channel,
-                       stream)
+        return fan_out(comm, values, split_op, reduce_op, self.step, stream)
 
 
 _REGISTRY: Dict[str, CollectiveAlgorithm] = {}
@@ -191,120 +172,113 @@ def available_collectives() -> Tuple[str, ...]:
 
 # --------------------------------------------------------------------- ring
 class RingCollective(CollectiveAlgorithm):
-    """The seed PDR ring: the classic ring on every channel."""
+    """The seed PDR ring: the classic ring, ``P`` lanes a hop."""
 
     name = "ring"
 
-    def channel(self, comm: Any, rank: int, p: int, segments: Dict[int, Any],
-                reduce_op: ReduceOp) -> Generator:
-        owned, segment = yield from ring_reduce_scatter_rank(
+    def step(self, comm: Any, rank: int, segments: Dict[int, Lanes],
+             reduce_op: ReduceOp) -> Generator:
+        owned, lanes = yield from ring_reduce_scatter_rank(
             comm.fabric, rank, comm.size, segments, reduce_op,
-            comm.cluster.config.merge_bandwidth, channel=p,
+            comm.cluster.config.merge_bandwidth, channel="ring",
             **comm.hop_context(rank))
-        return {owned: segment}
+        return {owned: lanes}
 
 
 # ---------------------------------------------------------- pipelined ring
 class PipelinedRingCollective(CollectiveAlgorithm):
     """Chunk-pipelined PDR ring: overlap merge CPU with wire time.
 
-    Each channel's segments split further into ``C`` elementwise *chunk
-    columns* (:meth:`chunk_split` on the segment), and every column runs
-    the unchanged classic ring on its own fabric channel. While column
-    ``c``'s hop is on the wire, column ``c'``'s merge runs on the CPU, so
-    per hop the rank pays ``max(wire, merge)`` plus one column's
-    pipeline-fill instead of ``wire + merge``. Because a chunk is an
-    elementwise slice and every column folds in exact ring order, the
-    concatenated result is bit-identical to ``"ring"``; with one column
-    this algorithm is hop-for-hop the classic ring.
+    Each segment's lanes split further into ``C`` elementwise *chunk
+    columns*, every column the unchanged classic ring on a fabric channel
+    of its own (:func:`~repro.comm.ring.pipelined_ring_reduce_scatter_rank`:
+    bit-identical to ``"ring"``, and with one column hop-for-hop the same).
+    While column ``c``'s hop is on the wire, column ``c'``'s merge runs on
+    the CPU, so per hop the rank pays ``max(wire, merge)`` plus one
+    column's pipeline-fill instead of ``wire + merge``.
 
     ``C`` comes from the communicator's ``chunk_bytes``
     (:func:`~repro.comm.ring.chunk_columns_for`), and its ``ledger``, if
-    any, is the delivery fence: columns are recorded as they finish, and
-    those the whole topology acknowledged on an earlier, aborted attempt
-    of the same aggregation are skipped, not replayed. Each rank x channel
-    leaves one :class:`~repro.obs.ChunkStream` once the rank has joined.
+    any, is the delivery fence. Each rank leaves one
+    :class:`~repro.obs.ChunkStream` once it has joined.
     """
 
     name = "pipelined_ring"
 
-    def reduce_scatter(self, comm: Any, values: Optional[Sequence[Any]],
-                       split_op: SplitOp, reduce_op: ReduceOp,
-                       stream: Optional[Stream] = None) -> Generator:
-        chunk_bytes = comm.chunk_bytes
-        columns: Dict[Tuple[int, int], int] = {}
-
-        def channel(comm: Any, rank: int, p: int, segments: Dict[int, Any],
-                    reduce_op: ReduceOp) -> Generator:
-            # Every rank holds an equally-shaped aggregator, so the probe
-            # segment (global index p*n) yields the same column count on
-            # all ranks — no agreement round needed.
-            columns[rank, p] = chunks = chunk_columns_for(segments[0],
-                                                          chunk_bytes)
-            owned, segment = yield from pipelined_ring_reduce_scatter_rank(
-                comm.fabric, rank, comm.size, segments, reduce_op,
-                comm.cluster.config.merge_bandwidth, chunks, channel=p,
-                track=comm._track, ledger=comm.ledger,
-                **comm.hop_context(rank))
-            return {owned: segment}
-
-        def joined(rank: int, value: Any, began: float) -> None:
-            bus = comm.bus
-            if bus is not None and bus.active:
-                for p in range(comm.parallelism):
-                    bus.emit(ChunkStream.fast(
-                        time=comm.env.now, rank=rank,
-                        executor_id=comm.ranked[rank].executor_id,
-                        channel=channel_str(p), num_chunks=columns[rank, p],
-                        chunk_bytes=float(chunk_bytes),
-                        value_bytes=sim_sizeof(value), began=began,
-                        span_id=bus.tracer.new_span(),
-                        parent_span_id=comm.span_id))
-
-        return fan_out(comm, values, split_op, reduce_op, channel, stream,
-                       joined)
+    def step(self, comm: Any, rank: int, segments: Dict[int, Lanes],
+             reduce_op: ReduceOp) -> Generator:
+        bus, began = comm.bus, comm.env.now
+        tracing = bus is not None and bus.active
+        if tracing:  # sized before the ring merges in place
+            value_bytes = sum([sim_sizeof(lane) for lanes in segments.values()
+                               for lane in lanes])
+        # Every rank holds an equally-shaped aggregator, so the probe
+        # segment (global index 0, the longest) yields the same column
+        # count on all ranks — no agreement round needed.
+        chunks = chunk_columns_for(segments[0][0], comm.chunk_bytes)
+        owned, lanes = yield from pipelined_ring_reduce_scatter_rank(
+            comm.fabric, rank, comm.size, segments, reduce_op,
+            comm.cluster.config.merge_bandwidth, chunks, channel="ring",
+            track=comm._track, ledger=comm.ledger, **comm.hop_context(rank))
+        if tracing and bus.active:
+            bus.emit(ChunkStream.fast(
+                time=comm.env.now, rank=rank,
+                executor_id=comm.ranked[rank].executor_id, channel="ring",
+                num_chunks=chunks, chunk_bytes=float(comm.chunk_bytes),
+                value_bytes=value_bytes, began=began, lanes=len(lanes),
+                span_id=bus.tracer.new_span(), parent_span_id=comm.span_id))
+        return {owned: lanes}
 
 
 # ------------------------------------------------------- chain-order state
+def _accumulate(totals: List[float], row: Iterable[float]) -> None:
+    """``totals += row``, lane by lane."""
+    for p, x in enumerate(row):
+        totals[p] += x
+
+
 class _ChainState:
     """Deferred reduction state of one segment: fold only in chain order.
 
     Holds the folded canonical prefix (``acc`` covers origin ranks
     ``start .. start+count-1`` mod ``size``) plus unordered pending
-    contributions by origin rank. Because contributions are globally
-    disjoint and folding only ever extends the prefix, merging two
-    partial states and folding opportunistically reproduces the ring's
-    exact left-deep chain no matter how contributions travelled.
+    contributions by origin rank, every value the segment's ``lanes``.
+    Because contributions are globally disjoint and folding only ever
+    extends the prefix, merging two partial states and folding
+    opportunistically reproduces the ring's exact left-deep chain no
+    matter how contributions travelled.
     """
 
-    __slots__ = ("start", "size", "acc", "count", "pending")
+    __slots__ = ("start", "size", "lanes", "acc", "count", "pending")
 
-    def __init__(self, start: int, size: int):
+    def __init__(self, start: int, size: int, lanes: int):
         self.start = start
         self.size = size
-        self.acc: Any = None
+        self.lanes = lanes
+        self.acc: Optional[Lanes] = None
         self.count = 0
-        self.pending: Dict[int, Any] = {}
+        self.pending: Dict[int, Lanes] = {}
 
-    def add(self, origin: int, value: Any) -> None:
+    def add(self, origin: int, value: Lanes) -> None:
         self.pending[origin] = value
 
-    def fold(self, reduce_op: ReduceOp) -> float:
-        """Fold every prefix-extending contribution; returns merge bytes."""
+    def fold(self, reduce_op: ReduceOp) -> List[float]:
+        """Fold every prefix-extending contribution; returns merge bytes,
+        lane by lane."""
+        merged_bytes = [0.0] * self.lanes
         if self.acc is None:
             value = self.pending.pop(self.start, None)
             if value is None:
-                return 0.0
+                return merged_bytes
             self.acc = value
             self.count = 1
-        merged_bytes = 0.0
         while self.count < self.size and self.pending:
             nxt = (self.start + self.count) % self.size
             value = self.pending.pop(nxt, None)
             if value is None:
                 break
-            self.acc = reduce_op(value, self.acc)
-            merged_bytes += sim_sizeof(self.acc)
+            self.acc = tuple(map(reduce_op, value, self.acc))
+            _accumulate(merged_bytes, map(sim_sizeof, self.acc))
             self.count += 1
         return merged_bytes
 
@@ -312,10 +286,13 @@ class _ChainState:
     def complete(self) -> bool:
         return self.count == self.size
 
-    def wire_size(self) -> float:
-        total = sim_sizeof(self.acc) if self.acc is not None else 0.0
+    def wire_size(self) -> List[float]:
+        """Bytes this state ships as, lane by lane."""
+        total = [0.0] * self.lanes
+        if self.acc is not None:
+            _accumulate(total, map(sim_sizeof, self.acc))
         for value in self.pending.values():
-            total += sim_sizeof(value)
+            _accumulate(total, map(sim_sizeof, value))
         return total
 
     def export(self) -> Tuple[Any, int, List[Tuple[int, Any]]]:
@@ -338,32 +315,32 @@ def _owner_block(n: int, n2: int, owner: int) -> Tuple[int, int]:
 
 
 # --------------------------------------------------- recursive halving (hd)
-def hd_reduce_scatter_channel(
+def hd_reduce_scatter_rank(
     fabric: CommFabric,
     rank: int,
     size: int,
-    segments: Dict[int, Any],
+    segments: Dict[int, Lanes],
     reduce_op: ReduceOp,
     merge_bandwidth: float,
-    channel: Any = 0,
+    channel: Any = "hd",
     bus: Optional[EventBus] = None,
     executor_id: int = -1,
     recv_timeout: Optional[float] = None,
     parent_span: int = -1,
 ) -> Generator:
-    """Per-rank recursive-halving reduce-scatter over one channel.
+    """Per-rank recursive-halving reduce-scatter.
 
-    ``segments`` maps local index ``0..size-1`` to this rank's raw
-    contribution. Rounds: an optional pre-fold (rank ``r >= 2^m`` ships
-    its whole contribution set to rank ``r - 2^m``), then ``m`` pairwise
-    exchanges at distances ``2^(m-1) .. 1`` in which each rank sends the
-    chain states of the half it gives up and absorbs its kept half.
-    States carry deferred ``(origin, value)`` contributions and fold
-    eagerly only along the canonical prefix chain, so the result is
-    bit-identical to the ring (see module docstring); wire sizes price
-    the deferred payloads honestly.
+    ``segments`` maps local index ``0..size-1`` to this rank's raw lanes.
+    Rounds: an optional pre-fold (rank ``r >= 2^m`` ships its whole
+    contribution set to rank ``r - 2^m``), then ``m`` pairwise exchanges
+    at distances ``2^(m-1) .. 1`` in which each rank sends the chain
+    states of the half it gives up and absorbs its kept half. States carry
+    deferred ``(origin, value)`` contributions and fold only along the
+    canonical prefix chain, so the result is bit-identical to the ring;
+    wire sizes price the deferred payloads honestly, a round is one
+    message over the lanes, its merge what the busiest lane's folds cost.
 
-    Returns ``{local_index: reduced_segment}`` for this rank's final
+    Returns ``{local_index: reduced_lanes}`` for this rank's final
     owner block — empty for the pre-folded extra ranks.
     """
     env = fabric.env
@@ -372,11 +349,12 @@ def hd_reduce_scatter_channel(
         return {0: segments[0]}
     m = n.bit_length() - 1
     n2 = 1 << m
-    channel_key = channel_str(("hd", channel))
+    lanes = len(segments[0])
+    channel_key = channel_str(channel)
 
     states: Dict[int, _ChainState] = {}
     for j in range(n):
-        state = _ChainState(j, n)
+        state = _ChainState(j, n, lanes)
         state.add(rank, segments[j])
         state.fold(reduce_op)  # seats rank j's own prefix; merges nothing
         states[j] = state
@@ -390,32 +368,46 @@ def hd_reduce_scatter_channel(
     def _absorb(incoming: List[Tuple[int, Any]]) -> Tuple[float, float]:
         """Take in a partner's states; returns (bytes received, seconds
         of merging the folds they unlocked cost)."""
-        merged_bytes = recv_bytes = 0.0
+        merged_bytes = [0.0] * lanes
+        recv_bytes, tracing = 0.0, bus is not None and bus.active
         for j, exported in incoming:
             state = states[j]
             state.absorb(exported)
-            merged_bytes += state.fold(reduce_op)
-            recv_bytes += state.wire_size()
-        return recv_bytes, merged_bytes / merge_bandwidth
+            _accumulate(merged_bytes, state.fold(reduce_op))
+            if tracing:  # sized for the record alone
+                recv_bytes += sum(state.wire_size())
+        return recv_bytes, max(merged_bytes) / merge_bandwidth
 
     def _emit_hop(hop: int, began: float, send_bytes: float,
                   recv_bytes: float, merge_time: float) -> None:
         if bus is not None and bus.active:
             record_hop(bus, time=env.now, rank=rank,
                        executor_id=executor_id, channel=channel_key, hop=hop,
-                       began=began, send_bytes=send_bytes,
+                       began=began, lanes=lanes, send_bytes=send_bytes,
                        recv_bytes=recv_bytes, merge_time=merge_time,
                        parent_span_id=parent_span)
 
+    def _export(local_indices: range) -> Tuple[list, Tuple[float, ...]]:
+        """Hand over the non-empty states of ``local_indices``: the
+        payload and its bytes, lane by lane."""
+        payload = []
+        nbytes = [0.0] * lanes
+        for j in local_indices:
+            state = states[j]
+            if state.acc is None and not state.pending:
+                continue
+            _accumulate(nbytes, state.wire_size())
+            payload.append((j, state.export()))
+            states[j] = _ChainState(j, n, lanes)
+        return payload, tuple(nbytes)
+
     # ---- round 0: fold the ranks beyond the largest power of two ----------
     if rank >= n2:
-        partner = rank - n2
-        payload = [(j, states[j].export()) for j in range(n)]
-        nbytes = sum(states[j].wire_size() for j in range(n))
+        payload, nbytes = _export(range(n))
         began = env.now
-        yield from fabric.send(rank, partner, payload, tag=(channel_key, 0),
-                               nbytes=nbytes)
-        _emit_hop(0, began, nbytes, 0.0, 0.0)
+        yield from fabric.send(rank, rank - n2, payload,
+                               tag=(channel_key, 0), nbytes=nbytes)
+        _emit_hop(0, began, sum(nbytes), 0.0, 0.0)
         return {}
     if rank + n2 < n:
         began = env.now
@@ -437,17 +429,8 @@ def hd_reduce_scatter_channel(
             partner = rank - half
             send_lo, send_hi = block_lo, mid
             block_lo = mid
-        seg_lo = _owner_block(n, n2, send_lo)[0]
-        seg_hi = _owner_block(n, n2, send_hi - 1)[1]
-        payload = []
-        nbytes = 0.0
-        for j in range(seg_lo, seg_hi):
-            state = states[j]
-            if state.acc is None and not state.pending:
-                continue
-            nbytes += state.wire_size()
-            payload.append((j, state.export()))
-            states[j] = _ChainState(j, n)
+        payload, nbytes = _export(range(_owner_block(n, n2, send_lo)[0],
+                                        _owner_block(n, n2, send_hi - 1)[1]))
         began = env.now
         in_flight = fabric.isend(rank, partner, payload,
                                  tag=(channel_key, t), nbytes=nbytes)
@@ -456,37 +439,36 @@ def hd_reduce_scatter_channel(
             yield env.timeout(merge_time)
         if not in_flight.processed:
             yield in_flight
-        _emit_hop(t, began, nbytes, recv_bytes, merge_time)
+        _emit_hop(t, began, sum(nbytes), recv_bytes, merge_time)
 
     # ---- final fold: every contribution of the owned block is local -------
-    results: Dict[int, Any] = {}
-    merged_bytes = 0.0
+    results: Dict[int, Lanes] = {}
+    merged_bytes = [0.0] * lanes
     lo, hi = _owner_block(n, n2, rank)
     for j in range(lo, hi):
         state = states[j]
-        merged_bytes += state.fold(reduce_op)
+        _accumulate(merged_bytes, state.fold(reduce_op))
         if not state.complete:  # pragma: no cover - algorithm invariant
             raise RuntimeError(
                 f"hd rank {rank} segment {j}: only {state.count}/{n} "
                 f"contributions folded")
         results[j] = state.acc
-    merge_time = merged_bytes / merge_bandwidth
+    merge_time = max(merged_bytes) / merge_bandwidth
     if merge_time > 0:
         yield env.timeout(merge_time)
     return results
 
 
 class HalvingDoublingCollective(CollectiveAlgorithm):
-    """Recursive halving reduce-scatter (``log2(N)`` rounds per channel)."""
+    """Recursive halving reduce-scatter (``log2(N)`` rounds)."""
 
     name = "hd"
 
-    def channel(self, comm: Any, rank: int, p: int, segments: Dict[int, Any],
-                reduce_op: ReduceOp) -> Generator:
-        return hd_reduce_scatter_channel(
+    def step(self, comm: Any, rank: int, segments: Dict[int, Lanes],
+             reduce_op: ReduceOp) -> Generator:
+        return hd_reduce_scatter_rank(
             comm.fabric, rank, comm.size, segments, reduce_op,
-            comm.cluster.config.merge_bandwidth, channel=p,
-            **comm.hop_context(rank))
+            comm.cluster.config.merge_bandwidth, **comm.hop_context(rank))
 
 
 # ------------------------------------------------------------- hierarchical
@@ -494,11 +476,11 @@ class HierarchicalCollective(CollectiveAlgorithm):
     """Two-level reduce: intra-host leader gather + inter-host chain walk.
 
     Phase 1 (intra-host, parallel): every non-leader rank ships its split
-    segments for each channel to its host's leader over loopback. Phase 2
-    (inter-host): for each global segment, an accumulator starts at the
-    chain-start rank's host and visits the hosts in rank order; each
-    leader folds its members' contributions one at a time — exactly the
-    canonical chain — then forwards the accumulator. Sequential depth per
+    segments to its host's leader over loopback, one message over the
+    lanes. Phase 2 (inter-host): each local segment's accumulator (its
+    lanes) starts at the chain-start rank's host and visits the hosts in
+    rank order; each leader folds its members' contributions one at a time
+    — exactly the canonical chain — then forwards it. Sequential depth per
     segment is the number of host runs (≈ H) instead of ``N - 1``.
     """
 
@@ -518,12 +500,8 @@ class HierarchicalCollective(CollectiveAlgorithm):
             raise ValueError(
                 "hierarchical cannot take a stream: every leader gathers "
                 "its members before any segment walks")
-        if len(values) != comm.size:
-            raise ValueError(
-                f"expected {comm.size} values (one per rank), "
-                f"got {len(values)}")
         env, fabric, bus = comm.env, comm.fabric, comm.bus
-        n, p_total, num = comm.size, comm.parallelism, comm.num_segments
+        n, p_total = comm.size, comm.parallelism
         merge_bw = comm.cluster.config.merge_bandwidth
         recv_timeout = comm.recv_timeout
         blocks = host_blocks(comm.ranked)
@@ -533,39 +511,30 @@ class HierarchicalCollective(CollectiveAlgorithm):
             for r in ranks:
                 block_of[r] = bi
 
-        #: contrib[p][origin_rank] = {local_index: raw split segment}
-        contrib: List[Dict[int, Dict[int, Any]]] = [
-            {} for _ in range(p_total)]
+        #: contrib[origin_rank] = {local_index: raw split lanes}
+        contrib: Dict[int, Dict[int, Lanes]] = {}
 
         def member_proc(rank: int):
-            value = values[rank]
             leader = leader_of_block[block_of[rank]]
-            pending = []
-            for p in range(p_total):
-                local = {j: split_op(value, p * n + j, num)
-                         for j in range(n)}
-                if rank == leader:
-                    contrib[p][rank] = local
-                else:
-                    nbytes = sum(sim_sizeof(v) for v in local.values())
-                    pending.append(fabric.isend(
-                        rank, leader, (rank, local),
-                        tag=(channel_str(("hg", p)), rank), nbytes=nbytes))
-            for event in pending:
-                yield event
+            local = comm.split_lanes(values[rank], split_op)
+            if rank == leader:
+                contrib[rank] = local
+            else:
+                nbytes = [0.0] * p_total
+                for lanes in local.values():
+                    _accumulate(nbytes, map(sim_sizeof, lanes))
+                yield fabric.isend(rank, leader, (rank, local),
+                                   tag=("hg", rank), nbytes=tuple(nbytes))
 
         def leader_gather(bi: int):
             _host, ranks = blocks[bi]
             leader = ranks[0]
-            for p in range(p_total):
-                for r in ranks[1:]:
-                    origin, local = yield from recv_or_lost(
-                        fabric, leader, (channel_str(("hg", p)), r),
-                        recv_timeout,
-                        lambda: f"hierarchical leader {leader} heard nothing "
-                                f"from member rank {r} on channel {p} for "
-                                f"{recv_timeout:g}s")
-                    contrib[p][origin] = local
+            for r in ranks[1:]:
+                origin, local = yield from recv_or_lost(
+                    fabric, leader, ("hg", r), recv_timeout,
+                    lambda: f"hierarchical leader {leader} heard nothing "
+                            f"from member rank {r} for {recv_timeout:g}s")
+                contrib[origin] = local
 
         members = [comm._track(env.process(member_proc(r),
                                            name=f"hier:member{r}"))
@@ -578,7 +547,7 @@ class HierarchicalCollective(CollectiveAlgorithm):
         for proc in gathers:
             yield proc
 
-        def walk(p: int, j: int):
+        def walk(j: int):
             # Host runs of the chain j, j+1, ..., j+n-1 (mod n); the
             # start host may appear twice (its suffix opens the chain,
             # its prefix closes it).
@@ -590,7 +559,7 @@ class HierarchicalCollective(CollectiveAlgorithm):
                     runs[-1][1].append(r)
                 else:
                     runs.append((bi, [r]))
-            acc: Any = None
+            acc: Optional[Lanes] = None
             cur_leader: Optional[int] = None
             for hop, (bi, run) in enumerate(runs):
                 leader = leader_of_block[bi]
@@ -598,43 +567,47 @@ class HierarchicalCollective(CollectiveAlgorithm):
                 tracing = bus is not None and bus.active
                 send_bytes = 0.0
                 if cur_leader is not None and leader != cur_leader:
-                    tag = (channel_str(("hw", p, j)), hop)
-                    if tracing:
-                        send_bytes = sim_sizeof(acc)
-                    yield from fabric.send(cur_leader, leader, acc, tag=tag)
+                    tag = (channel_str(("hw", j)), hop)
+                    nbytes = tuple(map(sim_sizeof, acc))
+                    send_bytes = sum(nbytes)
+                    yield from fabric.send(cur_leader, leader, acc, tag=tag,
+                                           nbytes=nbytes)
                     acc = yield from recv_or_lost(
                         fabric, leader, tag, recv_timeout,
-                        lambda: f"hierarchical segment {p * n + j} lost its "
+                        lambda: f"hierarchical segment {j} lost its "
                                 f"accumulator between leaders {cur_leader} "
                                 f"and {leader}")
                 cur_leader = leader
-                merged_bytes = 0.0
+                merged_bytes = [0.0] * p_total
                 for r in run:
-                    value = contrib[p][r][j]
+                    value = contrib[r][j]
                     if acc is None:
                         acc = value
                     else:
-                        acc = reduce_op(value, acc)
-                        merged_bytes += sim_sizeof(acc)
-                merge_time = merged_bytes / merge_bw
+                        acc = tuple(map(reduce_op, value, acc))
+                        _accumulate(merged_bytes, map(sim_sizeof, acc))
+                merge_time = max(merged_bytes) / merge_bw
                 if merge_time > 0:
                     yield env.timeout(merge_time)
                 if tracing and bus.active:
                     record_hop(
                         bus, time=env.now, rank=leader,
                         executor_id=comm.ranked[leader].executor_id,
-                        channel=channel_str(("hier", p)), hop=hop,
-                        began=began, send_bytes=send_bytes,
-                        recv_bytes=sim_sizeof(acc), merge_time=merge_time,
-                        parent_span_id=comm.span_id)
-            return cur_leader, p * n + j, acc
+                        channel="hier", hop=hop, began=began, lanes=p_total,
+                        send_bytes=send_bytes,
+                        recv_bytes=sum(map(sim_sizeof, acc)),
+                        merge_time=merge_time, parent_span_id=comm.span_id)
+            return cur_leader, acc
 
-        walks = [comm._track(env.process(walk(p, j), name=f"hier:c{p}s{j}"))
-                 for p in range(p_total) for j in range(n)]
-        owned: Dict[int, Dict[int, Any]] = {}
+        walks = [comm._track(env.process(walk(j), name=f"hier:s{j}"))
+                 for j in range(n)]
+        walked = []
         for proc in walks:
-            leader, global_idx, segment = yield proc
-            owned.setdefault(leader, {})[global_idx] = segment
+            walked.append((yield proc))
+        owned: Dict[int, Dict[int, Any]] = {}
+        for p in range(p_total):
+            for j, (leader, acc) in enumerate(walked):
+                owned.setdefault(leader, {})[p * n + j] = acc[p]
         return owned
 
 

@@ -5,8 +5,8 @@ moves tagged messages between them through the simulated network using one
 :class:`~repro.comm.transport.TransportSpec`. It provides the MPI-flavoured
 primitives every collective in this package is built from:
 
-* ``send(src, dst, payload, tag)`` — generator; completes when delivered,
-* ``isend(...)`` — non-blocking variant returning a completion event,
+* ``isend(src, dst, payload, tag)`` — returns the delivery's event,
+* ``send(...)`` — generator; ``isend``, waited for,
 * ``recv(rank, tag)`` — generator; completes with the payload.
 
 Messages carry *real* Python payloads (NumPy-backed segments), so every
@@ -216,55 +216,22 @@ class CommFabric:
 
     # ------------------------------------------------------------- primitives
     def send(self, src: int, dst: int, payload: Any, tag: Hashable = 0,
-             nbytes: float | None = None) -> Generator:
-        """Generator: move ``payload`` from ``src`` to ``dst``.
-
-        Completes once the last byte is delivered (and the message is in the
-        destination mailbox). ``nbytes`` overrides the payload's estimated
-        size when the caller knows better.
-        """
-        src_node = self.node_of(src)
-        dst_node = self.node_of(dst)
-        size = sim_sizeof(payload) if nbytes is None else float(nbytes)
-        sent_at = self.env.now
-        verdict = None
-        if self.faults is not None:
-            channel, hop = _tag_channel_hop(tag)
-            verdict = self.faults.message_fault(src, dst, channel, hop, size)
-        span = -1
-        if self.bus is not None and self.bus.active:
-            channel, hop = _tag_channel_hop(tag)
-            span = self.bus.tracer.new_span()
-            self.bus.emit(MessageSent.fast(
-                time=sent_at, transport=self.transport.name, src=src,
-                dst=dst, channel=channel, hop=hop, nbytes=size,
-                span_id=span, parent_span_id=self.parent_span))
-        yield from self.network.transfer(
-            src_node, dst_node, size,
-            stream_bandwidth=self.transport.stream_bandwidth,
-            loopback_stream_bandwidth=(
-                self.transport.loopback_stream_bandwidth),
-            overhead=self.transport.overhead,
-            gc_prone=self.transport.gc_prone,
-        )
-        if verdict is not None:
-            kind, extra = verdict
-            if kind == "drop":
-                self.dropped += 1
-                return
-            if extra > 0:
-                yield self.env.timeout(extra)
-        self._put((dst, tag),
-                  (payload, src, size, sent_at, self.env.now, span))
+             nbytes: Any = None) -> Generator:
+        """Generator: :meth:`isend`, waited for (completes on delivery)."""
+        yield self.isend(src, dst, payload, tag, nbytes)
 
     def isend(self, src: int, dst: int, payload: Any, tag: Hashable = 0,
-              nbytes: float | None = None) -> Event:
+              nbytes: Any = None) -> Event:
         """Non-blocking send: returns an event firing on delivery.
 
-        Cost model is identical to :meth:`send` (overhead + latency, fair-
-        shared flow, GC drag), but the pipeline is driven by event callbacks
-        instead of a kernel process, and the per-stage float arithmetic is
-        exactly the generator path's, so delivery instants are bit-identical.
+        ``nbytes`` overrides the payload's estimated size. A tuple of sizes
+        makes it one message over that many **lanes**, the PDR's sockets
+        per hop: one overhead and latency, one fault verdict, one traced
+        message of the summed bytes, one stream's GC drag. On the wire it
+        ends with its widest lane and loads its links with the bytes it
+        carries: streams of the widest lane's bytes, as many as lanes when
+        they are equal, else the sum over the widest (lanes that finish
+        early leave their share to the rest).
 
         A message with no GC drag and no fault verdict costs the kernel no
         event of its own: the flow network waits out overhead + latency
@@ -281,9 +248,16 @@ class CommFabric:
         transport = self.transport
         src_node = self.node_of(src)
         dst_node = self.node_of(dst)
-        size = sim_sizeof(payload) if nbytes is None else float(nbytes)
-        if size < 0:
-            raise ValueError(f"negative message size: {size}")
+        size = sim_sizeof(payload) if nbytes is None else nbytes
+        if size.__class__ is tuple:
+            lanes, widest, narrowest = len(size), max(size), min(size)
+            size = sum(size)
+            streams = lanes if narrowest == widest else size / widest
+        else:
+            lanes = streams = 1
+            size = widest = narrowest = float(size)
+        if narrowest < 0:
+            raise ValueError(f"negative message size: {narrowest}")
         sent_at = env.now
         verdict = None
         if self.faults is not None:
@@ -296,16 +270,15 @@ class CommFabric:
             span = bus.tracer.new_span()
             bus.emit(MessageSent.fast(
                 time=sent_at, transport=transport.name, src=src,
-                dst=dst, channel=channel, hop=hop, nbytes=size,
+                dst=dst, channel=channel, hop=hop, nbytes=size, lanes=lanes,
                 span_id=span, parent_span_id=self.parent_span))
-        network.messages += 1
-        network.bytes_transferred += size
         done = Event(env, name="isend")
         key = (dst, tag)
-        drag = network.gc_drag(size) if transport.gc_prone else 0.0
+        drag = network.gc_drag(widest) if transport.gc_prone else 0.0
 
         def _land(_event: Any) -> None:
-            self._put(key, (payload, src, size, sent_at, env.now, span))
+            self._put(key, (payload, src, size, lanes, sent_at, env.now,
+                            span))
 
         if verdict is None and drag <= 0:
             # The flow's completion is the delivery.
@@ -313,35 +286,28 @@ class CommFabric:
             wire = done
         else:
             wire = Event(env, name="flow")
+            drop = verdict is not None and verdict[0] == "drop"
+            #: what stands between the last byte and the mailbox, in order
+            pauses = [pause for pause in (
+                drag, 0.0 if verdict is None or drop else verdict[1])
+                if pause > 0]
 
-            def _finish(_event: Any) -> None:
-                _land(_event)
+            def _stage(_event: Any) -> None:
+                if pauses:
+                    env.timeout(pauses.pop(0)).add_callback(_stage)
+                    return
+                if drop:
+                    self.dropped += 1
+                else:
+                    _land(_event)
                 done.succeed(None)
 
-            if verdict is None:
-                _deliver = _finish
-            else:
-                fault_kind, fault_extra = verdict
+            wire.callbacks.append(_stage)
 
-                def _deliver(_event: Any) -> None:
-                    if fault_kind == "drop":
-                        self.dropped += 1
-                        done.succeed(None)
-                    elif fault_extra > 0:
-                        env.timeout(fault_extra).add_callback(_finish)
-                    else:
-                        _finish(_event)
-
-            if drag > 0:
-                wire.callbacks.append(
-                    lambda _flow: env.timeout(drag).add_callback(_deliver))
-            else:
-                wire.callbacks.append(_deliver)
-
-        network.start_flow(src_node, dst_node, size,
+        network.start_flow(src_node, dst_node, widest,
                            transport.stream_bandwidth,
                            transport.loopback_stream_bandwidth,
-                           transport.overhead, event=wire)
+                           transport.overhead, event=wire, streams=streams)
         return done
 
     def recv(self, rank: int, tag: Hashable = 0,
@@ -363,16 +329,17 @@ class CommFabric:
                 self._watch(key, waiter, timeout)
             self._waiting.setdefault(key, []).append(waiter)
             try:
-                payload, src, size, sent_at, arrived_at, span = yield waiter
+                message = yield waiter
             finally:
                 if not waiter.triggered:  # interrupted or closed mid-wait
                     self._withdraw(key, waiter)
         else:
-            payload, src, size, sent_at, arrived_at, span = arrived.pop(0)
+            message = arrived.pop(0)
             if not arrived:
                 del self._arrived[key]
         bus = self.bus
         if bus is not None and bus.active:
+            _payload, src, size, lanes, sent_at, arrived_at, span = message
             channel, hop = _tag_channel_hop(tag)
             now = self.env.now
             # Same span as the matching MessageSent: the send/deliver pair
@@ -380,10 +347,10 @@ class CommFabric:
             bus.emit(MessageDelivered.fast(
                 time=now, transport=self.transport.name, src=src,
                 dst=rank, channel=channel, hop=hop, nbytes=size,
-                queue_wait=now - arrived_at,
+                lanes=lanes, queue_wait=now - arrived_at,
                 flight_time=arrived_at - sent_at,
                 span_id=span, parent_span_id=self.parent_span))
-        return payload
+        return message[0]
 
     # ------------------------------------------------------------ conveniences
     def ping_pong(self, a: int, b: int, nbytes: float = 1.0,

@@ -8,10 +8,7 @@ numbers; the figure-level benches in ``benchmarks/`` format them.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..cluster.placement import Cluster
-from ..serde import SizedPayload
 from ..sim import Environment
 from .fabric import CommFabric
 from .transport import TransportSpec
@@ -43,13 +40,13 @@ def measure_latency(cluster: Cluster, transport: TransportSpec,
 
 def measure_throughput(cluster: Cluster, transport: TransportSpec,
                        nbytes: float, parallelism: int = 1,
-                       physical_elems: int = 1024,
                        rounds: int = 3) -> float:
     """Streaming throughput in bytes/second for ``nbytes`` messages.
 
-    ``parallelism`` channels each carry ``nbytes / parallelism`` per round
-    (the PDR design: multiple sockets to fill the NIC); ``rounds``
-    back-to-back messages amortize latency like the OSU benchmark's window.
+    Each round is one message over ``parallelism`` lanes of
+    ``nbytes / parallelism`` (the PDR design: multiple sockets to fill the
+    NIC); ``rounds`` back-to-back messages amortize latency like the OSU
+    benchmark's window.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -57,17 +54,14 @@ def measure_throughput(cluster: Cluster, transport: TransportSpec,
         raise ValueError(f"message size must be positive, got {nbytes}")
     fabric = _pair_fabric(cluster, transport)
     env: Environment = cluster.env
-    chunk = SizedPayload(np.zeros(max(1, physical_elems // parallelism)),
-                         sim_bytes=nbytes / parallelism)
+    lanes = (nbytes / parallelism,) * parallelism
 
-    def channel(p: int):
+    def stream():
         for r in range(rounds):
-            yield from fabric.send(0, 1, chunk, tag=("tp", p, r))
+            yield from fabric.send(0, 1, b"x", tag=("tp", r), nbytes=lanes)
 
     began = env.now
-    procs = [env.process(channel(p)) for p in range(parallelism)]
-    for proc in procs:
-        env.run(until=proc)
+    env.run(until=env.process(stream()))
     elapsed = env.now - began
     if elapsed <= 0:
         raise RuntimeError("throughput measurement elapsed no time")

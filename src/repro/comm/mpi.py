@@ -112,8 +112,9 @@ class MpiCommunicator:
         n = self.size
 
         def rank_proc(rank: int):
-            segments = {j: split_op(values[rank], j, n) for j in range(n)}
-            idx, segment = yield from ring_reduce_scatter_rank(
+            segments = {j: (split_op(values[rank], j, n),)  # one lane
+                        for j in range(n)}
+            idx, (segment,) = yield from ring_reduce_scatter_rank(
                 self.fabric, rank, n, segments, reduce_op,
                 self.merge_bandwidth, channel="mpi-ring")
             return rank, {idx: segment}
@@ -353,8 +354,8 @@ class MpiCommunicator:
         def rank_proc(rank: int):
             (idx, value), = owned[rank].items()
             have = yield from ring_allgather_rank(
-                self.fabric, rank, n, idx, value, channel="rab-ag")
-            ordered = [have[i] for i in sorted(have)]
+                self.fabric, rank, n, idx, (value,), channel="rab-ag")
+            ordered = [have[i][0] for i in sorted(have)]
             out[rank] = concat_op(ordered)
 
         procs = [env.process(rank_proc(r)) for r in range(n)]

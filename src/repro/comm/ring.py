@@ -9,10 +9,15 @@ This module implements §4.1–4.2 of the paper:
   neighbour.
 * :class:`ScalableCommunicator` — executors arranged in a *parallel
   directed ring* (PDR, Figure 10): executors ranked 0..N-1 (sorted by
-  hostname when topology-aware), with ``parallelism`` independent channels
-  per hop. Channel ``p`` reduce-scatters global segments
-  ``[p*N, (p+1)*N - 1]``, so the aggregator is split into ``N * P``
-  segments total, exactly as §4.2 describes.
+  hostname when topology-aware), with ``parallelism`` channels per hop.
+  Channel ``p`` reduce-scatters global segments ``[p*N, (p+1)*N - 1]``, so
+  the aggregator is split into ``N * P`` segments total, exactly as §4.2
+  describes.
+
+Parallelism is a property of the connection: a rank runs one ring, a hop
+ships local segment ``j``'s :data:`Lanes` as one message over ``P`` streams
+and merges them on ``P`` cores. Equal lanes make exactly the instants of
+``P`` independent channels; unequal ones end a hop with the widest.
 
 All payload arithmetic is real (the reduce op runs on actual arrays); the
 merge CPU cost is charged at the platform's ``merge_bandwidth``.
@@ -21,8 +26,8 @@ merge CPU cost is charged at the platform's ``merge_bandwidth``.
 from __future__ import annotations
 
 import math
-from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..cluster.placement import Cluster, ExecutorSlot
 from ..obs import (
@@ -56,6 +61,8 @@ __all__ = [
 ]
 
 ReduceOp = Callable[[Any, Any], Any]
+#: local segment ``j`` on every parallel channel: global segments ``p*N + j``
+Lanes = Tuple[Any, ...]
 SplitOp = Callable[[Any, int, int], Any]
 ConcatOp = Callable[[Sequence[Any]], Any]
 #: a streamed collective's input: per rank, the event that says its
@@ -83,26 +90,32 @@ def recv_or_lost(fabric: CommFabric, rank: int, tag: Any,
 def record_hop(bus: EventBus, *, time: float, rank: int, executor_id: int,
                channel: str, hop: int, began: float, send_bytes: float,
                recv_bytes: float, merge_time: float, parent_span_id: int,
-               send_repr: str = "dense", recv_repr: str = "dense",
+               lanes: int, send_repr: str = "dense", recv_repr: str = "dense",
                send_dense_bytes: float = 0.0) -> int:
     """Emit one hop's :class:`RingHop` (ring, allgather, halving round,
     leader walk) under a fresh span, and return the span. Its byte counts
-    are the sizes the wire was charged, not a second estimate."""
+    are the sizes the wire was charged, summed over the ``lanes``."""
     span = bus.tracer.new_span()
     bus.emit(RingHop.fast(
         time=time, rank=rank, executor_id=executor_id, channel=channel,
         hop=hop, send_bytes=send_bytes, recv_bytes=recv_bytes, began=began,
         merge_time=merge_time, send_repr=send_repr, recv_repr=recv_repr,
-        send_dense_bytes=send_dense_bytes, span_id=span,
+        send_dense_bytes=send_dense_bytes, lanes=lanes, span_id=span,
         parent_span_id=parent_span_id))
     return span
+
+
+def _hop_repr(reprs: Iterable[str]) -> str:
+    """What a hop's record says of lanes in these representations."""
+    reprs = set(reprs)
+    return reprs.pop() if len(reprs) == 1 else "mixed"
 
 
 def ring_reduce_scatter_rank(
     fabric: CommFabric,
     rank: int,
     size: int,
-    segments: Dict[int, Any],
+    segments: Dict[int, Lanes],
     reduce_op: ReduceOp,
     merge_bandwidth: float,
     channel: Any = 0,
@@ -111,26 +124,25 @@ def ring_reduce_scatter_rank(
     recv_timeout: Optional[float] = None,
     parent_span: int = -1,
 ) -> Generator:
-    """Per-rank ring reduce-scatter over ``size`` ranks (one channel).
+    """Per-rank ring reduce-scatter over ``size`` ranks.
 
     ``segments`` maps local segment index ``0..size-1`` to this rank's
-    contribution and is the call's own: it is updated in place as segments
-    merge. Returns ``(owned_index, fully_reduced_segment)`` where
-    ``owned_index == (rank + 1) % size``.
+    contribution, its :data:`Lanes` (a plain ring: a tuple of one), and is
+    the call's own, updated in place as segments merge. Returns
+    ``(owned_index, reduced_lanes)``, ``owned_index == (rank + 1) % size``.
 
     At iteration ``k`` rank ``r`` sends its current value of segment
     ``(r - k) mod N`` to rank ``(r + 1) mod N`` and merges the incoming
     segment ``(r - k - 1) mod N`` from rank ``(r - 1) mod N``; after
-    ``N - 1`` iterations each segment has traversed the whole ring.
+    ``N - 1`` iterations each segment has traversed the whole ring. A hop
+    is one message over the lanes and ``reduce_op`` lane by lane, side by
+    side: the merge costs what the widest merged lane costs.
 
     With ``bus`` attached, each iteration emits one :class:`RingHop`
-    spanning send-off to send-drained, tagged with ``executor_id`` and
-    carrying the wire representation of both segments; a merge whose
-    result changes representation (the adaptive sparse -> dense switch)
-    additionally emits one :class:`SegmentRepresentation`.
-
-    ``recv_timeout`` bounds each hop's wait for the upstream neighbour
-    (:func:`recv_or_lost`); ``None`` (the default) waits forever.
+    spanning send-off to send-drained, and every lane whose merge changes
+    representation (the adaptive sparse -> dense switch) one
+    :class:`SegmentRepresentation`. ``recv_timeout`` bounds each hop's
+    wait for the upstream neighbour (:func:`recv_or_lost`).
     """
     env = fabric.env
     n = size
@@ -142,58 +154,62 @@ def ring_reduce_scatter_rank(
     # Hop k merges into the very segment hop k+1 sends, so each segment is
     # sized (and its representation read) once: when it is made.
     outgoing = segments[rank]
-    send_bytes = sim_sizeof(outgoing)
-    send_repr = None
+    send_sizes = tuple(map(sim_sizeof, outgoing))
+    send_reprs = None
     for k in range(n - 1):
         recv_idx = (rank - k - 1) % n
         tag = (channel, k)
         tracing = bus is not None and bus.active
         began = env.now
+        local = segments[recv_idx]
         if tracing:
-            send_dense = sim_dense_sizeof(outgoing)
-            if send_repr is None:
-                send_repr = representation_of(outgoing)
-            local_repr = representation_of(segments[recv_idx])
+            send_dense = sum(map(sim_dense_sizeof, outgoing))
+            if send_reprs is None:
+                send_reprs = tuple(map(representation_of, outgoing))
+            local_reprs = tuple(map(representation_of, local))
         in_flight = fabric.isend(rank, nxt, outgoing, tag=tag,
-                                 nbytes=send_bytes)
+                                 nbytes=send_sizes)
         incoming = yield from recv_or_lost(
             fabric, rank, tag, recv_timeout,
             lambda: f"ring rank {rank} heard nothing from rank {prev} on "
                     f"channel {channel_key} hop {k} for {recv_timeout:g}s")
-        recv_bytes = sim_sizeof(incoming) if tracing else 0.0
-        merged = reduce_op(segments[recv_idx], incoming)
-        merged_bytes = sim_sizeof(merged)
-        merge_cost = merged_bytes / merge_bandwidth
+        recv_bytes = sum(map(sim_sizeof, incoming)) if tracing else 0.0
+        merged = tuple(map(reduce_op, local, incoming))
+        merged_sizes = tuple(map(sim_sizeof, merged))
+        merge_cost = max(merged_sizes) / merge_bandwidth
         if merge_cost > 0:
             yield env.timeout(merge_cost)
         segments[recv_idx] = merged
-        # The channel is a single connection: do not start iteration k+1's
+        # The lanes are single connections: do not start iteration k+1's
         # send until iteration k's has fully left.
         if not in_flight.processed:
             yield in_flight
-        merged_repr = None
+        merged_reprs = None
         if tracing and bus.active:
-            merged_repr = representation_of(merged)
+            merged_reprs = tuple(map(representation_of, merged))
             hop_span = record_hop(
                 bus, time=env.now, rank=rank, executor_id=executor_id,
-                channel=channel_key, hop=k, began=began,
-                send_bytes=send_bytes, recv_bytes=recv_bytes,
+                channel=channel_key, hop=k, began=began, lanes=len(merged),
+                send_bytes=sum(send_sizes), recv_bytes=recv_bytes,
                 merge_time=merge_cost, parent_span_id=parent_span,
-                send_repr=send_repr, recv_repr=representation_of(incoming),
+                send_repr=_hop_repr(send_reprs),
+                recv_repr=_hop_repr(map(representation_of, incoming)),
                 send_dense_bytes=send_dense)
-            if merged_repr != local_repr:
-                bus.emit(SegmentRepresentation.fast(
-                    time=env.now, site="ring", executor_id=executor_id,
-                    rank=rank, channel=channel_key, hop=k,
-                    from_repr=local_repr, to_repr=merged_repr,
-                    nnz=int(getattr(merged, "nnz", 0)),
-                    length=len(merged) if hasattr(merged, "__len__") else 0,
-                    density=density_of(merged),
-                    wire_bytes=merged_bytes,
-                    dense_bytes=sim_dense_sizeof(merged),
-                    span_id=bus.tracer.new_span(),
-                    parent_span_id=hop_span))
-        outgoing, send_bytes, send_repr = merged, merged_bytes, merged_repr
+            for lane, value in enumerate(merged):
+                if merged_reprs[lane] != local_reprs[lane]:
+                    bus.emit(SegmentRepresentation.fast(
+                        time=env.now, site="ring", executor_id=executor_id,
+                        rank=rank, channel=channel_key, hop=k, lane=lane,
+                        from_repr=local_reprs[lane],
+                        to_repr=merged_reprs[lane],
+                        nnz=int(getattr(value, "nnz", 0)),
+                        length=len(value) if hasattr(value, "__len__") else 0,
+                        density=density_of(value),
+                        wire_bytes=merged_sizes[lane],
+                        dense_bytes=sim_dense_sizeof(value),
+                        span_id=bus.tracer.new_span(),
+                        parent_span_id=hop_span))
+        outgoing, send_sizes, send_reprs = merged, merged_sizes, merged_reprs
     owned = (rank + 1) % n
     return owned, segments[owned]
 
@@ -203,7 +219,7 @@ def ring_allgather_rank(
     rank: int,
     size: int,
     owned_index: int,
-    owned_value: Any,
+    owned_lanes: Lanes,
     channel: Any = "ag",
     bus: Optional[EventBus] = None,
     executor_id: int = -1,
@@ -212,39 +228,44 @@ def ring_allgather_rank(
 ) -> Generator:
     """Per-rank ring allgather: circulate owned segments to every rank.
 
-    Returns a dict mapping segment index -> value with all ``size``
+    Returns a dict mapping segment index -> lanes with all ``size``
     segments. Combined with :func:`ring_reduce_scatter_rank` this yields
     the bandwidth-optimal ring allreduce.
     """
     env = fabric.env
     n = size
     if n == 1:
-        return {owned_index: owned_value}
+        return {owned_index: owned_lanes}
     nxt = (rank + 1) % n
-    have: Dict[int, Any] = {owned_index: owned_value}
+    have: Dict[int, Lanes] = {owned_index: owned_lanes}
     channel_key = channel_str(channel)
-    # What travels is the (index, segment) pair, forwarded as received: it
-    # is sized once, and the wire and the hop's record get that number.
-    message = (owned_index, owned_value)
-    nbytes = sim_sizeof(message)
+
+    def sized(message: Tuple[int, Lanes]) -> Tuple[float, ...]:
+        return tuple([sim_sizeof((message[0], lane)) for lane in message[1]])
+
+    # What travels is each lane's (index, segment) pair, forwarded as
+    # received: sized once, for the wire and for the hop's record.
+    message = (owned_index, owned_lanes)
+    sizes = sized(message)
     for k in range(n - 1):
         tag = (channel, k)
         tracing = bus is not None and bus.active
         began = env.now
-        in_flight = fabric.isend(rank, nxt, message, tag=tag, nbytes=nbytes)
+        in_flight = fabric.isend(rank, nxt, message, tag=tag, nbytes=sizes)
         message = yield from recv_or_lost(
             fabric, rank, tag, recv_timeout,
             lambda: f"allgather rank {rank} heard nothing from rank "
                     f"{(rank - 1) % n} on hop {k} for {recv_timeout:g}s")
         have[message[0]] = message[1]
-        sent_bytes, nbytes = nbytes, sim_sizeof(message)
+        sent, sizes = sizes, sized(message)
         if not in_flight.processed:
             yield in_flight
         if tracing and bus.active:
             record_hop(bus, time=env.now, rank=rank,
                        executor_id=executor_id, channel=channel_key, hop=k,
-                       began=began, send_bytes=sent_bytes, recv_bytes=nbytes,
-                       merge_time=0.0, parent_span_id=parent_span)
+                       began=began, lanes=len(sizes), send_bytes=sum(sent),
+                       recv_bytes=sum(sizes), merge_time=0.0,
+                       parent_span_id=parent_span)
     return have
 
 
@@ -273,8 +294,8 @@ def chunk_columns_for(segment: Any, chunk_bytes: Optional[float]) -> int:
 class ChunkLedger:
     """Per-chunk delivery fence for fault-tolerant pipelined rings.
 
-    Each chunk column of each channel runs as an independent sub-ring; a
-    rank that finishes its column records ``(owned_index, value)`` here
+    Each chunk column runs as an independent sub-ring; a rank that
+    finishes its column records ``(owned_index, lanes)`` here
     *inside the column process*, so completions survive an abort that
     tears the parent rank process down mid-join. A column is
     **acknowledged** once every rank of the bound topology recorded it —
@@ -293,7 +314,7 @@ class ChunkLedger:
         self.key: Any = None
         #: ranks in the bound topology (ack quorum size)
         self.size: int = 0
-        self._done: Dict[Any, Dict[int, Any]] = {}
+        self._done: Dict[int, Dict[int, Any]] = {}
 
     def bind(self, key: Any, size: int) -> None:
         """Adopt ``key``; clears all records if it differs from the bound
@@ -303,18 +324,18 @@ class ChunkLedger:
             self.size = size
             self._done.clear()
 
-    def record(self, channel: Any, column: int, rank: int,
-               owned: int, value: Any) -> None:
-        self._done.setdefault((channel, column), {})[rank] = (owned, value)
+    def record(self, column: int, rank: int, owned: int,
+               lanes: Lanes) -> None:
+        self._done.setdefault(column, {})[rank] = (owned, lanes)
 
-    def acknowledged(self, channel: Any, column: int) -> bool:
+    def acknowledged(self, column: int) -> bool:
         """True when every rank finished this column (safe to skip)."""
-        entry = self._done.get((channel, column))
+        entry = self._done.get(column)
         return entry is not None and len(entry) == self.size > 0
 
-    def recall(self, channel: Any, column: int, rank: int) -> Any:
-        """The ``(owned_index, value)`` this rank recorded for a column."""
-        return self._done[(channel, column)][rank]
+    def recall(self, column: int, rank: int) -> Any:
+        """The ``(owned_index, lanes)`` this rank recorded for a column."""
+        return self._done[column][rank]
 
     def acknowledged_columns(self) -> int:
         """How many columns are currently fully acknowledged."""
@@ -326,7 +347,7 @@ def pipelined_ring_reduce_scatter_rank(
     fabric: CommFabric,
     rank: int,
     size: int,
-    segments: Dict[int, Any],
+    segments: Dict[int, Lanes],
     reduce_op: ReduceOp,
     merge_bandwidth: float,
     num_chunks: int,
@@ -339,29 +360,28 @@ def pipelined_ring_reduce_scatter_rank(
     ledger: Optional[ChunkLedger] = None,
 ) -> Generator:
     """Per-rank chunked ring reduce-scatter: ``num_chunks`` concurrent
-    sub-rings over elementwise chunk columns of the channel's segments.
+    sub-rings over elementwise chunk columns of the segments' lanes.
 
     Column ``c`` runs the *unchanged* :func:`ring_reduce_scatter_rank`
-    over ``chunk_split(c, num_chunks)`` of every segment, on its own
-    fabric channel ``(channel, c)``. Because a chunk is an elementwise
-    slice and every column folds in classic ring order, the concatenated
-    result is bit-identical to the classic ring — the columns only let
-    one column's merge CPU overlap another's wire time. ``segments`` must
-    be private to this call (chunk views alias the caller's values but
-    merges never mutate unowned inputs).
+    over ``chunk_split(c, num_chunks)`` of every lane of every segment, on
+    its own fabric channel ``(channel, c)``. A chunk is an elementwise
+    slice and every column folds in classic ring order, so the
+    concatenated result is bit-identical to the classic ring — the columns
+    only let one column's merge CPU overlap another's wire time.
+    ``segments`` must be private to this call (chunk views alias the
+    caller's values but merges never mutate unowned inputs).
 
-    Returns ``(owned_index, segment)`` exactly like the classic ring.
-    ``track`` (e.g. ``ScalableCommunicator._track``) registers the column
-    processes for abort teardown. ``ledger`` is the per-chunk delivery
-    fence: finished columns are recorded as they complete, and columns
-    the whole bound topology already acknowledged are *skipped* — the
-    rank supplies its recorded slice instead of replaying the sub-ring.
+    Returns ``(owned_index, lanes)`` like the classic ring. ``track``
+    registers the column processes for abort teardown. ``ledger`` is the
+    per-chunk delivery fence: finished columns are recorded as they
+    complete, and columns the whole bound topology already acknowledged
+    are *skipped* — the rank supplies its recorded slice instead.
     """
     env = fabric.env
     if size == 1:
         return 0, segments[0]
 
-    def column(c: int, col_segments: Dict[int, Any]) -> Generator:
+    def column(c: int, col_segments: Dict[int, Lanes]) -> Generator:
         result = yield from ring_reduce_scatter_rank(
             fabric, rank, size, col_segments, reduce_op, merge_bandwidth,
             channel=(channel, c), bus=bus, executor_id=executor_id,
@@ -369,23 +389,24 @@ def pipelined_ring_reduce_scatter_rank(
         if ledger is not None:
             # Record inside the column process: an abort that interrupts
             # the parent's join must not lose a completed column.
-            ledger.record(channel, c, rank, *result)
+            ledger.record(c, rank, *result)
         return result
 
     if num_chunks <= 1:
-        if ledger is not None and ledger.acknowledged(channel, 0):
-            return ledger.recall(channel, 0, rank)
+        if ledger is not None and ledger.acknowledged(0):
+            return ledger.recall(0, rank)
         return (yield from column(0, segments))
-    #: column -> (owned index, reduced slice)
-    results: Dict[int, Tuple[int, Any]] = {}
+    #: column -> (owned index, reduced slice of every lane)
+    results: Dict[int, Tuple[int, Lanes]] = {}
     pending: List[Tuple[int, Process]] = []
     for c in range(num_chunks):
-        if ledger is not None and ledger.acknowledged(channel, c):
-            results[c] = ledger.recall(channel, c, rank)
+        if ledger is not None and ledger.acknowledged(c):
+            results[c] = ledger.recall(c, rank)
             continue
         proc = env.process(
-            column(c, {j: seg.chunk_split(c, num_chunks)
-                       for j, seg in segments.items()}),
+            column(c, {j: tuple([lane.chunk_split(c, num_chunks)
+                                 for lane in lanes])
+                       for j, lanes in segments.items()}),
             name=f"pc:r{rank}ch{channel_str(channel)}k{c}")
         pending.append((c, track(proc) if track is not None else proc))
     for c, proc in pending:
@@ -394,8 +415,8 @@ def pipelined_ring_reduce_scatter_rank(
     if any(col_owned != owned for col_owned, _ in results.values()):
         raise RuntimeError(  # pragma: no cover - structural invariant
             f"a chunk column of rank {rank} owns another segment than {owned}")
-    parts = [results[c][1] for c in range(num_chunks)]
-    return owned, parts[0].chunk_concat(parts)
+    return owned, tuple([parts[0].chunk_concat(parts) for parts in zip(
+        *[results[c][1] for c in range(num_chunks)])])
 
 
 class ScalableCommunicator:
@@ -406,8 +427,8 @@ class ScalableCommunicator:
     cluster:
         The simulated cluster whose executors form the ring.
     parallelism:
-        Number of parallel channels (and reduce-scatter threads) per
-        executor; the paper uses 4 after the Figure 14 sweep.
+        Lanes per hop: parallel sockets (and merge cores) per executor;
+        the paper uses 4 after the Figure 14 sweep.
     topology_aware:
         Rank executors by hostname (True, the paper's default after Figure
         14) or by executor id (registration order).
@@ -508,6 +529,13 @@ class ScalableCommunicator:
         """Total segments an aggregator is split into (``N * P``)."""
         return self.size * self.parallelism
 
+    def split_lanes(self, value: Any, split_op: SplitOp) -> Dict[int, Lanes]:
+        """``value`` as ``{local j: lanes}``, lane ``p`` global ``p*N + j``."""
+        n, num = self.size, self.num_segments
+        return {j: tuple([split_op(value, p * n + j, num)
+                          for p in range(self.parallelism)])
+                for j in range(n)}
+
     def segment_owner(self, global_index: int) -> int:
         """Ring rank that owns ``global_index`` after reduce-scatter."""
         if not 0 <= global_index < self.num_segments:
@@ -541,6 +569,10 @@ class ScalableCommunicator:
         from .collectives import get_collective
         algo = get_collective(algorithm or "ring")
         algo.validate(self)
+        given = len(values if stream is None else stream)
+        if given != self.size:
+            raise ValueError(
+                f"expected {self.size} values (one per rank), got {given}")
         return (yield from algo.reduce_scatter(self, values, split_op,
                                                reduce_op, stream))
 
@@ -622,21 +654,16 @@ class ScalableCommunicator:
         """
         owned = yield self.env.process(
             self.reduce_scatter(values, split_op, reduce_op))
-        env = self.env
-        n, p_total = self.size, self.parallelism
+        env, n, p_total = self.env, self.size, self.parallelism
 
         def rank_proc(rank: int):
-            mine = (rank + 1) % n  # the ring leaves it this one, per channel
-            chans = [self._track(env.process(ring_allgather_rank(
-                self.fabric, rank, n, mine, owned[rank][p * n + mine],
-                channel=("ag", p), **self.hop_context(rank)),
-                name=f"ag:r{rank}c{p}")) for p in range(p_total)]
-            everything: Dict[int, Any] = {}
-            for p, proc in enumerate(chans):
-                have = yield proc
-                for local_idx, value in have.items():
-                    everything[p * n + local_idx] = value
-            return concat_op([everything[i] for i in sorted(everything)])
+            mine = (rank + 1) % n  # the ring leaves it this one, every lane
+            have = yield from ring_allgather_rank(
+                self.fabric, rank, n, mine,
+                tuple([owned[rank][p * n + mine] for p in range(p_total)]),
+                **self.hop_context(rank))
+            return concat_op([have[j][p] for p in range(p_total)
+                              for j in range(n)])
 
         procs = [self._track(env.process(rank_proc(r))) for r in range(n)]
         out: List[Any] = []

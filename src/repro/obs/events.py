@@ -320,7 +320,8 @@ class ColumnarFold(TraceEvent):
 # --------------------------------------------------------------- messaging
 @dataclass(frozen=True, slots=True)
 class MessageSent(TraceEvent):
-    """A fabric message left its sender (before transfer)."""
+    """A fabric message left its sender (before transfer), ``nbytes`` in
+    all over ``lanes`` parallel streams (the PDR's sockets per hop)."""
 
     kind: ClassVar[str] = "message_sent"
 
@@ -330,6 +331,7 @@ class MessageSent(TraceEvent):
     channel: str
     hop: Optional[int]
     nbytes: float
+    lanes: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,15 +353,17 @@ class MessageDelivered(TraceEvent):
     nbytes: float
     queue_wait: float
     flight_time: float
+    lanes: int = 1
 
 
 @dataclass(frozen=True, slots=True)
 class RingHop(TraceEvent):
-    """One iteration of one rank's ring channel (paper Figure 11).
+    """One iteration of one rank's ring (paper Figure 11), all ``lanes``
+    parallel channels of it: byte counts are summed over the lanes.
 
     The span runs from the hop's send-off to the point where both the
-    incoming segment is merged and the outgoing send has fully left the
-    channel; ``merge_time`` is the CPU share of that window.
+    incoming segments are merged and the outgoing send has fully left;
+    ``merge_time`` is the CPU share of that window (the widest lane's).
     """
 
     kind: ClassVar[str] = "ring_hop"
@@ -372,24 +376,25 @@ class RingHop(TraceEvent):
     recv_bytes: float
     began: float
     merge_time: float
-    #: wire representation of the outgoing / incoming segment ("sparse"
-    #: when the SparCML-style switch picked the (index, value) format)
+    #: wire representation of the outgoing / incoming segments ("sparse":
+    #: the SparCML-style (index, value) format; "mixed": the lanes differ)
     send_repr: str = "dense"
     recv_repr: str = "dense"
-    #: dense-equivalent bytes of the outgoing segment (0 when unrecorded);
+    #: dense-equivalent bytes of the outgoing segments (0 when unrecorded);
     #: ``send_dense_bytes - send_bytes`` is the hop's bytes-on-wire saving
     send_dense_bytes: float = 0.0
+    lanes: int = 1
 
 
 @dataclass(frozen=True, slots=True)
 class ChunkStream(TraceEvent):
-    """One rank's chunked segment stream on one pipelined-ring channel.
+    """One rank's chunked segment stream through a pipelined ring.
 
     The span runs from the moment the rank's aggregator became available
     (its last seqOp partial merged — ``began``) to the completion of every
-    chunk column of the channel; ``num_chunks`` columns of at most
-    ``chunk_bytes`` simulated bytes each ran as concurrent sub-rings, so
-    wire and merge time inside the window overlap instead of adding.
+    chunk column; ``num_chunks`` columns of at most ``chunk_bytes``
+    simulated bytes a lane ran as concurrent sub-rings over ``lanes``
+    channels, so wire and merge time in the window overlap, not add.
     """
 
     kind: ClassVar[str] = "chunk_stream"
@@ -401,6 +406,7 @@ class ChunkStream(TraceEvent):
     chunk_bytes: float
     value_bytes: float
     began: float
+    lanes: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -451,7 +457,7 @@ class SegmentRepresentation(TraceEvent):
 
     Emitted by the adaptive aggregation path when a merge result crosses
     the density threshold mid-reduction — ``site`` is ``"ring"`` for a
-    mid-ring switch (channel/hop identify where) and ``"imm"`` for an
+    mid-ring switch (channel/hop/lane identify where) and ``"imm"`` for an
     executor-local merge. ``wire_bytes`` / ``dense_bytes`` are the
     operand's two candidate wire sizes at the switch point.
     """
@@ -470,6 +476,7 @@ class SegmentRepresentation(TraceEvent):
     density: float
     wire_bytes: float
     dense_bytes: float
+    lane: int = 0
 
 
 # ------------------------------------------------------------------ phases

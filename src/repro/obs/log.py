@@ -11,7 +11,9 @@ a newer major schema rather than misreading them. Unknown *event kinds*
 in a known schema are skipped with a warning counter, so old readers
 survive new emitters. Version history: 1 = the original vocabulary,
 2 = optional ``span_id``/``parent_span_id`` causal-tracing fields
-(additive — version-1 readers that ignore unknown fields still work).
+(additive — version-1 readers that ignore unknown fields still work),
+3 = one ``message_*`` / ``ring_hop`` / ``chunk_stream`` per PDR hop, with
+``lanes`` (absent: 1) and bytes summed over them, not one per channel.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ __all__ = ["SCHEMA_NAME", "SCHEMA_VERSION", "EventLogWriter",
            "dump_events", "load_events"]
 
 SCHEMA_NAME = "sparker.events"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: shared encoder — json.dumps(..., sort_keys=True) builds a fresh
 #: JSONEncoder per call, which dominates streaming-write cost

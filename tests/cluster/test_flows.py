@@ -103,6 +103,56 @@ def test_link_capacity_validation():
         Link(0.0)
 
 
+# ------------------------------------------------------------------ streams
+def test_streams_count_as_that_many_flows_with_one_completion():
+    # a 3-stream message and a single flow on one link: four shares of 25,
+    # the message done when its streams are, then the link to the survivor
+    env = Environment()
+    net = FlowNetwork(env)
+    link = Link(100.0, "l")
+    done = []
+    wide = net.flow(50.0, [link], streams=3)
+    lone = net.flow(200.0, [link])
+    wide.add_callback(lambda _e: done.append(("wide", env.now)))
+    lone.add_callback(lambda _e: done.append(("lone", env.now)))
+    assert net.active_flows == 2
+    assert net.rate_of(wide) == 75.0 and net.rate_of(lone) == 25.0
+    assert net.link_rate(link) == 100.0
+    env.run()
+    assert done == [("wide", 2.0), ("lone", 3.5)]
+    assert net.completed == 2
+
+
+def test_each_stream_runs_under_its_own_cap():
+    env = Environment()
+    net = FlowNetwork(env)
+    link = Link(100.0, "l")
+    capped = net.flow(60.0, [link], rate_cap=20.0, streams=2)
+    assert net.rate_of(capped) == 40.0 and net.link_rate(link) == 40.0
+    env.run(until=capped)
+    assert env.now == 3.0
+
+
+def test_a_fractional_stream_count_is_a_weight():
+    # 1.5 streams against one: shares of 40, 60 to the wider flow
+    env = Environment()
+    net = FlowNetwork(env)
+    link = Link(100.0, "l")
+    wide = net.flow(80.0, [link], streams=1.5)
+    lone = net.flow(80.0, [link])
+    assert net.rate_of(wide) == pytest.approx(60.0)
+    assert net.rate_of(lone) == pytest.approx(40.0)
+    env.run()
+    assert env.now == pytest.approx(2.0)  # 80 B a stream at 40 B/s, both
+
+
+def test_less_than_one_stream_rejected():
+    env = Environment()
+    net = FlowNetwork(env)
+    with pytest.raises(ValueError, match="at least one stream"):
+        net.flow(10.0, [Link(10.0)], streams=0)
+
+
 def test_flow_without_links_needs_cap():
     # A linkless flow is only meaningful with a finite cap.
     env = Environment()

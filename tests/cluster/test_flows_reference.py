@@ -24,11 +24,18 @@ order and keep different superseded wake-ups in the calendar, and either
 can move a completion by an ulp (sums run in another order; a flow within
 1e-12 s of done rides whichever wake-up comes first). The hand-written
 contended cases are bit-equal.
+
+A third covers ``flow(..., streams=m)``, which is by definition ``m``
+identical flows joined at one instant: the bundled scenario against the same
+scenario with every bundle written out as ``m`` unit flows, on the
+production solver and on progressive filling. A fractional ``streams`` is a
+weight, held to progressive filling with weights (a flow of weight ``w``
+takes ``w`` shares, each under the cap).
 """
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import pytest
@@ -53,6 +60,7 @@ class FlowSpec:
     start: float = 0.0
     after: Optional[int] = None  # start when this flow completes instead
     delay: float = 0.0  # announced at its start, joins this much later
+    streams: float = 1  # parallel streams of ``nbytes`` each, ``cap`` each
 
 
 @dataclass
@@ -63,9 +71,11 @@ class Scenario:
 
 
 def make_scenario(seed, n_flows, n_links, n_changes=2, delays=False,
-                  contended=True):
+                  contended=True, bundles=None):
     """``delays``: most flows are announced with a start delay.
-    ``contended=False``: every flow is capped and no link can saturate."""
+    ``contended=False``: every flow is capped and no link can saturate.
+    ``bundles``: half the flows are 2-4 streams wide (``"whole"``) or
+    weigh 1-4 streams, fractions included (``"weighted"``)."""
     rng = random.Random(seed)
     # a few distinct capacities and caps, so that exact ties are common
     capacities = [rng.choice((100.0, 100.0, 250.0, rng.uniform(50.0, 500.0)))
@@ -101,6 +111,9 @@ def make_scenario(seed, n_flows, n_links, n_changes=2, delays=False,
                 other = rng.choice(lone)
                 spec.start, spec.after = 0.0, None
                 spec.delay = other.start + other.nbytes / other.cap
+        if bundles and rng.random() < 0.5:
+            spec.streams = (rng.randint(2, 4) if bundles == "whole" else
+                            rng.choice((1.5, 2.0, rng.uniform(1.0, 4.0))))
         flows.append(spec)
     changes = []
     for _ in range(n_changes):
@@ -113,18 +126,31 @@ def make_scenario(seed, n_flows, n_links, n_changes=2, delays=False,
     return Scenario(capacities, flows, changes)
 
 
+def unbundled(scenario):
+    """``scenario`` with every ``streams=m`` flow written out as ``m`` unit
+    flows, and the index of each original flow's first copy."""
+    first, flows = [], []
+    for spec in scenario.flows:
+        first.append(len(flows))
+        after = None if spec.after is None else first[spec.after]
+        flows += [replace(spec, streams=1, after=after)
+                  for _ in range(spec.streams)]
+    return Scenario(scenario.capacities, flows, scenario.changes), first
+
+
 # ----------------------------------------------------------------- reference
 def max_min_rates(active, flows, capacities):
-    """Progressive filling: raise all rates together, freeze a flow when it
-    hits its cap or a link it crosses fills up."""
+    """Progressive filling: raise all streams' rates together, freeze a
+    flow when it hits its cap or a link it crosses fills up. Returns the
+    rate of one stream of each flow."""
     room = list(capacities)
-    count = [0] * len(capacities)
-    for i in active:
-        for link in flows[i].links:
-            count[link] += 1
     rates = {}
     unfrozen = list(active)
     while unfrozen:
+        count = [0.0] * len(capacities)
+        for i in unfrozen:
+            for link in flows[i].links:
+                count[link] += flows[i].streams
         share, bottleneck = math.inf, None
         for link, members in enumerate(count):
             if members and room[link] / members < share:
@@ -136,8 +162,7 @@ def max_min_rates(active, flows, capacities):
         for i, rate in frozen:
             rates[i] = rate
             for link in flows[i].links:
-                room[link] = max(room[link] - rate, 0.0)
-                count[link] -= 1
+                room[link] = max(room[link] - rate * flows[i].streams, 0.0)
         done = {i for i, _rate in frozen}
         unfrozen = [i for i in unfrozen if i not in done]
     return rates
@@ -210,7 +235,7 @@ def production_run(scenario, check=True, sample_every=None, announce=True):
         joins_at[i] = env.now + delay
         event = net.flow(spec.nbytes, [links[j] for j in spec.links],
                          rate_cap=None if math.isinf(spec.cap) else spec.cap,
-                         delay=delay)
+                         delay=delay, streams=spec.streams)
         live[i] = event
         yield event
         del live[i]
@@ -246,7 +271,8 @@ def production_run(scenario, check=True, sample_every=None, announce=True):
             delivered[i] += rate * (env.now - last)
             if i not in live:
                 assert delivered[i] == pytest.approx(
-                    flows[i].nbytes, rel=1e-9, abs=1e-5), (i, env.now)
+                    flows[i].nbytes * flows[i].streams, rel=1e-9,
+                    abs=1e-5), (i, env.now)
         last = env.now
         rates = {}
         for i, event in live.items():
@@ -262,14 +288,15 @@ def production_run(scenario, check=True, sample_every=None, announce=True):
 
 
 def assert_max_min(rates, flows, links, net):
-    """Every flow is at its cap, or crosses a saturated link on which no
-    flow is faster; no link carries more than its capacity."""
+    """Every stream is at its cap, or crosses a saturated link on which no
+    stream is faster; no link carries more than its capacity."""
     load = [0.0] * len(links)
     fastest = [0.0] * len(links)
+    rates = {i: rate / flows[i].streams for i, rate in rates.items()}
     for i, rate in rates.items():
         assert 0 < rate <= flows[i].cap * (1 + FAIR), (i, rate)
         for j in flows[i].links:
-            load[j] += rate
+            load[j] += rate * flows[i].streams
             fastest[j] = max(fastest[j], rate)
     for j, link in enumerate(links):
         assert load[j] <= link.capacity * (1 + FAIR), (link, load[j])
@@ -288,6 +315,20 @@ def assert_agree(scenario):
     for i, (mine, theirs) in enumerate(zip(got, expected)):
         assert mine == pytest.approx(theirs, rel=REL, abs=ABS), \
             (i, scenario.flows[i])
+
+
+def assert_bundles_agree(scenario):
+    """Every ``streams=m`` flow completes when its ``m`` unit flows do,
+    under the production solver and under progressive filling."""
+    apart, first = unbundled(scenario)
+    got, events = production_run(scenario)
+    separate, separate_events = production_run(apart, check=False)
+    expected = reference_completion_times(apart)
+    for i, spec in enumerate(scenario.flows):
+        for copy in range(first[i], first[i] + spec.streams):
+            assert got[i] == pytest.approx(separate[copy], rel=REL, abs=ABS)
+            assert got[i] == pytest.approx(expected[copy], rel=REL, abs=ABS)
+    assert events <= separate_events
 
 
 def assert_delay_agrees(scenario, exact):
@@ -339,6 +380,26 @@ def test_delayed_join_is_exact_where_nothing_saturates(seed, n_flows,
     # projections never move, so no wake-up is ever wasted: a delayed join
     # costs a wake-up where the reference pays a timeout, or rides one
     assert events <= reference_events
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_flows=st.integers(1, 30),
+       n_links=st.integers(1, 6), n_changes=st.integers(0, 2),
+       delays=st.booleans())
+def test_streams_are_that_many_unit_flows(seed, n_flows, n_links, n_changes,
+                                          delays):
+    assert_bundles_agree(make_scenario(seed, n_flows, n_links, n_changes,
+                                       delays=delays, bundles="whole"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_flows=st.integers(1, 30),
+       n_links=st.integers(1, 6), n_changes=st.integers(0, 2),
+       delays=st.booleans())
+def test_fractional_streams_are_weights(seed, n_flows, n_links, n_changes,
+                                        delays):
+    assert_agree(make_scenario(seed, n_flows, n_links, n_changes,
+                               delays=delays, bundles="weighted"))
 
 
 @pytest.mark.parametrize("seed,n_flows,n_links,contended", [

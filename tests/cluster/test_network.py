@@ -157,6 +157,43 @@ def test_instrumentation_counters():
     assert net.inter_node_bytes == 1000  # intra-node does not count
 
 
+def test_a_message_over_streams_is_one_message_of_that_many_flows():
+    # three streams under the TCP cap fit the NIC: one overhead and
+    # latency, each stream at the cap, counted as one message
+    env, cluster = make_cluster()
+    cfg = cluster.config
+    a, b = cluster.nodes[0], cluster.nodes[1]
+    assert 3 * cfg.tcp_stream_bandwidth < cfg.nic_bandwidth
+    elapsed = run_transfer(env, cluster, a, b, 4 * MB, overhead=1e-4,
+                           streams=3)
+    assert elapsed == pytest.approx(
+        1e-4 + cfg.inter_node_latency + 4 * MB / cfg.tcp_stream_bandwidth,
+        rel=1e-12)
+    net = cluster.network
+    assert net.messages == 1
+    assert net.bytes_transferred == net.inter_node_bytes == 12 * MB
+    # four saturate it: the NIC's rate over four streams
+    env, cluster = make_cluster()
+    a, b = cluster.nodes[0], cluster.nodes[1]
+    elapsed = run_transfer(env, cluster, a, b, 4 * MB, streams=4)
+    assert elapsed == pytest.approx(
+        cfg.inter_node_latency + 16 * MB / cfg.nic_bandwidth, rel=1e-12)
+
+
+def test_gc_drag_is_per_stream():
+    env, cluster = make_cluster()
+    cfg = cluster.config
+    a, b = cluster.nodes[0], cluster.nodes[1]
+    net = cluster.network
+    assert net.gc_drag(cfg.gc_threshold / 2) == 0.0
+    plain = run_transfer(env, cluster, a, b, cfg.gc_threshold / 2,
+                         streams=4, gc_prone=False)
+    env, cluster = make_cluster()
+    a, b = cluster.nodes[0], cluster.nodes[1]
+    assert run_transfer(env, cluster, a, b, cfg.gc_threshold / 2,
+                        streams=4) == plain  # 2x the threshold in all
+
+
 def test_broadcast_tree_reaches_all_and_beats_sequential():
     env, cluster = make_cluster(num_nodes=8)
     cfg = cluster.config

@@ -34,8 +34,8 @@ def run_allgather(n_ranks, seed=0):
 
     def rank_proc(rank):
         have = yield from ring_allgather_rank(
-            fabric, rank, n_ranks, rank, owned[rank])
-        return rank, have
+            fabric, rank, n_ranks, rank, (owned[rank],))  # one lane
+        return rank, {idx: lane for idx, (lane,) in have.items()}
 
     procs = [env.process(rank_proc(r)) for r in range(n_ranks)]
     results = {}
@@ -71,10 +71,10 @@ def test_allgather_property(n_ranks, seed):
 
 
 def test_allgather_hop_records_the_bytes_the_wire_carried():
-    """What travels is the ``(index, segment)`` pair: the hop's record and
-    the message it describes must quote one size (laptop(2), P=2, 1 MB: the
-    record used to say 131072 B where the wire carried 131114 B), and
-    sizing it for the record must not move the clock."""
+    """What travels is each lane's ``(index, segment)`` pair: the hop's
+    record and the message it describes must quote one size (laptop(2), P=2,
+    1 MB: the record used to say 131072 B a lane where the wire carried
+    131114 B), and sizing it for the record must not move the clock."""
     def allreduce(bus):
         env = Environment()
         comm = ScalableCommunicator(Cluster(env, ClusterConfig.laptop(2)),
@@ -94,12 +94,13 @@ def test_allgather_hop_records_the_bytes_the_wire_carried():
     sent = {(e.channel, e.hop, e.src): e.nbytes
             for e in rec.of_kind("message_sent")}
     hops = [e for e in rec.of_kind("ring_hop") if e.channel.startswith("ag")]
-    assert len(hops) == 2 * 4 * 3  # P channels x N ranks x N-1 hops
+    assert len(hops) == 4 * 3  # N ranks x N-1 hops, P lanes each
+    assert {hop.lanes for hop in hops} == {2}
     for hop in hops:
         assert hop.send_bytes == sent[hop.channel, hop.hop, hop.rank]
         upstream = (hop.rank - 1) % 4
         assert hop.recv_bytes == sent[hop.channel, hop.hop, upstream]
-    assert {hop.send_bytes for hop in hops} == {131114.0}
+    assert {hop.send_bytes for hop in hops} == {2 * 131114.0}
 
 
 def test_isend_returns_in_flight_event():

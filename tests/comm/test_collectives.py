@@ -269,49 +269,63 @@ def test_chain_state_folds_in_ring_order():
         calls.append((a, b))
         return a + b
 
-    st = _ChainState(start=2, size=4)
-    st.add(3, 3.0)
-    st.add(1, 1.0)  # out of order relative to the chain
-    st.add(0, 0.25)
-    st.fold(op)
+    st = _ChainState(start=2, size=4, lanes=1)
+    st.add(3, (3.0,))
+    st.add(1, (1.0,))  # out of order relative to the chain
+    st.add(0, (0.25,))
+    assert st.fold(op) == [0.0]
     assert not st.complete  # rank 2's own value has not arrived yet
     assert st.acc is None and not calls
-    st.add(2, 20.0)
-    st.fold(op)
+    st.add(2, (20.0,))
+    assert st.fold(op) == [30.0]  # three merged floats, 10 B each
     # chain from rank 2 walks 3, 0, 1: contribution FIRST, acc SECOND
     assert st.complete
     assert calls == [(3.0, 20.0), (0.25, 23.0), (1.0, 23.25)]
-    assert st.acc == 24.25
+    assert st.acc == (24.25,)
+
+
+def test_chain_state_folds_lane_by_lane():
+    """Every value is the segment's lanes: one chain per lane, merge bytes
+    and wire size counted per lane (the widest one sets a round's time)."""
+    st = _ChainState(start=0, size=3, lanes=2)
+    st.add(0, (1.0, np.zeros(4)))
+    st.add(1, (2.0, np.ones(4)))
+    st.add(2, (4.0, np.ones(4)))
+    assert st.wire_size() == [30.0, 3 * (32.0 + 16.0)]
+    merged = st.fold(lambda a, b: a + b)
+    assert st.complete and merged == [20.0, 2 * (32.0 + 16.0)]
+    assert st.acc[0] == 7.0 and st.acc[1].tolist() == [2.0] * 4
+    assert st.wire_size() == [10.0, 48.0]
 
 
 def test_chain_state_defers_non_prefix_contributions():
-    st = _ChainState(start=1, size=3)
-    st.add(1, 10.0)
-    st.add(0, 0.5)  # last link of the chain: must stay pending
+    st = _ChainState(start=1, size=3, lanes=1)
+    st.add(1, (10.0,))
+    st.add(0, (0.5,))  # last link of the chain: must stay pending
     st.fold(lambda a, b: a + b)
-    assert st.acc == 10.0 and st.count == 1
-    assert st.pending == {0: 0.5}
+    assert st.acc == (10.0,) and st.count == 1
+    assert st.pending == {0: (0.5,)}
 
 
 def test_chain_state_export_absorb_roundtrip():
     op = lambda a, b: a + b  # noqa: E731
-    src = _ChainState(start=1, size=3)
-    src.add(1, 10.0)
-    src.add(0, 0.5)
+    src = _ChainState(start=1, size=3, lanes=1)
+    src.add(1, (10.0,))
+    src.add(0, (0.5,))
     src.fold(op)
-    dst = _ChainState(start=1, size=3)
+    dst = _ChainState(start=1, size=3, lanes=1)
     dst.absorb(src.export())
-    dst.add(2, 2.0)
+    dst.add(2, (2.0,))
     dst.fold(op)
     assert dst.complete
-    assert dst.acc == (0.5 + (2.0 + 10.0))
+    assert dst.acc == (0.5 + (2.0 + 10.0),)
 
 
 def test_chain_state_rejects_two_folded_prefixes():
-    st = _ChainState(start=0, size=2)
-    st.acc, st.count = 1.0, 1
-    other = _ChainState(start=0, size=2)
-    other.acc, other.count = 2.0, 1
+    st = _ChainState(start=0, size=2, lanes=1)
+    st.acc, st.count = (1.0,), 1
+    other = _ChainState(start=0, size=2, lanes=1)
+    other.acc, other.count = (2.0,), 1
     with pytest.raises(RuntimeError, match="two folded prefixes"):
         st.absorb(other.export())
 

@@ -14,6 +14,7 @@ from repro.comm import (
     sc_transport,
 )
 from repro.comm.fabric import RecvTimeout
+from repro.obs import EventBus, RecordingListener
 from repro.sim import Environment
 
 from .conftest import concat_op, make_values, reduce_op, split_op
@@ -136,6 +137,8 @@ def test_isend_rejects_negative_size_at_the_call_site():
     fabric = two_ranks(cluster)
     with pytest.raises(ValueError, match="negative message size"):
         fabric.isend(0, 1, "x", nbytes=-1.0)
+    with pytest.raises(ValueError, match="negative message size"):
+        fabric.isend(0, 1, "x", nbytes=(2e3, -1.0))  # any lane
     # Nothing was started: no message counted, no event left to blow up
     # inside env.run().
     assert cluster.network.messages == 0
@@ -248,6 +251,84 @@ def test_timed_out_recv_leaves_no_waiter_behind():
     assert not fabric._arrived and not fabric._waiting
 
 
+# ------------------------------------------------------------------- lanes
+def deliver(sizes, one_message, bus=None):
+    """Rank 0 sends ``sizes`` to rank 1 on another node, as one message over
+    that many lanes or as that many messages; the delivery instants."""
+    env, cluster = make()
+    fabric = two_ranks(cluster)
+    fabric.bus = bus
+    landed = []
+    sends = ([("m", tuple(sizes))] if one_message
+             else [(("m", lane), size) for lane, size in enumerate(sizes)])
+    for tag, nbytes in sends:
+        fabric.isend(0, 1, "payload", tag=tag, nbytes=nbytes).add_callback(
+            lambda _e: landed.append(env.now))
+    env.run()
+    assert fabric.delivered == cluster.network.messages == len(sends)
+    return landed, cluster
+
+
+@pytest.mark.parametrize("sizes", [[1 * MB] * 2, [3 * MB] * 4, [40 * MB] * 3])
+def test_equal_lanes_land_when_that_many_messages_would(sizes):
+    # under the stream cap, saturating the NIC, and with GC drag: bit for bit
+    (one,), _ = deliver(sizes, one_message=True)
+    many, _ = deliver(sizes, one_message=False)
+    assert many == [one] * len(sizes)
+
+
+def test_unequal_lanes_land_with_the_widest_and_load_what_they_carry():
+    config = ClusterConfig.bic()
+    head = config.sc_overhead + config.inter_node_latency
+    # three lanes under the cap: the widest at the stream rate
+    (at,), cluster = deliver([1 * MB, 3 * MB, 2 * MB], one_message=True)
+    assert at == pytest.approx(head + 3 * MB / config.tcp_stream_bandwidth,
+                               rel=1e-12)
+    assert cluster.network.bytes_transferred == 6 * MB
+    # five lanes saturate the NIC: the sum of the bytes at line rate, as
+    # five separate messages take (the short one leaves early, the rest
+    # speed up), not five times the widest
+    sizes = [4 * MB, 4 * MB, 4 * MB, 4 * MB, 2 * MB]
+    (at,), _ = deliver(sizes, one_message=True)
+    many, _ = deliver(sizes, one_message=False)
+    assert at == pytest.approx(max(many), rel=1e-12)
+    assert at == pytest.approx(head + 18 * MB / config.nic_bandwidth,
+                               rel=1e-12)
+
+
+def test_a_message_over_lanes_is_recorded_once():
+    bus, rec = EventBus(), RecordingListener()
+    bus.subscribe(rec)
+    env, cluster = make()
+    fabric = two_ranks(cluster)
+    fabric.bus = bus
+    fabric.isend(0, 1, "payload", tag=("ring", 3), nbytes=(2e3, 1e3, 3e3))
+    env.run(until=env.process(fabric.recv(1, tag=("ring", 3))))
+    (sent,), (got,) = (rec.of_kind("message_sent"),
+                       rec.of_kind("message_delivered"))
+    assert (sent.lanes, sent.nbytes, sent.channel, sent.hop) == (
+        3, 6e3, "ring", 3)
+    assert (got.lanes, got.nbytes, got.span_id) == (3, 6e3, sent.span_id)
+
+
+def test_one_fault_verdict_decides_every_lane():
+    class DropFirst:
+        asked = []
+
+        def message_fault(self, src, dst, channel, hop, nbytes):
+            self.asked.append(nbytes)
+            return ("drop", 0.0) if len(self.asked) == 1 else None
+
+    env, cluster = make()
+    fabric = two_ranks(cluster)
+    fabric.faults = DropFirst()
+    for _ in range(2):
+        fabric.isend(0, 1, "payload", tag="t", nbytes=(1e3, 2e3))
+    env.run()
+    assert DropFirst.asked == [3e3, 3e3]
+    assert (fabric.dropped, fabric.delivered) == (1, 1)
+
+
 @pytest.mark.parametrize("recv_timeout", [None, 5.0])
 def test_fabric_holds_no_per_message_state_after_a_collective(
         bic2, recv_timeout):
@@ -260,7 +341,8 @@ def test_fabric_holds_no_per_message_state_after_a_collective(
     result = env.run(until=proc)
     assert np.array_equal(result.data, expected)
     fabric = comm.fabric
-    assert fabric.delivered == comm.size * 2 * (comm.size - 1)
+    # one message a hop, both lanes in it
+    assert fabric.delivered == comm.size * (comm.size - 1)
     assert not fabric._arrived and not fabric._waiting
     # Deadlines of served receivers are dropped when they surface, at the
     # latest when the one armed timer fires.
@@ -278,7 +360,7 @@ def test_abort_mid_hop_withdraws_every_blocked_receiver(bic2, recv_timeout):
     proc = env.process(comm.reduce_scatter(values, split_op, reduce_op))
     fabric = comm.fabric
     blocked = 0
-    while blocked < comm.size * 2:  # the first hop: every rank-channel waits
+    while blocked < comm.size:  # the first hop: every rank waits
         env.step()
         blocked = sum(map(len, fabric._waiting.values()))
     assert fabric.delivered == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import MB, Cluster, ClusterConfig
 from repro.comm import (
+    bm_transport,
     measure_latency,
     measure_throughput,
     mpi_transport,
@@ -55,6 +56,40 @@ def test_gc_drag_dents_large_message_bandwidth():
     big = measure_throughput(fresh_cluster(), sc_transport(cfg),
                              nbytes=256 * MB, parallelism=4)
     assert big < mid
+
+
+# Figures 12 and 13 to the last bit, as they were when ``send`` was a kernel
+# process of its own (it is ``isend``, waited for) and a Figure 13 round was
+# P channel processes (it is one message over P lanes).
+@pytest.mark.parametrize("transport,nbytes,rounds,latency", [
+    (bm_transport, 1.0, 10, 0.0038610231974833724),   # Figure 12
+    (sc_transport, 1.0, 10, 7.272319748337202e-05),
+    (mpi_transport, 1.0, 10, 1.5907240468730894e-05),
+    (sc_transport, 65536.0, 1, 0.00015718136819375527),
+    (sc_transport, 3e8, 7, 0.4038426099811347),       # GC drag
+    (bm_transport, 3e8, 1, 0.4076309099811347),
+    (mpi_transport, 3e8, 7, 0.12069038568634939)])
+def test_ping_pong_latency_is_pinned(transport, nbytes, rounds, latency):
+    cluster = fresh_cluster()
+    assert measure_latency(cluster, transport(cluster.config), nbytes=nbytes,
+                           rounds=rounds) == latency
+
+
+@pytest.mark.parametrize("nbytes,transport,parallelism,throughput", [
+    (1024, mpi_transport, 1, 61230086.94192876),
+    (1024, sc_transport, 4, 13927462.102481844),
+    (65536, sc_transport, 2, 417003215.87645537),
+    (1 * MB, sc_transport, 1, 377810398.10146856),
+    (1 * MB, sc_transport, 4, 1144389122.2448196),
+    (32 * MB, sc_transport, 2, 774643918.3275566),
+    (64 * MB, sc_transport, 4, 1241341888.482959),
+    (256 * MB, sc_transport, 4, 1208505448.7579405),
+    (256 * MB, mpi_transport, 1, 1242921935.916278)])
+def test_figure_13_points_are_pinned(nbytes, transport, parallelism,
+                                     throughput):
+    cluster = fresh_cluster()
+    assert measure_throughput(cluster, transport(cluster.config), nbytes,
+                              parallelism=parallelism) == throughput
 
 
 def test_mpi_latency_beats_sc():

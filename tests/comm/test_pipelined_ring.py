@@ -262,15 +262,15 @@ def test_streaming_result_matches_all_ready_result():
 
 
 # ------------------------------------------------------------ obs events
-def test_chunk_stream_events_one_per_rank_channel():
+def test_chunk_stream_events_one_per_rank():
     bus = EventBus()
     seen = []
     bus.subscribe(lambda e: seen.append(e)
                   if isinstance(e, ChunkStream) else None)
     n, parallelism = 3, 2
     run_gather("pipelined_ring", n, parallelism, num_chunks=4, bus=bus)
-    assert len(seen) == n * parallelism
-    assert {e.num_chunks for e in seen} == {4}
+    assert len(seen) == n
+    assert {(e.num_chunks, e.lanes) for e in seen} == {(4, parallelism)}
     assert {e.rank for e in seen} == set(range(n))
     for e in seen:
         assert e.began <= e.time
@@ -294,8 +294,8 @@ def test_rank_kernel_single_rank_short_circuits():
                                 slots=cluster.executors[:1])
     seg = SizedPayload(np.arange(8, dtype=float))
     proc = env.process(pipelined_ring_reduce_scatter_rank(
-        comm.fabric, 0, 1, {0: seg}, reduce_op,
+        comm.fabric, 0, 1, {0: (seg,)}, reduce_op,
         cluster.config.merge_bandwidth, 4))
-    owned, result = env.run(until=proc)
+    owned, (result,) = env.run(until=proc)
     assert owned == 0
     np.testing.assert_array_equal(result.data, seg.data)

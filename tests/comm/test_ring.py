@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import MB, Cluster, ClusterConfig
 from repro.comm import ScalableCommunicator
+from repro.serde import SizedPayload
 from repro.sim import Environment
 
 from .conftest import concat_op, make_values, reduce_op, split_op
 
 
 def run_reduce_scatter(num_nodes=2, parallelism=2, topology_aware=True,
-                       elems=64, seed=0, slots=None):
+                       elems=64, seed=0, slots=None, sim_bytes=None):
     env = Environment()
     cluster = Cluster(env, ClusterConfig.bic(num_nodes=num_nodes))
     comm = ScalableCommunicator(cluster, parallelism=parallelism,
                                 topology_aware=topology_aware, slots=slots)
-    values, expected = make_values(comm.size, elems=elems, seed=seed)
+    values, expected = make_values(comm.size, elems=elems, seed=seed,
+                                   sim_bytes=sim_bytes)
     proc = env.process(comm.reduce_scatter(values, split_op, reduce_op))
     owned = env.run(until=proc)
     return env, comm, owned, expected
@@ -93,12 +95,88 @@ def test_topology_aware_ranking_groups_hosts():
 
 
 def test_topology_awareness_is_faster():
-    """The paper's Figure 14 effect: hostname sort beats id sort."""
-    env_a, _, _, _ = run_reduce_scatter(num_nodes=4, topology_aware=True,
-                                        elems=4096)
-    env_b, _, _, _ = run_reduce_scatter(num_nodes=4, topology_aware=False,
-                                        elems=4096)
-    assert env_a.now < env_b.now
+    """The paper's Figure 14 effect, where it lives: at P=4 and 32 MB a
+    hostname-sorted ring keeps three hops in four on loopback and is twice
+    as fast as the id-sorted one, whose every hop crosses a NIC. (At a few
+    KB both are latency-bound and a 2% difference flips with one element
+    of padding.)"""
+    clocks = {aware: run_reduce_scatter(
+        num_nodes=4, parallelism=4, topology_aware=aware, elems=96 * 4,
+        sim_bytes=8.0 * 2 ** 22)[0].now for aware in (True, False)}
+    assert clocks[False] / clocks[True] >= 1.5  # 2.04
+
+
+# The lane model's invariant (DESIGN.md section 11, *The PDR hop*). A hop is one message
+# over P lanes and one merge on P cores; lanes of equal size make the very
+# instants P independent channels made. The clocks below are those of the
+# commit that still ran P ring processes per rank (BICx4, 24 ranks, a
+# 32 MB value whose 96 | 48 segments are all equal), to the last bit.
+@pytest.mark.parametrize("topology_aware,parallelism,clock", [
+    (True, 2, 0.15701122390420433), (True, 4, 0.07932671195210216),
+    (False, 2, 0.16625001737334083), (False, 4, 0.16157061969347547)])
+def test_equal_lanes_are_p_independent_channels_to_the_bit(
+        topology_aware, parallelism, clock):
+    env, comm, owned, expected = run_reduce_scatter(
+        num_nodes=4, parallelism=parallelism, topology_aware=topology_aware,
+        elems=96 * 4, sim_bytes=8.0 * 96 * 43691)
+    assert env.now == clock
+    np.testing.assert_array_equal(reassemble(comm, owned), expected)
+
+
+@pytest.mark.parametrize("parallelism,clock", [
+    (2, 0.1570210373720449), (4, 0.07952535788474069)])
+def test_unequal_lanes_on_a_hostname_sorted_ring_keep_the_clock(
+        parallelism, clock):
+    """Lanes half a percent apart (19247 elements over 96 | 48 segments):
+    a hop now ends with its widest lane, which on the hostname-sorted ring
+    is when its P channels ended it — the same pre-lane commit's clocks.
+    (The id-sorted ring, every hop NIC-bound and tie-ordered, reads
+    0.16159 s at P=4 where the independent channels made 0.15871 s: they
+    drifted out of lock-step, which lanes cannot.)"""
+    env, _, _, _ = run_reduce_scatter(
+        num_nodes=4, parallelism=parallelism, elems=96 * 200 + 47,
+        sim_bytes=8.0 * (96 * 43691 + 47))
+    assert env.now == clock
+
+
+def test_a_hop_ends_with_its_widest_lane():
+    """Two ranks on two nodes, one hop, lanes of 1 | 3 | 2 MB: three
+    streams under the TCP cap, the NIC unsaturated, so the hop is overhead +
+    latency + the widest lane at the stream rate, then the widest merge."""
+    env = Environment()
+    cluster = Cluster(env, ClusterConfig.bic(num_nodes=2))
+    slots = [next(s for s in cluster.executors if s.node is node)
+             for node in cluster.nodes]
+    comm = ScalableCommunicator(cluster, parallelism=3, slots=slots)
+    sizes = [1 * MB, 3 * MB, 2 * MB]
+
+    def split(value, g, _num):  # global g = lane * 2 + local index
+        return SizedPayload(np.full(2, value), sim_bytes=sizes[g // 2])
+
+    owned = env.run(until=env.process(
+        comm.reduce_scatter([1.0, 2.0], split, reduce_op)))
+    config = cluster.config
+    assert 3 * config.tcp_stream_bandwidth < config.nic_bandwidth
+    assert env.now == pytest.approx(
+        config.sc_overhead + config.inter_node_latency
+        + 3 * MB / config.tcp_stream_bandwidth
+        + 3 * MB / config.merge_bandwidth, rel=1e-12)
+    assert sorted(g for res in owned.values() for g in res) == list(range(6))
+    assert all(seg.data.tolist() == [3.0, 3.0]
+               for res in owned.values() for seg in res.values())
+
+
+@pytest.mark.parametrize("lane_mb,clock", [
+    (10, 1.1313029781250004), (20, 2.26740649375)])
+def test_gc_drag_is_charged_per_stream_not_on_the_sum(lane_mb, clock):
+    """BICx2, P=2. Two 10 MB lanes are a 20 MB message, over the 16 MB
+    ``gc_threshold``, and pay no drag: no single stream's buffer is over
+    it, exactly as when they were two messages. Two 20 MB lanes pay the
+    drag of 20 MB, once. Both clocks are the pre-lane commit's."""
+    env, _, _, _ = run_reduce_scatter(
+        num_nodes=2, parallelism=2, elems=24 * 4,
+        sim_bytes=24.0 * lane_mb * MB)
+    assert env.now == clock
 
 
 def test_more_parallelism_is_not_slower_for_large_messages():
@@ -209,9 +287,9 @@ def test_ring_hop_costs_one_kernel_event(n, parallelism):
     # per ring step, shared by every rank moving in lock-step); what is
     # left over — process boots and joins — is set-up that does not grow
     # with the hop count.
-    hops = n * parallelism * (n - 1)
+    hops = n * (n - 1)  # whatever the parallelism: a hop is one message
     events = count_reduce_scatter(n, parallelism, recv_timeout=None)
-    assert events <= 1.5 * hops + 7 * n * parallelism, (events, hops)
+    assert events <= 1.5 * hops + 7 * n, (events, hops)
     # Armor costs nothing per healthy hop: every deadline of the run sits
     # behind the one watchdog timer armed by the first recv.
     armored = count_reduce_scatter(n, parallelism, recv_timeout=5.0)

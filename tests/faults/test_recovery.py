@@ -107,6 +107,20 @@ def test_message_drop_detected_by_timeout(baseline):
     assert names[-1] == "recovered"
 
 
+def test_one_drop_loses_a_whole_hop_message(baseline):
+    """A hop is one message: one verdict, and ``MessageDrop(count=1)``
+    takes its four lanes together (WIDTH 64 over 8 ranks x 4 lanes: 16 B
+    a lane). The armored driver still returns the fault-free bytes."""
+    plan = FaultPlan(faults=(MessageDrop(count=1),))
+    run = run_split_agg(
+        plan=plan, recovery=RecoveryPolicy(recv_timeout=0.05))
+    assert run.result.tobytes() == baseline.result.tobytes()
+    (drop,) = run.injected
+    assert drop.fault == "message_drop" and drop.detail == "64B hop 0"
+    assert "partial_recompute" not in run.action_names
+    assert run.action_names[-1] == "recovered"
+
+
 def test_message_delay_is_tolerated(baseline):
     plan = FaultPlan(faults=(MessageDelay(delay=0.01, count=3),))
     run = run_split_agg(plan=plan)

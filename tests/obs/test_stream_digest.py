@@ -4,11 +4,19 @@ How an event is *built* may change (PR 19 made it a frozen slots record
 with a generated constructor); what a run *records* may not: same events,
 same fields, same values, same order. One fixed small run — a trained
 split aggregation plus one faulted, recovered pipelined ring — is
-serialized and hashed, and the digest below was computed at the commit
-before the representation changed. Floats are printed by ``repr``, so the
-digest is only comparable on the host fingerprint it was taken on (the
-rule ``benchmarks/ledger/pins.json`` uses); elsewhere the test skips and
-says so.
+serialized and hashed. Floats are printed by ``repr``, so the digest is
+only comparable on the host fingerprint it was taken on (the rule
+``benchmarks/ledger/pins.json`` uses); elsewhere the test skips and says
+so.
+
+The digest is per schema version. Version 2's (572 events, 26f168b1...,
+taken at PR 18) held through PR 23; version 3 records a PDR hop once, with
+``lanes`` and bytes summed over them, where version 2 recorded each of its
+P channels: 268 events for the same run. The change of schema was checked
+record against record where lanes are equal and the clocks therefore are:
+on all four collectives every version-3 ``ring_hop`` / ``message_sent`` /
+``message_delivered`` carries the instants of its P version-2 records,
+the sum of their bytes and the largest of their merge times.
 """
 
 import hashlib
@@ -32,10 +40,10 @@ from repro.obs import RecordingListener
 from repro.rdd import Costed
 from repro.serde import SizedPayload
 
-#: taken at 6df0cd8 (PR 18), the parent of the representation change
+#: schema version 3, taken at PR 24 (one record per hop)
 PARENT_DIGEST = (
-    "26f168b1ec9efb858c154dee61b166cb1bb79492dd8781bb254941f98cc4592c")
-PARENT_EVENTS = 572
+    "f17e143e1454a1d2a0500f2ad54ce7f67439344490f706338eb91b224745e12d")
+PARENT_EVENTS = 268
 FINGERPRINT = {"python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
 
 
