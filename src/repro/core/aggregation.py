@@ -101,8 +101,8 @@ def fold_partition(acc: Any, data: list, seq_op: Callable[[Any, Any], Any],
     """Fold one partition into ``acc``: every aggregation's stage 1.
 
     A seqOp that declares ``fold_partition(acc, data, ctx)`` (the columnar
-    gradient fold) folds the partition whole and charges what the
-    per-element loop would; any other seqOp runs that loop.
+    gradient fold, LDA's E-step) folds the partition whole and charges
+    what the per-element loop would; any other seqOp runs that loop.
     """
     folder = getattr(seq_op, "fold_partition", None)
     if folder is not None:

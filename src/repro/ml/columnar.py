@@ -34,7 +34,7 @@ from typing import Any, Callable, List, Tuple
 import numpy as np
 
 from ..obs.events import ColumnarFold
-from ..rdd.costing import ELEMENT_OVERHEAD, Costed
+from ..rdd.costing import ELEMENT_OVERHEAD, Costed, sum_in_order
 from ..rdd.storage import CachedPartition
 from ..rdd.task_context import TaskContext
 from .gradient import Gradient
@@ -49,11 +49,14 @@ class PartitionColumns:
     Row ``r`` owns entries ``offsets[r]:offsets[r + 1]`` of ``indices`` and
     ``values``, in partition order. ``by_length`` is a second copy with the
     rows stably sorted by length, so that the ``m`` rows of length ``k`` are
-    one contiguous block: ``(indices, order, blocks)``, ``order[i]`` the
-    partition row at sorted position ``i``, one ``(entries, (m, 1, k),
-    values as (m, k, 1), sorted rows)`` per length. A partition with fewer
-    than two rows per distinct length has ``None``: nothing to batch there,
-    and building the copy costs more than the row walk it would save.
+    one contiguous block: ``(indices, order, gathered, grouped, blocks)``,
+    ``order[i]`` the partition row at sorted position ``i``, ``gathered``
+    the buffer a fold gathers the weights into, ``grouped`` the ``(n,)``
+    buffer of the sorted rows' dots, and one ``(gathered as (m, 1, k),
+    values as (m, k, 1), grouped as (m, 1, 1))`` triple of views per length,
+    so a fold makes no view of its own. A partition with fewer than two rows
+    per distinct length has ``None``: nothing to batch there, and building
+    the copy costs more than the row walk it would save.
     """
 
     __slots__ = ("num_rows", "num_cols", "indices", "values", "offsets",
@@ -87,15 +90,18 @@ class PartitionColumns:
             return
         order = sorted(range(n), key=lengths.__getitem__)
         values = np.concatenate([rows[r].values for r in order])
+        gathered = np.empty(values.size)
+        grouped = np.empty((n, 1, 1))
         blocks, row, entry = [], 0, 0
         for k, m in sorted(counts.items()):
             entries = slice(entry, entry + m * k)
-            blocks.append((entries, (m, 1, k),
+            blocks.append((gathered[entries].reshape(m, 1, k),
                            values[entries].reshape(m, k, 1),
-                           slice(row, row + m)))
+                           grouped[row:row + m]))
             row, entry = row + m, entries.stop
         self.by_length = (np.concatenate([rows[r].indices for r in order]),
-                          np.array(order), blocks)
+                          np.array(order), gathered, grouped.reshape(n),
+                          blocks)
 
 
 def columns_of(data: list, num_cols: int) -> Tuple[PartitionColumns, bool]:
@@ -112,27 +118,18 @@ def columns_of(data: list, num_cols: int) -> Tuple[PartitionColumns, bool]:
     return columns, True
 
 
-def _sum_in_order(start: float, terms: Any, n: int) -> float:
-    """``start + t0 + t1 + ...``, added left to right as a loop would."""
-    steps = np.empty(n + 1)
-    steps[0] = start
-    steps[1:] = terms
-    return float(np.add.accumulate(steps)[-1])
-
-
 def _block_dots(columns: PartitionColumns, weights: np.ndarray) -> np.ndarray:
     """Every row's ``w.x`` in partition order: one gather, then one
     ``matmul`` per row length. Its ``1xk @ kx1`` core is the type's ``dot``
     function, so each row gets the ``ddot`` over the same operands that
-    ``SparseVector.dot`` issues, called from C (``k == 0`` gives ``+0.0``)."""
-    indices, order, blocks = columns.by_length
-    gathered = weights[indices]
-    n = columns.num_rows
-    grouped = np.empty((n, 1, 1))
-    for entries, shape, values, rows in blocks:
-        np.matmul(gathered[entries].reshape(shape), values, out=grouped[rows])
-    dots = np.empty(n)
-    dots[order] = grouped.reshape(n)
+    ``SparseVector.dot`` issues, called from C (``k == 0`` gives ``+0.0``).
+    Both go through the buffers and views on the columns."""
+    indices, order, gathered, grouped, blocks = columns.by_length
+    np.take(weights, indices, out=gathered)
+    for rows, values, out in blocks:
+        np.matmul(rows, values, out=out)
+    dots = np.empty(columns.num_rows)
+    dots[order] = grouped
     return dots
 
 
@@ -186,7 +183,7 @@ class ColumnarSeqOp(Costed):
                 parent_span_id=executor._current_task_span))
 
         # virtual time: charged + c0 + c1 + ..., the per-sample order
-        ctx.charged = _sum_in_order(
+        ctx.charged = sum_in_order(
             ctx.charged, columns.nnz * self.per_nnz + ELEMENT_OVERHEAD, n)
 
         if columns.by_length is None:
@@ -195,8 +192,8 @@ class ColumnarSeqOp(Costed):
         else:
             multipliers, live, losses = self.gradient.multipliers_and_losses(
                 _block_dots(columns, weights), columns.labels)
-            loss_sum = _sum_in_order(acc.loss_sum, losses, n)
-            weight_sum = _sum_in_order(acc.weight_sum, 1.0, n)
+            loss_sum = sum_in_order(acc.loss_sum, losses, n)
+            weight_sum = sum_in_order(acc.weight_sum, 1.0, n)
 
         indices, values, nnz = columns.indices, columns.values, columns.nnz
         if live is not None:  # rows that add nothing, not even 0.0

@@ -29,12 +29,10 @@ __all__ = ["Gradient", "LogisticGradient", "HingeGradient",
            "LeastSquaresGradient"]
 
 
-def _libm(column: np.ndarray, *fns: Callable[[float], float]) -> np.ndarray:
-    """``fns`` of every element in turn: libm's own, looped from C by ``map``."""
-    values = column.tolist()
-    for fn in fns:
-        values = map(fn, values)
-    return np.fromiter(values, dtype=np.float64, count=column.shape[0])
+def _libm(column: np.ndarray, fn: Callable[[float], float]) -> np.ndarray:
+    """``fn`` of every element: libm's own, looped from C by ``map``."""
+    return np.fromiter(map(fn, column.tolist()), dtype=np.float64,
+                       count=column.shape[0])
 
 
 class Gradient:
@@ -96,11 +94,13 @@ class LogisticGradient(Gradient):
     @np.errstate(all="ignore")
     def multipliers_and_losses(self, dots, labels):
         margins = -dots
-        multipliers = 1.0 / (1.0 + _libm(
-            np.minimum(margins, 500.0), math.exp)) - labels
+        exps = _libm(np.minimum(margins, 500.0), math.exp)
+        multipliers = 1.0 / (1.0 + exps) - labels
+        # where margin <= 0, exp(min(margin, 500)) is the exp(margin) the
+        # loss needs: only a positive margin costs a second exp
         positive = margins > 0
-        log1p_exp = _libm(np.where(positive, -margins, margins),
-                          math.exp, math.log1p)
+        exps[positive] = _libm(-margins[positive], math.exp)
+        log1p_exp = _libm(exps, math.log1p)
         log1p_exp = np.where(positive, margins + log1p_exp, log1p_exp)
         return multipliers, None, np.where(labels > 0, log1p_exp,
                                            log1p_exp - margins)

@@ -8,24 +8,29 @@ is why the LDA workloads have the paper's largest aggregators (nytimes:
 100 x 102,660 doubles ≈ 82 MB) and benefit most from split aggregation.
 The driver's M-step renormalizes the counts into the new topic-word matrix
 (the "Driver" slice that §6 identifies as the next bottleneck).
+
+The E-step is :class:`EStepSeqOp`: the per-document fold is its reference,
+and a partition is folded in one column-major pass over all of its words
+with the same bits (DESIGN §8, *LDA's partition E-step*).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..core.aggregation import tree_aggregate
 from ..core.sai import split_aggregate
 from ..core.spec import AggregationSpec
-from ..rdd.costing import Costed
+from ..rdd.costing import ELEMENT_OVERHEAD, Costed, sum_in_order
 from ..rdd.rdd import RDD
+from ..rdd.task_context import TaskContext
 from .aggregators import FlatAggregator, concat_op, reduce_op, split_op
 from .linalg import SparseVector
 from .optimization import AGGREGATION_MODES, ScaledPayloadValue
 
-__all__ = ["LDA", "LDAModel", "LDA_TOKEN_TIME"]
+__all__ = ["LDA", "LDAModel", "EStepSeqOp", "LDA_TOKEN_TIME"]
 
 #: effective seconds per (topic, word) cell visited in the E-step on one
 #: paper-grade core (a few fixed-point sweeps' worth of flops)
@@ -70,6 +75,107 @@ class LDAModel:
             phi /= phi.sum(axis=0, keepdims=True) + 1e-100
             gamma = self.doc_concentration + phi @ doc.values
         return gamma / gamma.sum()
+
+
+class EStepSeqOp(Costed):
+    """LDA's ``seqOp``: the per-document E-step plus the partition fold.
+
+    Called on one document it is the plain :class:`Costed` fold — five
+    fixed-point sweeps of the document's topic mixture, its expected counts
+    added into the ``K x V`` payload, its log-likelihood into the loss,
+    charged ``k * nnz * per_token`` — which IMM merges and segment splits
+    see and what the oracle tests compare against. The engine's partition
+    folds call :meth:`fold_partition`, which does the same arithmetic for
+    every document of the partition at once, bit for bit (DESIGN §8).
+    """
+
+    __slots__ = ("k", "alpha", "beta_of", "per_token")
+
+    def __init__(self, k: int, alpha: float,
+                 beta_of: Callable[[], np.ndarray], per_token: float):
+        def fold(agg: FlatAggregator, doc: SparseVector) -> FlatAggregator:
+            if doc.nnz == 0:
+                return agg
+            beta = beta_of()
+            counts = agg.payload.reshape(beta.shape)
+            beta_w = beta[:, doc.indices]  # K x nnz
+            gamma = np.ones(k)
+            for _ in range(_E_STEP_SWEEPS):
+                phi = beta_w * gamma[:, None]
+                phi /= phi.sum(axis=0, keepdims=True) + 1e-100
+                gamma = alpha + phi @ doc.values
+            counts[:, doc.indices] += phi * doc.values
+            theta = gamma / gamma.sum()
+            word_prob = theta @ beta_w + 1e-100
+            agg.add_stats(float(doc.values @ np.log(word_prob)), 1.0)
+            return agg
+
+        def cost(_agg: FlatAggregator, doc: SparseVector) -> float:
+            return k * doc.nnz * per_token
+
+        super().__init__(fold, cost)
+        self.k = k
+        self.alpha = alpha
+        self.beta_of = beta_of
+        self.per_token = per_token
+
+    def fold_partition(self, acc: FlatAggregator, data: list,
+                       ctx: TaskContext) -> FlatAggregator:
+        """Every document's E-step in one pass over the partition's words.
+
+        The words of the non-empty documents are one column-major ``K x N``
+        batch, so each sweep is a handful of whole-batch operations and one
+        ``matmul`` per document over a column-block view — the operand and
+        the BLAS call its per-document fold makes. What a document adds to
+        the counts, its ``theta @ beta`` and its loss ``ddot`` stay one call
+        per document, in partition order."""
+        n = len(data)
+        if n == 0:
+            return acc
+        k = self.k
+        lengths = np.array([doc.indices.size for doc in data], dtype=np.int64)
+        # virtual time: charged + c0 + c1 + ..., the per-document order;
+        # an empty document is charged and not folded
+        ctx.charged = sum_in_order(
+            ctx.charged, k * lengths * self.per_token + ELEMENT_OVERHEAD, n)
+        docs = [doc for doc in data if doc.indices.size]
+        if not docs:
+            return acc
+        lengths = lengths[lengths > 0]
+        indices = np.concatenate([doc.indices for doc in docs])
+        values = np.concatenate([doc.values for doc in docs])
+        bounds = [0, *np.cumsum(lengths).tolist()]
+        spans = list(zip(bounds, bounds[1:]))
+        beta = self.beta_of()
+        counts = acc.payload.reshape(beta.shape)
+
+        words = beta[:, indices]  # K x N, column-major like beta[:, doc]
+        phi = np.empty_like(words)
+        sums = np.empty((len(docs), k))
+        blocks = [(phi[:, lo:hi], values[lo:hi], out)
+                  for (lo, hi), out in zip(spans, sums)]
+        gamma = np.ones((len(docs), k))
+        for _ in range(_E_STEP_SWEEPS):
+            np.multiply(words, gamma.repeat(lengths, axis=0).T, out=phi)
+            norms = phi.sum(axis=0)
+            norms += 1e-100
+            phi /= norms
+            for block, vals, out in blocks:
+                np.matmul(block, vals, out=out)
+            gamma = self.alpha + sums
+
+        phi *= values
+        theta = gamma / gamma.sum(axis=1, keepdims=True)
+        probs = np.empty(indices.size)
+        for (lo, hi), mixture in zip(spans, theta):
+            counts[:, indices[lo:hi]] += phi[:, lo:hi]
+            np.matmul(mixture, words[:, lo:hi], out=probs[lo:hi])
+        probs += 1e-100
+        np.log(probs, out=probs)
+        losses = [values[lo:hi] @ probs[lo:hi] for lo, hi in spans]
+        acc.set_stats(sum_in_order(acc.loss_sum, losses, len(docs)),
+                      sum_in_order(acc.weight_sum, 1.0, len(docs)))
+        return acc
 
 
 class LDA:
@@ -122,29 +228,7 @@ class LDA:
                 bc = sc.broadcast(ScaledPayloadValue(
                     beta, k * vocab * 8.0 * self.size_scale))
 
-            def fold(agg: FlatAggregator, doc: SparseVector
-                     ) -> FlatAggregator:
-                if doc.nnz == 0:
-                    return agg
-                counts = agg.payload.reshape(k, vocab)
-                beta_now = bc.value.value
-                beta_w = beta_now[:, doc.indices]  # K x nnz
-                gamma = np.ones(k)
-                phi = beta_w.copy()
-                for _ in range(_E_STEP_SWEEPS):
-                    phi = beta_w * gamma[:, None]
-                    phi /= phi.sum(axis=0, keepdims=True) + 1e-100
-                    gamma = alpha + phi @ doc.values
-                counts[:, doc.indices] += phi * doc.values
-                theta = gamma / gamma.sum()
-                word_prob = theta @ beta_w + 1e-100
-                agg.add_stats(float(doc.values @ np.log(word_prob)), 1.0)
-                return agg
-
-            def cost(_agg: FlatAggregator, doc: SparseVector) -> float:
-                return k * doc.nnz * per_token
-
-            seq_op = Costed(fold, cost)
+            seq_op = EStepSeqOp(k, alpha, lambda: bc.value.value, per_token)
             merge = Costed(lambda a, b: a.merge(b), 0.0)
             size_scale = self.size_scale
             zero = lambda: FlatAggregator(k * vocab, size_scale)  # noqa: E731

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-__all__ = ["Costed", "cost_of", "ELEMENT_OVERHEAD"]
+import numpy as np
+
+__all__ = ["Costed", "cost_of", "sum_in_order", "ELEMENT_OVERHEAD"]
 
 #: default per-element iteration overhead charged by bulk transformations
 #: (JVM iterator + closure dispatch per record, ~50 ns)
@@ -59,3 +61,14 @@ def cost_of(fn: Callable, *args: Any, **kwargs: Any) -> float:
     if isinstance(fn, Costed):
         return fn.cost(*args, **kwargs)
     return 0.0
+
+
+def sum_in_order(start: float, terms: Any, n: int) -> float:
+    """``start + t0 + t1 + ...``, added left to right as a loop would.
+
+    A seqOp that folds a whole partition at once charges (and sums its
+    statistics) with this, so every total is the per-element loop's."""
+    steps = np.empty(n + 1)
+    steps[0] = start
+    steps[1:] = terms
+    return float(np.add.accumulate(steps)[-1])

@@ -1,6 +1,7 @@
 """Traffic-generator tests: determinism, replay identity, quota bounces."""
 
 import numpy as np
+import pytest
 
 from repro.cluster import ClusterConfig
 from repro.core.spec import AggregationSpec
@@ -10,6 +11,7 @@ from repro.service import (
     TenantProfile,
     arrival_schedule,
     run_open_loop,
+    traffic,
 )
 
 
@@ -84,6 +86,51 @@ def test_open_loop_replay_is_deterministic():
         second = run_open_loop(session, TENANTS, seed=11)
     assert first.makespan == second.makespan
     assert first.latencies == second.latencies
+
+
+STORM = TenantProfile("storm", pool="tiny", workloads=("LR-A",), jobs=4,
+                      burst=4, iterations=1, partitions=4)
+
+
+# seed 11: the last arrival is the last job to finish; the storm at seed 5:
+# two arrivals bounce and a queued job finishes after the last arrival
+@pytest.mark.parametrize("tenants, seed", [(TENANTS, 11),
+                                           (TENANTS + (STORM,), 5)])
+def test_open_loop_stops_when_the_full_walk_would(monkeypatch, tenants,
+                                                  seed):
+    """The pump's predicate is a cursor over the submissions. After every
+    kernel step its value is the full walk's — every arrival submitted,
+    every job that got a handle done — so the pump stops on the same
+    event."""
+    arrivals = len(arrival_schedule(tenants, seed=seed))
+    handles = []
+    submit = traffic.submit_arrival
+
+    def recorded_submit(session, arrival):
+        handles.append(submit(session, arrival))
+        return handles[-1]
+
+    monkeypatch.setattr(traffic, "submit_arrival", recorded_submit)
+    agreed = []
+    pools = {"tiny": PoolConfig(max_running=1, max_queued=1)}
+    with SparkerSession(CFG, pools=pools) as session:
+        cooperator = session.server.cooperator
+        pump = cooperator.pump
+
+        def checked_pump(until_done):
+            def both():
+                cursor = until_done()
+                agreed.append(cursor == (
+                    len(handles) == arrivals
+                    and all(h.done() for h in handles if h is not None)))
+                return cursor
+            pump(both)
+
+        cooperator.pump = checked_pump
+        result = run_open_loop(session, tenants, seed=seed)
+        del cooperator.pump
+    assert len(result.rejections) == (2 if STORM in tenants else 0)
+    assert len(agreed) > arrivals and all(agreed)
 
 
 def test_quota_bounces_are_recorded_not_raised():
