@@ -9,8 +9,6 @@ denominator of every future experiment this repo runs:
 * **parity checksums**: SHA-256 of every trained weight vector plus the
   exact final virtual times, asserted byte-equal across all pool sizes
   (the bit-identity contract of DESIGN.md §9),
-* a host-time attribution (sim-core / user-compute / serde / other) from
-  :func:`repro.bench.profile.profile_host` for one representative config,
 * ``host_cpus`` — pool speedups are only meaningful relative to it: on a
   single-CPU host the pool cannot beat serial and the numbers say so.
 
@@ -39,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import AggregationSpec, SparkerSession
-from repro.bench.profile import profile_host
 from repro.cluster import ClusterConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -191,12 +188,6 @@ def main(argv=None) -> int:
         print("smoke:", "PASS" if ok else "FAIL")
         return 0 if ok else 1
 
-    # One representative config under the attribution profiler.
-    _result, breakdown = profile_host(
-        SparkerSession(ClusterConfig.bic(8)).run, "LR-A",
-        aggregation="tree", iterations=3)
-    print(breakdown)
-
     smoke_reference = {key: value for key, value in smoke_serial.items()
                        if key != "rows"}
     print(f"smoke reference: {smoke_reference['wall_seconds']:.3f}s wall")
@@ -212,7 +203,6 @@ def main(argv=None) -> int:
         "smoke_reference": smoke_reference,
         "pools": pool_results,
         "parity_ok": not parity_problems,
-        "host_time_attribution": breakdown.as_dict(),
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

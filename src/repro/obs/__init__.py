@@ -12,13 +12,14 @@ that from stage granularity down to tasks, messages and ring hops:
   with no listeners attached every emission is a constant-time no-op and
   the simulation is bit-for-bit identical to an uninstrumented run,
 * :mod:`repro.obs.log` — JSON-lines event-log export/import with a
-  versioned schema (a superset of ``bench.history``'s stage log),
+  versioned schema,
 * :mod:`repro.obs.chrome_trace` — a Chrome ``trace_event`` / Perfetto
   exporter laying out executors×cores, the driver, and NIC lanes on the
   virtual-time axis,
-* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry, a
-  bus-fed :class:`MetricsListener`, and a :class:`NicMonitor` process
-  sampling NIC utilization,
+* :mod:`repro.obs.metrics` — one labeled store of counters / gauges /
+  histograms over virtual-time windows with exact quantile queries, the
+  bus-fed :class:`MetricsListener` that fills it, and a
+  :class:`NicMonitor` process sampling NIC utilization,
 * :mod:`repro.obs.analysis` — the Figure-2-style decomposition, straggler
   detection and driver-NIC saturation windows, recomputed from an event
   log (``python -m repro.obs events.jsonl``),
@@ -27,9 +28,7 @@ that from stage granularity down to tasks, messages and ring hops:
   ``span_id``/``parent_span_id`` on traced events,
 * :mod:`repro.obs.critical_path` — span-DAG reconstruction and exact
   per-job makespan attribution (compute / serde / wire / queueing /
-  recovery), slowest-hop and straggler blame,
-* :mod:`repro.obs.timeseries` — labeled windowed counters / gauges /
-  histograms over virtual time with exact p50/p95/p99 queries.
+  recovery), slowest-hop and straggler blame.
 
 Capture a trace::
 
@@ -106,15 +105,8 @@ from .metrics import (
     Histogram,
     MetricCounter,
     MetricsListener,
-    MetricsRegistry,
+    MetricsStore,
     NicMonitor,
-)
-from .timeseries import (
-    TimeSeriesListener,
-    TimeSeriesStore,
-    WindowedCounter,
-    WindowedGauge,
-    WindowedHistogram,
 )
 from .tracing import NO_SPAN, Tracer
 
@@ -162,7 +154,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "chrome_trace",
     "write_chrome_trace",
-    "MetricsRegistry",
+    "MetricsStore",
     "MetricCounter",
     "Gauge",
     "Histogram",
@@ -185,9 +177,4 @@ __all__ = [
     "RecoveryEpoch",
     "CriticalPathReport",
     "attribute_critical_path",
-    "TimeSeriesStore",
-    "TimeSeriesListener",
-    "WindowedCounter",
-    "WindowedGauge",
-    "WindowedHistogram",
 ]

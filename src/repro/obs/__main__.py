@@ -6,8 +6,8 @@ factor of their stage's median), the fault report (injected faults with
 detection latency, recovery actions, per-job recovery cost), and
 driver-NIC saturation windows.
 ``--chrome trace.json`` additionally writes a Perfetto-loadable Chrome
-trace, and ``--metrics`` dumps the full metrics registry fed from the
-log.
+trace, and ``--metrics`` dumps the labeled metrics store fed from the
+log (``--window`` sets its bucket width).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .critical_path import (
 )
 from .log import load_events
 from .metrics import MetricsListener
-from .timeseries import TimeSeriesListener
 
 _BUCKET_LABELS = {
     "agg_compute": "Aggregation / compute",
@@ -273,11 +272,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--chrome", metavar="TRACE.json", default=None,
                         help="also write a Chrome/Perfetto trace here")
     parser.add_argument("--metrics", action="store_true",
-                        help="also print the metrics-registry summary")
-    parser.add_argument("--timeseries", action="store_true",
-                        help="also print the windowed time-series summary")
+                        help="also print the metrics-store summary")
     parser.add_argument("--window", type=float, default=0.01,
-                        help="time-series window width in virtual seconds "
+                        help="metrics window width in virtual seconds "
                              "(default: 0.01)")
     parser.add_argument("--straggler-factor", type=float, default=2.0,
                         help="flag tasks slower than this multiple of "
@@ -302,16 +299,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         events, straggler_factor=args.straggler_factor)))
 
     if args.metrics:
-        listener = MetricsListener()
-        for event in events:
-            listener.on_event(event)
         print()
-        print(listener.registry.summary())
-
-    if args.timeseries:
-        ts = TimeSeriesListener(window=args.window).replay(events)
-        print()
-        print(ts.store.summary())
+        print(MetricsListener(window=args.window).replay(events).summary())
 
     if args.chrome:
         count = write_chrome_trace(events, args.chrome)

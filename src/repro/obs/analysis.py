@@ -7,9 +7,8 @@ instead of live instrumentation:
   records back into the stopwatch totals (``agg.compute``,
   ``agg.reduce``, ``ml.driver``, ...); by construction this matches the
   in-process :class:`~repro.sim.Stopwatch` exactly,
-* :func:`classify_stage` — the canonical stage classification (shared
-  with :mod:`repro.bench.history`, which mined the same decomposition
-  from stage logs before events existed),
+* :func:`classify_stage` — the canonical stage classification, the
+  authors' rule for mining the same decomposition from stage logs,
 * :func:`analyze_events` — the full :class:`TraceAnalysis`: phase and
   stage decompositions, straggler detection (tasks slower than a factor
   of their stage's median) and driver-NIC saturation windows.

@@ -1,8 +1,8 @@
 """JSON-lines event-log export and import.
 
-The event log is the durable superset of ``bench.history``'s stage log:
-one JSON object per event, preceded by a schema header record. It is what
-the paper's authors mined (Spark writes the same shape to its history
+The event log is the durable record of a run: one JSON object per
+event, preceded by a schema header record. It is what the paper's
+authors mined (Spark writes the same shape to its history
 server), extended below stage granularity.
 
 Schema versioning: the header carries ``{"schema": SCHEMA_NAME,

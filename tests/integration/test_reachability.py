@@ -24,10 +24,6 @@ ALLOWED = {
     # files are not in the repository, so every root runs on the synthetic
     # surrogates of data/registry.py; a user with the real files needs it.
     "repro.data.libsvm",
-    # Section 2.3's stage-log route to the time breakdown, kept as the
-    # independent reference tests/obs/test_tracing_integration.py differs
-    # the event-stream route (obs.analysis) against.
-    "repro.bench.history",
 }
 
 

@@ -424,14 +424,14 @@ def test_mini_batch_columns_are_released_every_iteration():
     sc = SparkerContext(ClusterConfig.laptop(2))
     rdd = sc.parallelize(points, 4).cache()
     rdd.count()
-    registry = MetricsListener()
-    sc.event_bus.subscribe(registry)
+    listener = MetricsListener()
+    sc.event_bus.subscribe(listener)
     LogisticRegressionWithSGD.train(rdd, dim, num_iterations=20,
                                     mini_batch_fraction=0.5)
-    counters = registry.registry.counters
+    store = listener.store
     # RDD.sample builds a new list per iteration: every fold builds ...
-    assert counters["ml.columnar.folds"].value == 20 * 4
-    assert counters["ml.columnar.builds"].value == 20 * 4
+    assert store.total("ml.columnar.folds") == 20 * 4
+    assert store.total("ml.columnar.builds") == 20 * 4
     # ... and nothing is kept: not on the sampled lists, not anywhere
     assert len(_live_columns()) == before
 
@@ -444,32 +444,32 @@ def test_builds_and_folds_are_counted_only_while_tracing():
         sc = SparkerContext(ClusterConfig.laptop(2))
         rdd = sc.parallelize(points, 4).cache()
         rdd.count()
-        registry = MetricsListener()
+        listener = MetricsListener()
         if traced:
-            sc.event_bus.subscribe(registry)
+            sc.event_bus.subscribe(listener)
         LogisticRegressionWithSGD.train(rdd, dim, num_iterations=3,
                                         aggregation="split")
         times[traced] = sc.now
-        counters = registry.registry.counters
+        store = listener.store
         if traced:
-            assert counters["ml.columnar.folds"].value == 3 * 4
-            assert counters["ml.columnar.builds"].value == 4
+            assert store.total("ml.columnar.folds") == 3 * 4
+            assert store.total("ml.columnar.builds") == 4
         else:
-            assert sc.event_bus.emitted == 0 and not counters
+            assert sc.event_bus.emitted == 0 and not store.names()
     assert times[True] == times[False]
 
 
 def test_uncached_rdd_shows_as_builds_equal_folds():
     dim, points = _dataset()
     sc = SparkerContext(ClusterConfig.laptop(2))
-    registry = MetricsListener()
-    sc.event_bus.subscribe(registry)
+    listener = MetricsListener()
+    sc.event_bus.subscribe(listener)
     LogisticRegressionWithSGD.train(sc.parallelize(points, 4), dim,
                                     num_iterations=3)
-    counters = registry.registry.counters
-    assert (counters["ml.columnar.builds"].value
-            == counters["ml.columnar.folds"].value == 3 * 4)
-    assert "ml.columnar.builds = 12" in registry.registry.summary()
+    store = listener.store
+    assert (store.total("ml.columnar.builds")
+            == store.total("ml.columnar.folds") == 3 * 4)
+    assert "ml.columnar.builds: total=12 " in listener.summary()
 
 
 # ------------------------------------------------------------ end to end

@@ -23,16 +23,6 @@ def test_classify_stage_buckets():
     assert classify_stage("result", "map@7") == "other"
 
 
-def test_classification_shared_with_bench_history():
-    """bench.history and obs.analysis must be the same rule."""
-    from repro.bench.history import _classify
-    from repro.rdd.scheduler import StageInfo
-
-    stage = StageInfo(stage_id=0, kind="result", rdd_name="treeAgg:level2",
-                      num_tasks=4, attempt=0, submitted_at=0.0)
-    assert _classify(stage) == classify_stage("result", "treeAgg:level2")
-
-
 def test_phase_decomposition_sums_by_key():
     events = [PhaseSpan(time=1.0, key="a", seconds=0.5),
               PhaseSpan(time=2.0, key="a", seconds=0.25),

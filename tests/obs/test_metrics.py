@@ -1,84 +1,115 @@
-"""Tests for the metrics registry, bus listener, and NIC monitor."""
+"""The metrics store's instruments and quantile, the listener over the
+event vocabulary, and the NIC monitor."""
 
 import pytest
 
-from repro.obs import (
-    Gauge,
-    Histogram,
-    MetricCounter,
-    MetricsListener,
-    MetricsRegistry,
-    NicMonitor,
-)
+from repro.obs import MetricsListener, MetricsStore, NicMonitor
+from repro.obs.metrics import quantile
 from tests.obs.helpers import run_lr
 from tests.obs.test_events import SAMPLES
 
 
 def test_counter_monotonic():
-    c = MetricCounter("x")
-    c.inc()
-    c.inc(2.5)
-    assert c.value == 3.5
+    c = MetricsStore().counter("x")
+    c.inc(0.0)
+    c.inc(0.0, 2.5)
+    assert c.total == 3.5
     with pytest.raises(ValueError):
-        c.inc(-1.0)
+        c.inc(0.0, -1.0)
 
 
 def test_gauge_last_write_wins():
-    g = Gauge("x")
-    g.set(1.0, at=0.5)
-    g.set(2.0, at=0.7)
-    assert g.value == 2.0
+    g = MetricsStore(window=1.0).gauge("x")
+    g.set(0.5, 1.0)
+    g.set(0.7, 2.0)
+    assert g.last == 2.0
     assert g.updated_at == 0.7
 
 
 def test_histogram_quantiles_exact():
-    h = Histogram("x")
+    store = MetricsStore()
+    h = store.histogram("x")
     for v in [5.0, 1.0, 3.0, 2.0, 4.0]:
-        h.observe(v)
-    assert h.count == 5
-    assert h.mean == 3.0
-    assert h.min == 1.0
-    assert h.max == 5.0
-    assert h.quantile(0.5) == 3.0
-    assert h.quantile(0.0) == 1.0
-    assert h.quantile(1.0) == 5.0
+        h.observe(0.0, v)
+    assert store.samples("x") == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert store.quantile("x", 0.5) == 3.0
+    assert store.quantile("x", 0.0) == 1.0
+    assert store.quantile("x", 1.0) == 5.0
     with pytest.raises(ValueError):
-        h.quantile(1.5)
+        store.quantile("x", 1.5)
+
+
+def test_quantile_is_nearest_rank():
+    """The smallest sample with at least q*n samples at or below it."""
+    assert quantile([1.0, 2.0], 0.5) == 1.0
+    ordered = [float(v) for v in range(1, 21)]
+    assert quantile(ordered, 0.95) == 19.0
+    assert quantile(ordered, 0.0) == 1.0
+    assert quantile(ordered, 1.0) == 20.0
+    assert quantile([7.0], 0.5) == 7.0
 
 
 def test_empty_histogram():
-    h = Histogram("x")
-    assert h.mean == 0.0
-    assert h.quantile(0.5) == 0.0
+    store = MetricsStore()
+    store.histogram("x")
+    assert store.samples("x") == []
+    assert store.quantile("x", 0.5) == 0.0
+    assert "histogram x: n=0 mean=0" in store.summary()
 
 
 def test_registry_instruments_are_singletons():
-    reg = MetricsRegistry()
-    assert reg.counter("a") is reg.counter("a")
-    assert reg.gauge("b") is reg.gauge("b")
-    assert reg.histogram("c") is reg.histogram("c")
-    assert set(reg.counters) == {"a"}
-    assert set(reg.gauges) == {"b"}
-    assert set(reg.histograms) == {"c"}
+    """One series per (name, labels); the whole-run query is unlabeled."""
+    store = MetricsStore()
+    assert store.counter("a") is store.counter("a")
+    assert store.gauge("b") is store.gauge("b")
+    assert store.histogram("c") is store.histogram("c")
+    assert store.names() == [("counter", "a"), ("gauge", "b"),
+                             ("histogram", "c")]
 
 
 def test_listener_feeds_registry_from_samples():
-    listener = MetricsListener()
-    for event in SAMPLES:
-        listener.on_event(event)
-    reg = listener.registry
-    assert reg.counter("events.total").value == len(SAMPLES)
-    assert reg.counter("tasks.ok").value == 1
-    assert reg.histogram("tasks.duration_seconds").count == 1
-    assert reg.counter("messages.sent").value == 1
-    assert reg.histogram("messages.size_bytes").max == 4096.0
-    assert reg.counter("ring.hops").value == 1
-    assert reg.counter("imm.merges").value == 1
-    assert reg.counter("blocks.put").value == 1
-    assert reg.gauge("nic.driver.out_utilization").value == 0.16
-    summary = reg.summary()
-    assert "counter   tasks.ok = 1" in summary
+    listener = MetricsListener().replay(SAMPLES)
+    store = listener.store
+    assert store.total("events.total") == len(SAMPLES)
+    assert store.total("tasks.finished", status="ok") == 1
+    assert store.total("tasks.finished", job=1) == 1
+    assert store.samples("tasks.duration_seconds", stage=3) == [
+        pytest.approx(0.2)]
+    assert store.samples("messages.size_bytes") == [4096.0]
+    assert store.total("messages.bytes", transport="SC") == 4096.0
+    assert len(store.samples("ring.hop_seconds")) == 1
+    assert len(store.samples("imm.merge_seconds")) == 1
+    assert store.total("blocks.put") == 1
+    assert store.total("jobs.finished", succeeded=True) == 1
+    (out,) = store.gauges("nic.utilization", node="driver",
+                          direction="out")
+    assert out.last == 0.16
+    summary = listener.summary()
+    assert "counter   tasks.finished: total=1 windows=1 series=1" in summary
+    assert "  status=ok: total=1 windows=1" in summary
+    assert "  stage=3: n=1 " in summary
     assert "histogram messages.size_bytes" in summary
+
+
+def test_summary_prints_one_line_per_gauge_series():
+    """Every gauge series keeps its own last value: merged, the line
+    showed whichever series sorted last, not the busiest NIC."""
+    store = MetricsStore()
+    store.gauge("nic.utilization", node="a").set(0.1, 0.9)
+    store.gauge("nic.utilization", node="b").set(0.2, 0.1)
+    lines = store.summary().splitlines()
+    assert lines == ["gauge     nic.utilization{node=a}: last=0.9 @ 0.1s",
+                     "gauge     nic.utilization{node=b}: last=0.1 @ 0.2s"]
+
+
+def test_summary_breaks_a_name_down_by_label_in_numeric_order():
+    store = MetricsStore()
+    for stage in (10, 2):
+        store.histogram("d", stage=stage).observe(0.0, float(stage))
+    lines = store.summary(by={"d": "stage"}).splitlines()
+    assert lines[0].startswith("histogram d: n=2 ")
+    assert lines[1].startswith("  stage=2: n=1 mean=2 ")
+    assert lines[2].startswith("  stage=10: n=1 mean=10 ")
 
 
 def test_nic_monitor_samples_every_node_and_driver():

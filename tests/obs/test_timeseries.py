@@ -1,19 +1,16 @@
-"""Windowed time-series store: instruments, label-subset queries,
-exact quantiles, and the bus-fed listener."""
+"""The metrics store over virtual time: windows, label-subset queries,
+exact quantiles, and the listener on a recorded run."""
 
 import pytest
 
-from repro.obs import (
-    TimeSeriesListener,
-    TimeSeriesStore,
-)
+from repro.obs import MetricsListener, MetricsStore
 
 from .helpers import run_lr
 
 
 # ------------------------------------------------------------- instruments
 def test_counter_windows_and_total():
-    store = TimeSeriesStore(window=0.01)
+    store = MetricsStore(window=0.01)
     c = store.counter("bytes", node="n0")
     c.inc(0.001, 10.0)
     c.inc(0.009, 5.0)
@@ -25,13 +22,13 @@ def test_counter_windows_and_total():
 
 
 def test_counter_is_get_or_create_per_labelset():
-    store = TimeSeriesStore()
+    store = MetricsStore()
     assert store.counter("x", a=1) is store.counter("x", a=1)
     assert store.counter("x", a=1) is not store.counter("x", a=2)
 
 
 def test_gauge_last_write_wins_within_window():
-    store = TimeSeriesStore(window=0.01)
+    store = MetricsStore(window=0.01)
     g = store.gauge("util", node="n0")
     g.set(0.002, 0.3)
     g.set(0.008, 0.9)   # later stamp in the same window wins
@@ -41,13 +38,13 @@ def test_gauge_last_write_wins_within_window():
 
 
 def test_histogram_exact_quantiles():
-    store = TimeSeriesStore(window=1.0)
+    store = MetricsStore(window=1.0)
     h = store.histogram("dur")
     for i in range(100):
         h.observe(0.5, float(i))
-    assert store.quantile("dur", 0.5) == 50.0
-    assert store.quantile("dur", 0.95) == 95.0
-    assert store.quantile("dur", 0.99) == 99.0
+    assert store.quantile("dur", 0.5) == 49.0
+    assert store.quantile("dur", 0.95) == 94.0
+    assert store.quantile("dur", 0.99) == 98.0
     assert store.quantile("dur", 0.0) == 0.0
     assert store.quantile("dur", 1.0) == 99.0
     with pytest.raises(ValueError):
@@ -55,7 +52,7 @@ def test_histogram_exact_quantiles():
 
 
 def test_histogram_time_range_query():
-    store = TimeSeriesStore(window=0.01)
+    store = MetricsStore(window=0.01)
     h = store.histogram("dur")
     h.observe(0.005, 1.0)
     h.observe(0.015, 2.0)
@@ -66,7 +63,7 @@ def test_histogram_time_range_query():
 
 
 def test_label_subset_matching():
-    store = TimeSeriesStore()
+    store = MetricsStore()
     store.counter("bytes", channel="0", executor=1).inc(0.0, 5.0)
     store.counter("bytes", channel="0", executor=2).inc(0.0, 7.0)
     store.counter("bytes", channel="1", executor=1).inc(0.0, 11.0)
@@ -78,7 +75,7 @@ def test_label_subset_matching():
 
 
 def test_rate_merges_series_per_window():
-    store = TimeSeriesStore(window=0.5)
+    store = MetricsStore(window=0.5)
     store.counter("n", k="a").inc(0.1, 2.0)
     store.counter("n", k="b").inc(0.2, 4.0)
     store.counter("n", k="a").inc(0.7, 1.0)
@@ -87,13 +84,13 @@ def test_rate_merges_series_per_window():
 
 def test_store_rejects_bad_window():
     with pytest.raises(ValueError):
-        TimeSeriesStore(window=0.0)
+        MetricsStore(window=0.0)
 
 
 # ---------------------------------------------------------------- listener
 def test_listener_replay_from_recorded_run():
     _sc, rec = run_lr("split", trace=True, nic=True, num_iterations=2)
-    ts = TimeSeriesListener(window=0.01).replay(rec.events)
+    ts = MetricsListener(window=0.01).replay(rec.events)
     store = ts.store
 
     n_tasks = sum(1 for e in rec.events if e.kind == "task_end")
@@ -119,23 +116,26 @@ def test_listener_replay_from_recorded_run():
     assert store.gauges("nic.utilization", node="driver", direction="in")
     assert store.gauges("nic.utilization", node="driver", direction="out")
 
-    summary = store.summary()
-    assert "tasks.duration_seconds" in summary
+    summary = ts.summary()
+    assert "histogram tasks.duration_seconds" in summary
     assert "p95" in summary
+    stages = {e.stage_id for e in rec.events if e.kind == "task_end"}
+    for stage in stages:
+        assert f"\n  stage={stage}: n=" in summary
 
 
 def test_listener_live_matches_replay():
     _sc, rec = run_lr("split", trace=True, num_iterations=1)
-    live = TimeSeriesListener(window=0.01)
+    live = MetricsListener(window=0.01)
     for event in rec.events:
         live.on_event(event)
-    replayed = TimeSeriesListener(window=0.01).replay(rec.events)
+    replayed = MetricsListener(window=0.01).replay(rec.events)
     assert live.store.names() == replayed.store.names()
     for _kind, name in live.store.names():
         assert live.store.total(name) == replayed.store.total(name)
 
 
 def test_listener_on_empty_log():
-    ts = TimeSeriesListener().replay([])
+    ts = MetricsListener().replay([])
     assert ts.store.names() == []
     assert ts.store.summary() == ""

@@ -11,9 +11,14 @@ c. tracing on vs off yields identical virtual times.
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.obs import analyze_events, dump_events, load_events
+from repro.bench import BreakdownRecorder
+from repro.cluster import MB, ClusterConfig
+from repro.obs import analyze_events, classify_stage, dump_events, load_events
+from repro.rdd import SparkerContext
+from repro.serde import SizedPayload
 from repro.obs.__main__ import main as obs_main
 from tests.obs.helpers import run_lr
 
@@ -74,17 +79,78 @@ def test_event_log_is_deterministic_across_runs(tmp_path):
     assert logs[0] == logs[1]
 
 
+def stage_log_buckets(stages):
+    """Figure 2's buckets summed straight from the scheduler's stage log,
+    the paper's section 2.3 route; stages that never finished are left
+    out."""
+    totals = {}
+    for stage in stages:
+        if stage.duration is not None:
+            bucket = classify_stage(stage.kind, stage.rdd_name)
+            totals[bucket] = totals.get(bucket, 0.0) + stage.duration
+    return totals
+
+
+def run_aggregation(method):
+    """One 16 MB aggregation on BIC x2: its stage log and stopwatch."""
+    sc = SparkerContext(ClusterConfig.bic(num_nodes=2))
+    n = sc.cluster.total_cores
+    data = [SizedPayload(np.ones(32), sim_bytes=16 * MB) for _ in range(n)]
+    rdd = sc.parallelize(data, n).cache()
+    rdd.count()
+    mark = len(sc.dag.stage_log)
+    recorder = BreakdownRecorder(sc)
+    zero = lambda: SizedPayload(np.zeros(32), sim_bytes=16 * MB)  # noqa: E731
+    if method == "split":
+        rdd.split_aggregate(zero, lambda a, x: a.merge_inplace(x),
+                            lambda u, i, k: u.split(i, k),
+                            lambda a, b: a.merge(b), SizedPayload.concat)
+    else:
+        rdd.tree_aggregate(zero, lambda a, x: a.merge_inplace(x),
+                           lambda a, b: a.merge(b))
+    return sc.dag.stage_log[mark:], recorder.finish()
+
+
 def test_stage_decomposition_from_events_matches_stage_log():
     """The event route and the StageInfo route agree stage for stage."""
-    from repro.bench.history import analyze_stage_log
-
     sc, recorder = run_lr(aggregation="split")
     from_events = analyze_events(recorder.events).stage_totals
-    from_log = analyze_stage_log(sc.dag.stage_log)
-    assert from_events.get("agg_compute", 0.0) == pytest.approx(
-        from_log.agg_compute)
-    assert from_events.get("agg_reduce", 0.0) == pytest.approx(
-        from_log.agg_reduce)
+    from_log = stage_log_buckets(sc.dag.stage_log)
+    for bucket in ("agg_compute", "agg_reduce"):
+        assert from_events.get(bucket, 0.0) == pytest.approx(
+            from_log.get(bucket, 0.0))
+
+
+def test_stage_log_buckets_a_tree_aggregation():
+    """Level 0 computes, the levels above reduce, and little else runs."""
+    stages, _breakdown = run_aggregation("tree")
+    assert len(stages) >= 2
+    totals = stage_log_buckets(stages)
+    assert totals["agg_compute"] > 0
+    assert totals["agg_reduce"] > 0
+    assert totals.get("other", 0.0) < 0.1 * sum(totals.values())
+
+
+def test_stage_log_compute_agrees_with_stopwatch():
+    """The log-derived compute is the stopwatch's compute: for the tree
+    path it is literally the first stage's duration."""
+    stages, breakdown = run_aggregation("tree")
+    totals = stage_log_buckets(stages)
+    assert totals["agg_compute"] == pytest.approx(breakdown.agg_compute,
+                                                  rel=1e-6)
+
+
+def test_stage_log_buckets_a_split_aggregation():
+    stages, _breakdown = run_aggregation("split")
+    assert [s.kind for s in stages].count("reduced_result") == 1
+    assert stage_log_buckets(stages)["agg_compute"] > 0
+
+
+def test_stage_log_buckets_a_map_job_as_other():
+    sc = SparkerContext(ClusterConfig.laptop())
+    sc.parallelize(range(100), 8).map(lambda x: x + 1).count()
+    totals = stage_log_buckets(sc.dag.stage_log)
+    assert set(totals) == {"other"} and totals["other"] > 0
 
 
 def test_cli_reports_decomposition(tmp_path, capsys):
@@ -102,6 +168,8 @@ def test_cli_reports_decomposition(tmp_path, capsys):
     assert "Stage decomposition" in out
     assert "aggregation share" in out
     assert "histogram messages.size_bytes" in out
+    assert "  status=ok: total=" in out
+    assert "gauge     nic.utilization{direction=in,node=driver}: " in out
     # the chrome trace was written and is loadable JSON
     trace = json.loads(chrome_path.read_text())
     assert trace["traceEvents"]

@@ -16,6 +16,17 @@ def test_stage_log_records_every_stage(sc):
         assert stage.duration >= 0
 
 
+def test_unfinished_stage_has_no_duration():
+    """A submitted-but-never-finished stage reports None, not NaN, so a
+    total over the log has to leave it out on purpose."""
+    from repro.rdd.scheduler import StageInfo
+
+    open_stage = StageInfo(stage_id=9, kind="result", rdd_name="map@9",
+                           num_tasks=4, attempt=0, submitted_at=1.5)
+    assert not open_stage.finished
+    assert open_stage.duration is None
+
+
 def test_stage_ids_unique_and_increasing(sc):
     for _ in range(3):
         sc.parallelize(range(4), 2).count()
