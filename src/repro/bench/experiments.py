@@ -48,7 +48,6 @@ __all__ = [
     "fig16_aggregation_scaling",
     "fig17_e2e_speedup",
     "fig18_sparker_scaling",
-    "sparse_agg_comparison",
     "aws_config_for_cores",
     "bic_config_for_cores",
 ]
@@ -401,67 +400,6 @@ def fig17_e2e_speedup(clusters: Sequence[str] = ("BIC", "AWS"),
                          sparker.end_to_end,
                          spark.end_to_end / sparker.end_to_end))
     return rows
-
-
-# ------------------------------------------------- sparse aggregation bench
-def sparse_agg_comparison(points: list, num_features: int,
-                          config: Optional[ClusterConfig] = None,
-                          aggregation: str = "split",
-                          iterations: int = 2, parallelism: int = 4,
-                          partitions: Optional[int] = None,
-                          size_scale: float = 1.0,
-                          sparse_policy=None) -> Dict[str, Dict]:
-    """Dense vs density-adaptive aggregation on one LR training set.
-
-    Trains twice with identical inputs — classic dense payloads, then the
-    adaptive sparse path — tracing both runs, and returns per-mode
-    simulated times, the Figure-2 breakdown, bytes-on-wire (with the
-    dense-equivalent baseline from the ring-hop events), and the final
-    weights so callers can assert bit-identity.
-    """
-    from ..ml.classification import LogisticRegressionWithSGD
-    from ..obs import RecordingListener, analyze_events
-    from .harness import BreakdownRecorder
-
-    config = config or ClusterConfig.bic()
-    out: Dict[str, Dict] = {}
-    for mode in ("dense", "adaptive"):
-        sc = _session(config).context()
-        n_parts = partitions or sc.default_parallelism
-        rdd = sc.parallelize(points, n_parts).cache()
-        rdd.count()
-        rec = RecordingListener()
-        sc.event_bus.subscribe(rec)
-        recorder = BreakdownRecorder(sc)
-        began = sc.now
-        spec = AggregationSpec(
-            parallelism=parallelism,
-            sparse_aggregation=(mode == "adaptive"),
-            sparse_policy=sparse_policy if mode == "adaptive" else None)
-        model = LogisticRegressionWithSGD.train(
-            rdd, num_features, num_iterations=iterations,
-            aggregation=aggregation, spec=spec,
-            size_scale=size_scale)
-        elapsed = sc.now - began
-        breakdown = recorder.finish()
-        analysis = analyze_events(rec.events)
-        sparse = analysis.sparse
-        out[mode] = {
-            "end_to_end": elapsed,
-            "agg_compute": breakdown.agg_compute,
-            "agg_reduce": breakdown.agg_reduce,
-            "agg_time": breakdown.agg_compute + breakdown.agg_reduce,
-            "message_bytes": analysis.message_bytes,
-            "ring_wire_bytes": sparse.wire_send_bytes,
-            "ring_dense_bytes": sparse.dense_send_bytes,
-            "bytes_saved": sparse.bytes_saved,
-            "sparse_hops": sparse.sparse_hops,
-            "dense_hops": sparse.dense_hops,
-            "switches": len(sparse.switches),
-            "final_loss": model.losses[-1],
-            "weights": model.weights,
-        }
-    return out
 
 
 # -------------------------------------------------------------- rendering

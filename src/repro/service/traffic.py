@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.spec import AggregationSpec
+from ..obs.metrics import quantile
 from .server import QuotaExceeded
 
 __all__ = ["TenantProfile", "Arrival", "TrafficResult",
@@ -123,12 +124,8 @@ class TrafficResult:
                       if h.latency is not None)
 
     def percentile(self, q: float) -> float:
-        """Latency percentile over completed jobs (q in [0, 1])."""
-        lats = self.latencies
-        if not lats:
-            return 0.0
-        index = min(len(lats) - 1, int(q * len(lats)))
-        return lats[index]
+        """Nearest-rank latency quantile over completed jobs (q in [0, 1])."""
+        return quantile(self.latencies, q)
 
     def by_status(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster import MB, ClusterConfig
+from repro.cluster import MB, Cluster, ClusterConfig
+from repro.comm import ScalableCommunicator
 from repro.comm.cost import (
     SMALL_MESSAGE_BYTES,
     CollectiveCostModel,
@@ -22,6 +23,9 @@ from repro.comm.cost import (
     cost_model_for,
 )
 from repro.obs import EventBus, MessageDelivered, NicSample
+from repro.sim import Environment
+
+from .conftest import concat_op, make_values, reduce_op, split_op
 
 
 def make_model(alpha=1e-3, stream=100 * MB, nic=1000 * MB,
@@ -203,6 +207,30 @@ def test_ties_break_toward_ring_first():
 def test_choose_rejects_empty_slot_list():
     with pytest.raises(ValueError, match="at least one slot"):
         choose_collective(make_model(), 1.0, [], CANDIDATES, (1,))
+
+
+def test_tuner_pick_is_within_ten_percent_of_the_measured_best():
+    """BIC x2, 1 MB: run every (algorithm, P) of the grid and time it on
+    the virtual clock; what the untrained model picks may cost at most
+    10% more than the fastest candidate."""
+    config = ClusterConfig.bic(num_nodes=2)
+    algorithms = ("ring", "pipelined_ring", "hd", "hierarchical")
+    parallelisms = (1, 2, 4, 8)
+    measured = {}
+    for algorithm in algorithms:
+        for p in parallelisms:
+            env = Environment()
+            comm = ScalableCommunicator(Cluster(env, config), parallelism=p)
+            values, _ = make_values(comm.size, sim_bytes=1 * MB)
+            env.run(until=env.process(comm.reduce_scatter_gather(
+                values, split_op, reduce_op, concat_op,
+                algorithm=algorithm)))
+            measured[(algorithm, p)] = env.now
+    winner, _ = choose_collective(
+        CollectiveCostModel.from_config(config), 1 * MB,
+        Cluster(Environment(), config).executors, algorithms, parallelisms)
+    picked = measured[(winner.algorithm, winner.parallelism)]
+    assert picked <= 1.10 * min(measured.values()), (winner, measured)
 
 
 def test_host_profile_feeds_the_plan():

@@ -108,6 +108,48 @@ def test_overlap_beats_phased_ring_on_staggered_compute():
     assert pipe_t < ring_t
 
 
+def test_balanced_cell_saves_a_quarter_and_auto_picks_the_stream():
+    """BIC x2, 8 partitions of 4 items, 128 MB aggregators, P=2, 1 MB
+    chunks; item i of 32 costs 0.09 * (1 + i/32) s to fold. Compute and
+    the ring's reduce window are the same order, which is where the
+    stream must pay: at least 25% off the phased ring (29.1% here), and
+    the tuner must price that and choose it."""
+    nbytes = 128 * MB
+    rng = np.random.default_rng(1)
+    data = [(SizedPayload(rng.random(64), sim_bytes=nbytes),
+             0.09 * (1.0 + i / 32)) for i in range(32)]
+
+    def run(listener=None, **spec):
+        sc = SparkerContext(ClusterConfig.bic(num_nodes=2))
+        if listener is not None:
+            sc.event_bus.subscribe(listener)
+        rdd = sc.parallelize(data, 8).cache()
+        rdd.count()
+        began = sc.now
+        result = rdd.split_aggregate(
+            lambda: SizedPayload(np.zeros(64), sim_bytes=nbytes),
+            seq_op=Costed(lambda a, x: a.merge_inplace(x[0]),
+                          lambda a, x: x[1]),
+            split_op=lambda u, i, n: u.split(i, n),
+            reduce_op=lambda a, b: a.merge(b),
+            concat_op=SizedPayload.concat,
+            spec=AggregationSpec(parallelism=2, **spec))
+        return sc, result, sc.now - began
+
+    sc, ring, ring_t = run(collective="ring")
+    _, pipe, pipe_t = run(collective="pipelined_ring", chunk_bytes=1 * MB)
+    assert sha(pipe) == sha(ring)
+    balance = (sc.stopwatch.total("agg.compute")
+               / sc.stopwatch.total("agg.reduce"))
+    assert 0.4 < balance < 2.5
+    assert 1.0 - pipe_t / ring_t >= 0.25
+    events = []
+    run(events.append, collective="auto", parallelism_candidates=(2,),
+        chunk_bytes=1 * MB)
+    chosen = next(e for e in events if isinstance(e, CollectiveChosen))
+    assert chosen.algorithm == "pipelined_ring"
+
+
 # ----------------------------------------------------------- bookkeeping
 def test_object_managers_cleaned_up():
     sc, _, _ = run_agg("pipelined_ring")

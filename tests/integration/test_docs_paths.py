@@ -70,7 +70,9 @@ def test_a_deleted_module_or_path_does_not_resolve():
     assert not module_resolves("repro.obs.timeseries.TimeSeriesStore")
     assert not path_resolves("bench/profile.py")
     assert not path_resolves("test_history.py")
+    assert not path_resolves("tools/bench_regress.py")
+    assert not path_resolves("benchmarks/host_perf.py")
     assert module_resolves("repro.obs.metrics.NicMonitor")
     assert path_resolves("obs/metrics.py")
-    assert path_resolves("BENCH_*.json")
+    assert path_resolves("BENCHMARK.json")
     assert path_resolves("test_emit_cost.py")

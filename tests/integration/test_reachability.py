@@ -2,14 +2,14 @@
 example or a CLI.
 
 A static walk over ``import`` statements from the roots that are not
-tests — ``benchmarks/`` (the ledger, the paper's figures and tables, the
-measurement scripts), ``examples/``, ``tools/`` and the two
-``python -m`` entry points — following each imported name through package
-``__init__`` re-exports to the module that defines it. A re-export line is
-not a use: ``repro/ml/__init__.py`` naming a class keeps nothing alive, a
-script that imports the class does. What only ``tests/`` and the module's
-own package ``__init__`` reach has no caller to break and no number to
-move, and is deleted or put on a workload (ROADMAP, *quality of design*).
+tests — ``benchmarks/`` (the ledger, the paper's figures and tables),
+``examples/`` and the two ``python -m`` entry points — following each
+imported name through package ``__init__`` re-exports to the module that
+defines it. A re-export line is not a use: ``repro/ml/__init__.py`` naming
+a class keeps nothing alive, a script that imports the class does. What
+only ``tests/`` and the module's own package ``__init__`` reach has no
+caller to break and no number to move, and is deleted or put on a
+workload (ROADMAP, *quality of design*).
 """
 
 import ast
@@ -93,10 +93,23 @@ def unreached(src, roots):
 
 def test_every_module_is_reached_from_a_root_that_is_not_a_test():
     src = ROOT / "src"
-    roots = [path for top in ("benchmarks", "examples", "tools")
+    roots = [path for top in ("benchmarks", "examples")
              for path in sorted((ROOT / top).rglob("*.py"))]
     roots += sorted(src.rglob("__main__.py"))
     assert unreached(src, roots) == ALLOWED
+
+
+def test_the_ledger_is_the_only_measurement_path():
+    """``benchmarks/`` holds the ledger, the paper's exhibits (``test_*.py``
+    and their ``results/``) and nothing else, and no ``BENCH_*.json`` sits
+    at the root: a number is measured by the ledger or asserted by a
+    test, never by a second script with an artifact of its own."""
+    top = {path.name for path in (ROOT / "benchmarks").iterdir()
+           if path.name != "__pycache__"}
+    assert {"ledger", "results", "conftest.py"} <= top
+    assert {name for name in top - {"ledger", "results", "conftest.py"}
+            if not (name.startswith("test_") and name.endswith(".py"))} == set()
+    assert list(ROOT.glob("BENCH_*.json")) == []
 
 
 def test_a_reexport_alone_does_not_reach_a_module(tmp_path):

@@ -1,4 +1,7 @@
-"""Traffic-generator tests: determinism, replay identity, quota bounces."""
+"""Traffic-generator tests: determinism, replay identity, quota bounces,
+and what sharing one driver buys over serialized FIFO."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from repro.service import (
     PoolConfig,
     SparkerSession,
     TenantProfile,
+    TrafficResult,
     arrival_schedule,
     run_open_loop,
     traffic,
@@ -77,6 +81,87 @@ def test_open_loop_matches_isolated_runs():
                 partitions=arrival.partitions).final_weights
         assert np.array_equal(handle.result().final_weights,
                               isolated[sig]), sig
+
+
+def test_percentile_is_the_nearest_rank():
+    result = TrafficResult([(None, SimpleNamespace(latency=t))
+                            for t in (2.0, 1.0)])
+    assert result.percentile(0.5) == 1.0
+    assert result.percentile(0.51) == result.percentile(1.0) == 2.0
+    assert TrafficResult().percentile(0.5) == 0.0
+
+
+SPLIT_SPECS = (AggregationSpec(collective="ring", parallelism=2),
+               AggregationSpec(collective="hd", parallelism=2))
+MIX_POOLS = {"gold": 3.0, "silver": 2.0, "bronze": 1.0}
+#: (tenant, pool, workloads, aggregation, mean gap s, burst)
+MIX = (
+    ("ads-train", "gold", ("LR-A",), "split", 30.0, 1),
+    ("feed-rank", "gold", ("SVM-A",), "tree", 30.0, 1),
+    ("spam-filter", "silver", ("LR-A", "SVM-A"), "tree", 40.0, 1),
+    ("ctr-sweep", "silver", ("LR-A",), "split", 90.0, 3),
+    ("churn-model", "silver", ("SVM-A",), "tree_imm", 40.0, 1),
+    ("analyst-1", "bronze", ("LR-A", "SVM-A"), "tree", 50.0, 1),
+    ("analyst-2", "bronze", ("SVM-A",), "split", 120.0, 4),
+    ("intern", "bronze", ("LR-A",), "tree", 50.0, 1),
+)
+
+
+def test_sharing_beats_serialized_fifo_and_bursts_share_by_weight():
+    """Eight tenants, three jobs each, seed 2026 on laptop(4): the shared
+    driver drains the schedule at least 1.5x faster than running it one
+    job at a time in arrival order (2.64x today), with every executor
+    used; and while a burst of four jobs per pool saturates all three,
+    the FAIR arbiter's task-seconds per unit of weight stay within 2x
+    (1.29 today)."""
+    tenants = [TenantProfile(
+        name, pool=pool, workloads=workloads, aggregation=aggregation,
+        specs=SPLIT_SPECS if aggregation == "split" else (None,),
+        mean_interarrival=gap, burst=burst, jobs=3, iterations=2,
+        partitions=4) for name, pool, workloads, aggregation, gap, burst
+        in MIX]
+
+    def session():
+        return SparkerSession(ClusterConfig.laptop(num_nodes=4), pools={
+            pool: PoolConfig(weight=w) for pool, w in MIX_POOLS.items()})
+
+    with session() as shared:
+        concurrent = run_open_loop(shared, tenants, seed=2026)
+        assert shared.server.slot_utilisation()["idle_executors"] == 0
+    assert concurrent.by_status() == {"succeeded": 24}
+
+    with session() as fifo:
+        env = fifo.server.sc.env
+        began = env.now
+        for arrival in arrival_schedule(tenants, seed=2026):
+            wait = began + arrival.time - env.now
+            if wait > 0:
+                env.run(until=env.timeout(wait))
+            traffic.submit_arrival(fifo, arrival).result()
+        serialized = env.now - began
+    assert serialized / concurrent.makespan >= 1.5
+
+    with session() as burst:
+        server, env = burst.server, burst.server.sc.env
+        handles = {pool: [burst.submit("LR-A", pool=pool,
+                                       tenant=f"burst-{pool}", iterations=2,
+                                       partitions=4) for _ in range(4)]
+                   for pool in MIX_POOLS}
+        samples = []
+
+        def monitor():
+            while not all(h.done() for hs in handles.values() for h in hs):
+                yield env.timeout(2.0)
+                samples.append((env.now, server.sample_pools()))
+
+        env.process(monitor(), name="fairness:monitor")
+        server.drain()
+    # the window in which every pool still has demand
+    window_end = min(max(h.latency for h in hs) for hs in handles.values())
+    snapshot = [s for t, s in samples if t <= window_end][-1]
+    shares = [snapshot[pool]["task_seconds"] / w
+              for pool, w in MIX_POOLS.items()]
+    assert max(shares) / min(shares) <= 2.0
 
 
 def test_open_loop_replay_is_deterministic():
