@@ -18,12 +18,7 @@ from .auto_split import (
 from .imm import MutableObjectManager, ObjectId, StaleMergeError
 from .sai import split_aggregate
 from .spawn_rdd import SpawnRDD
-from .spec import (
-    COLLECTIVES,
-    AggregationSpec,
-    resolve_host_pool,
-    resolve_sparse_policy,
-)
+from .spec import COLLECTIVES, AggregationSpec
 
 __all__ = [
     "tree_aggregate",
@@ -31,8 +26,6 @@ __all__ = [
     "split_aggregate",
     "AggregationSpec",
     "COLLECTIVES",
-    "resolve_sparse_policy",
-    "resolve_host_pool",
     "derive_split_ops",
     "DerivedOps",
     "AutoSegment",

@@ -193,16 +193,15 @@ def derive_split_ops(prototype: Any, verify: bool = True,
     ``split_op`` emits density-adaptive segments: blocks below the policy
     threshold travel in the sparse (index, value) wire format and every
     merge re-evaluates the representation. Passing ``spec`` instead takes
-    the policy from :attr:`AggregationSpec.resolved_sparse_policy` — the
-    job-wide resolution site — so derived ops and the seqOp accumulator
-    can never disagree about defaults.
+    the job's policy object, :attr:`AggregationSpec.sparse_policy`, so
+    derived ops and the seqOp accumulator can never disagree.
     """
-    # ml builds on core (its aggregators read core.spec), so core reaches
-    # the hand-written segment only from inside a call
+    # ml builds on core (its trainers call core's aggregations), so core
+    # reaches the hand-written segment only from inside a call
     from ..ml.aggregators import AggregatorSegment
 
     if policy is None and spec is not None:
-        policy = spec.resolved_sparse_policy
+        policy = spec.sparse_policy
     plans = _plan(prototype)
     cls = type(prototype)
     array_fields = [p for p in plans if p.kind == "array"]

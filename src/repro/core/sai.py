@@ -125,7 +125,7 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
     policy is the context's armed fault controller's (``sc.faults``);
     when neither exists the aggregation runs unarmored.
     """
-    spec = AggregationSpec.from_env(AggregationSpec.of(spec))
+    spec = AggregationSpec.of(spec)
     sc = rdd.sc
 
     if merge_op is None:

@@ -32,8 +32,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.spec import resolve_sparse_policy
 from ..serde import (
+    DEFAULT_SPARSE_POLICY,
     SparsePolicy,
     coalesce_chunks,
     densify_sparse,
@@ -263,9 +263,8 @@ class AggregatorSegment:
         ``sim_bytes`` is the dense-equivalent size, same as the dense
         constructor.
         """
-        # sparse construction implies the adaptive mode; the default may
-        # only be read through the spec layer's single resolution site
-        policy = resolve_sparse_policy(True, policy)
+        # sparse construction implies the adaptive mode
+        policy = policy or DEFAULT_SPARSE_POLICY
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         if indices.shape != values.shape or indices.ndim != 1:

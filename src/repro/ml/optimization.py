@@ -110,10 +110,6 @@ class GradientDescent:
         self.size_scale = size_scale
         self.sample_scale = sample_scale
         self.flop_time = flop_time
-        # Density-adaptive aggregation: resolved exactly once, here — the
-        # seqOp accumulator, the wire-format switch and any derived split
-        # ops all share this one policy object for the whole job.
-        self._resolved_policy = self.spec.resolved_sparse_policy
 
     # ------------------------------------------------------------------ run
     def optimize(self, data: RDD,
@@ -175,7 +171,9 @@ class GradientDescent:
                                  self.sample_scale, self.flop_time)
         merge = Costed(lambda a, b: a.merge(b), 0.0)
         size_scale = self.size_scale
-        policy = self._resolved_policy
+        # the seqOp accumulator and the wire-format switch share the
+        # spec's one policy object for the whole job
+        policy = self.spec.sparse_policy
         zero = lambda: FlatAggregator(dim, size_scale,  # noqa: E731
                                       policy=policy)
 

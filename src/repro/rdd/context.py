@@ -82,10 +82,8 @@ class SparkerContext:
         Place the driver on node 0 instead of a dedicated host.
     host_pool:
         Parallel host-compute backend (:class:`~repro.rdd.hostpool.HostPool`
-        instance, or an int worker count). Defaults to the
-        ``SPARKER_HOST_POOL`` environment variable (worker count; unset or
-        ``<= 1`` leaves the serial engine untouched).
-        ``SPARKER_HOST_POOL_MODE`` selects ``fork`` (default) or ``inline``.
+        instance, or an int worker count). ``None`` or a count ``<= 1``
+        leaves the serial engine untouched.
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None,
@@ -112,11 +110,10 @@ class SparkerContext:
             e.executor_id: e for e in self.executors
         }
         self.dag = DAGScheduler(self)
-        # env-var resolution lives in core.spec (the engine's single
-        # reader of SPARKER_* overrides)
-        from ..core.spec import resolve_host_pool
+        if isinstance(host_pool, int):
+            host_pool = HostPool(host_pool) if host_pool > 1 else None
         #: parallel host-compute backend; None = untouched serial engine
-        self.host_pool: Optional[HostPool] = resolve_host_pool(host_pool)
+        self.host_pool: Optional[HostPool] = host_pool
         self.driver_cpu = Resource(self.env, 1, name="driver")
         self.driver_getters = Resource(self.env,
                                        self.config.driver_result_threads,

@@ -1,7 +1,7 @@
 """Serialization cost modelling: size estimation, scaled payloads, costs."""
 
 from .cost import DEFAULT_SPARSE_POLICY, SerdeModel, SparsePolicy
-from .payload import SizedPayload, segment_bounds, segment_range
+from .payload import SizedPayload, segment_range
 from .sizeof import (
     SimSized,
     density_of,
@@ -24,7 +24,6 @@ __all__ = [
     "SparsePolicy",
     "DEFAULT_SPARSE_POLICY",
     "SizedPayload",
-    "segment_bounds",
     "segment_range",
     "SimSized",
     "sim_sizeof",

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["SizedPayload", "segment_bounds", "segment_range"]
+__all__ = ["SizedPayload", "segment_range"]
 
 
 class SizedPayload:
@@ -111,24 +111,13 @@ class SizedPayload:
                 f"sim_bytes={self.sim_bytes:.0f}>")
 
 
-def segment_bounds(n: int, num_segments: int) -> list:
-    """Split points dividing ``n`` elements into ``num_segments`` blocks.
+def segment_range(n: int, num_segments: int, index: int) -> tuple:
+    """``(lo, hi)`` of block ``index`` when ``n`` elements are divided into
+    ``num_segments`` blocks, in O(1) (hot path: splitting into hundreds of
+    segments).
 
     The first ``n % num_segments`` blocks get one extra element, matching
     the usual MPI block distribution.
-    """
-    if num_segments < 1:
-        raise ValueError(f"num_segments must be >= 1, got {num_segments}")
-    base, extra = divmod(n, num_segments)
-    bounds = [0]
-    for i in range(num_segments):
-        bounds.append(bounds[-1] + base + (1 if i < extra else 0))
-    return bounds
-
-
-def segment_range(n: int, num_segments: int, index: int) -> tuple:
-    """O(1) ``(lo, hi)`` of block ``index`` in the same distribution as
-    :func:`segment_bounds` (hot path: splitting into hundreds of segments).
     """
     if num_segments < 1:
         raise ValueError(f"num_segments must be >= 1, got {num_segments}")

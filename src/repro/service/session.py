@@ -51,9 +51,9 @@ def _resolve_workload(name: str):
 
 
 def _check_lda_spec(workload, spec: AggregationSpec) -> None:
-    if workload.model == "lda" and spec.sparse_aggregation:
+    if workload.model == "lda" and spec.sparse_policy is not None:
         raise ValueError(
-            "sparse_aggregation applies to the LR/SVM workloads only")
+            "sparse_policy applies to the LR/SVM workloads only")
 
 
 def _train(sc: SparkerContext, workload, rdd, ds, spec: AggregationSpec,
@@ -251,7 +251,7 @@ class SparkerSession:
         spec = AggregationSpec.of(spec)
         _check_lda_spec(wl, spec)
         # stop() on exit takes the listener off the bus and frees the blocks
-        with SparkerContext(self.config, host_pool=spec.host_pool) as sc:
+        with self.context() as sc:
             n_parts = partitions or sc.default_parallelism
 
             samples, _truth = ds.generate()

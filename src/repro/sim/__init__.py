@@ -7,7 +7,7 @@ written from scratch so the repository has no dependency beyond NumPy.
 
 Public surface::
 
-    from repro.sim import Environment, Resource, CapacityPool
+    from repro.sim import Environment, Resource
     from repro.sim import all_of, any_of, Interrupt
 """
 
@@ -23,7 +23,7 @@ from .events import (
     any_of,
 )
 from .monitor import Counter, Stopwatch
-from .resources import CapacityPool, Resource
+from .resources import Resource
 
 __all__ = [
     "Environment",
@@ -37,7 +37,6 @@ __all__ = [
     "all_of",
     "any_of",
     "Resource",
-    "CapacityPool",
     "Stopwatch",
     "Counter",
 ]

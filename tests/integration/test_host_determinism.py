@@ -4,12 +4,13 @@ Two seeded runs of the same workload must produce byte-identical trace
 streams and virtual times, and the host pool must be invisible to every
 simulated quantity: pool sizes 1/2/8 train byte-equal weights in exactly
 the same virtual time as the serial path (the DESIGN.md §9 bit-identity
-contract the host-perf benchmark gates on).
+contract). The pool is the session's (``SparkerSession(config,
+host_pool=n)``), never the spec's.
 """
 
 import numpy as np
 
-from repro import AggregationSpec, SparkerSession
+from repro import SparkerSession
 from repro.cluster import ClusterConfig
 from repro.obs import EventLogWriter
 
@@ -38,12 +39,13 @@ def test_two_runs_identical_stream_and_virtual_time(tmp_path):
 
 
 def test_pool_sizes_bit_identical():
-    session = SparkerSession(ClusterConfig.bic(2))
-    serial = session.run("LR-A", aggregation="tree", iterations=2)
+    config = ClusterConfig.bic(2)
+    serial = SparkerSession(config).run("LR-A", aggregation="tree",
+                                        iterations=2)
     reference = np.asarray(serial.final_weights).tobytes()
     for size in (1, 2, 8):
-        pooled = session.run("LR-A", aggregation="tree", iterations=2,
-                             spec=AggregationSpec(host_pool=size))
+        pooled = SparkerSession(config, host_pool=size).run(
+            "LR-A", aggregation="tree", iterations=2)
         assert pooled.end_to_end == serial.end_to_end, f"pool={size}"
         assert pooled.final_loss == serial.final_loss, f"pool={size}"
         assert (np.asarray(pooled.final_weights).tobytes()
@@ -51,10 +53,11 @@ def test_pool_sizes_bit_identical():
 
 
 def test_split_aggregation_pool_parity():
-    session = SparkerSession(ClusterConfig.bic(4))
-    serial = session.run("LR-C", aggregation="split", iterations=2)
-    pooled = session.run("LR-C", aggregation="split", iterations=2,
-                         spec=AggregationSpec(host_pool=2))
+    config = ClusterConfig.bic(4)
+    serial = SparkerSession(config).run("LR-C", aggregation="split",
+                                        iterations=2)
+    pooled = SparkerSession(config, host_pool=2).run(
+        "LR-C", aggregation="split", iterations=2)
     assert pooled.end_to_end == serial.end_to_end
     assert (np.asarray(pooled.final_weights).tobytes()
             == np.asarray(serial.final_weights).tobytes())

@@ -16,8 +16,13 @@ from repro.data import concentrated_classification, sparse_classification
 from repro.ml import LogisticRegressionWithSGD, SVMWithSGD
 from repro.obs import RecordingListener, analyze_events
 from repro.rdd import SparkerContext
+from repro.serde import SparsePolicy
 
 NODES = 2
+
+
+def _policy(adaptive):
+    return SparsePolicy() if adaptive else None
 
 
 def _train(points, dim, *, adaptive, aggregation="split", parallelism=4,
@@ -31,7 +36,7 @@ def _train(points, dim, *, adaptive, aggregation="split", parallelism=4,
     model = LogisticRegressionWithSGD.train(
         rdd, dim, num_iterations=iterations, aggregation=aggregation,
         spec=AggregationSpec(parallelism=parallelism,
-                             sparse_aggregation=adaptive))
+                             sparse_policy=_policy(adaptive)))
     return model, sc.now - began
 
 
@@ -140,6 +145,6 @@ def test_svm_adaptive_bit_identical(sparse_points):
         rdd.count()
         models[adaptive] = SVMWithSGD.train(
             rdd, 2_000, num_iterations=3, aggregation="split",
-            spec=AggregationSpec(sparse_aggregation=adaptive))
+            spec=AggregationSpec(sparse_policy=_policy(adaptive)))
     np.testing.assert_array_equal(models[False].weights,
                                   models[True].weights)

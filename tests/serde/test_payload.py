@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.serde import SizedPayload, segment_bounds, sim_sizeof
+from repro.serde import SizedPayload, segment_range, sim_sizeof
 
 
 def test_default_sim_size_is_physical():
@@ -89,26 +89,36 @@ def test_copy_is_independent():
     assert p.data[0] == 0
 
 
+def _blocks(n, k):
+    return [segment_range(n, k, i) for i in range(k)]
+
+
 def test_segment_bounds_basic():
-    assert segment_bounds(10, 3) == [0, 4, 7, 10]
-    assert segment_bounds(9, 3) == [0, 3, 6, 9]
-    assert segment_bounds(2, 4) == [0, 1, 2, 2, 2]
+    assert _blocks(10, 3) == [(0, 4), (4, 7), (7, 10)]
+    assert _blocks(9, 3) == [(0, 3), (3, 6), (6, 9)]
+    assert _blocks(2, 4) == [(0, 1), (1, 2), (2, 2), (2, 2)]
 
 
 def test_segment_bounds_validation():
     with pytest.raises(ValueError):
-        segment_bounds(10, 0)
+        segment_range(10, 0, 0)
+    with pytest.raises(IndexError):
+        segment_range(10, 3, 3)
+    with pytest.raises(IndexError):
+        segment_range(10, 3, -1)
 
 
 @given(st.integers(min_value=0, max_value=500),
        st.integers(min_value=1, max_value=64))
 def test_segment_bounds_cover_everything(n, k):
-    bounds = segment_bounds(n, k)
-    assert bounds[0] == 0 and bounds[-1] == n
-    assert len(bounds) == k + 1
-    sizes = [b - a for a, b in zip(bounds, bounds[1:])]
-    assert all(s >= 0 for s in sizes)
-    assert max(sizes) - min(sizes) <= 1  # balanced
+    blocks = _blocks(n, k)
+    # the blocks tile [0, n) in order ...
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    # ... and the first n % k are the one-longer ones (MPI block layout)
+    sizes = [hi - lo for lo, hi in blocks]
+    base, extra = divmod(n, k)
+    assert sizes == [base + 1] * extra + [base] * (k - extra)
 
 
 @given(st.integers(min_value=1, max_value=200),

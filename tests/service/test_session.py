@@ -68,6 +68,15 @@ def test_service_spec_downgrades_pipelined_ring_warning_once():
     assert again.collective == "ring"
 
 
+def test_run_builds_its_context_from_the_session_arguments():
+    # a driver on node 0 talks to its executors locally: a shorter run
+    default = SparkerSession(CFG).run("LR-A", "split", iterations=2)
+    colocated = SparkerSession(CFG, driver_colocated=True).run(
+        "LR-A", "split", iterations=2)
+    assert round(default.end_to_end, 5) == 18.94241
+    assert round(colocated.end_to_end, 5) == 18.93985
+
+
 def test_a_bare_parallelism_is_not_a_spec():
     with pytest.raises(TypeError, match=r"AggregationSpec\(parallelism="):
         SparkerSession(CFG).run("LR-A", iterations=1, partitions=4, spec=2)

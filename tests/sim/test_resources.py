@@ -1,11 +1,10 @@
-"""Tests for Resource and CapacityPool."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import CapacityPool, Environment, Resource
+from repro.sim import Environment, Resource
 
 
-# ---------------------------------------------------------------- Resource
 def test_resource_limits_concurrency():
     env = Environment()
     res = Resource(env, capacity=2)
@@ -80,100 +79,3 @@ def test_resource_capacity_validation():
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
 
-
-# ------------------------------------------------------------ CapacityPool
-def test_pool_shares_up_to_capacity():
-    env = Environment()
-    pool = CapacityPool(env, capacity=10.0)
-    done = []
-
-    def flow(rate, duration, tag):
-        yield from pool.transfer(rate, duration)
-        done.append((env.now, tag))
-
-    # Two flows of 5 tokens fit concurrently; a third queues.
-    env.process(flow(5.0, 1.0, "a"))
-    env.process(flow(5.0, 1.0, "b"))
-    env.process(flow(5.0, 1.0, "c"))
-    env.run()
-    assert done == [(1.0, "a"), (1.0, "b"), (2.0, "c")]
-
-
-def test_pool_clamps_oversized_request():
-    env = Environment()
-    pool = CapacityPool(env, capacity=4.0)
-
-    def flow():
-        granted = yield pool.acquire(100.0)
-        assert granted == 4.0
-        pool.release(granted)
-        return granted
-
-    proc = env.process(flow())
-    assert env.run(until=proc) == 4.0
-    assert pool.level == 4.0
-
-
-def test_pool_fifo_no_starvation():
-    env = Environment()
-    pool = CapacityPool(env, capacity=10.0)
-    order = []
-
-    def hog():
-        granted = yield pool.acquire(10.0)
-        yield env.timeout(1.0)
-        pool.release(granted)
-        order.append("hog")
-
-    def big_then_small():
-        # Big request queues first; the small one must NOT jump the queue.
-        def big():
-            granted = yield pool.acquire(8.0)
-            order.append("big")
-            pool.release(granted)
-
-        def small():
-            granted = yield pool.acquire(1.0)
-            order.append("small")
-            pool.release(granted)
-
-        env.process(big())
-        yield env.timeout(0.0)
-        env.process(small())
-
-    env.process(hog())
-    env.process(big_then_small())
-    env.run()
-    assert order == ["hog", "big", "small"]
-
-
-def test_pool_over_release_detected():
-    env = Environment()
-    pool = CapacityPool(env, capacity=2.0)
-    with pytest.raises(RuntimeError):
-        pool.release(1.0)
-
-
-def test_pool_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        CapacityPool(env, capacity=0.0)
-    pool = CapacityPool(env, capacity=1.0)
-    with pytest.raises(ValueError):
-        pool.acquire(-1.0)
-
-
-def test_pool_float_rounding_tolerated():
-    env = Environment()
-    pool = CapacityPool(env, capacity=1.0)
-
-    def flow():
-        for _ in range(100):
-            granted = yield pool.acquire(0.1)
-            pool.release(granted)
-        granted = yield pool.acquire(1.0)  # must still fit after churn
-        pool.release(granted)
-        return True
-
-    proc = env.process(flow())
-    assert env.run(until=proc) is True
