@@ -136,7 +136,7 @@ def _tree_reduce_phase(sc, partial: RDD, comb_op: Callable[[Any, Any], Any],
             ctx.charge(len(data) * ELEMENT_OVERHEAD)
             return [(idx % _target, agg) for agg in data]
 
-        # Stage names matter: obs.analysis.classify_stage buckets
+        # Stage names matter: obs.critical_path.classify_stage buckets
         # aggregation stages by these labels, mirroring how the paper's
         # authors mined Spark history logs. Level 0's map stage
         # contains the partial aggregation (Agg-compute); later levels are

@@ -20,15 +20,16 @@ that from stage granularity down to tasks, messages and ring hops:
   histograms over virtual-time windows with exact quantile queries, the
   bus-fed :class:`MetricsListener` that fills it, and a
   :class:`NicMonitor` process sampling NIC utilization,
-* :mod:`repro.obs.analysis` — the Figure-2-style decomposition, straggler
-  detection and driver-NIC saturation windows, recomputed from an event
-  log (``python -m repro.obs events.jsonl``),
 * :mod:`repro.obs.tracing` — the causal-span allocator
   (:class:`Tracer`, owned by every bus) stamping
   ``span_id``/``parent_span_id`` on traced events,
-* :mod:`repro.obs.critical_path` — span-DAG reconstruction and exact
-  per-job makespan attribution (compute / serde / wire / queueing /
-  recovery), slowest-hop and straggler blame.
+* :mod:`repro.obs.critical_path` — the one report of a recorded run,
+  built in one pass: the Figure-2-style phase and stage decomposition,
+  exact per-job makespan attribution (compute / serde / wire / queueing /
+  recovery), one row per collective (tuner decision, measured window,
+  slowest hop), stragglers, driver-NIC saturation, sparse savings and
+  the fault report with its recovery epochs
+  (``python -m repro.obs events.jsonl`` renders it).
 
 Capture a trace::
 
@@ -42,26 +43,20 @@ then ``python -m repro.obs events.jsonl`` for the decomposition, or
 ``python -m repro.obs events.jsonl --chrome trace.json`` for Perfetto.
 """
 
-from .analysis import (
-    FaultReport,
-    SparseSavings,
-    TraceAnalysis,
-    TunerReport,
-    analyze_events,
-    classify_stage,
-    phase_decomposition,
-)
 from .bus import EventBus, RecordingListener
 from .chrome_trace import chrome_trace, write_chrome_trace
 from .critical_path import (
     CollectiveAttribution,
     CriticalPathReport,
     CriticalTask,
+    FaultReport,
     JobAttribution,
     RecoveryEpoch,
     SEGMENT_LABELS,
     Segment,
+    SparseSavings,
     attribute_critical_path,
+    classify_stage,
 )
 from .events import (
     BlockEvent,
@@ -162,10 +157,6 @@ __all__ = [
     "NicMonitor",
     "FaultReport",
     "SparseSavings",
-    "TraceAnalysis",
-    "TunerReport",
-    "analyze_events",
-    "phase_decomposition",
     "classify_stage",
     "Tracer",
     "NO_SPAN",

@@ -105,7 +105,7 @@ class RecordingListener:
         rec = RecordingListener()
         sc.event_bus.subscribe(rec)
         ...
-        analysis = analyze_events(rec.events)
+        report = attribute_critical_path(rec.events)
     """
 
     def __init__(self) -> None:

@@ -179,20 +179,21 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
     # ------------------------------------------------------------- faults
     # Instant markers on the job lane: faults pin where the controller
     # struck, recovery actions show the engine's answer on the same axis.
-    # Each detection->recovered epoch also gets a span on its own driver
-    # lane so recovery cost is visible as a width, not just ticks.
-    recovered = [e for e in events if e.kind == "recovery_action"
-                 and e.action == "recovered" and e.seconds > 0]
-    if recovered:
+    # Each recovery epoch of the critical-path report also gets a span on
+    # its own driver lane so recovery cost is visible as a width, not just
+    # ticks.
+    report = attribute_critical_path(events)
+    if report.recovery_epochs:
         out += _meta(DRIVER_PID, "recovery", tid=RECOVERY_TID,
                      sort_index=RECOVERY_TID)
-        for event in recovered:
+        for epoch in report.recovery_epochs:
             out.append(_span(
                 DRIVER_PID, RECOVERY_TID,
-                f"recovery (attempt {event.attempt})",
-                event.time - event.seconds, event.time, "recovery",
-                {"site": event.site, "job_id": event.job_id,
-                 "seconds": event.seconds, "detail": event.detail}))
+                (f"recovery (job {epoch.job_id})" if epoch.recovered
+                 else "recovery (unrecovered)"),
+                epoch.began, epoch.ended, "recovery",
+                {"job_id": epoch.job_id, "actions": epoch.actions,
+                 "seconds": epoch.seconds}))
     for event in events:
         if event.kind == "fault_injected":
             out.append({"ph": "i", "pid": DRIVER_PID, "tid": 0, "s": "g",
@@ -274,7 +275,6 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
     # Flow arrows chain each job slice through its stages' critical
     # tasks, and each collective slice to its slowest hop, so "what did
     # the makespan wait on" reads straight off the Perfetto timeline.
-    report = attribute_critical_path(events)
     flow_id = 1
 
     def _flow(ph: str, fid: int, pid: int, tid: int, ts: float,
@@ -303,8 +303,8 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
     if collective_events:
         for coll in report.collectives:
             hop = coll.slowest_hop
-            if hop is None:
-                continue
+            if hop is None or coll.seconds is None:
+                continue  # no hop, or no completed slice to start from
             coords = hop_coords.get((hop.executor_id, hop.channel,
                                      hop.hop, hop.began))
             if coords is None:

@@ -14,7 +14,7 @@ from repro import AggregationSpec
 from repro.cluster import ClusterConfig
 from repro.data import concentrated_classification, sparse_classification
 from repro.ml import LogisticRegressionWithSGD, SVMWithSGD
-from repro.obs import RecordingListener, analyze_events
+from repro.obs import RecordingListener, attribute_critical_path
 from repro.rdd import SparkerContext
 from repro.serde import SparsePolicy
 
@@ -89,8 +89,7 @@ def test_adaptive_saves_wire_bytes_when_sparse(sparse_points):
     for adaptive in (False, True):
         rec = RecordingListener()
         _train(sparse_points, 2_000, adaptive=adaptive, listener=rec)
-        analysis = analyze_events(rec.events)
-        results[adaptive] = analysis
+        results[adaptive] = attribute_critical_path(rec.events)
     dense, adaptive = results[False], results[True]
     assert dense.sparse.sparse_hops == 0
     assert not dense.sparse.observed
@@ -119,14 +118,14 @@ def test_mid_ring_densify_switch_is_observable():
         support_size=480, seed=31)
     rec = RecordingListener()
     _train(pts, 800, adaptive=True, listener=rec)
-    analysis = analyze_events(rec.events)
-    switches = analysis.sparse.switches
+    report = attribute_critical_path(rec.events)
+    switches = report.sparse.switches
     assert switches, "expected sparse->dense switch points mid-reduction"
     assert all(e.from_repr == "sparse" and e.to_repr == "dense"
                for e in switches)
     # both representations were actually used on the wire
-    assert analysis.sparse.sparse_hops > 0
-    assert analysis.sparse.dense_hops > 0
+    assert report.sparse.sparse_hops > 0
+    assert report.sparse.dense_hops > 0
 
 
 def test_tracing_does_not_perturb_adaptive_run(sparse_points):

@@ -2,11 +2,16 @@
 
 import json
 
+import pytest
+
 from repro.obs import (
+    FaultInjected,
     NicSample,
     PhaseSpan,
+    RecoveryAction,
     TaskEnd,
     TaskMetrics,
+    attribute_critical_path,
     chrome_trace,
     write_chrome_trace,
 )
@@ -180,3 +185,41 @@ def test_recovery_lane_on_fault_run():
              and e["ph"] == "X"]
     assert lanes, "recovery epochs must appear on the driver RECOVERY lane"
     assert all(e["dur"] > 0 for e in lanes)
+    # the lane draws the report's epochs, not a second derivation
+    epochs = attribute_critical_path(rec.events).recovery_epochs
+    assert [(e["ts"], e["dur"], e["args"]["job_id"]) for e in lanes] == [
+        (ep.began * 1e6, (ep.ended - ep.began) * 1e6, ep.job_id)
+        for ep in epochs]
+
+
+def test_recovery_lane_draws_every_epoch():
+    """An epoch opens at its first action, which can be earlier than its
+    ``recovered`` action's own cost says; one that never recovers is
+    drawn too."""
+    from repro.obs.chrome_trace import RECOVERY_TID
+
+    events = [RecoveryAction(time=1.0, action="ring_abort", job_id=4),
+              RecoveryAction(time=2.0, action="recovered", job_id=4,
+                             seconds=0.5),
+              RecoveryAction(time=3.0, action="ring_abort", job_id=5),
+              RecoveryAction(time=3.5, action="ring_rebuild", job_id=5)]
+    lanes = [e for e in chrome_trace(events)["traceEvents"]
+             if e.get("tid") == RECOVERY_TID and e["ph"] == "X"]
+    assert [(e["name"], e["ts"], e["dur"]) for e in lanes] == [
+        ("recovery (job 4)", 1.0e6, 1.0e6),
+        ("recovery (unrecovered)", 3.0e6, 0.5e6)]
+
+
+def test_chrome_trace_marks_faults():
+    events = [
+        FaultInjected(time=0.5, fault="message_drop", target="rank 0 -> 1",
+                      trigger="link", src=0, dst=1, channel="ring/0"),
+        RecoveryAction(time=0.7, action="tree_fallback", site="tree",
+                       job_id=2),
+    ]
+    trace = chrome_trace(events)["traceEvents"]
+    instants = [e for e in trace if e.get("ph") == "i"]
+    assert {e["name"] for e in instants} == \
+        {"fault:message_drop", "recovery:tree_fallback"}
+    drop = next(e for e in instants if e["name"] == "fault:message_drop")
+    assert drop["ts"] == pytest.approx(0.5e6)

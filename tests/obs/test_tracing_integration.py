@@ -16,7 +16,12 @@ import pytest
 
 from repro.bench import BreakdownRecorder
 from repro.cluster import MB, ClusterConfig
-from repro.obs import analyze_events, classify_stage, dump_events, load_events
+from repro.obs import (
+    attribute_critical_path,
+    classify_stage,
+    dump_events,
+    load_events,
+)
 from repro.rdd import SparkerContext
 from repro.serde import SizedPayload
 from repro.obs.__main__ import main as obs_main
@@ -36,7 +41,7 @@ def test_decomposition_matches_live_stopwatch():
     """(a): event-derived phase totals == stopwatch totals (within 1%)."""
     sc, recorder = run_lr(aggregation="split")
     live = sc.stopwatch.as_dict()
-    derived = analyze_events(recorder.events).phases
+    derived = attribute_critical_path(recorder.events).phases
     assert set(derived) == set(live)
     for key, total in live.items():
         assert derived[key] == pytest.approx(total, rel=0.01), key
@@ -49,7 +54,7 @@ def test_decomposition_survives_log_round_trip(tmp_path):
     sc, recorder = run_lr(aggregation="split")
     path = tmp_path / "events.jsonl"
     dump_events(recorder.events, path)
-    derived = analyze_events(load_events(path)).phases
+    derived = attribute_critical_path(load_events(path)).phases
     for key, total in sc.stopwatch.as_dict().items():
         assert derived[key] == pytest.approx(total, rel=0.01), key
 
@@ -114,7 +119,7 @@ def run_aggregation(method):
 def test_stage_decomposition_from_events_matches_stage_log():
     """The event route and the StageInfo route agree stage for stage."""
     sc, recorder = run_lr(aggregation="split")
-    from_events = analyze_events(recorder.events).stage_totals
+    from_events = attribute_critical_path(recorder.events).stage_totals
     from_log = stage_log_buckets(sc.dag.stage_log)
     for bucket in ("agg_compute", "agg_reduce"):
         assert from_events.get(bucket, 0.0) == pytest.approx(

@@ -5,8 +5,7 @@ import pytest
 
 from repro import AggregationSpec
 from repro.cluster import ClusterConfig
-from repro.obs import ResidualLost
-from repro.obs.analysis import analyze_events
+from repro.obs import ResidualLost, attribute_critical_path
 from repro.rdd import SparkerContext
 from repro.serde import SizedPayload
 
@@ -73,7 +72,7 @@ def test_real_topk_residuals_reported_and_analyzed():
     losses = [e for e in events if isinstance(e, ResidualLost)]
     assert len(losses) == 1
     assert losses[0].residual_norm > 0.0
-    report = analyze_events(events).faults
+    report = attribute_critical_path(events).faults
     assert report.residual_losses == losses
     assert report.residual_norm_lost == pytest.approx(
         losses[0].residual_norm)
