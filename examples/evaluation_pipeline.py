@@ -6,8 +6,9 @@ Shows the parts of the library around the headline reduction story:
 * a train/test split over the avazu surrogate (Table 2),
 * accumulators counting records exactly-once during training,
 * AUC / precision / recall via BinaryClassificationMetrics,
-* the automatic split-op derivation (§6 future work) powering a custom
-  aggregator without hand-written splitOp/concatOp.
+* a custom per-feature counter on the trainers' own split path: a
+  ``FlatAggregator`` with the splitOp/reduceOp/concatOp of
+  ``repro.ml.aggregators``.
 
 Run:  python examples/evaluation_pipeline.py
 """
@@ -15,26 +16,21 @@ Run:  python examples/evaluation_pipeline.py
 import numpy as np
 
 from repro import AggregationSpec, ClusterConfig, SparkerSession
-from repro.core import derive_split_ops
 from repro.data import dataset
 from repro.ml import BinaryClassificationMetrics, LogisticRegressionWithSGD
+from repro.ml.aggregators import (
+    FlatAggregator,
+    concat_op,
+    reduce_op,
+    split_op,
+)
 
 
-class FeatureStats:
-    """A custom aggregator: per-feature activity counts + a scalar total.
-
-    No splitOp / reduceOp / concatOp written by hand — they are derived
-    from this class's state automatically.
-    """
-
-    def __init__(self, dim: int):
-        self.hits = np.zeros(dim)
-        self.total = 0.0
-
-    def add(self, point) -> "FeatureStats":
-        self.hits[point.features.indices] += 1.0
-        self.total += 1.0
-        return self
+def count_features(agg: FlatAggregator, point) -> FlatAggregator:
+    """seqOp: one hit per active feature, one unit of weight per sample."""
+    agg.payload[point.features.indices] += 1.0
+    agg.add_stats(0.0, 1.0)
+    return agg
 
 
 def main() -> None:
@@ -54,18 +50,17 @@ def main() -> None:
           f"{nnz_total.value} non-zeros "
           f"(avg {nnz_total.value / len(train):.1f}/sample)")
 
-    # --- dataset profiling through auto-derived split aggregation -------
-    ops = derive_split_ops(FeatureStats(spec.surrogate_features))
+    # --- dataset profiling through split aggregation --------------------
     stats = train_rdd.split_aggregate(
-        lambda: FeatureStats(spec.surrogate_features),
-        lambda agg, p: agg.add(p),
-        ops.split_op, ops.reduce_op, ops.concat_op,
-        AggregationSpec(parallelism=4), merge_op=ops.merge_op)
-    busiest = int(np.argmax(stats.hits))
-    print(f"feature activity (auto-split aggregation): busiest feature "
-          f"#{busiest} appears in {int(stats.hits[busiest])} samples; "
-          f"{int((stats.hits > 0).sum())} features active")
-    assert stats.total == len(train)
+        lambda: FlatAggregator(spec.surrogate_features), count_features,
+        split_op, reduce_op, concat_op, AggregationSpec(parallelism=4),
+        merge_op=lambda a, b: a.merge(b))
+    hits = stats.payload
+    busiest = int(np.argmax(hits))
+    print(f"feature activity (split aggregation): busiest feature "
+          f"#{busiest} appears in {int(hits[busiest])} samples; "
+          f"{int((hits > 0).sum())} features active")
+    assert stats.weight_sum == len(train)
 
     # --- train with split aggregation, evaluate on held-out data --------
     model = LogisticRegressionWithSGD.train(

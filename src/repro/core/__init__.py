@@ -3,18 +3,15 @@
 * :func:`tree_aggregate` — Spark's baseline ``treeAggregate`` (with an
   ``imm=True`` variant for the paper's "Tree+IMM" ablation),
 * :func:`split_aggregate` — Sparker's split aggregation interface backed by
-  the PDR ring reduce-scatter,
+  the PDR ring reduce-scatter; it takes Figure 6's user-written
+  ``splitOp`` / ``reduceOp`` / ``concatOp`` callbacks
+  (:mod:`repro.ml.aggregators` supplies them for the trainers' flat
+  aggregator),
 * :class:`SpawnRDD` — statically scheduled tasks (§4.3),
 * :class:`MutableObjectManager` — the in-memory merge substrate (§3.2).
 """
 
 from .aggregation import fresh_zero, tree_aggregate, tree_reduce
-from .auto_split import (
-    AutoSegment,
-    DerivedOps,
-    UnsplittableError,
-    derive_split_ops,
-)
 from .imm import MutableObjectManager, ObjectId, StaleMergeError
 from .sai import split_aggregate
 from .spawn_rdd import SpawnRDD
@@ -26,10 +23,6 @@ __all__ = [
     "split_aggregate",
     "AggregationSpec",
     "COLLECTIVES",
-    "derive_split_ops",
-    "DerivedOps",
-    "AutoSegment",
-    "UnsplittableError",
     "fresh_zero",
     "SpawnRDD",
     "MutableObjectManager",

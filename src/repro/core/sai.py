@@ -635,12 +635,15 @@ def _topk_compress(spec: AggregationSpec, executor: Any, value: Any
                    ) -> Tuple[Any, float, dict]:
     """Sparsify one executor's merged aggregator before it hits the wire.
 
-    Returns ``(compressed, cost_seconds, stats)``. Only the payload is
-    sparsified — the loss/weight stats slots always travel exact, so the
-    convergence diagnostics stay trustworthy. With ``error_feedback`` the
-    unsent remainder accumulates in ``executor.residuals`` (keyed by
-    payload size, cleared when the executor dies) and is added back before
-    the next selection, so every coordinate is eventually transmitted.
+    Returns ``(compressed, cost_seconds, stats)``. The holder sparsifies
+    itself (``value.topk(k, residual)``, which
+    :class:`~repro.ml.aggregators.FlatAggregator` implements: only the
+    payload is sparsified, the loss/weight stats always travel exact);
+    this function picks ``k`` from the spec and keeps the carry. With
+    ``error_feedback`` the unsent remainder accumulates in
+    ``executor.residuals`` (keyed by payload size, cleared when the
+    executor dies) and is added back before the next selection, so every
+    coordinate is eventually transmitted.
 
     The sparsification itself costs one pass over the dense payload at
     the platform's merge bandwidth (select + subtract are both linear);
@@ -648,16 +651,12 @@ def _topk_compress(spec: AggregationSpec, executor: Any, value: Any
     """
     import numpy as np
 
-    from ..ml.aggregators import FlatAggregator
-    from ..serde import DEFAULT_SPARSE_POLICY, topk_sparsify
-
-    if not isinstance(value, FlatAggregator):
+    topk = getattr(value, "topk", None)
+    if topk is None:
         raise TypeError(
-            f'compression="topk" needs a FlatAggregator holder, got '
-            f"{type(value).__name__}")
-    value.to_dense()
+            f'compression="topk" needs a holder with a topk() method, such '
+            f"as a FlatAggregator; got {type(value).__name__}")
     d = value.payload_size
-    payload = np.asarray(value.payload, dtype=np.float64)
     if spec.topk_k is not None:
         k = spec.topk_k
     else:
@@ -665,17 +664,9 @@ def _topk_compress(spec: AggregationSpec, executor: Any, value: Any
     k = min(k, d) if d else 0
     key = ("topk", d)
     residual = executor.residuals.get(key) if spec.error_feedback else None
-    if residual is not None:
-        corrected = payload + residual
-    else:
-        corrected = payload.copy()
-    idx, sent, remainder = topk_sparsify(corrected, max(1, k))
+    comp, sent, remainder = topk(max(1, k), residual)
     if spec.error_feedback:
         executor.residuals[key] = remainder
-    policy = value.policy or DEFAULT_SPARSE_POLICY
-    comp = FlatAggregator(d, value.size_scale, policy=policy)
-    comp.payload.scatter_add(idx, sent)
-    comp.add_stats(value.loss_sum, value.weight_sum)
     cost = (value.__sim_dense_size__()
             / executor.sc.cluster.config.merge_bandwidth)
     stats = {"k": int(k), "payload_size": int(d),

@@ -13,8 +13,8 @@ only way in: nothing under :mod:`repro` reads an environment variable.
   tuner (:mod:`repro.comm.cost`) pick algorithm + parallelism per call,
 * ``sparse_policy`` — the density-adaptive wire format: ``None`` is
   dense, a :class:`~repro.serde.SparsePolicy` is the one policy object
-  the seqOp accumulator, ``derive_split_ops`` and the wire-format switch
-  share for the whole job,
+  the seqOp accumulator, the aggregator's segments and the wire-format
+  switch share for the whole job,
 * :meth:`AggregationSpec.of` — the one check every entry point runs on
   ``spec`` (``None`` is the default spec, a non-spec a ``TypeError``).
 

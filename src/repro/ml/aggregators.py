@@ -41,6 +41,7 @@ from ..serde import (
     scatter_into,
     segment_range,
     slice_sparse,
+    topk_sparsify,
 )
 
 __all__ = ["FlatAggregator", "AggregatorSegment", "SparseAccumulator",
@@ -675,14 +676,29 @@ class FlatAggregator:
         return AggregatorSegment.sparse(hi - lo, seg_idx, seg_vals,
                                         dense_bytes, policy=self.policy)
 
-    @staticmethod
-    def concat(segments: Sequence[AggregatorSegment],
-               size_scale: float = 1.0) -> "FlatAggregator":
-        """``concatOp``: reassemble segments into a full (dense) aggregator."""
-        if not segments:
-            raise ValueError("cannot concatenate zero segments")
-        buf = np.concatenate([s.to_array() for s in segments])
-        return FlatAggregator(buf.size - _STATS_SLOTS, size_scale, buf)
+    def topk(self, k: int, residual: Optional[np.ndarray] = None
+             ) -> Tuple["FlatAggregator", np.ndarray, np.ndarray]:
+        """Top-k sparsification of the payload (the approximate tier).
+
+        Switches to the dense layout in place, adds ``residual`` (the
+        error-feedback carry) to the payload and keeps its ``k``
+        largest-magnitude entries. Returns ``(compressed, sent,
+        remainder)``: a sparse aggregator holding the kept entries and both
+        statistics exact, the kept values, and the unsent remainder over
+        the whole payload.
+        """
+        self.to_dense()
+        payload = self.buf[:self.payload_size]
+        if residual is not None:
+            corrected = payload + residual
+        else:
+            corrected = payload.copy()
+        idx, sent, remainder = topk_sparsify(corrected, k)
+        out = FlatAggregator(self.payload_size, self.size_scale,
+                             policy=self.policy or DEFAULT_SPARSE_POLICY)
+        out.payload.scatter_add(idx, sent)
+        out.add_stats(self.loss_sum, self.weight_sum)
+        return out, sent, remainder
 
     def __repr__(self) -> str:
         return (f"<FlatAggregator payload={self.payload_size} "
@@ -703,7 +719,7 @@ def reduce_op(a: AggregatorSegment, b: AggregatorSegment) -> AggregatorSegment:
 
 
 def concat_op(segments: Sequence[AggregatorSegment]) -> FlatAggregator:
-    """``concatOp(Seq[V]) -> V`` (reassembled as a full aggregator)."""
+    """``concatOp(Seq[V]) -> V`` (reassembled as a full dense aggregator)."""
     if not segments:
         raise ValueError("cannot concatenate zero segments")
     physical = sum(len(s) for s in segments) * 8.0
@@ -711,4 +727,5 @@ def concat_op(segments: Sequence[AggregatorSegment]) -> FlatAggregator:
     # scale is wire-format independent.
     simulated = sum(s.sim_bytes for s in segments)
     scale = simulated / physical if physical > 0 else 1.0
-    return FlatAggregator.concat(segments, size_scale=max(scale, 1e-12))
+    buf = np.concatenate([s.to_array() for s in segments])
+    return FlatAggregator(buf.size - _STATS_SLOTS, max(scale, 1e-12), buf)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import median
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..sim import Event
@@ -131,14 +132,6 @@ class CommitGate:
         return self._committed.get(partition)
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 class SpeculationWave:
     """Bookkeeping for one task wave's straggler monitor."""
 
@@ -188,7 +181,7 @@ class SpeculationWave:
                    int(math.ceil(policy.quantile * self.total)))
         if len(self.durations) < need or not self.running:
             return None
-        return policy.multiplier * _median(self.durations)
+        return policy.multiplier * median(self.durations)
 
     # ------------------------------------------------------------- commits
     def resolve(self, partition: int, value: Any) -> None:

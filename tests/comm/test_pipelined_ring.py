@@ -13,10 +13,11 @@ import pytest
 from repro.cluster import MB, Cluster, ClusterConfig
 from repro.comm import ScalableCommunicator, available_collectives
 from repro.comm.ring import chunk_columns_for, pipelined_ring_reduce_scatter_rank
-from repro.core import derive_split_ops
-from repro.ml.aggregators import AggregatorSegment
+from repro.ml import aggregators
+from repro.ml.aggregators import AggregatorSegment, FlatAggregator
+from repro.ml.linalg import SparseVector
 from repro.obs import ChunkStream, EventBus
-from repro.serde import SizedPayload
+from repro.serde import DEFAULT_SPARSE_POLICY, SizedPayload
 from repro.sim import Environment
 
 from .conftest import concat_op, make_values, reduce_op, split_op
@@ -142,36 +143,31 @@ def test_bit_identical_under_adversarial_values():
     assert pipe.data.tobytes() == ring.data.tobytes()
 
 
-class _Moments:
-    """Figure 7's ``Agg``: two arrays and a count, no split code of its own."""
-
-    def __init__(self, dim, seed=None):
-        self.sum1 = np.zeros(dim)
-        self.sum2 = np.zeros(dim)
-        self.count = 0.0
-        if seed is not None:
-            rng = np.random.default_rng(seed)
-            hot = rng.choice(dim, size=dim // 8, replace=False)
-            self.sum1[hot] = rng.standard_normal(hot.size) * 1e6
-            self.sum2[:] = rng.standard_normal(dim)
-            self.count = float(seed + 1)
-
-    def __sim_size__(self):
-        return 16.0 * MB
+def _flat(dim, seed=None, adaptive=False):
+    """A 16 MB trainer aggregator: a few hot entries, a dense last
+    quarter and both statistics slots (adaptive: sparse segments first,
+    dense ones last)."""
+    agg = FlatAggregator(dim, size_scale=16 * MB / ((dim + 2) * 8.0),
+                         policy=DEFAULT_SPARSE_POLICY if adaptive else None)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        tail = dim - dim // 4
+        hot = np.sort(rng.choice(tail, size=dim // 16, replace=False))
+        SparseVector(dim, hot, rng.standard_normal(hot.size) * 1e6).add_to(
+            agg.payload)
+        SparseVector(dim, np.arange(tail, dim),
+                     rng.standard_normal(dim - tail)).add_to(agg.payload)
+        agg.add_stats(rng.standard_normal(), float(seed + 1))
+    return agg
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
-def test_derived_ops_stream_in_columns_and_match_the_ring(adaptive):
-    """A derived segment is chunkable like the hand-written one it holds:
-    a 16 MB derived aggregator at chunk_bytes=1 MB streams in several
-    columns per channel (it silently got one), to the ring's exact bytes,
-    scalars included."""
-    from repro.serde import DEFAULT_SPARSE_POLICY
-
-    n, dim = 4, 96
-    ops = derive_split_ops(
-        _Moments(dim), policy=DEFAULT_SPARSE_POLICY if adaptive else None)
-    probe = ops.split_op(_Moments(dim, seed=0), 0, n * 2)
+def test_aggregator_segments_stream_in_columns_and_match_the_ring(adaptive):
+    """The trainers' segment is chunkable: a 16 MB aggregator at
+    chunk_bytes=1 MB streams in several columns per channel, to the
+    ring's exact bytes, statistics slots included."""
+    n, dim = 4, 94
+    probe = _flat(dim, seed=0, adaptive=adaptive).split(0, n * 2)
     assert chunk_columns_for(probe, 1.0 * MB) == 2
 
     def once(algorithm, bus=None):
@@ -181,8 +177,9 @@ def test_derived_ops_stream_in_columns_and_match_the_ring(adaptive):
                                     slots=cluster.executors[:n], bus=bus,
                                     chunk_bytes=1.0 * MB)
         proc = env.process(comm.reduce_scatter_gather(
-            [_Moments(dim, seed=r) for r in range(n)], ops.split_op,
-            ops.reduce_op, ops.concat_op, algorithm=algorithm))
+            [_flat(dim, seed=r, adaptive=adaptive) for r in range(n)],
+            aggregators.split_op, aggregators.reduce_op,
+            aggregators.concat_op, algorithm=algorithm))
         return env.run(until=proc)
 
     bus = EventBus()
@@ -191,9 +188,8 @@ def test_derived_ops_stream_in_columns_and_match_the_ring(adaptive):
                   if isinstance(e, ChunkStream) else None)
     ring, pipe = once("ring"), once("pipelined_ring", bus)
     assert seen and set(seen) == {2}
-    assert pipe.sum1.tobytes() == ring.sum1.tobytes()
-    assert pipe.sum2.tobytes() == ring.sum2.tobytes()
-    assert pipe.count == ring.count == sum(range(1, n + 1))
+    assert pipe.buf.tobytes() == ring.buf.tobytes()
+    assert pipe.weight_sum == ring.weight_sum == sum(range(1, n + 1))
 
 
 # -------------------------------------------------------------- overlap

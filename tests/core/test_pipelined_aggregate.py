@@ -202,6 +202,16 @@ def test_compression_with_recovery_rejected():
             **payload_split_args())
 
 
+def test_compression_needs_a_holder_with_topk():
+    sc = SparkerContext(ClusterConfig.laptop(num_nodes=2))
+    rdd = sc.parallelize([SizedPayload(np.ones(8))], 1)
+    with pytest.raises(TypeError, match="got SizedPayload"):
+        rdd.split_aggregate(
+            lambda: SizedPayload(np.zeros(8)),
+            spec=AggregationSpec(compression="topk"),
+            **payload_split_args())
+
+
 def test_pipelined_under_fault_controller_still_correct():
     """A fault controller with a recovery policy routes through the
     fault-tolerant streamed path; with no faults in the plan the stream

@@ -52,24 +52,22 @@ def test_hierarchical_requires_topology_aware():
         AggregationSpec(collective="hierarchical", topology_aware=False)
 
 
-class _Gradient:
-    def __init__(self):
-        self.grad = np.zeros(400)
-        self.count = 0.0
+def _first_segment(spec):
+    from repro.ml.aggregators import FlatAggregator
+    from repro.ml.linalg import SparseVector
+    agg = FlatAggregator(400, policy=spec.sparse_policy)
+    SparseVector(400, [3], [1.0]).add_to(agg.payload)
+    return agg.split(0, 4)
 
 
 def test_explicit_policy_implies_sparse_mode():
-    # the policy is the whole switch, and derived ops share its object
-    from repro.core import derive_split_ops
-    agg = _Gradient()
-    agg.grad[3] = 1.0
+    # the policy is the whole switch, and the segments share its object
     policy = SparsePolicy(density_threshold=0.25)
-    adaptive = derive_split_ops(_Gradient(), spec=AggregationSpec(
-        sparse_policy=policy)).split_op(agg, 0, 4)
-    dense = derive_split_ops(_Gradient(), spec=AggregationSpec()).split_op(
-        agg, 0, 4)
-    assert adaptive.is_sparse and adaptive.seg.policy is policy
-    assert not dense.is_sparse and dense.seg.policy is None
+    adaptive = _first_segment(AggregationSpec(sparse_policy=policy))
+    dense = _first_segment(AggregationSpec())
+    assert adaptive.is_sparse and adaptive.policy is policy
+    assert not dense.is_sparse and dense.policy is None
+    np.testing.assert_array_equal(adaptive.to_array(), dense.to_array())
     assert SparsePolicy() == DEFAULT_SPARSE_POLICY
 
 

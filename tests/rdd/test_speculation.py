@@ -18,7 +18,6 @@ from repro.rdd.speculation import (
     SPECULATIVE_ATTEMPT_BASE,
     CommitGate,
     SpeculationWave,
-    _median,
 )
 
 ELEMENTS = 32
@@ -179,12 +178,6 @@ def test_commit_gate_release_reopens_only_for_holder():
     assert gate.claim(3, (1, 100))
 
 
-def test_median():
-    assert _median([3.0]) == 3.0
-    assert _median([1.0, 3.0]) == 2.0
-    assert _median([5.0, 1.0, 3.0]) == 3.0
-
-
 def test_threshold_needs_quorum_and_runners():
     sc = SparkerContext(ClusterConfig.laptop(num_nodes=2))
     wave = SpeculationWave(sc.env, total=4)
@@ -194,5 +187,7 @@ def test_threshold_needs_quorum_and_runners():
     assert wave.threshold(policy) is None  # quorum met but nothing runs
     wave.running[7] = (0.0, 1, None)
     assert wave.threshold(policy) == pytest.approx(2.0)
-    wave.durations.pop()
+    wave.durations.append(4.0)  # an even count: the middle two's mean
+    assert wave.threshold(policy) == 3.0
+    del wave.durations[2:]
     assert wave.threshold(policy) is None  # back below the quorum
