@@ -758,8 +758,6 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
     merged: dict = {}
     complete = {executor_id: env.event(name=f"agg-complete:{executor_id}")
                 for executor_id in planned}
-    streamable = {executor_id: env.event(name=f"agg-ready:{executor_id}")
-                  for executor_id in planned}
 
     def on_merged(executor_id: int, _partition: int,
                   object_id: Tuple[int, int]) -> None:
@@ -776,13 +774,6 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
         if spec.compression != "none":
             yield from _compress(sc, spec, executor_id, merged[executor_id],
                                  armor.span_id)
-        streamable[executor_id].succeed()
-
-    stream = [
-        (streamable[slot.executor_id],
-         lambda eid=slot.executor_id:
-         sc.executor_by_id(eid).object_manager.get(merged[eid]))
-        for slot in comm.ranked]
 
     job = env.process(
         sc.dag.run_reduced_job(rdd, ops.partial_func, ops.merge_op,
@@ -791,8 +782,18 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
         name="reduced-job")
     # taken here, so given back here if the job ends before its stage ran
     job.add_callback(lambda _event: placement.release_all())
-    armor.cooks = [env.process(cook(executor_id), name=f"cook:{executor_id}")
-                   for executor_id in planned]
+    cooks = {executor_id: env.process(cook(executor_id),
+                                      name=f"cook:{executor_id}")
+             for executor_id in planned}
+    armor.cooks = list(cooks.values())
+    # a rank streams when its executor's cook returns, and raises what the
+    # cook raised (top-k on a holder without topk()): the cook process is
+    # the readiness event
+    stream = [
+        (cooks[slot.executor_id],
+         lambda eid=slot.executor_id:
+         sc.executor_by_id(eid).object_manager.get(merged[eid]))
+        for slot in comm.ranked]
     collective = env.process(
         comm.reduce_scatter_gather(None, ops.split_op, ops.reduce_op,
                                    ops.concat_op, algorithm="pipelined_ring",

@@ -20,6 +20,7 @@ lineage in ``RDD.iterator``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -105,34 +106,34 @@ class StagePlacement:
     """Where the first attempt of each task of one stage runs.
 
     Made once per stage by :meth:`DAGScheduler.place_stage`. Every placed
-    task holds one *claim* in ``DAGScheduler.claims``, on its executor and
-    in its ``owner``'s name, from the decision until its attempt loop ends;
-    the claims are the load the same owner's next stage sees.
+    task holds one *claim* in ``DAGScheduler.claims`` on the executor its
+    current attempt runs on, from the decision until its attempt loop
+    ends; the claims are the load every later stage is placed against.
     """
 
-    __slots__ = ("executors", "owner", "_claims", "_held")
+    __slots__ = ("executors", "_claims", "_held")
 
     def __init__(self, executors: Sequence[Executor],
-                 claims: Dict[Tuple[Optional[str], int], int],
-                 owner: Optional[str] = None):
+                 claims: Counter[int]):
         #: by position in the stage's partition list; empty when nothing
         #: could be placed (each attempt loop then asks the picker itself)
         self.executors = tuple(executors)
-        #: the submitting scope's owner (a service tenant); None outside
-        #: the service
-        self.owner = owner
         self._claims = claims
-        self._held = set(range(len(self.executors)))
-        for executor in self.executors:
-            key = (owner, executor.executor_id)
-            claims[key] = claims.get(key, 0) + 1
+        #: position -> id of the executor its claim is on
+        self._held = dict(enumerate(e.executor_id for e in self.executors))
+        claims.update(self._held.values())
+
+    def move(self, position: int, executor: Executor) -> None:
+        """Carry ``position``'s claim to the executor a retry runs on."""
+        if position in self._held:
+            self._claims[self._held[position]] -= 1
+            self._held[position] = executor.executor_id
+            self._claims[executor.executor_id] += 1
 
     def release(self, position: int) -> None:
         """Give back ``position``'s claim (idempotent)."""
         if position in self._held:
-            self._held.remove(position)
-            key = (self.owner, self.executors[position].executor_id)
-            self._claims[key] -= 1
+            self._claims[self._held.pop(position)] -= 1
 
     def release_all(self) -> None:
         for position in tuple(self._held):
@@ -147,20 +148,19 @@ class DAGScheduler:
         self._next_stage_id = 0
         #: every executed stage, in completion order
         self.stage_log: List[StageInfo] = []
-        #: (owner, executor id) -> the owner's tasks placed there whose
-        #: attempt loop has not ended: the load :meth:`place_stage`
-        #: balances that owner's next gang against
-        self.claims: Dict[Tuple[Optional[str], int], int] = {}
+        #: executor id -> the tasks placed there whose attempt loop has
+        #: not ended: the load :meth:`place_stage` balances the next gang
+        #: against
+        self.claims: Counter[int] = Counter()
 
     # ------------------------------------------------------------------- jobs
     def run_job(self, rdd: RDD, func: Callable[[int, list, Any], Any],
                 partitions: Optional[Sequence[int]] = None,
                 job_id: Optional[int] = None, pool: Optional[str] = None,
-                parent_span: int = -1,
-                owner: Optional[str] = None) -> Generator:
+                parent_span: int = -1) -> Generator:
         """Process body: run a job, returning per-partition results.
 
-        ``job_id``/``pool``/``owner``/``parent_span`` are captured by the
+        ``job_id``/``pool``/``parent_span`` are captured by the
         submitting driver thread (see :meth:`SparkerContext.run_job`): this
         generator body executes on whichever thread pumps the event loop,
         so any per-submitter state must arrive as explicit arguments rather
@@ -185,8 +185,7 @@ class DAGScheduler:
 
             try:
                 raw = yield from self._run_tasks(rdd, parts, factory,
-                                                 retry_tasks=True, pool=pool,
-                                                 owner=owner)
+                                                 retry_tasks=True, pool=pool)
             except FetchFailed:
                 self._close_stage(info, job_id)
                 continue  # parent stage will be resubmitted
@@ -218,8 +217,8 @@ class DAGScheduler:
                         pool: Optional[str] = None,
                         ordered: bool = False,
                         parent_span: int = -1,
-                        placement: Optional[StagePlacement] = None,
-                        owner: Optional[str] = None) -> Generator:
+                        placement: Optional[StagePlacement] = None
+                        ) -> Generator:
         """Process body: run an IMM reduced-result stage (paper §4.3).
 
         Returns ``[(executor_id, object_id), ...]`` — one entry per executor
@@ -279,8 +278,7 @@ class DAGScheduler:
             try:
                 raw = yield from self._run_tasks(rdd, parts, factory,
                                                  retry_tasks=False,
-                                                 pool=pool, placement=placed,
-                                                 owner=owner)
+                                                 pool=pool, placement=placed)
                 if ordered:
                     # Deterministic deferred merge: every holding executor
                     # folds its deposited partials in sorted partition
@@ -403,8 +401,8 @@ class DAGScheduler:
                    task_factory: Callable[[int, int], Task],
                    retry_tasks: bool,
                    pool: Optional[str] = None,
-                   placement: Optional[StagePlacement] = None,
-                   owner: Optional[str] = None) -> Generator:
+                   placement: Optional[StagePlacement] = None
+                   ) -> Generator:
         """Run one task per partition; returns ``{partition: output}``.
 
         First attempts run where ``placement`` says (:meth:`place_stage`,
@@ -464,7 +462,7 @@ class DAGScheduler:
             placement = None
         if placement is None:
             try:
-                placement = self.place_stage(rdd, partitions, owner)
+                placement = self.place_stage(rdd, partitions)
             except ExecutorLost:
                 # a task pinned to a dead executor: nothing is claimed and
                 # its attempt loop raises the same where it always did
@@ -535,10 +533,14 @@ class DAGScheduler:
         try:
             while True:
                 # the stage's one decision for the first attempt; retries
-                # fall back to the per-attempt picker
-                executor = (placed[position] if placed and not failures
-                            else self.pick_executor(rdd, partition, position,
-                                                    tried))
+                # fall back to the per-attempt picker, and the claim
+                # follows them
+                if placed and not failures:
+                    executor = placed[position]
+                else:
+                    executor = self.pick_executor(rdd, partition, position,
+                                                  tried)
+                    placement.move(position, executor)
                 task = task_factory(partition, failures)
                 current = executor.submit(task)
                 if wave is not None:
@@ -592,8 +594,8 @@ class DAGScheduler:
         finally:
             placement.release(position)
 
-    def place_stage(self, rdd: RDD, partitions: Sequence[int],
-                    owner: Optional[str] = None) -> StagePlacement:
+    def place_stage(self, rdd: RDD, partitions: Sequence[int]
+                    ) -> StagePlacement:
         """Decide, once, where a stage's first attempts run.
 
         The *canonical* placement is :meth:`pick_executor`'s answer per
@@ -605,12 +607,10 @@ class DAGScheduler:
         executors in the same order, so a job's merged values, ring and
         virtual time do not depend on which one it got (DESIGN §16,
         *Placement*). Among them the gang lands where its tasks wait for
-        the fewest slots, counting the tasks ``owner``'s other stages have
-        claimed (the submitting scope's owner: a service tenant's gangs
-        spread when they would queue on each other; load between tenants
-        is the FAIR arbiter's to share out); ties go to the executors that
-        already hold the blocks, then to the smallest offset — so a lone
-        job places canonically. Stages with pinned tasks are never moved.
+        the fewest slots, counting every task any stage has claimed, of
+        whichever job or tenant; ties go to the executors that already
+        hold the blocks, then to the smallest offset — so a lone job
+        places canonically. Stages with pinned tasks are never moved.
         A task landing where its block is not cached rebuilds it there
         through ``RDD.iterator``.
         """
@@ -621,16 +621,16 @@ class DAGScheduler:
         shifts = range(-min(ids), len(sc.executors) - max(ids)) if ids else ()
         if len(shifts) < 2 or any(rdd.pinned_executor(partition) is not None
                                   for partition in partitions):
-            return StagePlacement(canonical, self.claims, owner)
+            return StagePlacement(canonical, self.claims)
         holders = [rdd.preferred_executors(partition)
                    for partition in partitions]
         best = min(filter(None, (
-            self._translation(canonical, shift, holders, owner)
+            self._translation(canonical, shift, holders)
             for shift in shifts)))
-        return StagePlacement(best[-1], self.claims, owner)
+        return StagePlacement(best[-1], self.claims)
 
     def _translation(self, canonical: List[Executor], shift: int,
-                     holders: List[List[int]], owner: Optional[str]
+                     holders: List[List[int]]
                      ) -> Optional[Tuple[int, int, int, int, List[Executor]]]:
         """``(slot waits, blocks to build, |shift|, shift, executors)`` of
         the canonical placement moved by ``shift`` executor ids, or None
@@ -649,11 +649,10 @@ class DAGScheduler:
         depth: Dict[int, int] = {}
         waits = 0
         for target in targets:
-            # the task's place in its owner's line on the executor: the
-            # owner's claimed tasks of other stages, then this gang's
-            # earlier tasks
+            # the task's place in the executor's line: every claimed task
+            # of other stages, then this gang's earlier tasks
             eid = target.executor_id
-            depth[eid] = depth.get(eid, claims.get((owner, eid), 0)) + 1
+            depth[eid] = depth.get(eid, claims[eid]) + 1
             waits += max(0, depth[eid] - target.slot.cores)
         to_build = sum(target.executor_id not in held
                        for target, held in zip(targets, holders))

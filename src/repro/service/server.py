@@ -155,7 +155,7 @@ class JobServer:
             raise RuntimeError("job server is closed")
         pool = pool or self.default_pool
         pool_config = self.arbiter.pools.setdefault(pool, PoolConfig())
-        scope = JobScope(self.sc, pool=pool, ordered=ordered, owner=tenant)
+        scope = JobScope(self.sc, pool=pool, ordered=ordered)
         record = JobRecord(next(self._ids), tenant, pool, workload, body,
                            scope, submitted=self.sc.now,
                            done_event=self.sc.env.event(name="job-done"))

@@ -202,14 +202,20 @@ def test_compression_with_recovery_rejected():
             **payload_split_args())
 
 
-def test_compression_needs_a_holder_with_topk():
+@pytest.mark.parametrize("collective", ["ring", "pipelined_ring"])
+def test_compression_needs_a_holder_with_topk(collective):
+    # streamed, the error is raised in each executor's cook step; it must
+    # reach the driver as itself, not as a ring waiting forever
     sc = SparkerContext(ClusterConfig.laptop(num_nodes=2))
-    rdd = sc.parallelize([SizedPayload(np.ones(8))], 1)
+    rdd = sc.parallelize([SizedPayload(np.ones(8)) for _ in range(4)], 4)
     with pytest.raises(TypeError, match="got SizedPayload"):
         rdd.split_aggregate(
             lambda: SizedPayload(np.zeros(8)),
-            spec=AggregationSpec(compression="topk"),
+            spec=AggregationSpec(collective=collective, compression="topk"),
             **payload_split_args())
+    assert not any(sc.dag.claims.values())
+    for executor in sc.executors:
+        assert not executor.object_manager._entries
 
 
 def test_pipelined_under_fault_controller_still_correct():

@@ -2,10 +2,13 @@
 
 ``laptop(4)`` has executors 0-3 on nodes 0-3 and executors 4-7 on the same
 nodes again (round-robin), two cores each: a 4-partition stage has exactly
-two legal placements, the canonical one and its translation by four.
+two legal placements, the canonical one and its translation by four. A
+gang is weighed against every claimed task on an executor, whichever job
+or tenant placed it; a claim follows its task's retry.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ClusterConfig, SparkerContext
 from repro.core.spawn_rdd import SpawnRDD
@@ -22,11 +25,10 @@ def sc():
         yield context
 
 
-def occupy(sc, executor_ids, tasks=2, owner=None):
-    """The claims ``owner``'s running gang of ``tasks`` per executor would
-    hold (None: the owner of every stage run outside the service)."""
+def occupy(sc, executor_ids, tasks=2):
+    """The claims a running gang of ``tasks`` per executor would hold."""
     return StagePlacement([sc.executor_by_id(eid) for eid in executor_ids
-                           for _ in range(tasks)], sc.dag.claims, owner)
+                           for _ in range(tasks)], sc.dag.claims)
 
 
 def ran_on(sc, action):
@@ -56,7 +58,7 @@ def test_a_lone_stage_places_canonically_and_returns_its_claims(sc):
     assert [e.executor_id for e in placement.executors] == LOW
     assert [sc.dag.pick_executor(rdd, p, p).executor_id
             for p in range(4)] == LOW
-    assert [sc.dag.claims[None, eid] for eid in LOW] == [1, 1, 1, 1]
+    assert [sc.dag.claims[eid] for eid in LOW] == [1, 1, 1, 1]
     placement.release_all()
     placement.release_all()                      # idempotent
     assert idle(sc)
@@ -71,19 +73,17 @@ def test_a_gang_lands_on_the_group_where_fewest_tasks_queue(sc):
     assert idle(sc)
 
 
-def test_another_owners_load_moves_nothing(sc):
-    # a gang is weighed against its own owner's claims only: what another
-    # tenant runs is the FAIR arbiter's business, not the placement's
+def test_any_tenants_load_moves_the_gang(sc):
+    # a gang is weighed against every claimed task, not only its own
+    # tenant's: one tenant filling 0-3 sends the next tenant's gang to 4-7
     rdd = cached(sc)
-    held = occupy(sc, LOW, tasks=4, owner="someone-else")
-    assert ran_on(sc, rdd.count) == LOW
-    assert sc.block_tracker.locations((rdd.id, 0)) == [0]   # no replica built
-    mine = sc.dag.place_stage(rdd, range(4), "me")
+    one_core = occupy(sc, LOW, tasks=1)          # a core free on each of 0-3
+    mine = sc.dag.place_stage(rdd, range(4))
     assert [e.executor_id for e in mine.executors] == LOW
-    crowd = occupy(sc, LOW, tasks=1, owner="me")     # "me" now fills 0-3
-    moved = sc.dag.place_stage(rdd, range(4), "me")
+    moved = sc.dag.place_stage(rdd, range(4))    # 0-3 are now full
     assert [e.executor_id for e in moved.executors] == HIGH
-    for placement in (held, mine, crowd, moved):
+    assert [sc.dag.claims[eid] for eid in LOW + HIGH] == [2] * 4 + [1] * 4
+    for placement in (one_core, mine, moved):
         placement.release_all()
     assert idle(sc)
 
@@ -175,6 +175,80 @@ def test_a_placement_made_before_an_executor_died_is_made_again(sc):
     assert 2 not in [eid for eid, _obj in holders]
     assert len(sc.dag.stage_log) == 1            # no task met the dead one
     assert idle(sc)
+
+
+# ------------------------------------------------------------- the oracle
+def exhaustive(sc, rdd, partitions):
+    """Executor ids of the best legal shift of the canonical placement,
+    found by trying every shift: each target on its source's node, on the
+    executor list and (when moved) alive and un-quarantined; a shift keeps
+    the executors' order. Best is the least ``(slot waits, blocks to
+    build, |shift|, shift)``, a task's wait counted behind every claim."""
+    canonical = [sc.dag.pick_executor(rdd, partition, position).executor_id
+                 for position, partition in enumerate(partitions)]
+    executors = {e.executor_id: e for e in sc.executors}
+    best = None
+    for shift in range(-len(executors), len(executors) + 1):
+        targets = [eid + shift for eid in canonical]
+        if not all(target in executors
+                   and executors[target].node is executors[source].node
+                   and (not shift or (executors[target].alive and not
+                                      sc.health.is_quarantined(target)))
+                   for source, target in zip(canonical, targets)):
+            continue
+        line = dict(sc.dag.claims)
+        waits = 0
+        for target in targets:
+            line[target] = line.get(target, 0) + 1
+            waits += max(0, line[target] - executors[target].slot.cores)
+        to_build = sum(target not in rdd.preferred_executors(partition)
+                       for target, partition in zip(targets, partitions))
+        score = (waits, to_build, abs(shift), shift)
+        if best is None or score < best[0]:
+            best = score, targets
+    return best[1]
+
+
+@st.composite
+def placements(draw):
+    nodes = draw(st.sampled_from((2, 4)))
+    ids = range(2 * nodes)
+    width = draw(st.integers(1, 2 * nodes + 2))
+    return dict(
+        nodes=nodes, width=width,
+        partitions=draw(st.lists(st.integers(0, width - 1), min_size=1,
+                                 max_size=width, unique=True)),
+        holders=draw(st.lists(st.lists(st.sampled_from(ids), max_size=2,
+                                       unique=True),
+                              min_size=width, max_size=width)),
+        claims=draw(st.dictionaries(st.sampled_from(ids),
+                                    st.integers(0, 5))),
+        dead=draw(st.lists(st.sampled_from(ids), max_size=2 * nodes - 1,
+                           unique=True)),
+        quarantined=draw(st.lists(st.sampled_from(ids), max_size=3,
+                                  unique=True)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=placements())
+def test_place_stage_picks_what_an_exhaustive_search_picks(case):
+    with SparkerContext(ClusterConfig.laptop(case["nodes"])) as sc:
+        rdd = sc.parallelize(range(64), case["width"]).cache()
+        for partition, held in enumerate(case["holders"]):
+            for eid in held:
+                sc.block_tracker.register((rdd.id, partition), eid)
+        for eid in case["dead"]:
+            sc.kill_executor(eid)
+        for eid in case["quarantined"]:
+            sc.health.record_failure(eid)
+            sc.health.record_failure(eid)
+        sc.dag.claims.update(case["claims"])
+        expected = exhaustive(sc, rdd, case["partitions"])
+        placement = sc.dag.place_stage(rdd, case["partitions"])
+        assert [e.executor_id for e in placement.executors] == expected
+        placement.release_all()
+        assert sc.dag.claims == {eid: case["claims"].get(eid, 0)
+                                 for eid in sc.dag.claims}
 
 
 # ---------------------------------------------------------------- replicas

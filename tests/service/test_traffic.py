@@ -109,9 +109,9 @@ MIX = (
 
 def test_sharing_beats_serialized_fifo_and_bursts_share_by_weight():
     """Eight tenants, three jobs each, seed 2026 on laptop(4): the shared
-    driver drains the schedule at least 1.5x faster than running it one
-    job at a time in arrival order (2.64x today), with every executor
-    used; and while a burst of four jobs per pool saturates all three,
+    driver drains the schedule at least 3x faster than running it one
+    job at a time in arrival order (3.61x today: 238.6 s against
+    861.9 s), with every executor used; and while a burst of four jobs per pool saturates all three,
     the FAIR arbiter's task-seconds per unit of weight stay within 2x
     (1.29 today)."""
     tenants = [TenantProfile(
@@ -139,7 +139,7 @@ def test_sharing_beats_serialized_fifo_and_bursts_share_by_weight():
                 env.run(until=env.timeout(wait))
             traffic.submit_arrival(fifo, arrival).result()
         serialized = env.now - began
-    assert serialized / concurrent.makespan >= 1.5
+    assert serialized / concurrent.makespan >= 3.0
 
     with session() as burst:
         server, env = burst.server, burst.server.sc.env
