@@ -778,7 +778,8 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
     job = env.process(
         sc.dag.run_reduced_job(rdd, ops.partial_func, ops.merge_op,
                                sc.new_job_id(), detail=True,
-                               on_merged=on_merged, placement=placement),
+                               on_merged=on_merged, placement=placement,
+                               parent_span=sc.tracer.current_parent),
         name="reduced-job")
     # taken here, so given back here if the job ends before its stage ran
     job.add_callback(lambda _event: placement.release_all())

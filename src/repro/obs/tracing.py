@@ -26,7 +26,8 @@ blocking API, one worker thread per job under :mod:`repro.service`) gets
 its own stack, so concurrent submissions cannot interleave parents.
 Driver entry points capture ``current_parent`` on the submitting thread
 and pass it explicitly into scheduler process bodies, which execute on
-the reactor thread.
+whichever thread holds the reactor's baton — under the service, often
+another job's.
 """
 
 from __future__ import annotations

@@ -155,22 +155,20 @@ class DAGScheduler:
 
     # ------------------------------------------------------------------- jobs
     def run_job(self, rdd: RDD, func: Callable[[int, list, Any], Any],
-                partitions: Optional[Sequence[int]] = None,
-                job_id: Optional[int] = None, pool: Optional[str] = None,
+                partitions: Optional[Sequence[int]] = None, *,
+                job_id: int, pool: Optional[str] = None,
                 parent_span: int = -1) -> Generator:
         """Process body: run a job, returning per-partition results.
 
         ``job_id``/``pool``/``parent_span`` are captured by the
         submitting driver thread (see :meth:`SparkerContext.run_job`): this
-        generator body executes on whichever thread pumps the event loop,
-        so any per-submitter state must arrive as explicit arguments rather
-        than be read from thread-local scope here.
+        generator body executes on whichever thread holds the reactor's
+        baton, so any per-submitter state must arrive as explicit
+        arguments rather than be read from thread-local scope here.
         """
         sc = self.sc
         parts = list(partitions if partitions is not None
                      else range(rdd.num_partitions()))
-        if job_id is None:
-            job_id = sc.new_job_id()
         self._job_start(job_id, "result", rdd, len(parts), parent_span)
         yield sc.env.timeout(sc.cluster.config.driver_job_overhead)
         for attempt in range(MAX_STAGE_ATTEMPTS):
@@ -836,17 +834,14 @@ class DAGScheduler:
                 parent_span_id=tracer.job_span(job_id)))
 
     def _job_start(self, job_id: int, job_kind: str, rdd: RDD,
-                   num_partitions: int, parent_span: int = -1) -> None:
-        """Emit JobStart. ``parent_span`` is captured on the submitting
-        thread (the driver parent stack is per-submitter); callers that
-        don't pass one fall back to this thread's stack — identical for
-        the classic blocking API, where submit and execute share a
-        thread."""
+                   num_partitions: int, parent_span: int) -> None:
+        """Emit JobStart. ``parent_span`` was captured on the submitting
+        thread (the driver parent stack is per-submitter): this runs on
+        whichever thread drives the kernel, whose stack need not be the
+        submitter's."""
         bus = self.sc.event_bus
         if bus.active:
             tracer = bus.tracer
-            if parent_span < 0:
-                parent_span = tracer.current_parent
             bus.emit(JobStart.fast(time=self.sc.env.now, job_id=job_id,
                                    job_kind=job_kind, rdd_name=rdd.name,
                                    num_partitions=num_partitions,

@@ -364,10 +364,12 @@ class JobServer:
 
     # ------------------------------------------------------------ teardown
     def close(self) -> None:
-        """Stop the server and tear the shared context down (idempotent)."""
+        """Stop the server, join its idle job threads and tear the shared
+        context down (idempotent)."""
         if self._closed:
             return
         self._closed = True
+        self.cooperator.close()
         self.sc.stop()
 
     def __enter__(self) -> "JobServer":

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterConfig
+from repro.obs import NO_SPAN, RecordingListener
 from repro.service import (
     JobServer,
     JobStatus,
@@ -240,3 +241,39 @@ def test_tree_aggregate_attributes_its_own_stage_on_a_shared_context():
         # 8 elements x 0.5 s on the slow job's one
         assert 0.004 <= fast_phases["agg.compute"] < 0.1
         assert 4.0 <= slow_phases["agg.compute"] < 4.1
+
+
+def test_a_job_start_carries_its_submitters_parent_not_the_drivers():
+    # Job A pushes a trace parent, then drives the kernel through job B's
+    # JobStart: B's release wakes A, and A's next await steps B's job
+    # process. The span B's job records is the one B captured at
+    # submission (none), never the stack of the thread that stepped it.
+    recorder = RecordingListener()
+    with make_server() as server:
+        sc = server.sc
+        sc.event_bus.subscribe(recorder)
+        go = sc.env.event(name="go")
+        spans = []
+
+        def job_a():
+            spans.append(sc.tracer.new_span())
+            sc.tracer.push_parent(spans[0])
+            try:
+                sc.env.run(until=go)
+                sc.env.run(until=sc.env.timeout(1.0))
+                return sc.parallelize(range(8), 2).count()
+            finally:
+                sc.tracer.pop_parent()
+
+        def job_b():
+            go.succeed()
+            return sc.parallelize(range(8), 2).count()
+
+        a = server.submit(job_a, workload="a")
+        b = server.submit(job_b, workload="b")
+        server.drain()
+    assert a.status == b.status == JobStatus.SUCCEEDED
+    (a_job,), (b_job,) = a.scope.job_ids, b.scope.job_ids
+    parents = {e.job_id: e.parent_span_id for e in recorder.events
+               if e.kind == "job_start"}
+    assert parents == {a_job: spans[0], b_job: NO_SPAN}

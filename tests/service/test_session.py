@@ -1,6 +1,7 @@
 """SparkerSession tests: run/submit parity, spec policy."""
 
 import gc
+import threading
 import warnings
 import weakref
 from unittest import mock
@@ -163,3 +164,20 @@ def test_a_closed_service_is_freed_and_its_results_survive(no_collector):
     assert np.array_equal(handle.result().final_weights, weights)
     del session, handle, queued
     assert server() is None
+
+
+def test_a_closed_session_leaves_no_job_thread_alive():
+    before = set(threading.enumerate())
+    with SparkerSession(CFG, pools={"a": PoolConfig(weight=2.0),
+                                    "b": PoolConfig(weight=1.0)}) as session:
+        handles = [session.submit(name, pool=pool, iterations=1,
+                                  partitions=4)
+                   for name, pool in (("LR-A", "a"), ("SVM-A", "b"),
+                                      ("LR-A", "b"))]
+        session.server.drain()
+        assert all(handle.status() == "succeeded" for handle in handles)
+        started = [thread for thread in threading.enumerate()
+                   if thread not in before
+                   and thread.name.startswith("sparker-job")]
+        assert started
+    assert not [thread for thread in started if thread.is_alive()]
