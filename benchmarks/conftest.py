@@ -4,6 +4,10 @@ Every benchmark regenerates one table or figure of the paper, prints the
 rows the paper plots, saves them under ``benchmarks/results/`` (the
 artifacts EXPERIMENTS.md is built from), and asserts the *qualitative*
 shape — who wins, monotonicity, crossovers — never absolute numbers.
+
+Run the suite with ``pytest benchmarks/ --ignore=benchmarks/ledger`` (numpy,
+pytest and hypothesis are all it needs), one exhibit with
+``pytest benchmarks/test_fig16_aggregation_scaling.py -s``.
 """
 
 import pathlib
@@ -25,12 +29,3 @@ def record():
 
     return _record
 
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run a simulation exactly once under pytest-benchmark.
-
-    These benchmarks measure *simulated* time; wall-clock repetition adds
-    nothing but hours, so rounds/iterations are pinned to 1.
-    """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)

@@ -17,7 +17,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import run_once
 
 from repro import AggregationSpec
 from repro.bench import format_table
@@ -55,7 +54,7 @@ def _aggregate_once(config, method, sim_bytes, depth=2):
     return sc.now - t0
 
 
-def test_ablation_tree_depth(benchmark, record):
+def test_ablation_tree_depth(record):
     """Deeper trees trade driver pressure for extra shuffle levels; none
     approaches split aggregation."""
     config = ClusterConfig.bic(num_nodes=8)
@@ -68,7 +67,7 @@ def test_ablation_tree_depth(benchmark, record):
         rows["split"] = _aggregate_once(config, "split", 64 * MB)
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     table = format_table(["Method", "64MB aggregation (s)"],
                          [(k, round(v, 3)) for k, v in rows.items()],
                          title="Ablation: treeAggregate depth vs split "
@@ -80,7 +79,7 @@ def test_ablation_tree_depth(benchmark, record):
     assert min(tree_times) > 2 * rows["split"]
 
 
-def test_ablation_reduce_scatter_algorithms(benchmark, record):
+def test_ablation_reduce_scatter_algorithms(record):
     """The SAI admits any splitting reduction; compare ring (Sparker's
     choice) against the MPI alternatives on identical segments."""
     def sweep():
@@ -111,7 +110,7 @@ def test_ablation_reduce_scatter_algorithms(benchmark, record):
             out[label] = env.now
         return out
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     table = format_table(
         ["Algorithm", "64MB reduce-scatter, 48 executors (s)"],
         [(k, round(v, 3)) for k, v in rows.items()],
@@ -126,7 +125,7 @@ def test_ablation_reduce_scatter_algorithms(benchmark, record):
     assert rows["mpi-ring"] < rows["recursive_halving"]
 
 
-def test_ablation_allreduce_vs_gather_broadcast(benchmark, record):
+def test_ablation_allreduce_vs_gather_broadcast(record):
     """Keeping the reduced value at the executors (allreduce) removes the
     driver round-trip that split aggregation still pays per iteration.
 
@@ -168,7 +167,7 @@ def test_ablation_allreduce_vs_gather_broadcast(benchmark, record):
             out[label] = (env.now, driver_bytes)
         return out
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     table = format_table(
         ["Strategy", "Round-trip (s)", "Bytes through driver (MB)"],
         [(k, round(t, 3), round(d / MB)) for k, (t, d) in rows.items()],
@@ -184,7 +183,7 @@ def test_ablation_allreduce_vs_gather_broadcast(benchmark, record):
     assert gather_driver > 0
 
 
-def test_ablation_driver_result_threads(benchmark, record):
+def test_ablation_driver_result_threads(record):
     """Tree aggregation's driver fetch path: result-getter pool width."""
     def sweep():
         out = {}
@@ -194,7 +193,7 @@ def test_ablation_driver_result_threads(benchmark, record):
             out[threads] = _aggregate_once(config, "tree", 64 * MB)
         return out
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     table = format_table(
         ["Result-getter threads", "64MB tree aggregation (s)"],
         [(k, round(v, 3)) for k, v in sorted(rows.items())],

@@ -5,13 +5,11 @@ LDA-N at 2.49x, worst LR-K at 0.73x (adding machines slows it down);
 average 1.25x.
 """
 
-from conftest import run_once
-
 from repro.bench import fig1_mllib_speedup, format_table, geomean
 
 
-def test_fig01_mllib_speedup(benchmark, record):
-    rows = run_once(benchmark, fig1_mllib_speedup, iterations=2)
+def test_fig01_mllib_speedup(record):
+    rows = fig1_mllib_speedup(iterations=2)
     table = format_table(
         ["Workload", "1-node (s)", "8-node (s)", "Speedup"],
         [(n, round(t1, 2), round(t8, 2), round(sp, 2))

@@ -7,13 +7,11 @@ share runs higher; the qualitative claim under test is that aggregation
 dominates every workload.
 """
 
-from conftest import run_once
-
 from repro.bench import fig2_time_breakdown, format_table, geomean
 
 
-def test_fig02_time_breakdown(benchmark, record):
-    rows = run_once(benchmark, fig2_time_breakdown, iterations=2)
+def test_fig02_time_breakdown(record):
+    rows = fig2_time_breakdown(iterations=2)
     table = format_table(
         ["Workload", "Aggregation (s)", "Non-agg (s)", "Driver (s)",
          "Agg share"],

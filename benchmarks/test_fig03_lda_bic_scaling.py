@@ -5,15 +5,13 @@ Paper (24 -> 192 cores, whole runs): computation 1152.38s -> 342.43s
 worse) — reduction is the scalability bottleneck.
 """
 
-from conftest import run_once
-
 from repro.bench import fig3_lda_scaling_bic, format_table
 from repro.bench.experiments import breakdown_rows
 
 
-def test_fig03_lda_bic_scaling(benchmark, record):
-    rows = run_once(benchmark, fig3_lda_scaling_bic,
-                    core_counts=(24, 48, 96, 192), iterations=2)
+def test_fig03_lda_bic_scaling(record):
+    rows = fig3_lda_scaling_bic(core_counts=(24, 48, 96, 192),
+                                iterations=2)
     table = format_table(
         ["Cores", "Agg-compute (s)", "Agg-reduce (s)", "Driver (s)",
          "Non-agg (s)", "Total (s)"],

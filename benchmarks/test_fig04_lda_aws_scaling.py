@@ -6,15 +6,13 @@ end-to-end time grows from 6.95% to 44.55% — reduction gradually
 dominates and caps scalability.
 """
 
-from conftest import run_once
-
 from repro.bench import fig4_lda_scaling_aws, format_table
 from repro.bench.experiments import breakdown_rows
 
 
-def test_fig04_lda_aws_scaling(benchmark, record):
-    rows = run_once(benchmark, fig4_lda_scaling_aws,
-                    core_counts=(8, 96, 192, 480, 960), iterations=2)
+def test_fig04_lda_aws_scaling(record):
+    rows = fig4_lda_scaling_aws(core_counts=(8, 96, 192, 480, 960),
+                                iterations=2)
     table = format_table(
         ["Cores", "Agg-compute (s)", "Agg-reduce (s)", "Driver (s)",
          "Non-agg (s)", "Total (s)"],

@@ -6,13 +6,12 @@ that justified building the communicator from scratch (§4.1).
 """
 
 import pytest
-from conftest import run_once
 
 from repro.bench import fig12_p2p_latency, format_table
 
 
-def test_fig12_p2p_latency(benchmark, record):
-    latencies = run_once(benchmark, fig12_p2p_latency)
+def test_fig12_p2p_latency(record):
+    latencies = fig12_p2p_latency()
     table = format_table(
         ["Stack", "One-way latency (us)", "vs MPI"],
         [(name, round(latencies[name] * 1e6, 2),

@@ -5,14 +5,12 @@ multiple channels to fill the NIC and reaches 1151.80 MB/s (97.1% of line
 rate) with 4; bandwidth degrades slightly for very large messages (JVM GC).
 """
 
-from conftest import run_once
-
 from repro.bench import fig13_p2p_throughput, format_table
 from repro.cluster import KB, MB
 
 
-def test_fig13_p2p_throughput(benchmark, record):
-    rows = run_once(benchmark, fig13_p2p_throughput)
+def test_fig13_p2p_throughput(record):
+    rows = fig13_p2p_throughput()
     table = format_table(
         ["Message", "MPI (MB/s)", "SC-1", "SC-2", "SC-4"],
         [(f"{int(nbytes / KB)}KB" if nbytes < MB

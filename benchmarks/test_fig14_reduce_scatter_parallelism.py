@@ -5,14 +5,11 @@ Paper (48 executors, 256MB): parallelism 1 -> 8 improves 3.04s -> 0.99s
 2.77s (2.76x).
 """
 
-from conftest import run_once
-
 from repro.bench import fig14_reduce_scatter_parallelism, format_table
 
 
-def test_fig14_reduce_scatter_parallelism(benchmark, record):
-    result = run_once(benchmark, fig14_reduce_scatter_parallelism,
-                      parallelisms=(1, 2, 4, 8))
+def test_fig14_reduce_scatter_parallelism(record):
+    result = fig14_reduce_scatter_parallelism(parallelisms=(1, 2, 4, 8))
     par = result["parallelism"]
     topo = result["topology"]
     table = format_table(

@@ -6,16 +6,13 @@ proportionally with executors (1.51ms -> 7.98ms, 5.30x) because small
 messages are latency-bound.
 """
 
-from conftest import run_once
-
 from repro.bench import fig15_reduce_scatter_scaling, format_table
 from repro.cluster import KB, MB
 
 
-def test_fig15_reduce_scatter_scaling(benchmark, record):
-    rows = run_once(benchmark, fig15_reduce_scatter_scaling,
-                    executor_counts=(6, 12, 24, 48),
-                    sizes=(256 * KB, 256 * MB))
+def test_fig15_reduce_scatter_scaling(record):
+    rows = fig15_reduce_scatter_scaling(executor_counts=(6, 12, 24, 48),
+                                        sizes=(256 * KB, 256 * MB))
     table = format_table(
         ["Message", "Executors", "SC (ms)", "MPI (ms)"],
         [(f"{int(b / KB)}KB" if b < MB else f"{int(b / MB)}MB",

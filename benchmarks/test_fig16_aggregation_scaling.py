@@ -6,16 +6,13 @@ starts to win (1.91x over tree); at 256MB split scales nearly flat
 IMM alone contributing 1.46x.
 """
 
-from conftest import run_once
-
 from repro.bench import fig16_aggregation_scaling, format_table
 from repro.cluster import KB, MB
 
 
-def test_fig16_aggregation_scaling(benchmark, record):
-    rows = run_once(benchmark, fig16_aggregation_scaling,
-                    node_counts=(1, 2, 4, 8),
-                    sizes=(1 * KB, 8 * MB, 256 * MB))
+def test_fig16_aggregation_scaling(record):
+    rows = fig16_aggregation_scaling(node_counts=(1, 2, 4, 8),
+                                     sizes=(1 * KB, 8 * MB, 256 * MB))
     t = {(b, n, m): sec for b, n, m, sec in rows}
     sizes = sorted({b for b, _n, _m, _s in rows})
     nodes = sorted({n for _b, n, _m, _s in rows})

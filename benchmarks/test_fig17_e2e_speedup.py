@@ -5,14 +5,11 @@ from the big-aggregator workloads (SVM-K peaks at 2.62x on BIC and 3.69x
 on AWS; LDA-N, LR-K, SVM-K12 all above 2x on AWS).
 """
 
-from conftest import run_once
-
 from repro.bench import fig17_e2e_speedup, format_table, geomean
 
 
-def test_fig17_e2e_speedup(benchmark, record):
-    rows = run_once(benchmark, fig17_e2e_speedup,
-                    clusters=("BIC", "AWS"), iterations=2)
+def test_fig17_e2e_speedup(record):
+    rows = fig17_e2e_speedup(clusters=("BIC", "AWS"), iterations=2)
     table = format_table(
         ["Cluster", "Workload", "Spark (s)", "Sparker (s)", "Speedup"],
         [(c, w, round(a, 2), round(b, 2), round(sp, 2))

@@ -7,14 +7,12 @@ computation part faster (58.39s vs 40.49s), and the driver becomes the
 next bottleneck (§6).
 """
 
-from conftest import run_once
-
 from repro.bench import fig18_sparker_scaling, format_table
 
 
-def test_fig18_sparker_scaling(benchmark, record):
-    rows = run_once(benchmark, fig18_sparker_scaling,
-                    core_counts=(8, 96, 192, 480, 960), iterations=2)
+def test_fig18_sparker_scaling(record):
+    rows = fig18_sparker_scaling(core_counts=(8, 96, 192, 480, 960),
+                                 iterations=2)
     lines = []
     for cores, spark, sparker in rows:
         for label, result in (("Spark", spark), ("Sparker", sparker)):

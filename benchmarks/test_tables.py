@@ -1,22 +1,20 @@
 """Tables 1-3: configurations, datasets, models (paper §2.1)."""
 
-from conftest import run_once
-
 from repro.bench import table1_clusters, table2_datasets, table3_models
 from repro.cluster import ClusterConfig
 from repro.data import DATASETS
 
 
-def test_table1_clusters(benchmark, record):
-    text = run_once(benchmark, table1_clusters)
+def test_table1_clusters(record):
+    text = table1_clusters()
     record("table1_clusters", text)
     bic, aws = ClusterConfig.bic(), ClusterConfig.aws()
     assert bic.total_cores == 192
     assert aws.total_cores == 960
 
 
-def test_table2_datasets(benchmark, record):
-    text = run_once(benchmark, table2_datasets)
+def test_table2_datasets(record):
+    text = table2_datasets()
     record("table2_datasets", text)
     # The relative shapes the paper's analysis depends on.
     assert DATASETS["kdd12"].paper_features > \
@@ -28,8 +26,8 @@ def test_table2_datasets(benchmark, record):
         assert spec.compute_scale > 1
 
 
-def test_table3_models(benchmark, record):
-    text = run_once(benchmark, table3_models)
+def test_table3_models(record):
+    text = table3_models()
     record("table3_models", text)
     assert "Logistic Regression" in text
     assert "SVM" in text

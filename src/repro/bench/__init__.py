@@ -1,4 +1,11 @@
-"""Benchmark harness: workloads, experiments (one per table/figure), tools."""
+"""Benchmark harness: workloads, experiments (one per table/figure), tools.
+
+``benchmarks/test_*.py`` is the one way to regenerate an exhibit: each
+test runs its experiment here, prints and records the paper's rows under
+``benchmarks/results/`` and asserts the paper's shape. Run all of them
+with ``pytest benchmarks/ --ignore=benchmarks/ledger``, or one with
+``pytest benchmarks/test_fig16_aggregation_scaling.py -s``.
+"""
 
 from .experiments import (
     aws_config_for_cores,

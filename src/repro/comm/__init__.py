@@ -5,12 +5,7 @@ reduction) of the paper, plus the MPI baseline used throughout its
 evaluation.
 """
 
-from .collectives import (
-    CollectiveAlgorithm,
-    available_collectives,
-    get_collective,
-    register_collective,
-)
+from .collectives import COLLECTIVE_ALGORITHMS, CollectiveAlgorithm
 from .cost import (
     CollectiveCostModel,
     CollectivePlan,
@@ -44,9 +39,7 @@ __all__ = [
     "pipelined_ring_reduce_scatter_rank",
     "chunk_columns_for",
     "CollectiveAlgorithm",
-    "register_collective",
-    "get_collective",
-    "available_collectives",
+    "COLLECTIVE_ALGORITHMS",
     "CollectiveCostModel",
     "CollectivePlan",
     "CostCalibrator",

@@ -3,7 +3,8 @@
 The paper hard-codes one reduction topology — the parallel directed ring
 reduce-scatter of §4.2 — but its own Figure 14/15 sweeps show the best
 collective depends on segment size, executor count and host topology.
-This module makes the algorithm a *registry entry* so
+This module makes the algorithm an entry of one table,
+:data:`COLLECTIVE_ALGORITHMS`, so
 :func:`~repro.core.sai.split_aggregate` (via
 :class:`~repro.core.spec.AggregationSpec`'s ``collective`` field, or the
 cost-model tuner in :mod:`repro.comm.cost`) can pick per call:
@@ -77,9 +78,7 @@ __all__ = [
     "PipelinedRingCollective",
     "HalvingDoublingCollective",
     "HierarchicalCollective",
-    "register_collective",
-    "get_collective",
-    "available_collectives",
+    "COLLECTIVE_ALGORITHMS",
     "fan_out",
     "hd_reduce_scatter_rank",
 ]
@@ -123,7 +122,7 @@ def fan_out(comm: Any, values: Optional[Sequence[Any]], split_op: SplitOp,
 
 
 class CollectiveAlgorithm:
-    """One registered reduce-scatter strategy: its per-rank step
+    """One reduce-scatter strategy: its per-rank step
     (:meth:`step`) under :func:`fan_out`, or — when its shape is not one
     body per rank — a ``reduce_scatter`` process body of its own, taking
     what ``fan_out`` takes and returning ``owned``."""
@@ -142,32 +141,6 @@ class CollectiveAlgorithm:
                        split_op: SplitOp, reduce_op: ReduceOp,
                        stream: Optional[Stream] = None) -> Generator:
         return fan_out(comm, values, split_op, reduce_op, self.step, stream)
-
-
-_REGISTRY: Dict[str, CollectiveAlgorithm] = {}
-
-
-def register_collective(algo: CollectiveAlgorithm) -> CollectiveAlgorithm:
-    """Register ``algo`` under ``algo.name`` (last registration wins)."""
-    if not algo.name or algo.name == "?":
-        raise ValueError(f"collective algorithm needs a name: {algo!r}")
-    _REGISTRY[algo.name] = algo
-    return algo
-
-
-def get_collective(name: str) -> CollectiveAlgorithm:
-    """Look up a registered algorithm by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(
-            f"unknown collective {name!r}; registered: {known}") from None
-
-
-def available_collectives() -> Tuple[str, ...]:
-    """Names of all registered algorithms, sorted."""
-    return tuple(sorted(_REGISTRY))
 
 
 # --------------------------------------------------------------------- ring
@@ -611,7 +584,9 @@ class HierarchicalCollective(CollectiveAlgorithm):
         return owned
 
 
-register_collective(RingCollective())
-register_collective(PipelinedRingCollective())
-register_collective(HalvingDoublingCollective())
-register_collective(HierarchicalCollective())
+#: every reduce-scatter algorithm by name, in the order the tuner prices
+#: them (a tie goes to the first)
+COLLECTIVE_ALGORITHMS: Dict[str, CollectiveAlgorithm] = {
+    algo.name: algo for algo in (
+        RingCollective(), PipelinedRingCollective(),
+        HalvingDoublingCollective(), HierarchicalCollective())}

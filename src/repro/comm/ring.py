@@ -559,15 +559,19 @@ class ScalableCommunicator:
         """Process body: reduce-scatter ``values`` across the ranks.
 
         ``values[rank]`` is the aggregator held by ring rank ``rank``;
-        ``algorithm`` a registry name (:mod:`repro.comm.collectives`),
+        ``algorithm`` a key of
+        :data:`repro.comm.collectives.COLLECTIVE_ALGORITHMS`,
         ``None`` being ``"ring"``, the paper's PDR. With ``stream``, rank
         ``r`` waits for its event and takes ``fetch()`` instead of
         ``values[r]``: early finishers enter the collective while
         stragglers still compute. Returns ``owned`` — each rank that owns
         anything mapped to ``{global_segment_index: reduced_segment}``.
         """
-        from .collectives import get_collective
-        algo = get_collective(algorithm or "ring")
+        from .collectives import COLLECTIVE_ALGORITHMS
+        algo = COLLECTIVE_ALGORITHMS.get(algorithm or "ring")
+        if algo is None:
+            raise KeyError(f"unknown collective {algorithm!r}; one of "
+                           f"{', '.join(COLLECTIVE_ALGORITHMS)}")
         algo.validate(self)
         given = len(values if stream is None else stream)
         if given != self.size:

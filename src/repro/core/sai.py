@@ -69,6 +69,7 @@ import warnings
 from collections import Counter
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..comm.collectives import COLLECTIVE_ALGORITHMS
 from ..comm.ring import ChunkLedger, ScalableCommunicator
 from ..obs import (CollectiveChosen, CollectiveCompleted,
                    CollectiveCostEstimate, CollectiveDowngraded,
@@ -289,6 +290,7 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
     # ---- plan: the overlapped collective starts before the stage ----------
     streaming = algorithm == "pipelined_ring"
     if streaming:
+        sc._admit()  # the stream submits its stage without sc.run_reduced_job
         if sc.event_bus.active:
             tracer.open_collective(cid)
         armor.span_id = tracer.collective_span(cid)
@@ -420,9 +422,8 @@ def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders,
     from ..comm.cost import choose_collective, cost_model_for
     model = cost_model_for(sc)
     slots = _slots_for(sc, [executor_id for executor_id, _ in holders])
-    algorithms = ["ring", "pipelined_ring", "hd"]
-    if spec.topology_aware:
-        algorithms.append("hierarchical")
+    algorithms = [name for name in COLLECTIVE_ALGORITHMS
+                  if spec.topology_aware or name != "hierarchical"]
     # Degraded holders slow every merge hop they participate in; the ring
     # runs at the pace of its slowest rank, so price the worst penalty.
     penalty = max(sc.health.compute_penalty(eid) for eid, _ in holders)

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as _dataclass_replace
 from typing import Any, Optional, Tuple
 
+from ..comm.collectives import COLLECTIVE_ALGORITHMS
 from ..comm.ring import DEFAULT_CHUNK_BYTES
 from ..serde.cost import SparsePolicy
 
@@ -44,8 +45,7 @@ __all__ = [
 ]
 
 #: valid values of :attr:`AggregationSpec.collective`
-COLLECTIVES: Tuple[str, ...] = ("auto", "ring", "hd", "hierarchical",
-                                "pipelined_ring")
+COLLECTIVES: Tuple[str, ...] = ("auto", *COLLECTIVE_ALGORITHMS)
 
 #: valid values of :attr:`AggregationSpec.compression`
 COMPRESSIONS: Tuple[str, ...] = ("none", "topk")

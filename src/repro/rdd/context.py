@@ -280,9 +280,7 @@ class SparkerContext:
 
     def broadcast(self, value: Any) -> Broadcast:
         """Replicate ``value`` to every node (binomial tree, blocking)."""
-        scope = getattr(self._scopes, "scope", None)
-        if scope is not None and scope.cancelled is not None:
-            raise JobCancelled(scope.cancelled)
+        self._admit()
         bc = Broadcast(self, value)
         proc = self.env.process(self.cluster.network.broadcast_tree(
             self.cluster.driver_node, self.cluster.nodes, bc.sim_bytes))
@@ -290,6 +288,20 @@ class SparkerContext:
         return bc
 
     # ------------------------------------------------------------------- jobs
+    def _admit(self) -> Optional[JobScope]:
+        """The submitting thread's scope, once it may submit engine work.
+
+        The one gate of every submission (job, reduced job, broadcast,
+        the overlapped aggregation's stage): a stopped context raises
+        ``RuntimeError`` and a cancelled scope :class:`JobCancelled`.
+        """
+        if self._stopped:
+            raise RuntimeError("context is stopped")
+        scope = getattr(self._scopes, "scope", None)
+        if scope is not None and scope.cancelled is not None:
+            raise JobCancelled(scope.cancelled)
+        return scope
+
     def run_job(self, rdd: RDD,
                 func: Callable[[int, list, TaskContext], Any],
                 partitions: Optional[Sequence[int]] = None) -> list:
@@ -300,11 +312,7 @@ class SparkerContext:
         generator body may execute on a different thread (the service
         reactor), where thread-locals would be wrong.
         """
-        if self._stopped:
-            raise RuntimeError("context is stopped")
-        scope = getattr(self._scopes, "scope", None)
-        if scope is not None and scope.cancelled is not None:
-            raise JobCancelled(scope.cancelled)
+        scope = self._admit()
         proc = self.env.process(
             self.dag.run_job(rdd, func, partitions,
                              job_id=self.new_job_id(),
@@ -327,11 +335,7 @@ class SparkerContext:
         ``on_merged``. Pool / ordered-merge / trace parent come from the
         submitting thread's scope, as in :meth:`run_job`.
         """
-        if self._stopped:
-            raise RuntimeError("context is stopped")
-        scope = getattr(self._scopes, "scope", None)
-        if scope is not None and scope.cancelled is not None:
-            raise JobCancelled(scope.cancelled)
+        scope = self._admit()
         job_id = self.new_job_id()
         proc = self.env.process(
             self.dag.run_reduced_job(rdd, func, reduce_op, job_id,

@@ -1,4 +1,4 @@
-"""Bit-identity and registry tests for the pluggable collective engine.
+"""Bit-identity and name-table tests for the pluggable collective engine.
 
 The contract every algorithm in :mod:`repro.comm.collectives` must meet:
 for each global segment the final value is the seed ring's left-deep
@@ -15,13 +15,10 @@ from hypothesis import strategies
 
 from repro import AggregationSpec
 from repro.cluster import Cluster, ClusterConfig
-from repro.comm import (
-    ScalableCommunicator,
-    available_collectives,
-    get_collective,
-)
+from repro.comm import COLLECTIVE_ALGORITHMS, ScalableCommunicator
 from repro.comm.collectives import _ChainState, _owner_block
 from repro.core import sai
+from repro.core.spec import COLLECTIVES
 from repro.faults import (
     AtRingHop,
     ExecutorCrash,
@@ -55,14 +52,21 @@ def run_gather(algorithm, n, parallelism=2, elems=64, seed=0,
     return result, expected, env.now
 
 
-# ------------------------------------------------------------- registry
+# ------------------------------------------------------------ name table
 def test_registry_lists_all_three():
-    assert set(ALGORITHMS) <= set(available_collectives())
+    # the tuner's pricing order: ties break toward the ring
+    assert list(COLLECTIVE_ALGORITHMS) == [
+        "ring", "pipelined_ring", "hd", "hierarchical"]
+    assert all(COLLECTIVE_ALGORITHMS[name].name == name
+               for name in COLLECTIVE_ALGORITHMS)
+    # the spec's valid names are derived from the one table
+    assert COLLECTIVES == ("auto", *COLLECTIVE_ALGORITHMS)
 
 
 def test_unknown_algorithm_rejected():
-    with pytest.raises(KeyError, match="unknown collective"):
-        get_collective("quantum")
+    with pytest.raises(KeyError, match="unknown collective 'quantum'; "
+                                       "one of ring, pipelined_ring, hd"):
+        run_gather("quantum", 3)
 
 
 def test_hierarchical_requires_topology_aware():
@@ -71,7 +75,7 @@ def test_hierarchical_requires_topology_aware():
     comm = ScalableCommunicator(cluster, parallelism=1,
                                 topology_aware=False)
     with pytest.raises(ValueError, match="topology_aware"):
-        get_collective("hierarchical").validate(comm)
+        COLLECTIVE_ALGORITHMS["hierarchical"].validate(comm)
 
 
 # ---------------------------------------------------------- bit-identity
@@ -176,11 +180,11 @@ def test_every_collective_realizes_the_chain_bit_for_bit(
     """ROADMAP 5d, one property now that the fan-out is shared: any rank
     count (non-powers of two included), any parallelism, payloads shorter
     than ``N * P`` (empty segments) or not divisible by it, dense and
-    density-adaptive values — every registered algorithm owns every
+    density-adaptive values — every algorithm in the table owns every
     global segment exactly once, and its bytes are the chain's."""
     arrays = _arrays(n, length, seed, adaptive)
     expected = _chain(arrays, adaptive, n, parallelism)
-    for algorithm in available_collectives():
+    for algorithm in COLLECTIVE_ALGORITHMS:
         values, split, reduce_, raw = _payloads(arrays, adaptive)
         # 24 B chunks: pipelined_ring runs several columns where it can
         _, owned = _reduce_scatter(algorithm, n, parallelism, values, split,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import MB, Cluster, ClusterConfig
-from repro.comm import ScalableCommunicator, available_collectives
+from repro.comm import COLLECTIVE_ALGORITHMS, ScalableCommunicator
 from repro.comm.ring import chunk_columns_for, pipelined_ring_reduce_scatter_rank
 from repro.ml import aggregators
 from repro.ml.aggregators import AggregatorSegment, FlatAggregator
@@ -52,9 +52,9 @@ def run_gather(algorithm, n, parallelism=2, elems=64, seed=0, num_nodes=3,
     return result, expected, env.now
 
 
-# ------------------------------------------------------------- registry
+# ------------------------------------------------------------ name table
 def test_registry_includes_pipelined_ring():
-    assert "pipelined_ring" in available_collectives()
+    assert "pipelined_ring" in COLLECTIVE_ALGORITHMS
 
 
 # ---------------------------------------------------------- chunk count

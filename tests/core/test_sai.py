@@ -65,6 +65,17 @@ def test_split_aggregate_empty_rdd(sc):
     np.testing.assert_allclose(result.data, np.zeros(8))
 
 
+
+@pytest.mark.parametrize("collective", ["ring", "pipelined_ring"])
+def test_stopped_context_rejects_split_aggregate(sc, collective):
+    # the streamed collective submits its own stage; it is gated the same
+    rdd = sc.parallelize([SizedPayload(np.ones(3))] * 4, 2)
+    sc.stop()
+    with pytest.raises(RuntimeError, match="context is stopped"):
+        rdd.split_aggregate(lambda: SizedPayload(np.zeros(3)),
+                            spec=AggregationSpec(collective=collective),
+                            **payload_split_args())
+
 def test_split_aggregate_parallelism_validation(sc):
     rdd = sc.parallelize([SizedPayload(np.zeros(4))], 1)
     with pytest.raises(ValueError):

@@ -1,9 +1,9 @@
 """Every module under ``src/repro/`` is on a workload, an exhibit, an
-example or a CLI.
+example or the CLI.
 
 A static walk over ``import`` statements from the roots that are not
 tests — ``benchmarks/`` (the ledger, the paper's figures and tables),
-``examples/`` and the two ``python -m`` entry points — following each
+``examples/`` and the ``python -m repro.obs`` entry point — following each
 imported name through package ``__init__`` re-exports to the module that
 defines it. A re-export line is not a use: ``repro/ml/__init__.py`` naming
 a class keeps nothing alive, a script that imports the class does. What

@@ -93,6 +93,12 @@ def test_stopped_context_rejects_jobs(sc):
         sc.parallelize([1])
 
 
+
+def test_stopped_context_rejects_broadcast(sc):
+    sc.stop()
+    with pytest.raises(RuntimeError, match="context is stopped"):
+        sc.broadcast([1, 2, 3])
+
 def test_actions_are_deterministic_in_time():
     from repro.cluster import ClusterConfig
     from repro.rdd import SparkerContext
