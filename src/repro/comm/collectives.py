@@ -182,7 +182,7 @@ class PipelinedRingCollective(CollectiveAlgorithm):
              reduce_op: ReduceOp) -> Generator:
         bus, began = comm.bus, comm.env.now
         tracing = bus is not None and bus.active
-        if tracing:  # sized before the ring merges in place
+        if tracing:  # the rank's contribution, as split
             value_bytes = sum([sim_sizeof(lane) for lanes in segments.values()
                                for lane in lanes])
         # Every rank holds an equally-shaped aggregator, so the probe

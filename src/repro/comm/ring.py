@@ -128,8 +128,9 @@ def ring_reduce_scatter_rank(
 
     ``segments`` maps local segment index ``0..size-1`` to this rank's
     contribution, its :data:`Lanes` (a plain ring: a tuple of one), and is
-    the call's own, updated in place as segments merge. Returns
-    ``(owned_index, reduced_lanes)``, ``owned_index == (rank + 1) % size``.
+    only read. Returns ``(owned_index, reduced_lanes)``, ``owned_index ==
+    (rank + 1) % size``: the last hop's merge. Each hop's merge is what
+    the next hop sends, so a rank holds one merged segment at a time.
 
     At iteration ``k`` rank ``r`` sends its current value of segment
     ``(r - k) mod N`` to rank ``(r + 1) mod N`` and merges the incoming
@@ -179,7 +180,6 @@ def ring_reduce_scatter_rank(
         merge_cost = max(merged_sizes) / merge_bandwidth
         if merge_cost > 0:
             yield env.timeout(merge_cost)
-        segments[recv_idx] = merged
         # The lanes are single connections: do not start iteration k+1's
         # send until iteration k's has fully left.
         if not in_flight.processed:
@@ -210,8 +210,8 @@ def ring_reduce_scatter_rank(
                         span_id=bus.tracer.new_span(),
                         parent_span_id=hop_span))
         outgoing, send_sizes, send_reprs = merged, merged_sizes, merged_reprs
-    owned = (rank + 1) % n
-    return owned, segments[owned]
+    # the last hop merged segment (rank - (n - 1)) mod n, the owned one
+    return (rank + 1) % n, outgoing
 
 
 def ring_allgather_rank(

@@ -55,8 +55,30 @@ _STATS_SLOTS = 2
 #: O(threshold * size) regardless of how many samples are folded
 _COALESCE_MIN = 4096
 
+#: where a modelled-dense partial stores itself densely: an entry of the
+#: support form (int32 position + float64 total, 12 B) costs 1.5 dense
+#: slots, so it breaks even at two thirds of the payload
+_HOST_STORAGE = SparsePolicy(density_threshold=2 / 3)
+
+#: largest payload whose positions a host-sparse partial keeps as int32
+_INT32_MAX = np.iinfo(np.int32).max
+
 _EMPTY_IDX = np.empty(0, dtype=np.int64)
 _EMPTY_VAL = np.empty(0, dtype=np.float64)
+
+
+def support_of(indices: np.ndarray, size: int
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(positions, slot)``: the distinct values of ``indices`` (each in
+    ``[0, size)``), sorted, and each entry's position among them — int32
+    where ``size`` allows. One mark pass over ``size`` slots, no sort."""
+    dtype = np.int32 if size <= _INT32_MAX else np.int64
+    marked = np.zeros(size, dtype=bool)
+    marked[indices] = True
+    positions = np.flatnonzero(marked).astype(dtype)
+    slot_of = np.empty(size, dtype=dtype)
+    slot_of[positions] = np.arange(positions.size, dtype=dtype)
+    return positions, slot_of[indices]
 
 
 class SparseAccumulator:
@@ -192,6 +214,17 @@ class SparseAccumulator:
             out[:] = self.buf
         elif self._index_chunks:
             out[self._index_chunks[0]] = self._value_chunks[0]
+
+    def adopt(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Take coalesced ``indices`` (sorted, unique) and their totals as
+        the whole state of an accumulator nothing was scattered into."""
+        if self._pending or self.buf is not None:
+            raise RuntimeError("accumulator is not empty")
+        self.version += 1
+        if indices.size:
+            self._index_chunks = [indices]
+            self._value_chunks = [values]
+            self._pending = int(indices.size)
 
     def merge_accumulator(self, other: "SparseAccumulator") -> None:
         """Fold ``other``'s totals into this accumulator in place."""
@@ -446,14 +479,24 @@ class FlatAggregator:
     buf:
         Optional pre-filled dense buffer (``payload_size + 2`` long).
     policy:
-        When given (and no ``buf``), the aggregator starts in the
-        density-adaptive sparse representation: ``payload`` is a
-        :class:`SparseAccumulator` until it densifies, after which the
-        aggregator collapses to the classic dense layout. All observable
-        values are bit-identical to the dense reference either way.
+        The modelled representation. When given (and no ``buf``), the
+        aggregator starts in the density-adaptive sparse representation:
+        ``payload`` is a :class:`SparseAccumulator` until it densifies,
+        after which the aggregator collapses to the classic dense layout.
+        All observable values are bit-identical to the dense reference
+        either way.
+
+    Host storage follows the data; ``policy`` alone sets what is
+    modelled. Without a ``policy`` the aggregator is modelled dense —
+    ``representation``, ``density``, ``payload_nnz`` and
+    ``__sim_size__`` say so — but a fresh one holds no dense buffer: it is
+    a :class:`SparseAccumulator`'s coalesced state, the support a
+    partition fold hands it (:meth:`adopt_support`). ``buf``,
+    ``payload``, ``split``, ``topk``, ``to_dense`` and a ``merge`` into it
+    densify it first.
     """
 
-    __slots__ = ("buf", "payload_size", "size_scale", "policy", "_acc",
+    __slots__ = ("_buf", "payload_size", "size_scale", "policy", "_acc",
                  "_stats", "_dense_size", "_wire_cache")
 
     def __init__(self, payload_size: int, size_scale: float = 1.0,
@@ -470,19 +513,18 @@ class FlatAggregator:
         self._stats: Optional[np.ndarray] = None
         self._dense_size: Optional[float] = None
         self._wire_cache: Optional[Tuple[int, float]] = None
-        if buf is None and policy is not None:
-            self.buf = None
-            self._acc = SparseAccumulator(payload_size, policy)
+        if buf is None:
+            self._buf = None
+            self._acc = SparseAccumulator(payload_size,
+                                          policy or _HOST_STORAGE)
             self._stats = np.zeros(_STATS_SLOTS)
-        elif buf is None:
-            self.buf = np.zeros(payload_size + _STATS_SLOTS)
         else:
             buf = np.asarray(buf, dtype=np.float64)
             if buf.size != payload_size + _STATS_SLOTS:
                 raise ValueError(
                     f"buffer length {buf.size} != payload {payload_size} "
                     f"+ {_STATS_SLOTS}")
-            self.buf = buf
+            self._buf = buf
 
     # ---------------------------------------------------- representation sync
     def _sync(self) -> None:
@@ -494,7 +536,7 @@ class FlatAggregator:
         buf = np.empty(self.payload_size + _STATS_SLOTS)
         buf[:self.payload_size] = acc.buf
         buf[self.payload_size:] = self._stats
-        self.buf = buf
+        self._buf = buf
         self._acc = None
         self._stats = None
 
@@ -506,47 +548,78 @@ class FlatAggregator:
 
     def to_dense(self) -> "FlatAggregator":
         """Force the classic dense layout in place; returns self."""
-        if self.buf is None:
+        if self._buf is None:
             acc = self._acc
             buf = np.zeros(self.payload_size + _STATS_SLOTS)
             acc.write_into(buf[:self.payload_size])
             buf[self.payload_size:] = self._stats
-            self.buf = buf
+            self._buf = buf
             self._acc = None
             self._stats = None
         return self
 
+    def takes_support(self, entries: int) -> bool:
+        """Whether a partition fold of ``entries`` contributions hands
+        this aggregator their support (:meth:`adopt_support`) instead of
+        scattering into :attr:`payload`: modelled dense, nothing folded
+        in yet, and ``entries`` short of the densify point — decided from
+        the count, before any support is built."""
+        acc = self._acc
+        return (self.policy is None and acc is not None and not acc._pending
+                and not acc.policy.should_densify(entries, self.payload_size))
+
+    def adopt_support(self, indices: np.ndarray, totals: np.ndarray) -> None:
+        """Hold a fold's sorted, distinct payload positions and the totals
+        over them as the whole payload (see :meth:`takes_support`).
+        Positions are kept as int32 where the payload allows."""
+        if self.payload_size <= _INT32_MAX:
+            indices = indices.astype(np.int32, copy=False)
+        self._acc.adopt(indices, totals)
+
     # ----------------------------------------------------------------- views
+    @property
+    def buf(self) -> Optional[np.ndarray]:
+        """The classic dense layout ``[payload..., loss_sum, weight_sum]``
+        (densified first when modelled dense); ``None`` while the
+        adaptive representation is still sparse."""
+        if self._buf is None and self.policy is None:
+            self.to_dense()
+        return self._buf
+
     @property
     def payload(self):
         """The model-specific accumulation target.
 
-        A dense view (in-place updates intended) in the classic layout; the
-        :class:`SparseAccumulator` while the adaptive representation is
-        still sparse (``SparseVector.add_to`` accepts both).
+        A writable dense view (in-place updates intended) when modelled
+        dense or once densified; the :class:`SparseAccumulator` while the
+        adaptive representation is still sparse (``SparseVector.add_to``
+        accepts both).
         """
         self._sync()
         if self._acc is not None:
-            return self._acc
-        return self.buf[:self.payload_size]
+            if self.policy is not None:
+                return self._acc
+            self.to_dense()
+        return self._buf[:self.payload_size]
 
     @property
     def representation(self) -> str:
-        if self.buf is not None or self._acc.is_dense:
+        if self.policy is None or self._buf is not None or self._acc.is_dense:
             return "dense"
         return "sparse"
 
     @property
     def payload_nnz(self) -> int:
-        """Stored payload entries (= payload size once dense)."""
-        if self.buf is not None:
+        """Stored payload entries of the modelled representation (=
+        payload size once dense)."""
+        if self.policy is None or self._buf is not None:
             return self.payload_size
         return self._acc.nnz
 
     @property
     def density(self) -> float:
         total = self.payload_size + _STATS_SLOTS
-        if self.buf is not None or self._acc.is_dense:
+        if self.policy is None or self._buf is not None or self._acc.is_dense:
             return 1.0
         return (self._acc.nnz + _STATS_SLOTS) / total if total else 1.0
 
@@ -554,25 +627,25 @@ class FlatAggregator:
     def loss_sum(self) -> float:
         if self._stats is not None:
             return float(self._stats[0])
-        return float(self.buf[-2])
+        return float(self._buf[-2])
 
     @property
     def weight_sum(self) -> float:
         if self._stats is not None:
             return float(self._stats[1])
-        return float(self.buf[-1])
+        return float(self._buf[-1])
 
     def add_stats(self, loss: float, weight: float = 1.0) -> None:
         if self._stats is not None:
             self._stats[0] += loss
             self._stats[1] += weight
         else:
-            self.buf[-2] += loss
-            self.buf[-1] += weight
+            self._buf[-2] += loss
+            self._buf[-1] += weight
 
     def set_stats(self, loss_sum: float, weight_sum: float) -> None:
         """Overwrite both statistics (a fold that summed them itself)."""
-        stats = self._stats if self._stats is not None else self.buf[-2:]
+        stats = self._stats if self._stats is not None else self._buf[-2:]
         stats[0] = loss_sum
         stats[1] = weight_sum
 
@@ -586,13 +659,13 @@ class FlatAggregator:
         cache hit also proves the pending ``_compact()`` would have been a
         no-op.
         """
-        if self.buf is None:
+        if self._buf is None and self.policy is not None:
             acc = self._acc
             cached = self._wire_cache
             if cached is not None and cached[0] == acc.version:
                 return cached[1]
             self._compact()
-            if self.buf is None:
+            if self._buf is None:
                 total = self.payload_size + _STATS_SLOTS
                 size = self.policy.wire_bytes(acc.nnz + _STATS_SLOTS,
                                               total, self.size_scale)
@@ -609,31 +682,36 @@ class FlatAggregator:
 
     # ------------------------------------------------------------ operations
     def merge(self, other: "FlatAggregator") -> "FlatAggregator":
-        """In-place element-wise sum; returns self (MLlib merge style)."""
+        """In-place element-wise sum; returns self (MLlib merge style).
+
+        A modelled-dense destination densifies and ``other`` is scattered
+        into it from whatever it holds."""
         if other.payload_size != self.payload_size:
             raise ValueError(
                 f"aggregator size mismatch: "
                 f"{self.payload_size + _STATS_SLOTS} vs "
                 f"{other.payload_size + _STATS_SLOTS}")
+        if self.policy is None:
+            self.to_dense()
         self._compact()
         other._compact()
-        if self.buf is not None and other.buf is not None:
-            self.buf += other.buf
+        if self._buf is not None and other._buf is not None:
+            self._buf += other._buf
             return self
-        if self.buf is None and other.buf is None:
+        if self._buf is None and other._buf is None:
             self._acc.merge_accumulator(other._acc)
             self._stats += other._stats
             self._sync()
             return self
-        if self.buf is None:  # sparse self + dense other
+        if self._buf is None:  # sparse self + dense other
             self.to_dense()
-            self.buf += other.buf
+            self._buf += other._buf
             return self
         # dense self + sparse other
         idx, vals = other._acc.indices_values()
         if idx.size:
-            scatter_into(self.buf[:self.payload_size], idx, vals)
-        self.buf[self.payload_size:] += other._stats
+            scatter_into(self._buf[:self.payload_size], idx, vals)
+        self._buf[self.payload_size:] += other._stats
         return self
 
     def copy(self) -> "FlatAggregator":
@@ -641,7 +719,7 @@ class FlatAggregator:
         out.payload_size = self.payload_size
         out.size_scale = self.size_scale
         out.policy = self.policy
-        out.buf = None if self.buf is None else self.buf.copy()
+        out._buf = None if self._buf is None else self._buf.copy()
         out._acc = None if self._acc is None else self._acc.copy()
         out._stats = None if self._stats is None else self._stats.copy()
         out._dense_size = self._dense_size
@@ -651,17 +729,21 @@ class FlatAggregator:
     def split(self, index: int, num_segments: int) -> AggregatorSegment:
         """``splitOp``: contiguous segment ``index`` of ``num_segments``.
 
-        Dense aggregators hand out buffer views (unowned); sparse ones
-        slice their coalesced entries, with the statistics slots carried
-        as entries at their flat positions.
+        Dense aggregators (every modelled-dense one) hand out buffer views
+        (unowned); sparse ones slice their coalesced entries, with the
+        statistics slots carried as entries at their flat positions.
         """
-        self._compact()
+        if self._buf is None:
+            if self.policy is None:
+                self.to_dense()
+            else:
+                self._compact()
         total = self.payload_size + _STATS_SLOTS
         lo, hi = segment_range(total, num_segments, index)
         frac = (hi - lo) / total if total else 0.0
         dense_bytes = self.__sim_dense_size__() * frac
-        if self.buf is not None:
-            return AggregatorSegment(self.buf[lo:hi], dense_bytes,
+        if self._buf is not None:
+            return AggregatorSegment(self._buf[lo:hi], dense_bytes,
                                      policy=self.policy)
         idx, vals = self._acc.indices_values()
         seg_idx, seg_vals = slice_sparse(idx, vals, lo,
@@ -688,7 +770,7 @@ class FlatAggregator:
         the whole payload.
         """
         self.to_dense()
-        payload = self.buf[:self.payload_size]
+        payload = self._buf[:self.payload_size]
         if residual is not None:
             corrected = payload + residual
         else:
@@ -702,7 +784,7 @@ class FlatAggregator:
 
     def __repr__(self) -> str:
         return (f"<FlatAggregator payload={self.payload_size} "
-                f"{self.representation if self.policy else 'dense'} "
+                f"{self.representation} "
                 f"loss={self.loss_sum:.4g} weight={self.weight_sum:g}>")
 
 

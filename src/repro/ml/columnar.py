@@ -37,6 +37,7 @@ from ..obs.events import ColumnarFold
 from ..rdd.costing import ELEMENT_OVERHEAD, Costed, sum_in_order
 from ..rdd.storage import CachedPartition
 from ..rdd.task_context import TaskContext
+from .aggregators import support_of
 from .gradient import Gradient
 from .linalg import LabeledPoint
 
@@ -60,7 +61,7 @@ class PartitionColumns:
     """
 
     __slots__ = ("num_rows", "num_cols", "indices", "values", "offsets",
-                 "labels", "nnz", "by_length", "__weakref__")
+                 "labels", "nnz", "by_length", "_support", "__weakref__")
 
     def __init__(self, points: List[LabeledPoint], num_cols: int):
         rows = [p.features for p in points]
@@ -84,6 +85,7 @@ class PartitionColumns:
         np.cumsum(self.nnz, out=self.offsets[1:])
         self.labels = np.fromiter((p.label for p in points),
                                   dtype=np.float64, count=n)
+        self._support = None
         self.by_length = None
         counts = Counter(lengths)
         if n < 2 * len(counts):
@@ -102,6 +104,15 @@ class PartitionColumns:
         self.by_length = (np.concatenate([rows[r].indices for r in order]),
                           np.array(order), gathered, grouped.reshape(n),
                           blocks)
+
+    def support(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(features, slot)``: the distinct feature indices the rows
+        touch, sorted, and each entry's position among them
+        (:func:`support_of`), built on first use and kept with the
+        columns."""
+        if self._support is None:
+            self._support = support_of(self.indices, self.num_cols)
+        return self._support
 
 
 def columns_of(data: list, num_cols: int) -> Tuple[PartitionColumns, bool]:
@@ -165,9 +176,15 @@ class ColumnarSeqOp(Costed):
             return acc
         weights = self.weights_of()
         columns, built = columns_of(data, weights.shape[0])
-        target = acc.payload
-        dense = isinstance(target, np.ndarray)
-        slots = target.shape[0] if dense else target.size
+        # a fresh modelled-dense partial takes the support and its totals;
+        # anything else gets the scatter into its payload
+        support = acc.takes_support(int(columns.offsets[-1]))
+        if support:
+            target, dense, slots = None, False, acc.payload_size
+        else:
+            target = acc.payload
+            dense = isinstance(target, np.ndarray)
+            slots = target.shape[0] if dense else target.size
         if slots != columns.num_cols:
             raise ValueError(
                 f"dimension mismatch: {columns.num_cols} weights vs "
@@ -196,11 +213,17 @@ class ColumnarSeqOp(Costed):
             weight_sum = sum_in_order(acc.weight_sum, 1.0, n)
 
         indices, values, nnz = columns.indices, columns.values, columns.nnz
+        if support:  # the same ordered scatter, onto the support's slots
+            features, indices = columns.support()
         if live is not None:  # rows that add nothing, not even 0.0
             entries = np.repeat(live, nnz)
             indices, values, nnz = indices[entries], values[entries], nnz[live]
         contributions = values * np.repeat(multipliers, nnz)
-        if dense:
+        if support:
+            totals = np.zeros(features.size)
+            np.add.at(totals, indices, contributions)
+            acc.adopt_support(features, totals)
+        elif dense:
             np.add.at(target, indices, contributions)
         else:
             target.scatter_add_rows(indices, contributions, np.cumsum(nnz))

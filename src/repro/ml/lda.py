@@ -26,7 +26,13 @@ from ..core.spec import AggregationSpec
 from ..rdd.costing import ELEMENT_OVERHEAD, Costed, sum_in_order
 from ..rdd.rdd import RDD
 from ..rdd.task_context import TaskContext
-from .aggregators import FlatAggregator, concat_op, reduce_op, split_op
+from .aggregators import (
+    FlatAggregator,
+    concat_op,
+    reduce_op,
+    split_op,
+    support_of,
+)
 from .linalg import SparseVector
 from .optimization import AGGREGATION_MODES, ScaledPayloadValue
 
@@ -147,7 +153,14 @@ class EStepSeqOp(Costed):
         bounds = [0, *np.cumsum(lengths).tolist()]
         spans = list(zip(bounds, bounds[1:]))
         beta = self.beta_of()
-        counts = acc.payload.reshape(beta.shape)
+        # a fresh modelled-dense partial keeps K x (the partition's words)
+        support = acc.takes_support(k * indices.size)
+        if support:
+            present, columns = support_of(indices, beta.shape[1])
+            counts = np.zeros((k, present.size))
+        else:
+            columns = indices
+            counts = acc.payload.reshape(beta.shape)
 
         words = beta[:, indices]  # K x N, column-major like beta[:, doc]
         phi = np.empty_like(words)
@@ -168,11 +181,17 @@ class EStepSeqOp(Costed):
         theta = gamma / gamma.sum(axis=1, keepdims=True)
         probs = np.empty(indices.size)
         for (lo, hi), mixture in zip(spans, theta):
-            counts[:, indices[lo:hi]] += phi[:, lo:hi]
+            counts[:, columns[lo:hi]] += phi[:, lo:hi]
             np.matmul(mixture, words[:, lo:hi], out=probs[lo:hi])
         probs += 1e-100
         np.log(probs, out=probs)
         losses = [values[lo:hi] @ probs[lo:hi] for lo, hi in spans]
+        if support:  # row t of the K x V payload starts at t * V
+            vocab = beta.shape[1]
+            acc.adopt_support(
+                (np.arange(0, k * vocab, vocab)[:, None]
+                 + present).reshape(-1),
+                counts.reshape(-1))
         acc.set_stats(sum_in_order(acc.loss_sum, losses, len(docs)),
                       sum_in_order(acc.weight_sum, 1.0, len(docs)))
         return acc

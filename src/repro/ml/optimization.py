@@ -137,11 +137,9 @@ class GradientDescent:
 
             # --- driver update (the paper's non-scalable "Driver" slice) --
             with sc.stopwatch.span("ml.driver"):
-                if agg.representation != "dense":
-                    # Adaptive tree modes can hand the driver a still-
-                    # sparse aggregator; the updater wants a dense array.
-                    agg.to_dense()
-                grad = agg.payload / count
+                # a tree mode can hand the driver a still-sparse (or
+                # host-sparse) aggregator; the updater wants a dense array
+                grad = agg.to_dense().payload / count
                 new_weights, reg_loss = self.updater.compute(
                     weights, grad, self.step_size, iteration, self.reg_param)
                 losses.append(agg.loss_sum / count + reg_loss)

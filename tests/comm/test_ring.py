@@ -1,5 +1,8 @@
 """Correctness tests for the scalable communicator's ring collectives."""
 
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,10 @@ from hypothesis import strategies as st
 
 from repro.cluster import MB, Cluster, ClusterConfig
 from repro.comm import ScalableCommunicator
+from repro.comm.ring import ring_reduce_scatter_rank
 from repro.serde import SizedPayload
 from repro.sim import Environment
+from repro.sim.calendar import BucketCalendar
 
 from .conftest import concat_op, make_values, reduce_op, split_op
 
@@ -294,3 +299,70 @@ def test_ring_hop_costs_one_kernel_event(n, parallelism):
     # behind the one watchdog timer armed by the first recv.
     armored = count_reduce_scatter(n, parallelism, recv_timeout=5.0)
     assert armored <= events + 1
+
+
+# --------------------------------------------------------- what a rank keeps
+class _Lane:
+    """A lane value that can be watched with a weakref."""
+
+    __slots__ = ("data", "__weakref__")
+
+    def __init__(self, data):
+        self.data = data
+
+    def __sim_size__(self):
+        return 8.0 * self.data.size
+
+
+def test_a_ring_rank_keeps_only_the_segment_it_sends():
+    """Each hop's merge is the next hop's send, so a rank keeps one merged
+    lane tuple, not the N - 1 it makes. Sampled at every kernel step, a
+    rank's merges alive are the one it keeps and at most the one its
+    downstream neighbour has yet to merge; once the ring is done, with the
+    caller still holding every rank's ``segments``, only the returned
+    tuple is left."""
+    n, parallelism = 8, 2
+    env = Environment()
+    cluster = Cluster(env, ClusterConfig.bic(num_nodes=n))
+    one_per_node = {}
+    for slot in cluster.executors:
+        one_per_node.setdefault(slot.node.node_id, slot)
+    comm = ScalableCommunicator(cluster, parallelism=parallelism,
+                                slots=list(one_per_node.values()))
+    rng = np.random.default_rng(0)
+    made = [[] for _ in range(n)]
+
+    def merging(rank):
+        def reduce_lane(a, b):
+            out = _Lane(a.data + b.data)
+            made[rank].append(weakref.ref(out))
+            return out
+        return reduce_lane
+
+    def alive(rank):
+        return sum(ref() is not None for ref in made[rank]) / parallelism
+
+    most = [0.0] * n
+    pop = BucketCalendar.pop
+
+    def sampled(calendar):
+        for rank in range(n):
+            most[rank] = max(most[rank], alive(rank))
+        return pop(calendar)
+
+    segments = [{j: tuple(_Lane(rng.standard_normal(16))
+                          for _ in range(parallelism)) for j in range(n)}
+                for _ in range(n)]
+    with mock.patch.object(BucketCalendar, "pop", sampled):
+        procs = [env.process(ring_reduce_scatter_rank(
+            comm.fabric, rank, n, segments[rank], merging(rank), 1e9))
+            for rank in range(n)]
+        env.run()
+    results = [proc.value for proc in procs]
+    assert all(len(made[rank]) == (n - 1) * parallelism for rank in range(n))
+    assert max(most) == 2
+    assert [alive(rank) for rank in range(n)] == [1] * n
+    for rank, (owned, lanes) in enumerate(results):
+        assert owned == (rank + 1) % n
+        expected = sum(segments[r][owned][0].data for r in range(n))
+        np.testing.assert_allclose(lanes[0].data, expected)

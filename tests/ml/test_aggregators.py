@@ -1,10 +1,16 @@
 """Tests for the Figure 7-style aggregator classes."""
 
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import AggregationSpec, ClusterConfig, SparkerSession
+from repro.data.registry import dataset
+from repro.ml import aggregators
 from repro.ml.aggregators import (
     AggregatorSegment,
     FlatAggregator,
@@ -13,6 +19,7 @@ from repro.ml.aggregators import (
     split_op,
 )
 from repro.serde import sim_sizeof
+from repro.sim.calendar import BucketCalendar
 
 
 def test_zero_initialization():
@@ -160,3 +167,64 @@ def test_segmentwise_merge_equals_whole_merge(n, payload, segments, seed):
         merged_segments.append(seg)
     via_segments = concat_op(merged_segments)
     np.testing.assert_allclose(via_segments.buf, whole.buf, rtol=1e-12)
+
+
+# ------------------------------------------------ what a cell holds live
+class _DenseBuffers:
+    """``numpy`` as ``repro.ml.aggregators`` sees it, counting the live
+    arrays of one length it makes: aggregator layouts (``zeros`` /
+    ``empty``) and concatenated results (``concatenate``). A view keeps
+    its base, and so the count, alive."""
+
+    def __init__(self, length):
+        self.length = length
+        self.live = {"zeros": 0, "empty": 0, "concatenate": 0}
+        self.most_layouts = self.most = 0
+
+    def sample(self):
+        layouts = self.live["zeros"] + self.live["empty"]
+        self.most_layouts = max(self.most_layouts, layouts)
+        self.most = max(self.most, layouts + self.live["concatenate"])
+
+    def _died(self, name):
+        self.live[name] -= 1
+
+    def __getattr__(self, name):
+        make = getattr(np, name)
+        if name not in self.live:
+            return make
+
+        def counted(*args, **kwargs):
+            out = make(*args, **kwargs)
+            if out.size == self.length:
+                self.live[name] += 1
+                weakref.finalize(out, self._died, name)
+            return out
+        return counted
+
+
+def test_a_cell_holds_one_dense_aggregator_per_executor():
+    """IMM's point (paper §4.3): one merged aggregator per executor, not
+    one per task. Sampled at every kernel step of a BIC x8 split SVM-K12
+    iteration (192 task slots on 48 executors), the payload-length
+    aggregator buffers alive are the executors' merged objects, and the
+    driver's concatenated result arrives while they are still held; each
+    task's partial keeps only its partition's support. A dense partial
+    per task made it 192."""
+    spec = dataset("kdd12")
+    spec.generate()
+    counter = _DenseBuffers(spec.surrogate_features + 2)
+    pop = BucketCalendar.pop
+
+    def sampled(calendar):
+        counter.sample()
+        return pop(calendar)
+
+    config = ClusterConfig.bic(8)
+    with mock.patch.object(aggregators, "np", counter), \
+            mock.patch.object(BucketCalendar, "pop", sampled):
+        SparkerSession(config).run("SVM-K12", aggregation="split",
+                                   iterations=1, spec=AggregationSpec())
+    assert config.num_executors == 48
+    assert counter.most_layouts == config.num_executors
+    assert counter.most <= config.num_executors + 1

@@ -41,7 +41,7 @@ from repro.ml import (
 from repro.ml.columnar import ColumnarSeqOp, _block_dots
 from repro.obs import EventBus, MetricsListener
 from repro.rdd import ELEMENT_OVERHEAD, CachedPartition, Costed, TaskContext
-from repro.serde import SparsePolicy
+from repro.serde import SparsePolicy, sim_sizeof
 
 GRADIENTS = (LogisticGradient, HingeGradient, LeastSquaresGradient)
 PER_NNZ = 1e-7
@@ -135,14 +135,18 @@ def partitions(draw):
        stats=st.sampled_from([(0.0, 0.0), (3.25, 0.1), (-1e-3, 2.5),
                               (1e9, 2.0 ** 53)]),
        threshold=st.sampled_from([None, 0.001, 0.02, 0.3, 1.0]),
-       coalesce_min=st.sampled_from([1, 2, 3, 16, 4096]))
+       coalesce_min=st.sampled_from([1, 2, 3, 16, 4096]),
+       merged=st.booleans())
 def test_fold_equals_per_sample_loop_exactly(gradient_cls, case, split,
                                              charged, stats, threshold,
-                                             coalesce_min):
+                                             coalesce_min, merged):
     dim, weights, rows = case
     # two folds into one accumulator: the second starts from a non-empty
     # accumulator; both from a loss sum, a fractional weight sum and a
-    # charge that are not zero
+    # charge that are not zero. Without a threshold the first non-empty
+    # part starts from an empty partial: the support path, unless it is
+    # dense-ish. ``merged``: each part into a fresh partial of its own,
+    # then the second merged into the first, as IMM and tree combines do.
     parts = [rows[:split], rows[split:]]
     policy = None if threshold is None else SparsePolicy(threshold)
     saved = aggregators._COALESCE_MIN
@@ -153,7 +157,13 @@ def test_fold_equals_per_sample_loop_exactly(gradient_cls, case, split,
             ctx = _ctx(charged)
             agg = FlatAggregator(dim, policy=policy)
             agg.set_stats(*stats)
-            fold(gradient_cls(), parts, weights, agg, ctx)
+            if merged:
+                other = FlatAggregator(dim, policy=policy)
+                fold(gradient_cls(), parts[:1], weights, agg, ctx)
+                fold(gradient_cls(), parts[1:], weights, other, ctx)
+                agg.merge(other)
+            else:
+                fold(gradient_cls(), parts, weights, agg, ctx)
             outcomes.append(_observed(agg, ctx))
     finally:
         aggregators._COALESCE_MIN = saved
@@ -222,7 +232,39 @@ def test_empty_partition_is_untouched():
     agg, ctx = FlatAggregator(5), _ctx(0.25)
     _columnar(LogisticGradient(), [[]], np.ones(5), agg, ctx)
     assert ctx.charged == 0.25 and agg.weight_sum == 0.0
+    # still the fresh partial: no dense buffer, the dense model reported
+    assert agg._buf is None and agg.takes_support(1)
+    assert (agg.representation, agg.payload_nnz, agg.density) == (
+        "dense", 5, 1.0)
+    assert sim_sizeof(agg) == 7 * 8.0
     assert not agg.buf.any()
+
+
+@pytest.mark.parametrize("lengths, support", [
+    ([0, 0, 0], True),           # rows without entries: an empty support
+    ([2, 1, 3, 1], True),        # 7 entries of 12 slots: the support
+    ([4, 4], False),             # 8 of 12: dense from the count alone
+])
+def test_a_fresh_partial_holds_the_support_of_a_sparse_partition(
+        lengths, support):
+    """The entry count, not the support, decides: a partition whose count
+    reaches two thirds of the payload is scattered into a dense buffer
+    without building a support. Either way the observed tuple is the
+    per-sample loop's."""
+    dim, rng = 12, np.random.default_rng(len(lengths))
+    rows = [_point(dim, 1.0, np.sort(rng.choice(dim, k, replace=False)),
+                   rng.standard_normal(k)) for k in lengths]
+    data = CachedPartition(rows)
+    weights = rng.standard_normal(dim)
+    outcomes = []
+    for fold in (_reference, _columnar):
+        agg, ctx = FlatAggregator(dim), _ctx()
+        fold(LogisticGradient(), [data], weights, agg, ctx)
+        if fold is _columnar:
+            assert (agg._buf is None) == support
+            assert (data.derived._support is not None) == support
+        outcomes.append(_observed(agg, ctx))
+    assert outcomes[1] == outcomes[0]
 
 
 def test_rows_of_another_dimension_are_rejected():
@@ -233,7 +275,7 @@ def test_rows_of_another_dimension_are_rejected():
 
 
 # ------------------------------------------------- bug: zero multipliers
-@pytest.mark.parametrize("policy", [None, SparsePolicy(0.9)])
+@pytest.mark.parametrize("policy", [None, SparsePolicy(0.9), "support"])
 @pytest.mark.parametrize("gradient_cls, label, value", [
     (LogisticGradient, 1.0, 40.0),      # 1/(1 + exp(-40)) - 1 == 0.0
     (LeastSquaresGradient, 1.0, 1.0),   # w.x - y == 0.0
@@ -242,7 +284,9 @@ def test_zero_multiplier_rows_are_scattered(gradient_cls, label, value,
                                             policy):
     """A multiplier of exactly 0.0 still calls ``features.add_to``: it
     appends entries to a sparse accumulator and turns ``-0.0`` into
-    ``0.0`` in a dense one. Only hinge's inactive rows add nothing."""
+    ``0.0`` in a dense one. Only hinge's inactive rows add nothing.
+    ``"support"``: a fresh modelled-dense partial, which holds the
+    partition's support and its ``0.0`` totals."""
     dim = 8
     weights = np.zeros(dim)
     weights[0] = 1.0
@@ -253,14 +297,17 @@ def test_zero_multiplier_rows_are_scattered(gradient_cls, label, value,
 
     outcomes = []
     for fold in (_reference, _columnar):
-        agg = FlatAggregator(dim, policy=policy)
+        agg = FlatAggregator(
+            dim, policy=policy if isinstance(policy, SparsePolicy) else None)
         if policy is None:
             agg.buf[3] = -0.0  # -0.0 + 0.0 flips the sign bit
         ctx = _ctx()
         fold(gradient_cls(), [rows], weights, agg, ctx)
+        if fold is _columnar and policy == "support":
+            assert agg._acc.indices_values()[0].tolist() == [0, 3, 5]
         outcomes.append(_observed(agg, ctx))
     assert outcomes[1] == outcomes[0]
-    if policy is not None:
+    if isinstance(policy, SparsePolicy):
         assert outcomes[1][0] == 4  # entries were appended, not dropped
     else:
         assert not np.signbit(

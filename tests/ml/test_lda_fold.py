@@ -71,22 +71,51 @@ def corpora(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=corpora(), split=st.integers(0, 40),
        charged=st.floats(0.0, 1.0),
-       stats=st.sampled_from([(0.0, 0.0), (-3.25, 0.1), (1e9, 2.0 ** 53)]))
-def test_fold_equals_per_document_loop_exactly(case, split, charged, stats):
+       stats=st.sampled_from([(0.0, 0.0), (-3.25, 0.1), (1e9, 2.0 ** 53)]),
+       merged=st.booleans())
+def test_fold_equals_per_document_loop_exactly(case, split, charged, stats,
+                                               merged):
     k, alpha, beta, docs = case
     op = EStepSeqOp(k, alpha, lambda: beta, PER_TOKEN)
     # two folds into one accumulator, from statistics and a charge that
-    # are not zero: the second starts from counts the first left
+    # are not zero: the second starts from counts the first left, the
+    # first (when it has words) from an empty partial, which keeps K x
+    # its words unless they reach two thirds of the vocabulary.
+    # ``merged``: each part into a fresh partial, the second merged into
+    # the first, as IMM and tree combines do
     parts = [docs[:split], docs[split:]]
     outcomes = []
     for fold in (_reference, _batched):
         ctx = _ctx(charged)
         agg = FlatAggregator(beta.size)
         agg.set_stats(*stats)
-        fold(op, parts, agg, ctx)
-        outcomes.append((agg.buf.tobytes(), agg.loss_sum, agg.weight_sum,
-                         ctx.charged))
+        if merged:
+            other = FlatAggregator(beta.size)
+            fold(op, parts[:1], agg, ctx)
+            fold(op, parts[1:], other, ctx)
+            agg.merge(other)
+        else:
+            fold(op, parts, agg, ctx)
+        observed = (agg.payload_nnz, agg.__sim_size__(), agg.representation,
+                    agg.loss_sum, agg.weight_sum, ctx.charged)
+        outcomes.append(observed + (agg.buf.tobytes(),))
     assert outcomes[1] == outcomes[0]
+
+
+def test_a_fresh_partial_keeps_k_rows_over_the_partition_words():
+    beta = np.random.default_rng(3).random((3, 10)) + 0.01
+    op = EStepSeqOp(3, 0.1, lambda: beta, PER_TOKEN)
+    docs = [SparseVector(10, [1, 4], [2.0, 1.0]),
+            SparseVector(10, [4, 7], [1.0, 3.0])]
+    agg = FlatAggregator(beta.size)
+    op.fold_partition(agg, docs, _ctx())
+    positions, totals = agg._acc.indices_values()
+    assert positions.dtype == np.int32
+    assert positions.tolist() == [1, 4, 7, 11, 14, 17, 21, 24, 27]
+    reference = FlatAggregator(beta.size)
+    _reference(op, [docs], reference, _ctx())
+    assert totals.tobytes() == reference.payload[positions].tobytes()
+    assert agg.buf.tobytes() == reference.buf.tobytes()
 
 
 def test_empty_documents_are_charged_not_folded():
