@@ -34,9 +34,8 @@ from .core import (
     SpawnRDD,
     split_aggregate,
     tree_aggregate,
-    tree_reduce,
 )
-from .rdd import RDD, SparkerContext, StorageLevel
+from .rdd import RDD, SparkerContext
 from .service import JobHandle, SparkerSession
 
 __version__ = "1.1.0"
@@ -48,9 +47,7 @@ __all__ = [
     "ClusterConfig",
     "Cluster",
     "RDD",
-    "StorageLevel",
     "tree_aggregate",
-    "tree_reduce",
     "split_aggregate",
     "AggregationSpec",
     "SpawnRDD",

@@ -11,7 +11,7 @@
 * :class:`MutableObjectManager` — the in-memory merge substrate (§3.2).
 """
 
-from .aggregation import fresh_zero, tree_aggregate, tree_reduce
+from .aggregation import fresh_zero, tree_aggregate
 from .imm import MutableObjectManager, ObjectId, StaleMergeError
 from .sai import split_aggregate
 from .spawn_rdd import SpawnRDD
@@ -19,7 +19,6 @@ from .spec import COLLECTIVES, AggregationSpec
 
 __all__ = [
     "tree_aggregate",
-    "tree_reduce",
     "split_aggregate",
     "AggregationSpec",
     "COLLECTIVES",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..rdd.rdd import RDD, MapPartitionsRDD, ShuffledRDD
 from ..rdd.task_context import TaskContext
 from .spawn_rdd import SpawnRDD
 
-__all__ = ["tree_aggregate", "tree_reduce", "fresh_zero", "fold_partition"]
+__all__ = ["tree_aggregate", "fresh_zero", "fold_partition"]
 
 
 def fresh_zero(zero: Any) -> Any:
@@ -194,23 +194,4 @@ def tree_aggregate(rdd: RDD, zero: Any, seq_op: Callable[[Any, Any], Any],
     total = sc.now - began
     sc.stopwatch.add("agg.compute", min(compute, total))
     sc.stopwatch.add("agg.reduce", max(total - compute, 0.0))
-    return result
-
-
-def tree_reduce(rdd: RDD, op: Callable[[Any, Any], Any],
-                depth: int = 2) -> Any:
-    """Spark's ``treeReduce``: tree aggregation without a zero value."""
-    def seq_op(acc: Optional[Any], x: Any) -> Any:
-        return x if acc is None else op(acc, x)
-
-    def comb_op(a: Optional[Any], b: Optional[Any]) -> Any:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return op(a, b)
-
-    result = tree_aggregate(rdd, None, seq_op, comb_op, depth=depth)
-    if result is None:
-        raise ValueError("treeReduce() of an empty RDD")
     return result

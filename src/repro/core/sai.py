@@ -83,7 +83,7 @@ from .aggregation import fold_partition, fresh_zero, tree_aggregate
 from .spawn_rdd import SpawnRDD
 from .spec import AggregationSpec
 
-__all__ = ["split_aggregate"]
+__all__ = ["split_aggregate", "drop_topk_residuals"]
 
 SeqOp = Callable[[Any, Any], Any]
 SplitOp = Callable[[Any, int, int], Any]
@@ -631,6 +631,19 @@ def _reduce(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor,
 # ---------------------------------------------------------------------------
 # Opt-in top-k compression (the approximate tier)
 # ---------------------------------------------------------------------------
+
+def drop_topk_residuals(sc: Any) -> None:
+    """Give a new training run zero error-feedback carry.
+
+    The residuals live on the executors so that one run's iterations pass
+    the unsent remainder on to the next; they are keyed by payload size
+    only, so a later run of the same dimension on the same context would
+    otherwise start from the previous run's remainder. Trainers call this
+    once, before their first iteration.
+    """
+    for executor in sc.executors:
+        executor.residuals.clear()
+
 
 def _topk_compress(spec: AggregationSpec, executor: Any, value: Any
                    ) -> Tuple[Any, float, dict]:

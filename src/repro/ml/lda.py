@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..core.aggregation import tree_aggregate
-from ..core.sai import split_aggregate
+from ..core.sai import drop_topk_residuals, split_aggregate
 from ..core.spec import AggregationSpec
 from ..rdd.costing import ELEMENT_OVERHEAD, Costed, sum_in_order
 from ..rdd.rdd import RDD
@@ -241,6 +241,7 @@ class LDA:
         log_likelihoods: List[float] = []
 
         per_token = self.token_time * self.sample_scale
+        drop_topk_residuals(sc)
 
         for _iteration in range(1, self.num_iterations + 1):
             with sc.stopwatch.span("ml.broadcast"):

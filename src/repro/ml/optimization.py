@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..core.aggregation import tree_aggregate
-from ..core.sai import split_aggregate
+from ..core.sai import drop_topk_residuals, split_aggregate
 from ..core.spec import AggregationSpec
 from ..rdd.costing import Costed
 from ..rdd.rdd import RDD
@@ -120,6 +120,7 @@ class GradientDescent:
         weights = np.asarray(initial_weights, dtype=np.float64).copy()
         dim = weights.size
         losses: List[float] = []
+        drop_topk_residuals(sc)
 
         for iteration in range(1, self.num_iterations + 1):
             with sc.stopwatch.span("ml.broadcast"):

@@ -293,7 +293,7 @@ class BlockEvent(TraceEvent):
     kind: ClassVar[str] = "block"
 
     executor_id: int
-    op: str  # "put" | "fetch" | "evict"
+    op: str  # "put" | "fetch"
     rdd_id: int
     partition: int
     nbytes: float

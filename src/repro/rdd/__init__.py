@@ -2,7 +2,11 @@
 
 Implements the substrate the paper's contribution plugs into: RDDs with
 lineage, a DAG scheduler with shuffle stage boundaries, executors with task
-slots, block/shuffle storage, broadcast, and fault recovery. See
+slots, block/shuffle storage, broadcast, and fault recovery. The RDD API is
+the part of Spark an ML job runs: ``parallelize``, ``cache``, ``map``,
+``sample``, ``count`` / ``collect`` / ``foreach``, ``tree_aggregate`` and
+``split_aggregate``, and the tree's one keyed, map-side-combining shuffle
+(:class:`ShuffledRDD` over a :class:`ModuloPartitioner`). See
 ``DESIGN.md`` §3 for the module map.
 """
 
@@ -11,19 +15,12 @@ from .broadcast import Broadcast
 from .context import SparkerContext
 from .costing import ELEMENT_OVERHEAD, Costed, cost_of
 from .executor import Executor, ExecutorLost, TaskKilled
-from .partitioner import HashPartitioner, ModuloPartitioner, Partitioner
-from .rdd import (
-    RDD,
-    CoalescedRDD,
-    MapPartitionsRDD,
-    ParallelCollectionRDD,
-    ShuffledRDD,
-    UnionRDD,
-)
+from .partitioner import ModuloPartitioner
+from .rdd import RDD, MapPartitionsRDD, ParallelCollectionRDD, ShuffledRDD
 from .scheduler import DAGScheduler, JobFailed, StageInfo
 from .shuffle import FetchFailed, MapOutputTracker
 from .speculation import SpeculationLost, SpeculationPolicy
-from .storage import BlockTracker, CachedPartition, MemoryStore, StorageLevel
+from .storage import BlockTracker, CachedPartition, MemoryStore
 from .task_context import TaskContext
 
 __all__ = [
@@ -31,8 +28,6 @@ __all__ = [
     "RDD",
     "ParallelCollectionRDD",
     "MapPartitionsRDD",
-    "UnionRDD",
-    "CoalescedRDD",
     "ShuffledRDD",
     "Broadcast",
     "Accumulator",
@@ -42,8 +37,6 @@ __all__ = [
     "Executor",
     "ExecutorLost",
     "TaskKilled",
-    "Partitioner",
-    "HashPartitioner",
     "ModuloPartitioner",
     "DAGScheduler",
     "StageInfo",
@@ -55,6 +48,5 @@ __all__ = [
     "BlockTracker",
     "CachedPartition",
     "MemoryStore",
-    "StorageLevel",
     "TaskContext",
 ]

@@ -42,18 +42,16 @@ class JobScope:
     the seed behavior. A :mod:`repro.service` worker thread installs one
     scope for the lifetime of its job so that jobs sharing the context
     cannot interleave their phase breakdowns, FAIR pools, or IMM cleanup
-    lists. Scopes are thread-local (see
+    lists. A scoped job's IMM stages run in the deterministic
+    deferred-merge mode (DESIGN.md §16). Scopes are thread-local (see
     :meth:`SparkerContext.enter_job_scope`).
     """
 
-    __slots__ = ("pool", "ordered", "stopwatch", "job_ids", "cancelled")
+    __slots__ = ("pool", "stopwatch", "job_ids", "cancelled")
 
-    def __init__(self, sc: "SparkerContext", pool: Optional[str] = None,
-                 ordered: bool = False):
+    def __init__(self, sc: "SparkerContext", pool: Optional[str] = None):
         #: FAIR pool every task of this scope's jobs is billed to
         self.pool = pool
-        #: deterministic deferred-merge mode for IMM stages (DESIGN.md §16)
-        self.ordered = ordered
         #: per-job stopwatch so concurrent breakdowns don't mix
         self.stopwatch = Stopwatch(sc.env, on_record=sc._record_phase)
         #: engine job ids allocated under this scope, for IMM cleanup
@@ -202,10 +200,6 @@ class SparkerContext:
         scope = getattr(self._scopes, "scope", None)
         return self._root_stopwatch if scope is None else scope.stopwatch
 
-    def job_scope(self) -> Optional[JobScope]:
-        """This thread's active :class:`JobScope`, or None."""
-        return getattr(self._scopes, "scope", None)
-
     def enter_job_scope(self, scope: JobScope) -> JobScope:
         """Install ``scope`` for the calling thread (service workers)."""
         self._scopes.scope = scope
@@ -262,10 +256,6 @@ class SparkerContext:
             num_slices = self.default_parallelism
         return ParallelCollectionRDD(self, data, num_slices)
 
-    def range(self, n: int, num_slices: Optional[int] = None) -> RDD:
-        """An RDD of ``0..n-1``."""
-        return self.parallelize(range(n), num_slices)
-
     def accumulator(self, zero: Any = 0,
                     add_op: Optional[Callable[[Any, Any], Any]] = None,
                     name: str = "") -> Accumulator:
@@ -303,9 +293,9 @@ class SparkerContext:
         return scope
 
     def run_job(self, rdd: RDD,
-                func: Callable[[int, list, TaskContext], Any],
-                partitions: Optional[Sequence[int]] = None) -> list:
-        """Run ``func`` over partitions and return its results (blocking).
+                func: Callable[[int, list, TaskContext], Any]) -> list:
+        """Run ``func`` over every partition and return its results
+        (blocking).
 
         Scope-dependent submission state (FAIR pool, trace parent) is
         captured *here*, on the submitting thread — the scheduler
@@ -314,8 +304,7 @@ class SparkerContext:
         """
         scope = self._admit()
         proc = self.env.process(
-            self.dag.run_job(rdd, func, partitions,
-                             job_id=self.new_job_id(),
+            self.dag.run_job(rdd, func, job_id=self.new_job_id(),
                              pool=None if scope is None else scope.pool,
                              parent_span=self.tracer.current_parent),
             name="job")
@@ -332,8 +321,9 @@ class SparkerContext:
         Returns ``[(executor_id, object_id), ...]``; read the merged values
         with ``sc.executor_by_id(eid).object_manager.get(oid)``. See
         :meth:`DAGScheduler.run_reduced_job` for ``partitions``/``detail``/
-        ``on_merged``. Pool / ordered-merge / trace parent come from the
-        submitting thread's scope, as in :meth:`run_job`.
+        ``on_merged``. Pool and trace parent come from the submitting
+        thread's scope, as in :meth:`run_job`; a scoped (service) job
+        merges in the deterministic ordered mode.
         """
         scope = self._admit()
         job_id = self.new_job_id()
@@ -343,8 +333,7 @@ class SparkerContext:
                                      on_merged=on_merged,
                                      pool=None if scope is None
                                      else scope.pool,
-                                     ordered=scope is not None
-                                     and scope.ordered,
+                                     ordered=scope is not None,
                                      parent_span=self.tracer.current_parent),
             name="reduced-job")
         return self.env.run(until=proc)
@@ -362,26 +351,9 @@ class SparkerContext:
             rdd, lambda _i, data, ctx: (
                 ctx.charge(len(data) * ELEMENT_OVERHEAD), len(data))[1]))
 
-    def take(self, rdd: RDD, n: int) -> list:
-        """First ``n`` elements, scanning partitions incrementally."""
-        if n < 0:
-            raise ValueError(f"take(n) needs n >= 0, got {n}")
-        if n == 0:
-            return []
-        out: list = []
-        total = rdd.num_partitions()
-        scanned = 0
-        wave = 1
-        while scanned < total and len(out) < n:
-            parts = list(range(scanned, min(total, scanned + wave)))
-            for chunk in self.run_job(
-                    rdd, lambda _i, data, _ctx: list(data), parts):
-                out.extend(chunk)
-            scanned += len(parts)
-            wave *= 4  # Spark's quadruple-and-retry scan policy
-        return out[:n]
-
     def reduce(self, rdd: RDD, op: Callable[[Any, Any], Any]) -> Any:
+        """Fold each partition with ``op``, then merge the partials on the
+        driver thread (the last step of ``treeAggregate``)."""
         def fold_partition(_i: int, data: list, ctx: TaskContext) -> Any:
             if not data:
                 return None
@@ -395,53 +367,21 @@ class SparkerContext:
                     if p is not None]
         if not partials:
             raise ValueError("reduce() of an empty RDD")
-        return self._driver_merge(partials, op)
 
-    def fold(self, rdd: RDD, zero: Any, op: Callable[[Any, Any], Any]) -> Any:
-        def fold_partition(_i: int, data: list, ctx: TaskContext) -> Any:
-            acc = zero
-            for x in data:
-                acc = op(acc, x)
-                ctx.charge(cost_of(op, acc, x) + ELEMENT_OVERHEAD)
-            return acc
-
-        partials = self.run_job(rdd, fold_partition)
-        return self._driver_merge([zero] + partials, op)
-
-    def aggregate(self, rdd: RDD, zero: Any, seq_op: Callable,
-                  comb_op: Callable) -> Any:
-        def fold_partition(_i: int, data: list, ctx: TaskContext) -> Any:
-            acc = zero
-            for x in data:
-                acc = seq_op(acc, x)
-                ctx.charge(cost_of(seq_op, acc, x) + ELEMENT_OVERHEAD)
-            return acc
-
-        partials = self.run_job(rdd, fold_partition)
-        return self._driver_merge([zero] + partials, comb_op)
-
-    def _driver_merge(self, values: list, op: Callable[[Any, Any], Any]) -> Any:
-        """Sequential merge on the driver thread (the non-scalable step)."""
-        if not values:
-            raise ValueError("nothing to merge")
-
-        def body() -> Generator:
-            acc = values[0]
+        def driver_merge() -> Generator:
+            # sequential on the driver thread: the non-scalable step
+            acc = partials[0]
             merge_bw = self.config.merge_bandwidth
-            for value in values[1:]:
+            for value in partials[1:]:
                 acc = op(acc, value)
                 yield from self.driver_work(
                     sim_sizeof(acc) / merge_bw + cost_of(op, acc, value))
             return acc
 
-        proc = self.env.process(body(), name="driver-merge")
+        proc = self.env.process(driver_merge(), name="driver-merge")
         return self.env.run(until=proc)
 
-    # ------------------------------------------------------------------ faults
-    def kill_executor(self, executor_id: int) -> None:
-        """Fault injection: lose an executor and everything it holds."""
-        self.executor_by_id(executor_id).kill()
-
+    # --------------------------------------------------------------- teardown
     def stop(self) -> None:
         """Shut the context down (further jobs are rejected).
 

@@ -28,7 +28,7 @@ call —
   under the normal exactly-once rules.
 
 Anything not *provably* pure falls back to inline execution: tasks with a
-shuffle fetch plan, lineage over an un-cached persisted RDD (a cache miss
+shuffle fetch plan, lineage over a cached RDD whose block is missing (a miss
 would put blocks and charge materialization), RDDs that opt out via
 ``host_compute_pure`` (SpawnRDD reads executor-resident IMM state), retried
 attempts, re-placed tasks, and any run with tracing active (cache hits emit
@@ -330,17 +330,15 @@ class HostPool:
 
         if not getattr(rdd, "host_compute_pure", True):
             return False
-        if rdd.storage_level is not None:
+        if rdd.cached:
             if executor.memory_store.contains((rdd.id, partition)):
                 return True  # cache hit: compute never recurses past here
             return False  # a miss would put blocks + charge materialization
         for dep in rdd.deps:
             if not isinstance(dep, NarrowDependency):
                 return False  # shuffle input: fetched state, stay inline
-            for parent_index in dep.parent_partitions(partition):
-                if not HostPool._lineage_pure(dep.rdd, parent_index,
-                                              executor):
-                    return False
+            if not HostPool._lineage_pure(dep.rdd, partition, executor):
+                return False
         return True
 
     def _offloadable(self, sc: "SparkerContext", task: Task,

@@ -1,45 +1,24 @@
-"""Partitioners for key-value shuffles."""
+"""The partitioner of the tree's keyed shuffle."""
 
 from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["Partitioner", "HashPartitioner", "ModuloPartitioner"]
+__all__ = ["ModuloPartitioner"]
 
 
-class Partitioner:
-    """Maps keys to reduce-partition indices."""
+class ModuloPartitioner:
+    """For integer keys: ``key mod n``.
+
+    This is what ``treeAggregate`` uses — it keys partial aggregators by
+    ``partition_index % scale``, which must land deterministically.
+    """
 
     def __init__(self, num_partitions: int):
         if num_partitions < 1:
             raise ValueError(
                 f"num_partitions must be >= 1, got {num_partitions}")
         self.num_partitions = num_partitions
-
-    def partition(self, key: Any) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __eq__(self, other: object) -> bool:
-        return (type(self) is type(other) and
-                self.num_partitions == other.num_partitions)  # type: ignore
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.num_partitions))
-
-
-class HashPartitioner(Partitioner):
-    """Spark's default: ``hash(key) mod n`` (non-negative)."""
-
-    def partition(self, key: Any) -> int:
-        return hash(key) % self.num_partitions
-
-
-class ModuloPartitioner(Partitioner):
-    """For integer keys: ``key mod n``.
-
-    This is what ``treeAggregate`` uses — it keys partial aggregators by
-    ``partition_index % scale``, which must land deterministically.
-    """
 
     def partition(self, key: Any) -> int:
         return int(key) % self.num_partitions

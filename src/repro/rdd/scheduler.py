@@ -154,11 +154,11 @@ class DAGScheduler:
         self.claims: Counter[int] = Counter()
 
     # ------------------------------------------------------------------- jobs
-    def run_job(self, rdd: RDD, func: Callable[[int, list, Any], Any],
-                partitions: Optional[Sequence[int]] = None, *,
+    def run_job(self, rdd: RDD, func: Callable[[int, list, Any], Any], *,
                 job_id: int, pool: Optional[str] = None,
                 parent_span: int = -1) -> Generator:
-        """Process body: run a job, returning per-partition results.
+        """Process body: run a job over every partition, returning the
+        per-partition results.
 
         ``job_id``/``pool``/``parent_span`` are captured by the
         submitting driver thread (see :meth:`SparkerContext.run_job`): this
@@ -167,8 +167,7 @@ class DAGScheduler:
         arguments rather than be read from thread-local scope here.
         """
         sc = self.sc
-        parts = list(partitions if partitions is not None
-                     else range(rdd.num_partitions()))
+        parts = list(range(rdd.num_partitions()))
         self._job_start(job_id, "result", rdd, len(parts), parent_span)
         yield sc.env.timeout(sc.cluster.config.driver_job_overhead)
         for attempt in range(MAX_STAGE_ATTEMPTS):

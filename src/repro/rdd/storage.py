@@ -14,18 +14,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..serde import sim_sizeof
 
-__all__ = ["StorageLevel", "CachedPartition", "MemoryStore", "BlockTracker",
-           "BlockId"]
+__all__ = ["CachedPartition", "MemoryStore", "BlockTracker", "BlockId"]
 
 #: a cached-partition block: (rdd_id, partition_index)
 BlockId = Tuple[int, int]
-
-
-class StorageLevel:
-    """Spark storage levels (the subset the paper's workloads use)."""
-
-    MEMORY_ONLY = "MEMORY_ONLY"
-    NONE = None
 
 
 class CachedPartition(list):
@@ -34,8 +26,8 @@ class CachedPartition(list):
     ``derived`` holds a flat re-layout of the rows (the ML layer's
     :class:`~repro.ml.columnar.PartitionColumns`) that is worth building
     once per cached partition rather than once per job. It is reachable
-    only through this list, so it is freed with the block: eviction,
-    executor loss and context teardown need no extra bookkeeping. It never
+    only through this list, so it is freed with the block: executor loss
+    and context teardown need no extra bookkeeping. It never
     travels: pickling yields the plain rows. Replicas of one block (the
     same rows rebuilt on another executor) share one ``derived``: it is
     immutable, and the last replica to go frees it.
@@ -60,8 +52,8 @@ class _Block:
 class MemoryStore:
     """One executor's in-memory block store.
 
-    ``on_event(op, block_id, nbytes)`` — with ``op`` one of ``"put"``,
-    ``"fetch"`` (a get that hit) or ``"evict"`` — lets the owning executor
+    ``on_event(op, block_id, nbytes)`` — with ``op`` ``"put"`` or
+    ``"fetch"`` (a get that hit) — lets the owning executor
     mirror block traffic onto the observability bus; the store itself
     stays clock-free.
     """
@@ -114,22 +106,6 @@ class MemoryStore:
     def contains(self, block_id: BlockId) -> bool:
         return block_id in self._blocks
 
-    def remove(self, block_id: BlockId) -> bool:
-        block = self._blocks.pop(block_id, None)
-        if block is None:
-            return False
-        self.used_bytes -= block.sim_bytes
-        if self.on_event is not None:
-            self.on_event("evict", block_id, block.sim_bytes)
-        return True
-
-    def remove_rdd(self, rdd_id: int) -> int:
-        """Drop all blocks of ``rdd_id``; returns how many were dropped."""
-        doomed = [bid for bid in self._blocks if bid[0] == rdd_id]
-        for bid in doomed:
-            self.remove(bid)
-        return len(doomed)
-
     def clear(self) -> None:
         self._blocks.clear()
         self.used_bytes = 0.0
@@ -163,8 +139,3 @@ class BlockTracker:
                 if not holders:
                     del self._locations[block_id]
         return dropped
-
-    def unregister_rdd(self, rdd_id: int) -> None:
-        for block_id in list(self._locations):
-            if block_id[0] == rdd_id:
-                del self._locations[block_id]

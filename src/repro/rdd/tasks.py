@@ -3,8 +3,8 @@
 Three task flavours exist, mirroring Spark plus the paper's addition:
 
 * :class:`ShuffleMapTask` — computes a partition, buckets it by the shuffle
-  partitioner (with map-side combining when available), serializes the
-  buckets into the executor's shuffle store, and reports a
+  partitioner with map-side combining, serializes the buckets into the
+  executor's shuffle store, and reports a
   :class:`~repro.rdd.shuffle.MapStatus`.
 * :class:`ResultTask` — computes a partition, applies the job function, and
   ships the serialized result to the driver.
@@ -72,24 +72,18 @@ class ShuffleMapTask(Task):
         merge_bw = sc.cluster.config.merge_bandwidth
 
         ctx.charge(len(data) * ELEMENT_OVERHEAD)
-        if combine is not None:
-            # Map-side combining: one entry per key per bucket.
-            combined: List[Dict[Any, Any]] = [dict() for _ in range(n_out)]
-            for key, value in data:
-                bucket = combined[partitioner.partition(key)]
-                if key in bucket:
-                    merged = combine(bucket[key], value)
-                    ctx.charge(sim_sizeof(merged) / merge_bw
-                               + cost_of(combine, bucket[key], value))
-                    bucket[key] = merged
-                else:
-                    bucket[key] = value
-            buckets: List[list] = [list(b.items()) for b in combined]
-        else:
-            # No combining (groupByKey / partitionBy): keep every record.
-            buckets = [[] for _ in range(n_out)]
-            for key, value in data:
-                buckets[partitioner.partition(key)].append((key, value))
+        # Map-side combining: one entry per key per bucket.
+        combined: List[Dict[Any, Any]] = [dict() for _ in range(n_out)]
+        for key, value in data:
+            bucket = combined[partitioner.partition(key)]
+            if key in bucket:
+                merged = combine(bucket[key], value)
+                ctx.charge(sim_sizeof(merged) / merge_bw
+                           + cost_of(combine, bucket[key], value))
+                bucket[key] = merged
+            else:
+                bucket[key] = value
+        buckets = [list(b.items()) for b in combined]
 
         store = ctx.executor.shuffle_store
         serde = sc.serde

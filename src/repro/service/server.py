@@ -140,12 +140,13 @@ class JobServer:
     # -------------------------------------------------------------- submit
     def submit(self, body: Callable[[], Any], *,
                pool: Optional[str] = None, tenant: str = "anonymous",
-               workload: str = "<job>", ordered: bool = True) -> JobRecord:
+               workload: str = "<job>") -> JobRecord:
         """Admit ``body`` as an asynchronous job; returns its record.
 
         ``body`` runs on its own worker thread with a
-        :class:`~repro.rdd.context.JobScope` installed (pool billing,
-        per-job stopwatch, ordered IMM merges). Raises
+        :class:`~repro.rdd.context.JobScope` installed: pool billing, a
+        per-job stopwatch, and IMM stages merged in the deterministic
+        ordered mode, which the scope itself selects (DESIGN.md §16). Raises
         :class:`QuotaExceeded` when the pool's ``max_running`` *and*
         ``max_queued`` are both saturated. Callable from the owner
         thread, from another job, or from a simulation process (traffic
@@ -155,7 +156,7 @@ class JobServer:
             raise RuntimeError("job server is closed")
         pool = pool or self.default_pool
         pool_config = self.arbiter.pools.setdefault(pool, PoolConfig())
-        scope = JobScope(self.sc, pool=pool, ordered=ordered)
+        scope = JobScope(self.sc, pool=pool)
         record = JobRecord(next(self._ids), tenant, pool, workload, body,
                            scope, submitted=self.sc.now,
                            done_event=self.sc.env.event(name="job-done"))

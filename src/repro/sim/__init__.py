@@ -22,7 +22,7 @@ from .events import (
     all_of,
     any_of,
 )
-from .monitor import Counter, Stopwatch
+from .monitor import Stopwatch
 from .resources import Resource
 
 __all__ = [
@@ -38,5 +38,4 @@ __all__ = [
     "any_of",
     "Resource",
     "Stopwatch",
-    "Counter",
 ]

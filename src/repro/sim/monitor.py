@@ -1,32 +1,29 @@
 """Lightweight instrumentation for simulations.
 
-:class:`Stopwatch` accumulates named spans of virtual time;
-:class:`Counter` accumulates named scalar tallies (bytes sent, messages,
-merges). Both are plain accumulators — they never affect simulation
-behaviour — and are the source of every decomposed-time figure in the
-benchmark harness (driver / non-agg / agg-compute / agg-reduce).
+:class:`Stopwatch` accumulates named spans of virtual time. It is a plain
+accumulator — it never affects simulation behaviour — and is the source of
+every decomposed-time figure in the benchmark harness (driver / non-agg /
+agg-compute / agg-reduce).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Environment
 
-__all__ = ["Stopwatch", "Counter"]
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:
     """Accumulates virtual-time spans under string keys.
 
-    Spans are recorded explicitly (``add(key, seconds)``), bracketed
-    (``start``/``stop``), or scoped (``with sw.span(key): ...`` — the
-    exception-safe form call sites should prefer). Overlapping brackets
-    for the same key are not allowed — each key is a single logical
-    timeline.
+    Spans are recorded explicitly (``add(key, seconds)``) or scoped
+    (``with sw.span(key): ...``); ``total(key)`` and ``as_dict()`` read
+    them back.
 
     ``on_record(key, seconds, now)`` is invoked after every recording;
     the engine uses it to mirror spans onto its observability bus. The
@@ -39,7 +36,6 @@ class Stopwatch:
         self.env = env
         self.on_record = on_record
         self._total: Dict[str, float] = defaultdict(float)
-        self._open: Dict[str, float] = {}
 
     def add(self, key: str, seconds: float) -> None:
         """Record ``seconds`` of virtual time under ``key``."""
@@ -51,33 +47,13 @@ class Stopwatch:
 
     @contextmanager
     def span(self, key: str):
-        """Scoped bracket: records ``key`` even when the body raises.
-
-        The ``start``/``stop`` pair leaks an open bracket (and loses the
-        span) when an exception unwinds between the calls; ``span`` always
-        closes, charging whatever virtual time elapsed up to the raise.
-        """
+        """Scoped bracket: records ``key`` even when the body raises,
+        charging whatever virtual time elapsed up to the raise."""
         began = self.env.now
         try:
             yield self
         finally:
             self.add(key, self.env.now - began)
-
-    def start(self, key: str) -> None:
-        """Open a bracket for ``key`` at the current virtual time."""
-        if key in self._open:
-            raise RuntimeError(f"span {key!r} is already open")
-        self._open[key] = self.env.now
-
-    def stop(self, key: str) -> float:
-        """Close the bracket for ``key``; returns the elapsed span."""
-        try:
-            began = self._open.pop(key)
-        except KeyError:
-            raise RuntimeError(f"span {key!r} was never started") from None
-        span = self.env.now - began
-        self.add(key, span)
-        return span
 
     def total(self, key: str) -> float:
         """Accumulated time for ``key`` (0.0 if never recorded)."""
@@ -87,41 +63,6 @@ class Stopwatch:
         """All accumulated spans as a plain dict."""
         return dict(self._total)
 
-    def clear(self) -> None:
-        """Drop all recorded spans and open brackets."""
-        self._total.clear()
-        self._open.clear()
-
-    def __iter__(self) -> Iterator[Tuple[str, float]]:
-        return iter(sorted(self._total.items()))
-
     def __repr__(self) -> str:
-        spans = ", ".join(f"{k}={v:.6g}" for k, v in self)
+        spans = ", ".join(f"{k}={v:.6g}" for k, v in sorted(self._total.items()))
         return f"<Stopwatch {spans}>"
-
-
-class Counter:
-    """Accumulates scalar tallies under string keys."""
-
-    def __init__(self) -> None:
-        self._total: Dict[str, float] = defaultdict(float)
-
-    def add(self, key: str, amount: float = 1.0) -> None:
-        """Add ``amount`` to the tally under ``key``."""
-        self._total[key] += amount
-
-    def total(self, key: str) -> float:
-        """Accumulated tally for ``key`` (0.0 if never recorded)."""
-        return self._total.get(key, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        """All tallies as a plain dict."""
-        return dict(self._total)
-
-    def clear(self) -> None:
-        """Drop all tallies."""
-        self._total.clear()
-
-    def __repr__(self) -> str:
-        tallies = ", ".join(f"{k}={v:g}" for k, v in sorted(self._total.items()))
-        return f"<Counter {tallies}>"

@@ -40,7 +40,7 @@ def test_empty_task_list_rejected(sc):
 
 
 def test_dead_pinned_executor_fails_job(sc):
-    sc.kill_executor(1)
+    sc.executor_by_id(1).kill()
     rdd = SpawnRDD(sc, [(1, lambda ctx: "x")])
     with pytest.raises((ExecutorLost, JobFailed)):
         rdd.collect()

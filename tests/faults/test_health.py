@@ -126,7 +126,7 @@ def test_compute_penalty_prices_degradation(sc):
 
 
 def test_dead_executor_unavailable(sc):
-    sc.kill_executor(0)
+    sc.executor_by_id(0).kill()
     assert not sc.health.is_available(0)
     assert not sc.health.is_available(999)
 

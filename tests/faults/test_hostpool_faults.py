@@ -21,9 +21,9 @@ def run_job(host_pool, plan=None):
     if plan is not None:
         FaultController(sc, plan).arm()
     data = np.arange(64, dtype=np.float64)
-    result = (sc.parallelize(data, 8)
-              .map(lambda x: np.float64(x) * 2.0)
-              .reduce(lambda a, b: a + b))
+    result = sc.reduce(sc.parallelize(data, 8)
+                       .map(lambda x: np.float64(x) * 2.0),
+                       lambda a, b: a + b)
     stage = sc.dag.stage_log[0]
     window = (stage.submitted_at, stage.finished_at)
     sc.stop()

@@ -55,7 +55,7 @@ def test_split_aggregation_survives_executor_loss_between_iterations():
     rdd.count()
     model1 = LogisticRegressionWithSGD.train(rdd, 30, num_iterations=2,
                                              aggregation="split")
-    sc.kill_executor(1)
+    sc.executor_by_id(1).kill()
     model2 = LogisticRegressionWithSGD.train(rdd, 30, num_iterations=2,
                                              aggregation="split")
     assert np.all(np.isfinite(model2.weights))

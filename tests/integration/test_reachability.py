@@ -1,5 +1,6 @@
 """Every module under ``src/repro/`` is on a workload, an exhibit, an
-example or the CLI.
+example or the CLI, and so is every public method of the engine's two
+user-facing classes.
 
 A static walk over ``import`` statements from the roots that are not
 tests — ``benchmarks/`` (the ledger, the paper's figures and tables),
@@ -10,10 +11,23 @@ a class keeps nothing alive, a script that imports the class does. What
 only ``tests/`` and the module's own package ``__init__`` reach has no
 caller to break and no number to move, and is deleted or put on a
 workload (ROADMAP, *quality of design*).
+
+The same rule holds for the methods of :class:`~repro.rdd.RDD` and
+:class:`~repro.rdd.SparkerContext`: a public one must be named as an
+attribute (``x.name``) in some file under ``src/``, ``benchmarks/`` or
+``examples/`` other than the one defining it. The scan is by *name*, not
+by type: ``", ".join``, ``dict.keys``, ``np.take`` or
+``SparseAccumulator.coalesce`` count as uses of a method called ``join``,
+``keys``, ``take`` or ``coalesce``. Such a collision hides an uncalled
+method: ``RDD.join``, ``keys``, ``take``, ``coalesce``, ``fold``, ``sum``
+and ``reduce`` all passed this scan with no caller, and were found and
+deleted by hand.
 """
 
 import ast
 from pathlib import Path
+
+from repro.rdd import RDD, SparkerContext
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -25,6 +39,10 @@ ALLOWED = {
     # surrogates of data/registry.py; a user with the real files needs it.
     "repro.data.libsvm",
 }
+
+#: public RDD / SparkerContext methods no root calls, with the reason they
+#: stay; like ALLOWED, an entry that gains a caller fails the test
+ALLOWED_METHODS = {}
 
 
 def modules_under(src):
@@ -129,3 +147,63 @@ def test_a_reexport_alone_does_not_reach_a_module(tmp_path):
     assert unreached(tmp_path / "src", [script]) == {"pkg.sub.b"}
     script.write_text("import pkg.sub.b\n")
     assert unreached(tmp_path / "src", [script]) == set()
+
+
+def attribute_names(paths):
+    """Every name used as an attribute (``x.name``) in ``paths``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def public_methods(cls):
+    """Public functions and properties defined on ``cls`` itself."""
+    return {name for name, value in vars(cls).items()
+            if not name.startswith("_")
+            and (callable(value) or isinstance(value, property))}
+
+
+def uncalled_methods(classes, roots):
+    """``Class.method`` for each public method of ``classes`` (class ->
+    its defining file) that no root file other than that one names."""
+    found = set()
+    for cls, home in classes.items():
+        used = attribute_names(path for path in roots if path != home)
+        found |= {f"{cls.__name__}.{name}"
+                  for name in public_methods(cls) - used}
+    return found
+
+
+def test_every_public_engine_method_is_called_from_a_root_that_is_not_a_test():
+    roots = [path for top in ("src", "benchmarks", "examples")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    rdd_dir = ROOT / "src" / "repro" / "rdd"
+    classes = {RDD: rdd_dir / "rdd.py", SparkerContext: rdd_dir / "context.py"}
+    assert uncalled_methods(classes, roots) == set(ALLOWED_METHODS)
+
+
+def test_a_method_named_only_in_its_own_file_or_in_tests_is_uncalled(tmp_path):
+    class Engine:
+        flag = True
+
+        def used(self):
+            return self.idle()
+
+        def idle(self):
+            return 1
+
+        @property
+        def state(self):
+            return 0
+
+    home = tmp_path / "engine.py"
+    home.write_text("x.idle()\n")
+    caller = tmp_path / "run.py"
+    caller.write_text("engine.used()\n")
+    assert uncalled_methods({Engine: home}, [home, caller]) == {
+        "Engine.idle", "Engine.state"}
+    caller.write_text("engine.used(); print(engine.state, engine.idle)\n")
+    assert uncalled_methods({Engine: home}, [home, caller]) == set()

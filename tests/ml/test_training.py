@@ -168,3 +168,28 @@ def test_stopwatch_decomposition_recorded(training_setup):
     assert sc.stopwatch.total("agg.reduce") > 0
     assert sc.stopwatch.total("ml.driver") > 0
     assert sc.stopwatch.total("ml.broadcast") > 0
+
+
+def test_a_topk_run_starts_from_zero_error_feedback_carry():
+    """Top-k residuals carry over between the iterations of one run, never
+    from one run into the next on the same context: SVM right after an LR
+    run of the same dimension lands on the same weights as SVM alone."""
+    from repro import AggregationSpec
+
+    points, _ = sparse_classification(400, 256, 8, seed=7)
+    spec = AggregationSpec(compression="topk", topk_ratio=0.05,
+                           error_feedback=True)
+
+    def svm_weights(after_lr):
+        sc = SparkerContext(ClusterConfig.laptop())
+        rdd = sc.parallelize(points, 16).cache()
+        rdd.count()
+        if after_lr:
+            LogisticRegressionWithSGD.train(rdd, 256, num_iterations=3,
+                                            aggregation="split", spec=spec)
+            assert all(e.residuals for e in sc.executors)
+        model = SVMWithSGD.train(rdd, 256, num_iterations=3,
+                                 aggregation="split", spec=spec)
+        return model.weights.tobytes()
+
+    assert svm_weights(after_lr=True) == svm_weights(after_lr=False)

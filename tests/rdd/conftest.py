@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.rdd import SparkerContext
+from repro.rdd import ModuloPartitioner, ShuffledRDD, SparkerContext
 
 
 @pytest.fixture
@@ -16,3 +16,11 @@ def sc():
 def sc_bic():
     """A 2-node BIC context (48 cores)."""
     return SparkerContext(ClusterConfig.bic(num_nodes=2))
+
+
+def combine_by_key(rdd, op, num_partitions=None):
+    """The shuffle ``treeAggregate`` builds: integer-keyed pairs bucketed
+    by ``key mod num_partitions`` and merged per key with ``op``, on the
+    map side and again on the reduce side."""
+    n = num_partitions or rdd.num_partitions()
+    return ShuffledRDD(rdd, ModuloPartitioner(n), combine_op=op)

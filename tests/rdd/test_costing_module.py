@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.rdd import ELEMENT_OVERHEAD, Costed, SparkerContext, cost_of
+from repro.rdd import ELEMENT_OVERHEAD, Costed, SparkerContext
 
 
 def test_element_overhead_constant_is_sane():
@@ -21,32 +21,10 @@ def test_bulk_map_charges_scale_with_data():
     assert run(100_000) > run(10)
 
 
-def test_costed_flat_map(sc):
-    fn = Costed(lambda x: [x, x], 0.1)
-    t0 = sc.now
-    sc.parallelize(range(8), 4).flat_map(fn).count()
-    # Eight elements at 0.1s each, 4-way parallel across 8 cores: >= 0.2s.
-    assert sc.now - t0 >= 0.2
-
-
-def test_costed_filter(sc):
-    fn = Costed(lambda x: x % 2 == 0, 0.05)
-    t0 = sc.now
-    sc.parallelize(range(16), 8).filter(fn).count()
-    assert sc.now - t0 >= 0.05
-
-
-def test_costed_map_partitions(sc):
-    fn = Costed(lambda part: [sum(part)], lambda part: 0.1 * len(part))
-    t0 = sc.now
-    sc.parallelize(range(20), 4).map_partitions(fn).collect()
-    assert sc.now - t0 >= 0.5  # 20 elements x 0.1 / 4 partitions in parallel
-
-
 def test_costed_reduce_ops_charge_in_actions(sc):
     op = Costed(lambda a, b: a + b, 0.2)
     t0 = sc.now
-    sc.parallelize(range(4), 4).reduce(op)
+    sc.reduce(sc.parallelize(range(4), 4), op)
     # Driver merges 4 partials: 3 merges x 0.2 at least.
     assert sc.now - t0 >= 0.6
 

@@ -7,6 +7,8 @@ see directly: claim accounting, inline fallback for impure work, and the
 worker-count plumbing.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro.rdd.hostpool import HostPool
 def test_pool_size_one_is_disabled():
     sc = SparkerContext(ClusterConfig.bic(2), host_pool=1)
     assert sc.host_pool is None
-    assert sc.parallelize(range(10), 2).sum() == 45
+    assert sc.reduce(sc.parallelize(range(10), 2), operator.add) == 45
     sc.stop()
 
 
@@ -39,9 +41,8 @@ def test_pool_results_match_inline_results():
 
     def job(host_pool):
         sc = SparkerContext(ClusterConfig.bic(2), host_pool=host_pool)
-        total = (sc.parallelize(values, 4)
-                 .map(lambda x: np.float64(x) * 3.0)
-                 .reduce(lambda a, b: a + b))
+        total = sc.reduce(sc.parallelize(values, 4)
+                          .map(lambda x: np.float64(x) * 3.0), operator.add)
         now = sc.now
         sc.stop()
         return total, now
@@ -57,7 +58,8 @@ def test_pool_results_match_inline_results():
 def test_inline_mode_skips_workers():
     pool = HostPool(4, mode="inline")
     sc = SparkerContext(ClusterConfig.bic(2), host_pool=pool)
-    assert sc.parallelize(range(20), 2).map(lambda x: x + 1).sum() == 210
+    assert sum(sc.parallelize(range(20), 2).map(lambda x: x + 1)
+               .collect()) == 210
     assert pool.stats["claimed"] == pool.stats["precomputed"]
     sc.stop()
 
@@ -73,9 +75,9 @@ def test_small_pooled_array_results_are_writable():
     # bytes) because downstream merges mutate pooled partials in place.
     sc = SparkerContext(ClusterConfig.bic(2), host_pool=2)
     try:
-        total = (sc.parallelize(range(8), 4)
-                 .map(lambda x: np.full(16, float(x)))  # 128 B << 4 KiB
-                 .reduce(lambda a, b: a.__iadd__(b)))
+        total = sc.reduce(sc.parallelize(range(8), 4)
+                          .map(lambda x: np.full(16, float(x))),  # 128 B << 4 KiB
+                          lambda a, b: a.__iadd__(b))
         assert total.flags.writeable
         assert total[0] == float(sum(range(8)))
     finally:

@@ -1,14 +1,16 @@
 """Scheduler detail tests: stage log, retries, locality decisions."""
 
+import operator
+
 import pytest
 
-from repro.cluster import ClusterConfig
-from repro.rdd import JobFailed, SparkerContext
 from repro.rdd.scheduler import MAX_TASK_FAILURES
+
+from .conftest import combine_by_key
 
 
 def test_stage_log_records_every_stage(sc):
-    sc.parallelize([(1, 1)], 2).reduce_by_key(lambda a, b: a + b).collect()
+    combine_by_key(sc.parallelize([(1, 1)], 2), operator.add).collect()
     kinds = [s.kind for s in sc.dag.stage_log]
     assert kinds == ["shuffle_map", "result"]
     for stage in sc.dag.stage_log:
@@ -94,8 +96,8 @@ def test_failure_in_shuffle_map_stage_retries(sc):
             raise RuntimeError("map-side flake")
         return (x % 2, x)
 
-    result = sc.parallelize(range(6), 1).map(flaky_kv) \
-        .reduce_by_key(lambda a, b: a + b).collect()
+    result = combine_by_key(sc.parallelize(range(6), 1).map(flaky_kv),
+                            operator.add).collect()
     assert sorted(result) == [(0, 6), (1, 9)]
 
 

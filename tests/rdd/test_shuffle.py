@@ -1,74 +1,40 @@
-"""Shuffle semantics: reduceByKey, foldByKey, groupByKey, partitionBy."""
+"""The keyed shuffle ``treeAggregate`` builds: map-side and reduce-side
+combining, map-output reuse, and shuffles chained in one lineage."""
+
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig
-from repro.rdd import HashPartitioner, ModuloPartitioner, SparkerContext
+from repro.rdd import ModuloPartitioner, SparkerContext
 
-
-def test_reduce_by_key(sc):
-    rdd = sc.parallelize([(k % 3, 1) for k in range(30)], 6)
-    assert sorted(rdd.reduce_by_key(lambda a, b: a + b).collect()) == \
-        [(0, 10), (1, 10), (2, 10)]
-
-
-def test_reduce_by_key_custom_partitions(sc):
-    rdd = sc.parallelize([(k, k) for k in range(10)], 5)
-    out = rdd.reduce_by_key(lambda a, b: a + b, num_partitions=2)
-    assert out.num_partitions() == 2
-    assert sorted(out.collect()) == [(k, k) for k in range(10)]
-
-
-def test_group_by_key(sc):
-    rdd = sc.parallelize([("a", 1), ("b", 2), ("a", 3)], 3)
-    grouped = dict(rdd.group_by_key().collect())
-    assert sorted(grouped["a"]) == [1, 3]
-    assert grouped["b"] == [2]
-
-
-def test_fold_by_key_with_modulo_partitioner(sc):
-    rdd = sc.parallelize([(i % 4, 1) for i in range(40)], 8)
-    out = rdd.fold_by_key(0, lambda a, b: a + b, ModuloPartitioner(4))
-    assert sorted(out.collect()) == [(k, 10) for k in range(4)]
-    # ModuloPartitioner puts key k in partition k.
-    chunks = out.glom().collect()
-    for partition_idx, chunk in enumerate(chunks):
-        for key, _v in chunk:
-            assert key % 4 == partition_idx
-
-
-def test_partition_by_without_combine_keeps_records(sc):
-    rdd = sc.parallelize([(1, "a"), (1, "b"), (2, "c")], 2)
-    out = rdd.partition_by(HashPartitioner(2))
-    assert sorted(out.collect()) == [(1, "a"), (1, "b"), (2, "c")]
+from .conftest import combine_by_key
 
 
 def test_shuffle_then_transform(sc):
-    result = (sc.parallelize([(i % 5, i) for i in range(50)], 10)
-              .reduce_by_key(lambda a, b: a + b)
-              .map_values(lambda v: v // 10)
-              .collect())
+    result = combine_by_key(
+        sc.parallelize([(i % 5, i) for i in range(50)], 10), operator.add
+    ).map(lambda kv: (kv[0], kv[1] // 10)).collect()
     assert sorted(result) == [(k, sum(range(k, 50, 5)) // 10)
                               for k in range(5)]
 
 
 def test_chained_shuffles(sc):
-    # Two shuffles in one lineage: wordcount then histogram of counts.
-    words = ["a", "b", "a", "c", "b", "a"] * 3
-    counts = (sc.parallelize(words, 4)
-              .map(lambda w: (w, 1))
-              .reduce_by_key(lambda a, b: a + b))
-    histogram = (counts
-                 .map(lambda kv: (kv[1], 1))
-                 .reduce_by_key(lambda a, b: a + b))
+    # Two shuffles in one lineage: counts per key, then a histogram of
+    # the counts.
+    keys = [0, 1, 0, 2, 1, 0] * 3
+    counts = combine_by_key(sc.parallelize(keys, 4).map(lambda k: (k, 1)),
+                            operator.add)
+    histogram = combine_by_key(counts.map(lambda kv: (kv[1], 1)),
+                               operator.add)
     assert sorted(histogram.collect()) == [(3, 1), (6, 1), (9, 1)]
 
 
 def test_shuffle_reuses_map_outputs(sc):
-    rdd = sc.parallelize([(i % 2, 1) for i in range(8)], 4) \
-        .reduce_by_key(lambda a, b: a + b)
+    rdd = combine_by_key(sc.parallelize([(i % 2, 1) for i in range(8)], 4),
+                         operator.add)
     rdd.collect()
     stages_after_first = len(sc.dag.stage_log)
     rdd.collect()
@@ -80,8 +46,7 @@ def test_shuffle_reuses_map_outputs(sc):
 def test_map_side_combine_reduces_shuffle_volume(sc_bic):
     sc = sc_bic
     data = [(i % 2, 1) for i in range(4000)]
-    rdd = sc.parallelize(data, 8).reduce_by_key(lambda a, b: a + b)
-    rdd.collect()
+    combine_by_key(sc.parallelize(data, 8), operator.add).collect()
     # With map-side combining, at most partitions*keys records cross the
     # wire (8 * 2 = 16), not 4000.
     total_bucket_records = sum(
@@ -91,19 +56,23 @@ def test_map_side_combine_reduces_shuffle_volume(sc_bic):
     assert total_bucket_records <= 16
 
 
-def test_partitioner_equality_and_validation():
-    assert HashPartitioner(4) == HashPartitioner(4)
-    assert HashPartitioner(4) != HashPartitioner(5)
-    assert HashPartitioner(4) != ModuloPartitioner(4)
-    assert hash(HashPartitioner(3)) == hash(HashPartitioner(3))
+def test_modulo_partitioner_places_key_k_in_partition_k(sc):
+    out = combine_by_key(sc.parallelize([(i % 4, 1) for i in range(40)], 8),
+                         operator.add, num_partitions=4)
+    chunks = sc.run_job(out, lambda _i, data, _ctx: list(data))
+    assert [sorted(chunk) for chunk in chunks] == [[(k, 10)] for k in range(4)]
+
+
+def test_partitioner_validation():
+    assert ModuloPartitioner(4).partition(9) == 1
     with pytest.raises(ValueError):
-        HashPartitioner(0)
+        ModuloPartitioner(0)
 
 
 def test_shuffle_after_cache(sc):
     base = sc.parallelize([(i % 3, i) for i in range(30)], 6).cache()
     base.count()
-    out = base.reduce_by_key(lambda a, b: a + b)
+    out = combine_by_key(base, operator.add)
     assert sorted(out.collect()) == [
         (k, sum(range(k, 30, 3))) for k in range(3)]
 
@@ -112,10 +81,10 @@ def test_shuffle_after_cache(sc):
 @given(pairs=st.lists(
     st.tuples(st.integers(0, 9), st.integers(-50, 50)), max_size=60),
     slices=st.integers(1, 8))
-def test_reduce_by_key_matches_dict_reference(pairs, slices):
+def test_keyed_shuffle_matches_dict_reference(pairs, slices):
     sc = SparkerContext(ClusterConfig.laptop(num_nodes=1))
-    result = dict(sc.parallelize(pairs, slices)
-                  .reduce_by_key(lambda a, b: a + b).collect())
+    result = dict(combine_by_key(sc.parallelize(pairs, slices),
+                                 operator.add).collect())
     expected = {}
     for k, v in pairs:
         expected[k] = expected.get(k, 0) + v

@@ -115,7 +115,7 @@ def test_a_group_with_a_dead_or_quarantined_executor_is_no_candidate(sc):
     assert ran_on(sc, rdd.count) == LOW
     sc.env.run(until=sc.env.timeout(10.0))       # the quarantine lapses
     assert ran_on(sc, rdd.count) == HIGH
-    sc.kill_executor(5)
+    sc.executor_by_id(5).kill()
     assert ran_on(sc, rdd.count) == LOW
     held.release_all()
 
@@ -147,7 +147,7 @@ def test_mixed_holders_stay_at_shift_zero(sc):
     held = occupy(sc, LOW)
     rdd.count()                                  # replicas on 4-7
     held.release_all()
-    sc.kill_executor(1)
+    sc.executor_by_id(1).kill()
     # partition 1's only holder is now 5: the canonical placement mixes
     # the groups and no translation of it fits the executor list
     busy = occupy(sc, [0, 5, 2, 3])
@@ -167,7 +167,7 @@ def test_pinned_stages_are_never_moved(sc):
 def test_a_placement_made_before_an_executor_died_is_made_again(sc):
     rdd = sc.parallelize(range(64), 4)
     placement = sc.dag.place_stage(rdd, range(4))
-    sc.kill_executor(2)
+    sc.executor_by_id(2).kill()
     job = sc.env.process(sc.dag.run_reduced_job(
         rdd, lambda _i, data, _ctx: sum(data), lambda a, b: a + b,
         sc.new_job_id(), placement=placement))
@@ -238,7 +238,7 @@ def test_place_stage_picks_what_an_exhaustive_search_picks(case):
             for eid in held:
                 sc.block_tracker.register((rdd.id, partition), eid)
         for eid in case["dead"]:
-            sc.kill_executor(eid)
+            sc.executor_by_id(eid).kill()
         for eid in case["quarantined"]:
             sc.health.record_failure(eid)
             sc.health.record_failure(eid)
@@ -289,20 +289,17 @@ def test_replicas_share_the_derived_layout(sc):
             (rdd.id, partition))
 
 
-def test_unpersist_and_executor_loss_drop_every_replica(sc):
+def test_executor_loss_drops_every_replica(sc):
     rdd = cached(sc)
     held = occupy(sc, LOW)
     rdd.count()
     held.release_all()
     assert sum(len(e.memory_store) for e in sc.executors) == 8
-    sc.kill_executor(4)
+    sc.executor_by_id(4).kill()
     assert sc.block_tracker.locations((rdd.id, 0)) == [0]
     assert len(sc.executor_by_id(4).memory_store) == 0
-    sc.kill_executor(1)                           # the canonical holder
+    sc.executor_by_id(1).kill()                           # the canonical holder
     assert sc.block_tracker.locations((rdd.id, 1)) == [5]
-    rdd.unpersist()
-    assert all(len(e.memory_store) == 0 for e in sc.executors)
-    assert all(not sc.block_tracker.locations((rdd.id, p)) for p in range(4))
     assert rdd.count() == 64
 
 
@@ -344,4 +341,4 @@ def test_claims_return_to_zero_after_success_failure_and_abort(sc):
 
 def _kill_later(sc, executor_id, delay):
     yield sc.env.timeout(delay)
-    sc.kill_executor(executor_id)
+    sc.executor_by_id(executor_id).kill()

@@ -1,8 +1,5 @@
-"""Caching, storage levels, block tracking, and locality."""
+"""Caching, block tracking, and locality."""
 
-import pytest
-
-from repro.rdd import StorageLevel
 from repro.rdd.storage import BlockTracker, MemoryStore
 
 
@@ -33,15 +30,6 @@ def test_uncached_recomputes(sc):
     assert len(calls) == 20
 
 
-def test_unpersist_drops_blocks(sc):
-    rdd = sc.parallelize(range(10), 2).cache()
-    rdd.count()
-    assert any(len(e.memory_store) for e in sc.executors)
-    rdd.unpersist()
-    assert all(len(e.memory_store) == 0 for e in sc.executors)
-    assert rdd.collect() == list(range(10))  # recomputes fine
-
-
 def test_cached_partitions_prefer_their_executor(sc):
     rdd = sc.parallelize(range(8), 4).cache()
     rdd.count()
@@ -50,11 +38,6 @@ def test_cached_partitions_prefer_their_executor(sc):
         assert len(holders) == 1
         executor = sc.executor_by_id(holders[0])
         assert executor.memory_store.contains((rdd.id, index))
-
-
-def test_persist_rejects_unknown_level(sc):
-    with pytest.raises(ValueError):
-        sc.parallelize(range(2), 1).persist("DISK_ONLY")
 
 
 def test_cache_uses_virtual_time(sc):
@@ -75,16 +58,14 @@ def test_derived_rdd_prefers_parent_location(sc):
 
 
 # ------------------------------------------------------------- MemoryStore
-def test_memory_store_put_get_remove():
+def test_memory_store_put_get():
     store = MemoryStore(executor_id=0, capacity_bytes=1e9)
     size = store.put((1, 0), [1, 2, 3])
     assert size > 0
     assert store.get((1, 0)) == [1, 2, 3]
     assert store.size_of((1, 0)) == size
     assert store.contains((1, 0))
-    assert store.remove((1, 0))
-    assert not store.remove((1, 0))
-    assert store.get((1, 0)) is None
+    assert store.get((1, 1)) is None
 
 
 def test_memory_store_overwrite_updates_usage():
@@ -92,16 +73,6 @@ def test_memory_store_overwrite_updates_usage():
     store.put((1, 0), [1] * 10, sim_bytes=100)
     store.put((1, 0), [1] * 10, sim_bytes=300)
     assert store.used_bytes == 300
-
-
-def test_memory_store_remove_rdd():
-    store = MemoryStore(0, 1e9)
-    store.put((1, 0), "a")
-    store.put((1, 1), "b")
-    store.put((2, 0), "c")
-    assert store.remove_rdd(1) == 2
-    assert len(store) == 1
-    assert store.get((2, 0)) == "c"
 
 
 # ------------------------------------------------------------ BlockTracker
@@ -122,17 +93,3 @@ def test_block_tracker_unregister_executor():
     assert tracker.unregister_executor(3) == 2
     assert tracker.locations((1, 0)) == []
     assert tracker.locations((1, 1)) == [4]
-
-
-def test_block_tracker_unregister_rdd():
-    tracker = BlockTracker()
-    tracker.register((1, 0), 3)
-    tracker.register((2, 0), 3)
-    tracker.unregister_rdd(1)
-    assert tracker.locations((1, 0)) == []
-    assert tracker.locations((2, 0)) == [3]
-
-
-def test_storage_level_constants():
-    assert StorageLevel.MEMORY_ONLY == "MEMORY_ONLY"
-    assert StorageLevel.NONE is None

@@ -34,76 +34,9 @@ def test_map(sc):
         [x * x for x in range(10)]
 
 
-def test_filter(sc):
-    assert sc.parallelize(range(20), 4).filter(lambda x: x % 3 == 0) \
-        .collect() == [x for x in range(20) if x % 3 == 0]
-
-
-def test_flat_map(sc):
-    assert sc.parallelize(range(5), 2).flat_map(lambda x: [x] * x) \
-        .collect() == [x for x in range(5) for _ in range(x)]
-
-
-def test_map_partitions(sc):
-    result = sc.parallelize(range(12), 4).map_partitions(
-        lambda part: [sum(part)]).collect()
-    assert sum(result) == sum(range(12))
-    assert len(result) == 4
-
-
-def test_map_partitions_with_index(sc):
-    result = sc.parallelize(range(8), 4).map_partitions_with_index(
-        lambda idx, part: [(idx, len(part))]).collect()
-    assert [idx for idx, _n in result] == [0, 1, 2, 3]
-    assert sum(n for _idx, n in result) == 8
-
-
-def test_glom(sc):
-    chunks = sc.parallelize(range(10), 3).glom().collect()
-    assert len(chunks) == 3
-    assert [x for chunk in chunks for x in chunk] == list(range(10))
-
-
-def test_key_by_and_values(sc):
-    rdd = sc.parallelize(range(6), 2).key_by(lambda x: x % 2)
-    assert rdd.keys().collect() == [0, 1, 0, 1, 0, 1]
+def test_values(sc):
+    rdd = sc.parallelize(range(6), 2).map(lambda x: (x % 2, x))
     assert rdd.values().collect() == list(range(6))
-
-
-def test_map_values(sc):
-    rdd = sc.parallelize([(1, 2), (3, 4)], 2).map_values(lambda v: v * 10)
-    assert rdd.collect() == [(1, 20), (3, 40)]
-
-
-def test_union(sc):
-    a = sc.parallelize([1, 2, 3], 2)
-    b = sc.parallelize([4, 5], 2)
-    u = a.union(b)
-    assert u.num_partitions() == 4
-    assert u.collect() == [1, 2, 3, 4, 5]
-
-
-def test_union_chain(sc):
-    a = sc.parallelize([1], 1)
-    b = sc.parallelize([2], 1)
-    c = sc.parallelize([3], 1)
-    assert a.union(b).union(c).collect() == [1, 2, 3]
-
-
-def test_coalesce(sc):
-    rdd = sc.parallelize(range(16), 8).coalesce(3)
-    assert rdd.num_partitions() == 3
-    assert rdd.collect() == list(range(16))
-
-
-def test_coalesce_to_more_partitions_is_capped(sc):
-    rdd = sc.parallelize(range(4), 2).coalesce(10)
-    assert rdd.num_partitions() == 2
-
-
-def test_coalesce_validation(sc):
-    with pytest.raises(ValueError):
-        sc.parallelize(range(4), 2).coalesce(0)
 
 
 def test_sample_deterministic_and_bounded(sc):
@@ -120,23 +53,13 @@ def test_sample_fraction_validation(sc):
         sc.parallelize(range(4), 2).sample(1.5)
 
 
-def test_distinct(sc):
-    rdd = sc.parallelize([1, 2, 2, 3, 3, 3], 3)
-    assert sorted(rdd.distinct().collect()) == [1, 2, 3]
-
-
 def test_chained_transformations(sc):
     result = (sc.parallelize(range(30), 5)
               .map(lambda x: x + 1)
-              .filter(lambda x: x % 2 == 0)
-              .flat_map(lambda x: [x, -x])
+              .map(lambda y: (y % 2, -y))
+              .values()
               .collect())
-    expected = []
-    for x in range(30):
-        y = x + 1
-        if y % 2 == 0:
-            expected.extend([y, -y])
-    assert result == expected
+    assert result == [-(x + 1) for x in range(30)]
 
 
 def test_lazy_evaluation_no_jobs_before_action(sc):
@@ -155,10 +78,10 @@ def test_transformations_advance_virtual_time(sc):
 @settings(max_examples=25, deadline=None)
 @given(data=st.lists(st.integers(-100, 100), max_size=60),
        slices=st.integers(1, 12))
-def test_map_filter_property(data, slices):
+def test_map_property(data, slices):
     sc = SparkerContext(ClusterConfig.laptop(num_nodes=1))
     result = (sc.parallelize(data, slices)
               .map(lambda x: x * 3)
-              .filter(lambda x: x > 0)
+              .map(lambda x: x - 1)
               .collect())
-    assert result == [x * 3 for x in data if x * 3 > 0]
+    assert result == [x * 3 - 1 for x in data]

@@ -93,7 +93,7 @@ def test_cancel_mid_stage_cleans_up():
             rdd = sc.parallelize(range(256), 8).cache()
             total = 0
             for _ in range(50):
-                total = rdd.reduce(lambda a, b: a + b)
+                total = sc.reduce(rdd, lambda a, b: a + b)
             return total
 
         victim = server.submit(long_job, workload="victim")

@@ -1,8 +1,8 @@
-"""Tests for the Stopwatch and Counter instrumentation."""
+"""Tests for the Stopwatch instrumentation."""
 
 import pytest
 
-from repro.sim import Counter, Environment, Stopwatch
+from repro.sim import Environment, Stopwatch
 
 
 def test_stopwatch_add():
@@ -20,42 +20,6 @@ def test_stopwatch_rejects_negative():
         sw.add("x", -1.0)
 
 
-def test_stopwatch_brackets_follow_virtual_time():
-    env = Environment()
-    sw = Stopwatch(env)
-
-    def body():
-        sw.start("span")
-        yield env.timeout(2.5)
-        assert sw.stop("span") == 2.5
-
-    env.run(until=env.process(body()))
-    assert sw.total("span") == 2.5
-
-
-def test_stopwatch_bracket_misuse():
-    sw = Stopwatch(Environment())
-    with pytest.raises(RuntimeError):
-        sw.stop("never-started")
-    sw.start("x")
-    with pytest.raises(RuntimeError):
-        sw.start("x")
-
-
-def test_stopwatch_iteration_sorted():
-    sw = Stopwatch(Environment())
-    sw.add("b", 1.0)
-    sw.add("a", 2.0)
-    assert [k for k, _v in sw] == ["a", "b"]
-
-
-def test_stopwatch_clear():
-    sw = Stopwatch(Environment())
-    sw.add("x", 1.0)
-    sw.clear()
-    assert sw.as_dict() == {}
-
-
 def test_stopwatch_span_scope():
     env = Environment()
     sw = Stopwatch(env)
@@ -69,7 +33,7 @@ def test_stopwatch_span_scope():
 
 
 def test_stopwatch_span_records_on_exception():
-    """Unlike start/stop, span closes the bracket when the body raises."""
+    """span closes the bracket when the body raises."""
     env = Environment()
     sw = Stopwatch(env)
 
@@ -92,23 +56,9 @@ def test_on_record_fires_for_every_recording_style():
     sw.add("a", 1.0)
 
     def body():
-        sw.start("b")
         yield env.timeout(2.0)
-        sw.stop("b")
         with sw.span("c"):
             yield env.timeout(3.0)
 
     env.run(until=env.process(body()))
-    assert seen == [("a", 1.0, 0.0), ("b", 2.0, 2.0), ("c", 3.0, 5.0)]
-
-
-def test_counter():
-    c = Counter()
-    c.add("messages")
-    c.add("messages", 2)
-    c.add("bytes", 100.5)
-    assert c.total("messages") == 3
-    assert c.total("bytes") == 100.5
-    assert c.total("none") == 0.0
-    c.clear()
-    assert c.as_dict() == {}
+    assert seen == [("a", 1.0, 0.0), ("c", 3.0, 5.0)]
