@@ -48,12 +48,6 @@ class TimeBreakdown:
         """Share of end-to-end time spent aggregating."""
         return self.aggregation / self.total if self.total > 0 else 0.0
 
-    def scaled(self, factor: float) -> "TimeBreakdown":
-        return TimeBreakdown(self.agg_compute * factor,
-                             self.agg_reduce * factor,
-                             self.driver * factor,
-                             self.non_agg * factor)
-
     def __str__(self) -> str:
         return (f"compute={self.agg_compute:.3f}s "
                 f"reduce={self.agg_reduce:.3f}s driver={self.driver:.3f}s "

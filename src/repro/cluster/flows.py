@@ -23,7 +23,7 @@ allocation is max-min fair exactly when
   a cap below it;
 * a link that pins nothing carries no more than its capacity.
 
-A join, a leave or :meth:`FlowNetwork.set_link_capacity` touches only the
+A join or a leave touches only the
 links the changed flow crosses; :meth:`FlowNetwork._relax` restores the
 conditions on one link — re-derive the level, *pull* foreign flows that run
 faster than it, *release* pinned flows whose cap is below it — and a level
@@ -286,24 +286,6 @@ class FlowNetwork:
                 dest, bound = state, share
         self._move(flow, dest)
         return True
-
-    def set_link_capacity(self, link: Link, capacity: float) -> None:
-        """Change ``link``'s capacity and re-share flows crossing it.
-
-        Models in-place NIC degradation/restoration (a congested or rate-
-        limited driver NIC): the link's level is re-derived under the new
-        capacity at the current instant and the change propagates along the
-        bottleneck chain; flows elsewhere are untouched. No-op on the rates
-        when the link is idle.
-        """
-        if capacity <= 0:
-            raise ValueError(
-                f"link capacity must be positive, got {capacity}")
-        link.capacity = float(capacity)
-        state = self._links.get(link)
-        if state is not None:
-            self._mark(state)
-            self._flush()
 
     def rate_of(self, event: Event) -> float:
         """Current rate of ``event``'s flow, all streams (testing hook)."""

@@ -123,19 +123,6 @@ class Cluster:
     def total_cores(self) -> int:
         return sum(slot.cores for slot in self.executors)
 
-    def executors_on(self, node: Node) -> Sequence[ExecutorSlot]:
-        """All executors placed on ``node``."""
-        return [s for s in self.executors if s.node.node_id == node.node_id]
-
-    def sorted_by_hostname(self) -> List[ExecutorSlot]:
-        """Executor ranking used by the topology-aware communicator."""
-        return sorted(self.executors,
-                      key=lambda s: (s.hostname, s.executor_id))
-
-    def sorted_by_id(self) -> List[ExecutorSlot]:
-        """Executor ranking by registration order (topology-oblivious)."""
-        return sorted(self.executors, key=lambda s: s.executor_id)
-
     def __repr__(self) -> str:
         return (f"<Cluster {self.config.name!r} nodes={len(self.nodes)} "
                 f"executors={self.num_executors}>")

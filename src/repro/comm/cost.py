@@ -12,9 +12,8 @@ bandwidth — and :func:`choose_collective` picks the cheapest.
 Two feedback loops calibrate the model online, both fed by the obs layer:
 
 * :class:`CostCalibrator` is an :class:`~repro.obs.EventBus` listener
-  that refines alpha from small-message flight times, beta from
-  large-message flight times and the achieved NIC rate from
-  :class:`~repro.obs.NicSample` readings,
+  that refines alpha from small-message flight times and beta from
+  large-message flight times,
 * :meth:`CollectiveCostModel.observe` folds each collective's *measured*
   reduce+gather span (``CollectiveCompleted``) into a per-algorithm EWMA
   correction, so systematic model bias cancels out of the ranking after
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.config import ClusterConfig
-from ..obs import MessageDelivered, NicSample
+from ..obs import MessageDelivered
 from .ring import DEFAULT_CHUNK_BYTES
 from .transport import TransportSpec, sc_transport
 
@@ -336,9 +335,7 @@ class CostCalibrator:
 
     * small :class:`~repro.obs.MessageDelivered` flight times → alpha
       (per-message overhead + latency),
-    * large ones → beta (the achieved per-stream rate),
-    * :class:`~repro.obs.NicSample` readings → the NIC ceiling, ratcheted
-      up to the highest rate actually observed.
+    * large ones → beta (the achieved per-stream rate).
 
     Never touches merge/serde constants — those are CPU-side and the obs
     layer measures them elsewhere.
@@ -348,7 +345,6 @@ class CostCalibrator:
         self.model = model
         self.alpha_samples = 0
         self.beta_samples = 0
-        self.nic_samples = 0
 
     def on_event(self, event: Any) -> None:
         if isinstance(event, MessageDelivered):
@@ -369,11 +365,6 @@ class CostCalibrator:
                             * self.model.stream_bandwidth
                             + SAMPLE_WEIGHT * rate)
                         self.beta_samples += 1
-        elif isinstance(event, NicSample):
-            observed = max(event.in_rate, event.out_rate)
-            if observed > self.model.nic_bandwidth:
-                self.model.nic_bandwidth = observed
-            self.nic_samples += 1
 
 
 def choose_collective(

@@ -136,11 +136,6 @@ class CommFabric:
         except KeyError:
             raise KeyError(f"rank {rank} is not registered") from None
 
-    @property
-    def size(self) -> int:
-        """Number of registered ranks."""
-        return len(self._nodes)
-
     # ------------------------------------------------------------- rendezvous
     def _put(self, key: Tuple[int, Hashable], message: tuple) -> None:
         """``message`` has reached ``key``: wake its oldest blocked receiver,

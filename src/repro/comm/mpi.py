@@ -9,9 +9,7 @@ module reproduces that baseline:
 * :class:`MpiCommunicator` with ``reduce_scatter`` in three algorithms —
   **ring** (Patarasuk & Yuan), **recursive halving** (MPICH's choice for
   short commutative reductions) and **pairwise exchange** (MPICH's choice
-  for long ones) — plus **binomial-tree reduce** and **allreduce**
-  (recursive doubling for short messages, Rabenseifner-style
-  reduce-scatter + allgather for long ones; Thakur et al. 2005).
+  for long ones; Thakur et al. 2005).
 * ``algorithm="auto"`` applies MPICH's size-based selection rule, which is
   exactly what produces the baseline's sub-optimal large-message behaviour
   on a multi-executor-per-node cluster: both halving and pairwise pair
@@ -30,14 +28,13 @@ from ..cluster.placement import Cluster, ExecutorSlot
 from ..serde import sim_sizeof
 from ..sim import Environment
 from .fabric import CommFabric
-from .ring import ring_allgather_rank, ring_reduce_scatter_rank
+from .ring import ring_reduce_scatter_rank
 from .transport import TransportSpec, mpi_transport
 
 __all__ = ["MpiCommunicator", "MPICH_RS_SHORT_THRESHOLD"]
 
 ReduceOp = Callable[[Any, Any], Any]
 SplitOp = Callable[[Any, int, int], Any]
-ConcatOp = Callable[[Sequence[Any]], Any]
 
 #: MPICH switches reduce_scatter from recursive halving to pairwise
 #: exchange above 512 KB of total data (commutative case).
@@ -229,136 +226,3 @@ class MpiCommunicator:
         if group_rank < rem:
             return group_rank * 2
         return group_rank + rem
-
-    # ------------------------------------------------------------------ reduce
-    def reduce(self, values: Sequence[Any], split_op: SplitOp,
-               reduce_op: ReduceOp, root: int = 0) -> Generator:
-        """Process body: binomial-tree reduce of whole values to ``root``.
-
-        Returns the fully reduced value (held at ``root``).
-        """
-        if len(values) != self.size:
-            raise ValueError(
-                f"expected {self.size} values, got {len(values)}")
-        env = self.env
-        n = self.size
-        result_box: Dict[str, Any] = {}
-
-        def rank_proc(rank: int):
-            # Relative rank so any root works with the same binomial tree.
-            rel = (rank - root) % n
-            value = split_op(values[rank], 0, 1)
-            mask = 1
-            while mask < n:
-                if rel & mask:
-                    dest = ((rel - mask) + root) % n
-                    yield from self.fabric.send(rank, dest, value,
-                                                tag=("bt", mask))
-                    return
-                src_rel = rel + mask
-                if src_rel < n:
-                    incoming = yield from self.fabric.recv(
-                        rank, tag=("bt", mask))
-                    value = reduce_op(value, incoming)
-                    yield env.timeout(self._merge_cost(value))
-                mask <<= 1
-            result_box["value"] = value
-
-        procs = [env.process(rank_proc(r)) for r in range(n)]
-        for proc in procs:
-            yield proc
-        return result_box["value"]
-
-    # --------------------------------------------------------------- allreduce
-    def allreduce(self, values: Sequence[Any], split_op: SplitOp,
-                  reduce_op: ReduceOp, concat_op: ConcatOp,
-                  algorithm: str = "auto") -> Generator:
-        """Process body: allreduce; returns a per-rank list of full results.
-
-        ``auto`` follows Thakur et al.: recursive doubling for short
-        messages, reduce-scatter + allgather (Rabenseifner) for long ones.
-        """
-        if algorithm == "auto":
-            algorithm = ("recursive_doubling"
-                         if sim_sizeof(values[0]) < MPICH_RS_SHORT_THRESHOLD
-                         else "rabenseifner")
-        if algorithm == "recursive_doubling":
-            return (yield from self._doubling_allreduce(
-                values, split_op, reduce_op, concat_op))
-        if algorithm == "rabenseifner":
-            return (yield from self._rabenseifner_allreduce(
-                values, split_op, reduce_op, concat_op))
-        raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-
-    def _doubling_allreduce(self, values, split_op, reduce_op,
-                            concat_op) -> Generator:
-        env = self.env
-        n = self.size
-        p2 = _largest_power_of_two_leq(n)
-        rem = n - p2
-        out: List[Any] = [None] * n
-
-        def rank_proc(rank: int):
-            value = split_op(values[rank], 0, 1)
-            # Pre-phase identical to recursive halving's.
-            group_rank = None
-            if rank < 2 * rem:
-                if rank % 2 == 1:
-                    yield from self.fabric.send(rank, rank - 1, value,
-                                                tag=("rd-pre", rank))
-                else:
-                    incoming = yield from self.fabric.recv(
-                        rank, tag=("rd-pre", rank + 1))
-                    value = reduce_op(value, incoming)
-                    yield env.timeout(self._merge_cost(value))
-                    group_rank = rank // 2
-            else:
-                group_rank = rank - rem
-            if group_rank is not None:
-                mask = 1
-                while mask < p2:
-                    partner = self._ungroup(group_rank ^ mask, rem)
-                    tag = ("rd", mask)
-                    in_flight = self.fabric.isend(rank, partner, value,
-                                                  tag=tag)
-                    incoming = yield from self.fabric.recv(rank, tag=tag)
-                    value = reduce_op(value, incoming)
-                    yield env.timeout(self._merge_cost(value))
-                    if not in_flight.processed:
-                        yield in_flight
-                    mask <<= 1
-            # Post-phase: evens send the final value back to their odds.
-            if rank < 2 * rem:
-                if rank % 2 == 0:
-                    yield from self.fabric.send(rank, rank + 1, value,
-                                                tag=("rd-post", rank))
-                else:
-                    value = yield from self.fabric.recv(
-                        rank, tag=("rd-post", rank - 1))
-            out[rank] = concat_op([value])
-
-        procs = [env.process(rank_proc(r)) for r in range(n)]
-        for proc in procs:
-            yield proc
-        return out
-
-    def _rabenseifner_allreduce(self, values, split_op, reduce_op,
-                                concat_op) -> Generator:
-        env = self.env
-        n = self.size
-        owned = yield env.process(
-            self.reduce_scatter(values, split_op, reduce_op,
-                                algorithm="ring"))
-        out: List[Any] = [None] * n
-
-        def rank_proc(rank: int):
-            (idx, value), = owned[rank].items()
-            have = yield from ring_allgather_rank(
-                self.fabric, rank, n, idx, (value,), channel="rab-ag")
-            ordered = [have[i][0] for i in sorted(have)]
-            out[rank] = concat_op(ordered)
-
-        procs = [env.process(rank_proc(r)) for r in range(n)]
-        for proc in procs:
-            yield proc
-        return out

@@ -517,13 +517,6 @@ class ScalableCommunicator:
                 proc.interrupt(cause)
 
     # -------------------------------------------------------------- topology
-    def rank_of(self, executor_id: int) -> int:
-        """Ring rank of the executor with ``executor_id``."""
-        for rank, slot in enumerate(self.ranked):
-            if slot.executor_id == executor_id:
-                return rank
-        raise KeyError(f"executor {executor_id} is not in this communicator")
-
     @property
     def num_segments(self) -> int:
         """Total segments an aggregator is split into (``N * P``)."""
@@ -535,14 +528,6 @@ class ScalableCommunicator:
         return {j: tuple([split_op(value, p * n + j, num)
                           for p in range(self.parallelism)])
                 for j in range(n)}
-
-    def segment_owner(self, global_index: int) -> int:
-        """Ring rank that owns ``global_index`` after reduce-scatter."""
-        if not 0 <= global_index < self.num_segments:
-            raise IndexError(global_index)
-        local = global_index % self.size
-        # Owner of local index j is rank (j - 1) mod N (rank r owns (r+1)%N).
-        return (local - 1) % self.size
 
     # ------------------------------------------------------------ collectives
     def hop_context(self, rank: int) -> Dict[str, Any]:

@@ -202,10 +202,6 @@ class MutableObjectManager:
         if entry is not None and epoch > entry.epoch:
             entry.epoch = epoch
 
-    def epoch_of(self, object_id: ObjectId) -> int:
-        entry = self._entries.get(object_id)
-        return 0 if entry is None else entry.epoch
-
     def absorb(self, object_id: ObjectId, epoch: int, value: Any,
                merge_op: Callable[[Any, Any], Any],
                parent_span: int = -1) -> Generator:
@@ -252,10 +248,6 @@ class MutableObjectManager:
         if entry is None or entry.value is None:
             raise KeyError(f"no merged value to replace for {object_id}")
         entry.value = value
-
-    def merge_count(self, object_id: ObjectId) -> int:
-        entry = self._entries.get(object_id)
-        return 0 if entry is None else entry.merge_count
 
     def clear(self, object_id: ObjectId) -> None:
         """Drop the shared object (stage cleanup before resubmission)."""

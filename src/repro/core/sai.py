@@ -81,7 +81,7 @@ from ..serde import sim_sizeof
 from ..sim import SimulationError
 from .aggregation import fold_partition, fresh_zero, tree_aggregate
 from .spawn_rdd import SpawnRDD
-from .spec import AggregationSpec
+from .spec import PARALLELISM_CANDIDATES, AggregationSpec
 
 __all__ = ["split_aggregate", "drop_topk_residuals"]
 
@@ -93,6 +93,10 @@ MergeOp = Callable[[Any, Any], Any]
 
 #: (executor_id, object_id) pairs as returned by run_reduced_job
 Holders = List[Tuple[int, Tuple[int, int]]]
+
+#: depth of the ``treeAggregate`` a split aggregation falls back to once
+#: its recovery policy's ring attempts are spent
+TREE_FALLBACK_DEPTH = 2
 
 
 class _Ops(NamedTuple):
@@ -402,7 +406,7 @@ def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders,
     """Decide a phased aggregation's ``(algorithm, parallelism)``.
 
     With ``spec.collective="auto"`` the cost model prices every
-    ``algorithm x parallelism_candidates`` pair against the holders'
+    ``algorithm x PARALLELISM_CANDIDATES`` pair against the holders'
     measured wire sizes and placement; otherwise the spec's pinned choice
     passes straight through. Returns ``(algorithm, parallelism,
     predicted_seconds, model)`` — ``model`` is None unless the tuner ran
@@ -429,7 +433,7 @@ def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders,
     penalty = max(sc.health.compute_penalty(eid) for eid, _ in holders)
     winner, estimates = choose_collective(
         model, _holder_value_bytes(sc, holders), slots, algorithms,
-        spec.parallelism_candidates, chunk_bytes=spec.chunk_bytes,
+        PARALLELISM_CANDIDATES, chunk_bytes=spec.chunk_bytes,
         compute_penalty=penalty)
     predicted = next(est for plan, est in estimates if plan is winner)
     if bus.active:
@@ -610,14 +614,10 @@ def _reduce(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor,
     # ---- ring budget exhausted: fall back to the tree -------------------
     armor.emit("tree_fallback", site="tree", attempt=attempts)
     armor.release()
-    if not recovery.tree_fallback:
-        raise RuntimeError(
-            f"split aggregation failed {attempts} ring attempts and tree "
-            f"fallback is disabled")
     tracer.push_parent(armor.epoch_span)
     try:
         agg = tree_aggregate(rdd, ops.zero, ops.seq_op, merge_op,
-                             depth=recovery.tree_depth, imm=True)
+                             depth=TREE_FALLBACK_DEPTH, imm=True)
     finally:
         tracer.pop_parent()
     result = ops.concat_op([ops.split_op(agg, i, parallelism)

@@ -89,7 +89,3 @@ class SpawnRDD(RDD):
 
     def pinned_executor(self, index: int) -> Optional[int]:
         return self._tasks[index][0]
-
-    def executor_ids(self) -> List[int]:
-        """The static schedule, in partition order."""
-        return [executor_id for executor_id, _ in self._tasks]

@@ -50,6 +50,9 @@ COLLECTIVES: Tuple[str, ...] = ("auto", *COLLECTIVE_ALGORITHMS)
 #: valid values of :attr:`AggregationSpec.compression`
 COMPRESSIONS: Tuple[str, ...] = ("none", "topk")
 
+#: the P values the ``"auto"`` tuner considers
+PARALLELISM_CANDIDATES: Tuple[int, ...] = (1, 2, 4, 8)
+
 
 @dataclass(frozen=True)
 class AggregationSpec:
@@ -72,9 +75,8 @@ class AggregationSpec:
         call).
     parallelism:
         Ring channels per executor (the paper's P, Figure 14); fixes the
-        ``N * P`` segment grid. Ignored when the tuner runs.
-    parallelism_candidates:
-        The P values the ``"auto"`` tuner considers.
+        ``N * P`` segment grid. Ignored when the tuner runs, which tries
+        every P in :data:`PARALLELISM_CANDIDATES`.
     topology_aware:
         Rank executors by hostname (the paper's default) or by id.
         ``"hierarchical"`` requires hostname ranking.
@@ -101,7 +103,6 @@ class AggregationSpec:
 
     collective: str = "ring"
     parallelism: int = 4
-    parallelism_candidates: Tuple[int, ...] = (1, 2, 4, 8)
     topology_aware: bool = True
     sparse_policy: Optional[SparsePolicy] = None
     recovery: Optional[Any] = None
@@ -119,12 +120,6 @@ class AggregationSpec:
         if self.parallelism < 1:
             raise ValueError(
                 f"parallelism must be >= 1, got {self.parallelism}")
-        candidates = tuple(self.parallelism_candidates)
-        if not candidates or any(p < 1 for p in candidates):
-            raise ValueError(
-                f"parallelism_candidates must be a non-empty tuple of "
-                f"positive ints, got {self.parallelism_candidates!r}")
-        object.__setattr__(self, "parallelism_candidates", candidates)
         if self.collective == "hierarchical" and not self.topology_aware:
             raise ValueError(
                 "collective='hierarchical' groups ranks by hostname and "

@@ -70,13 +70,6 @@ class DatasetSpec:
                     / (SURROGATE_LDA_TOPICS * self.surrogate_features))
         return self.paper_features / self.surrogate_features
 
-    @property
-    def paper_aggregator_bytes(self) -> float:
-        """Size of one aggregator at paper scale."""
-        if self.task == "topic-model":
-            return PAPER_LDA_TOPICS * self.paper_features * 8.0
-        return self.paper_features * 8.0
-
     # ---------------------------------------------------------------- generate
     def generate(self) -> Tuple[list, np.ndarray]:
         """Materialize the surrogate: ``(samples, ground_truth)``.

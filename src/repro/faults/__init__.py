@@ -2,7 +2,7 @@
 
 Declare what breaks with a :class:`FaultPlan` (executor crashes at
 virtual times, stage boundaries or ring hops; message drops and delays;
-stragglers; driver-NIC degradation), arm a :class:`FaultController`
+stragglers), arm a :class:`FaultController`
 against a context, and run the workload — split aggregation detects the
 damage (recv timeouts, death listeners, epoch fencing) and recovers per
 its :class:`RecoveryPolicy` (lineage recompute of lost partials, ring
@@ -11,12 +11,11 @@ fallback). Same plan + same seed replays to a byte-identical event log.
 """
 
 from .controller import FaultController
-from .health import ExecutorHealthRegistry, HealthPolicy
+from .health import ExecutorHealthRegistry
 from .plan import (
     AtRingHop,
     AtStageBoundary,
     AtTime,
-    DriverNicDegradation,
     ExecutorCrash,
     Fault,
     FaultPlan,
@@ -32,7 +31,6 @@ __all__ = [
     "FaultController",
     "FaultPlan",
     "RecoveryPolicy",
-    "HealthPolicy",
     "ExecutorHealthRegistry",
     "AtTime",
     "AtStageBoundary",
@@ -41,7 +39,6 @@ __all__ = [
     "MessageDrop",
     "MessageDelay",
     "Straggler",
-    "DriverNicDegradation",
     "Fault",
     "Trigger",
     "random_plan",

@@ -2,7 +2,7 @@
 
 Arming a :class:`FaultController` attaches it to the context
 (``sc.faults``), spawns one simulation process per time-windowed fault
-(crash-at-time, straggler, NIC degradation) and subscribes to the
+(crash-at-time, straggler) and subscribes to the
 observability bus for event-triggered crashes (stage boundaries, ring
 hops). Link faults are not processes at all: the comm fabric consults
 :meth:`FaultController.message_fault` per message, so an unarmed run pays
@@ -27,7 +27,6 @@ from .plan import (
     AtRingHop,
     AtStageBoundary,
     AtTime,
-    DriverNicDegradation,
     ExecutorCrash,
     FaultPlan,
     MessageDelay,
@@ -87,7 +86,6 @@ class FaultController:
         #: every RecoveryAction the engine reported back, in order
         self.actions: List[Any] = []
         self._armed = False
-        self._subscribed = False
         self._stage_watchers: List[_Watcher] = []
         self._hop_watchers: List[_Watcher] = []
         self._link_states: List[_LinkState] = []
@@ -119,25 +117,11 @@ class FaultController:
             elif isinstance(fault, Straggler):
                 env.process(self._straggler_window(fault),
                             name="fault-controller")
-            elif isinstance(fault, DriverNicDegradation):
-                env.process(self._nic_window(fault),
-                            name="fault-controller")
             else:  # pragma: no cover - FaultPlan validates
                 raise TypeError(f"unknown fault {fault!r}")
         if self._stage_watchers or self._hop_watchers:
             self.sc.event_bus.subscribe(self._on_event)
-            self._subscribed = True
         return self
-
-    def disarm(self) -> None:
-        """Detach from the context (pending timed faults still fire if the
-        simulation runs past their instants; event triggers are dead)."""
-        if self._subscribed:
-            self.sc.event_bus.unsubscribe(self._on_event)
-            self._subscribed = False
-        if self.sc.faults is self:
-            self.sc.faults = None
-        self._armed = False
 
     # -------------------------------------------------------------- recording
     def _record(self, event: FaultInjected) -> None:
@@ -275,30 +259,7 @@ class FaultController:
             target=f"executor {fault.executor_id}", trigger="window",
             executor_id=fault.executor_id))
 
-    def _nic_window(self, fault: DriverNicDegradation):
-        env = self.sc.env
-        if fault.start > env.now:
-            yield env.timeout(fault.start - env.now)
-        driver = self.sc.cluster.driver_node
-        flows = self.sc.cluster.network.flows
-        saved_in = driver.nic_in.capacity
-        saved_out = driver.nic_out.capacity
-        flows.set_link_capacity(driver.nic_in, saved_in * fault.factor)
-        flows.set_link_capacity(driver.nic_out, saved_out * fault.factor)
-        self._record(FaultInjected.fast(
-            time=env.now, fault="nic_degradation",
-            target=f"driver {driver.hostname}", trigger="window",
-            detail=f"capacity x{fault.factor:g}"))
-        if math.isinf(fault.duration):
-            return
-        yield env.timeout(fault.duration)
-        flows.set_link_capacity(driver.nic_in, saved_in)
-        flows.set_link_capacity(driver.nic_out, saved_out)
-        self._record(FaultInjected.fast(
-            time=env.now, fault="nic_restored",
-            target=f"driver {driver.hostname}", trigger="window"))
-
     def __repr__(self) -> str:
         state = "armed" if self._armed else "idle"
-        return (f"<FaultController {state} plan={len(self.plan)} "
+        return (f"<FaultController {state} plan={len(self.plan.faults)} "
                 f"injected={len(self.injected)}>")

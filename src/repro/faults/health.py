@@ -5,10 +5,9 @@ later "excludeOnFailure"): executors that keep failing or straggling stop
 receiving tasks for a while instead of poisoning every wave. This module
 is that mechanism at the simulated engine's grain:
 
-* :class:`HealthPolicy` — the knob set: strike weights for failures and
-  straggles, the score threshold that quarantines an executor, the
-  exponentially-growing quarantine window, and the per-retry backoff
-  delay the scheduler applies to repeatedly-failing tasks.
+* the constants below: strike weights for failures and straggles, the
+  score threshold that quarantines an executor, and the
+  exponentially-growing quarantine window;
 * :class:`ExecutorHealthRegistry` — driver-side bookkeeping owned by
   every :class:`~repro.rdd.context.SparkerContext` (``sc.health``).
   The scheduler reports failures/straggles/successes; placement asks
@@ -17,78 +16,42 @@ is that mechanism at the simulated engine's grain:
   so ``collective="auto"`` prices degraded nodes.
 
 Quarantine follows Spark's blacklist-with-timeout shape plus probation:
-crossing ``quarantine_threshold`` removes the executor from placement
-for ``base_quarantine * backoff_factor**(k-1)`` virtual seconds (k-th
-quarantine, capped at ``max_quarantine``); when the window expires the
+crossing :data:`QUARANTINE_THRESHOLD` removes the executor from placement
+for ``BASE_QUARANTINE * BACKOFF_FACTOR**(k-1)`` virtual seconds (k-th
+quarantine, capped at :data:`MAX_QUARANTINE`); when the window expires the
 executor re-enters placement *on probation* — the first success clears
 its record, the next strike re-quarantines it with the longer window.
 
 Zero-perturbation contract: the registry is pure driver-side
 bookkeeping. Recording and scoring consume no virtual time and schedule
-no simulation events; with the default ``retry_backoff=0.0`` an armed
-registry leaves every fault-free run's timing and results bit-identical.
+no simulation events, so the registry leaves every fault-free run's
+timing and results bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Set
 
 from ..obs import ExecutorHealth
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..rdd.context import SparkerContext
 
-__all__ = ["HealthPolicy", "ExecutorHealthRegistry"]
+__all__ = ["ExecutorHealthRegistry"]
 
-
-@dataclass(frozen=True)
-class HealthPolicy:
-    """How executor strikes score, quarantine and decay.
-
-    ``failure_weight`` / ``straggle_weight`` are the score added per
-    failed task and per detected straggle; ``quarantine_threshold`` is
-    the score at which the executor leaves placement. The k-th
-    quarantine lasts ``base_quarantine * backoff_factor**(k-1)`` virtual
-    seconds (at most ``max_quarantine``). ``success_decay`` multiplies
-    the score on every successful task (probation successes clear it
-    entirely). ``retry_backoff`` is the scheduler's base delay before
-    re-attempting a failed task (``retry_backoff * backoff_factor**
-    (failures-1)``); the 0.0 default schedules nothing and preserves the
-    seed-identical retry timing.
-    """
-
-    failure_weight: float = 1.0
-    straggle_weight: float = 0.5
-    quarantine_threshold: float = 2.0
-    base_quarantine: float = 5.0
-    backoff_factor: float = 2.0
-    max_quarantine: float = 120.0
-    success_decay: float = 0.5
-    retry_backoff: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.failure_weight < 0 or self.straggle_weight < 0:
-            raise ValueError("strike weights must be >= 0")
-        if self.quarantine_threshold <= 0:
-            raise ValueError(
-                f"quarantine_threshold must be positive, "
-                f"got {self.quarantine_threshold}")
-        if self.base_quarantine <= 0:
-            raise ValueError(
-                f"base_quarantine must be positive, "
-                f"got {self.base_quarantine}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.max_quarantine < self.base_quarantine:
-            raise ValueError("max_quarantine must be >= base_quarantine")
-        if not 0.0 <= self.success_decay <= 1.0:
-            raise ValueError(
-                f"success_decay must be in [0, 1], got {self.success_decay}")
-        if self.retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}")
+#: score added per failed task attempt and per detected straggle
+FAILURE_WEIGHT = 1.0
+STRAGGLE_WEIGHT = 0.5
+#: the score at which an executor leaves placement
+QUARANTINE_THRESHOLD = 2.0
+#: the k-th quarantine lasts BASE_QUARANTINE * BACKOFF_FACTOR**(k-1)
+#: virtual seconds, at most MAX_QUARANTINE
+BASE_QUARANTINE = 5.0
+BACKOFF_FACTOR = 2.0
+MAX_QUARANTINE = 120.0
+#: multiplies the score on every successful task (a probation success
+#: clears it entirely)
+SUCCESS_DECAY = 0.5
 
 
 class ExecutorHealthRegistry:
@@ -100,10 +63,8 @@ class ExecutorHealthRegistry:
     quarantine decisions.
     """
 
-    def __init__(self, sc: "SparkerContext",
-                 policy: Optional[HealthPolicy] = None):
+    def __init__(self, sc: "SparkerContext"):
         self.sc = sc
-        self.policy = policy or HealthPolicy()
         self._score: Dict[int, float] = {}
         self._strikes: Dict[int, int] = {}
         self._quarantined_until: Dict[int, float] = {}
@@ -148,14 +109,6 @@ class ExecutorHealthRegistry:
             return False
         return executor.alive and not self.is_quarantined(executor_id)
 
-    def retry_delay(self, failures: int) -> float:
-        """Backoff before re-attempting a task that failed ``failures``
-        times; 0.0 under the default policy (no events scheduled)."""
-        if self.policy.retry_backoff <= 0 or failures <= 0:
-            return 0.0
-        return (self.policy.retry_backoff
-                * self.policy.backoff_factor ** (failures - 1))
-
     def compute_penalty(self, executor_id: int) -> float:
         """Cost-model multiplier for this executor's effective compute.
 
@@ -174,11 +127,11 @@ class ExecutorHealthRegistry:
     # ------------------------------------------------------------ recording
     def record_failure(self, executor_id: int) -> None:
         """A task attempt on this executor failed."""
-        self._strike(executor_id, self.policy.failure_weight, "failure")
+        self._strike(executor_id, FAILURE_WEIGHT, "failure")
 
     def record_straggle(self, executor_id: int) -> None:
         """This executor ran a task past the speculation threshold."""
-        self._strike(executor_id, self.policy.straggle_weight, "straggle")
+        self._strike(executor_id, STRAGGLE_WEIGHT, "straggle")
 
     def record_success(self, executor_id: int) -> None:
         """A task attempt completed; decays the score, clears probation."""
@@ -190,21 +143,19 @@ class ExecutorHealthRegistry:
             return
         score = self._score.get(executor_id, 0.0)
         if score > 0.0:
-            self._score[executor_id] = score * self.policy.success_decay
+            self._score[executor_id] = score * SUCCESS_DECAY
 
     def _strike(self, executor_id: int, weight: float, event: str) -> None:
         self._score[executor_id] = self.score(executor_id) + weight
         self._strikes[executor_id] = self.strikes(executor_id) + 1
         self._probation.discard(executor_id)
         self._emit(executor_id, event)
-        if (self._score[executor_id] >= self.policy.quarantine_threshold
+        if (self._score[executor_id] >= QUARANTINE_THRESHOLD
                 and executor_id not in self._quarantined_until):
             count = self._quarantine_count.get(executor_id, 0) + 1
             self._quarantine_count[executor_id] = count
-            window = min(
-                self.policy.base_quarantine
-                * self.policy.backoff_factor ** (count - 1),
-                self.policy.max_quarantine)
+            window = min(BASE_QUARANTINE * BACKOFF_FACTOR ** (count - 1),
+                         MAX_QUARANTINE)
             self._quarantined_until[executor_id] = self.sc.env.now + window
             self._emit(executor_id, "quarantined",
                        until=self._quarantined_until[executor_id])

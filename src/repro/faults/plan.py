@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is a seed-stamped, immutable description of every
 fault one run will suffer — executor crashes pinned to virtual times,
 stage boundaries or ring hops; per-link message drops and delays;
-straggling executors; driver-NIC degradation windows. Plans are pure
+straggling executors. Plans are pure
 data: the :class:`~repro.faults.controller.FaultController` interprets
 them against a live :class:`~repro.rdd.context.SparkerContext`, so the
 same plan object replayed against the same workload and seed produces a
@@ -11,9 +11,8 @@ byte-identical event log.
 
 :class:`RecoveryPolicy` is the matching knob set for the survival side:
 how long a ring rank waits before declaring its upstream neighbour dead,
-how many times the ring is rebuilt over the survivors, and whether the
-aggregation falls back to ``treeAggregate`` when the ring budget is
-exhausted.
+and how many times the ring is rebuilt over the survivors before the
+aggregation falls back to ``treeAggregate``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "MessageDrop",
     "MessageDelay",
     "Straggler",
-    "DriverNicDegradation",
     "Fault",
     "Trigger",
     "FaultPlan",
@@ -169,30 +167,9 @@ class Straggler:
             raise ValueError(f"duration must be positive, got {self.duration}")
 
 
-@dataclass(frozen=True)
-class DriverNicDegradation:
-    """Scale the driver node's NIC capacity (both directions) by ``factor``
-    for a window — the congested-driver scenario the paper's gather step
-    is sensitive to."""
+Fault = Union[ExecutorCrash, MessageDrop, MessageDelay, Straggler]
 
-    factor: float = 0.25
-    start: float = 0.0
-    duration: float = math.inf
-
-    def __post_init__(self) -> None:
-        if not 0 < self.factor:
-            raise ValueError(f"factor must be positive, got {self.factor}")
-        if self.start < 0:
-            raise ValueError(f"start must be >= 0, got {self.start}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-
-
-Fault = Union[ExecutorCrash, MessageDrop, MessageDelay, Straggler,
-              DriverNicDegradation]
-
-_FAULT_TYPES = (ExecutorCrash, MessageDrop, MessageDelay, Straggler,
-                DriverNicDegradation)
+_FAULT_TYPES = (ExecutorCrash, MessageDrop, MessageDelay, Straggler)
 
 
 # ------------------------------------------------------------------- plans
@@ -209,9 +186,6 @@ class FaultPlan:
             if not isinstance(fault, _FAULT_TYPES):
                 raise TypeError(f"not a fault: {fault!r}")
 
-    def __len__(self) -> int:
-        return len(self.faults)
-
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
@@ -220,13 +194,12 @@ class RecoveryPolicy:
     ``recv_timeout`` is each ring hop's failure-detection deadline (virtual
     seconds of upstream silence before the rank raises ``ExecutorLost``);
     ``max_ring_attempts`` bounds ring rebuilds before the aggregation
-    falls back to ``treeAggregate`` (``tree_fallback``/``tree_depth``).
+    falls back to a depth-2 ``treeAggregate``
+    (:data:`repro.core.sai.TREE_FALLBACK_DEPTH`).
     """
 
     recv_timeout: float = 0.5
     max_ring_attempts: int = 3
-    tree_fallback: bool = True
-    tree_depth: int = 2
 
     def __post_init__(self) -> None:
         if self.recv_timeout <= 0:
@@ -235,9 +208,6 @@ class RecoveryPolicy:
         if self.max_ring_attempts < 1:
             raise ValueError(f"max_ring_attempts must be >= 1, "
                              f"got {self.max_ring_attempts}")
-        if self.tree_depth < 1:
-            raise ValueError(
-                f"tree_depth must be >= 1, got {self.tree_depth}")
 
 
 def random_plan(seed: int, executor_ids: Sequence[int], horizon: float,

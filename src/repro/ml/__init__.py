@@ -21,7 +21,7 @@ from .classification import (
     SVMWithSGD,
 )
 from .columnar import ColumnarSeqOp, PartitionColumns, columns_of
-from .evaluation import BinaryClassificationMetrics, log_perplexity
+from .evaluation import BinaryClassificationMetrics
 from .gradient import (
     Gradient,
     HingeGradient,
@@ -72,5 +72,4 @@ __all__ = [
     "LDAModel",
     "LDA_TOKEN_TIME",
     "BinaryClassificationMetrics",
-    "log_perplexity",
 ]

@@ -52,10 +52,7 @@ class LinearModel:
 
 
 class LogisticRegressionModel(LinearModel):
-    """Adds calibrated probabilities on top of the linear margin."""
-
-    def predict_probability(self, features: SparseVector) -> float:
-        return 1.0 / (1.0 + np.exp(-self.margin(features)))
+    pass
 
 
 class SVMModel(LinearModel):

@@ -1,9 +1,8 @@
-"""Model evaluation: binary classification metrics and LDA perplexity.
+"""Model evaluation: binary classification metrics.
 
-The MLlib counterparts (``BinaryClassificationMetrics``,
-``LDAModel.logPerplexity``) are what a user would run after the training
-loops this repository benchmarks; they also give the tests sharper ways to
-assert that models actually learned.
+The MLlib counterpart (``BinaryClassificationMetrics``) is what a user
+would run after the training loops this repository benchmarks; it also
+gives the tests sharper ways to assert that models actually learned.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .classification import LinearModel
-from .lda import LDAModel
-from .linalg import LabeledPoint, SparseVector
+from .linalg import LabeledPoint
 
-__all__ = ["BinaryClassificationMetrics", "log_perplexity"]
+__all__ = ["BinaryClassificationMetrics"]
 
 
 class BinaryClassificationMetrics:
@@ -92,33 +90,6 @@ class BinaryClassificationMetrics:
         tp, _fp, _tn, fn = self.confusion_at(threshold)
         return tp / (tp + fn) if tp + fn > 0 else 0.0
 
-    def f1_at(self, threshold: float) -> float:
-        precision = self.precision_at(threshold)
-        recall = self.recall_at(threshold)
-        if precision + recall == 0:
-            return 0.0
-        return 2 * precision * recall / (precision + recall)
-
     def accuracy_at(self, threshold: float) -> float:
         tp, fp, tn, fn = self.confusion_at(threshold)
         return (tp + tn) / (tp + fp + tn + fn)
-
-
-def log_perplexity(model: LDAModel, docs: Sequence[SparseVector]) -> float:
-    """Per-token log perplexity of held-out documents (lower is better).
-
-    Uses the model's variational document inference to build per-document
-    word distributions, like MLlib's ``logPerplexity``.
-    """
-    total_log_prob = 0.0
-    total_tokens = 0.0
-    for doc in docs:
-        if doc.nnz == 0:
-            continue
-        theta = model.infer(doc)
-        word_probs = theta @ model.topics[:, doc.indices] + 1e-100
-        total_log_prob += float(doc.values @ np.log(word_probs))
-        total_tokens += float(doc.values.sum())
-    if total_tokens == 0:
-        raise ValueError("perplexity of an empty corpus")
-    return -total_log_prob / total_tokens

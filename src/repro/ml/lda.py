@@ -58,30 +58,6 @@ class LDAModel:
         self.doc_concentration = doc_concentration
         self.topic_concentration = topic_concentration
 
-    @property
-    def k(self) -> int:
-        return self.topics.shape[0]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.topics.shape[1]
-
-    def describe_topics(self, max_terms: int = 10) -> List[List[int]]:
-        """Top ``max_terms`` word indices per topic."""
-        order = np.argsort(-self.topics, axis=1)
-        return [list(map(int, order[k, :max_terms])) for k in range(self.k)]
-
-    def infer(self, doc: SparseVector, sweeps: int = _E_STEP_SWEEPS
-              ) -> np.ndarray:
-        """Posterior topic mixture for one document."""
-        gamma = np.ones(self.k)
-        beta_w = self.topics[:, doc.indices]  # K x nnz
-        for _ in range(sweeps):
-            phi = beta_w * gamma[:, None]
-            phi /= phi.sum(axis=0, keepdims=True) + 1e-100
-            gamma = self.doc_concentration + phi @ doc.values
-        return gamma / gamma.sum()
-
 
 class EStepSeqOp(Costed):
     """LDA's ``seqOp``: the per-document E-step plus the partition fold.

@@ -8,7 +8,7 @@ are vectorized gathers/scatters — no Python-level loops over non-zeros.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,31 +92,6 @@ class SparseVector:
             raise ValueError(
                 f"dimension mismatch: {self.size} vs {target.size}")
         target.scatter_add(self.indices, scale * self.values)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.size)
-        out[self.indices] = self.values
-        return out
-
-    def norm_sq(self) -> float:
-        """Squared L2 norm."""
-        return float(self.values @ self.values)
-
-    @classmethod
-    def from_dense(cls, dense: Iterable[float]) -> "SparseVector":
-        arr = np.asarray(list(dense), dtype=np.float64)
-        idx = np.flatnonzero(arr)
-        return cls(arr.size, idx, arr[idx])
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SparseVector)
-                and self.size == other.size
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.values, other.values))
-
-    def __hash__(self) -> int:  # pragma: no cover - rarely used
-        return hash((self.size, self.indices.tobytes(),
-                     self.values.tobytes()))
 
     def __repr__(self) -> str:
         return f"<SparseVector size={self.size} nnz={self.nnz}>"

@@ -14,12 +14,11 @@ that from stage granularity down to tasks, messages and ring hops:
 * :mod:`repro.obs.log` — JSON-lines event-log export/import with a
   versioned schema,
 * :mod:`repro.obs.chrome_trace` — a Chrome ``trace_event`` / Perfetto
-  exporter laying out executors×cores, the driver, and NIC lanes on the
-  virtual-time axis,
-* :mod:`repro.obs.metrics` — one labeled store of counters / gauges /
-  histograms over virtual-time windows with exact quantile queries, the
-  bus-fed :class:`MetricsListener` that fills it, and a
-  :class:`NicMonitor` process sampling NIC utilization,
+  exporter laying out executors×cores and the driver on the virtual-time
+  axis,
+* :mod:`repro.obs.metrics` — one labeled store of counters and
+  histograms over virtual-time windows with exact quantile queries, and
+  the bus-fed :class:`MetricsListener` that fills it,
 * :mod:`repro.obs.tracing` — the causal-span allocator
   (:class:`Tracer`, owned by every bus) stamping
   ``span_id``/``parent_span_id`` on traced events,
@@ -27,7 +26,7 @@ that from stage granularity down to tasks, messages and ring hops:
   built in one pass: the Figure-2-style phase and stage decomposition,
   exact per-job makespan attribution (compute / serde / wire / queueing /
   recovery), one row per collective (tuner decision, measured window,
-  slowest hop), stragglers, driver-NIC saturation, sparse savings and
+  slowest hop), stragglers, sparse savings and
   the fault report with its recovery epochs
   (``python -m repro.obs events.jsonl`` renders it).
 
@@ -74,7 +73,6 @@ from .events import (
     JobStart,
     MessageDelivered,
     MessageSent,
-    NicSample,
     PhaseSpan,
     PoolSample,
     RecoveryAction,
@@ -94,15 +92,8 @@ from .events import (
     channel_str,
     event_from_record,
 )
-from .log import SCHEMA_NAME, SCHEMA_VERSION, EventLogWriter, dump_events, load_events
-from .metrics import (
-    Gauge,
-    Histogram,
-    MetricCounter,
-    MetricsListener,
-    MetricsStore,
-    NicMonitor,
-)
+from .log import SCHEMA_NAME, SCHEMA_VERSION, EventLogWriter, load_events
+from .metrics import Histogram, MetricCounter, MetricsListener, MetricsStore
 from .tracing import NO_SPAN, Tracer
 
 __all__ = [
@@ -129,7 +120,6 @@ __all__ = [
     "ImmMerge",
     "SegmentRepresentation",
     "PhaseSpan",
-    "NicSample",
     "FaultInjected",
     "RecoveryAction",
     "CollectiveDowngraded",
@@ -143,7 +133,6 @@ __all__ = [
     "ServiceJobFinished",
     "PoolSample",
     "EventLogWriter",
-    "dump_events",
     "load_events",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
@@ -151,10 +140,8 @@ __all__ = [
     "write_chrome_trace",
     "MetricsStore",
     "MetricCounter",
-    "Gauge",
     "Histogram",
     "MetricsListener",
-    "NicMonitor",
     "FaultReport",
     "SparseSavings",
     "classify_stage",

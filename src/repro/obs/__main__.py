@@ -4,9 +4,9 @@
 (:func:`~repro.obs.critical_path.attribute_critical_path`): the
 Figure-2-style time decomposition (phase and stage buckets), the per-job
 critical-path attribution, one table of collectives (tuner decision,
-measured window, slowest hop and chain), stragglers, the fault report
+measured window, slowest hop and chain), stragglers and the fault report
 (injected faults with detection latency, recovery actions, recovery
-epochs and their cost), and driver-NIC saturation windows.
+epochs and their cost).
 ``--chrome trace.json`` additionally writes a Perfetto-loadable Chrome
 trace, and ``--metrics`` dumps the labeled metrics store fed from the
 log (``--window`` sets its bucket width).
@@ -234,19 +234,6 @@ def render_report(report: CriticalPathReport) -> str:
                   if s.action == "speculative_won")
         out.append(f"speculative attempts: {launched} launched, "
                    f"{won} won the commit race")
-
-    out.append("")
-    if report.saturation:
-        rows = [[w.hostname, w.direction, f"{w.start:.4f}s",
-                 f"{w.end:.4f}s", format_seconds(w.duration),
-                 f"{100.0 * w.peak_utilization:.0f}%"]
-                for w in report.saturation]
-        out.append(format_table(
-            ["node", "dir", "start", "end", "duration", "peak"],
-            rows, title="Driver-NIC saturation windows"))
-    else:
-        out.append("driver-NIC saturation: none observed "
-                   "(no samples at/above threshold)")
     return "\n".join(out)
 
 
@@ -281,10 +268,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=_number(0.0, math.inf, "use a straggler factor > 0"),
         help="flag tasks slower than this multiple of their stage median "
              "(default: 2.0)")
-    parser.add_argument(
-        "--saturation-threshold", default=0.9,
-        type=_number(0.0, 1.0, "use a saturation threshold in (0, 1]"),
-        help="NIC utilization that counts as saturated (default: 0.9)")
     args = parser.parse_args(argv)
 
     try:
@@ -294,8 +277,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     print(render_report(attribute_critical_path(
-        events, straggler_factor=args.straggler_factor,
-        saturation_threshold=args.saturation_threshold)))
+        events, straggler_factor=args.straggler_factor)))
 
     if args.metrics:
         print()

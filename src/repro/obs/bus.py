@@ -90,9 +90,6 @@ class EventBus:
         for delivery in self._deliveries:
             delivery(event)
 
-    def __len__(self) -> int:
-        return len(self._listeners)
-
     def __repr__(self) -> str:
         return f"<EventBus listeners={len(self._listeners)} emitted={self.emitted}>"
 
@@ -116,12 +113,6 @@ class RecordingListener:
     def of_kind(self, kind: str) -> List[TraceEvent]:
         """All recorded events with the given ``kind`` discriminator."""
         return [e for e in self.events if e.kind == kind]
-
-    def clear(self) -> None:
-        self.events.clear()
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def __repr__(self) -> str:
         return f"<RecordingListener events={len(self.events)}>"

@@ -12,9 +12,7 @@ natively:
   (``agg.compute`` / ``ml.driver`` / ... spans from the stopwatch);
   injected faults and recovery actions appear as instant markers on the
   job lane, and each detection->recovered epoch is a span on a
-  dedicated *recovery* lane,
-* a *NIC* process carrying per-node utilization counter tracks sampled
-  by :class:`~repro.obs.metrics.NicMonitor`.
+  dedicated *recovery* lane.
 
 Critical paths are drawn as flow arrows (``ph: s/t/f``): each job's
 slice chains through its stages' critical tasks, and each collective's
@@ -46,7 +44,6 @@ __all__ = ["chrome_trace", "write_chrome_trace"]
 
 #: process ids of the fixed lanes
 DRIVER_PID = 1
-NIC_PID = 2
 #: executors start here: pid = EXECUTOR_PID_BASE + executor_id
 EXECUTOR_PID_BASE = 10
 #: driver-process thread id of the recovery-epoch lane
@@ -315,23 +312,6 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
             out.append(_flow("f", flow_id, coords[0], coords[1],
                              hop.began, name))
             flow_id += 1
-
-    # ---------------------------------------------------------------- NIC
-    nic_samples = [e for e in events if e.kind == "nic_sample"]
-    if nic_samples:
-        out += _meta(NIC_PID, "NIC", sort_index=1)
-        hosts = sorted({(e.node_id, e.hostname, e.is_driver)
-                        for e in nic_samples})
-        tids = {node_id: tid for tid, (node_id, _h, _d) in enumerate(hosts)}
-        for tid, (node_id, hostname, is_driver) in enumerate(hosts):
-            label = f"{hostname} (driver)" if is_driver else hostname
-            out += _meta(NIC_PID, label, tid=tid, sort_index=tid)
-        for e in nic_samples:
-            out.append({"ph": "C", "pid": NIC_PID,
-                        "tid": tids[e.node_id],
-                        "name": f"{e.hostname}.nic", "ts": e.time * _US,
-                        "args": {"in": e.in_utilization,
-                                 "out": e.out_utilization}})
 
     return {"traceEvents": out, "displayTimeUnit": "ms",
             "otherData": {"source": "repro.obs", "time_unit": "virtual"}}

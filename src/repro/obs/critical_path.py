@@ -25,8 +25,8 @@ in ``repro.obs``. It answers *where the time went* at three grains:
 * every dispatched collective: the tuner's decision, the measured
   window, its slowest hop and rank chain.
 
-Beside these it carries the run's counts, the stragglers, driver-NIC
-saturation windows, the sparse wire savings and the fault report
+Beside these it carries the run's counts, the stragglers, the sparse
+wire savings and the fault report
 (injected faults, recovery actions and epochs, downgrades, lost
 residuals, speculation). There is one straggler rule — an ``ok`` attempt
 slower than ``straggler_factor`` times its stage's median ``ok``
@@ -51,14 +51,12 @@ the report as text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 from statistics import median
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .events import (
     CollectiveDowngraded,
     FaultInjected,
-    NicSample,
     RecoveryAction,
     ResidualLost,
     SpeculativeAttempt,
@@ -78,7 +76,6 @@ __all__ = [
     "RecoveryEpoch",
     "UnfinishedJob",
     "Straggler",
-    "SaturationWindow",
     "SparseSavings",
     "FaultReport",
     "CriticalPathReport",
@@ -147,10 +144,6 @@ class CriticalTask:
     ended: float
     #: non-empty when this attempt is in the report's ``stragglers``
     blame: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.ended - self.began
 
 
 @dataclass
@@ -291,26 +284,8 @@ class Straggler:
     executor_id: int
     duration: float
     stage_median: float
-
-    @property
-    def slowdown(self) -> float:
-        return self.duration / self.stage_median
-
-
-@dataclass(frozen=True)
-class SaturationWindow:
-    """A contiguous run of NIC samples at or above the threshold."""
-
-    node_id: int
-    hostname: str
-    direction: str  # "in" | "out"
-    start: float
-    end: float
-    peak_utilization: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+    #: ``duration / stage_median``
+    slowdown: float
 
 
 @dataclass
@@ -418,8 +393,6 @@ class CriticalPathReport:
     straggler_factor: float = 2.0
     #: slowest first
     stragglers: List[Straggler] = field(default_factory=list)
-    #: driver-NIC windows at or above the saturation threshold
-    saturation: List[SaturationWindow] = field(default_factory=list)
     sparse: SparseSavings = field(default_factory=SparseSavings)
     faults: FaultReport = field(default_factory=FaultReport)
     #: what the log held that the report could not attribute, and why
@@ -477,34 +450,11 @@ def _stragglers(tasks_by_stage: Dict[Tuple[int, int], List[TaskEnd]],
         found += [Straggler(stage_id=stage_id, stage_attempt=stage_attempt,
                             partition=t.partition, attempt=t.attempt,
                             executor_id=t.executor_id, duration=t.duration,
-                            stage_median=stage_median)
+                            stage_median=stage_median,
+                            slowdown=t.duration / stage_median)
                   for t in ok if t.duration > factor * stage_median]
     found.sort(key=lambda s: -s.slowdown)
     return found
-
-
-def _saturation_windows(samples: Sequence[NicSample],
-                        threshold: float) -> List[SaturationWindow]:
-    """Contiguous ≥-threshold runs per (node, direction), sample-aligned."""
-    windows: List[SaturationWindow] = []
-    by_node: Dict[int, List[NicSample]] = {}
-    for s in samples:
-        by_node.setdefault(s.node_id, []).append(s)
-    for node_id, series in sorted(by_node.items()):
-        series.sort(key=lambda s: s.time)
-        for direction in ("in", "out"):
-            utils = [(s.time, getattr(s, f"{direction}_utilization"))
-                     for s in series]
-            for hot, run in groupby(utils, key=lambda u: u[1] >= threshold):
-                if hot:
-                    run = list(run)
-                    windows.append(SaturationWindow(
-                        node_id=node_id, hostname=series[0].hostname,
-                        direction=direction, start=run[0][0],
-                        end=run[-1][0],
-                        peak_utilization=max(u for _, u in run)))
-    windows.sort(key=lambda w: (w.start, w.node_id, w.direction))
-    return windows
 
 
 def _recovery_epochs(actions: List[RecoveryAction]) -> List[RecoveryEpoch]:
@@ -557,15 +507,12 @@ def _job_in_recovery(job_start: TraceEvent,
 
 # ---------------------------------------------------------------- analyzer
 def attribute_critical_path(events: Iterable[TraceEvent],
-                            straggler_factor: float = 2.0,
-                            saturation_threshold: float = 0.9
+                            straggler_factor: float = 2.0
                             ) -> CriticalPathReport:
     """Build the one report of a recorded run, in one pass over ``events``.
 
     ``straggler_factor`` flags ``ok`` attempts slower than that multiple
-    of their stage's median ``ok`` attempt; ``saturation_threshold`` is
-    the driver-NIC utilization that counts as saturated (the driver's NIC
-    is the paper's bottleneck; no other node is scanned).
+    of their stage's median ``ok`` attempt.
 
     Never raises on degenerate input: empty iterables, logs truncated
     mid-job, detached-mode streams with no job events, stages with
@@ -587,7 +534,6 @@ def attribute_critical_path(events: Iterable[TraceEvent],
     completed: Dict[int, TraceEvent] = {}
     ring_hops: List[TraceEvent] = []
     streams: List[TraceEvent] = []
-    driver_nic: List[NicSample] = []
     stage_owner: Dict[Tuple[int, int], int] = {}
     # jobs whose id or stage ids a second context reuses in the same log
     reused_jobs: Set[int] = set()
@@ -649,9 +595,6 @@ def attribute_critical_path(events: Iterable[TraceEvent],
             job_ends[event.job_id] = event
         elif kind == "phase":
             phases[event.key] = phases.get(event.key, 0.0) + event.seconds
-        elif kind == "nic_sample":
-            if event.is_driver:
-                driver_nic.append(event)
         elif kind == "segment_repr":
             sparse.switches.append(event)
         elif kind == "chunk_stream":
@@ -689,7 +632,6 @@ def attribute_critical_path(events: Iterable[TraceEvent],
                     (fault, answer.time - fault.time))
     report.recovery_epochs = _recovery_epochs(faults.actions)
     report.stragglers = _stragglers(tasks_by_stage, straggler_factor)
-    report.saturation = _saturation_windows(driver_nic, saturation_threshold)
     if reused_jobs:
         report.notes.append(
             f"job ids {sorted(reused_jobs)} open more than once or share "

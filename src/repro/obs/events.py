@@ -40,7 +40,6 @@ __all__ = [
     "ImmMerge",
     "SegmentRepresentation",
     "PhaseSpan",
-    "NicSample",
     "FaultInjected",
     "RecoveryAction",
     "CollectiveDowngraded",
@@ -750,22 +749,6 @@ class PoolSample(TraceEvent):
     queued_tickets: int
 
 
-# --------------------------------------------------------------- sampling
-@dataclass(frozen=True, slots=True)
-class NicSample(TraceEvent):
-    """One NIC utilization sample from a monitor process."""
-
-    kind: ClassVar[str] = "nic_sample"
-
-    node_id: int
-    hostname: str
-    is_driver: bool
-    in_rate: float
-    out_rate: float
-    in_utilization: float
-    out_utilization: float
-
-
 #: discriminator -> event class, for deserialization
 EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
     cls.kind: cls
@@ -774,7 +757,7 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         TaskEnd, BlockEvent, ColumnarFold, MessageSent, MessageDelivered,
         RingHop,
         ChunkStream, ResidualNorm, ImmMerge, SegmentRepresentation,
-        PhaseSpan, NicSample, FaultInjected, RecoveryAction,
+        PhaseSpan, FaultInjected, RecoveryAction,
         CollectiveDowngraded, ResidualLost, SpeculativeAttempt,
         ExecutorHealth, CollectiveCostEstimate, CollectiveChosen,
         CollectiveCompleted, ServiceJobSubmitted, ServiceJobFinished,

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, List, Optional, Sequence, Union
+from typing import IO, List, Optional, Union
 
 from .bus import EventBus
 from .events import TraceEvent, event_from_record
 
 __all__ = ["SCHEMA_NAME", "SCHEMA_VERSION", "EventLogWriter",
-           "dump_events", "load_events"]
+           "load_events"]
 
 SCHEMA_NAME = "sparker.events"
 SCHEMA_VERSION = 3
@@ -124,17 +124,6 @@ class EventLogWriter:
     def __repr__(self) -> str:
         state = "closed" if self._handle is None else "open"
         return f"<EventLogWriter {str(self.path)!r} {state} n={self.written}>"
-
-
-def dump_events(events: Sequence[TraceEvent],
-                target: Union[str, Path]) -> int:
-    """Write an in-memory event list as a JSON-lines log; returns count."""
-    path = Path(target)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(_header() + "\n")
-        for event in events:
-            handle.write(_ENCODER.encode(event.to_record()) + "\n")
-    return len(events)
 
 
 def load_events(source: Union[str, Path]) -> List[TraceEvent]:

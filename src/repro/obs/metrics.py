@@ -1,43 +1,34 @@
-"""One labeled, windowed instrument store, its bus listener, and the NIC
-monitor.
+"""One labeled, windowed instrument store and its bus listener.
 
 Complements the event log with aggregate instruments, Spark's
 ``metrics.properties`` sinks in miniature, answering *how much, when,
 and where*:
 
-* :class:`MetricsStore` — labeled counters, gauges and histograms whose
+* :class:`MetricsStore` — labeled counters and histograms whose
   observations land in fixed-width virtual-time windows
   (``bucket = floor(time / window)``). A whole-run figure is the query
   with no labels: ``store.total("ring.bytes")`` sums every series of that
   name, ``store.total("ring.bytes", channel="ring")`` only those whose
   labels include ``channel="ring"`` (queries match by label *subset*),
-* :class:`MetricCounter` (per-window sums), :class:`Gauge` (last write
-  per window) and :class:`Histogram` (per-window sample lists, sorted at
-  query time; :func:`quantile` is the one exact nearest-rank quantile),
+* :class:`MetricCounter` (per-window sums) and :class:`Histogram`
+  (per-window sample lists, sorted at query time; :func:`quantile` is the
+  one exact nearest-rank quantile),
 * :class:`MetricsListener` — feeds a store from the bus or from a
-  replayed log,
-* :class:`NicMonitor` — a simulated monitor process sampling every node's
-  NIC utilization from the flow network at a fixed virtual-time cadence,
-  emitting :class:`~repro.obs.events.NicSample` events.
+  replayed log.
 
-All instruments are bookkeeping only; sampling reads flow state without
-touching it, so attaching metrics never changes simulated timings.
+All instruments are bookkeeping only, so attaching metrics never changes
+simulated timings.
 """
 
 from __future__ import annotations
 
 import math
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .bus import EventBus
-from .events import NicSample, TraceEvent
+from .events import TraceEvent
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..cluster.placement import Cluster
-
-__all__ = ["LabelSet", "quantile", "MetricCounter", "Gauge", "Histogram",
-           "MetricsStore", "MetricsListener", "NicMonitor"]
+__all__ = ["LabelSet", "quantile", "MetricCounter", "Histogram",
+           "MetricsStore", "MetricsListener"]
 
 #: canonical label form: sorted (key, value-as-str) pairs
 LabelSet = Tuple[Tuple[str, str], ...]
@@ -96,30 +87,6 @@ class MetricCounter(_Instrument):
         return sum(self.buckets.values())
 
 
-class Gauge(_Instrument):
-    """Per-window last-write-wins values."""
-
-    __slots__ = ("_stamp",)
-
-    def __init__(self, name: str, labels: LabelSet, window: float):
-        super().__init__(name, labels, window)
-        self._stamp: Dict[int, float] = {}
-
-    def set(self, time: float, value: float) -> None:
-        bucket = self.bucket(time)
-        if time >= self._stamp.get(bucket, -math.inf):
-            self.buckets[bucket] = value
-            self._stamp[bucket] = time
-
-    @property
-    def last(self) -> float:
-        return self.buckets[max(self.buckets)] if self.buckets else 0.0
-
-    @property
-    def updated_at(self) -> Optional[float]:
-        return self._stamp[max(self._stamp)] if self._stamp else None
-
-
 class Histogram(_Instrument):
     """Per-window sample lists; observing is an append."""
 
@@ -158,8 +125,7 @@ class MetricsStore:
     line up and merge cleanly.
     """
 
-    _KINDS = {"counter": MetricCounter, "gauge": Gauge,
-              "histogram": Histogram}
+    _KINDS = {"counter": MetricCounter, "histogram": Histogram}
 
     def __init__(self, window: float = 0.01):
         if window <= 0:
@@ -181,9 +147,6 @@ class MetricsStore:
     def counter(self, name: str, **labels: Any) -> MetricCounter:
         return self._get("counter", name, labels)
 
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get("gauge", name, labels)
-
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get("histogram", name, labels)
 
@@ -197,24 +160,12 @@ class MetricsStore:
         """Every counter series of ``name`` whose labels ⊇ ``labels``."""
         return self._find("counter", name, labels)
 
-    def gauges(self, name: str, **labels: Any) -> List[Gauge]:
-        return self._find("gauge", name, labels)
-
     def histograms(self, name: str, **labels: Any) -> List[Histogram]:
         return self._find("histogram", name, labels)
 
     def total(self, name: str, **labels: Any) -> float:
         """Summed counter total across matching series."""
         return sum(inst.total for inst in self.counters(name, **labels))
-
-    def rate(self, name: str, **labels: Any) -> List[Tuple[float, float]]:
-        """Merged counter buckets as ``(window_start, per_second)`` rows."""
-        merged: Dict[int, float] = {}
-        for inst in self.counters(name, **labels):
-            for bucket, amount in inst.buckets.items():
-                merged[bucket] = merged.get(bucket, 0.0) + amount
-        return [(bucket * self.window, amount / self.window)
-                for bucket, amount in sorted(merged.items())]
 
     def samples(self, name: str, t0: Optional[float] = None,
                 t1: Optional[float] = None, **labels: Any) -> List[float]:
@@ -225,11 +176,6 @@ class MetricsStore:
         out.sort()
         return out
 
-    def quantile(self, name: str, q: float, t0: Optional[float] = None,
-                 t1: Optional[float] = None, **labels: Any) -> float:
-        """Exact nearest-rank quantile over merged histogram samples."""
-        return quantile(self.samples(name, t0, t1, **labels), q)
-
     def names(self) -> List[Tuple[str, str]]:
         """Every ``(kind, name)`` with at least one series, sorted."""
         return sorted({(kind, n) for kind, series in self._series.items()
@@ -238,20 +184,12 @@ class MetricsStore:
     # ----------------------------------------------------------- summary
     def summary(self, by: Optional[Mapping[str, str]] = None) -> str:
         """A plain-text dump: one line per counter or histogram name with
-        its series merged, one line per gauge series. ``by`` maps a name
+        its series merged. ``by`` maps a name
         to a label; each value of that label gets its own indented line.
         """
         by = by or {}
         lines: List[str] = []
         for kind, name in self.names():
-            if kind == "gauge":
-                for inst in self.gauges(name):
-                    labels = ",".join(f"{k}={v}" for k, v in inst.labels)
-                    stamp = ("" if inst.updated_at is None
-                             else f" @ {inst.updated_at:.6g}s")
-                    lines.append(f"gauge     {name}{{{labels}}}: "
-                                 f"last={inst.last:g}{stamp}")
-                continue
             series = self._find(kind, name, {})
             lines.append(f"{kind:<9} {name}: "
                          + self._figures(kind, name, {})
@@ -291,8 +229,7 @@ class MetricsListener:
 
     Maintains the distributions the paper's diagnosis leans on: message
     sizes (Figure 13's regime), task durations per stage (skew /
-    stragglers), shuffle and result byte counters, and per-node NIC
-    utilization gauges refreshed by :class:`NicMonitor` samples. Carries
+    stragglers), and shuffle and result byte counters. Carries
     a ``stage_id -> job_id`` map built from ``stage_submitted`` events so
     per-task series get a ``job`` label even though
     :class:`~repro.obs.events.TaskEnd` does not name its job.
@@ -375,12 +312,6 @@ class MetricsListener:
             store.counter("ml.columnar.folds").inc(t)
             if event.built:
                 store.counter("ml.columnar.builds").inc(t)
-        elif kind == "nic_sample":
-            node = "driver" if event.is_driver else event.hostname
-            store.gauge("nic.utilization", node=node,
-                        direction="in").set(t, event.in_utilization)
-            store.gauge("nic.utilization", node=node,
-                        direction="out").set(t, event.out_utilization)
         elif kind == "collective_completed":
             store.histogram("collective.seconds",
                             algorithm=event.algorithm,
@@ -393,64 +324,3 @@ class MetricsListener:
             if event.action == "recovered":
                 store.histogram("recovery.seconds",
                                 site=event.site).observe(t, event.seconds)
-
-
-class NicMonitor:
-    """A simulated monitor process sampling NIC utilization.
-
-    Every ``interval`` virtual seconds it reads each node's aggregate NIC
-    ingress/egress rate from the flow network and emits one
-    :class:`NicSample` per node (driver included). Sampling is read-only
-    — it observes flow allocations without perturbing them — so a run
-    with a monitor attached reaches identical virtual times.
-
-    The monitor process lives until ``stop()``; pending sample timeouts
-    after the workload finishes are harmless (the context only ever runs
-    the simulation up to its own job processes).
-    """
-
-    def __init__(self, cluster: "Cluster", bus: EventBus,
-                 interval: float = 0.05):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.cluster = cluster
-        self.bus = bus
-        self.interval = interval
-        self.samples = 0
-        self._stopped = False
-        self._proc = cluster.env.process(self._body(), name="nic-monitor")
-
-    def _nodes(self):
-        nodes = list(self.cluster.nodes)
-        driver = self.cluster.driver_node
-        if all(node is not driver for node in nodes):
-            nodes.append(driver)
-        return nodes
-
-    def _body(self):
-        env = self.cluster.env
-        flows = self.cluster.network.flows
-        driver = self.cluster.driver_node
-        while not self._stopped:
-            if self.bus.active:
-                for node in self._nodes():
-                    in_rate = flows.link_rate(node.nic_in)
-                    out_rate = flows.link_rate(node.nic_out)
-                    self.bus.emit(NicSample.fast(
-                        time=env.now, node_id=node.node_id,
-                        hostname=node.hostname,
-                        is_driver=node is driver,
-                        in_rate=in_rate, out_rate=out_rate,
-                        in_utilization=in_rate / node.nic_in.capacity,
-                        out_utilization=out_rate / node.nic_out.capacity,
-                        span_id=self.bus.tracer.new_span()))
-                    self.samples += 1
-            yield env.timeout(self.interval)
-
-    def stop(self) -> None:
-        """Stop sampling after the current interval elapses."""
-        self._stopped = True
-
-    def __repr__(self) -> str:
-        state = "stopped" if self._stopped else "running"
-        return f"<NicMonitor {state} samples={self.samples}>"

@@ -62,10 +62,6 @@ class Tracer:
         self._parents = threading.local()
 
     # ----------------------------------------------------------- allocation
-    @property
-    def active(self) -> bool:
-        return self._bus.active
-
     def new_span(self, parent: int = NO_SPAN) -> int:
         """Allocate a fresh span id (parent is recorded by the caller on
         the emitted event, not here)."""

@@ -59,18 +59,10 @@ class Accumulator(Generic[T]):
         ctx.accumulator_updates[self.accum_id] = self._add_op(buffered,
                                                               amount)
 
-    def __iadd__(self, amount: T) -> "Accumulator[T]":
-        self.add(amount)
-        return self
-
     # ------------------------------------------------------------- plumbing
     def _apply(self, amount: T) -> None:
         """Driver-side merge of one completed attempt's buffered update."""
         self._value = self._add_op(self._value, amount)
-
-    def reset(self) -> None:
-        """Driver-side reset to the zero value."""
-        self._value = self._zero
 
     def __repr__(self) -> str:
         return f"<Accumulator {self.name!r} id={self.accum_id}>"

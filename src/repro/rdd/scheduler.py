@@ -49,6 +49,8 @@ from .rdd import RDD, ShuffleDependency
 from .shuffle import FetchFailed
 from .speculation import (
     BACKUP_FAILED,
+    INTERVAL,
+    MIN_TASKS,
     CommitGate,
     SpeculationLost,
     SpeculationWave,
@@ -84,10 +86,6 @@ class StageInfo:
     #: engine job the stage ran for (contexts shared by several tenants
     #: interleave their stages in ``stage_log``)
     job_id: int = -1
-
-    @property
-    def finished(self) -> bool:
-        return self.finished_at is not None
 
     @property
     def duration(self) -> Optional[float]:
@@ -440,7 +438,7 @@ class DAGScheduler:
 
             task_factory = factory
         if (policy is not None and retry_tasks
-                and len(partitions) >= policy.min_tasks):
+                and len(partitions) >= MIN_TASKS):
             gate = CommitGate()
             wave = SpeculationWave(env, total=len(partitions))
 
@@ -484,7 +482,7 @@ class DAGScheduler:
             ]
             if wave is not None:
                 monitor = env.process(
-                    self._speculation_monitor(rdd, wave, policy, factory),
+                    self._speculation_monitor(rdd, wave, factory),
                     name="speculation-monitor")
             results: Dict[int, Any] = {}
             failure: Optional[BaseException] = None
@@ -581,9 +579,6 @@ class DAGScheduler:
                     tried.add(executor.executor_id)
                     if not retry_tasks or failures >= MAX_TASK_FAILURES:
                         raise
-                    delay = health.retry_delay(failures)
-                    if delay > 0:
-                        yield sc.env.timeout(delay)
         except Interrupt:
             if current is not None and current.is_alive:
                 current.interrupt("stage aborted")
@@ -689,14 +684,14 @@ class DAGScheduler:
 
     # ---------------------------------------------------------- speculation
     def _speculation_monitor(self, rdd: RDD, wave: SpeculationWave,
-                             policy, task_factory) -> Generator:
+                             task_factory) -> Generator:
         """Process body: periodically clone straggling attempts."""
         sc = self.sc
         env = sc.env
         try:
             while True:
-                yield env.timeout(policy.interval)
-                threshold = wave.threshold(policy)
+                yield env.timeout(INTERVAL)
+                threshold = wave.threshold()
                 if threshold is None:
                     continue
                 now = env.now

@@ -108,6 +108,3 @@ class ShuffleStore:
 
     def clear(self) -> None:
         self._buckets.clear()
-
-    def __len__(self) -> int:
-        return len(self._buckets)

@@ -5,11 +5,12 @@ other executors and lets whichever copy finishes first "win". This module
 is that mechanism for the simulated engine, split into the pieces the
 :class:`~repro.rdd.scheduler.DAGScheduler` composes per task wave:
 
-* :class:`SpeculationPolicy` — the knobs (all mirroring Spark's
-  ``spark.speculation.*`` family): how often the monitor wakes, what
-  fraction of the wave must have finished before durations are trusted,
-  and the multiple of the median duration past which a running attempt
-  counts as a straggler.
+* :class:`SpeculationPolicy` — set on a context, it arms the monitor
+  (Spark's ``spark.speculation``); the constants below are the values of
+  Spark's ``spark.speculation.*`` family: how often the monitor wakes,
+  what fraction of the wave must have finished before durations are
+  trusted, and the multiple of the median duration past which a running
+  attempt counts as a straggler.
 * :class:`CommitGate` — the first-completion-wins fence. Every gated
   attempt must :meth:`~CommitGate.claim` its partition before emitting
   output or publishing accumulator updates; exactly one claim per
@@ -73,33 +74,24 @@ class SpeculationLost(Exception):
     """
 
 
+#: the monitor wakes every INTERVAL virtual seconds. Once at least
+#: ``max(MIN_TASKS, ceil(QUANTILE * wave_size))`` attempts of the wave have
+#: completed, any attempt running longer than MULTIPLIER times the median
+#: completed duration is cloned onto the healthiest idle executor;
+#: MIN_TASKS keeps one-task waves and cold starts from speculating on no
+#: evidence
+QUANTILE = 0.75
+MULTIPLIER = 1.5
+INTERVAL = 0.1
+MIN_TASKS = 2
+
+
 @dataclass(frozen=True)
 class SpeculationPolicy:
-    """When to clone a slow attempt (Spark's ``spark.speculation.*``).
-
-    The monitor wakes every ``interval`` virtual seconds. Once at least
-    ``max(min_tasks, ceil(quantile * wave_size))`` attempts of the wave
-    have completed, any attempt that has been running longer than
-    ``multiplier`` times the median completed duration is cloned onto
-    the healthiest idle executor. ``min_tasks`` keeps one-task waves
-    and cold starts from speculating on no evidence.
-    """
-
-    quantile: float = 0.75
-    multiplier: float = 1.5
-    interval: float = 0.1
-    min_tasks: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.quantile <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {self.quantile}")
-        if self.multiplier < 1.0:
-            raise ValueError(
-                f"multiplier must be >= 1, got {self.multiplier}")
-        if self.interval <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval}")
-        if self.min_tasks < 1:
-            raise ValueError(f"min_tasks must be >= 1, got {self.min_tasks}")
+    """Clone slow attempts (Spark's ``spark.speculation``): set
+    ``sc.speculation = SpeculationPolicy()`` to arm the monitor; when it
+    clones is fixed by :data:`QUANTILE`, :data:`MULTIPLIER`,
+    :data:`INTERVAL` and :data:`MIN_TASKS`."""
 
 
 class CommitGate:
@@ -175,13 +167,12 @@ class SpeculationWave:
         return attempt
 
     # ------------------------------------------------------------ detector
-    def threshold(self, policy: SpeculationPolicy) -> Optional[float]:
+    def threshold(self) -> Optional[float]:
         """Straggler cutoff, or None while the evidence is too thin."""
-        need = max(policy.min_tasks,
-                   int(math.ceil(policy.quantile * self.total)))
+        need = max(MIN_TASKS, int(math.ceil(QUANTILE * self.total)))
         if len(self.durations) < need or not self.running:
             return None
-        return policy.multiplier * median(self.durations)
+        return MULTIPLIER * median(self.durations)
 
     # ------------------------------------------------------------- commits
     def resolve(self, partition: int, value: Any) -> None:

@@ -99,10 +99,6 @@ class MemoryStore:
         block = self._blocks.get(block_id)
         return None if block is None else block.data
 
-    def size_of(self, block_id: BlockId) -> Optional[float]:
-        block = self._blocks.get(block_id)
-        return None if block is None else block.sim_bytes
-
     def contains(self, block_id: BlockId) -> bool:
         return block_id in self._blocks
 
@@ -110,8 +106,6 @@ class MemoryStore:
         self._blocks.clear()
         self.used_bytes = 0.0
 
-    def __len__(self) -> int:
-        return len(self._blocks)
 
 
 class BlockTracker:

@@ -16,9 +16,7 @@ serialize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
-
-from .sizeof import sim_sizeof
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.config import ClusterConfig
@@ -114,19 +112,6 @@ class SerdeModel:
         if nbytes < 0:
             raise ValueError(f"negative size: {nbytes}")
         return self.fixed + nbytes / self.deser_bandwidth
-
-    def round_trip_bytes(self, nbytes: float) -> float:
-        """Serialize + deserialize cost for ``nbytes``."""
-        return self.ser_time_bytes(nbytes) + self.deser_time_bytes(nbytes)
-
-    # -------------------------------------------------------------- by value
-    def ser_time(self, value: Any) -> float:
-        """Time to serialize ``value`` (size via :func:`sim_sizeof`)."""
-        return self.ser_time_bytes(sim_sizeof(value))
-
-    def deser_time(self, value: Any) -> float:
-        """Time to deserialize ``value``."""
-        return self.deser_time_bytes(sim_sizeof(value))
 
     def __repr__(self) -> str:
         return (f"<SerdeModel ser={self.ser_bandwidth:.3g}B/s "

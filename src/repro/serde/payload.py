@@ -48,12 +48,6 @@ class SizedPayload:
     def __len__(self) -> int:
         return len(self.data)
 
-    @property
-    def scale(self) -> float:
-        """Ratio of simulated to physical bytes."""
-        if self.data.nbytes == 0:
-            return 1.0
-        return self.sim_bytes / self.data.nbytes
 
     # ------------------------------------------------------------ operations
     def merge(self, other: "SizedPayload") -> "SizedPayload":
@@ -101,10 +95,6 @@ class SizedPayload:
     # array payload both directions coincide with the block split.
     chunk_split = split
     chunk_concat = concat
-
-    def copy(self) -> "SizedPayload":
-        """A deep copy (fresh physical array, same simulated size)."""
-        return SizedPayload(self.data.copy(), self.sim_bytes)
 
     def __repr__(self) -> str:
         return (f"<SizedPayload n={len(self.data)} "

@@ -39,7 +39,7 @@ so multi-tenancy changes *when* things happen, never *what* is computed.
 from ..rdd.context import JobCancelled
 from .fair import DEFAULT_POOL, FairTaskArbiter, PoolConfig
 from .reactor import Cooperator, ServiceDeadlock
-from .server import JobRecord, JobServer, JobStatus, QuotaExceeded
+from .server import JobRecord, JobServer, JobStatus
 from .session import JobHandle, SparkerSession
 from .traffic import (
     Arrival,
@@ -57,7 +57,6 @@ __all__ = [
     "JobRecord",
     "JobStatus",
     "JobCancelled",
-    "QuotaExceeded",
     "PoolConfig",
     "DEFAULT_POOL",
     "FairTaskArbiter",

@@ -47,13 +47,13 @@ class PoolConfig:
 
     ``weight`` scales the pool's slot share under contention (a weight-2
     pool is entitled to twice the running tasks of a weight-1 pool).
-    ``max_running`` / ``max_queued`` are *job*-level admission quotas
-    enforced by the :class:`~repro.service.server.JobServer`, not here.
+    ``max_running`` is a *job*-level admission quota enforced by the
+    :class:`~repro.service.server.JobServer`, not here: jobs beyond it
+    queue.
     """
 
     weight: float = 1.0
     max_running: Optional[int] = None
-    max_queued: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.weight <= 0:

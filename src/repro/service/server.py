@@ -6,7 +6,8 @@ submissions from many simulated tenants. Each admitted job runs its
 (unchanged, synchronous) driver code on a worker thread scheduled by the
 :class:`~repro.service.reactor.Cooperator`; task slots are arbitrated
 across tenant pools by the :class:`~repro.service.fair.FairTaskArbiter`;
-per-pool quotas bound how many jobs a tenant may have running or queued.
+a pool's ``max_running`` bounds how many of its jobs run at once, and
+queues the rest.
 
 Determinism: a fixed submission schedule (e.g. a seeded
 :mod:`~repro.service.traffic` generator) replays to a bit-identical
@@ -29,11 +30,7 @@ from ..sim import Process
 from .fair import DEFAULT_POOL, FairTaskArbiter, PoolConfig
 from .reactor import Cooperator
 
-__all__ = ["JobServer", "JobRecord", "JobStatus", "QuotaExceeded"]
-
-
-class QuotaExceeded(RuntimeError):
-    """The pool's running and queued job quotas are both full."""
+__all__ = ["JobServer", "JobRecord", "JobStatus"]
 
 
 class JobStatus:
@@ -146,11 +143,11 @@ class JobServer:
         ``body`` runs on its own worker thread with a
         :class:`~repro.rdd.context.JobScope` installed: pool billing, a
         per-job stopwatch, and IMM stages merged in the deterministic
-        ordered mode, which the scope itself selects (DESIGN.md §16). Raises
-        :class:`QuotaExceeded` when the pool's ``max_running`` *and*
-        ``max_queued`` are both saturated. Callable from the owner
-        thread, from another job, or from a simulation process (traffic
-        generators) — the job starts at the reactor's next turn.
+        ordered mode, which the scope itself selects (DESIGN.md §16). A
+        job beyond its pool's ``max_running`` waits in the pool's queue.
+        Callable from the owner thread, from another job, or from a
+        simulation process (traffic generators) — the job starts at the
+        reactor's next turn.
         """
         if self._closed:
             raise RuntimeError("job server is closed")
@@ -160,18 +157,11 @@ class JobServer:
         record = JobRecord(next(self._ids), tenant, pool, workload, body,
                            scope, submitted=self.sc.now,
                            done_event=self.sc.env.event(name="job-done"))
-        running = self._pool_running.get(pool, 0)
         queue_job = (pool_config.max_running is not None
-                     and running >= pool_config.max_running)
+                     and self._pool_running.get(pool, 0)
+                     >= pool_config.max_running)
         if queue_job:
-            pending = self._pool_pending.setdefault(pool, deque())
-            if (pool_config.max_queued is not None
-                    and len(pending) >= pool_config.max_queued):
-                raise QuotaExceeded(
-                    f"pool {pool!r} is full: {running} running "
-                    f"(max {pool_config.max_running}), {len(pending)} "
-                    f"queued (max {pool_config.max_queued})")
-            pending.append(record)
+            self._pool_pending.setdefault(pool, deque()).append(record)
         self.jobs.append(record)
         bus = self.sc.event_bus
         if bus.active:

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.spec import AggregationSpec
-from ..obs.metrics import quantile
-from .server import QuotaExceeded
 
 __all__ = ["TenantProfile", "Arrival", "TrafficResult",
            "arrival_schedule", "run_open_loop"]
@@ -104,45 +102,33 @@ def arrival_schedule(tenants: Sequence[TenantProfile],
 class TrafficResult:
     """Outcome of one open-loop run."""
 
-    #: (arrival, handle) pairs; handle is None when the quota bounced it
-    submissions: List[Tuple[Arrival, Optional[Any]]] = field(
-        default_factory=list)
+    #: (arrival, handle) pairs in submission order
+    submissions: List[Tuple[Arrival, Any]] = field(default_factory=list)
     #: virtual time from traffic start to last completion
     makespan: float = 0.0
 
     @property
     def handles(self) -> List[Any]:
-        return [h for _, h in self.submissions if h is not None]
+        return [h for _, h in self.submissions]
 
     @property
     def rejections(self) -> List[Arrival]:
-        return [a for a, h in self.submissions if h is None]
+        """Arrivals the service turned away: none, since it admits every
+        job and queues those beyond their pool's ``max_running``."""
+        return []
 
     @property
     def latencies(self) -> List[float]:
         return sorted(h.latency for h in self.handles
                       if h.latency is not None)
 
-    def percentile(self, q: float) -> float:
-        """Nearest-rank latency quantile over completed jobs (q in [0, 1])."""
-        return quantile(self.latencies, q)
-
-    def by_status(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for handle in self.handles:
-            counts[handle.status()] = counts.get(handle.status(), 0) + 1
-        return counts
-
 
 def submit_arrival(session, arrival: Arrival):
-    """Submit one materialized arrival; the handle, or None on quota."""
-    try:
-        return session.submit(
-            arrival.workload, spec=arrival.spec, pool=arrival.pool,
-            tenant=arrival.tenant, aggregation=arrival.aggregation,
-            iterations=arrival.iterations, partitions=arrival.partitions)
-    except QuotaExceeded:
-        return None
+    """Submit one materialized arrival; its handle."""
+    return session.submit(
+        arrival.workload, spec=arrival.spec, pool=arrival.pool,
+        tenant=arrival.tenant, aggregation=arrival.aggregation,
+        iterations=arrival.iterations, partitions=arrival.partitions)
 
 
 def run_open_loop(session, tenants: Sequence[TenantProfile],
@@ -151,8 +137,7 @@ def run_open_loop(session, tenants: Sequence[TenantProfile],
 
     The materialized schedule is submitted by a simulation process on
     the shared virtual clock, so arrival order is part of the
-    deterministic event sequence. Quota bounces are recorded, not
-    raised. Returns after the reactor drains.
+    deterministic event sequence. Returns after the reactor drains.
     """
     env = session.server.sc.env
     result = TrafficResult()
@@ -169,7 +154,7 @@ def run_open_loop(session, tenants: Sequence[TenantProfile],
                 (arrival, submit_arrival(session, arrival)))
         live[0] = False
 
-    # submissions[:settled[0]] are bounced or finished, and a finished job
+    # submissions[:settled[0]] are finished, and a finished job
     # stays finished: the pump's predicate resumes where it stopped
     # instead of re-walking every job on every kernel step
     settled = [0]
@@ -179,8 +164,7 @@ def run_open_loop(session, tenants: Sequence[TenantProfile],
             return False
         submissions = result.submissions
         i = settled[0]
-        while i < len(submissions) and (submissions[i][1] is None
-                                        or submissions[i][1].done()):
+        while i < len(submissions) and submissions[i][1].done():
             i += 1
         settled[0] = i
         return i == len(submissions)

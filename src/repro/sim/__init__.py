@@ -8,7 +8,7 @@ written from scratch so the repository has no dependency beyond NumPy.
 Public surface::
 
     from repro.sim import Environment, Resource
-    from repro.sim import all_of, any_of, Interrupt
+    from repro.sim import all_of, Interrupt
 """
 
 from .core import EmptySchedule, Environment
@@ -20,7 +20,6 @@ from .events import (
     SimulationError,
     Timeout,
     all_of,
-    any_of,
 )
 from .monitor import Stopwatch
 from .resources import Resource
@@ -35,7 +34,6 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "all_of",
-    "any_of",
     "Resource",
     "Stopwatch",
 ]

@@ -81,11 +81,6 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing (None outside process steps)."""
-        return self._active_process
-
-    @property
     def events_scheduled(self) -> int:
         """Total events ever scheduled (the host-perf throughput metric)."""
         return self._seq

@@ -12,7 +12,7 @@ module:
 * :class:`Timeout` — an event that fires after a fixed virtual delay,
 * :class:`Process` — a running generator, itself usable as an event that
   fires when the generator returns,
-* :class:`Condition` / :func:`all_of` / :func:`any_of` — event combinators.
+* :class:`Condition` / :func:`all_of` — the event combinator.
 
 Determinism is a hard requirement for reproducing the paper's figures, so
 events scheduled for the same virtual time fire in FIFO order of scheduling
@@ -33,7 +33,6 @@ __all__ = [
     "Process",
     "Condition",
     "all_of",
-    "any_of",
     "Interrupt",
     "SimulationError",
 ]
@@ -91,11 +90,6 @@ class Event:
         return self._state == PROCESSED
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        return self.triggered and self._exception is None
-
-    @property
     def value(self) -> Any:
         """The success value (raises if the event failed or is pending)."""
         if not self.triggered:
@@ -145,16 +139,6 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._value = value
         self._run_callbacks()
-
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of another (triggered) event onto this one.
-
-        Used by condition events to forward child outcomes.
-        """
-        if event._exception is not None:
-            self.fail(event._exception)
-        else:
-            self.succeed(event._value)
 
     # -- kernel hooks --------------------------------------------------------
     def _run_callbacks(self) -> None:
@@ -371,7 +355,7 @@ class Process(Event):
 class Condition(Event):
     """An event that fires when ``evaluate(children, n_done)`` is true.
 
-    Used through the :func:`all_of` / :func:`any_of` helpers. The condition
+    Used through the :func:`all_of` helper. The condition
     value is a dict mapping each *triggered* child event to its value, in
     child order (insertion-ordered).
     """
@@ -412,9 +396,3 @@ def all_of(env: "Environment", events: Iterable[Event]) -> Condition:
     """An event that fires once *all* of ``events`` have fired."""
     return Condition(env, lambda children, count: count == len(children),
                      events, name="all_of")
-
-
-def any_of(env: "Environment", events: Iterable[Event]) -> Condition:
-    """An event that fires as soon as *any* of ``events`` has fired."""
-    return Condition(env, lambda children, count: count >= 1,
-                     events, name="any_of")

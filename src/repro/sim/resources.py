@@ -11,7 +11,7 @@ The wait queue is strict FIFO, which keeps simulations deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Generator
+from typing import TYPE_CHECKING, Deque
 
 from .events import Event
 
@@ -47,16 +47,6 @@ class Resource:
         """Number of currently held slots."""
         return self._in_use
 
-    @property
-    def available(self) -> int:
-        """Number of free slots."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of processes waiting for a slot."""
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Return an event that fires when a slot has been granted."""
         event = self.env.event(name=f"acquire:{self.name}")
@@ -76,14 +66,6 @@ class Resource:
             waiter.succeed(self)  # slot transfers directly to the waiter
         else:
             self._in_use -= 1
-
-    def use(self, duration: float) -> Generator[Event, Any, None]:
-        """Process helper: hold one slot for ``duration`` seconds."""
-        yield self.acquire()
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release()
 
     def __repr__(self) -> str:
         return (f"<Resource {self.name!r} {self._in_use}/{self.capacity}"

@@ -21,12 +21,6 @@ def test_breakdown_totals():
     assert b.agg_fraction == 0.5
 
 
-def test_breakdown_scaled():
-    b = TimeBreakdown(1.0, 2.0, 3.0, 4.0).scaled(2.0)
-    assert b.total == 20.0
-    assert b.agg_compute == 2.0
-
-
 def test_breakdown_zero_total():
     assert TimeBreakdown(0, 0, 0, 0).agg_fraction == 0.0
 

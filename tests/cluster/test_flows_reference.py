@@ -2,14 +2,13 @@
 filling done the slow obvious way.
 
 The production solver (``repro.cluster.flows``) keeps the max-min
-allocation as persistent per-link state and applies every join, leave and
-capacity change as a delta. The reference below keeps nothing: at every
+allocation as persistent per-link state and applies every join and leave
+as a delta. The reference below keeps nothing: at every
 event it re-runs global progressive filling over all active flows and
 advances every flow's remaining bytes by ``rate * dt``. Scenarios are
 generated from a seed — up to a few hundred flows over 1-3 links each,
 per-flow caps, staggered and same-instant arrivals, flows that start at
-the instant another completes, and a link whose capacity drops mid-run and
-comes back — and the two must agree on every completion time to 1e-9
+the instant another completes — and the two must agree on every completion time to 1e-9
 (the virtual-time contract of DESIGN.md section 9). While the production
 run executes, the allocation is checked after every instant: rates are
 max-min fair and every flow delivers exactly its bytes.
@@ -67,10 +66,9 @@ class FlowSpec:
 class Scenario:
     capacities: List[float]
     flows: List[FlowSpec]
-    changes: List[Tuple[float, int, float]]  # (time, link, new capacity)
 
 
-def make_scenario(seed, n_flows, n_links, n_changes=2, delays=False,
+def make_scenario(seed, n_flows, n_links, delays=False,
                   contended=True, bundles=None):
     """``delays``: most flows are announced with a start delay.
     ``contended=False``: every flow is capped and no link can saturate.
@@ -115,15 +113,7 @@ def make_scenario(seed, n_flows, n_links, n_changes=2, delays=False,
             spec.streams = (rng.randint(2, 4) if bundles == "whole" else
                             rng.choice((1.5, 2.0, rng.uniform(1.0, 4.0))))
         flows.append(spec)
-    changes = []
-    for _ in range(n_changes):
-        link = rng.randrange(n_links)
-        down = rng.uniform(0.05, 0.4) * horizon
-        changes.append((down, link, capacities[link] * rng.uniform(0.2, 0.6)))
-        changes.append((down + rng.uniform(0.05, 0.3) * horizon, link,
-                        capacities[link]))
-    changes.sort()
-    return Scenario(capacities, flows, changes)
+    return Scenario(capacities, flows)
 
 
 def unbundled(scenario):
@@ -135,7 +125,7 @@ def unbundled(scenario):
         after = None if spec.after is None else first[spec.after]
         flows += [replace(spec, streams=1, after=after)
                   for _ in range(spec.streams)]
-    return Scenario(scenario.capacities, flows, scenario.changes), first
+    return Scenario(scenario.capacities, flows), first
 
 
 # ----------------------------------------------------------------- reference
@@ -171,7 +161,6 @@ def max_min_rates(active, flows, capacities):
 def reference_completion_times(scenario):
     flows = scenario.flows
     capacities = list(scenario.capacities)
-    changes = list(scenario.changes)
     remaining = [spec.nbytes for spec in flows]
     start = [spec.start + spec.delay if spec.after is None else math.inf
              for spec in flows]
@@ -182,17 +171,13 @@ def reference_completion_times(scenario):
         for i, spec in enumerate(flows):
             if done[i] is None and i not in active and start[i] <= now:
                 active.append(i)
-        while changes and changes[0][0] <= now:
-            _when, link, capacity = changes.pop(0)
-            capacities[link] = capacity
         waiting = [start[i] for i in range(len(flows))
                    if done[i] is None and i not in active]
         if not active and all(math.isinf(t) for t in waiting):
             return done
         rates = max_min_rates(active, flows, capacities)
         horizon = min([remaining[i] / rates[i] for i in active]
-                      + [t - now for t in waiting]
-                      + [c[0] - now for c in changes[:1]])
+                      + [t - now for t in waiting])
         finishing = [i for i in active
                      if remaining[i] / rates[i] <= horizon * (1 + 1e-12)]
         for i in active:
@@ -212,7 +197,7 @@ def production_run(scenario, check=True, sample_every=None, announce=True):
 
     With ``check`` the allocation is verified after every instant; with
     ``sample_every`` a monitor reads ``link_rate`` of every link on that
-    period, the way ``NicMonitor`` does. A flow's ``delay`` is handed to
+    period, as a read-only observer would. A flow's ``delay`` is handed to
     ``flow()``; with ``announce=False`` the starter waits it out on a
     kernel timeout instead and then joins at once."""
     env = Environment()
@@ -242,10 +227,6 @@ def production_run(scenario, check=True, sample_every=None, announce=True):
         finish[i] = env.now
         finished[i].succeed()
 
-    def changer(when, link, capacity):
-        yield env.timeout(when)
-        net.set_link_capacity(links[link], capacity)
-
     def monitor():
         while net.completed < len(flows):
             for link in links:
@@ -254,8 +235,6 @@ def production_run(scenario, check=True, sample_every=None, announce=True):
 
     for i, spec in enumerate(flows):
         env.process(starter(i, spec))
-    for change in scenario.changes:
-        env.process(changer(*change))
     if sample_every:
         env.process(monitor())
 
@@ -348,9 +327,9 @@ def assert_delay_agrees(scenario, exact):
 # --------------------------------------------------------------------- tests
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_flows=st.integers(1, 40),
-       n_links=st.integers(1, 6), n_changes=st.integers(0, 2))
-def test_solver_matches_reference(seed, n_flows, n_links, n_changes):
-    assert_agree(make_scenario(seed, n_flows, n_links, n_changes))
+       n_links=st.integers(1, 6))
+def test_solver_matches_reference(seed, n_flows, n_links):
+    assert_agree(make_scenario(seed, n_flows, n_links))
 
 
 @pytest.mark.parametrize("seed,n_flows,n_links", [
@@ -361,20 +340,19 @@ def test_solver_matches_reference_at_scale(seed, n_flows, n_links):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_flows=st.integers(1, 40),
-       n_links=st.integers(1, 6), n_changes=st.integers(0, 2))
-def test_delayed_joins_match_both_references(seed, n_flows, n_links,
-                                             n_changes):
-    scenario = make_scenario(seed, n_flows, n_links, n_changes, delays=True)
+       n_links=st.integers(1, 6))
+def test_delayed_joins_match_both_references(seed, n_flows, n_links):
+    scenario = make_scenario(seed, n_flows, n_links, delays=True)
     assert_agree(scenario)
     assert_delay_agrees(scenario, exact=False)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_flows=st.integers(1, 40),
-       n_links=st.integers(1, 6), n_changes=st.integers(0, 2))
+       n_links=st.integers(1, 6))
 def test_delayed_join_is_exact_where_nothing_saturates(seed, n_flows,
-                                                       n_links, n_changes):
-    scenario = make_scenario(seed, n_flows, n_links, n_changes, delays=True,
+                                                       n_links):
+    scenario = make_scenario(seed, n_flows, n_links, delays=True,
                              contended=False)
     events, reference_events = assert_delay_agrees(scenario, exact=True)
     # projections never move, so no wake-up is ever wasted: a delayed join
@@ -384,21 +362,17 @@ def test_delayed_join_is_exact_where_nothing_saturates(seed, n_flows,
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_flows=st.integers(1, 30),
-       n_links=st.integers(1, 6), n_changes=st.integers(0, 2),
-       delays=st.booleans())
-def test_streams_are_that_many_unit_flows(seed, n_flows, n_links, n_changes,
-                                          delays):
-    assert_bundles_agree(make_scenario(seed, n_flows, n_links, n_changes,
+       n_links=st.integers(1, 6), delays=st.booleans())
+def test_streams_are_that_many_unit_flows(seed, n_flows, n_links, delays):
+    assert_bundles_agree(make_scenario(seed, n_flows, n_links,
                                        delays=delays, bundles="whole"))
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_flows=st.integers(1, 30),
-       n_links=st.integers(1, 6), n_changes=st.integers(0, 2),
-       delays=st.booleans())
-def test_fractional_streams_are_weights(seed, n_flows, n_links, n_changes,
-                                        delays):
-    assert_agree(make_scenario(seed, n_flows, n_links, n_changes,
+       n_links=st.integers(1, 6), delays=st.booleans())
+def test_fractional_streams_are_weights(seed, n_flows, n_links, delays):
+    assert_agree(make_scenario(seed, n_flows, n_links,
                                delays=delays, bundles="weighted"))
 
 
@@ -420,7 +394,7 @@ def test_flow_that_shifts_its_bottleneck():
     flows = [FlowSpec(4000.0, (0, 1), math.inf)]
     flows += [FlowSpec(100.0, (0,), math.inf) for _ in range(4)]
     flows += [FlowSpec(600.0, (1,), math.inf, start=10.0) for _ in range(5)]
-    scenario = Scenario([100.0, 150.0], flows, [])
+    scenario = Scenario([100.0, 150.0], flows)
     assert_agree(scenario)
 
     env = Environment()
@@ -445,19 +419,9 @@ def test_leave_and_join_at_one_instant():
     # link to itself in between.
     flows = [FlowSpec(100.0, (0,), math.inf), FlowSpec(300.0, (0,), math.inf),
              FlowSpec(100.0, (0,), math.inf, after=0)]
-    scenario = Scenario([100.0], flows, [])
+    scenario = Scenario([100.0], flows)
     got, _events = production_run(scenario)
     assert got == [pytest.approx(2.0), pytest.approx(5.0), pytest.approx(4.0)]
-    assert_agree(scenario)
-
-
-def test_capacity_drop_and_restore():
-    flows = [FlowSpec(300.0, (0,), math.inf), FlowSpec(300.0, (0,), 40.0)]
-    scenario = Scenario([100.0], flows, [(1.0, 0, 20.0), (3.0, 0, 100.0)])
-    got, _events = production_run(scenario)
-    # 60+40 for 1 s, then 10+10 for 2 s, then 60+40 again
-    assert got == [pytest.approx(1.0 + 2.0 + 220.0 / 60.0),
-                   pytest.approx(1.0 + 2.0 + 240.0 / 40.0)]
     assert_agree(scenario)
 
 
@@ -554,7 +518,7 @@ def test_completion_callback_sees_the_instants_leaves_and_joins_applied():
     # callback runs inside the network's wake-up, after both.
     flows = [FlowSpec(100.0, (0,), math.inf), FlowSpec(300.0, (0,), math.inf),
              FlowSpec(50.0, (0,), math.inf, delay=2.0)]
-    scenario = Scenario([100.0], flows, [])
+    scenario = Scenario([100.0], flows)
     assert_agree(scenario)
     assert_delay_agrees(scenario, exact=True)
     got, _events = production_run(scenario)
@@ -620,20 +584,9 @@ def test_completion_callback_may_start_flows_in_place():
                     "c": pytest.approx(6.0)}
 
 
-def test_capacity_change_while_a_join_is_pending():
-    flows = [FlowSpec(300.0, (0,), math.inf),
-             FlowSpec(100.0, (0,), math.inf, delay=1.0)]
-    scenario = Scenario([100.0], flows, [(0.5, 0, 50.0)])
-    got, _events = production_run(scenario)
-    # 100 B/s for 0.5 s, 50 B/s alone until the join at 1.0, then 25 + 25
-    assert got == [pytest.approx(7.5), pytest.approx(5.0)]
-    assert_agree(scenario)
-    assert_delay_agrees(scenario, exact=True)
-
-
 def test_joins_of_one_instant_share_one_wake_up():
     flows = [FlowSpec(100.0 + i, (i % 2,), 20.0, delay=0.25)
              for i in range(6)]
-    scenario = Scenario([1e6, 1e6], flows, [])
+    scenario = Scenario([1e6, 1e6], flows)
     events, reference_events = assert_delay_agrees(scenario, exact=True)
     assert events == reference_events - 5

@@ -34,34 +34,14 @@ def test_driver_colocated_option():
 
 def test_executors_on_node():
     _env, cluster = make(num_nodes=4)
-    on_zero = cluster.executors_on(cluster.nodes[0])
+    on_zero = [s for s in cluster.executors if s.node is cluster.nodes[0]]
     assert len(on_zero) == 6
     assert all(s.node.node_id == 0 for s in on_zero)
 
 
-def test_hostname_sort_groups_same_node_executors():
-    _env, cluster = make(num_nodes=4)
-    ranked = cluster.sorted_by_hostname()
-    hosts = [s.hostname for s in ranked]
-    # Hostname-sorted ranking visits each host as one contiguous block.
-    blocks = 1 + sum(1 for a, b in zip(hosts, hosts[1:]) if a != b)
-    assert blocks == 4
-
-
 def test_id_sort_interleaves_nodes():
     _env, cluster = make(num_nodes=4)
-    ranked = cluster.sorted_by_id()
-    hosts = [s.hostname for s in ranked]
+    hosts = [s.hostname for s in cluster.executors]
     # Registration order interleaves: adjacent ranks are on different hosts.
     transitions = sum(1 for a, b in zip(hosts, hosts[1:]) if a != b)
     assert transitions == len(hosts) - 1
-
-
-def test_hostname_sort_is_stable_for_ties():
-    _env, cluster = make(num_nodes=2)
-    ranked = cluster.sorted_by_hostname()
-    per_host = {}
-    for slot in ranked:
-        per_host.setdefault(slot.hostname, []).append(slot.executor_id)
-    for ids in per_host.values():
-        assert ids == sorted(ids)

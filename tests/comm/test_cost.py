@@ -22,7 +22,7 @@ from repro.comm.cost import (
     choose_collective,
     cost_model_for,
 )
-from repro.obs import EventBus, MessageDelivered, NicSample
+from repro.obs import EventBus, MessageDelivered
 from repro.sim import Environment
 
 from .conftest import concat_op, make_values, reduce_op, split_op
@@ -156,22 +156,6 @@ def test_calibrator_ignores_sub_alpha_flights():
     before = model.stream_bandwidth
     cal.on_event(_delivered(SMALL_MESSAGE_BYTES + 1, 1e-9))
     assert model.stream_bandwidth == before and cal.beta_samples == 0
-
-
-def test_calibrator_ratchets_nic_ceiling_up_only():
-    model = make_model(nic=1000 * MB)
-    cal = CostCalibrator(model)
-    cal.on_event(NicSample(time=0.0, node_id=0, hostname="h0",
-                           is_driver=False, in_rate=500 * MB,
-                           out_rate=400 * MB, in_utilization=0.5,
-                           out_utilization=0.4))
-    assert model.nic_bandwidth == 1000 * MB  # never lowered
-    cal.on_event(NicSample(time=0.0, node_id=0, hostname="h0",
-                           is_driver=False, in_rate=1500 * MB,
-                           out_rate=400 * MB, in_utilization=1.0,
-                           out_utilization=0.3))
-    assert model.nic_bandwidth == 1500 * MB
-    assert cal.nic_samples == 2
 
 
 # ---------------------------------------------------------------- chooser

@@ -366,7 +366,7 @@ def test_abort_mid_hop_withdraws_every_blocked_receiver(bic2, recv_timeout):
     assert fabric.delivered == 0
     comm.abort()
     env.run()
-    assert not proc.ok
+    assert proc.exception is not None
     # The interrupted receivers took their entries with them: the hop's
     # messages, still on the wire at the abort, were kept for the next recv
     # on their tag instead of vanishing into processes that had stopped

@@ -10,7 +10,7 @@ from repro.comm import MPICH_RS_SHORT_THRESHOLD, MpiCommunicator
 from repro.serde import SizedPayload
 from repro.sim import Environment
 
-from .conftest import concat_op, make_values, reduce_op, split_op
+from .conftest import make_values, reduce_op, split_op
 
 
 def make_comm(n_ranks, num_nodes=2):
@@ -83,40 +83,6 @@ def test_value_count_validation():
     env, comm = make_comm(4)
     values, _ = make_values(3)
     proc = env.process(comm.reduce_scatter(values, split_op, reduce_op))
-    with pytest.raises(ValueError):
-        env.run(until=proc)
-
-
-@pytest.mark.parametrize("n_ranks", [1, 2, 3, 5, 8])
-@pytest.mark.parametrize("root", [0, 1])
-def test_binomial_reduce_exact(n_ranks, root):
-    if root >= n_ranks:
-        pytest.skip("root outside communicator")
-    env, comm = make_comm(n_ranks)
-    values, expected = make_values(comm.size, elems=40, seed=root)
-    proc = env.process(comm.reduce(values, split_op, reduce_op, root=root))
-    result = env.run(until=proc)
-    np.testing.assert_allclose(result.data, expected)
-
-
-@pytest.mark.parametrize("algorithm", ["recursive_doubling", "rabenseifner"])
-@pytest.mark.parametrize("n_ranks", [1, 2, 3, 4, 6, 8])
-def test_allreduce_exact(algorithm, n_ranks):
-    env, comm = make_comm(n_ranks)
-    values, expected = make_values(comm.size, elems=24, seed=n_ranks)
-    proc = env.process(comm.allreduce(values, split_op, reduce_op, concat_op,
-                                      algorithm=algorithm))
-    results = env.run(until=proc)
-    assert len(results) == comm.size
-    for value in results:
-        np.testing.assert_allclose(value.data, expected)
-
-
-def test_allreduce_unknown_algorithm():
-    env, comm = make_comm(2)
-    values, _ = make_values(2)
-    proc = env.process(comm.allreduce(values, split_op, reduce_op, concat_op,
-                                      algorithm="bogus"))
     with pytest.raises(ValueError):
         env.run(until=proc)
 

@@ -14,6 +14,18 @@ def sc():
     return SparkerContext(ClusterConfig.laptop(num_nodes=2))
 
 
+def merges(manager, object_id):
+    """How many merges the held object has taken (0 for none held)."""
+    entry = manager._entries.get(object_id)
+    return 0 if entry is None else entry.merge_count
+
+
+def epoch(manager, object_id):
+    """The aggregation epoch the held object is fenced at (0 for none)."""
+    entry = manager._entries.get(object_id)
+    return 0 if entry is None else entry.epoch
+
+
 def run_merge(sc, executor, object_id, attempt, value, op):
     proc = sc.env.process(
         executor.object_manager.merge(object_id, attempt, value, op))
@@ -24,7 +36,7 @@ def test_first_merge_stores_value(sc):
     executor = sc.executors[0]
     run_merge(sc, executor, (0, 0), 0, 10, lambda a, b: a + b)
     assert executor.object_manager.get((0, 0)) == 10
-    assert executor.object_manager.merge_count((0, 0)) == 1
+    assert merges(executor.object_manager, (0, 0)) == 1
 
 
 def test_merges_accumulate(sc):
@@ -32,7 +44,7 @@ def test_merges_accumulate(sc):
     for v in (1, 2, 3):
         run_merge(sc, executor, (0, 0), 0, v, lambda a, b: a + b)
     assert executor.object_manager.get((0, 0)) == 6
-    assert executor.object_manager.merge_count((0, 0)) == 3
+    assert merges(executor.object_manager, (0, 0)) == 3
 
 
 def test_clear_resets_object(sc):
@@ -40,7 +52,7 @@ def test_clear_resets_object(sc):
     run_merge(sc, executor, (0, 0), 0, 5, lambda a, b: a + b)
     executor.object_manager.clear((0, 0))
     assert executor.object_manager.get((0, 0)) is None
-    assert executor.object_manager.merge_count((0, 0)) == 0
+    assert merges(executor.object_manager, (0, 0)) == 0
 
 
 def test_stale_attempt_rejected(sc):
@@ -161,7 +173,7 @@ def test_fence_is_monotonic_and_validated(sc):
     run_merge(sc, sc.executors[0], (0, 0), 0, 1, lambda a, b: a + b)
     manager.fence((0, 0), 3)
     manager.fence((0, 0), 1)  # stale fence: no retreat
-    assert manager.epoch_of((0, 0)) == 3
+    assert epoch(manager, (0, 0)) == 3
     with pytest.raises(ValueError):
         manager.fence((0, 0), 0)
 
@@ -169,7 +181,7 @@ def test_fence_is_monotonic_and_validated(sc):
 def test_fence_unknown_object_is_noop(sc):
     manager = sc.executors[0].object_manager
     manager.fence((9, 9), 2)
-    assert manager.epoch_of((9, 9)) == 0
+    assert epoch(manager, (9, 9)) == 0
 
 
 def test_absorb_merges_at_matching_epoch(sc):
@@ -178,7 +190,7 @@ def test_absorb_merges_at_matching_epoch(sc):
     executor.object_manager.fence((0, 0), 1)
     run_absorb(sc, executor, (0, 0), 1, 7, lambda a, b: a + b)
     assert executor.object_manager.get((0, 0)) == 12
-    assert executor.object_manager.merge_count((0, 0)) == 2
+    assert merges(executor.object_manager, (0, 0)) == 2
 
 
 def test_absorb_at_stale_epoch_rejected(sc):

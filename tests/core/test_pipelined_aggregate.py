@@ -144,8 +144,7 @@ def test_balanced_cell_saves_a_quarter_and_auto_picks_the_stream():
     assert 0.4 < balance < 2.5
     assert 1.0 - pipe_t / ring_t >= 0.25
     events = []
-    run(events.append, collective="auto", parallelism_candidates=(2,),
-        chunk_bytes=1 * MB)
+    run(events.append, collective="auto", chunk_bytes=1 * MB)
     chosen = next(e for e in events if isinstance(e, CollectiveChosen))
     assert chosen.algorithm == "pipelined_ring"
 

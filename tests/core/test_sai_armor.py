@@ -101,15 +101,17 @@ def test_inert_call_propagates_a_user_error_and_cleans_up():
     assert held_objects(sc) == {}
 
 
-def test_exhausted_ring_budget_without_tree_fallback_cleans_up():
+def test_exhausted_ring_budget_falls_back_to_the_tree_and_cleans_up():
     sc = context()
 
     def broken(_a, _b):
         raise ZeroDivisionError("user reduce_op bug")
 
-    policy = RecoveryPolicy(max_ring_attempts=2, tree_fallback=False)
-    with pytest.raises(RuntimeError, match="tree fallback is disabled"):
-        aggregate(sc, AggregationSpec(parallelism=2, recovery=policy),
-                  reduce_op=broken)
+    policy = RecoveryPolicy(max_ring_attempts=2)
+    # both ring attempts fail in the reduce_op; the tree merges whole
+    # values and does not call it
+    result = aggregate(sc, AggregationSpec(parallelism=2, recovery=policy),
+                       reduce_op=broken)
+    np.testing.assert_array_equal(result.data, np.full(WIDTH, 276.0))
     assert held_objects(sc) == {}
     assert all(not e._death_listeners for e in sc.executors)

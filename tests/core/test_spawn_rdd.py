@@ -31,7 +31,6 @@ def test_pinned_executor_accessor(sc):
     rdd = SpawnRDD(sc, [(1, lambda ctx: "a"), (3, lambda ctx: "b")])
     assert rdd.pinned_executor(0) == 1
     assert rdd.pinned_executor(1) == 3
-    assert rdd.executor_ids() == [1, 3]
 
 
 def test_empty_task_list_rejected(sc):

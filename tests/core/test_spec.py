@@ -36,15 +36,6 @@ def test_collective_is_validated():
 def test_parallelism_must_be_positive():
     with pytest.raises(ValueError, match="parallelism must be >= 1"):
         AggregationSpec(parallelism=0)
-    with pytest.raises(ValueError, match="parallelism_candidates"):
-        AggregationSpec(parallelism_candidates=())
-    with pytest.raises(ValueError, match="parallelism_candidates"):
-        AggregationSpec(parallelism_candidates=(2, 0))
-
-
-def test_candidates_normalize_to_tuple():
-    spec = AggregationSpec(parallelism_candidates=[1, 2])
-    assert spec.parallelism_candidates == (1, 2)
 
 
 def test_hierarchical_requires_topology_aware():

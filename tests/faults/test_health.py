@@ -1,8 +1,7 @@
-"""Executor health: scoring, quarantine windows, probation, backoff."""
+"""Executor health: scoring, quarantine windows, probation."""
 
 import pytest
 
-from repro.faults import ExecutorHealthRegistry, HealthPolicy
 from repro.obs import ExecutorHealth
 
 from .conftest import make_context
@@ -30,18 +29,16 @@ def test_fresh_registry_is_all_healthy(sc):
 
 
 def test_failures_accumulate_weighted_score(sc):
-    policy = HealthPolicy(failure_weight=1.0, straggle_weight=0.5,
-                          quarantine_threshold=10.0)
-    health = ExecutorHealthRegistry(sc, policy)
+    health = sc.health  # a failure weighs 1.0, a straggle 0.5
     health.record_failure(0)
     health.record_straggle(0)
     assert health.score(0) == 1.5
     assert health.strikes(0) == 2
+    assert not health.is_quarantined(0)  # under the threshold of 2.0
 
 
 def test_success_decays_score(sc):
-    health = ExecutorHealthRegistry(sc, HealthPolicy(
-        quarantine_threshold=10.0, success_decay=0.5))
+    health = sc.health  # each success halves the score
     health.record_failure(0)
     health.record_success(0)
     assert health.score(0) == 0.5
@@ -76,14 +73,13 @@ def test_requarantine_window_grows_exponentially(sc):
 
 
 def test_quarantine_window_caps_at_max(sc):
-    health = ExecutorHealthRegistry(sc, HealthPolicy(
-        base_quarantine=5.0, backoff_factor=10.0, max_quarantine=12.0))
-    for round_ in range(2):
+    health = sc.health  # 5 s, doubling, at most 120 s
+    for expected in (5.0, 10.0, 20.0, 40.0, 80.0, 120.0, 120.0):
         health.record_failure(0)
         health.record_failure(0)
         until = health._quarantined_until[0]
         window = until - sc.env.now
-        assert window == (5.0 if round_ == 0 else 12.0)
+        assert window == expected
         advance(sc, window)
         assert not health.is_quarantined(0)
 
@@ -98,20 +94,6 @@ def test_probation_success_clears_record(sc):
     assert not health.on_probation(0)
     assert health.score(0) == 0.0
     assert health.strikes(0) == 0
-
-
-# ----------------------------------------------------------------- backoff
-def test_retry_delay_disabled_by_default(sc):
-    assert sc.health.retry_delay(3) == 0.0
-
-
-def test_retry_delay_grows_exponentially(sc):
-    health = ExecutorHealthRegistry(sc, HealthPolicy(
-        retry_backoff=0.5, backoff_factor=2.0))
-    assert health.retry_delay(0) == 0.0
-    assert health.retry_delay(1) == 0.5
-    assert health.retry_delay(2) == 1.0
-    assert health.retry_delay(3) == 2.0
 
 
 # -------------------------------------------------------------- cost model
@@ -148,24 +130,6 @@ def test_health_events_on_the_bus(sc):
                        and e.status == "quarantined")
     assert quarantined.until == 5.0
     assert quarantined.score == 2.0
-
-
-# ------------------------------------------------------------- validation
-def test_policy_validation():
-    with pytest.raises(ValueError, match="weights"):
-        HealthPolicy(failure_weight=-1.0)
-    with pytest.raises(ValueError, match="quarantine_threshold"):
-        HealthPolicy(quarantine_threshold=0.0)
-    with pytest.raises(ValueError, match="base_quarantine"):
-        HealthPolicy(base_quarantine=0.0)
-    with pytest.raises(ValueError, match="backoff_factor"):
-        HealthPolicy(backoff_factor=0.5)
-    with pytest.raises(ValueError, match="max_quarantine"):
-        HealthPolicy(base_quarantine=10.0, max_quarantine=5.0)
-    with pytest.raises(ValueError, match="success_decay"):
-        HealthPolicy(success_decay=1.5)
-    with pytest.raises(ValueError, match="retry_backoff"):
-        HealthPolicy(retry_backoff=-0.1)
 
 
 # ------------------------------------------------------------- scheduling

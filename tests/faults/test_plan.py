@@ -6,7 +6,6 @@ from repro.faults import (
     AtRingHop,
     AtStageBoundary,
     AtTime,
-    DriverNicDegradation,
     ExecutorCrash,
     FaultPlan,
     MessageDelay,
@@ -48,10 +47,6 @@ def test_window_faults_validate():
         Straggler(0, start=-1.0)
     with pytest.raises(ValueError):
         Straggler(0, duration=0.0)
-    with pytest.raises(ValueError):
-        DriverNicDegradation(factor=-0.5)
-    with pytest.raises(ValueError):
-        DriverNicDegradation(duration=0.0)
 
 
 def test_plan_rejects_non_faults():
@@ -61,7 +56,7 @@ def test_plan_rejects_non_faults():
 
 def test_plan_is_immutable_and_sized():
     plan = FaultPlan(faults=[ExecutorCrash(1), MessageDrop()], seed=7)
-    assert len(plan) == 2
+    assert len(plan.faults) == 2
     assert isinstance(plan.faults, tuple)
     with pytest.raises(AttributeError):
         plan.seed = 8
@@ -76,8 +71,6 @@ def test_recovery_policy_validates():
         RecoveryPolicy(recv_timeout=0.0)
     with pytest.raises(ValueError):
         RecoveryPolicy(max_ring_attempts=0)
-    with pytest.raises(ValueError):
-        RecoveryPolicy(tree_depth=0)
 
 
 def test_random_plan_is_deterministic():
@@ -86,7 +79,7 @@ def test_random_plan_is_deterministic():
     b = random_plan(42, [0, 1, 2, 3], horizon=0.1, n_crashes=2,
                     n_drops=2, n_delays=1)
     assert a == b
-    assert len(a) == 5
+    assert len(a.faults) == 5
     assert a.seed == 42
 
 

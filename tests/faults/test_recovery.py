@@ -144,13 +144,6 @@ def test_ring_budget_exhausted_falls_back_to_tree(baseline):
     assert run.actions[-1].site == "tree"
 
 
-def test_tree_fallback_can_be_disabled():
-    plan = FaultPlan(faults=(MessageDrop(count=10**6),))
-    with pytest.raises(RuntimeError, match="tree fallback is disabled"):
-        run_split_agg(plan=plan, recovery=RecoveryPolicy(
-            recv_timeout=0.02, max_ring_attempts=1, tree_fallback=False))
-
-
 def test_total_cluster_loss_fails_the_job():
     sc = make_context()
     plan = FaultPlan(faults=tuple(

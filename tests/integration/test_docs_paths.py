@@ -1,15 +1,17 @@
-"""Every file and module DESIGN.md and README.md cite exists.
+"""Every file, module and test DESIGN.md and README.md cite exists.
 
 A citation is a backticked ``….py`` / ``….json`` path or a ``repro.x.y``
 module (fenced code blocks count for modules: ``python -m repro.…``
-lines rot the same way). A path resolves against the repository root,
-``src/repro/`` or ``src/``, or, written bare, as a file name under
-``tests/``. A module resolves when its longest importable prefix is a
-module and the next component, if any, is a name defined there. A
-deleted module or script therefore takes its citations with it in the
-same change.
+lines rot the same way), or a ``path.py::name`` test id, which must name
+a function or class defined at the top of that file. A path resolves
+against the repository root, ``src/repro/`` or ``src/``, or, written
+bare, as a file name under ``tests/``. A module resolves when its longest
+importable prefix is a module and the next component, if any, is a name
+defined there. A deleted module, script or test therefore takes its
+citations with it in the same change.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -26,6 +28,7 @@ FENCE = re.compile(r"```.*?```", re.S)
 SPAN = re.compile(r"`([^`\n]+)`")
 PATH = re.compile(r"(?<![\w./*-])([\w./*-]*[\w*]\.(?:py|json))(?!\w)")
 MODULE = re.compile(r"(?<![\w.])(repro(?:\.\w+)+)")
+TEST_ID = re.compile(r"([\w./-]+\.py)::(\w+)")
 
 
 def citations(doc):
@@ -57,6 +60,24 @@ def module_resolves(dotted):
     return False
 
 
+def cited_test_exists(cited):
+    """``path.py::name``: the file exists and defines ``name`` at the top."""
+    path, name = cited.split("::")
+    target = ROOT / path
+    if not target.is_file():
+        return False
+    tree = ast.parse(target.read_text(encoding="utf-8"))
+    return any(isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name == name for node in tree.body)
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_cited_test_exists(doc):
+    cited = {f"{path}::{name}" for path, name in TEST_ID.findall(
+        (ROOT / doc).read_text(encoding="utf-8"))}
+    assert sorted(c for c in cited if not cited_test_exists(c)) == []
+
+
 @pytest.mark.parametrize("doc", DOCS)
 def test_every_cited_path_and_module_resolves(doc):
     paths, modules = citations(doc)
@@ -72,7 +93,13 @@ def test_a_deleted_module_or_path_does_not_resolve():
     assert not path_resolves("test_history.py")
     assert not path_resolves("tools/bench_regress.py")
     assert not path_resolves("benchmarks/host_perf.py")
-    assert module_resolves("repro.obs.metrics.NicMonitor")
+    assert not module_resolves("repro.obs.metrics.NicMonitor")
+    assert module_resolves("repro.obs.metrics.MetricsListener")
     assert path_resolves("obs/metrics.py")
     assert path_resolves("BENCHMARK.json")
     assert path_resolves("test_emit_cost.py")
+    assert not cited_test_exists("tests/comm/test_mpi.py::test_allreduce_exact")
+    assert not cited_test_exists("tests/comm/test_gone.py::test_anything")
+    assert cited_test_exists(
+        "tests/comm/test_cost.py::"
+        "test_tuner_pick_is_within_ten_percent_of_the_measured_best")

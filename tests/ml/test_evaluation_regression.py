@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.data import lda_corpus, sparse_classification
-from repro.ml import (
-    LDA,
-    BinaryClassificationMetrics,
-    LogisticRegressionWithSGD,
-    SparseVector,
-    log_perplexity,
-)
+from repro.data import sparse_classification
+from repro.ml import BinaryClassificationMetrics, LogisticRegressionWithSGD
 from repro.rdd import SparkerContext
 
 
@@ -55,7 +49,6 @@ def test_confusion_and_threshold_metrics():
     assert (tp, fp, tn, fn) == (1, 1, 1, 1)
     assert metrics.precision_at(0.5) == pytest.approx(0.5)
     assert metrics.recall_at(0.5) == pytest.approx(0.5)
-    assert metrics.f1_at(0.5) == pytest.approx(0.5)
     assert metrics.accuracy_at(0.5) == pytest.approx(0.5)
 
 
@@ -63,7 +56,6 @@ def test_degenerate_thresholds():
     metrics = BinaryClassificationMetrics([(0.5, 1), (0.4, 0)])
     assert metrics.precision_at(1.0) == 0.0  # nothing predicted positive
     assert metrics.recall_at(-1.0) == 1.0   # everything predicted positive
-    assert metrics.f1_at(1.0) == 0.0
 
 
 def test_metrics_validation():
@@ -84,27 +76,3 @@ def test_from_model_scores_with_margin():
                                             step_size=2.0)
     metrics = BinaryClassificationMetrics.from_model(model, points)
     assert metrics.area_under_roc() > 0.85  # a trained model separates
-
-
-# -------------------------------------------------------------- perplexity
-def test_perplexity_lower_for_trained_model():
-    docs, _ = lda_corpus(200, 50, 4, 40, seed=9)
-    sc = SparkerContext(ClusterConfig.laptop(num_nodes=2))
-    rdd = sc.parallelize(docs, 8).cache()
-    rdd.count()
-    trained = LDA(k=4, num_iterations=12, seed=1).fit(rdd, 50)
-    barely = LDA(k=4, num_iterations=1, seed=1).fit(rdd, 50)
-    held_out = docs[:50]
-    assert log_perplexity(trained, held_out) < \
-        log_perplexity(barely, held_out)
-
-
-def test_perplexity_empty_corpus_rejected():
-    docs, _ = lda_corpus(20, 30, 3, 10, seed=2)
-    sc = SparkerContext(ClusterConfig.laptop())
-    rdd = sc.parallelize(docs, 4).cache()
-    rdd.count()
-    model = LDA(k=3, num_iterations=1).fit(rdd, 30)
-    with pytest.raises(ValueError):
-        log_perplexity(model, [SparseVector(30, [], [])])
-

@@ -29,7 +29,10 @@ def numerical_gradient(loss_fn, weights, eps=1e-6):
 
 
 def make_point(label, dense):
-    return LabeledPoint(label, SparseVector.from_dense(dense))
+    dense = np.asarray(dense, dtype=np.float64)
+    indices = np.flatnonzero(dense)
+    return LabeledPoint(label, SparseVector(dense.size, indices,
+                                            dense[indices]))
 
 
 # ---------------------------------------------------------------- logistic

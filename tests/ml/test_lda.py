@@ -65,28 +65,6 @@ def test_backends_identical(corpus):
                                split_model.log_likelihoods)
 
 
-def test_describe_topics(corpus):
-    docs, _ = corpus
-    model, _sc = fit(docs, 60)
-    tops = model.describe_topics(max_terms=5)
-    assert len(tops) == 4
-    for terms in tops:
-        assert len(terms) == 5
-        assert all(0 <= t < 60 for t in terms)
-        # Terms ordered by decreasing weight.
-        weights = [model.topics[tops.index(terms), t] for t in terms]
-        assert weights == sorted(weights, reverse=True)
-
-
-def test_infer_returns_mixture(corpus):
-    docs, _ = corpus
-    model, _sc = fit(docs, 60, num_iterations=10)
-    theta = model.infer(docs[0])
-    assert theta.shape == (4,)
-    assert theta.sum() == pytest.approx(1.0)
-    assert np.all(theta >= 0)
-
-
 def test_empty_documents_are_skipped(corpus):
     from repro.ml import SparseVector
 

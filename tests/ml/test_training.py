@@ -82,18 +82,6 @@ def test_split_backend_is_faster_for_large_models(training_setup):
     assert run("split") < run("tree")
 
 
-def test_lr_probability_predictions(training_setup):
-    points, _ = training_setup
-    _sc, rdd = make_rdd(points)
-    model = LogisticRegressionWithSGD.train(rdd, 60, num_iterations=20,
-                                            step_size=2.0)
-    probs = [model.predict_probability(p.features) for p in points[:50]]
-    assert all(0.0 <= p <= 1.0 for p in probs)
-    # Probabilities should align with hard predictions.
-    for p, prob in zip(points[:50], probs):
-        assert model.predict(p.features) == (1.0 if prob > 0.5 else 0.0)
-
-
 def test_mini_batch_fraction_trains(training_setup):
     points, _ = training_setup
     _sc, rdd = make_rdd(points)

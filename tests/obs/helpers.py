@@ -3,12 +3,11 @@
 from repro.cluster import ClusterConfig
 from repro.data import sparse_classification
 from repro.ml import LogisticRegressionWithSGD
-from repro.obs import NicMonitor, RecordingListener
+from repro.obs import EventLogWriter, RecordingListener
 from repro.rdd import SparkerContext
 
 
-def run_lr(aggregation="split", trace=True, nic=False, seed=31,
-           num_iterations=3):
+def run_lr(aggregation="split", trace=True, seed=31, num_iterations=3):
     """One seeded LR training run on the BIC cluster.
 
     Returns ``(sc, recorder)``; ``recorder`` is None when ``trace`` is
@@ -17,17 +16,21 @@ def run_lr(aggregation="split", trace=True, nic=False, seed=31,
     points, _ = sparse_classification(200, 30, 6, seed=seed)
     sc = SparkerContext(ClusterConfig.bic(num_nodes=2))
     recorder = None
-    monitor = None
     if trace:
         recorder = RecordingListener()
         sc.event_bus.subscribe(recorder)
-    if nic:
-        monitor = NicMonitor(sc.cluster, sc.event_bus, interval=0.01)
     rdd = sc.parallelize(points, 24).cache()
     rdd.count()
     LogisticRegressionWithSGD.train(
         rdd, 30, num_iterations=num_iterations, step_size=1.5,
         aggregation=aggregation, size_scale=1000.0)
-    if monitor is not None:
-        monitor.stop()
     return sc, recorder
+
+
+def dump_events(events, path):
+    """Write ``events`` as a JSON-lines log through the engine's
+    :class:`~repro.obs.EventLogWriter`; returns how many."""
+    with EventLogWriter(path) as writer:
+        for event in events:
+            writer.on_event(event)
+    return len(events)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import (
     FaultInjected,
-    NicSample,
     PhaseSpan,
     RecoveryAction,
     TaskEnd,
@@ -18,7 +17,6 @@ from repro.obs import (
 from repro.obs.chrome_trace import (
     DRIVER_PID,
     EXECUTOR_PID_BASE,
-    NIC_PID,
     _pack_lanes,
 )
 from tests.obs.helpers import run_lr
@@ -39,18 +37,16 @@ def test_trace_structure_from_samples():
     assert trace["displayTimeUnit"] == "ms"
     events = trace["traceEvents"]
     pids = {e["pid"] for e in events}
-    assert {DRIVER_PID, NIC_PID, EXECUTOR_PID_BASE + 5} <= pids
+    assert {DRIVER_PID, EXECUTOR_PID_BASE + 5} <= pids
     spans = [e for e in events if e["ph"] == "X"]
     assert all(e["dur"] >= 0 for e in spans)
     # one job span, one phase span, one task span at least
     cats = {e["cat"] for e in spans}
     assert {"job", "phase", "task", "ring", "imm"} <= cats
-    counters = [e for e in events if e["ph"] == "C"]
-    assert counters and counters[0]["args"].keys() == {"in", "out"}
 
 
 def test_core_lanes_bounded_by_executor_cores(tmp_path):
-    sc, recorder = run_lr(trace=True, nic=True)
+    sc, recorder = run_lr(trace=True)
     trace = chrome_trace(recorder.events)
     events = trace["traceEvents"]
 
@@ -65,14 +61,11 @@ def test_core_lanes_bounded_by_executor_cores(tmp_path):
         assert tids == set(range(len(tids)))
         assert len(tids) <= cores
 
-    # driver and NIC processes are present with named lanes
+    # the driver process is present with named lanes
     names = {(e["pid"], e.get("tid"), e["args"]["name"])
              for e in events if e.get("ph") == "M"
              and e["name"] in ("process_name", "thread_name")}
     assert (DRIVER_PID, None, "driver") in names
-    assert (NIC_PID, None, "NIC") in names
-    assert any(pid == NIC_PID and name == "driver-host (driver)"
-               for pid, _tid, name in names)
 
     # no two task spans on one lane overlap (the lanes are real cores)
     for pid, tids in by_executor.items():
@@ -103,17 +96,6 @@ def test_phase_lanes_on_driver():
     phases = [e for e in events if e.get("cat") == "phase"]
     assert {e["pid"] for e in phases} == {DRIVER_PID}
     assert [e["name"] for e in phases] == ["agg.compute", "ml.driver"]
-
-
-def test_nic_counter_track_per_node():
-    samples = [NicSample(time=t, node_id=n, hostname=f"node{n}",
-                         is_driver=False, in_rate=0.0, out_rate=0.0,
-                         in_utilization=0.5, out_utilization=0.5)
-               for t in (0.0, 0.1) for n in (0, 1)]
-    events = chrome_trace(samples)["traceEvents"]
-    counters = [e for e in events if e["ph"] == "C"]
-    assert len(counters) == 4
-    assert {e["tid"] for e in counters} == {0, 1}
 
 
 def test_task_span_args_carry_metrics():

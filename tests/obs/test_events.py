@@ -26,7 +26,6 @@ from repro.obs import (
     JobStart,
     MessageDelivered,
     MessageSent,
-    NicSample,
     PhaseSpan,
     PoolSample,
     RecoveryAction,
@@ -82,9 +81,6 @@ SAMPLES = [
                           density=0.7, wire_bytes=11200.0,
                           dense_bytes=8000.0),
     PhaseSpan(time=0.7, key="agg.compute", seconds=0.25),
-    NicSample(time=0.8, node_id=0, hostname="node0", is_driver=True,
-              in_rate=1e8, out_rate=2e8, in_utilization=0.08,
-              out_utilization=0.16),
     FaultInjected(time=0.85, fault="executor_crash", target="executor 3",
                   trigger="ring_hop", executor_id=3,
                   detail="channel 0 hop 2"),

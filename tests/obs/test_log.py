@@ -11,9 +11,9 @@ from repro.obs import (
     EventLogWriter,
     PhaseSpan,
     TaskMetrics,
-    dump_events,
     load_events,
 )
+from tests.obs.helpers import dump_events
 from tests.obs.test_events import SAMPLES
 
 

@@ -4,6 +4,7 @@ exact quantiles, and the listener on a recorded run."""
 import pytest
 
 from repro.obs import MetricsListener, MetricsStore
+from repro.obs.metrics import quantile
 
 from .helpers import run_lr
 
@@ -27,28 +28,19 @@ def test_counter_is_get_or_create_per_labelset():
     assert store.counter("x", a=1) is not store.counter("x", a=2)
 
 
-def test_gauge_last_write_wins_within_window():
-    store = MetricsStore(window=0.01)
-    g = store.gauge("util", node="n0")
-    g.set(0.002, 0.3)
-    g.set(0.008, 0.9)   # later stamp in the same window wins
-    g.set(0.015, 0.5)
-    assert g.buckets[0] == 0.9
-    assert g.last == 0.5
-
-
 def test_histogram_exact_quantiles():
     store = MetricsStore(window=1.0)
     h = store.histogram("dur")
     for i in range(100):
         h.observe(0.5, float(i))
-    assert store.quantile("dur", 0.5) == 49.0
-    assert store.quantile("dur", 0.95) == 94.0
-    assert store.quantile("dur", 0.99) == 98.0
-    assert store.quantile("dur", 0.0) == 0.0
-    assert store.quantile("dur", 1.0) == 99.0
+    ordered = store.samples("dur")
+    assert quantile(ordered, 0.5) == 49.0
+    assert quantile(ordered, 0.95) == 94.0
+    assert quantile(ordered, 0.99) == 98.0
+    assert quantile(ordered, 0.0) == 0.0
+    assert quantile(ordered, 1.0) == 99.0
     with pytest.raises(ValueError):
-        store.quantile("dur", 1.5)
+        quantile(ordered, 1.5)
 
 
 def test_histogram_time_range_query():
@@ -74,14 +66,6 @@ def test_label_subset_matching():
     assert store.total("bytes", channel="9") == 0.0
 
 
-def test_rate_merges_series_per_window():
-    store = MetricsStore(window=0.5)
-    store.counter("n", k="a").inc(0.1, 2.0)
-    store.counter("n", k="b").inc(0.2, 4.0)
-    store.counter("n", k="a").inc(0.7, 1.0)
-    assert store.rate("n") == [(0.0, 12.0), (0.5, 2.0)]
-
-
 def test_store_rejects_bad_window():
     with pytest.raises(ValueError):
         MetricsStore(window=0.0)
@@ -89,7 +73,7 @@ def test_store_rejects_bad_window():
 
 # ---------------------------------------------------------------- listener
 def test_listener_replay_from_recorded_run():
-    _sc, rec = run_lr("split", trace=True, nic=True, num_iterations=2)
+    _sc, rec = run_lr("split", trace=True, num_iterations=2)
     ts = MetricsListener(window=0.01).replay(rec.events)
     store = ts.store
 
@@ -109,12 +93,9 @@ def test_listener_replay_from_recorded_run():
 
     durations = sorted(e.duration for e in rec.events
                        if e.kind == "task_end")
-    assert store.quantile("tasks.duration_seconds", 0.5) in durations
-    assert store.quantile("tasks.duration_seconds", 1.0) == durations[-1]
-
-    # NIC gauges exist for the driver node in both directions
-    assert store.gauges("nic.utilization", node="driver", direction="in")
-    assert store.gauges("nic.utilization", node="driver", direction="out")
+    ordered = store.samples("tasks.duration_seconds")
+    assert quantile(ordered, 0.5) in durations
+    assert quantile(ordered, 1.0) == durations[-1]
 
     summary = ts.summary()
     assert "histogram tasks.duration_seconds" in summary

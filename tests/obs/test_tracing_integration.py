@@ -4,8 +4,8 @@ The three contract points from the issue:
 
 a. an event log of a seeded splitAggregate run reconstructs the same
    agg-compute / agg-reduce / driver decomposition as the live stopwatch,
-b. the Chrome trace has one lane per busy executor core plus driver and
-   NIC lanes (checked in ``test_chrome_trace``),
+b. the Chrome trace has one lane per busy executor core plus the driver's
+   lanes (checked in ``test_chrome_trace``),
 c. tracing on vs off yields identical virtual times.
 """
 
@@ -19,22 +19,21 @@ from repro.cluster import MB, ClusterConfig
 from repro.obs import (
     attribute_critical_path,
     classify_stage,
-    dump_events,
     load_events,
 )
 from repro.rdd import SparkerContext
 from repro.serde import SizedPayload
 from repro.obs.__main__ import main as obs_main
-from tests.obs.helpers import run_lr
+from tests.obs.helpers import dump_events, run_lr
 
 
 def test_event_stream_covers_engine_layers():
-    _sc, recorder = run_lr(aggregation="split", nic=True)
+    _sc, recorder = run_lr(aggregation="split")
     kinds = {e.kind for e in recorder.events}
     assert {"job_start", "job_end", "stage_submitted", "stage_completed",
             "task_start", "task_end", "block", "message_sent",
-            "message_delivered", "ring_hop", "imm_merge", "phase",
-            "nic_sample"} <= kinds
+            "message_delivered", "ring_hop", "imm_merge",
+            "phase"} <= kinds
 
 
 def test_decomposition_matches_live_stopwatch():
@@ -60,8 +59,8 @@ def test_decomposition_survives_log_round_trip(tmp_path):
 
 
 def test_tracing_does_not_change_virtual_time():
-    """(c): attaching listeners + the NIC monitor is behavior-neutral."""
-    traced, _ = run_lr(aggregation="split", trace=True, nic=True)
+    """(c): attaching listeners is behavior-neutral."""
+    traced, _ = run_lr(aggregation="split", trace=True)
     bare, _ = run_lr(aggregation="split", trace=False)
     assert traced.now == bare.now
     assert traced.stopwatch.as_dict() == bare.stopwatch.as_dict()
@@ -77,7 +76,7 @@ def test_event_log_is_deterministic_across_runs(tmp_path):
     """Two identically seeded runs write byte-identical event logs."""
     logs = []
     for i in range(2):
-        _sc, recorder = run_lr(aggregation="split", nic=True)
+        _sc, recorder = run_lr(aggregation="split")
         path = tmp_path / f"run{i}.jsonl"
         dump_events(recorder.events, path)
         logs.append(path.read_text())
@@ -159,7 +158,7 @@ def test_stage_log_buckets_a_map_job_as_other():
 
 
 def test_cli_reports_decomposition(tmp_path, capsys):
-    _sc, recorder = run_lr(aggregation="split", nic=True)
+    _sc, recorder = run_lr(aggregation="split")
     events_path = tmp_path / "events.jsonl"
     dump_events(recorder.events, events_path)
     chrome_path = tmp_path / "trace.json"
@@ -174,7 +173,6 @@ def test_cli_reports_decomposition(tmp_path, capsys):
     assert "aggregation share" in out
     assert "histogram messages.size_bytes" in out
     assert "  status=ok: total=" in out
-    assert "gauge     nic.utilization{direction=in,node=driver}: " in out
     # the chrome trace was written and is loadable JSON
     trace = json.loads(chrome_path.read_text())
     assert trace["traceEvents"]

@@ -17,17 +17,6 @@ def test_accumulator_counts_elements(sc):
     assert acc.value == 25
 
 
-def test_accumulator_iadd_syntax(sc):
-    acc = sc.accumulator(0.0)
-
-    def bump(x):
-        nonlocal acc
-        acc += x
-        return x
-
-    sc.parallelize([1.0, 2.0, 3.0], 2).map(bump).count()
-    assert acc.value == pytest.approx(6.0)
-
 
 def test_accumulator_custom_monoid(sc):
     biggest = sc.accumulator(float("-inf"), add_op=max, name="max")
@@ -86,12 +75,6 @@ def test_accumulator_not_readable_in_tasks(sc):
     with pytest.raises(RuntimeError, match="inside a task"):
         sc.parallelize([1], 1).map(peek).collect()
 
-
-def test_accumulator_reset(sc):
-    acc = sc.accumulator(0)
-    acc.add(3)
-    acc.reset()
-    assert acc.value == 0
 
 
 def test_accumulator_updates_once_per_action(sc):

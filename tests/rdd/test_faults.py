@@ -36,7 +36,7 @@ def test_shuffle_outputs_lost_triggers_map_stage_resubmit(sc):
         sc.parallelize([(i % 3, 1) for i in range(30)], 4), operator.add)
     shuffled.collect()
     # Find an executor holding map outputs and kill it.
-    holder = next(e for e in sc.executors if len(e.shuffle_store))
+    holder = next(e for e in sc.executors if e.shuffle_store._buckets)
     stage_count = len(sc.dag.stage_log)
     holder.kill()
     assert sorted(shuffled.collect()) == [(0, 10), (1, 10), (2, 10)]

@@ -25,7 +25,7 @@ def test_unfinished_stage_has_no_duration():
 
     open_stage = StageInfo(stage_id=9, kind="result", rdd_name="map@9",
                            num_tasks=4, attempt=0, submitted_at=1.5)
-    assert not open_stage.finished
+    assert open_stage.finished_at is None
     assert open_stage.duration is None
 
 

@@ -149,17 +149,6 @@ def test_imm_waves_never_speculate():
 
 
 # ------------------------------------------------------------ unit: pieces
-def test_policy_validation():
-    with pytest.raises(ValueError, match="quantile"):
-        SpeculationPolicy(quantile=0.0)
-    with pytest.raises(ValueError, match="multiplier"):
-        SpeculationPolicy(multiplier=0.5)
-    with pytest.raises(ValueError, match="interval"):
-        SpeculationPolicy(interval=0.0)
-    with pytest.raises(ValueError, match="min_tasks"):
-        SpeculationPolicy(min_tasks=0)
-
-
 def test_commit_gate_first_claim_wins():
     gate = CommitGate()
     assert gate.claim(3, (0, 0))
@@ -180,14 +169,13 @@ def test_commit_gate_release_reopens_only_for_holder():
 
 def test_threshold_needs_quorum_and_runners():
     sc = SparkerContext(ClusterConfig.laptop(num_nodes=2))
-    wave = SpeculationWave(sc.env, total=4)
-    policy = SpeculationPolicy(quantile=0.75, multiplier=2.0)
-    assert wave.threshold(policy) is None  # no evidence at all
+    wave = SpeculationWave(sc.env, total=4)  # quorum ceil(0.75 * 4) = 3
+    assert wave.threshold() is None  # no evidence at all
     wave.durations.extend([1.0, 1.0, 2.0])
-    assert wave.threshold(policy) is None  # quorum met but nothing runs
+    assert wave.threshold() is None  # quorum met but nothing runs
     wave.running[7] = (0.0, 1, None)
-    assert wave.threshold(policy) == pytest.approx(2.0)
+    assert wave.threshold() == pytest.approx(1.5)  # 1.5 x the median
     wave.durations.append(4.0)  # an even count: the middle two's mean
-    assert wave.threshold(policy) == 3.0
+    assert wave.threshold() == pytest.approx(1.5 * 1.5)
     del wave.durations[2:]
-    assert wave.threshold(policy) is None  # back below the quorum
+    assert wave.threshold() is None  # back below the quorum

@@ -294,10 +294,10 @@ def test_executor_loss_drops_every_replica(sc):
     held = occupy(sc, LOW)
     rdd.count()
     held.release_all()
-    assert sum(len(e.memory_store) for e in sc.executors) == 8
+    assert sum(len(e.memory_store._blocks) for e in sc.executors) == 8
     sc.executor_by_id(4).kill()
     assert sc.block_tracker.locations((rdd.id, 0)) == [0]
-    assert len(sc.executor_by_id(4).memory_store) == 0
+    assert len(sc.executor_by_id(4).memory_store._blocks) == 0
     sc.executor_by_id(1).kill()                           # the canonical holder
     assert sc.block_tracker.locations((rdd.id, 1)) == [5]
     assert rdd.count() == 64

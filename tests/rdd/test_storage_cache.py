@@ -63,7 +63,7 @@ def test_memory_store_put_get():
     size = store.put((1, 0), [1, 2, 3])
     assert size > 0
     assert store.get((1, 0)) == [1, 2, 3]
-    assert store.size_of((1, 0)) == size
+    assert store._blocks[(1, 0)].sim_bytes == size
     assert store.contains((1, 0))
     assert store.get((1, 1)) is None
 

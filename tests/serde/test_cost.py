@@ -1,6 +1,5 @@
 """Tests for the serialization cost model."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import MB, ClusterConfig
@@ -14,16 +13,6 @@ def test_linear_in_bytes():
     assert model.deser_time_bytes(200) == pytest.approx(2.0)
 
 
-def test_round_trip_is_sum():
-    model = SerdeModel(100.0, 100.0, fixed=0.5)
-    assert model.round_trip_bytes(100) == pytest.approx(
-        model.ser_time_bytes(100) + model.deser_time_bytes(100))
-
-
-def test_value_path_uses_sim_sizeof():
-    model = SerdeModel(1.0, 1.0)
-    arr = np.zeros(10)
-    assert model.ser_time(arr) == pytest.approx(arr.nbytes + 16)
 
 
 def test_from_config():

@@ -11,13 +11,11 @@ from repro.serde import SizedPayload, segment_range, sim_sizeof
 def test_default_sim_size_is_physical():
     p = SizedPayload(np.zeros(100))
     assert p.sim_bytes == 800
-    assert p.scale == 1.0
 
 
 def test_declared_sim_size():
     p = SizedPayload(np.zeros(100), sim_bytes=8_000_000)
     assert sim_sizeof(p) == 8_000_000
-    assert p.scale == pytest.approx(10_000)
 
 
 def test_merge_sums_elementwise():
@@ -81,12 +79,6 @@ def test_negative_sim_size_rejected():
     with pytest.raises(ValueError):
         SizedPayload(np.zeros(2), sim_bytes=-1)
 
-
-def test_copy_is_independent():
-    p = SizedPayload(np.zeros(4))
-    q = p.copy()
-    q.data[0] = 7
-    assert p.data[0] == 0
 
 
 def _blocks(n, k):

@@ -145,7 +145,7 @@ def test_run_stops_its_context_and_frees_the_cached_columns(no_collector):
         SparkerSession(CFG).run("LR-A", iterations=2, partitions=4,
                                 listener=listener)
     sc, = contexts  # still held here: stop() freed the blocks, not its death
-    assert len(columns) == 4 and len(sc.event_bus) == 0
+    assert len(columns) == 4 and not sc.event_bus.active
     assert all(ref() is None for ref in columns.values())
     with pytest.raises(RuntimeError, match="context is stopped"):
         sc.parallelize([1], 1)

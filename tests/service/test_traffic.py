@@ -1,7 +1,5 @@
-"""Traffic-generator tests: determinism, replay identity, quota bounces,
-and what sharing one driver buys over serialized FIFO."""
-
-from types import SimpleNamespace
+"""Traffic-generator tests: determinism, replay identity, and what
+sharing one driver buys over serialized FIFO."""
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from repro.service import (
     PoolConfig,
     SparkerSession,
     TenantProfile,
-    TrafficResult,
     arrival_schedule,
     run_open_loop,
     traffic,
@@ -64,10 +61,9 @@ def test_open_loop_matches_isolated_runs():
     with SparkerSession(CFG) as session:
         result = run_open_loop(session, TENANTS, seed=11)
     assert not result.rejections
-    assert result.by_status() == {"succeeded": 4}
+    assert [h.status() for h in result.handles] == ["succeeded"] * 4
     assert result.makespan > 0
     assert len(result.latencies) == 4
-    assert result.percentile(0.5) <= result.percentile(0.99)
     # every concurrent job's weights byte-identical to a fresh isolated
     # run of the same signature
     isolated = {}
@@ -81,14 +77,6 @@ def test_open_loop_matches_isolated_runs():
                 partitions=arrival.partitions).final_weights
         assert np.array_equal(handle.result().final_weights,
                               isolated[sig]), sig
-
-
-def test_percentile_is_the_nearest_rank():
-    result = TrafficResult([(None, SimpleNamespace(latency=t))
-                            for t in (2.0, 1.0)])
-    assert result.percentile(0.5) == 1.0
-    assert result.percentile(0.51) == result.percentile(1.0) == 2.0
-    assert TrafficResult().percentile(0.5) == 0.0
 
 
 SPLIT_SPECS = (AggregationSpec(collective="ring", parallelism=2),
@@ -128,7 +116,7 @@ def test_sharing_beats_serialized_fifo_and_bursts_share_by_weight():
     with session() as shared:
         concurrent = run_open_loop(shared, tenants, seed=2026)
         assert shared.server.slot_utilisation()["idle_executors"] == 0
-    assert concurrent.by_status() == {"succeeded": 24}
+    assert [h.status() for h in concurrent.handles] == ["succeeded"] * 24
 
     with session() as fifo:
         env = fifo.server.sc.env
@@ -178,7 +166,7 @@ STORM = TenantProfile("storm", pool="tiny", workloads=("LR-A",), jobs=4,
 
 
 # seed 11: the last arrival is the last job to finish; the storm at seed 5:
-# two arrivals bounce and a queued job finishes after the last arrival
+# queued jobs finish after the last arrival
 @pytest.mark.parametrize("tenants, seed", [(TENANTS, 11),
                                            (TENANTS + (STORM,), 5)])
 def test_open_loop_stops_when_the_full_walk_would(monkeypatch, tenants,
@@ -197,7 +185,7 @@ def test_open_loop_stops_when_the_full_walk_would(monkeypatch, tenants,
 
     monkeypatch.setattr(traffic, "submit_arrival", recorded_submit)
     agreed = []
-    pools = {"tiny": PoolConfig(max_running=1, max_queued=1)}
+    pools = {"tiny": PoolConfig(max_running=1)}
     with SparkerSession(CFG, pools=pools) as session:
         cooperator = session.server.cooperator
         pump = cooperator.pump
@@ -214,17 +202,7 @@ def test_open_loop_stops_when_the_full_walk_would(monkeypatch, tenants,
         cooperator.pump = checked_pump
         result = run_open_loop(session, tenants, seed=seed)
         del cooperator.pump
-    assert len(result.rejections) == (2 if STORM in tenants else 0)
+    assert not result.rejections
     assert len(agreed) > arrivals and all(agreed)
 
 
-def test_quota_bounces_are_recorded_not_raised():
-    burster = (TenantProfile("storm", pool="tiny", workloads=("LR-A",),
-                             jobs=4, burst=4, iterations=1, partitions=4),)
-    pools = {"tiny": PoolConfig(max_running=1, max_queued=1)}
-    with SparkerSession(CFG, pools=pools) as session:
-        result = run_open_loop(session, burster, seed=5)
-    # 4 back-to-back arrivals against running=1/queued=1: two bounce
-    assert len(result.rejections) == 2
-    assert result.by_status() == {"succeeded": 2}
-    assert all(a.pool == "tiny" for a in result.rejections)

@@ -200,14 +200,14 @@ def test_active_process_visible_during_step():
     seen = []
 
     def body():
-        seen.append(env.active_process)
+        seen.append(env._active_process)
         yield env.timeout(0.0)
-        seen.append(env.active_process)
+        seen.append(env._active_process)
 
     proc = env.process(body())
     env.run()
     assert seen == [proc, proc]
-    assert env.active_process is None
+    assert env._active_process is None
 
 
 def test_nested_processes_interleave_deterministically():
@@ -317,7 +317,7 @@ def test_fire_runs_waiters_in_the_callers_frame_at_no_kernel_event():
 
     def waiter():
         value = yield handoff
-        order.append(("waiter", value, env.now, env.active_process is proc))
+        order.append(("waiter", value, env.now, env._active_process is proc))
         yield env.timeout(1.0)
         order.append(("waiter done", env.now))
 
@@ -343,16 +343,16 @@ def test_fire_inside_a_process_step_restores_the_active_process():
 
     def inner():
         yield handoff
-        seen.append(env.active_process)
+        seen.append(env._active_process)
 
     def outer():
         yield env.timeout(1.0)
         handoff.fire()
-        seen.append(env.active_process)
+        seen.append(env._active_process)
 
     inner_proc, outer_proc = env.process(inner()), env.process(outer())
     env.run()
-    assert seen == [inner_proc, outer_proc] and env.active_process is None
+    assert seen == [inner_proc, outer_proc] and env._active_process is None
 
 
 def test_fire_decides_the_event_once():

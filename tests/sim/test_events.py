@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError, all_of, any_of
+from repro.sim import Environment, Interrupt, SimulationError, all_of
 
 
 def test_all_of_waits_for_every_event():
@@ -16,21 +16,6 @@ def test_all_of_waits_for_every_event():
 
     proc = env.process(waiter())
     assert env.run(until=proc) == (3.0, "a", "b")
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-    a = env.timeout(1.0, value="fast")
-    b = env.timeout(3.0, value="slow")
-
-    def waiter():
-        results = yield any_of(env, [a, b])
-        return (env.now, dict(results))
-
-    proc = env.process(waiter())
-    when, results = env.run(until=proc)
-    assert when == 1.0
-    assert results == {a: "fast"}
 
 
 def test_all_of_empty_fires_immediately():
@@ -177,7 +162,7 @@ def test_is_alive_lifecycle():
     assert proc.is_alive
     env.run()
     assert not proc.is_alive
-    assert proc.ok
+    assert proc.processed and proc.exception is None
 
 
 def test_critical_process_failure_crashes_simulation():
@@ -201,5 +186,4 @@ def test_non_critical_failure_is_contained():
 
     proc = env.process(worker())
     env.run()  # does not raise; failure is held in the process event
-    assert not proc.ok
     assert isinstance(proc.exception, RuntimeError)

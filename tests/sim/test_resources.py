@@ -42,21 +42,6 @@ def test_resource_fifo_grant_order():
     assert order == list("abcd")
 
 
-def test_resource_use_helper():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def worker():
-        yield from res.use(2.0)
-        return env.now
-
-    p1 = env.process(worker())
-    p2 = env.process(worker())
-    env.run()
-    assert p1.value == 2.0
-    assert p2.value == 4.0
-
-
 def test_resource_release_without_acquire_raises():
     env = Environment()
     res = Resource(env, capacity=1)
@@ -69,7 +54,6 @@ def test_resource_counts():
     res = Resource(env, capacity=3, name="slots")
     env.run(until=res.acquire())
     assert res.in_use == 1
-    assert res.available == 2
     res.release()
     assert res.in_use == 0
 
