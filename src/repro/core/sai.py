@@ -143,12 +143,12 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
                           for i in range(spec.parallelism)])
 
     armor = _Armor(sc, spec.recovery)
-    if spec.compression != "none" and armor.recovery is not None:
+    if spec.topk is not None and armor.recovery is not None:
         raise ValueError(
-            'compression="topk" is incompatible with a recovery policy: '
-            "error-feedback residuals live on the executors and die with "
-            "them, so a recovered ring would silently lose compensation "
-            "state. Disable compression or the recovery policy.")
+            "topk is incompatible with a recovery policy: error-feedback "
+            "residuals live on the executors and die with them, so a "
+            "recovered ring would silently lose compensation state. "
+            "Disable topk or the recovery policy.")
 
     def partial_func(_idx: int, data: list, ctx: TaskContext) -> Any:
         return fold_partition(fresh_zero(zero), data, seq_op, ctx)
@@ -349,7 +349,7 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
     # ---- reduce: SpawnRDD + reduce-scatter + gather, until one succeeds ---
     with sc.stopwatch.span("agg.reduce"):
         if not streaming:
-            if spec.compression != "none":
+            if spec.topk is not None:
                 # Sparsify before pricing: the tuner and the ring both see
                 # the compressed wire sizes.
                 _compress_holders(sc, spec, holders)
@@ -653,11 +653,11 @@ def _topk_compress(spec: AggregationSpec, executor: Any, value: Any
     itself (``value.topk(k, residual)``, which
     :class:`~repro.ml.aggregators.FlatAggregator` implements: only the
     payload is sparsified, the loss/weight stats always travel exact);
-    this function picks ``k`` from the spec and keeps the carry. With
-    ``error_feedback`` the unsent remainder accumulates in
-    ``executor.residuals`` (keyed by payload size, cleared when the
-    executor dies) and is added back before the next selection, so every
-    coordinate is eventually transmitted.
+    this function picks ``k`` from the spec's fraction and keeps the
+    carry: the unsent remainder accumulates in ``executor.residuals``
+    (keyed by payload size, cleared when the executor dies) and is added
+    back before the next selection, so every coordinate is eventually
+    transmitted.
 
     The sparsification itself costs one pass over the dense payload at
     the platform's merge bandwidth (select + subtract are both linear);
@@ -668,19 +668,13 @@ def _topk_compress(spec: AggregationSpec, executor: Any, value: Any
     topk = getattr(value, "topk", None)
     if topk is None:
         raise TypeError(
-            f'compression="topk" needs a holder with a topk() method, such '
-            f"as a FlatAggregator; got {type(value).__name__}")
+            f"topk needs a holder with a topk() method, such as a "
+            f"FlatAggregator; got {type(value).__name__}")
     d = value.payload_size
-    if spec.topk_k is not None:
-        k = spec.topk_k
-    else:
-        k = max(1, int(round(spec.topk_ratio * d)))
-    k = min(k, d) if d else 0
+    k = max(1, min(d, int(round(spec.topk * d))))
     key = ("topk", d)
-    residual = executor.residuals.get(key) if spec.error_feedback else None
-    comp, sent, remainder = topk(max(1, k), residual)
-    if spec.error_feedback:
-        executor.residuals[key] = remainder
+    comp, sent, remainder = topk(k, executor.residuals.get(key))
+    executor.residuals[key] = remainder
     cost = (value.__sim_dense_size__()
             / executor.sc.cluster.config.merge_bandwidth)
     stats = {"k": int(k), "payload_size": int(d),
@@ -702,7 +696,6 @@ def _compress(sc: Any, spec: AggregationSpec, executor_id: int,
     if bus.active:
         bus.emit(ResidualNorm.fast(
             time=sc.now, executor_id=executor_id, job_id=obj[0],
-            error_feedback=spec.error_feedback,
             span_id=bus.tracer.new_span(),
             parent_span_id=parent_span, **stats))
 
@@ -739,7 +732,7 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
     merge order inside every ring is fixed by topology, not by readiness
     timing — the result is bit-identical to the classic ring.
 
-    With ``compression="topk"`` the per-executor *cook* step sparsifies
+    With ``topk`` set the per-executor *cook* step sparsifies
     the aggregator between readiness and streaming, overlapping
     compression with the other executors' compute as well. Under a policy
     the stream is armored like any attempt, and the armor gets a
@@ -785,7 +778,7 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
 
     def cook(executor_id: int):
         yield complete[executor_id]
-        if spec.compression != "none":
+        if spec.topk is not None:
             yield from _compress(sc, spec, executor_id, merged[executor_id],
                                  armor.span_id)
 
@@ -825,14 +818,9 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
     return job, collective, on_plan
 
 
-#: downgrade reasons already warned about (warn once per process, per
-#: reason; the event stream records every occurrence)
-_downgrade_warned: set = set()
-
-
 def _emit_downgrade(sc: Any, armor: _Armor, reason: str,
                     detail: str) -> None:
-    """Record a pipelined→phased downgrade: obs event plus one warning."""
+    """Record a pipelined→phased downgrade: obs event plus a warning."""
     bus = sc.event_bus
     if bus.active:
         bus.emit(CollectiveDowngraded.fast(
@@ -847,11 +835,8 @@ def _emit_downgrade(sc: Any, armor: _Armor, reason: str,
         armor.controller.actions.append(action)
     if bus.active:
         bus.emit(action)
-    if reason not in _downgrade_warned:
-        _downgrade_warned.add(reason)
-        warnings.warn(
-            f"pipelined_ring downgraded to the phased path ({reason}): "
-            f"{detail}. The result is unaffected; only the "
-            f"compute/communication overlap is lost. Further downgrades "
-            f"of this kind warn only on the event stream.",
-            RuntimeWarning, stacklevel=2)
+    warnings.warn(
+        f"pipelined_ring downgraded to the phased path ({reason}): "
+        f"{detail}. The result is unaffected; only the "
+        f"compute/communication overlap is lost.",
+        RuntimeWarning, stacklevel=2)

@@ -11,10 +11,9 @@ only way in: nothing under :mod:`repro` reads an environment variable.
   runs (``"ring"`` | ``"hd"`` | ``"hierarchical"`` | ``"pipelined_ring"``,
   see :mod:`repro.comm.collectives`) or ``"auto"`` to let the cost-model
   tuner (:mod:`repro.comm.cost`) pick algorithm + parallelism per call,
-* ``sparse_policy`` — the density-adaptive wire format: ``None`` is
-  dense, a :class:`~repro.serde.SparsePolicy` is the one policy object
-  the seqOp accumulator, the aggregator's segments and the wire-format
-  switch share for the whole job,
+* ``sparse`` and ``topk`` — the two opt-in tiers, one field each: the
+  density-adaptive wire format, and top-k sparsification with error
+  feedback,
 * :meth:`AggregationSpec.of` — the one check every entry point runs on
   ``spec`` (``None`` is the default spec, a non-spec a ``TypeError``).
 
@@ -35,20 +34,15 @@ from typing import Any, Optional, Tuple
 
 from ..comm.collectives import COLLECTIVE_ALGORITHMS
 from ..comm.ring import DEFAULT_CHUNK_BYTES
-from ..serde.cost import SparsePolicy
 
 __all__ = [
     "COLLECTIVES",
-    "COMPRESSIONS",
     "DEFAULT_CHUNK_BYTES",
     "AggregationSpec",
 ]
 
 #: valid values of :attr:`AggregationSpec.collective`
 COLLECTIVES: Tuple[str, ...] = ("auto", *COLLECTIVE_ALGORITHMS)
-
-#: valid values of :attr:`AggregationSpec.compression`
-COMPRESSIONS: Tuple[str, ...] = ("none", "topk")
 
 #: the P values the ``"auto"`` tuner considers
 PARALLELISM_CANDIDATES: Tuple[int, ...] = (1, 2, 4, 8)
@@ -80,10 +74,12 @@ class AggregationSpec:
     topology_aware:
         Rank executors by hostname (the paper's default) or by id.
         ``"hierarchical"`` requires hostname ranking.
-    sparse_policy:
-        The density-adaptive wire format: ``None`` keeps every payload
-        dense, a :class:`~repro.serde.SparsePolicy` (``SparsePolicy()``
-        is the SparCML break-even default) is the job-wide policy object.
+    sparse:
+        The density-adaptive wire format (DESIGN.md §8): ``True`` gives
+        the seqOp accumulator, the aggregator's segments and the per-send
+        wire-format switch SparCML's break-even policy,
+        :data:`~repro.serde.DEFAULT_SPARSE_POLICY`. Bit-identical to the
+        dense run; only sizes, and so virtual time, change.
     recovery:
         Optional :class:`~repro.faults.RecoveryPolicy` arming the
         fault-tolerant reduce path.
@@ -92,25 +88,21 @@ class AggregationSpec:
         ring segment streams as ``ceil(segment_bytes / chunk_bytes)``
         independent chunk columns so wire and merge time overlap. Has no
         effect on other collectives or on the reduced values.
-    compression / topk_ratio / topk_k / error_feedback:
-        The **opt-in approximate tier**: ``compression="topk"`` sends only
-        the k largest-magnitude gradient coordinates per executor
-        (``topk_k`` absolute, else ``topk_ratio`` of the payload);
-        ``error_feedback=True`` keeps the unsent remainder in a
-        per-executor residual folded into the next iteration. Never
-        enabled implicitly.
+    topk:
+        The **opt-in approximate tier** (DESIGN.md §14): the fraction of
+        payload coordinates, in ``(0, 1]``, each executor sends — its
+        largest-magnitude ones. The unsent remainder stays in a
+        per-executor error-feedback residual that the next iteration adds
+        back. ``None`` (the default) sends everything.
     """
 
     collective: str = "ring"
     parallelism: int = 4
     topology_aware: bool = True
-    sparse_policy: Optional[SparsePolicy] = None
+    sparse: bool = False
     recovery: Optional[Any] = None
     chunk_bytes: float = DEFAULT_CHUNK_BYTES
-    compression: str = "none"
-    topk_ratio: float = 0.01
-    topk_k: Optional[int] = None
-    error_feedback: bool = False
+    topk: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.collective not in COLLECTIVES:
@@ -127,19 +119,8 @@ class AggregationSpec:
         if self.chunk_bytes <= 0:
             raise ValueError(
                 f"chunk_bytes must be > 0, got {self.chunk_bytes}")
-        if self.compression not in COMPRESSIONS:
-            raise ValueError(
-                f"compression must be one of {COMPRESSIONS}, "
-                f"got {self.compression!r}")
-        if not 0.0 < self.topk_ratio <= 1.0:
-            raise ValueError(
-                f"topk_ratio must be in (0, 1], got {self.topk_ratio}")
-        if self.topk_k is not None and self.topk_k < 1:
-            raise ValueError(f"topk_k must be >= 1, got {self.topk_k}")
-        if self.error_feedback and self.compression == "none":
-            raise ValueError(
-                "error_feedback=True requires compression='topk' — the "
-                "residual accumulator only exists on the approximate tier")
+        if self.topk is not None and not 0.0 < self.topk <= 1.0:
+            raise ValueError(f"topk must be in (0, 1], got {self.topk}")
 
     # -------------------------------------------------------------- builders
     @classmethod

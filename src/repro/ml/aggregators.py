@@ -122,10 +122,6 @@ class SparseAccumulator:
         """Stored entries (an upper bound between coalesces)."""
         return self.size if self.buf is not None else self._pending
 
-    @property
-    def density(self) -> float:
-        return (self.nnz / self.size) if self.size else 1.0
-
     # ------------------------------------------------------------- operations
     def scatter_add(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Accumulate ``values`` at ``indices`` (duplicates allowed)."""
@@ -322,10 +318,6 @@ class AggregatorSegment:
         return seg
 
     # ------------------------------------------------------------- properties
-    @property
-    def is_sparse(self) -> bool:
-        return self.buf is None
-
     @property
     def representation(self) -> str:
         return "sparse" if self.buf is None else "dense"

@@ -28,6 +28,7 @@ from ..core.sai import drop_topk_residuals, split_aggregate
 from ..core.spec import AggregationSpec
 from ..rdd.costing import Costed
 from ..rdd.rdd import RDD
+from ..serde import DEFAULT_SPARSE_POLICY
 from .aggregators import FlatAggregator, concat_op, reduce_op, split_op
 from .columnar import ColumnarSeqOp
 from .gradient import Gradient
@@ -170,9 +171,9 @@ class GradientDescent:
                                  self.sample_scale, self.flop_time)
         merge = Costed(lambda a, b: a.merge(b), 0.0)
         size_scale = self.size_scale
-        # the seqOp accumulator and the wire-format switch share the
-        # spec's one policy object for the whole job
-        policy = self.spec.sparse_policy
+        # the seqOp accumulator and the wire-format switch share one
+        # policy object for the whole job
+        policy = DEFAULT_SPARSE_POLICY if self.spec.sparse else None
         zero = lambda: FlatAggregator(dim, size_scale,  # noqa: E731
                                       policy=policy)
 

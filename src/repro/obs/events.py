@@ -415,8 +415,7 @@ class ResidualNorm(TraceEvent):
     Emitted by the opt-in approximate tier each time a holder is
     sparsified: ``k`` of ``payload_size`` coordinates were sent,
     ``sent_norm`` / ``residual_norm`` are the L2 norms of the transmitted
-    part and of the error-feedback remainder kept on the executor
-    (0 when ``error_feedback`` is off — the remainder is dropped).
+    part and of the error-feedback remainder kept on the executor.
     """
 
     kind: ClassVar[str] = "residual_norm"
@@ -427,7 +426,6 @@ class ResidualNorm(TraceEvent):
     payload_size: int
     sent_norm: float
     residual_norm: float
-    error_feedback: bool = True
 
 
 # --------------------------------------------------------------------- imm

@@ -23,43 +23,42 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["SerdeModel", "SparsePolicy", "DEFAULT_SPARSE_POLICY"]
 
+#: simulated bytes of one sparse entry's index, of its value, and of one
+#: dense slot: the JVM's 8-byte longs and doubles
+INDEX_BYTES = 8.0
+VALUE_BYTES = 8.0
+DENSE_VALUE_BYTES = 8.0
+
 
 @dataclass(frozen=True)
 class SparsePolicy:
     """Density policy for the adaptive sparse aggregation path.
 
     Encodes the SparCML-style wire-format switch: a sparse operand costs
-    ``nnz * (index_bytes + value_bytes)`` on the wire, a dense one
-    ``length * dense_value_bytes``, so sparse wins while density stays
-    below ``dense_value_bytes / (index_bytes + value_bytes)`` (0.5 with
-    the 8-byte defaults). ``density_threshold`` separately controls when
-    an accumulator *stores* itself densely (memory/kernel choice); it
-    defaults to the wire break-even point so storage and wire format flip
-    together.
+    ``nnz * (INDEX_BYTES + VALUE_BYTES)`` on the wire, a dense one
+    ``length * DENSE_VALUE_BYTES``, so sparse wins while density stays
+    below ``DENSE_VALUE_BYTES / (INDEX_BYTES + VALUE_BYTES)`` = 0.5.
+    ``density_threshold`` separately controls when an accumulator
+    *stores* itself densely (memory/kernel choice); it defaults to the
+    wire break-even point so storage and wire format flip together.
     """
 
     density_threshold: float = 0.5
-    index_bytes: float = 8.0
-    value_bytes: float = 8.0
-    dense_value_bytes: float = 8.0
 
     def __post_init__(self):
         if not 0.0 < self.density_threshold <= 1.0:
             raise ValueError(
                 f"density_threshold must be in (0, 1]: "
                 f"{self.density_threshold}")
-        if min(self.index_bytes, self.value_bytes,
-               self.dense_value_bytes) <= 0:
-            raise ValueError("per-entry byte costs must be positive")
 
     # ------------------------------------------------------------ wire sizes
     def sparse_wire_bytes(self, nnz: int, scale: float = 1.0) -> float:
         """Simulated bytes of ``nnz`` (index, value) pairs on the wire."""
-        return float(nnz) * (self.index_bytes + self.value_bytes) * scale
+        return float(nnz) * (INDEX_BYTES + VALUE_BYTES) * scale
 
     def dense_wire_bytes(self, length: int, scale: float = 1.0) -> float:
         """Simulated bytes of a dense ``length``-vector on the wire."""
-        return float(length) * self.dense_value_bytes * scale
+        return float(length) * DENSE_VALUE_BYTES * scale
 
     def wire_bytes(self, nnz: int, length: int, scale: float = 1.0) -> float:
         """Bytes of the cheaper wire format (the per-send switch)."""
@@ -67,17 +66,13 @@ class SparsePolicy:
                    self.dense_wire_bytes(length, scale))
 
     # --------------------------------------------------------------- switches
-    def prefer_sparse(self, nnz: int, length: int) -> bool:
-        """True when the sparse wire format is strictly smaller."""
-        return (self.sparse_wire_bytes(nnz)
-                < self.dense_wire_bytes(length))
-
     def should_densify(self, nnz: int, length: int) -> bool:
         """True when an accumulator at this density should store densely."""
         return length > 0 and nnz >= self.density_threshold * length
 
 
-#: the SparCML break-even policy (8-byte indices and values)
+#: the SparCML break-even policy: what ``AggregationSpec(sparse=True)``
+#: turns on
 DEFAULT_SPARSE_POLICY = SparsePolicy()
 
 

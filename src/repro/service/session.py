@@ -11,10 +11,10 @@ The session wraps both ways of running a workload:
   the returned :class:`JobHandle` exposes ``result()`` / ``status()`` /
   ``cancel()``.
 
-Service submissions are validated up front: ``compression="topk"``
-shares per-executor error-feedback residuals across tenants and is
-rejected; recovery policies assume they own the cluster's failure
-handling and are rejected; the ``pipelined_ring`` collective streams
+Service submissions are validated up front: ``topk`` shares
+per-executor error-feedback residuals across tenants and is rejected;
+recovery policies assume they own the cluster's failure handling and
+are rejected; the ``pipelined_ring`` collective streams
 aggregators in merge-arrival order (incompatible with the deterministic
 ordered-merge mode) and is downgraded to ``ring``, which PR 5 made
 byte-identical in result.
@@ -37,9 +37,6 @@ from .server import JobRecord, JobServer, JobStatus
 
 __all__ = ["SparkerSession", "JobHandle", "JobStatus"]
 
-#: emitted-once guard for the pipelined_ring service downgrade
-_warned_downgrades: set = set()
-
 
 def _resolve_workload(name: str):
     from ..bench.workloads import WORKLOADS
@@ -51,9 +48,8 @@ def _resolve_workload(name: str):
 
 
 def _check_lda_spec(workload, spec: AggregationSpec) -> None:
-    if workload.model == "lda" and spec.sparse_policy is not None:
-        raise ValueError(
-            "sparse_policy applies to the LR/SVM workloads only")
+    if workload.model == "lda" and spec.sparse:
+        raise ValueError("sparse applies to the LR/SVM workloads only")
 
 
 def _train(sc: SparkerContext, workload, rdd, ds, spec: AggregationSpec,
@@ -105,23 +101,21 @@ def _workload_result(name: str, config: ClusterConfig, aggregation: str,
 def service_spec(spec: Optional[AggregationSpec]) -> AggregationSpec:
     """Validate/adapt an aggregation spec for multi-tenant submission."""
     spec = AggregationSpec.of(spec)
-    if spec.compression == "topk":
+    if spec.topk is not None:
         raise ValueError(
-            "service jobs cannot use compression='topk': error-feedback "
-            "residuals live per executor and would couple tenants")
+            "service jobs cannot use topk: error-feedback residuals live "
+            "per executor and would couple tenants")
     if spec.recovery is not None:
         raise ValueError(
             "service jobs cannot carry a recovery policy: failure "
             "handling on a shared cluster belongs to the server")
     if spec.collective == "pipelined_ring":
-        if "pipelined_ring" not in _warned_downgrades:
-            _warned_downgrades.add("pipelined_ring")
-            warnings.warn(
-                "service jobs downgrade collective='pipelined_ring' to "
-                "'ring': streaming aggregators in merge-arrival order is "
-                "incompatible with the deterministic ordered-merge mode "
-                "(results are identical; overlap is lost)",
-                RuntimeWarning, stacklevel=3)
+        warnings.warn(
+            "service jobs downgrade collective='pipelined_ring' to "
+            "'ring': streaming aggregators in merge-arrival order is "
+            "incompatible with the deterministic ordered-merge mode "
+            "(results are identical; overlap is lost)",
+            RuntimeWarning, stacklevel=3)
         spec = spec.replace(collective="ring")
     return spec
 

@@ -17,7 +17,6 @@ from repro import AggregationSpec
 from repro.cluster import Cluster, ClusterConfig
 from repro.comm import COLLECTIVE_ALGORITHMS, ScalableCommunicator
 from repro.comm.collectives import _ChainState, _owner_block
-from repro.core import sai
 from repro.core.spec import COLLECTIVES
 from repro.faults import (
     AtRingHop,
@@ -366,8 +365,7 @@ def test_faulted_runs_recover_with_exact_sum(algorithm):
     expected = np.full(32, sum(range(1, 9)), dtype=float)
     announced = contextlib.nullcontext()
     if algorithm == "pipelined_ring":
-        # A lost stream announces its downgrade, once per process and reason.
-        sai._downgrade_warned.discard("streamed_abort")
+        # A lost stream announces its downgrade.
         announced = pytest.warns(RuntimeWarning, match="streamed_abort")
     with announced:
         result = _faulted_split_aggregate(algorithm)

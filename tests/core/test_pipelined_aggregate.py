@@ -196,8 +196,7 @@ def test_compression_with_recovery_rejected():
     with pytest.raises(ValueError, match="incompatible with a recovery"):
         rdd.split_aggregate(
             lambda: SizedPayload(np.zeros(8)),
-            spec=AggregationSpec(compression="topk",
-                                 recovery=RecoveryPolicy()),
+            spec=AggregationSpec(topk=0.01, recovery=RecoveryPolicy()),
             **payload_split_args())
 
 
@@ -210,7 +209,7 @@ def test_compression_needs_a_holder_with_topk(collective):
     with pytest.raises(TypeError, match="got SizedPayload"):
         rdd.split_aggregate(
             lambda: SizedPayload(np.zeros(8)),
-            spec=AggregationSpec(collective=collective, compression="topk"),
+            spec=AggregationSpec(collective=collective, topk=0.01),
             **payload_split_args())
     assert not any(sc.dag.claims.values())
     for executor in sc.executors:

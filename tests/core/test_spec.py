@@ -18,7 +18,7 @@ def test_defaults_are_seed_identical():
     assert spec.collective == "ring"
     assert spec.parallelism == 4
     assert spec.topology_aware is True
-    assert spec.sparse_policy is None  # dense
+    assert spec.sparse is False  # dense
     assert not hasattr(spec, "batched")  # the columnar fold has no knob
     assert spec.recovery is None
 
@@ -46,18 +46,19 @@ def test_hierarchical_requires_topology_aware():
 def _first_segment(spec):
     from repro.ml.aggregators import FlatAggregator
     from repro.ml.linalg import SparseVector
-    agg = FlatAggregator(400, policy=spec.sparse_policy)
+    policy = DEFAULT_SPARSE_POLICY if spec.sparse else None
+    agg = FlatAggregator(400, policy=policy)
     SparseVector(400, [3], [1.0]).add_to(agg.payload)
     return agg.split(0, 4)
 
 
-def test_explicit_policy_implies_sparse_mode():
-    # the policy is the whole switch, and the segments share its object
-    policy = SparsePolicy(density_threshold=0.25)
-    adaptive = _first_segment(AggregationSpec(sparse_policy=policy))
+def test_sparse_turns_on_the_break_even_policy():
+    # one flag is the whole switch, and the segments share its object
+    adaptive = _first_segment(AggregationSpec(sparse=True))
     dense = _first_segment(AggregationSpec())
-    assert adaptive.is_sparse and adaptive.policy is policy
-    assert not dense.is_sparse and dense.policy is None
+    assert adaptive.representation == "sparse"
+    assert adaptive.policy is DEFAULT_SPARSE_POLICY
+    assert dense.representation == "dense" and dense.policy is None
     np.testing.assert_array_equal(adaptive.to_array(), dense.to_array())
     assert SparsePolicy() == DEFAULT_SPARSE_POLICY
 
@@ -65,8 +66,11 @@ def test_explicit_policy_implies_sparse_mode():
 def test_the_spec_has_one_field_per_knob_and_no_second_way_in():
     import repro.core
     fields = set(AggregationSpec.__dataclass_fields__)
-    # the pool belongs to the context; a policy alone switches density
-    assert not fields & {"host_pool", "sparse_aggregation"}
+    # the pool belongs to the context; one field per opt-in tier
+    assert not fields & {"host_pool", "sparse_aggregation", "sparse_policy",
+                         "compression", "topk_ratio", "topk_k",
+                         "error_feedback"}
+    assert {"sparse", "topk"} <= fields
     for name in ("from_env", "to_dict", "from_dict",
                  "resolved_sparse_policy"):
         assert not hasattr(AggregationSpec, name)
@@ -137,10 +141,8 @@ def test_pipelined_ring_is_a_valid_collective():
 
 def test_compression_defaults_are_off():
     spec = AggregationSpec()
-    assert spec.compression == "none"
-    assert spec.topk_ratio == 0.01
-    assert spec.topk_k is None
-    assert spec.error_feedback is False
+    assert spec.topk is None
+    assert spec.sparse is False
 
 
 def test_chunk_bytes_must_be_positive():
@@ -151,14 +153,9 @@ def test_chunk_bytes_must_be_positive():
 
 
 def test_compression_knobs_are_validated():
-    with pytest.raises(ValueError, match="compression must be one of"):
-        AggregationSpec(compression="zstd")
-    with pytest.raises(ValueError, match="topk_ratio"):
-        AggregationSpec(compression="topk", topk_ratio=0.0)
-    with pytest.raises(ValueError, match="topk_ratio"):
-        AggregationSpec(compression="topk", topk_ratio=1.5)
-    with pytest.raises(ValueError, match="topk_k"):
-        AggregationSpec(compression="topk", topk_k=0)
-    with pytest.raises(ValueError, match="error_feedback"):
-        AggregationSpec(error_feedback=True)  # needs compression="topk"
+    for fraction in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError, match=r"topk must be in \(0, 1\]"):
+            AggregationSpec(topk=fraction)
+    assert AggregationSpec(topk=1.0).topk == 1.0
+    assert AggregationSpec(topk=0.001).topk == 0.001
 

@@ -39,8 +39,6 @@ LEDGER = ROOT / "benchmarks" / "ledger" / "run.py"
 LEDGER_WORKLOADS = ("chaos_agg", "fabric_1000flows", "train_tree",
                     "train_split", "service_mix")
 
-_SPARSE_TIER = ("the density-adaptive sparse and top-k tiers: ROADMAP item 4 "
-                "gives them an exhibit or deletes them")
 _HOST_POOL = "the host pool: ROADMAP item 5 deletes it"
 _ORACLE = "test oracle: "
 _SAFETY = "safety code the engine can meet but no root provokes: "
@@ -117,48 +115,30 @@ ALLOWED = {
     # so cannot be recorded under sys.setprofile (Python < 3.12)
     "repro/obs/critical_path.py:CriticalPathReport.totals":
         "the ledger's --trace 1 run reads it (ledger_layers.py)",
-    # ---- ROADMAP item 4: the sparse and top-k tiers
-    "repro/ml/aggregators.py:AggregatorSegment.chunk_concat": _SPARSE_TIER,
-    "repro/ml/aggregators.py:AggregatorSegment.chunk_split": _SPARSE_TIER,
-    "repro/ml/aggregators.py:AggregatorSegment.density": _SPARSE_TIER,
-    "repro/ml/aggregators.py:AggregatorSegment.is_sparse": _SPARSE_TIER,
-    "repro/ml/aggregators.py:AggregatorSegment.nnz": _SPARSE_TIER,
-    "repro/ml/aggregators.py:AggregatorSegment.sparse": _SPARSE_TIER,
-    "repro/ml/aggregators.py:FlatAggregator.buf": _SPARSE_TIER,
-    "repro/ml/aggregators.py:FlatAggregator.copy": _SPARSE_TIER,
-    "repro/ml/aggregators.py:FlatAggregator.payload_nnz": _SPARSE_TIER,
-    "repro/ml/aggregators.py:FlatAggregator.topk": _SPARSE_TIER,
-    "repro/ml/aggregators.py:SparseAccumulator._densify": _SPARSE_TIER,
-    "repro/ml/aggregators.py:SparseAccumulator.copy": _SPARSE_TIER,
-    "repro/ml/aggregators.py:SparseAccumulator.densify": _SPARSE_TIER,
-    "repro/ml/aggregators.py:SparseAccumulator.density": _SPARSE_TIER,
-    "repro/ml/aggregators.py:SparseAccumulator.is_dense": _SPARSE_TIER,
-    "repro/ml/aggregators.py:SparseAccumulator.merge_accumulator":
-        _SPARSE_TIER,
-    "repro/ml/aggregators.py:SparseAccumulator.nnz": _SPARSE_TIER,
-    "repro/ml/aggregators.py:SparseAccumulator.scatter_add": _SPARSE_TIER,
-    "repro/ml/aggregators.py:SparseAccumulator.scatter_add_rows":
-        _SPARSE_TIER,
-    "repro/serde/sparse.py:densify_sparse": _SPARSE_TIER,
-    "repro/serde/sparse.py:slice_sparse": _SPARSE_TIER,
-    "repro/serde/sparse.py:topk_indices": _SPARSE_TIER,
-    "repro/serde/sparse.py:topk_sparsify": _SPARSE_TIER,
-    "repro/serde/cost.py:SparsePolicy.dense_wire_bytes": _SPARSE_TIER,
-    "repro/serde/cost.py:SparsePolicy.prefer_sparse": _SPARSE_TIER,
-    "repro/serde/cost.py:SparsePolicy.sparse_wire_bytes": _SPARSE_TIER,
-    "repro/serde/cost.py:SparsePolicy.wire_bytes": _SPARSE_TIER,
-    "repro/core/sai.py:_topk_compress": _SPARSE_TIER,
-    "repro/core/imm.py:MutableObjectManager.replace": _SPARSE_TIER,
-    "repro/core/sai.py:_compress": _SPARSE_TIER,
-    "repro/core/sai.py:_compress_holders": _SPARSE_TIER,
-    "repro/data/synthetic.py:concentrated_classification": _SPARSE_TIER,
-    "repro/obs/critical_path.py:SparseSavings.bytes_saved": _SPARSE_TIER,
-    "repro/obs/critical_path.py:SparseSavings.savings_ratio": _SPARSE_TIER,
+    # ---- the sparse tier inside one executor, and what tests read
+    "repro/ml/aggregators.py:SparseAccumulator.densify":
+        "a sparse partial merged with one that folded past the break-even "
+        "density; no cell of the tiers' exhibit folds an executor's "
+        "partial that dense (their unions cross it on the ring, where "
+        "AggregatorSegment.sparse densifies)",
+    "repro/ml/aggregators.py:SparseAccumulator._densify":
+        "a sparse partial folded past the break-even density; no cell of "
+        "the tiers' exhibit folds an executor's partial that dense",
+    "repro/ml/aggregators.py:FlatAggregator.buf":
+        _ORACLE + "the classic dense layout the aggregator tests compare "
+                  "and fill; the engine reads payload and the statistics",
+    "repro/ml/aggregators.py:FlatAggregator.payload_nnz":
+        _ORACLE + "the fold oracles compare a partial's pending entry "
+                  "count with the per-row fold's",
+    "repro/ml/aggregators.py:FlatAggregator.copy":
+        _ORACLE + "the fold oracles read a partial's bytes without "
+                  "densifying the partial under test",
+    "repro/ml/aggregators.py:SparseAccumulator.copy":
+        _ORACLE + "FlatAggregator.copy's sparse state",
     "repro/obs/critical_path.py:FaultReport.residual_norm_lost":
-        _SPARSE_TIER,
-    "repro/rdd/rdd.py:RDD.sample": _SPARSE_TIER + " (its mini-batch cell)",
-    "repro/rdd/rdd.py:RDD.sample.<locals>.run":
-        _SPARSE_TIER + " (its mini-batch cell)",
+        _SAFETY + "the error-feedback mass an executor death destroys "
+                  "(top-k refuses a recovery policy, so no fault root "
+                  "runs top-k)",
     # ---- ROADMAP item 5: the host pool
     "repro/rdd/hostpool.py": _HOST_POOL,
     "repro/rdd/storage.py:CachedPartition.__reduce__":

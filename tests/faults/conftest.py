@@ -7,6 +7,7 @@ tests assert on: the result array, the final virtual time, and the
 controller's injected/recovery records.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -82,6 +83,20 @@ def run_split_agg(plan: Optional[FaultPlan] = None,
     return AggRun(result=result.data, now=sc.now,
                   injected=list(controller.injected) if controller else [],
                   actions=list(controller.actions) if controller else [])
+
+
+def run_announced(**kwargs) -> AggRun:
+    """:func:`run_split_agg` of a stream a fault may downgrade: each
+    ``streamed_abort`` the controller records is announced by exactly one
+    RuntimeWarning, and the run warns nothing else."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run = run_split_agg(**kwargs)
+    assert all(w.category is RuntimeWarning
+               and "downgraded to the phased path" in str(w.message)
+               for w in caught), [str(w.message) for w in caught]
+    assert len(caught) == run.action_names.count("streamed_abort")
+    return run
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from repro.cluster import ClusterConfig
 from repro.rdd import SparkerContext
 from repro.rdd.hostpool import HostPool
 
-from .conftest import expected_sum, run_split_agg
+from .conftest import expected_sum, run_announced, run_split_agg
 from .test_pipelined_recovery import PLAN_CLASSES, RECOVERY, plan_for
 
 POOL_SIZES = [1, 2, 8]
@@ -29,7 +29,7 @@ def pooled_context(pool_size: int) -> SparkerContext:
 @pytest.mark.parametrize("kind", PLAN_CLASSES)
 @pytest.mark.parametrize("pool_size", POOL_SIZES)
 def test_pooled_pipelined_bitwise_under_chaos(pool_size, kind):
-    run = run_split_agg(plan=plan_for(kind, 4), recovery=RECOVERY,
+    run = run_announced(plan=plan_for(kind, 4), recovery=RECOVERY,
                         sc=pooled_context(pool_size),
                         collective="pipelined_ring")
     np.testing.assert_array_equal(run.result, expected_sum())
@@ -40,9 +40,9 @@ def test_pooled_parity_with_poolless_run(pool_size):
     """Pool sizes must be invisible: same result, timing, and recovery
     log as the pool-less chaos run."""
     plan = plan_for("crash_mid_ring", 4)
-    bare = run_split_agg(plan=plan, recovery=RECOVERY,
+    bare = run_announced(plan=plan, recovery=RECOVERY,
                          collective="pipelined_ring")
-    pooled = run_split_agg(plan=plan_for("crash_mid_ring", 4),
+    pooled = run_announced(plan=plan_for("crash_mid_ring", 4),
                            recovery=RECOVERY,
                            sc=pooled_context(pool_size),
                            collective="pipelined_ring")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.comm.ring import ScalableCommunicator
-from repro.core import AggregationSpec, sai
+from repro.core import AggregationSpec
 from repro.faults import (
     AtRingHop,
     AtStageBoundary,
@@ -224,7 +224,6 @@ def _flaky_once_stream(sc, recovery=None):
 @pytest.mark.parametrize("recovery", [None, RecoveryPolicy()],
                          ids=["inert", "armed"])
 def test_resubmitted_stage_downgrades_the_stream(baseline, recovery):
-    sai._downgrade_warned.discard("placement_deviation")
     sc = make_context()
     with pytest.warns(RuntimeWarning, match="placement_deviation"):
         result = _flaky_once_stream(sc, recovery)

@@ -16,13 +16,8 @@ from repro.data import concentrated_classification, sparse_classification
 from repro.ml import LogisticRegressionWithSGD, SVMWithSGD
 from repro.obs import RecordingListener, attribute_critical_path
 from repro.rdd import SparkerContext
-from repro.serde import SparsePolicy
 
 NODES = 2
-
-
-def _policy(adaptive):
-    return SparsePolicy() if adaptive else None
 
 
 def _train(points, dim, *, adaptive, aggregation="split", parallelism=4,
@@ -35,8 +30,7 @@ def _train(points, dim, *, adaptive, aggregation="split", parallelism=4,
     began = sc.now
     model = LogisticRegressionWithSGD.train(
         rdd, dim, num_iterations=iterations, aggregation=aggregation,
-        spec=AggregationSpec(parallelism=parallelism,
-                             sparse_policy=_policy(adaptive)))
+        spec=AggregationSpec(parallelism=parallelism, sparse=adaptive))
     return model, sc.now - began
 
 
@@ -144,6 +138,6 @@ def test_svm_adaptive_bit_identical(sparse_points):
         rdd.count()
         models[adaptive] = SVMWithSGD.train(
             rdd, 2_000, num_iterations=3, aggregation="split",
-            spec=AggregationSpec(sparse_policy=_policy(adaptive)))
+            spec=AggregationSpec(sparse=adaptive))
     np.testing.assert_array_equal(models[False].weights,
                                   models[True].weights)

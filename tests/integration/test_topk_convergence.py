@@ -1,13 +1,12 @@
 """The opt-in approximate tier: top-k compression must be explicitly
-enabled, and with error feedback it must not change where training lands.
+enabled, and with its error feedback it must not change where training
+lands.
 
-Gate for the compression feature (ISSUE acceptance): LR and SVM trained
-with ``compression="topk"`` + ``error_feedback=True`` finish within
-``rtol=1e-3`` of the exact run's final loss, across ring sizes — and a
-default spec emits no compression events at all.
+LR and SVM trained with ``topk=0.05`` finish within ``rtol=1e-3`` of the
+exact run's final loss, across ring sizes — and a default spec emits no
+compression events at all.
 """
 
-import numpy as np
 import pytest
 
 from repro import AggregationSpec
@@ -41,8 +40,7 @@ def train(points, trainer, spec, *, nodes=2, iterations=5, listener=None):
 
 EXACT = AggregationSpec(collective="pipelined_ring", parallelism=2)
 TOPK = AggregationSpec(collective="pipelined_ring", parallelism=2,
-                       compression="topk", topk_ratio=0.05,
-                       error_feedback=True)
+                       topk=0.05)
 
 
 @pytest.mark.parametrize("trainer", [LogisticRegressionWithSGD, SVMWithSGD],
@@ -69,12 +67,10 @@ def test_error_feedback_transmits_withheld_mass(points):
     events = []
     train(points, LogisticRegressionWithSGD,
           AggregationSpec(collective="pipelined_ring", parallelism=2,
-                          compression="topk", topk_k=16,
-                          error_feedback=True),
+                          topk=16 / DIM),
           iterations=6, listener=events.append)
     gauges = [e for e in events if isinstance(e, ResidualNorm)]
     assert gauges and all(g.k == 16 for g in gauges)
-    assert all(g.error_feedback for g in gauges)
     by_exec: dict = {}
     for g in gauges:
         by_exec.setdefault(g.executor_id, []).append(g.residual_norm)
@@ -95,9 +91,7 @@ def test_topk_on_classic_ring_path_also_works(points):
     """Compression is a spec knob, not a pipelined_ring side effect: the
     phased ring path sparsifies holders too."""
     events = []
-    spec = AggregationSpec(collective="ring", parallelism=2,
-                           compression="topk", topk_ratio=0.05,
-                           error_feedback=True)
+    spec = AggregationSpec(collective="ring", parallelism=2, topk=0.05)
     exact = train(points, LogisticRegressionWithSGD, EXACT)
     approx = train(points, LogisticRegressionWithSGD, spec,
                    listener=events.append)

@@ -63,7 +63,6 @@ def test_accumulator_densifies_at_threshold():
     acc.coalesce()
     assert acc.is_dense
     assert acc.nnz == 100  # dense reports full length
-    assert acc.density == 1.0
 
 
 def test_accumulator_indices_values_requires_sparse():
@@ -95,7 +94,7 @@ def test_sparse_segment_wire_size_switch():
     seg = AggregatorSegment.sparse(
         100, np.array([3, 50]), np.array([1.0, 2.0]), 800.0,
         policy=POLICY)
-    assert seg.is_sparse
+    assert seg.representation == "sparse"
     assert seg.__sim_size__() == 32.0  # 2 nnz * 16 B
     assert seg.__sim_dense_size__() == 800.0
     assert sim_sizeof(seg) == 32.0
@@ -105,7 +104,7 @@ def test_sparse_segment_densifies_at_creation_over_threshold():
     idx = np.arange(60)
     seg = AggregatorSegment.sparse(100, idx, np.ones(60), 800.0,
                                    policy=POLICY)
-    assert not seg.is_sparse
+    assert seg.representation == "dense"
     assert seg.__sim_size__() == 800.0
 
 

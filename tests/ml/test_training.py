@@ -165,8 +165,7 @@ def test_a_topk_run_starts_from_zero_error_feedback_carry():
     from repro import AggregationSpec
 
     points, _ = sparse_classification(400, 256, 8, seed=7)
-    spec = AggregationSpec(compression="topk", topk_ratio=0.05,
-                           error_feedback=True)
+    spec = AggregationSpec(topk=0.05)
 
     def svm_weights(after_lr):
         sc = SparkerContext(ClusterConfig.laptop())

@@ -40,7 +40,7 @@ from repro.obs import (
 from repro.obs.__main__ import main as obs_main
 from repro.obs.__main__ import render_report
 from repro.rdd import SparkerContext
-from repro.serde import SizedPayload, SparsePolicy
+from repro.serde import SizedPayload
 
 from .helpers import dump_events, run_lr
 from .test_stream_digest import recorded_stream
@@ -456,8 +456,7 @@ def faulted_auto_sparse_events():
         LogisticRegressionWithSGD.train(
             rdd, 2_000, num_iterations=2, aggregation="split",
             size_scale=1000.0,
-            spec=AggregationSpec(collective="auto",
-                                 sparse_policy=SparsePolicy()))
+            spec=AggregationSpec(collective="auto", sparse=True))
     return rec.events
 
 

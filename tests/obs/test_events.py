@@ -99,8 +99,7 @@ SAMPLES = [
     ChunkStream(time=0.96, rank=1, executor_id=5, channel="0", num_chunks=4,
                 chunk_bytes=4194304.0, value_bytes=1.6e7, began=0.9),
     ResidualNorm(time=0.97, executor_id=5, job_id=1, k=100,
-                 payload_size=10000, sent_norm=3.5, residual_norm=0.4,
-                 error_feedback=True),
+                 payload_size=10000, sent_norm=3.5, residual_norm=0.4),
     CollectiveDowngraded(time=0.98, requested="pipelined_ring",
                          actual="ring", reason="streamed_abort", job_id=1,
                          detail="executor 3 lost mid-stream"),

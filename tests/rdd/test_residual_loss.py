@@ -7,7 +7,6 @@ from repro import AggregationSpec
 from repro.cluster import ClusterConfig
 from repro.obs import ResidualLost, attribute_critical_path
 from repro.rdd import SparkerContext
-from repro.serde import SizedPayload
 
 
 def test_kill_emits_residual_lost(sc):
@@ -65,8 +64,7 @@ def test_real_topk_residuals_reported_and_analyzed():
     sc.parallelize(data, 4).split_aggregate(
         lambda: FlatAggregator(256), seq, split_op, reduce_op, concat_op,
         merge_op=lambda a, b: a.merge(b),
-        spec=AggregationSpec(parallelism=2, compression="topk",
-                             topk_k=16, error_feedback=True))
+        spec=AggregationSpec(parallelism=2, topk=16 / 256))
     victim = next(e for e in sc.executors if e.residuals)
     victim.kill()
     losses = [e for e in events if isinstance(e, ResidualLost)]

@@ -73,8 +73,8 @@ def test_policy_wire_bytes_and_break_even():
     # 16 B per sparse element vs 8 B dense: break-even at density 0.5.
     assert policy.sparse_wire_bytes(10) == 160.0
     assert policy.dense_wire_bytes(100) == 800.0
-    assert policy.prefer_sparse(49, 100)
-    assert not policy.prefer_sparse(50, 100)
+    assert policy.sparse_wire_bytes(49) < policy.dense_wire_bytes(100)
+    assert policy.sparse_wire_bytes(50) == policy.dense_wire_bytes(100)
     assert policy.wire_bytes(10, 100) == 160.0
     assert policy.wire_bytes(90, 100) == 800.0
 
@@ -91,8 +91,8 @@ def test_policy_validation():
         SparsePolicy(density_threshold=0.0)
     with pytest.raises(ValueError):
         SparsePolicy(density_threshold=1.5)
-    with pytest.raises(ValueError):
-        SparsePolicy(index_bytes=-1.0)
+    with pytest.raises(TypeError):
+        SparsePolicy(index_bytes=16.0)  # byte costs are module constants
 
 
 def test_policy_scale_applies():
