@@ -243,10 +243,11 @@ def test_ablation_tuner(record):
     measured time is within 10% of the fastest candidate's (the bound of
     ``tests/comm/test_cost.py``).
 
-    Finding: on the Figure 15 point the untrained model misses the bound
-    (hierarchical P=8, 1.9x the fastest: pipelined_ring P=4). The miss
-    is reported as an expected failure, with the bound unchanged, so the
-    test passes outright once the model prices that cell right."""
+    Finding: on the Figure 15 point the model, priced from the config
+    alone, misses the bound (hierarchical P=8, 1.9x the fastest:
+    pipelined_ring P=4). The miss is reported as an expected failure,
+    with the bound unchanged, so the test passes outright once the model
+    prices that cell right."""
     cells = (("Fig 14: 48 executors, 256 MB", 8, 256 * MB),
              ("Fig 15: 24 executors, 256 KB", 4, 256 * KB))
     algorithms = ("ring", "pipelined_ring", "hd", "hierarchical")

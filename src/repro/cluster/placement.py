@@ -79,13 +79,12 @@ class Cluster:
         Simulation environment all activity runs in.
     config:
         Platform description (see :class:`ClusterConfig`).
-    driver_colocated:
-        If True the driver shares node 0's NIC; by default it gets its own
-        host with identical network characteristics.
+
+    The driver gets a host of its own with the nodes' network
+    characteristics.
     """
 
-    def __init__(self, env: Environment, config: ClusterConfig,
-                 driver_colocated: bool = False):
+    def __init__(self, env: Environment, config: ClusterConfig):
         config.validate()
         self.env = env
         self.config = config
@@ -94,16 +93,13 @@ class Cluster:
             Node.from_config(env, node_id=i, config=config)
             for i in range(config.num_nodes)
         ]
-        if driver_colocated:
-            self.driver_node = self.nodes[0]
-        else:
-            self.driver_node = Node(
-                env, node_id=-1, hostname="driver-host",
-                cores=config.cores_per_node,
-                nic_bandwidth=config.nic_bandwidth,
-                loopback_bandwidth=config.loopback_bandwidth,
-                memory=config.memory_per_node,
-            )
+        self.driver_node = Node(
+            env, node_id=-1, hostname="driver-host",
+            cores=config.cores_per_node,
+            nic_bandwidth=config.nic_bandwidth,
+            loopback_bandwidth=config.loopback_bandwidth,
+            memory=config.memory_per_node,
+        )
         self.executors: List[ExecutorSlot] = self._place_executors()
 
     def _place_executors(self) -> List[ExecutorSlot]:

@@ -6,13 +6,7 @@ evaluation.
 """
 
 from .collectives import COLLECTIVE_ALGORITHMS, CollectiveAlgorithm
-from .cost import (
-    CollectiveCostModel,
-    CollectivePlan,
-    CostCalibrator,
-    choose_collective,
-    cost_model_for,
-)
+from .cost import CollectiveCostModel, CollectivePlan, choose_collective
 from .fabric import CommFabric
 from .micro import measure_latency, measure_throughput
 from .mpi import MPICH_RS_SHORT_THRESHOLD, MpiCommunicator
@@ -42,9 +36,7 @@ __all__ = [
     "COLLECTIVE_ALGORITHMS",
     "CollectiveCostModel",
     "CollectivePlan",
-    "CostCalibrator",
     "choose_collective",
-    "cost_model_for",
     "MpiCommunicator",
     "MPICH_RS_SHORT_THRESHOLD",
     "measure_latency",

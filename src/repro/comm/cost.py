@@ -9,15 +9,11 @@ cluster config already declares — per-message overhead + link latency
 (alpha), per-stream and NIC-shared bandwidth (beta), and the merge
 bandwidth — and :func:`choose_collective` picks the cheapest.
 
-Two feedback loops calibrate the model online, both fed by the obs layer:
-
-* :class:`CostCalibrator` is an :class:`~repro.obs.EventBus` listener
-  that refines alpha from small-message flight times and beta from
-  large-message flight times,
-* :meth:`CollectiveCostModel.observe` folds each collective's *measured*
-  reduce+gather span (``CollectiveCompleted``) into a per-algorithm EWMA
-  correction, so systematic model bias cancels out of the ranking after
-  the first few aggregations.
+Pricing is a pure function of the config and the plan: the model is an
+immutable value, nothing here listens to the event bus, and a decision
+never depends on what earlier collectives measured. The obs layer
+records each prediction beside its measurement (``CollectiveCompleted``)
+for the report.
 
 The predictions steer scheduling only — simulated time is always charged
 by the actual message/merge machinery — so a wrong estimate can cost
@@ -30,29 +26,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..cluster.config import ClusterConfig
-from ..obs import MessageDelivered
 from .ring import DEFAULT_CHUNK_BYTES
-from .transport import TransportSpec, sc_transport
+from .transport import sc_transport
 
 __all__ = [
     "CollectivePlan",
     "CollectiveCostModel",
-    "CostCalibrator",
     "choose_collective",
-    "cost_model_for",
 ]
-
-#: messages at or below this size calibrate alpha; above, beta
-SMALL_MESSAGE_BYTES = 4096.0
-
-#: EWMA weight for per-algorithm prediction corrections
-CORRECTION_WEIGHT = 0.5
-
-#: EWMA weight for link-sample calibration (alpha / beta / NIC rate)
-SAMPLE_WEIGHT = 0.2
 
 
 @dataclass(frozen=True)
@@ -72,10 +56,6 @@ class CollectivePlan:
     value_bytes: float
     #: target chunk size for ``pipelined_ring`` (ignored elsewhere)
     chunk_bytes: float = DEFAULT_CHUNK_BYTES
-    #: slowdown multiplier on executor-side merge CPU (>= 1.0): the
-    #: health registry's price for placing the collective on degraded
-    #: nodes (straggling or strike-laden executors). 1.0 = all healthy.
-    compute_penalty: float = 1.0
 
     @property
     def segment_bytes(self) -> float:
@@ -93,39 +73,29 @@ def _host_profile(slots: Sequence[Any]) -> Tuple[int, ...]:
     return tuple(sorted(counts.values(), reverse=True))
 
 
+@dataclass(frozen=True)
 class CollectiveCostModel:
     """Alpha-beta predictor for the registered reduce-scatter strategies.
 
-    All rates are bytes/second, all times seconds. The base constants
-    come straight from :class:`~repro.cluster.config.ClusterConfig` (via
-    :meth:`from_config`); :class:`CostCalibrator` and :meth:`observe`
-    refine them online.
+    All rates are bytes/second, all times seconds. The constants come
+    straight from :class:`~repro.cluster.config.ClusterConfig` (via
+    :meth:`from_config`) and never change afterwards.
     """
 
-    def __init__(self, alpha_inter: float, alpha_intra: float,
-                 stream_bandwidth: float, nic_bandwidth: float,
-                 loopback_stream: float, loopback_bandwidth: float,
-                 merge_bandwidth: float, ser_bandwidth: float,
-                 deser_bandwidth: float):
-        self.alpha_inter = alpha_inter
-        self.alpha_intra = alpha_intra
-        self.stream_bandwidth = stream_bandwidth
-        self.nic_bandwidth = nic_bandwidth
-        self.loopback_stream = loopback_stream
-        self.loopback_bandwidth = loopback_bandwidth
-        self.merge_bandwidth = merge_bandwidth
-        self.ser_bandwidth = ser_bandwidth
-        self.deser_bandwidth = deser_bandwidth
-        #: measured/predicted EWMA per algorithm (1.0 = model exact)
-        self.corrections: Dict[str, float] = {}
-        #: observations folded in per algorithm, for the tuner report
-        self.observations: Dict[str, int] = {}
+    alpha_inter: float
+    alpha_intra: float
+    stream_bandwidth: float
+    nic_bandwidth: float
+    loopback_stream: float
+    loopback_bandwidth: float
+    merge_bandwidth: float
+    ser_bandwidth: float
+    deser_bandwidth: float
 
     @classmethod
-    def from_config(cls, config: ClusterConfig,
-                    transport: Optional[TransportSpec] = None
-                    ) -> "CollectiveCostModel":
-        transport = transport or sc_transport(config)
+    def from_config(cls, config: ClusterConfig) -> "CollectiveCostModel":
+        """Price the scalable communicator's transport on ``config``."""
+        transport = sc_transport(config)
         return cls(
             alpha_inter=transport.overhead + config.inter_node_latency,
             alpha_intra=transport.overhead + config.intra_node_latency,
@@ -151,23 +121,9 @@ class CollectiveCostModel:
         return min(self.loopback_stream,
                    self.loopback_bandwidth / max(1.0, streams))
 
-    def _merge_rate(self, plan: CollectivePlan) -> float:
-        """Executor-side merge bandwidth, slowed by the health penalty.
-
-        A lock-step ring is paced by its slowest rank, so one degraded
-        executor stretches *every* merge term; ``compute_penalty = 1.0``
-        divides exactly and leaves healthy predictions bit-identical.
-        """
-        return self.merge_bandwidth / max(plan.compute_penalty, 1.0)
-
     # ----------------------------------------------------------- prediction
     def predict(self, plan: CollectivePlan) -> float:
-        """Calibrated reduce+gather seconds for ``plan``."""
-        raw = self.predict_raw(plan)
-        return raw * self.corrections.get(plan.algorithm, 1.0)
-
-    def predict_raw(self, plan: CollectivePlan) -> float:
-        """Uncalibrated model time for ``plan``'s reduce + driver gather."""
+        """Model time for ``plan``'s reduce + driver gather, seconds."""
         if plan.algorithm == "ring":
             reduce_time = self._ring_time(plan)
             owners = plan.ranks
@@ -213,7 +169,7 @@ class CollectiveCostModel:
             return 0.0
         seg = plan.segment_bytes
         hop, _alpha = self._ring_hop(plan, seg)
-        return (n - 1) * (hop + seg / self._merge_rate(plan))
+        return (n - 1) * (hop + seg / self.merge_bandwidth)
 
     def _pipelined_time(self, plan: CollectivePlan) -> float:
         """Chunked ring: wire and merge overlap across chunk columns.
@@ -235,7 +191,7 @@ class CollectiveCostModel:
         seg = plan.segment_bytes
         columns = self._columns(plan)
         hop, alpha = self._ring_hop(plan, seg)
-        merge = seg / self._merge_rate(plan)
+        merge = seg / self.merge_bandwidth
         step = (max(hop, merge) + min(hop, merge) / columns
                 + (columns - 1) * alpha)
         return (n - 1) * step
@@ -271,7 +227,7 @@ class CollectiveCostModel:
         round_rate = self._inter_rate(e_max * p)
         total += m * (self.alpha_inter + round_bytes / round_rate)
         # Deferred contributions fold at the end: ~one full channel pass.
-        total += (n / n2) * s_chan / self._merge_rate(plan)
+        total += (n / n2) * s_chan / self.merge_bandwidth
         return total
 
     def _hier_time(self, plan: CollectivePlan) -> float:
@@ -292,7 +248,7 @@ class CollectiveCostModel:
             rate = self._inter_rate(n * p / h)
             total += h * (self.alpha_inter + seg / rate)
         # Each walk folds all n contributions of its segment in sequence.
-        total += (n - 1) * seg / self._merge_rate(plan)
+        total += (n - 1) * seg / self.merge_bandwidth
         return total
 
     def _gather_time(self, plan: CollectivePlan, owners: int) -> float:
@@ -306,66 +262,6 @@ class CollectiveCostModel:
                 + per_owner / self.deser_bandwidth
                 + plan.value_bytes / self.merge_bandwidth)
 
-    # ---------------------------------------------------------- calibration
-    def observe(self, algorithm: str, predicted: float,
-                measured: float) -> None:
-        """Fold one measured reduce+gather span into the correction EWMA."""
-        if predicted <= 0.0 or measured <= 0.0:
-            return
-        raw = predicted / self.corrections.get(algorithm, 1.0)
-        if raw <= 0.0:
-            return
-        ratio = measured / raw
-        prior = self.corrections.get(algorithm)
-        if prior is None:
-            self.corrections[algorithm] = ratio
-        else:
-            self.corrections[algorithm] = (
-                (1.0 - CORRECTION_WEIGHT) * prior
-                + CORRECTION_WEIGHT * ratio)
-        self.observations[algorithm] = (
-            self.observations.get(algorithm, 0) + 1)
-
-
-class CostCalibrator:
-    """Bus listener refining the model's link constants from obs samples.
-
-    Subscribes like any listener (``bus.subscribe(CostCalibrator(model))``)
-    and updates the model in place:
-
-    * small :class:`~repro.obs.MessageDelivered` flight times → alpha
-      (per-message overhead + latency),
-    * large ones → beta (the achieved per-stream rate).
-
-    Never touches merge/serde constants — those are CPU-side and the obs
-    layer measures them elsewhere.
-    """
-
-    def __init__(self, model: CollectiveCostModel):
-        self.model = model
-        self.alpha_samples = 0
-        self.beta_samples = 0
-
-    def on_event(self, event: Any) -> None:
-        if isinstance(event, MessageDelivered):
-            if event.flight_time <= 0.0:
-                return
-            if event.nbytes <= SMALL_MESSAGE_BYTES:
-                self.model.alpha_inter = (
-                    (1.0 - SAMPLE_WEIGHT) * self.model.alpha_inter
-                    + SAMPLE_WEIGHT * event.flight_time)
-                self.alpha_samples += 1
-            else:
-                wire = event.flight_time - self.model.alpha_inter
-                if wire > 0.0:
-                    rate = event.nbytes / wire
-                    if rate <= self.model.nic_bandwidth:
-                        self.model.stream_bandwidth = (
-                            (1.0 - SAMPLE_WEIGHT)
-                            * self.model.stream_bandwidth
-                            + SAMPLE_WEIGHT * rate)
-                        self.beta_samples += 1
-
 
 def choose_collective(
     model: CollectiveCostModel,
@@ -374,17 +270,14 @@ def choose_collective(
     algorithms: Sequence[str],
     parallelism_candidates: Sequence[int],
     chunk_bytes: float = DEFAULT_CHUNK_BYTES,
-    compute_penalty: float = 1.0,
 ) -> Tuple[CollectivePlan, List[Tuple[CollectivePlan, float]]]:
     """Price every ``(algorithm, parallelism)`` candidate; pick cheapest.
 
     Returns ``(winner, estimates)`` where ``estimates`` lists every
-    candidate with its calibrated prediction (winner included), in the
-    deterministic candidate order. Ties break toward the earlier
+    candidate with its prediction (winner included), in the deterministic
+    candidate order. Ties break toward the earlier
     candidate, so listing ``"ring"`` first keeps the seed behaviour
-    whenever the model sees no advantage elsewhere. ``compute_penalty``
-    is the health registry's merge-CPU slowdown for the degraded nodes
-    in ``slots`` (1.0 = all healthy, predictions unchanged).
+    whenever the model sees no advantage elsewhere.
     """
     hosts = _host_profile(slots)
     ranks = len(slots)
@@ -397,31 +290,10 @@ def choose_collective(
             plan = CollectivePlan(algorithm=algorithm, parallelism=p,
                                   ranks=ranks, hosts=hosts,
                                   value_bytes=value_bytes,
-                                  chunk_bytes=chunk_bytes,
-                                  compute_penalty=compute_penalty)
+                                  chunk_bytes=chunk_bytes)
             predicted = model.predict(plan)
             estimates.append((plan, predicted))
             if best is None or predicted < best[1]:
                 best = (plan, predicted)
     assert best is not None
     return best[0], estimates
-
-
-def cost_model_for(sc: Any) -> CollectiveCostModel:
-    """The context's cached cost model, built (and wired) on first use.
-
-    Creates one :class:`CollectiveCostModel` from the context's cluster
-    config, subscribes a :class:`CostCalibrator` to the context's event
-    bus (when it has one), and caches both on the context so every
-    aggregation of a job shares one calibration state.
-    """
-    model = getattr(sc, "collective_costs", None)
-    if model is None:
-        model = CollectiveCostModel.from_config(sc.cluster.config)
-        sc.collective_costs = model
-        bus = getattr(sc, "event_bus", None)
-        if bus is not None:
-            calibrator = CostCalibrator(model)
-            bus.subscribe(calibrator)
-            sc.collective_calibrator = calibrator
-    return model

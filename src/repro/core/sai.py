@@ -285,7 +285,7 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
     tracer = sc.event_bus.tracer
     cid = sc.new_collective_id()
     algorithm, parallelism = spec.collective, spec.parallelism
-    predicted, model = 0.0, None  # what only the tuner sets
+    predicted = 0.0  # what only the tuner sets
     # A stream's window opens with the fold: the completed-span covers the
     # whole overlap, the number the overlap benchmark compares against
     # compute + reduce of the phased collectives.
@@ -325,8 +325,8 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
                         raise
                     armor.abort(str(exc))
                 else:
-                    _finish_collective(sc, model, cid, algorithm,
-                                       parallelism, predicted, began)
+                    _finish_collective(sc, cid, algorithm, parallelism,
+                                       predicted, began)
                     return result
         # The stream is lost: tear it down and downgrade to the reduce loop.
         detail = (armor.aborted
@@ -353,14 +353,14 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
                 # Sparsify before pricing: the tuner and the ring both see
                 # the compressed wire sizes.
                 _compress_holders(sc, spec, holders)
-            algorithm, parallelism, predicted, model = _choose_collective(
+            algorithm, parallelism, predicted = _choose_collective(
                 sc, spec, holders, cid)
             armor.span_id = tracer.collective_span(cid)
             began = sc.now
         result = _reduce(sc, ops, spec, armor, holders, contributions,
                          algorithm, parallelism)
-        _finish_collective(sc, model, cid, algorithm, parallelism,
-                           predicted, began)
+        _finish_collective(sc, cid, algorithm, parallelism, predicted,
+                           began)
     return result
 
 
@@ -402,15 +402,14 @@ def _announce(sc: Any, cid: int, source: str, holders: Holders,
 
 
 def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders,
-                       cid: int) -> Tuple[str, int, float, Any]:
+                       cid: int) -> Tuple[str, int, float]:
     """Decide a phased aggregation's ``(algorithm, parallelism)``.
 
     With ``spec.collective="auto"`` the cost model prices every
     ``algorithm x PARALLELISM_CANDIDATES`` pair against the holders'
     measured wire sizes and placement; otherwise the spec's pinned choice
     passes straight through. Returns ``(algorithm, parallelism,
-    predicted_seconds, model)`` — ``model`` is None unless the tuner ran
-    (its prediction feeds the post-run calibration).
+    predicted_seconds)``; the prediction is 0.0 unless the tuner ran.
 
     The decision itself is driver-side Python: it schedules no simulation
     events, so a pinned-ring run remains bit-identical to the seed.
@@ -421,20 +420,16 @@ def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders,
             bus.tracer.open_collective(cid)
         _announce(sc, cid, "spec", holders, spec.collective,
                   spec.parallelism)
-        return spec.collective, spec.parallelism, 0.0, None
+        return spec.collective, spec.parallelism, 0.0
 
-    from ..comm.cost import choose_collective, cost_model_for
-    model = cost_model_for(sc)
+    from ..comm.cost import CollectiveCostModel, choose_collective
     slots = _slots_for(sc, [executor_id for executor_id, _ in holders])
     algorithms = [name for name in COLLECTIVE_ALGORITHMS
                   if spec.topology_aware or name != "hierarchical"]
-    # Degraded holders slow every merge hop they participate in; the ring
-    # runs at the pace of its slowest rank, so price the worst penalty.
-    penalty = max(sc.health.compute_penalty(eid) for eid, _ in holders)
     winner, estimates = choose_collective(
-        model, _holder_value_bytes(sc, holders), slots, algorithms,
-        PARALLELISM_CANDIDATES, chunk_bytes=spec.chunk_bytes,
-        compute_penalty=penalty)
+        CollectiveCostModel.from_config(sc.cluster.config),
+        _holder_value_bytes(sc, holders), slots, algorithms,
+        PARALLELISM_CANDIDATES, chunk_bytes=spec.chunk_bytes)
     predicted = next(est for plan, est in estimates if plan is winner)
     if bus.active:
         cspan = bus.tracer.open_collective(cid)
@@ -446,20 +441,16 @@ def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders,
                 span_id=bus.tracer.new_span(), parent_span_id=cspan))
         _announce(sc, cid, "auto", holders, winner.algorithm,
                   winner.parallelism, predicted)
-    return winner.algorithm, winner.parallelism, predicted, model
+    return winner.algorithm, winner.parallelism, predicted
 
 
-def _finish_collective(sc: Any, model: Any, cid: int, algorithm: str,
-                       parallelism: int, predicted: float,
-                       began: float) -> None:
-    """Close the measurement window: calibrate the model, emit the span."""
-    measured = sc.now - began
-    if model is not None:
-        model.observe(algorithm, predicted, measured)
+def _finish_collective(sc: Any, cid: int, algorithm: str, parallelism: int,
+                       predicted: float, began: float) -> None:
+    """Close the measurement window: emit the completed span."""
     if sc.event_bus.active:
         sc.event_bus.emit(CollectiveCompleted.fast(
             time=sc.now, collective_id=cid, algorithm=algorithm,
-            parallelism=parallelism, began=began, seconds=measured,
+            parallelism=parallelism, began=began, seconds=sc.now - began,
             predicted=predicted,
             span_id=sc.event_bus.tracer.close_collective(cid)))
 

@@ -12,8 +12,7 @@ is that mechanism at the simulated engine's grain:
   every :class:`~repro.rdd.context.SparkerContext` (``sc.health``).
   The scheduler reports failures/straggles/successes; placement asks
   :meth:`is_available` before handing a task (or a speculative copy) to
-  an executor; the collective cost model asks :meth:`compute_penalty`
-  so ``collective="auto"`` prices degraded nodes.
+  an executor.
 
 Quarantine follows Spark's blacklist-with-timeout shape plus probation:
 crossing :data:`QUARANTINE_THRESHOLD` removes the executor from placement
@@ -108,21 +107,6 @@ class ExecutorHealthRegistry:
         except KeyError:
             return False
         return executor.alive and not self.is_quarantined(executor_id)
-
-    def compute_penalty(self, executor_id: int) -> float:
-        """Cost-model multiplier for this executor's effective compute.
-
-        Combines the live compute scale a straggler window set on the
-        executor with the health score, so ``collective="auto"`` prices
-        a degraded node's merge bandwidth realistically. 1.0 when
-        healthy — auto-tuned predictions are unchanged on clean runs.
-        """
-        try:
-            executor = self.sc.executor_by_id(executor_id)
-        except KeyError:
-            return 1.0
-        scale = max(float(getattr(executor, "compute_scale", 1.0)), 1.0)
-        return scale * (1.0 + self.score(executor_id))
 
     # ------------------------------------------------------------ recording
     def record_failure(self, executor_id: int) -> None:

@@ -642,10 +642,9 @@ class CollectiveCostEstimate(TraceEvent):
 
     One per candidate per tuned aggregation: ``algorithm`` and
     ``parallelism`` identify the candidate, ``predicted`` its modelled
-    reduce+gather seconds (calibration correction applied), ``chosen``
-    whether the tuner picked it. ``collective_id`` groups the candidates
-    of one decision with its :class:`CollectiveChosen` /
-    :class:`CollectiveCompleted` pair.
+    reduce+gather seconds, ``chosen`` whether the tuner picked it.
+    ``collective_id`` groups the candidates of one decision with its
+    :class:`CollectiveChosen` / :class:`CollectiveCompleted` pair.
     """
 
     kind: ClassVar[str] = "collective_cost"
@@ -687,8 +686,8 @@ class CollectiveCompleted(TraceEvent):
 
     ``seconds`` is the measured virtual-time span; with ``predicted`` from
     the matching :class:`CollectiveChosen` this is the model's
-    prediction-vs-measurement residual, which both the online calibrator
-    and the CLI tuner report consume.
+    prediction-vs-measurement residual, which the CLI tuner report
+    prints. The model itself never reads it back.
     """
 
     kind: ClassVar[str] = "collective_completed"

@@ -72,8 +72,6 @@ class SparkerContext:
     default_parallelism:
         Partition count used when ``parallelize`` is not told otherwise;
         defaults to the cluster's total executor cores (Spark's default).
-    driver_colocated:
-        Place the driver on node 0 instead of a dedicated host.
     host_pool:
         Parallel host-compute backend (:class:`~repro.rdd.hostpool.HostPool`
         instance, or an int worker count). ``None`` or a count ``<= 1``
@@ -82,7 +80,6 @@ class SparkerContext:
 
     def __init__(self, config: Optional[ClusterConfig] = None,
                  default_parallelism: Optional[int] = None,
-                 driver_colocated: bool = False,
                  host_pool: Optional[Union[int, HostPool]] = None):
         self.config = config or ClusterConfig.laptop()
         self.env = Environment()
@@ -91,8 +88,7 @@ class SparkerContext:
         self.event_bus = EventBus()
         #: the bus's causal span allocator (see :mod:`repro.obs.tracing`)
         self.tracer = self.event_bus.tracer
-        self.cluster = Cluster(self.env, self.config,
-                               driver_colocated=driver_colocated)
+        self.cluster = Cluster(self.env, self.config)
         self.serde = SerdeModel.from_config(self.config)
         self.block_tracker = BlockTracker()
         self.map_output_tracker = MapOutputTracker()

@@ -4,9 +4,9 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.sim import Environment
 
 
-def make(num_nodes=4, **kwargs):
+def make(num_nodes=4):
     env = Environment()
-    return env, Cluster(env, ClusterConfig.bic(num_nodes=num_nodes), **kwargs)
+    return env, Cluster(env, ClusterConfig.bic(num_nodes=num_nodes))
 
 
 def test_executor_count_matches_config():
@@ -25,11 +25,6 @@ def test_driver_has_own_host_by_default():
     _env, cluster = make()
     assert cluster.driver_node.hostname == "driver-host"
     assert all(n is not cluster.driver_node for n in cluster.nodes)
-
-
-def test_driver_colocated_option():
-    _env, cluster = make(driver_colocated=True)
-    assert cluster.driver_node is cluster.nodes[0]
 
 
 def test_executors_on_node():

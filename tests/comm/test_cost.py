@@ -1,28 +1,27 @@
-"""Cost model, online calibration, and tuner-choice tests.
+"""Cost model and tuner-choice tests.
 
 The model only steers scheduling (never correctness), so these tests pin
 the *decision properties* the tuner relies on: deterministic candidate
 ordering, ring-first tie-breaking, regime-correct rankings (latency-bound
-favours ``hd``, bandwidth-bound favours the ring), and that both feedback
-loops (EWMA correction + link calibration) move predictions toward what
-was measured.
+favours ``hd``, bandwidth-bound favours the ring), and that pricing is a
+pure function of the config and the plan — a run nobody listens to
+records nothing, whatever the collective.
 """
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro import AggregationSpec, SparkerContext
 from repro.cluster import MB, Cluster, ClusterConfig
 from repro.comm import ScalableCommunicator
 from repro.comm.cost import (
-    SMALL_MESSAGE_BYTES,
     CollectiveCostModel,
     CollectivePlan,
-    CostCalibrator,
     choose_collective,
-    cost_model_for,
 )
-from repro.obs import EventBus, MessageDelivered
+from repro.serde import SizedPayload
 from repro.sim import Environment
 
 from .conftest import concat_op, make_values, reduce_op, split_op
@@ -94,70 +93,6 @@ def test_segment_bytes_divides_by_ranks_and_parallelism():
     assert p.segment_bytes == 64.0 * MB / 32
 
 
-# ------------------------------------------------------------- correction
-def test_observe_corrects_systematic_bias():
-    model = make_model()
-    p = plan("ring")
-    predicted = model.predict(p)
-    model.observe("ring", predicted, 2.0 * predicted)  # model 2x optimistic
-    corrected = model.predict(p)
-    assert corrected == pytest.approx(2.0 * predicted)
-    assert model.observations["ring"] == 1
-
-
-def test_observe_is_an_ewma_not_a_jump():
-    model = make_model()
-    p = plan("hd")
-    first = model.predict(p)
-    model.observe("hd", first, 2.0 * first)
-    model.observe("hd", model.predict(p), first)  # contradicting sample
-    # correction settles between the two ratios, never oscillates outside
-    assert 1.0 < model.corrections["hd"] < 2.0
-
-
-def test_observe_ignores_degenerate_samples():
-    model = make_model()
-    model.observe("ring", 0.0, 1.0)
-    model.observe("ring", 1.0, 0.0)
-    assert "ring" not in model.corrections
-
-
-# ------------------------------------------------------------- calibrator
-def _delivered(nbytes, flight_time):
-    return MessageDelivered(time=0.0, transport="sc", src=0, dst=1,
-                            channel="0", hop=0, nbytes=nbytes,
-                            queue_wait=0.0, flight_time=flight_time)
-
-
-def test_calibrator_small_messages_refine_alpha():
-    model = make_model(alpha=1e-3)
-    cal = CostCalibrator(model)
-    for _ in range(64):
-        cal.on_event(_delivered(128.0, 4e-3))
-    assert cal.alpha_samples == 64
-    assert model.alpha_inter == pytest.approx(4e-3, rel=0.05)
-
-
-def test_calibrator_large_messages_refine_beta():
-    model = make_model(alpha=1e-3, stream=100 * MB)
-    cal = CostCalibrator(model)
-    nbytes = 64 * MB
-    # wire time consistent with a 200 MB/s achieved stream
-    for _ in range(64):
-        cal.on_event(_delivered(nbytes, model.alpha_inter
-                                + nbytes / (200 * MB)))
-    assert cal.beta_samples == 64
-    assert model.stream_bandwidth == pytest.approx(200 * MB, rel=0.05)
-
-
-def test_calibrator_ignores_sub_alpha_flights():
-    model = make_model(alpha=1e-3)
-    cal = CostCalibrator(model)
-    before = model.stream_bandwidth
-    cal.on_event(_delivered(SMALL_MESSAGE_BYTES + 1, 1e-9))
-    assert model.stream_bandwidth == before and cal.beta_samples == 0
-
-
 # ---------------------------------------------------------------- chooser
 CANDIDATES = ("ring", "hd", "hierarchical")
 
@@ -195,8 +130,8 @@ def test_choose_rejects_empty_slot_list():
 
 def test_tuner_pick_is_within_ten_percent_of_the_measured_best():
     """BIC x2, 1 MB: run every (algorithm, P) of the grid and time it on
-    the virtual clock; what the untrained model picks may cost at most
-    10% more than the fastest candidate."""
+    the virtual clock; what the model priced from the config alone picks
+    may cost at most 10% more than the fastest candidate."""
     config = ClusterConfig.bic(num_nodes=2)
     algorithms = ("ring", "pipelined_ring", "hd", "hierarchical")
     parallelisms = (1, 2, 4, 8)
@@ -225,24 +160,26 @@ def test_host_profile_feeds_the_plan():
     assert winner.ranks == 4
 
 
-# ------------------------------------------------------------ model cache
-def test_cost_model_for_caches_per_context():
-    sc = SimpleNamespace(
-        cluster=SimpleNamespace(config=ClusterConfig.bic(num_nodes=2)))
-    model = cost_model_for(sc)
-    assert cost_model_for(sc) is model
-    assert not hasattr(sc, "collective_calibrator")  # no bus, no listener
-
-
-def test_cost_model_for_wires_the_calibrator_to_the_bus():
-    bus = EventBus()
-    sc = SimpleNamespace(
-        cluster=SimpleNamespace(config=ClusterConfig.bic(num_nodes=2)),
-        event_bus=bus)
-    model = cost_model_for(sc)
-    assert sc.collective_calibrator.model is model
-    bus.emit(_delivered(64.0, 5e-3))
-    assert sc.collective_calibrator.alpha_samples == 1
+# ----------------------------------------------------------- no listener
+@pytest.mark.parametrize("collective", [
+    "ring", "hd", "hierarchical", "pipelined_ring", "auto"])
+def test_a_run_nobody_listens_to_records_nothing(collective):
+    """The tuner prices from the config: it subscribes nothing to the bus
+    and hangs no model on the context, so an untraced run stays silent."""
+    sc = SparkerContext(ClusterConfig.bic(num_nodes=2))
+    data = [SizedPayload(np.full(16, float(i)), sim_bytes=1 * MB)
+            for i in range(24)]
+    result = sc.parallelize(data, 12).split_aggregate(
+        lambda: SizedPayload(np.zeros(16), sim_bytes=1 * MB),
+        lambda a, x: a.merge_inplace(x),
+        lambda u, i, n: u.split(i, n),
+        lambda a, b: a.merge(b),
+        SizedPayload.concat,
+        spec=AggregationSpec(collective=collective))
+    assert np.array_equal(result.data, np.full(16, float(sum(range(24)))))
+    assert sc.event_bus.emitted == 0
+    assert not sc.event_bus.active
+    assert not hasattr(sc, "collective_costs")
 
 
 # --------------------------------------------------------- pipelined ring

@@ -25,7 +25,6 @@ def test_fresh_registry_is_all_healthy(sc):
         assert health.strikes(eid) == 0
         assert not health.is_quarantined(eid)
         assert health.is_available(eid)
-        assert health.compute_penalty(eid) == 1.0
 
 
 def test_failures_accumulate_weighted_score(sc):
@@ -94,17 +93,6 @@ def test_probation_success_clears_record(sc):
     assert not health.on_probation(0)
     assert health.score(0) == 0.0
     assert health.strikes(0) == 0
-
-
-# -------------------------------------------------------------- cost model
-def test_compute_penalty_prices_degradation(sc):
-    health = sc.health
-    sc.executor_by_id(0).compute_scale = 4.0
-    assert health.compute_penalty(0) == 4.0
-    health.record_failure(0)
-    assert health.compute_penalty(0) == 4.0 * 2.0  # scale * (1 + score)
-    assert health.compute_penalty(1) == 1.0
-    assert health.compute_penalty(999) == 1.0  # unknown: neutral
 
 
 def test_dead_executor_unavailable(sc):

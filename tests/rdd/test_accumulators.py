@@ -2,9 +2,6 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig
-from repro.rdd import SparkerContext
-
 
 def test_accumulator_counts_elements(sc):
     acc = sc.accumulator(0, name="records")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.rdd import Broadcast, Costed, SparkerContext, cost_of
+from repro.rdd import Costed, SparkerContext, cost_of
 from repro.rdd.task_context import TaskContext
 
 

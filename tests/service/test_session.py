@@ -66,12 +66,12 @@ def test_service_spec_warns_on_every_pipelined_ring_downgrade():
 
 
 def test_run_builds_its_context_from_the_session_arguments():
-    # a driver on node 0 talks to its executors locally: a shorter run
+    # half the default partitions: each task folds twice the rows
     default = SparkerSession(CFG).run("LR-A", "split", iterations=2)
-    colocated = SparkerSession(CFG, driver_colocated=True).run(
+    narrow = SparkerSession(CFG, default_parallelism=4).run(
         "LR-A", "split", iterations=2)
     assert round(default.end_to_end, 5) == 18.94241
-    assert round(colocated.end_to_end, 5) == 18.93985
+    assert round(narrow.end_to_end, 5) == 35.75654
 
 
 def test_a_bare_parallelism_is_not_a_spec():
