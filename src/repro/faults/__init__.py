@@ -11,7 +11,6 @@ fallback). Same plan + same seed replays to a byte-identical event log.
 """
 
 from .controller import FaultController
-from .health import ExecutorHealthRegistry
 from .plan import (
     AtRingHop,
     AtStageBoundary,
@@ -31,7 +30,6 @@ __all__ = [
     "FaultController",
     "FaultPlan",
     "RecoveryPolicy",
-    "ExecutorHealthRegistry",
     "AtTime",
     "AtStageBoundary",
     "AtRingHop",

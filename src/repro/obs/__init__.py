@@ -66,7 +66,6 @@ from .events import (
     CollectiveDowngraded,
     ColumnarFold,
     EVENT_TYPES,
-    ExecutorHealth,
     FaultInjected,
     ImmMerge,
     JobEnd,
@@ -125,7 +124,6 @@ __all__ = [
     "CollectiveDowngraded",
     "ResidualLost",
     "SpeculativeAttempt",
-    "ExecutorHealth",
     "CollectiveCostEstimate",
     "CollectiveChosen",
     "CollectiveCompleted",

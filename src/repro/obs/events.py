@@ -45,7 +45,6 @@ __all__ = [
     "CollectiveDowngraded",
     "ResidualLost",
     "SpeculativeAttempt",
-    "ExecutorHealth",
     "CollectiveCostEstimate",
     "CollectiveChosen",
     "CollectiveCompleted",
@@ -615,26 +614,6 @@ class SpeculativeAttempt(TraceEvent):
     elapsed: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class ExecutorHealth(TraceEvent):
-    """An executor's health score changed state.
-
-    ``status`` is ``failure``, ``straggle``, ``quarantined``,
-    ``probation`` (the quarantine window expired; the executor may be
-    tried again) or ``cleared`` (a probation success reset the score).
-    ``score`` is the registry's current weighted strike count,
-    ``until`` the quarantine expiry time (0 when not quarantined).
-    """
-
-    kind: ClassVar[str] = "executor_health"
-
-    executor_id: int
-    status: str
-    score: float
-    strikes: int = 0
-    until: float = 0.0
-
-
 # ------------------------------------------------------------- collectives
 @dataclass(frozen=True, slots=True)
 class CollectiveCostEstimate(TraceEvent):
@@ -756,7 +735,7 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         ChunkStream, ResidualNorm, ImmMerge, SegmentRepresentation,
         PhaseSpan, FaultInjected, RecoveryAction,
         CollectiveDowngraded, ResidualLost, SpeculativeAttempt,
-        ExecutorHealth, CollectiveCostEstimate, CollectiveChosen,
+        CollectiveCostEstimate, CollectiveChosen,
         CollectiveCompleted, ServiceJobSubmitted, ServiceJobFinished,
         PoolSample,
     )

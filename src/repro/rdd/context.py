@@ -128,12 +128,6 @@ class SparkerContext:
         #: armed fault controller (see :mod:`repro.faults`); None = no
         #: injection and no recovery machinery anywhere in the engine
         self.faults = None
-        # local import: repro.faults.health only needs obs at module level
-        from ..faults.health import ExecutorHealthRegistry
-        #: per-executor failure/straggle scoring, quarantine and backoff
-        #: (see :mod:`repro.faults.health`); always on, costs nothing on
-        #: clean runs
-        self.health = ExecutorHealthRegistry(self)
         #: speculative-execution policy (see
         #: :class:`~repro.rdd.speculation.SpeculationPolicy`); None = no
         #: straggler monitor and bit-identical scheduling to the seed

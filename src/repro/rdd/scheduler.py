@@ -411,7 +411,7 @@ class DAGScheduler:
         When ``sc.speculation`` is armed and the wave retries tasks
         independently, a straggler monitor runs alongside the attempt
         loops: attempts running far past the median completed duration
-        are cloned onto healthy executors, and a :class:`CommitGate`
+        are cloned onto other live executors, and a :class:`CommitGate`
         threaded through every task guarantees exactly one copy commits
         (IMM waves are excluded — their shared-mutable merge breaks the
         task independence duplicate attempts rely on).
@@ -519,8 +519,6 @@ class DAGScheduler:
                       task_factory: Callable[[int, int], Task],
                       retry_tasks: bool, wave: Optional[SpeculationWave],
                       placement: StagePlacement) -> Generator:
-        sc = self.sc
-        health = sc.health
         tried: Set[int] = set()
         current = None
         failures = 0
@@ -545,7 +543,6 @@ class DAGScheduler:
                     output = yield current
                     if wave is not None:
                         wave.task_finished(partition)
-                    health.record_success(executor.executor_id)
                     return partition, output
                 except FetchFailed:
                     raise
@@ -574,7 +571,6 @@ class DAGScheduler:
                             # Killed because the clone already committed;
                             # hand back its result, not a failure.
                             return partition, wave.results[partition]
-                    health.record_failure(executor.executor_id)
                     failures += 1
                     tried.add(executor.executor_id)
                     if not retry_tasks or failures >= MAX_TASK_FAILURES:
@@ -593,9 +589,9 @@ class DAGScheduler:
         The *canonical* placement is :meth:`pick_executor`'s answer per
         partition — what the same job gets alone on a fresh context. The
         stage runs on it or on a *translation* of it: every executor id
-        moved by the same offset, every target on its source's node, alive
-        and un-quarantined, none off the executor list. A translation keeps
-        each rank on the same node, the same partitions together and the
+        moved by the same offset, every target on its source's node and
+        alive, none off the executor list. A translation keeps each rank
+        on the same node, the same partitions together and the
         executors in the same order, so a job's merged values, ring and
         virtual time do not depend on which one it got (DESIGN §16,
         *Placement*). Among them the gang lands where its tasks wait for
@@ -632,10 +628,8 @@ class DAGScheduler:
         if shift:
             targets = [sc.executor_by_id(executor.executor_id + shift)
                        for executor in canonical]
-            available = sc.health.is_available
             for source, target in zip(canonical, targets):
-                if (target.node is not source.node
-                        or not available(target.executor_id)):
+                if target.node is not source.node or not target.alive:
                     return None
         claims = self.claims
         depth: Dict[int, int] = {}
@@ -657,7 +651,6 @@ class DAGScheduler:
         is the canonical placement :meth:`place_stage` starts from; retries
         and speculation backups come here directly."""
         sc = self.sc
-        health = sc.health
         pinned = rdd.pinned_executor(partition)
         if pinned is not None:
             executor = sc.executor_by_id(pinned)
@@ -667,19 +660,13 @@ class DAGScheduler:
             return executor
         for executor_id in rdd.preferred_executors(partition):
             executor = sc.executor_by_id(executor_id)
-            if (executor.alive and executor_id not in tried
-                    and not health.is_quarantined(executor_id)):
+            if executor.alive and executor_id not in tried:
                 return executor
         alive = [e for e in sc.executors if e.alive]
         if not alive:
             raise ExecutorLost("no alive executors in the cluster")
-        # Quarantined executors leave the pool while healthy peers exist;
-        # with no quarantines this is exactly the seed scheduler's choice.
-        healthy = [e for e in alive
-                   if not health.is_quarantined(e.executor_id)]
-        pool_base = healthy or alive
-        fresh = [e for e in pool_base if e.executor_id not in tried]
-        pool = fresh or pool_base
+        fresh = [e for e in alive if e.executor_id not in tried]
+        pool = fresh or alive
         return pool[position % len(pool)]
 
     # ---------------------------------------------------------- speculation
@@ -706,7 +693,6 @@ class DAGScheduler:
                     if backup is None:
                         continue
                     wave.speculated.add(partition)
-                    sc.health.record_straggle(executor_id)
                     attempt = wave.next_backup_attempt()
                     self._emit_speculative(
                         "launched", wave.stage_id, partition, executor_id,
@@ -720,32 +706,26 @@ class DAGScheduler:
 
     def _pick_backup(self, rdd: RDD, partition: int,
                      busy_executor_id: int) -> Optional[Executor]:
-        """Healthiest idle executor for a clone, or None if there is none.
+        """Least loaded live executor for a clone, or None if there is none.
 
-        Pinned tasks never speculate (their placement is the contract);
-        quarantined executors are skipped. The total order (score, live
-        tasks, id) makes the choice deterministic.
+        Pinned tasks never speculate (their placement is the contract).
+        The total order (live tasks, id) makes the choice deterministic.
         """
-        sc = self.sc
         if rdd.pinned_executor(partition) is not None:
             return None
-        health = sc.health
         candidates = [
-            e for e in sc.executors
+            e for e in self.sc.executors
             if e.alive and e.executor_id != busy_executor_id
-            and not health.is_quarantined(e.executor_id)
         ]
         if not candidates:
             return None
         return min(candidates,
-                   key=lambda e: (health.score(e.executor_id),
-                                  len(e._running), e.executor_id))
+                   key=lambda e: (len(e._running), e.executor_id))
 
     def _backup_shepherd(self, wave: SpeculationWave, task_factory,
                          partition: int, executor: Executor, attempt: int,
                          original_executor_id: int) -> Generator:
         """Process body: run one speculative clone and settle the race."""
-        sc = self.sc
         task = task_factory(partition, attempt)
         proc = executor.submit(task)
         try:
@@ -761,7 +741,6 @@ class DAGScheduler:
                 original_executor_id, executor.executor_id, attempt)
             return
         except Exception:
-            sc.health.record_failure(executor.executor_id)
             self._emit_speculative(
                 "backup_failed", wave.stage_id, partition,
                 original_executor_id, executor.executor_id, attempt)
@@ -770,7 +749,6 @@ class DAGScheduler:
             wave.resolve(partition, BACKUP_FAILED)
             return
         wave.results[partition] = output
-        sc.health.record_success(executor.executor_id)
         self._emit_speculative(
             "speculative_won", wave.stage_id, partition,
             original_executor_id, executor.executor_id, attempt)

@@ -26,7 +26,7 @@ is that mechanism for the simulated engine, split into the pieces the
 
 Determinism: the monitor wakes on fixed virtual-time intervals, scans
 partitions in sorted order, and picks backup executors by a total order
-(health score, load, executor id) — two runs with the same seed and plan
+(load, executor id) — two runs with the same seed and plan
 launch the same clones at the same times and resolve every commit race
 identically. Ties at the same instant resolve by the kernel's FIFO event
 order, which favours the attempt submitted first (the original).
@@ -77,7 +77,7 @@ class SpeculationLost(Exception):
 #: the monitor wakes every INTERVAL virtual seconds. Once at least
 #: ``max(MIN_TASKS, ceil(QUANTILE * wave_size))`` attempts of the wave have
 #: completed, any attempt running longer than MULTIPLIER times the median
-#: completed duration is cloned onto the healthiest idle executor;
+#: completed duration is cloned onto the least loaded live executor;
 #: MIN_TASKS keeps one-task waves and cold starts from speculating on no
 #: evidence
 QUANTILE = 0.75

@@ -71,8 +71,26 @@ def coalesce_chunks(index_chunks: Sequence[np.ndarray],
 def merge_sparse(a_idx: np.ndarray, a_vals: np.ndarray,
                  b_idx: np.ndarray, b_vals: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum two coalesced sparse operands into one coalesced pair."""
-    return coalesce_chunks([a_idx, b_idx], [a_vals, b_vals])
+    """Sum two coalesced sparse operands into one coalesced pair.
+
+    The operands are sorted and unique, so a stable sort of their joined
+    indices is one merge of two runs; each entry then lands at its index's
+    rank in the union. Totals start from zeros as in
+    :func:`coalesce_chunks`: a shared index holds ``(0.0 + a) + b`` and a
+    lone one ``0.0 + a``, bit for bit what that function sums.
+    """
+    idx = np.concatenate((a_idx, b_idx))
+    order = np.argsort(idx, kind="stable")
+    merged = idx[order]
+    first = np.empty(merged.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    pos = np.empty(merged.size, dtype=np.intp)
+    pos[order] = np.cumsum(first) - 1
+    totals = np.zeros(np.count_nonzero(first))
+    totals[pos[:len(a_idx)]] += a_vals
+    totals[pos[len(a_idx):]] += b_vals
+    return merged[first].astype(np.int64, copy=False), totals
 
 
 def slice_sparse(idx: np.ndarray, vals: np.ndarray, lo: int, hi: int

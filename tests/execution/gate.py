@@ -35,7 +35,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
 HOOK = Path(__file__).resolve().parent / "hook"
-LEDGER = ROOT / "benchmarks" / "ledger" / "run.py"
 LEDGER_WORKLOADS = ("chaos_agg", "fabric_1000flows", "train_tree",
                     "train_split", "service_mix")
 
@@ -58,8 +57,6 @@ ALLOWED = {
         _SAFETY + "an original that loses the commit race to its clone",
     "repro/sim/events.py:Process._step_fail":
         _SAFETY + "an exception thrown into a waiting process",
-    "repro/faults/health.py:ExecutorHealthRegistry.on_probation":
-        _SAFETY + "an executor whose quarantine has expired",
     "repro/core/imm.py:MutableObjectManager.clear_job":
         _SAFETY + "the job server's sweep of the aggregators a job "
                   "cancelled or failed mid-stage leaves behind",
@@ -158,19 +155,25 @@ ALLOWED_NAMES = {
 }
 
 
-def roots() -> dict:
-    """Root name -> ``(argv, cwd or None for a scratch directory)``."""
+def ledger(root: Path, *flags: str) -> list:
+    """The ledger's command line in the checkout at ``root``."""
+    return [sys.executable, str(root / "benchmarks" / "ledger" / "run.py"),
+            *flags]
+
+
+def roots(root: Path = ROOT) -> dict:
+    """Root name -> ``(argv, cwd or None for a scratch directory)`` in the
+    checkout at ``root``."""
     python = sys.executable
     found = {f"example:{path.stem}": ([python, str(path)], None)
-             for path in sorted((ROOT / "examples").glob("*.py"))}
+             for path in sorted((root / "examples").glob("*.py"))}
     found["figures"] = ([python, "-m", "pytest", "benchmarks",
                          "--ignore=benchmarks/ledger", "-q",
-                         "-p", "no:cacheprovider"], ROOT)
+                         "-p", "no:cacheprovider"], root)
     for name in LEDGER_WORKLOADS:
-        found[f"ledger:{name}"] = ([python, str(LEDGER), "--workload", name,
-                                    "--smoke", "--trace", "0"], ROOT)
-    found["ledger:micro"] = ([python, str(LEDGER), "--micro", "--smoke"],
-                             ROOT)
+        found[f"ledger:{name}"] = (ledger(root, "--workload", name,
+                                          "--smoke", "--trace", "0"), root)
+    found["ledger:micro"] = (ledger(root, "--micro", "--smoke"), root)
     return found
 
 

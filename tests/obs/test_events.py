@@ -19,7 +19,6 @@ from repro.obs import (
     CollectiveCostEstimate,
     CollectiveDowngraded,
     ColumnarFold,
-    ExecutorHealth,
     FaultInjected,
     ImmMerge,
     JobEnd,
@@ -108,8 +107,6 @@ SAMPLES = [
     SpeculativeAttempt(time=1.0, action="launched", stage_id=3, partition=2,
                        executor_id=5, backup_executor_id=1, attempt=100,
                        threshold=0.4, elapsed=0.9),
-    ExecutorHealth(time=1.1, executor_id=3, status="quarantined", score=2.5,
-                   strikes=3, until=6.1),
     ServiceJobSubmitted(time=1.2, service_job_id=4, tenant="alice",
                         pool="prod", workload="LR-C", queued=True),
     ServiceJobFinished(time=1.3, service_job_id=4, tenant="alice",

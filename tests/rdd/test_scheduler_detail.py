@@ -4,6 +4,7 @@ import operator
 
 import pytest
 
+from repro.rdd import MapPartitionsRDD
 from repro.rdd.scheduler import MAX_TASK_FAILURES
 
 from .conftest import combine_by_key
@@ -85,6 +86,25 @@ def test_retries_prefer_fresh_executors(sc):
 
     assert sc.parallelize([7], 1).map(flaky).collect() == [7]
     assert len(seen) == 3
+
+    # a live executor that fails every attempt: each partition that meets
+    # it retries on another one and never goes back
+    bad = 1
+    ran = []
+
+    def doubled(index, data, ctx):
+        ran.append((index, ctx.executor.executor_id))
+        if ctx.executor.executor_id == bad:
+            raise RuntimeError("bad executor")
+        return [2 * x for x in data]
+
+    clean = [2 * x for x in range(32)]
+    assert MapPartitionsRDD(sc.parallelize(range(32), 8),
+                            doubled).collect() == clean
+    met = [index for index, executor_id in ran if executor_id == bad]
+    assert met
+    assert len(met) == len(set(met))
+    assert len(ran) == 8 + len(met)
 
 
 def test_failure_in_shuffle_map_stage_retries(sc):

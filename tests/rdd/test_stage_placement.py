@@ -106,14 +106,9 @@ def test_saturated_groups_are_compared_by_queue_depth(sc):
     assert idle(sc)
 
 
-def test_a_group_with_a_dead_or_quarantined_executor_is_no_candidate(sc):
+def test_a_group_with_a_dead_executor_is_no_candidate(sc):
     rdd = cached(sc)
     held = occupy(sc, LOW)
-    sc.health.record_failure(6)
-    sc.health.record_failure(6)
-    assert sc.health.is_quarantined(6)
-    assert ran_on(sc, rdd.count) == LOW
-    sc.env.run(until=sc.env.timeout(10.0))       # the quarantine lapses
     assert ran_on(sc, rdd.count) == HIGH
     sc.executor_by_id(5).kill()
     assert ran_on(sc, rdd.count) == LOW
@@ -181,7 +176,7 @@ def test_a_placement_made_before_an_executor_died_is_made_again(sc):
 def exhaustive(sc, rdd, partitions):
     """Executor ids of the best legal shift of the canonical placement,
     found by trying every shift: each target on its source's node, on the
-    executor list and (when moved) alive and un-quarantined; a shift keeps
+    executor list and (when moved) alive; a shift keeps
     the executors' order. Best is the least ``(slot waits, blocks to
     build, |shift|, shift)``, a task's wait counted behind every claim."""
     canonical = [sc.dag.pick_executor(rdd, partition, position).executor_id
@@ -192,8 +187,7 @@ def exhaustive(sc, rdd, partitions):
         targets = [eid + shift for eid in canonical]
         if not all(target in executors
                    and executors[target].node is executors[source].node
-                   and (not shift or (executors[target].alive and not
-                                      sc.health.is_quarantined(target)))
+                   and (not shift or executors[target].alive)
                    for source, target in zip(canonical, targets)):
             continue
         line = dict(sc.dag.claims)
@@ -224,9 +218,7 @@ def placements(draw):
         claims=draw(st.dictionaries(st.sampled_from(ids),
                                     st.integers(0, 5))),
         dead=draw(st.lists(st.sampled_from(ids), max_size=2 * nodes - 1,
-                           unique=True)),
-        quarantined=draw(st.lists(st.sampled_from(ids), max_size=3,
-                                  unique=True)))
+                           unique=True)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,9 +231,6 @@ def test_place_stage_picks_what_an_exhaustive_search_picks(case):
                 sc.block_tracker.register((rdd.id, partition), eid)
         for eid in case["dead"]:
             sc.executor_by_id(eid).kill()
-        for eid in case["quarantined"]:
-            sc.health.record_failure(eid)
-            sc.health.record_failure(eid)
         sc.dag.claims.update(case["claims"])
         expected = exhaustive(sc, rdd, case["partitions"])
         placement = sc.dag.place_stage(rdd, case["partitions"])

@@ -39,6 +39,38 @@ def test_merge_sparse_matches_dense_sum():
     np.testing.assert_array_equal(dense, expected)
 
 
+def coalesced(entries):
+    """A sorted, unique operand from ``{index: value}``."""
+    idx = np.array(sorted(entries), dtype=np.int64)
+    return idx, np.array([entries[i] for i in idx.tolist()], dtype=float)
+
+
+operands = st.dictionaries(
+    st.integers(0, 60),
+    st.one_of(st.sampled_from((0.0, -0.0)),
+              st.floats(-1e6, 1e6, allow_nan=False)),
+    max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands, operands)
+def test_merge_sparse_is_coalesce_chunks_bit_for_bit(a, b):
+    a_i, a_v = coalesced(a)
+    b_i, b_v = coalesced(b)
+    idx, vals = merge_sparse(a_i, a_v, b_i, b_v)
+    ref_idx, ref_vals = coalesce_chunks([a_i, b_i], [a_v, b_v])
+    assert idx.dtype == ref_idx.dtype and vals.dtype == ref_vals.dtype
+    np.testing.assert_array_equal(idx, ref_idx)
+    assert vals.tobytes() == ref_vals.tobytes()
+
+
+def test_merge_sparse_sums_a_negative_zero_to_a_positive_one():
+    idx, vals = merge_sparse(np.array([1, 2]), np.array([-0.0, -0.0]),
+                             np.array([2]), np.array([-0.0]))
+    np.testing.assert_array_equal(idx, [1, 2])
+    assert not np.signbit(vals).any()
+
+
 def test_slice_sparse_rebases_window():
     idx = np.array([2, 4, 8, 9])
     vals = np.array([1.0, 2.0, 3.0, 4.0])
