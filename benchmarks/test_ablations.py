@@ -11,8 +11,8 @@
   value at the executors and skips the driver round-trip entirely.
 * driver result-getter threads — how much of tree aggregation's pain is
   the driver's fetch path.
-* the cost-model tuner — what ``collective="auto"`` picks on the paper's
-  reduce-scatter cells, against every candidate measured.
+* the cost-model tuner — what the model, priced offline, picks on the
+  paper's reduce-scatter cells, against every candidate measured.
 * the opt-in tiers — SparCML's density-adaptive wire format
   (``sparse=True``) and top-k sparsification with error feedback
   (``topk=``) against the dense default, on the paper's cells and on a
@@ -30,12 +30,16 @@ from repro import AggregationSpec
 from repro.bench import BreakdownRecorder, format_table
 from repro.cluster import KB, MB, Cluster, ClusterConfig
 from repro.comm import MpiCommunicator, ScalableCommunicator, sc_transport
-from repro.core.spec import PARALLELISM_CANDIDATES
+from repro.comm.cost import (
+    PARALLELISM_CANDIDATES,
+    CollectiveCostModel,
+    choose_collective,
+)
 from repro.data import concentrated_classification
 from repro.ml import LogisticRegressionWithSGD
-from repro.obs import CollectiveChosen, RingHop, attribute_critical_path
+from repro.obs import RingHop, attribute_critical_path
 from repro.service import SparkerSession
-from repro.serde import SizedPayload
+from repro.serde import SizedPayload, sim_sizeof
 from repro.sim import Environment
 
 
@@ -216,7 +220,7 @@ def test_ablation_driver_result_threads(record):
 
 def _split_once(config, sim_bytes, spec):
     """One split aggregation of one payload per core on a fresh context:
-    ``(virtual seconds, result bytes, the collective it ran)``."""
+    ``(virtual seconds, result bytes)``."""
     sc = SparkerSession(config).context()
     n = sc.cluster.total_cores
     rng = np.random.default_rng(7)
@@ -224,23 +228,20 @@ def _split_once(config, sim_bytes, spec):
             for _ in range(n)]
     rdd = sc.parallelize(data, n).cache()
     rdd.count()
-    chosen = []
-    sc.event_bus.subscribe(
-        lambda e: chosen.append(e) if isinstance(e, CollectiveChosen)
-        else None)
     zero = lambda: SizedPayload(np.zeros(64), sim_bytes=sim_bytes)  # noqa: E731
     t0 = sc.now
     result = rdd.split_aggregate(zero, spec=spec, **_payload_args())
-    (pick,) = chosen
-    return sc.now - t0, result.data.tobytes(), (pick.algorithm,
-                                                pick.parallelism)
+    return sc.now - t0, result.data.tobytes()
 
 
 def test_ablation_tuner(record):
-    """``collective="auto"`` against every candidate it chooses from, on
+    """The cost model's pick against every candidate it chooses from, on
     Figure 14's cell (48 executors, 256 MB) and a Figure 15 point (24
-    executors, 256 KB): the pick's bytes are the pinned ring's, and its
-    measured time is within 10% of the fastest candidate's (the bound of
+    executors, 256 KB). The engine runs the collective its spec names, so
+    the model is priced offline — :func:`choose_collective` on the zero
+    value's wire size and the cluster's executors — and its pick is read
+    off the measured sweep: the pick's bytes are the pinned ring's, and
+    its time is within 10% of the fastest candidate's (the bound of
     ``tests/comm/test_cost.py``).
 
     Finding: on the Figure 15 point the model, priced from the config
@@ -261,17 +262,21 @@ def test_ablation_tuner(record):
                 spec = pinned.replace(collective=algorithm, parallelism=p)
                 measured[(algorithm, p)] = _split_once(config, sim_bytes,
                                                        spec)
-        seconds, data, pick = _split_once(config, sim_bytes,
-                                          pinned.replace(collective="auto"))
+        winner, _ = choose_collective(
+            CollectiveCostModel.from_config(config),
+            sim_sizeof(SizedPayload(np.zeros(64), sim_bytes=sim_bytes)),
+            Cluster(Environment(), config).executors, algorithms,
+            PARALLELISM_CANDIDATES)
+        pick = (winner.algorithm, winner.parallelism)
         best = min(measured, key=lambda key: measured[key][0])
-        rows.append((label, f"{pick[0]} P={pick[1]}", round(seconds, 4),
+        rows.append((label, f"{pick[0]} P={pick[1]}",
                      round(measured[pick][0], 4), f"{best[0]} P={best[1]}",
                      round(measured[best][0], 4),
                      round(measured[("ring", 4)][0], 4)))
-        checks.append((data, measured[("ring", pick[1])][1],
+        checks.append((measured[pick][1], measured[("ring", pick[1])][1],
                        measured[pick][0], measured[best][0]))
     table = format_table(
-        ["Cell", "Tuner pick", "Auto (s)", "Pick pinned (s)",
+        ["Cell", "Tuner pick", "Pick pinned (s)",
          "Fastest candidate", "Fastest (s)", "Paper ring P=4 (s)"],
         rows, title="Ablation: the cost-model tuner against every "
                     "(algorithm, P) it chooses from (BIC)")

@@ -23,8 +23,9 @@ ITERATIONS = 8
 
 #: every reduction knob lives on one immutable spec; the default is the
 #: paper's parallel directed ring with 4 channels. Try
-#: ``AggregationSpec(collective="auto")`` to let the cost-model tuner pick
-#: the collective + parallelism per aggregation.
+#: ``AggregationSpec(collective="pipelined_ring")`` to stream the ring
+#: under the fold, or ``"hd"`` / ``"hierarchical"`` for the other
+#: reduce-scatter algorithms.
 SPEC = AggregationSpec(parallelism=4)
 
 

@@ -6,8 +6,8 @@ collective depends on segment size, executor count and host topology.
 This module makes the algorithm an entry of one table,
 :data:`COLLECTIVE_ALGORITHMS`, so
 :func:`~repro.core.sai.split_aggregate` (via
-:class:`~repro.core.spec.AggregationSpec`'s ``collective`` field, or the
-cost-model tuner in :mod:`repro.comm.cost`) can pick per call:
+:class:`~repro.core.spec.AggregationSpec`'s ``collective`` field) can
+pick per call:
 
 * ``"ring"`` — the paper's PDR ring
   (:func:`~repro.comm.ring.ring_reduce_scatter_rank` on every rank),
@@ -584,8 +584,8 @@ class HierarchicalCollective(CollectiveAlgorithm):
         return owned
 
 
-#: every reduce-scatter algorithm by name, in the order the tuner prices
-#: them (a tie goes to the first)
+#: every reduce-scatter algorithm by name, in the order the cost model
+#: prices them (:mod:`repro.comm.cost`; a tie goes to the first)
 COLLECTIVE_ALGORITHMS: Dict[str, CollectiveAlgorithm] = {
     algo.name: algo for algo in (
         RingCollective(), PipelinedRingCollective(),

@@ -1,8 +1,8 @@
-"""Alpha-beta cost model and auto-tuner for the collective registry.
+"""Alpha-beta cost model for the collective registry: offline pricing.
 
 The paper picks its reduction constants by hand: one topology (the PDR
 ring) and one parallelism (P=4, after the Figure 14 sweep). This module
-turns both into *decisions*: an LogGP-flavoured alpha-beta model
+prices that choice: an LogGP-flavoured alpha-beta model
 (:class:`CollectiveCostModel`) predicts the reduce+gather time of every
 ``(algorithm, parallelism)`` candidate from the platform constants the
 cluster config already declares — per-message overhead + link latency
@@ -10,15 +10,11 @@ cluster config already declares — per-message overhead + link latency
 bandwidth — and :func:`choose_collective` picks the cheapest.
 
 Pricing is a pure function of the config and the plan: the model is an
-immutable value, nothing here listens to the event bus, and a decision
-never depends on what earlier collectives measured. The obs layer
-records each prediction beside its measurement (``CollectiveCompleted``)
-for the report.
-
-The predictions steer scheduling only — simulated time is always charged
-by the actual message/merge machinery — so a wrong estimate can cost
-performance, never correctness (every registered algorithm is
-bit-identical, see :mod:`repro.comm.collectives`).
+immutable value and nothing here listens to the event bus. The engine
+never consults it — an aggregation runs the collective its
+:class:`~repro.core.spec.AggregationSpec` names. The tuner ablation
+(``benchmarks/test_ablations.py::test_ablation_tuner``) reads the
+model's picks offline against a measured sweep of every candidate.
 """
 
 from __future__ import annotations
@@ -37,6 +33,9 @@ __all__ = [
     "CollectiveCostModel",
     "choose_collective",
 ]
+
+#: the P values the tuner ablation prices for every algorithm
+PARALLELISM_CANDIDATES: Tuple[int, ...] = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)

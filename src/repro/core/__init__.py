@@ -15,13 +15,12 @@ from .aggregation import fresh_zero, tree_aggregate
 from .imm import MutableObjectManager, ObjectId, StaleMergeError
 from .sai import split_aggregate
 from .spawn_rdd import SpawnRDD
-from .spec import COLLECTIVES, AggregationSpec
+from .spec import AggregationSpec
 
 __all__ = [
     "tree_aggregate",
     "split_aggregate",
     "AggregationSpec",
-    "COLLECTIVES",
     "fresh_zero",
     "SpawnRDD",
     "MutableObjectManager",

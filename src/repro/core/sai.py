@@ -69,11 +69,9 @@ import warnings
 from collections import Counter
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..comm.collectives import COLLECTIVE_ALGORITHMS
 from ..comm.ring import ChunkLedger, ScalableCommunicator
 from ..obs import (CollectiveChosen, CollectiveCompleted,
-                   CollectiveCostEstimate, CollectiveDowngraded,
-                   RecoveryAction, ResidualNorm)
+                   CollectiveDowngraded, RecoveryAction, ResidualNorm)
 from ..rdd.rdd import RDD
 from ..rdd.scheduler import JobFailed
 from ..rdd.task_context import TaskContext
@@ -81,7 +79,7 @@ from ..serde import sim_sizeof
 from ..sim import SimulationError
 from .aggregation import fold_partition, fresh_zero, tree_aggregate
 from .spawn_rdd import SpawnRDD
-from .spec import PARALLELISM_CANDIDATES, AggregationSpec
+from .spec import AggregationSpec
 
 __all__ = ["split_aggregate", "drop_topk_residuals"]
 
@@ -123,9 +121,8 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
 
     ``spec`` carries every reduction knob (see
     :class:`~repro.core.spec.AggregationSpec`): the collective algorithm
-    (``"ring"`` | ``"hd"`` | ``"hierarchical"`` | ``"pipelined_ring"``, or
-    ``"auto"`` to let the cost-model tuner pick algorithm and parallelism
-    from the holders' actual wire sizes), the channel parallelism,
+    (``"ring"`` | ``"hd"`` | ``"hierarchical"`` | ``"pipelined_ring"``),
+    the channel parallelism,
     topology awareness and the recovery policy. With none in the spec the
     policy is the context's armed fault controller's (``sc.faults``);
     when neither exists the aggregation runs unarmored.
@@ -285,7 +282,6 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
     tracer = sc.event_bus.tracer
     cid = sc.new_collective_id()
     algorithm, parallelism = spec.collective, spec.parallelism
-    predicted = 0.0  # what only the tuner sets
     # A stream's window opens with the fold: the completed-span covers the
     # whole overlap, the number the overlap benchmark compares against
     # compute + reduce of the phased collectives.
@@ -315,7 +311,7 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
         off_plan = armor.aborted is None and not on_plan(holders)
         if armor.aborted is None and not off_plan:
             with sc.stopwatch.span("agg.reduce"):
-                _announce(sc, cid, "spec", holders, algorithm, parallelism)
+                _announce(sc, cid, holders, algorithm, parallelism)
                 try:
                     result = env.run(until=collective)
                 except Exception as exc:
@@ -326,7 +322,7 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
                     armor.abort(str(exc))
                 else:
                     _finish_collective(sc, cid, algorithm, parallelism,
-                                       predicted, began)
+                                       began)
                     return result
         # The stream is lost: tear it down and downgrade to the reduce loop.
         detail = (armor.aborted
@@ -350,17 +346,15 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
     with sc.stopwatch.span("agg.reduce"):
         if not streaming:
             if spec.topk is not None:
-                # Sparsify before pricing: the tuner and the ring both see
-                # the compressed wire sizes.
                 _compress_holders(sc, spec, holders)
-            algorithm, parallelism, predicted = _choose_collective(
-                sc, spec, holders, cid)
+            if sc.event_bus.active:
+                tracer.open_collective(cid)
+            _announce(sc, cid, holders, algorithm, parallelism)
             armor.span_id = tracer.collective_span(cid)
             began = sc.now
         result = _reduce(sc, ops, spec, armor, holders, contributions,
                          algorithm, parallelism)
-        _finish_collective(sc, cid, algorithm, parallelism, predicted,
-                           began)
+        _finish_collective(sc, cid, algorithm, parallelism, began)
     return result
 
 
@@ -369,89 +363,37 @@ def _slots_for(sc: Any, executor_ids: Sequence[int]) -> list:
             for executor_id in executor_ids]
 
 
-def _holder_value_bytes(sc: Any, holders: Holders) -> float:
-    """Mean wire size of the holders' in-memory aggregators.
+def _announce(sc: Any, cid: int, holders: Holders, algorithm: str,
+              parallelism: int) -> None:
+    """Emit the collective's ``CollectiveChosen`` (traced runs only).
 
-    This is the ``__sim_size__`` probe, so the density-adaptive sparse
-    format prices at its actual encoded size — the tuner sees the same
-    bytes the ring would put on the wire.
+    ``value_bytes`` is the mean ``__sim_size__`` of the holders'
+    in-memory aggregators, so the density-adaptive sparse format records
+    the bytes the ring puts on the wire.
     """
-    total = 0.0
-    for executor_id, obj in holders:
-        value = sc.executor_by_id(executor_id).object_manager.get(obj)
-        total += sim_sizeof(value)
-    return total / len(holders)
-
-
-def _announce(sc: Any, cid: int, source: str, holders: Holders,
-              algorithm: str, parallelism: int,
-              predicted: float = 0.0) -> None:
-    """Emit the collective's ``CollectiveChosen`` (traced runs only)."""
     bus = sc.event_bus
     if not bus.active:
         return
     slots = _slots_for(sc, [executor_id for executor_id, _ in holders])
-    value_bytes = _holder_value_bytes(sc, holders)
+    value_bytes = sum(
+        sim_sizeof(sc.executor_by_id(executor_id).object_manager.get(obj))
+        for executor_id, obj in holders) / len(holders)
     bus.emit(CollectiveChosen.fast(
         time=sc.now, collective_id=cid, algorithm=algorithm,
-        parallelism=parallelism, source=source, ranks=len(slots),
+        parallelism=parallelism, ranks=len(slots),
         hosts=len({s.hostname for s in slots}), value_bytes=value_bytes,
         segment_bytes=value_bytes / (len(slots) * parallelism),
-        predicted=predicted, span_id=bus.tracer.collective_span(cid),
+        span_id=bus.tracer.collective_span(cid),
         parent_span_id=bus.tracer.current_parent))
 
 
-def _choose_collective(sc: Any, spec: AggregationSpec, holders: Holders,
-                       cid: int) -> Tuple[str, int, float]:
-    """Decide a phased aggregation's ``(algorithm, parallelism)``.
-
-    With ``spec.collective="auto"`` the cost model prices every
-    ``algorithm x PARALLELISM_CANDIDATES`` pair against the holders'
-    measured wire sizes and placement; otherwise the spec's pinned choice
-    passes straight through. Returns ``(algorithm, parallelism,
-    predicted_seconds)``; the prediction is 0.0 unless the tuner ran.
-
-    The decision itself is driver-side Python: it schedules no simulation
-    events, so a pinned-ring run remains bit-identical to the seed.
-    """
-    bus = sc.event_bus
-    if spec.collective != "auto":
-        if bus.active:
-            bus.tracer.open_collective(cid)
-        _announce(sc, cid, "spec", holders, spec.collective,
-                  spec.parallelism)
-        return spec.collective, spec.parallelism, 0.0
-
-    from ..comm.cost import CollectiveCostModel, choose_collective
-    slots = _slots_for(sc, [executor_id for executor_id, _ in holders])
-    algorithms = [name for name in COLLECTIVE_ALGORITHMS
-                  if spec.topology_aware or name != "hierarchical"]
-    winner, estimates = choose_collective(
-        CollectiveCostModel.from_config(sc.cluster.config),
-        _holder_value_bytes(sc, holders), slots, algorithms,
-        PARALLELISM_CANDIDATES, chunk_bytes=spec.chunk_bytes)
-    predicted = next(est for plan, est in estimates if plan is winner)
-    if bus.active:
-        cspan = bus.tracer.open_collective(cid)
-        for plan, est in estimates:
-            bus.emit(CollectiveCostEstimate.fast(
-                time=sc.now, collective_id=cid, algorithm=plan.algorithm,
-                parallelism=plan.parallelism, predicted=est,
-                chosen=plan is winner,
-                span_id=bus.tracer.new_span(), parent_span_id=cspan))
-        _announce(sc, cid, "auto", holders, winner.algorithm,
-                  winner.parallelism, predicted)
-    return winner.algorithm, winner.parallelism, predicted
-
-
 def _finish_collective(sc: Any, cid: int, algorithm: str, parallelism: int,
-                       predicted: float, began: float) -> None:
+                       began: float) -> None:
     """Close the measurement window: emit the completed span."""
     if sc.event_bus.active:
         sc.event_bus.emit(CollectiveCompleted.fast(
             time=sc.now, collective_id=cid, algorithm=algorithm,
             parallelism=parallelism, began=began, seconds=sc.now - began,
-            predicted=predicted,
             span_id=sc.event_bus.tracer.close_collective(cid)))
 
 
@@ -462,9 +404,9 @@ def _reduce_once(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor,
     ``algorithm`` dispatches the reduce-scatter strategy by registry name
     (:mod:`repro.comm.collectives` — every strategy is bit-identical).
     A phased ``"pipelined_ring"`` is chunk-level wire/merge overlap with
-    every aggregator already in hand: the degraded mode the tuner prices,
-    and the rebuild mode of a lost stream, where the armor's ledger
-    replays acknowledged chunk columns instead of the wire.
+    every aggregator already in hand: the rebuild mode of a lost stream,
+    where the armor's ledger replays acknowledged chunk columns instead of
+    the wire.
     """
     executor_ids = [executor_id for executor_id, _ in holders]
     comm = armor.communicator(executor_ids, spec, parallelism)
@@ -502,8 +444,7 @@ def _reduce(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor,
     rebuild loop, whatever the algorithm: every registered collective
     surfaces a lost peer as :class:`~repro.rdd.executor.ExecutorLost`
     (recv deadline) or an abort interrupt (death listener). Rebuilds keep
-    the chosen ``algorithm`` — a shrunken ring is re-priced only on the
-    next aggregation, keeping recovery on the well-trodden path.
+    the spec's ``algorithm``, keeping recovery on the well-trodden path.
 
     The armor's ledger (a lost stream's) is re-bound before each ring
     pass to a key of the exact holder set, parallelism and aggregation

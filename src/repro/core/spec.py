@@ -9,8 +9,7 @@ only way in: nothing under :mod:`repro` reads an environment variable.
   dataclass with a :meth:`~AggregationSpec.replace` builder,
 * ``collective`` — which reduce-scatter algorithm the split aggregation
   runs (``"ring"`` | ``"hd"`` | ``"hierarchical"`` | ``"pipelined_ring"``,
-  see :mod:`repro.comm.collectives`) or ``"auto"`` to let the cost-model
-  tuner (:mod:`repro.comm.cost`) pick algorithm + parallelism per call,
+  see :mod:`repro.comm.collectives`),
 * ``sparse`` and ``topk`` — the two opt-in tiers, one field each: the
   density-adaptive wire format, and top-k sparsification with error
   feedback,
@@ -20,9 +19,7 @@ only way in: nothing under :mod:`repro` reads an environment variable.
 The defaults are **seed-identical**: ``collective="ring"``,
 ``parallelism=4``, topology-aware, dense, no recovery — a spec-free call
 produces bit-for-bit the same reduction as the pre-spec engine. The
-tuner (``collective="auto"``) is opt-in because a tuned parallelism
-changes the segment grid and therefore the floating-point association.
-The host-side compute pool is not a reduction knob: it belongs to the
+host-side compute pool is not a reduction knob: it belongs to the
 context (``SparkerContext(host_pool=N)``, ``SparkerSession(config,
 host_pool=N)``).
 """
@@ -30,22 +27,15 @@ host_pool=N)``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dataclass_replace
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from ..comm.collectives import COLLECTIVE_ALGORITHMS
 from ..comm.ring import DEFAULT_CHUNK_BYTES
 
 __all__ = [
-    "COLLECTIVES",
     "DEFAULT_CHUNK_BYTES",
     "AggregationSpec",
 ]
-
-#: valid values of :attr:`AggregationSpec.collective`
-COLLECTIVES: Tuple[str, ...] = ("auto", *COLLECTIVE_ALGORITHMS)
-
-#: the P values the ``"auto"`` tuner considers
-PARALLELISM_CANDIDATES: Tuple[int, ...] = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -54,7 +44,7 @@ class AggregationSpec:
 
     Build variants with :meth:`replace`::
 
-        spec = AggregationSpec(collective="auto")
+        spec = AggregationSpec(collective="hd")
         faster = spec.replace(parallelism=8)
 
     Fields
@@ -64,13 +54,10 @@ class AggregationSpec:
         (the paper's parallel directed ring), ``"hd"`` (recursive
         halving-doubling), ``"hierarchical"`` (intra-host leader gather +
         inter-host ring), ``"pipelined_ring"`` (chunked non-blocking ring
-        that overlaps seqOp compute and merge time with wire time) or
-        ``"auto"`` (cost-model tuner picks algorithm and parallelism per
-        call).
+        that overlaps seqOp compute and merge time with wire time).
     parallelism:
         Ring channels per executor (the paper's P, Figure 14); fixes the
-        ``N * P`` segment grid. Ignored when the tuner runs, which tries
-        every P in :data:`PARALLELISM_CANDIDATES`.
+        ``N * P`` segment grid.
     topology_aware:
         Rank executors by hostname (the paper's default) or by id.
         ``"hierarchical"`` requires hostname ranking.
@@ -105,9 +92,9 @@ class AggregationSpec:
     topk: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.collective not in COLLECTIVES:
+        if self.collective not in COLLECTIVE_ALGORITHMS:
             raise ValueError(
-                f"collective must be one of {COLLECTIVES}, "
+                f"collective must be one of {tuple(COLLECTIVE_ALGORITHMS)}, "
                 f"got {self.collective!r}")
         if self.parallelism < 1:
             raise ValueError(

@@ -81,8 +81,8 @@ class _SGDTrainer:
         ``aggregation`` selects the backend: ``"tree"`` (vanilla Spark),
         ``"tree_imm"`` or ``"split"`` (Sparker) — the paper's §3.1
         configuration switch. ``spec`` carries every reduction knob
-        (collective algorithm or ``"auto"``, parallelism, the
-        density-adaptive sparse payload).
+        (collective algorithm, parallelism, the density-adaptive sparse
+        payload).
         """
         if num_features < 1:
             raise ValueError(f"num_features must be >= 1: {num_features}")

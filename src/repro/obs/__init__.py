@@ -25,10 +25,9 @@ that from stage granularity down to tasks, messages and ring hops:
 * :mod:`repro.obs.critical_path` — the one report of a recorded run,
   built in one pass: the Figure-2-style phase and stage decomposition,
   exact per-job makespan attribution (compute / serde / wire / queueing /
-  recovery), one row per collective (tuner decision, measured window,
-  slowest hop), stragglers, sparse savings and
-  the fault report with its recovery epochs
-  (``python -m repro.obs events.jsonl`` renders it).
+  recovery), one row per collective (placement, measured window,
+  slowest hop), sparse savings and the fault report with its recovery
+  epochs (``python -m repro.obs events.jsonl`` renders it).
 
 Capture a trace::
 
@@ -62,7 +61,6 @@ from .events import (
     ChunkStream,
     CollectiveChosen,
     CollectiveCompleted,
-    CollectiveCostEstimate,
     CollectiveDowngraded,
     ColumnarFold,
     EVENT_TYPES,
@@ -124,7 +122,6 @@ __all__ = [
     "CollectiveDowngraded",
     "ResidualLost",
     "SpeculativeAttempt",
-    "CollectiveCostEstimate",
     "CollectiveChosen",
     "CollectiveCompleted",
     "ServiceJobSubmitted",

@@ -3,8 +3,8 @@
 ``python -m repro.obs events.jsonl`` prints the log's one report
 (:func:`~repro.obs.critical_path.attribute_critical_path`): the
 Figure-2-style time decomposition (phase and stage buckets), the per-job
-critical-path attribution, one table of collectives (tuner decision,
-measured window, slowest hop and chain), stragglers and the fault report
+critical-path attribution, one table of collectives (placement,
+measured window, slowest hop and chain) and the fault report
 (injected faults with detection latency, recovery actions, recovery
 epochs and their cost).
 ``--chrome trace.json`` additionally writes a Perfetto-loadable Chrome
@@ -124,16 +124,14 @@ def render_report(report: CriticalPathReport) -> str:
     if report.collectives:
         rows = []
         for coll in report.collectives:
-            hop, error, source = coll.slowest_hop, coll.error, coll.source
+            hop, decided = coll.slowest_hop, coll.ranks > 0
             rows.append([
                 coll.collective_id, coll.algorithm,
-                f"P={coll.parallelism}", source or "-",
-                f"{coll.ranks}x{coll.hosts}h" if source else "-",
-                f"{coll.value_bytes / 1e6:.1f}MB" if source else "-",
-                f"{coll.predicted:.4f}s" if source == "auto" else "-",
+                f"P={coll.parallelism}",
+                f"{coll.ranks}x{coll.hosts}h" if decided else "-",
+                f"{coll.value_bytes / 1e6:.1f}MB" if decided else "-",
                 (format_seconds(coll.seconds)
                  if coll.seconds is not None else "-"),
-                f"{100.0 * error:+.1f}%" if error is not None else "-",
                 coll.hop_count,
                 (f"{hop.channel} hop {hop.hop} rank {hop.rank} "
                  f"({format_seconds(hop.seconds)})" if hop else "-"),
@@ -144,40 +142,9 @@ def render_report(report: CriticalPathReport) -> str:
             ])
         out.append("")
         out.append(format_table(
-            ["id", "algorithm", "chan", "source", "ranks", "value",
-             "predicted", "measured", "error", "hops", "slowest hop",
-             "slowest chain"],
+            ["id", "algorithm", "chan", "ranks", "value", "measured",
+             "hops", "slowest hop", "slowest chain"],
             rows, title="Collectives (decision, measured window, blame)"))
-        decisions = sum(1 for c in report.collectives if c.source)
-        tuned = sum(1 for c in report.collectives if c.source == "auto")
-        errors = [abs(c.error) for c in report.collectives
-                  if c.error is not None]
-        if tuned:
-            mean_error = sum(errors) / len(errors) if errors else 0.0
-            out.append(
-                f"tuned decisions: {tuned} of {decisions}; mean |model "
-                f"error| {100.0 * mean_error:.1f}% over "
-                f"{report.cost_estimates} candidate estimates")
-
-    out.append("")
-    if report.stragglers:
-        critical: Dict[tuple, int] = {
-            (ct.stage_id, ct.stage_attempt, ct.partition, ct.attempt):
-            job.job_id
-            for job in report.jobs for ct in job.critical_tasks if ct.blame}
-        rows = [[f"s{s.stage_id}.{s.stage_attempt}", s.partition,
-                 s.executor_id, format_seconds(s.duration),
-                 format_seconds(s.stage_median), f"{s.slowdown:.2f}x",
-                 critical.get((s.stage_id, s.stage_attempt, s.partition,
-                               s.attempt), "-")]
-                for s in report.stragglers]
-        out.append(format_table(
-            ["stage", "part", "executor", "duration", "median", "slowdown",
-             "critical in job"],
-            rows, title=f"Stragglers (duration > "
-                        f"{report.straggler_factor:g}x stage median)"))
-    else:
-        out.append("stragglers: none")
 
     faults = report.faults
     if faults.observed:
@@ -263,11 +230,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--window", default=0.01,
         type=_number(0.0, math.inf, "use a window width > 0 virtual seconds"),
         help="metrics window width in virtual seconds (default: 0.01)")
-    parser.add_argument(
-        "--straggler-factor", default=2.0,
-        type=_number(0.0, math.inf, "use a straggler factor > 0"),
-        help="flag tasks slower than this multiple of their stage median "
-             "(default: 2.0)")
     args = parser.parse_args(argv)
 
     try:
@@ -276,8 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: cannot read {args.events}: {exc}", file=sys.stderr)
         return 2
 
-    print(render_report(attribute_critical_path(
-        events, straggler_factor=args.straggler_factor)))
+    print(render_report(attribute_critical_path(events)))
 
     if args.metrics:
         print()

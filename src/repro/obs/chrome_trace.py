@@ -132,12 +132,10 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
 
     # -------------------------------------------------------- collectives
     # One driver lane for the collective engine: each dispatched
-    # reduce+gather is a span (measured seconds), the tuner's decision and
-    # its per-candidate cost estimates are instant markers at decision
-    # time, so prediction vs reality lines up on one axis.
+    # reduce+gather is a span (measured seconds), its dispatch an instant
+    # marker with the placement it saw.
     collective_events = [e for e in events if e.kind in
-                         ("collective_chosen", "collective_completed",
-                          "collective_cost")]
+                         ("collective_chosen", "collective_completed")]
     if collective_events:
         out += _meta(DRIVER_PID, "collectives", tid=collective_tid,
                      sort_index=collective_tid)
@@ -148,30 +146,18 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
                     f"{event.algorithm} P{event.parallelism}",
                     event.began, event.time, "collective",
                     {"collective_id": event.collective_id,
-                     "seconds": event.seconds,
-                     "predicted": event.predicted}))
-            elif event.kind == "collective_chosen":
+                     "seconds": event.seconds}))
+            else:
                 out.append({"ph": "i", "pid": DRIVER_PID,
                             "tid": collective_tid, "s": "t",
                             "name": (f"chose {event.algorithm} "
                                      f"P{event.parallelism}"),
                             "cat": "collective", "ts": event.time * _US,
                             "args": {"collective_id": event.collective_id,
-                                     "source": event.source,
                                      "ranks": event.ranks,
                                      "hosts": event.hosts,
                                      "value_bytes": event.value_bytes,
-                                     "segment_bytes": event.segment_bytes,
-                                     "predicted": event.predicted}})
-            else:  # collective_cost: one estimate per candidate
-                out.append({"ph": "i", "pid": DRIVER_PID,
-                            "tid": collective_tid, "s": "t",
-                            "name": (f"est {event.algorithm} "
-                                     f"P{event.parallelism}"),
-                            "cat": "collective", "ts": event.time * _US,
-                            "args": {"collective_id": event.collective_id,
-                                     "predicted": event.predicted,
-                                     "chosen": event.chosen}})
+                                     "segment_bytes": event.segment_bytes}})
 
     # ------------------------------------------------------------- faults
     # Instant markers on the job lane: faults pin where the controller

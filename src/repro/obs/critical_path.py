@@ -22,15 +22,12 @@ in ``repro.obs``. It answers *where the time went* at three grains:
     driver-side result handling,
   * ``other``    — windows the log cannot explain (e.g. a stage with no
     task events in a partial log);
-* every dispatched collective: the tuner's decision, the measured
-  window, its slowest hop and rank chain.
+* every dispatched collective: its placement, the measured window, its
+  slowest hop and rank chain.
 
-Beside these it carries the run's counts, the stragglers, the sparse
-wire savings and the fault report
-(injected faults, recovery actions and epochs, downgrades, lost
-residuals, speculation). There is one straggler rule — an ``ok`` attempt
-slower than ``straggler_factor`` times its stage's median ``ok``
-attempt — and a critical task's ``blame`` is read from that list.
+Beside these it carries the run's counts, the sparse wire savings and
+the fault report (injected faults, recovery actions and epochs,
+downgrades, lost residuals, speculation).
 
 The partition is exact *by construction*: segment boundaries are laid
 out cumulatively from task metrics and the final boundary of every
@@ -51,7 +48,6 @@ the report as text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import median
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .events import (
@@ -75,7 +71,6 @@ __all__ = [
     "CollectiveAttribution",
     "RecoveryEpoch",
     "UnfinishedJob",
-    "Straggler",
     "SparseSavings",
     "FaultReport",
     "CriticalPathReport",
@@ -142,8 +137,6 @@ class CriticalTask:
     executor_id: int
     began: float
     ended: float
-    #: non-empty when this attempt is in the report's ``stragglers``
-    blame: str = ""
 
 
 @dataclass
@@ -199,7 +192,7 @@ class CollectiveAttribution:
     ``collective_completed`` records, so a decision that never completed
     still appears (``seconds`` is None, the window is the decision
     instant), and so does a completion with no decision (a stream torn
-    down before it was announced: ``source`` is ``""``).
+    down before it was announced: ``ranks`` is 0).
     """
 
     collective_id: int
@@ -209,13 +202,10 @@ class CollectiveAttribution:
     ended: float
     #: measured reduce+gather seconds; None when it never completed
     seconds: Optional[float] = None
-    #: ``"auto"`` (the tuner chose), ``"spec"`` (pinned) or ``""``
-    source: str = ""
+    #: placement from the decision record; 0 when none was joined
     ranks: int = 0
     hosts: int = 0
     value_bytes: float = 0.0
-    #: the tuner's modelled seconds (tuned decisions only)
-    predicted: float = 0.0
     hop_count: int = 0
     #: the single longest hop span (None for hop-free algorithms)
     slowest_hop: Optional[HopBlame] = None
@@ -237,13 +227,6 @@ class CollectiveAttribution:
     @property
     def chain_wire_seconds(self) -> float:
         return max(self.chain_seconds - self.chain_merge_seconds, 0.0)
-
-    @property
-    def error(self) -> Optional[float]:
-        """``(predicted - measured) / measured`` of a tuned, completed one."""
-        if self.source != "auto" or self.seconds is None or self.seconds <= 0:
-            return None
-        return (self.predicted - self.seconds) / self.seconds
 
 
 @dataclass
@@ -271,21 +254,6 @@ class UnfinishedJob:
     rdd_name: str
     began: float
     note: str = "no job_end record"
-
-
-@dataclass(frozen=True)
-class Straggler:
-    """An ``ok`` task attempt slower than its stage's typical one."""
-
-    stage_id: int
-    stage_attempt: int
-    partition: int
-    attempt: int
-    executor_id: int
-    duration: float
-    stage_median: float
-    #: ``duration / stage_median``
-    slowdown: float
 
 
 @dataclass
@@ -387,12 +355,6 @@ class CriticalPathReport:
     message_bytes: float = 0.0
     ring_hop_count: int = 0
     imm_merge_count: int = 0
-    #: the tuner's per-candidate cost estimates
-    cost_estimates: int = 0
-    #: the factor the straggler rule used
-    straggler_factor: float = 2.0
-    #: slowest first
-    stragglers: List[Straggler] = field(default_factory=list)
     sparse: SparseSavings = field(default_factory=SparseSavings)
     faults: FaultReport = field(default_factory=FaultReport)
     #: what the log held that the report could not attribute, and why
@@ -434,27 +396,6 @@ def _critical_task(task_ends: List[TaskEnd]) -> Optional[TaskEnd]:
     if not task_ends:
         return None
     return max(task_ends, key=lambda e: (e.time, e.partition, e.attempt))
-
-
-def _stragglers(tasks_by_stage: Dict[Tuple[int, int], List[TaskEnd]],
-                factor: float) -> List[Straggler]:
-    """The one rule: ``ok`` attempts slower than factor x their median."""
-    found: List[Straggler] = []
-    for (stage_id, stage_attempt), tasks in sorted(tasks_by_stage.items()):
-        ok = [t for t in tasks if t.status == "ok"]
-        if len(ok) < 2:
-            continue  # a single task has no peers to straggle behind
-        stage_median = median(t.duration for t in ok)
-        if stage_median <= 0:
-            continue
-        found += [Straggler(stage_id=stage_id, stage_attempt=stage_attempt,
-                            partition=t.partition, attempt=t.attempt,
-                            executor_id=t.executor_id, duration=t.duration,
-                            stage_median=stage_median,
-                            slowdown=t.duration / stage_median)
-                  for t in ok if t.duration > factor * stage_median]
-    found.sort(key=lambda s: -s.slowdown)
-    return found
 
 
 def _recovery_epochs(actions: List[RecoveryAction]) -> List[RecoveryEpoch]:
@@ -506,13 +447,9 @@ def _job_in_recovery(job_start: TraceEvent,
 
 
 # ---------------------------------------------------------------- analyzer
-def attribute_critical_path(events: Iterable[TraceEvent],
-                            straggler_factor: float = 2.0
-                            ) -> CriticalPathReport:
+def attribute_critical_path(
+        events: Iterable[TraceEvent]) -> CriticalPathReport:
     """Build the one report of a recorded run, in one pass over ``events``.
-
-    ``straggler_factor`` flags ``ok`` attempts slower than that multiple
-    of their stage's median ``ok`` attempt.
 
     Never raises on degenerate input: empty iterables, logs truncated
     mid-job, detached-mode streams with no job events, stages with
@@ -520,7 +457,7 @@ def attribute_critical_path(events: Iterable[TraceEvent],
     the report as ``unfinished`` entries, ``notes`` or ``other``-labelled
     segments.
     """
-    report = CriticalPathReport(straggler_factor=straggler_factor)
+    report = CriticalPathReport()
     phases, stage_totals = report.phases, report.stage_totals
     sparse, faults = report.sparse, report.faults
 
@@ -599,8 +536,6 @@ def attribute_critical_path(events: Iterable[TraceEvent],
             sparse.switches.append(event)
         elif kind == "chunk_stream":
             streams.append(event)
-        elif kind == "collective_cost":
-            report.cost_estimates += 1
         elif kind == "collective_chosen":
             if event.collective_id in chosen:
                 reused_collectives.add(event.collective_id)
@@ -631,7 +566,6 @@ def attribute_critical_path(events: Iterable[TraceEvent],
                 faults.detection_latency.append(
                     (fault, answer.time - fault.time))
     report.recovery_epochs = _recovery_epochs(faults.actions)
-    report.stragglers = _stragglers(tasks_by_stage, straggler_factor)
     if reused_jobs:
         report.notes.append(
             f"job ids {sorted(reused_jobs)} open more than once or share "
@@ -642,8 +576,6 @@ def attribute_critical_path(events: Iterable[TraceEvent],
             f"collective ids {sorted(reused_collectives)} recur (the log "
             f"mixes contexts): those collectives are not attributed")
 
-    blamed = {(s.stage_id, s.stage_attempt, s.partition, s.attempt): s
-              for s in report.stragglers}
     for job_id in sorted(job_starts):
         if job_id in reused_jobs:
             continue
@@ -683,15 +615,10 @@ def attribute_critical_path(events: Iterable[TraceEvent],
                 emit("other", comp.time,
                      f"stage {sub.stage_id}: no task events")
                 continue
-            straggler = blamed.get((ct.stage_id, ct.stage_attempt,
-                                    ct.partition, ct.attempt))
             job.critical_tasks.append(CriticalTask(
                 stage_id=ct.stage_id, stage_attempt=ct.stage_attempt,
                 partition=ct.partition, attempt=ct.attempt,
-                executor_id=ct.executor_id, began=ct.began, ended=ct.time,
-                blame=(f"partition {ct.partition} on executor "
-                       f"{ct.executor_id}: {straggler.slowdown:.2f}x stage "
-                       f"median" if straggler else "")))
+                executor_id=ct.executor_id, began=ct.began, ended=ct.time))
             m = ct.metrics
             emit("driver", ct.began - m.slot_wait, "task dispatch")
             emit("queueing", ct.began, "executor slot wait")
@@ -768,11 +695,9 @@ def _attribute_collective(decision: Optional[TraceEvent],
         seconds=comp.seconds if comp is not None else None,
         hop_count=len(hops), chunk_streams=len(bound_streams))
     if decision is not None:
-        attribution.source = decision.source
         attribution.ranks = decision.ranks
         attribution.hosts = decision.hosts
         attribution.value_bytes = decision.value_bytes
-        attribution.predicted = decision.predicted
     if hops:
         intervals = sorted((h.began, h.time) for h in hops)
         busy = 0.0

@@ -45,7 +45,6 @@ __all__ = [
     "CollectiveDowngraded",
     "ResidualLost",
     "SpeculativeAttempt",
-    "CollectiveCostEstimate",
     "CollectiveChosen",
     "CollectiveCompleted",
     "ServiceJobSubmitted",
@@ -550,14 +549,13 @@ class CollectiveDowngraded(TraceEvent):
     """A requested fast collective fell back to a slower path.
 
     Emitted whenever the engine cannot (or can no longer) run the
-    collective the spec or tuner asked for — today that means the
+    collective the spec asked for — today that means the
     overlapped ``pipelined_ring`` path handing the aggregation to the
     phased fault-tolerant loop. ``reason`` explains why
     (``placement_deviation`` — the IMM stage landed tasks off the
     planned executors; ``streamed_abort`` — a fault tore down the
     overlapped attempt mid-stream). The downgrade preserves
-    correctness; this event is the visibility the tuner report and
-    users previously lacked.
+    correctness; this event is what makes it visible.
     """
 
     kind: ClassVar[str] = "collective_downgraded"
@@ -616,34 +614,13 @@ class SpeculativeAttempt(TraceEvent):
 
 # ------------------------------------------------------------- collectives
 @dataclass(frozen=True, slots=True)
-class CollectiveCostEstimate(TraceEvent):
-    """The tuner's predicted cost for one candidate configuration.
-
-    One per candidate per tuned aggregation: ``algorithm`` and
-    ``parallelism`` identify the candidate, ``predicted`` its modelled
-    reduce+gather seconds, ``chosen`` whether the tuner picked it.
-    ``collective_id`` groups the candidates of one decision with its
-    :class:`CollectiveChosen` / :class:`CollectiveCompleted` pair.
-    """
-
-    kind: ClassVar[str] = "collective_cost"
-
-    collective_id: int
-    algorithm: str
-    parallelism: int
-    predicted: float
-    chosen: bool = False
-
-
-@dataclass(frozen=True, slots=True)
 class CollectiveChosen(TraceEvent):
-    """One split-aggregation's collective configuration was decided.
+    """One split-aggregation's collective was dispatched.
 
     Emitted for every aggregation that runs through the strategy
-    dispatch — ``source`` is ``"auto"`` when the cost-model tuner chose,
-    ``"spec"`` when the spec pinned the algorithm. ``segment_bytes`` is
-    the mean per-segment wire size the decision saw; ``ranks`` / ``hosts``
-    describe the placement.
+    dispatch, with the algorithm and parallelism its spec names.
+    ``segment_bytes`` is the mean per-segment wire size the holders
+    carried; ``ranks`` / ``hosts`` describe the placement.
     """
 
     kind: ClassVar[str] = "collective_chosen"
@@ -651,22 +628,18 @@ class CollectiveChosen(TraceEvent):
     collective_id: int
     algorithm: str
     parallelism: int
-    source: str  # "auto" | "spec"
     ranks: int
     hosts: int
     value_bytes: float
     segment_bytes: float
-    predicted: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
 class CollectiveCompleted(TraceEvent):
     """The reduce+gather window of one dispatched collective closed.
 
-    ``seconds`` is the measured virtual-time span; with ``predicted`` from
-    the matching :class:`CollectiveChosen` this is the model's
-    prediction-vs-measurement residual, which the CLI tuner report
-    prints. The model itself never reads it back.
+    ``seconds`` is the measured virtual-time span; a streamed collective's
+    window opens with the fold it overlaps.
     """
 
     kind: ClassVar[str] = "collective_completed"
@@ -676,7 +649,6 @@ class CollectiveCompleted(TraceEvent):
     parallelism: int
     began: float
     seconds: float
-    predicted: float = 0.0
 
 
 # ---------------------------------------------------------------- service
@@ -735,8 +707,7 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         ChunkStream, ResidualNorm, ImmMerge, SegmentRepresentation,
         PhaseSpan, FaultInjected, RecoveryAction,
         CollectiveDowngraded, ResidualLost, SpeculativeAttempt,
-        CollectiveCostEstimate, CollectiveChosen,
-        CollectiveCompleted, ServiceJobSubmitted, ServiceJobFinished,
+        CollectiveChosen, CollectiveCompleted, ServiceJobSubmitted, ServiceJobFinished,
         PoolSample,
     )
 }

@@ -13,7 +13,10 @@ survive new emitters. Version history: 1 = the original vocabulary,
 2 = optional ``span_id``/``parent_span_id`` causal-tracing fields
 (additive — version-1 readers that ignore unknown fields still work),
 3 = one ``message_*`` / ``ring_hop`` / ``chunk_stream`` per PDR hop, with
-``lanes`` (absent: 1) and bytes summed over them, not one per channel.
+``lanes`` (absent: 1) and bytes summed over them, not one per channel,
+4 = no per-candidate cost-estimate records, and ``collective_chosen`` /
+``collective_completed`` without ``source`` and ``predicted`` (older logs
+still load: the unknown kind is skipped and the extra keys ignored).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = ["SCHEMA_NAME", "SCHEMA_VERSION", "EventLogWriter",
            "load_events"]
 
 SCHEMA_NAME = "sparker.events"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: shared encoder — json.dumps(..., sort_keys=True) builds a fresh
 #: JSONEncoder per call, which dominates streaming-write cost

@@ -17,7 +17,6 @@ from repro import AggregationSpec
 from repro.cluster import Cluster, ClusterConfig
 from repro.comm import COLLECTIVE_ALGORITHMS, ScalableCommunicator
 from repro.comm.collectives import _ChainState, _owner_block
-from repro.core.spec import COLLECTIVES
 from repro.faults import (
     AtRingHop,
     ExecutorCrash,
@@ -58,8 +57,11 @@ def test_registry_lists_all_three():
         "ring", "pipelined_ring", "hd", "hierarchical"]
     assert all(COLLECTIVE_ALGORITHMS[name].name == name
                for name in COLLECTIVE_ALGORITHMS)
-    # the spec's valid names are derived from the one table
-    assert COLLECTIVES == ("auto", *COLLECTIVE_ALGORITHMS)
+    # the spec's valid names are exactly the one table's
+    for name in COLLECTIVE_ALGORITHMS:
+        assert AggregationSpec(collective=name).collective == name
+    with pytest.raises(ValueError, match="collective must be one of"):
+        AggregationSpec(collective="auto")
 
 
 def test_unknown_algorithm_rejected():

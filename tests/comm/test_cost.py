@@ -1,10 +1,10 @@
 """Cost model and tuner-choice tests.
 
-The model only steers scheduling (never correctness), so these tests pin
-the *decision properties* the tuner relies on: deterministic candidate
-ordering, ring-first tie-breaking, regime-correct rankings (latency-bound
-favours ``hd``, bandwidth-bound favours the ring), and that pricing is a
-pure function of the config and the plan — a run nobody listens to
+The model is offline pricing (the engine runs the collective its spec
+names), so these tests pin the *decision properties* of
+:func:`choose_collective`: deterministic candidate ordering, ring-first
+tie-breaking, regime-correct rankings (latency-bound favours ``hd``,
+bandwidth-bound favours the ring), and that a run nobody listens to
 records nothing, whatever the collective.
 """
 
@@ -162,10 +162,10 @@ def test_host_profile_feeds_the_plan():
 
 # ----------------------------------------------------------- no listener
 @pytest.mark.parametrize("collective", [
-    "ring", "hd", "hierarchical", "pipelined_ring", "auto"])
+    "ring", "hd", "hierarchical", "pipelined_ring"])
 def test_a_run_nobody_listens_to_records_nothing(collective):
-    """The tuner prices from the config: it subscribes nothing to the bus
-    and hangs no model on the context, so an untraced run stays silent."""
+    """No collective subscribes to the bus or hangs a model on the
+    context, so an untraced run stays silent."""
     sc = SparkerContext(ClusterConfig.bic(num_nodes=2))
     data = [SizedPayload(np.full(16, float(i)), sim_bytes=1 * MB)
             for i in range(24)]
@@ -229,7 +229,7 @@ def test_choose_collective_threads_chunk_bytes_into_plans():
         assert p.chunk_bytes == 1.0 * MB
 
 
-def test_auto_can_select_pipelined_on_merge_heavy_cells():
+def test_model_ranks_pipelined_first_on_merge_heavy_cells():
     model = make_model(merge=120 * MB)
     winner, _ = choose_collective(
         model, 256.0 * MB, slots("h0", "h0", "h1", "h1"),

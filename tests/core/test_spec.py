@@ -8,7 +8,8 @@ variants, and ``spec=`` as the only way in at every entry point.
 import numpy as np
 import pytest
 
-from repro.core.spec import COLLECTIVES, DEFAULT_CHUNK_BYTES, AggregationSpec
+from repro.comm import COLLECTIVE_ALGORITHMS
+from repro.core.spec import DEFAULT_CHUNK_BYTES, AggregationSpec
 from repro.serde import DEFAULT_SPARSE_POLICY, SparsePolicy
 
 
@@ -24,13 +25,14 @@ def test_defaults_are_seed_identical():
 
 
 def test_collective_is_validated():
-    for name in COLLECTIVES:
+    for name in COLLECTIVE_ALGORITHMS:
         if name == "hierarchical":
             AggregationSpec(collective=name, topology_aware=True)
         else:
             AggregationSpec(collective=name)
-    with pytest.raises(ValueError, match="collective must be one of"):
-        AggregationSpec(collective="butterfly")
+    for name in ("butterfly", "auto"):
+        with pytest.raises(ValueError, match="collective must be one of"):
+            AggregationSpec(collective=name)
 
 
 def test_parallelism_must_be_positive():
@@ -134,7 +136,7 @@ def test_trainers_reject_a_bare_parallelism():
 
 # ------------------------------------------- pipelined ring + approx tier
 def test_pipelined_ring_is_a_valid_collective():
-    assert "pipelined_ring" in COLLECTIVES
+    assert "pipelined_ring" in COLLECTIVE_ALGORITHMS
     spec = AggregationSpec(collective="pipelined_ring")
     assert spec.chunk_bytes == DEFAULT_CHUNK_BYTES
 

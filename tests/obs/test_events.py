@@ -16,7 +16,6 @@ from repro.obs import (
     ChunkStream,
     CollectiveChosen,
     CollectiveCompleted,
-    CollectiveCostEstimate,
     CollectiveDowngraded,
     ColumnarFold,
     FaultInjected,
@@ -86,15 +85,11 @@ SAMPLES = [
     RecoveryAction(time=0.9, action="ring_rebuild", site="ring", job_id=1,
                    executor_id=3, attempt=1, ranks=3, seconds=0.05,
                    detail="survivors re-ranked"),
-    CollectiveCostEstimate(time=0.91, collective_id=1, algorithm="hd",
-                           parallelism=2, predicted=0.012, chosen=True),
     CollectiveChosen(time=0.92, collective_id=1, algorithm="hd",
-                     parallelism=2, source="auto", ranks=6, hosts=2,
-                     value_bytes=8e6, segment_bytes=8e6 / 12,
-                     predicted=0.012),
+                     parallelism=2, ranks=6, hosts=2,
+                     value_bytes=8e6, segment_bytes=8e6 / 12),
     CollectiveCompleted(time=0.95, collective_id=1, algorithm="hd",
-                        parallelism=2, began=0.92, seconds=0.03,
-                        predicted=0.012),
+                        parallelism=2, began=0.92, seconds=0.03),
     ChunkStream(time=0.96, rank=1, executor_id=5, channel="0", num_chunks=4,
                 chunk_bytes=4194304.0, value_bytes=1.6e7, began=0.9),
     ResidualNorm(time=0.97, executor_id=5, job_id=1, k=100,

@@ -7,6 +7,8 @@ import pytest
 from repro.obs import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
+    CollectiveChosen,
+    CollectiveCompleted,
     EventBus,
     EventLogWriter,
     PhaseSpan,
@@ -64,6 +66,32 @@ def test_unknown_event_kinds_skipped(tmp_path):
         handle.write(json.dumps({"event": "from_the_future", "time": 9.0})
                      + "\n")
     assert load_events(path) == list(SAMPLES[:2])
+
+
+def test_version_3_tuner_records_still_load(tmp_path):
+    """A version-3 log's cost estimates are skipped and the collective
+    records' ``source`` / ``predicted`` keys ignored."""
+    path = tmp_path / "v3.jsonl"
+    records = [
+        {"schema": SCHEMA_NAME, "version": 3},
+        {"event": "collective_cost", "time": 0.9, "collective_id": 1,
+         "algorithm": "hd", "parallelism": 2, "predicted": 0.012,
+         "chosen": True},
+        {"event": "collective_chosen", "time": 0.9, "collective_id": 1,
+         "algorithm": "hd", "parallelism": 2, "source": "auto",
+         "ranks": 6, "hosts": 2, "value_bytes": 8e6,
+         "segment_bytes": 8e6 / 12, "predicted": 0.012},
+        {"event": "collective_completed", "time": 0.95,
+         "collective_id": 1, "algorithm": "hd", "parallelism": 2,
+         "began": 0.9, "seconds": 0.05, "predicted": 0.012},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert load_events(path) == [
+        CollectiveChosen(time=0.9, collective_id=1, algorithm="hd",
+                         parallelism=2, ranks=6, hosts=2, value_bytes=8e6,
+                         segment_bytes=8e6 / 12),
+        CollectiveCompleted(time=0.95, collective_id=1, algorithm="hd",
+                            parallelism=2, began=0.9, seconds=0.05)]
 
 
 def test_malformed_record_raises_with_line_number(tmp_path):

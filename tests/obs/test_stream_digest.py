@@ -17,6 +17,13 @@ record against record where lanes are equal and the clocks therefore are:
 on all four collectives every version-3 ``ring_hop`` / ``message_sent`` /
 ``message_delivered`` carries the instants of its P version-2 records,
 the sum of their bytes and the largest of their merge times.
+
+Version 4 drops what only the deleted ``collective="auto"`` tuner wrote:
+``source`` and ``predicted`` from ``collective_chosen`` and
+``predicted`` from ``collective_completed`` (always ``"spec"`` and 0.0
+on a pinned collective). It was checked record against record against
+version 3: the same 268 events in the same order, every other key and
+value equal, and the removed keys ``"spec"`` / 0.0 on all four records.
 """
 
 import hashlib
@@ -40,9 +47,9 @@ from repro.obs import RecordingListener
 from repro.rdd import Costed
 from repro.serde import SizedPayload
 
-#: schema version 3, taken at PR 24 (one record per hop)
+#: schema version 4 (no tuner fields)
 PARENT_DIGEST = (
-    "f17e143e1454a1d2a0500f2ad54ce7f67439344490f706338eb91b224745e12d")
+    "2bbbd2ed929d8d7a3e32b398b292097daaf5c1546cddeab571ed699414693445")
 PARENT_EVENTS = 268
 FINGERPRINT = {"python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
 
