@@ -2,7 +2,6 @@
 
 A :class:`Node` bundles the contended resources of a physical machine:
 
-* ``cores`` — a slot :class:`~repro.sim.Resource` for CPU scheduling,
 * ``nic_out`` / ``nic_in`` — :class:`~repro.cluster.flows.Link` capacity
   constraints for egress / ingress network bandwidth,
 * ``loopback`` — a link for same-node transfers (memory bus).
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim import Environment, Resource
+from ..sim import Environment
 from .flows import Link
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,15 +27,12 @@ class Node:
     """One physical machine of the simulated cluster."""
 
     def __init__(self, env: Environment, node_id: int, hostname: str,
-                 cores: int, nic_bandwidth: float,
-                 loopback_bandwidth: float, memory: float):
-        if cores < 1:
-            raise ValueError(f"node needs at least one core, got {cores}")
+                 nic_bandwidth: float, loopback_bandwidth: float,
+                 memory: float):
         self.env = env
         self.node_id = node_id
         self.hostname = hostname
         self.memory = memory
-        self.cores = Resource(env, capacity=cores, name=f"{hostname}.cores")
         self.nic_out = Link(nic_bandwidth, name=f"{hostname}.nic_out")
         self.nic_in = Link(nic_bandwidth, name=f"{hostname}.nic_in")
         self.loopback = Link(loopback_bandwidth, name=f"{hostname}.loopback")
@@ -49,7 +45,6 @@ class Node:
             env,
             node_id=node_id,
             hostname=hostname or f"node-{node_id:03d}",
-            cores=config.cores_per_node,
             nic_bandwidth=config.nic_bandwidth,
             loopback_bandwidth=config.loopback_bandwidth,
             memory=config.memory_per_node,

@@ -95,7 +95,6 @@ class Cluster:
         ]
         self.driver_node = Node(
             env, node_id=-1, hostname="driver-host",
-            cores=config.cores_per_node,
             nic_bandwidth=config.nic_bandwidth,
             loopback_bandwidth=config.loopback_bandwidth,
             memory=config.memory_per_node,

@@ -204,7 +204,6 @@ class _Armor:
         recovery = self.recovery
         comm = ScalableCommunicator(
             sc.cluster, parallelism=parallelism,
-            topology_aware=spec.topology_aware,
             slots=_slots_for(sc, executor_ids), bus=sc.event_bus,
             faults=self.controller,
             recv_timeout=None if recovery is None else recovery.recv_timeout,

@@ -58,9 +58,6 @@ class AggregationSpec:
     parallelism:
         Ring channels per executor (the paper's P, Figure 14); fixes the
         ``N * P`` segment grid.
-    topology_aware:
-        Rank executors by hostname (the paper's default) or by id.
-        ``"hierarchical"`` requires hostname ranking.
     sparse:
         The density-adaptive wire format (DESIGN.md §8): ``True`` gives
         the seqOp accumulator, the aggregator's segments and the per-send
@@ -85,7 +82,6 @@ class AggregationSpec:
 
     collective: str = "ring"
     parallelism: int = 4
-    topology_aware: bool = True
     sparse: bool = False
     recovery: Optional[Any] = None
     chunk_bytes: float = DEFAULT_CHUNK_BYTES
@@ -99,10 +95,6 @@ class AggregationSpec:
         if self.parallelism < 1:
             raise ValueError(
                 f"parallelism must be >= 1, got {self.parallelism}")
-        if self.collective == "hierarchical" and not self.topology_aware:
-            raise ValueError(
-                "collective='hierarchical' groups ranks by hostname and "
-                "requires topology_aware=True")
         if self.chunk_bytes <= 0:
             raise ValueError(
                 f"chunk_bytes must be > 0, got {self.chunk_bytes}")

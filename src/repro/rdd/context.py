@@ -20,6 +20,7 @@ from .accumulators import Accumulator, AccumulatorRegistry
 from .broadcast import Broadcast
 from .costing import ELEMENT_OVERHEAD, cost_of
 from .executor import Executor
+from .fair import FairTaskArbiter
 from .hostpool import HostPool
 from .rdd import RDD, ParallelCollectionRDD
 from .scheduler import DAGScheduler
@@ -99,6 +100,9 @@ class SparkerContext:
         self._executor_index: Dict[int, Executor] = {
             e.executor_id: e for e in self.executors
         }
+        #: grants every executor task slot (see :mod:`repro.rdd.fair`):
+        #: one FIFO pool here, a job server registers its tenant pools
+        self.task_arbiter = FairTaskArbiter(self)
         self.dag = DAGScheduler(self)
         if isinstance(host_pool, int):
             host_pool = HostPool(host_pool) if host_pool > 1 else None
@@ -113,10 +117,6 @@ class SparkerContext:
         #: thread-local JobScope holder (service mode); the classic
         #: blocking API never sets it
         self._scopes = threading.local()
-        #: FAIR task arbiter (see :mod:`repro.service.fair`); None = the
-        #: seed path, where executors acquire slots FIFO from their own
-        #: Resource
-        self.task_arbiter = None
         self.default_parallelism = (default_parallelism
                                     or self.cluster.total_cores)
         self._next_rdd_id = 0

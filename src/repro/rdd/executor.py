@@ -1,9 +1,11 @@
 """Executors: where tasks actually run.
 
-Each executor owns ``executor_cores`` task slots, a memory store for cached
-blocks, a shuffle store, and — Sparker's addition — a mutable object
-manager for in-memory merge. Submitting a task returns a simulated process
-that resolves to the task's result (or fails with the task's exception).
+Each executor runs up to ``executor_cores`` tasks at once, in slots the
+context's :class:`~repro.rdd.fair.FairTaskArbiter` grants, and owns a
+memory store for cached blocks, a shuffle store, and — Sparker's
+addition — a mutable object manager for in-memory merge. Submitting a
+task returns a simulated process that resolves to the task's result (or
+fails with the task's exception).
 
 A task attempt's timeline::
 
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Generator
 from ..cluster.placement import ExecutorSlot
 from ..obs import BlockEvent, ResidualLost, TaskEnd, TaskMetrics, TaskStart
 from ..serde import sim_sizeof
-from ..sim import Interrupt, Process, Resource
+from ..sim import Interrupt, Process
 from .accumulators import pop_task_context, push_task_context
 from .shuffle import FetchFailed
 from .speculation import SpeculationLost
@@ -58,8 +60,6 @@ class Executor:
         self.node = slot.node
         self.env = sc.env
         self.alive = True
-        self.task_slots = Resource(sc.env, capacity=slot.cores,
-                                   name=f"exec{slot.executor_id}.slots")
         self.memory_store = MemoryStore(
             slot.executor_id, sc.cluster.config.executor_memory,
             on_event=self._block_event)
@@ -110,15 +110,7 @@ class Executor:
         bus = self.sc.event_bus
         queued = env.now
         arbiter = self.sc.task_arbiter
-        if arbiter is None:
-            yield self.task_slots.acquire()
-        else:
-            # FAIR mode: the arbiter owns grant ordering; it reserves a
-            # slot for us before we touch ``task_slots``, so the acquire
-            # inside ``admit`` is always immediate and the Resource's
-            # FIFO waiter queue stays empty (an interrupted waiter would
-            # otherwise leak the slot a later release hands it).
-            yield from arbiter.admit(self, task)
+        yield from arbiter.admit(self, task)
         began = env.now
         tracing = bus.active
         span = -1
@@ -220,9 +212,7 @@ class Executor:
             status = "failed"
             raise
         finally:
-            self.task_slots.release()
-            if arbiter is not None:
-                arbiter.released(self, task, env.now - began)
+            arbiter.released(self, task, env.now - began)
             if tracing and bus.active:
                 bus.emit(TaskEnd.fast(
                     time=env.now, stage_id=task.stage_id,

@@ -14,8 +14,10 @@ shared Spark deployment serves many applications from one driver:
   synchronous) driver code over the single virtual clock with exactly
   one runnable thread at a time — engine state needs no locks and every
   run replays bit-identically,
-* :mod:`repro.service.fair` — the :class:`FairTaskArbiter`: weighted
-  FAIR sharing of executor task slots across tenant pools,
+* :class:`PoolConfig` — a tenant pool's weight and job quota; the
+  server registers its pools on the context's own
+  :class:`~repro.rdd.fair.FairTaskArbiter`, which shares executor task
+  slots across them,
 * :mod:`repro.service.traffic` — seeded open-loop (Poisson + bursty)
   multi-tenant traffic generation.
 
@@ -37,7 +39,7 @@ so multi-tenancy changes *when* things happen, never *what* is computed.
 """
 
 from ..rdd.context import JobCancelled
-from .fair import DEFAULT_POOL, FairTaskArbiter, PoolConfig
+from ..rdd.fair import DEFAULT_POOL, FairTaskArbiter, PoolConfig
 from .reactor import Cooperator, ServiceDeadlock
 from .server import JobRecord, JobServer, JobStatus
 from .session import JobHandle, SparkerSession

@@ -4,10 +4,11 @@ A :class:`JobServer` owns a single long-lived
 :class:`~repro.rdd.context.SparkerContext` and accepts asynchronous job
 submissions from many simulated tenants. Each admitted job runs its
 (unchanged, synchronous) driver code on a worker thread scheduled by the
-:class:`~repro.service.reactor.Cooperator`; task slots are arbitrated
-across tenant pools by the :class:`~repro.service.fair.FairTaskArbiter`;
-a pool's ``max_running`` bounds how many of its jobs run at once, and
-queues the rest.
+:class:`~repro.service.reactor.Cooperator`. The server registers its
+tenant pools on the context's own
+:class:`~repro.rdd.fair.FairTaskArbiter`, which then shares task slots
+across them by weight; a pool's ``max_running`` bounds how many of its
+jobs run at once, and queues the rest.
 
 Determinism: a fixed submission schedule (e.g. a seeded
 :mod:`~repro.service.traffic` generator) replays to a bit-identical
@@ -26,8 +27,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from ..cluster import ClusterConfig
 from ..obs import PoolSample, ServiceJobFinished, ServiceJobSubmitted
 from ..rdd.context import JobCancelled, JobScope, SparkerContext
+from ..rdd.fair import DEFAULT_POOL, PoolConfig
 from ..sim import Process
-from .fair import DEFAULT_POOL, FairTaskArbiter, PoolConfig
 from .reactor import Cooperator
 
 __all__ = ["JobServer", "JobRecord", "JobStatus"]
@@ -96,33 +97,22 @@ class JobServer:
     Parameters
     ----------
     config:
-        Cluster platform for the shared context (ignored when ``sc`` is
-        given).
+        Cluster platform for the shared context.
     pools:
         ``{name: PoolConfig}`` FAIR pools; unknown pool names submitted
         later are auto-registered at weight 1.
     default_pool:
         Pool used when a submission names none.
-    sc:
-        Adopt an existing context instead of creating one. It must not
-        have a cooperator or arbiter installed yet.
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None,
                  pools: Optional[Dict[str, PoolConfig]] = None,
-                 default_pool: str = DEFAULT_POOL,
-                 sc: Optional[SparkerContext] = None, **context_kwargs: Any):
-        self.sc = sc if sc is not None else SparkerContext(config,
-                                                           **context_kwargs)
+                 default_pool: str = DEFAULT_POOL, **context_kwargs: Any):
+        self.sc = SparkerContext(config, **context_kwargs)
         self.cooperator = Cooperator(self.sc.env)
-        if self.sc.task_arbiter is not None:
-            raise RuntimeError("context already has a task arbiter")
-        self.arbiter = FairTaskArbiter(self.sc, pools,
-                                       default_pool=default_pool)
-        # The arbiter is always installed in service mode — beyond
-        # fairness, it guarantees a cancelled task never strands a slot
-        # in the Resource's waiter queue (see repro.service.fair).
-        self.sc.task_arbiter = self.arbiter
+        #: the context's own slot arbiter, given this server's pools
+        self.arbiter = self.sc.task_arbiter
+        self.arbiter.register_pools(pools, default_pool)
         self.default_pool = default_pool
         self.jobs: List[JobRecord] = []
         self._ids = itertools.count()

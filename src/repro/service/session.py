@@ -32,7 +32,7 @@ from ..data.registry import SURROGATE_LDA_TOPICS
 from ..ml.classification import LogisticRegressionWithSGD, SVMWithSGD
 from ..ml.lda import LDA
 from ..rdd.context import JobCancelled, SparkerContext
-from .fair import DEFAULT_POOL, PoolConfig
+from ..rdd.fair import DEFAULT_POOL, PoolConfig
 from .server import JobRecord, JobServer, JobStatus
 
 __all__ = ["SparkerSession", "JobHandle", "JobStatus"]

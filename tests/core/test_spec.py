@@ -18,7 +18,7 @@ def test_defaults_are_seed_identical():
     spec = AggregationSpec()
     assert spec.collective == "ring"
     assert spec.parallelism == 4
-    assert spec.topology_aware is True
+    assert not hasattr(spec, "topology_aware")  # ranks follow hostnames
     assert spec.sparse is False  # dense
     assert not hasattr(spec, "batched")  # the columnar fold has no knob
     assert spec.recovery is None
@@ -26,10 +26,7 @@ def test_defaults_are_seed_identical():
 
 def test_collective_is_validated():
     for name in COLLECTIVE_ALGORITHMS:
-        if name == "hierarchical":
-            AggregationSpec(collective=name, topology_aware=True)
-        else:
-            AggregationSpec(collective=name)
+        AggregationSpec(collective=name)
     for name in ("butterfly", "auto"):
         with pytest.raises(ValueError, match="collective must be one of"):
             AggregationSpec(collective=name)
@@ -38,11 +35,6 @@ def test_collective_is_validated():
 def test_parallelism_must_be_positive():
     with pytest.raises(ValueError, match="parallelism must be >= 1"):
         AggregationSpec(parallelism=0)
-
-
-def test_hierarchical_requires_topology_aware():
-    with pytest.raises(ValueError, match="topology_aware"):
-        AggregationSpec(collective="hierarchical", topology_aware=False)
 
 
 def _first_segment(spec):

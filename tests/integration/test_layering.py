@@ -3,8 +3,10 @@
 ``ml`` builds on ``core`` (its trainers call core's aggregations) and
 ``service`` on both, so nothing under ``core`` may import ``repro.ml`` or
 ``repro.service``; ``comm`` sits below ``core``, so nothing under ``comm``
-may import ``repro.core``. Imports inside a function count: a deferred
-import is still an edge.
+may import ``repro.core``; the engine (``rdd``) owns task-slot
+arbitration and the service only configures it, so nothing under ``rdd``
+may import ``repro.service``. Imports inside a function count: a
+deferred import is still an edge.
 """
 
 import ast
@@ -18,6 +20,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 FORBIDDEN = {
     "core": ("repro.ml", "repro.service"),
     "comm": ("repro.core",),
+    "rdd": ("repro.service",),
 }
 
 

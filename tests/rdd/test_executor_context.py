@@ -24,6 +24,20 @@ def test_task_slots_limit_concurrency(sc):
     assert t_eight > 1.7 * t_four
 
 
+def test_an_interrupted_driver_wait_holds_nothing(sc):
+    """A process interrupted while queued for the driver thread gives its
+    place back: the next ``driver_work`` runs when the holder is done."""
+    env = sc.env
+    env.process(sc.driver_work(1.0))
+    waiter = env.process(sc.driver_work(1.0))
+    env.run(until=0.5)
+    waiter.interrupt("cancelled")
+    after = env.process(sc.driver_work(1.0))
+    env.run(until=after)
+    assert env.now == 2.0
+    assert sc.driver_cpu._in_use == 0
+
+
 def test_tasks_run_counter(sc):
     sc.parallelize(range(8), 8).count()
     assert sum(e.tasks_run for e in sc.executors) == 8

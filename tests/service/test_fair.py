@@ -61,30 +61,33 @@ def test_unknown_pool_autoregisters_at_weight_one():
         assert server.arbiter.pools["surprise"].weight == 1.0
 
 
-def test_resource_waiter_queue_stays_empty():
-    # The arbiter must own all queueing: the Resource's own FIFO waiter
-    # list staying empty is what makes cancellation unable to strand a
-    # slot (see repro.service.fair).
+def test_no_ticket_waits_beside_a_free_slot():
+    # The arbiter owns all queueing: a ticket that waits while its
+    # executor has a free slot is a stranded slot (a cancelled task that
+    # kept its grant), and every slot is free again once all jobs end.
     pools = {"a": PoolConfig(weight=2.0), "b": PoolConfig(weight=1.0)}
     with burst_server(pools) as server:
         for pool in pools:
             for _ in range(3):
                 server.submit(spin_job(server.sc, rounds=5), pool=pool)
         env = server.sc.env
+        slots = server.arbiter.slots.values()
         violations = []
 
         def check():
             while True:
                 yield env.timeout(0.5)
-                for executor in server.sc.executors:
-                    if executor.task_slots._waiters:
+                for executor_slots in slots:
+                    if (executor_slots.waiting
+                            and executor_slots.held < executor_slots.capacity):
                         violations.append(env.now)
 
         env.process(check(), name="invariant", critical=True)
         server.drain()
         assert not violations
-        for executor in server.sc.executors:
-            assert executor.task_slots.in_use == 0
+        assert server.arbiter.queued() == 0
+        for executor_slots in slots:
+            assert executor_slots.held == 0
 
 
 def test_snapshot_and_queued_shapes():
@@ -104,9 +107,3 @@ def test_pool_config_validates_weight():
         PoolConfig(weight=0.0)
     with pytest.raises(ValueError):
         PoolConfig(weight=-1.0)
-
-
-def test_one_server_per_context():
-    with burst_server(None) as server:
-        with pytest.raises(RuntimeError, match="already has"):
-            JobServer(sc=server.sc)

@@ -243,7 +243,8 @@ def test_claims_return_to_zero_after_failure_and_cancellation():
         assert victim.status() == "cancelled"
         assert bystander.status() == "succeeded"
         assert idle(sc)
-        assert all(e.task_slots.in_use == 0 for e in sc.executors)
+        assert all(sc.task_arbiter.slots[e.executor_id].held == 0
+                   for e in sc.executors)
 
 
 def test_a_claim_follows_its_retry():

@@ -54,8 +54,8 @@ def test_failure_is_isolated_to_its_job():
         assert isinstance(failed.exception, RuntimeError)
         assert good.status == JobStatus.SUCCEEDED and good.result == 64
         # the failed job's slots were returned
-        for executor in server.sc.executors:
-            assert executor.task_slots.in_use == 0
+        for slots in server.arbiter.slots.values():
+            assert slots.held == 0
 
 
 def test_quota_queues_jobs_beyond_max_running():
@@ -112,8 +112,8 @@ def test_cancel_mid_stage_cleans_up():
                 assert not any(oid[0] == job_id
                                for oid in executor.object_manager._entries)
         # all task slots returned; no parked workers, queue drains clean
-        for executor in sc.executors:
-            assert executor.task_slots.in_use == 0
+        for slots in server.arbiter.slots.values():
+            assert slots.held == 0
         # the server still accepts and completes new work
         after = server.submit(count_job(sc), workload="after")
         server.wait(after)
