@@ -11,7 +11,6 @@ from .fabric import CommFabric
 from .micro import measure_latency, measure_throughput
 from .mpi import MPICH_RS_SHORT_THRESHOLD, MpiCommunicator
 from .ring import (
-    ChunkLedger,
     ScalableCommunicator,
     chunk_columns_for,
     pipelined_ring_reduce_scatter_rank,
@@ -27,7 +26,6 @@ __all__ = [
     "sc_transport",
     "bm_transport",
     "ScalableCommunicator",
-    "ChunkLedger",
     "ring_reduce_scatter_rank",
     "ring_allgather_rank",
     "pipelined_ring_reduce_scatter_rank",

@@ -171,8 +171,7 @@ class PipelinedRingCollective(CollectiveAlgorithm):
     column's pipeline-fill instead of ``wire + merge``.
 
     ``C`` comes from the communicator's ``chunk_bytes``
-    (:func:`~repro.comm.ring.chunk_columns_for`), and its ``ledger``, if
-    any, is the delivery fence. Each rank leaves one
+    (:func:`~repro.comm.ring.chunk_columns_for`). Each rank leaves one
     :class:`~repro.obs.ChunkStream` once it has joined.
     """
 
@@ -192,7 +191,7 @@ class PipelinedRingCollective(CollectiveAlgorithm):
         owned, lanes = yield from pipelined_ring_reduce_scatter_rank(
             comm.fabric, rank, comm.size, segments, reduce_op,
             comm.cluster.config.merge_bandwidth, chunks, channel="ring",
-            track=comm._track, ledger=comm.ledger, **comm.hop_context(rank))
+            track=comm._track, **comm.hop_context(rank))
         if tracing and bus.active:
             bus.emit(ChunkStream.fast(
                 time=comm.env.now, rank=rank,

@@ -56,7 +56,6 @@ __all__ = [
     "ring_allgather_rank",
     "pipelined_ring_reduce_scatter_rank",
     "chunk_columns_for",
-    "ChunkLedger",
     "ScalableCommunicator",
 ]
 
@@ -291,58 +290,6 @@ def chunk_columns_for(segment: Any, chunk_bytes: Optional[float]) -> int:
     return max(1, min(columns, length))
 
 
-class ChunkLedger:
-    """Per-chunk delivery fence for fault-tolerant pipelined rings.
-
-    Each chunk column runs as an independent sub-ring; a rank that
-    finishes its column records ``(owned_index, lanes)`` here
-    *inside the column process*, so completions survive an abort that
-    tears the parent rank process down mid-join. A column is
-    **acknowledged** once every rank of the bound topology recorded it —
-    the ledger is driver-shared state, so all ranks of a rebuilt ring
-    make the same skip decision. On a rebuild bound to the same key
-    (same ring membership, same lineage epoch), acknowledged columns are
-    not replayed: each rank supplies its recorded slice with zero wire
-    and merge cost, and only unacknowledged columns re-run. Binding a
-    *different* key (an executor died and its partials were recomputed,
-    changing holder values, or the surviving topology shrank) discards
-    every record — stale slices must never leak across epochs.
-    """
-
-    def __init__(self) -> None:
-        #: identity of the attempt family the records belong to
-        self.key: Any = None
-        #: ranks in the bound topology (ack quorum size)
-        self.size: int = 0
-        self._done: Dict[int, Dict[int, Any]] = {}
-
-    def bind(self, key: Any, size: int) -> None:
-        """Adopt ``key``; clears all records if it differs from the bound
-        one. Call before every (re)attempt."""
-        if key != self.key or size != self.size:
-            self.key = key
-            self.size = size
-            self._done.clear()
-
-    def record(self, column: int, rank: int, owned: int,
-               lanes: Lanes) -> None:
-        self._done.setdefault(column, {})[rank] = (owned, lanes)
-
-    def acknowledged(self, column: int) -> bool:
-        """True when every rank finished this column (safe to skip)."""
-        entry = self._done.get(column)
-        return entry is not None and len(entry) == self.size > 0
-
-    def recall(self, column: int, rank: int) -> Any:
-        """The ``(owned_index, lanes)`` this rank recorded for a column."""
-        return self._done[column][rank]
-
-    def acknowledged_columns(self) -> int:
-        """How many columns are currently fully acknowledged."""
-        return sum(1 for entry in self._done.values()
-                   if len(entry) == self.size > 0)
-
-
 def pipelined_ring_reduce_scatter_rank(
     fabric: CommFabric,
     rank: int,
@@ -357,7 +304,6 @@ def pipelined_ring_reduce_scatter_rank(
     recv_timeout: Optional[float] = None,
     parent_span: int = -1,
     track: Optional[Callable[[Process], Process]] = None,
-    ledger: Optional[ChunkLedger] = None,
 ) -> Generator:
     """Per-rank chunked ring reduce-scatter: ``num_chunks`` concurrent
     sub-rings over elementwise chunk columns of the segments' lanes.
@@ -372,51 +318,38 @@ def pipelined_ring_reduce_scatter_rank(
     caller's values but merges never mutate unowned inputs).
 
     Returns ``(owned_index, lanes)`` like the classic ring. ``track``
-    registers the column processes for abort teardown. ``ledger`` is the
-    per-chunk delivery fence: finished columns are recorded as they
-    complete, and columns the whole bound topology already acknowledged
-    are *skipped* — the rank supplies its recorded slice instead.
+    registers the column processes for abort teardown.
     """
     env = fabric.env
     if size == 1:
         return 0, segments[0]
 
     def column(c: int, col_segments: Dict[int, Lanes]) -> Generator:
-        result = yield from ring_reduce_scatter_rank(
+        return ring_reduce_scatter_rank(
             fabric, rank, size, col_segments, reduce_op, merge_bandwidth,
             channel=(channel, c), bus=bus, executor_id=executor_id,
             recv_timeout=recv_timeout, parent_span=parent_span)
-        if ledger is not None:
-            # Record inside the column process: an abort that interrupts
-            # the parent's join must not lose a completed column.
-            ledger.record(c, rank, *result)
-        return result
 
     if num_chunks <= 1:
-        if ledger is not None and ledger.acknowledged(0):
-            return ledger.recall(0, rank)
         return (yield from column(0, segments))
-    #: column -> (owned index, reduced slice of every lane)
-    results: Dict[int, Tuple[int, Lanes]] = {}
-    pending: List[Tuple[int, Process]] = []
+    procs: List[Process] = []
     for c in range(num_chunks):
-        if ledger is not None and ledger.acknowledged(c):
-            results[c] = ledger.recall(c, rank)
-            continue
         proc = env.process(
             column(c, {j: tuple([lane.chunk_split(c, num_chunks)
                                  for lane in lanes])
                        for j, lanes in segments.items()}),
             name=f"pc:r{rank}ch{channel_str(channel)}k{c}")
-        pending.append((c, track(proc) if track is not None else proc))
-    for c, proc in pending:
-        results[c] = yield proc
+        procs.append(track(proc) if track is not None else proc)
+    #: per column, in column order: (owned index, reduced slice of every lane)
+    results: List[Tuple[int, Lanes]] = []
+    for proc in procs:
+        results.append((yield proc))
     owned = (rank + 1) % size
-    if any(col_owned != owned for col_owned, _ in results.values()):
+    if any(col_owned != owned for col_owned, _ in results):
         raise RuntimeError(  # pragma: no cover - structural invariant
             f"a chunk column of rank {rank} owns another segment than {owned}")
     return owned, tuple([parts[0].chunk_concat(parts) for parts in zip(
-        *[results[c][1] for c in range(num_chunks)])])
+        *[lanes for _, lanes in results])])
 
 
 class ScalableCommunicator:
@@ -445,10 +378,9 @@ class ScalableCommunicator:
     recv_timeout:
         Failure-detection deadline applied to every ring hop's recv;
         ``None`` (the default) disables detection and schedules nothing.
-    chunk_bytes / ledger:
+    chunk_bytes:
         ``"pipelined_ring"``'s alone: the size it cuts chunk columns to
-        (:func:`chunk_columns_for`), and the :class:`ChunkLedger` of the
-        aggregation this attempt belongs to, if it keeps one.
+        (:func:`chunk_columns_for`).
     """
 
     def __init__(self, cluster: Cluster, parallelism: int = 4,
@@ -458,8 +390,7 @@ class ScalableCommunicator:
                  bus: Optional[EventBus] = None,
                  faults: Any = None,
                  recv_timeout: Optional[float] = None,
-                 chunk_bytes: float = DEFAULT_CHUNK_BYTES,
-                 ledger: Optional[ChunkLedger] = None):
+                 chunk_bytes: float = DEFAULT_CHUNK_BYTES):
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         self.cluster = cluster
@@ -471,7 +402,6 @@ class ScalableCommunicator:
         self.bus = bus
         self.recv_timeout = recv_timeout
         self.chunk_bytes = chunk_bytes
-        self.ledger = ledger
 
         chosen = list(slots) if slots is not None else list(cluster.executors)
         if not chosen:

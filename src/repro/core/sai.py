@@ -31,7 +31,8 @@ collective and every policy goes through:
    Otherwise (a phased collective, or a lost stream) :func:`_reduce`
    repeats :func:`_reduce_once` — a **SpawnRDD** pins one task per
    holding executor and those tasks run the **reduce-scatter** over
-   ``N * parallelism`` segments — until one attempt succeeds;
+   ``N * parallelism`` segments — until one attempt succeeds or the
+   policy's attempts are spent;
 4. **collect** — the owned segments are gathered to the driver and
    concatenated, and the call's IMM aggregators, communicator and
    listeners are released whether it returned or raised.
@@ -39,10 +40,11 @@ collective and every policy goes through:
 Fault tolerance is the per-call :class:`_Armor`: the
 :class:`~repro.faults.RecoveryPolicy` in effect (the spec's, else the
 armed :class:`~repro.faults.FaultController`'s), the controller, the
-:class:`~repro.comm.ring.ChunkLedger`, the death listeners, the abort
-flag, and every communicator's ``faults=`` / ``recv_timeout=``. With no
-policy it is inert — no listeners, no recv deadline, one attempt, every
-exception propagates. With a policy the reduce step is a loop:
+death listeners, the abort flag, and every communicator's ``faults=`` /
+``recv_timeout=``. With no policy it is inert — no listeners, no recv
+deadline, one attempt, every exception propagates. With a policy the
+reduce step is a loop over the failures a rebuild can fix
+(``_REBUILDABLE``: a lost peer, an abort, a fenced merge):
 
 1. **detect** — ring recvs carry a failure-detection timeout and every
    holding executor gets a death listener that aborts the collective the
@@ -52,14 +54,15 @@ exception propagates. With a policy the reduce step is a loop:
    recomputed partials are absorbed into the surviving aggregators under
    a fresh *aggregation epoch* that fences any stale task merges;
 3. **rebuild** — a new ring over the survivors (hostname re-sorted), up
-   to ``max_ring_attempts`` times, after which the aggregation falls back
-   to ``treeAggregate`` over the same lineage.
+   to ``max_ring_attempts`` times, after which the call raises
+   :class:`~repro.rdd.scheduler.JobFailed` from the last attempt's error.
 
-A stream lost mid-flight (crash, recv timeout, placement off the plan) is
-torn down and downgrades to the same loop, keeping
-``algorithm="pipelined_ring"`` and the ledger, so a rebuild replays only
-the chunk columns nobody acknowledged. An armed call that meets no fault
-equals the inert one in result bytes and virtual time
+Anything else — a bug in a user op, ``JobFailed``, a kernel error —
+propagates at once with its own traceback. A stream lost mid-flight
+(crash, recv timeout, placement off the plan) is torn down and downgrades
+to the same loop, keeping ``algorithm="pipelined_ring"``; a rebuild
+replays every chunk column. An armed call that meets no fault equals the
+inert one in result bytes and virtual time
 (``tests/core/test_sai_armor.py``).
 """
 
@@ -69,15 +72,17 @@ import warnings
 from collections import Counter
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..comm.ring import ChunkLedger, ScalableCommunicator
+from ..comm.ring import ScalableCommunicator
 from ..obs import (CollectiveChosen, CollectiveCompleted,
                    CollectiveDowngraded, RecoveryAction, ResidualNorm)
+from ..rdd.executor import ExecutorLost
 from ..rdd.rdd import RDD
 from ..rdd.scheduler import JobFailed
 from ..rdd.task_context import TaskContext
 from ..serde import sim_sizeof
-from ..sim import SimulationError
-from .aggregation import fold_partition, fresh_zero, tree_aggregate
+from ..sim import Interrupt
+from .aggregation import fold_partition, fresh_zero
+from .imm import StaleMergeError
 from .spawn_rdd import SpawnRDD
 from .spec import AggregationSpec
 
@@ -92,9 +97,10 @@ MergeOp = Callable[[Any, Any], Any]
 #: (executor_id, object_id) pairs as returned by run_reduced_job
 Holders = List[Tuple[int, Tuple[int, int]]]
 
-#: depth of the ``treeAggregate`` a split aggregation falls back to once
-#: its recovery policy's ring attempts are spent
-TREE_FALLBACK_DEPTH = 2
+#: what a rebuild can answer: a lost peer (recv deadline or pinned-task
+#: failure), an abort's interrupt (a death listener or the stream's
+#: teardown), a merge fenced off by a fresh aggregation epoch
+_REBUILDABLE = (ExecutorLost, Interrupt, StaleMergeError)
 
 
 class _Ops(NamedTuple):
@@ -122,10 +128,9 @@ def split_aggregate(rdd: RDD, zero: Any, seq_op: SeqOp, split_op: SplitOp,
     ``spec`` carries every reduction knob (see
     :class:`~repro.core.spec.AggregationSpec`): the collective algorithm
     (``"ring"`` | ``"hd"`` | ``"hierarchical"`` | ``"pipelined_ring"``),
-    the channel parallelism,
-    topology awareness and the recovery policy. With none in the spec the
-    policy is the context's armed fault controller's (``sc.faults``);
-    when neither exists the aggregation runs unarmored.
+    the channel parallelism and the recovery policy. With none in the
+    spec the policy is the context's armed fault controller's
+    (``sc.faults``); when neither exists the aggregation runs unarmored.
     """
     spec = AggregationSpec.of(spec)
     sc = rdd.sc
@@ -172,8 +177,6 @@ class _Armor:
             recovery = self.controller.recovery
         #: the policy in effect; None = inert
         self.recovery = recovery
-        #: per-chunk delivery fence of a streamed call, kept across rebuilds
-        self.ledger: Optional[ChunkLedger] = None
         #: why the current collective was aborted (first cause wins)
         self.aborted: Optional[str] = None
         self.comm: Optional[ScalableCommunicator] = None
@@ -188,15 +191,6 @@ class _Armor:
         #: every IMM aggregator the call created, for :meth:`release`
         self.held: Holders = []
 
-    def survives(self, exc: Exception) -> bool:
-        """Whether a rebuild can answer ``exc``: never when inert; under a
-        policy everything — ExecutorLost (recv deadline or pinned-task
-        failure), Interrupt (a death listener aborted the collective),
-        StaleMergeError — except a retry budget already exhausted below,
-        or a broken kernel."""
-        return (self.recovery is not None
-                and not isinstance(exc, (JobFailed, SimulationError)))
-
     def communicator(self, executor_ids: Sequence[int], spec: AggregationSpec,
                      parallelism: int) -> ScalableCommunicator:
         """The communicator of the next collective attempt."""
@@ -207,7 +201,7 @@ class _Armor:
             slots=_slots_for(sc, executor_ids), bus=sc.event_bus,
             faults=self.controller,
             recv_timeout=None if recovery is None else recovery.recv_timeout,
-            chunk_bytes=spec.chunk_bytes, ledger=self.ledger)
+            chunk_bytes=spec.chunk_bytes)
         comm.set_span(self.span_id)
         self.comm, self.aborted = comm, None
         return comm
@@ -313,10 +307,10 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
                 _announce(sc, cid, holders, algorithm, parallelism)
                 try:
                     result = env.run(until=collective)
-                except Exception as exc:
-                    # A recv timeout, a dropped link or a late crash; the
-                    # armor downgrades it or lets it through.
-                    if not armor.survives(exc):
+                except _REBUILDABLE as exc:
+                    # A recv timeout, a dropped link or a late crash: a
+                    # policy downgrades it to the reduce loop.
+                    if armor.recovery is None:
                         raise
                     armor.abort(str(exc))
                 else:
@@ -329,12 +323,9 @@ def _drive(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor) -> Any:
         armor.abort(detail)
         try:
             env.run(until=collective)
-        except SimulationError:
-            raise
-        except Exception:
+        except _REBUILDABLE:
             # What an abort leaves in the collective: its Interrupt, or the
-            # fault that broke the stream. Kernel errors and
-            # KeyboardInterrupt are neither.
+            # fault that broke the stream.
             pass
         armor.dismiss()
         _emit_downgrade(
@@ -403,9 +394,7 @@ def _reduce_once(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor,
     ``algorithm`` dispatches the reduce-scatter strategy by registry name
     (:mod:`repro.comm.collectives` — every strategy is bit-identical).
     A phased ``"pipelined_ring"`` is chunk-level wire/merge overlap with
-    every aggregator already in hand: the rebuild mode of a lost stream,
-    where the armor's ledger replays acknowledged chunk columns instead of
-    the wire.
+    every aggregator already in hand: the rebuild mode of a lost stream.
     """
     executor_ids = [executor_id for executor_id, _ in holders]
     comm = armor.communicator(executor_ids, spec, parallelism)
@@ -444,23 +433,16 @@ def _reduce(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor,
     surfaces a lost peer as :class:`~repro.rdd.executor.ExecutorLost`
     (recv deadline) or an abort interrupt (death listener). Rebuilds keep
     the spec's ``algorithm``, keeping recovery on the well-trodden path.
-
-    The armor's ledger (a lost stream's) is re-bound before each ring
-    pass to a key of the exact holder set, parallelism and aggregation
-    epoch: a retry over unchanged holders (link faults) salvages every
-    acknowledged chunk column, while a crash — which changes the holder
-    set or, via recompute, the epoch — clears the records, because the
-    recomputed aggregators invalidate every prior partial reduction.
+    Once ``max_ring_attempts`` attempts failed it raises ``JobFailed``.
     """
     recovery = armor.recovery
     rdd, merge_op = ops.rdd, ops.merge_op
-    budget = 1 if recovery is None else recovery.max_ring_attempts
     attempts = 0
     epoch = 0
     first_detect: Optional[float] = None
     tracer = sc.event_bus.tracer
 
-    while attempts < budget:
+    while True:
         lost = [(eid, obj) for eid, obj in holders
                 if not sc.executor_by_id(eid).alive]
         if lost and recovery is not None:
@@ -517,46 +499,29 @@ def _reduce(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor,
             # Re-check before ringing: a holder may have died during the
             # recompute job itself.
             continue
-        if armor.ledger is not None:
-            armor.ledger.bind((tuple(eid for eid, _ in holders),
-                               parallelism, epoch), size=len(holders))
         try:
             result = _reduce_once(sc, ops, spec, armor, holders, algorithm,
                                   parallelism)
-        except Exception as exc:
-            # This ring attempt is dead; rebuild over the survivors if the
-            # armor can answer the failure.
-            if not armor.survives(exc):
+        except _REBUILDABLE as exc:
+            # This ring attempt is dead; rebuild over the survivors.
+            if recovery is None:
                 raise
             attempts += 1
             armor.emit("ring_abort", attempt=attempts, ranks=len(holders),
                        detail=str(exc))
             if first_detect is None:
                 first_detect = sc.now
-            if attempts < budget:
-                armor.emit("ring_rebuild", attempt=attempts,
-                           ranks=len(holders))
+            if attempts == recovery.max_ring_attempts:
+                raise JobFailed(
+                    f"split aggregation failed after max_ring_attempts="
+                    f"{attempts} collective attempts; the last: {exc}"
+                ) from exc
+            armor.emit("ring_rebuild", attempt=attempts, ranks=len(holders))
             continue
         if first_detect is not None:
             armor.emit("recovered", seconds=sc.now - first_detect,
                        attempt=attempts, ranks=len(holders))
         return result
-
-    # ---- ring budget exhausted: fall back to the tree -------------------
-    armor.emit("tree_fallback", site="tree", attempt=attempts)
-    armor.release()
-    tracer.push_parent(armor.epoch_span)
-    try:
-        agg = tree_aggregate(rdd, ops.zero, ops.seq_op, merge_op,
-                             depth=TREE_FALLBACK_DEPTH, imm=True)
-    finally:
-        tracer.pop_parent()
-    result = ops.concat_op([ops.split_op(agg, i, parallelism)
-                            for i in range(parallelism)])
-    if first_detect is not None:
-        armor.emit("recovered", site="tree", seconds=sc.now - first_detect,
-                   attempt=attempts)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +631,7 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
     With ``topk`` set the per-executor *cook* step sparsifies
     the aggregator between readiness and streaming, overlapping
     compression with the other executors' compute as well. Under a policy
-    the stream is armored like any attempt, and the armor gets a
-    :class:`ChunkLedger` that records each chunk column the moment all
-    ranks finish reducing it.
+    the stream is armored like any attempt.
 
     The ring is built over the stage's own placement, decided here and
     handed to the stage — exact as long as no task fails. Returns the
@@ -683,12 +646,6 @@ def _open_stream(sc: Any, ops: _Ops, spec: AggregationSpec, armor: _Armor
                        for executor in placement.executors)
     planned = list(expected)
 
-    if armor.recovery is not None:
-        # Epoch 0 of the chunk ledger: completions recorded by the stream
-        # are salvageable by any rebuild over the same holders and epoch.
-        armor.ledger = ChunkLedger()
-        armor.ledger.bind((tuple(planned), spec.parallelism, 0),
-                          size=len(planned))
     comm = armor.communicator(planned, spec, spec.parallelism)
     armor.watch(planned)
 

@@ -6,8 +6,9 @@ stragglers), arm a :class:`FaultController`
 against a context, and run the workload — split aggregation detects the
 damage (recv timeouts, death listeners, epoch fencing) and recovers per
 its :class:`RecoveryPolicy` (lineage recompute of lost partials, ring
-rebuild over the survivors, bounded attempts, ``treeAggregate``
-fallback). Same plan + same seed replays to a byte-identical event log.
+rebuild over the survivors, bounded attempts; a spent budget raises
+``JobFailed``). Same plan + same seed replays to a byte-identical event
+log.
 """
 
 from .controller import FaultController

@@ -193,9 +193,9 @@ class RecoveryPolicy:
 
     ``recv_timeout`` is each ring hop's failure-detection deadline (virtual
     seconds of upstream silence before the rank raises ``ExecutorLost``);
-    ``max_ring_attempts`` bounds ring rebuilds before the aggregation
-    falls back to a depth-2 ``treeAggregate``
-    (:data:`repro.core.sai.TREE_FALLBACK_DEPTH`).
+    ``max_ring_attempts`` bounds the collective attempts of one
+    aggregation; once that many failed, it raises ``JobFailed`` naming
+    the budget.
     """
 
     recv_timeout: float = 0.5

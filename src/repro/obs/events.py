@@ -526,10 +526,11 @@ class RecoveryAction(TraceEvent):
     ``action`` is one of ``ring_abort`` (a collective was torn down after
     failure detection), ``partial_recompute`` (lost partitions re-ran
     through lineage), ``ring_rebuild`` (a new ring over the survivors),
-    ``tree_fallback`` (ring attempts exhausted, switched to
-    treeAggregate), or ``recovered`` (the aggregation completed;
+    ``streamed_abort`` (a lost ``pipelined_ring`` stream handed to the
+    phased loop), or ``recovered`` (the aggregation completed;
     ``seconds`` carries the virtual-time cost from first detection to
-    completion). ``site`` is ``"ring"`` or ``"tree"``.
+    completion). ``site`` is ``"ring"``, or ``"pipelined"`` for a
+    ``streamed_abort``.
     """
 
     kind: ClassVar[str] = "recovery_action"

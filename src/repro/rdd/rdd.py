@@ -219,10 +219,10 @@ class RDD:
         """Sparker's split aggregation (see :mod:`repro.core.sai`).
 
         ``spec`` is an :class:`~repro.core.AggregationSpec` carrying the
-        collective algorithm, parallelism, topology awareness and recovery
-        policy. ``merge_op`` is the executor-local IMM merge over whole
-        aggregators (defaults to a whole-object ``splitOp``/``reduceOp``
-        round-trip, valid when aggregator and segment types coincide).
+        collective algorithm, parallelism and recovery policy.
+        ``merge_op`` is the executor-local IMM merge over whole aggregators
+        (defaults to a whole-object ``splitOp``/``reduceOp`` round-trip,
+        valid when aggregator and segment types coincide).
         """
         from ..core.sai import split_aggregate
         return split_aggregate(self, zero, seq_op, split_op, reduce_op,

@@ -101,17 +101,21 @@ def test_inert_call_propagates_a_user_error_and_cleans_up():
     assert held_objects(sc) == {}
 
 
-def test_exhausted_ring_budget_falls_back_to_the_tree_and_cleans_up():
+def test_a_reduce_op_bug_raises_itself_and_cleans_up():
+    """Under a policy too: no rebuild can fix a user op's bug, so the
+    first attempt's error propagates and nothing is recorded as a
+    recovery."""
     sc = context()
+    # an empty plan: the controller only records what the engine reports
+    controller = FaultController(sc, FaultPlan()).arm()
+    policy = RecoveryPolicy(max_ring_attempts=2)
 
     def broken(_a, _b):
         raise ZeroDivisionError("user reduce_op bug")
 
-    policy = RecoveryPolicy(max_ring_attempts=2)
-    # both ring attempts fail in the reduce_op; the tree merges whole
-    # values and does not call it
-    result = aggregate(sc, AggregationSpec(parallelism=2, recovery=policy),
-                       reduce_op=broken)
-    np.testing.assert_array_equal(result.data, np.full(WIDTH, 276.0))
+    with pytest.raises(ZeroDivisionError):
+        aggregate(sc, AggregationSpec(parallelism=2, recovery=policy),
+                  reduce_op=broken)
+    assert controller.actions == []
     assert held_objects(sc) == {}
     assert all(not e._death_listeners for e in sc.executors)

@@ -45,10 +45,6 @@ _SAFETY = "safety code the engine can meet but no root provokes: "
 #: never run by a root, on purpose; the reason is the whole of the case
 ALLOWED = {
     # ---- safety: fault, race and commit handling
-    "repro/comm/ring.py:ChunkLedger.recall":
-        _SAFETY + "a chunk column re-sent after its holder died",
-    "repro/comm/ring.py:ChunkLedger.acknowledged_columns":
-        _SAFETY + "the columns a restarted pipelined ring may skip",
     "repro/rdd/speculation.py:CommitGate.release":
         _SAFETY + "a speculative clone that dies holding the commit",
     "repro/rdd/speculation.py:CommitGate.winner":

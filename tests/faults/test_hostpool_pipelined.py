@@ -5,7 +5,7 @@ bodies; the fault controller crashes executors mid-stage; the pipelined
 collective streams the merged aggregators. Composed, the three must
 still yield the seed ring's exact bytes: stranded memos of a dead
 placement fall back to inline execution, the resubmitted stage re-merges
-on the survivors, and the downgraded ring replays through the ledger.
+on the survivors, and the downgraded ring replays every chunk column.
 """
 
 import numpy as np

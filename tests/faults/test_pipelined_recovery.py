@@ -72,10 +72,10 @@ def test_crash_downgrades_then_recovers(kind):
     assert len(run.injected) == 1
 
 
-def test_link_fault_salvages_via_ledger():
-    """Dropped messages time out the recv: the stream aborts, but the
-    rebuild runs over the *same* holders and epoch, so the chunk ledger
-    replays acknowledged columns instead of recomputing anything."""
+def test_link_fault_rebuilds_without_recompute():
+    """Dropped messages time out the recv: the stream aborts, and the
+    rebuild runs over the *same* holders and epoch, replaying every chunk
+    column without recomputing anything."""
     run = run_announced(plan=plan_for("message_drop", 4), recovery=RECOVERY,
                         collective="pipelined_ring")
     np.testing.assert_array_equal(run.result, expected_sum())
@@ -108,8 +108,9 @@ def test_faulted_pipelined_matches_seed_phased_ring():
 # -------------------------------------------------------------- small chunks
 @pytest.mark.parametrize("kind", ["crash_mid_ring", "message_drop"])
 def test_chunked_stream_recovers(kind):
-    """Multi-column chunking (several sub-rings per channel) must fence
-    and replay per column, still bitwise."""
+    """Multi-column chunking (several sub-rings per channel) must recover
+    through the same loop: the rebuild replays every column, still
+    bitwise."""
     run = run_announced(plan=plan_for(kind, 4), recovery=RECOVERY,
                         collective="pipelined_ring", chunk_bytes=64.0)
     np.testing.assert_array_equal(run.result, expected_sum())

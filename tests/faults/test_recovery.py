@@ -18,6 +18,7 @@ from repro.faults import (
     AtStageBoundary,
     AtTime,
     ExecutorCrash,
+    FaultController,
     FaultPlan,
     MessageDelay,
     MessageDrop,
@@ -130,18 +131,18 @@ def test_message_delay_is_tolerated(baseline):
     assert run.now >= baseline.now
 
 
-def test_ring_budget_exhausted_falls_back_to_tree(baseline):
+def test_a_spent_ring_budget_raises_job_failed():
     # Drop every ring message forever: each rebuild times out again until
-    # the attempt budget is gone and the tree fallback finishes the job.
-    plan = FaultPlan(faults=(MessageDrop(count=10**6),))
-    run = run_split_agg(plan=plan, recovery=RecoveryPolicy(
-        recv_timeout=0.02, max_ring_attempts=2))
-    assert run.result.tobytes() == baseline.result.tobytes()
-    names = run.action_names
-    assert names.count("ring_abort") == 2
-    assert "tree_fallback" in names
-    assert names[-1] == "recovered"
-    assert run.actions[-1].site == "tree"
+    # the attempt budget is gone, and then the call fails loudly.
+    sc = make_context()
+    controller = FaultController(
+        sc, FaultPlan(faults=(MessageDrop(count=10**6),)),
+        RecoveryPolicy(recv_timeout=0.02, max_ring_attempts=2)).arm()
+    with pytest.raises(JobFailed, match="max_ring_attempts=2") as failed:
+        run_split_agg(sc=sc)
+    assert isinstance(failed.value.__cause__, ExecutorLost)
+    assert [a.action for a in controller.actions] == [
+        "ring_abort", "ring_rebuild", "ring_abort"]
 
 
 def test_total_cluster_loss_fails_the_job():

@@ -196,12 +196,12 @@ def test_chrome_trace_marks_faults():
     events = [
         FaultInjected(time=0.5, fault="message_drop", target="rank 0 -> 1",
                       trigger="link", src=0, dst=1, channel="ring/0"),
-        RecoveryAction(time=0.7, action="tree_fallback", site="tree",
+        RecoveryAction(time=0.7, action="ring_rebuild", site="ring",
                        job_id=2),
     ]
     trace = chrome_trace(events)["traceEvents"]
     instants = [e for e in trace if e.get("ph") == "i"]
     assert {e["name"] for e in instants} == \
-        {"fault:message_drop", "recovery:tree_fallback"}
+        {"fault:message_drop", "recovery:ring_rebuild"}
     drop = next(e for e in instants if e["name"] == "fault:message_drop")
     assert drop["ts"] == pytest.approx(0.5e6)
